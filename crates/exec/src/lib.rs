@@ -34,6 +34,7 @@ pub mod cost;
 pub mod env;
 pub mod eval;
 pub mod exec;
+mod join;
 pub mod subplan;
 pub mod trace;
 mod vector;

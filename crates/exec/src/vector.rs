@@ -2,8 +2,8 @@
 //!
 //! This module is the bridge between the plan IR and the kernel layer in
 //! [`decorr_common::columnar`]: it *compiles* plan predicates and
-//! projections into kernel form, drives the staged filter over a batch,
-//! and builds bulk-hashed join sides for the hash joins.
+//! projections into kernel form and drives the staged filter over a batch.
+//! (The bulk-hashed join sides live with the join kernel in [`crate::join`].)
 //!
 //! `ExecStats` parity is the design constraint throughout. Every fragment
 //! reproduces the row-wise path's observable behaviour bit-for-bit:
@@ -11,9 +11,6 @@
 //! * [`filter_range`] evaluates predicates in plan order over a shrinking
 //!   selection and charges one predicate evaluation per *surviving* row at
 //!   each stage — exactly the row-wise short-circuit count.
-//! * [`JoinSide`] hashes with the same `eq_key`/total-order semantics as
-//!   the row-wise `Vec<Value>` map keys, so the set of matching pairs (and
-//!   with the caller's left-order probe, the output order) is identical.
 //! * Anything that does not compile — arithmetic in a predicate, an
 //!   `IS NULL`, a non-column output — makes the caller fall back to the
 //!   row-wise path wholesale, never half-way.
@@ -25,18 +22,15 @@
 //! scan re-run per outer binding) go columnar: the table's batch is built
 //! once, and each re-scan compiles to a fresh `Col cmp Lit` kernel call.
 
-use std::cmp::Ordering;
-
-use decorr_common::columnar::{self, ColPredicate, Column, ColumnarBatch, SelVec, ValRef};
-use decorr_common::{CmpOp, FxHashMap, Result, Row, Value, WorkerPool};
+use decorr_common::columnar::{self, ColPredicate, Column, ColumnarBatch, SelVec};
+use decorr_common::{CmpOp, FxHashMap, Row, Value};
 use decorr_qgm::{BinOp, Expr};
 
 use crate::env::{Env, Layout};
-use crate::exec::extract_join_keys;
 
 /// Map a plan comparison operator onto a kernel operator. Logical and
 /// arithmetic operators have no kernel form.
-fn cmp_of(op: BinOp) -> Option<CmpOp> {
+pub(crate) fn cmp_of(op: BinOp) -> Option<CmpOp> {
     match op {
         BinOp::Eq => Some(CmpOp::Eq),
         BinOp::NullEq => Some(CmpOp::NullEq),
@@ -188,94 +182,6 @@ pub(crate) fn filter_range(
         sel = columnar::filter_kernel(batch, p, &sel);
     }
     (sel, evals)
-}
-
-/// One side of a hash join, bulk-hashed.
-///
-/// When every key expression is a plain local column, the key columns are
-/// transposed once and hashed through [`columnar::hash_kernel`] — no
-/// per-row `Vec<Value>` key is ever materialized. Otherwise (computed
-/// keys, correlation constants) keys are extracted exactly as the legacy
-/// path does and bulk-hashed by the kernel-compatible [`columnar::hash_keys`].
-/// Either way `hashes[i]` is `None` iff the row can never match (an `=`
-/// key part was NULL or NaN), and equal keys hash equally *across* the two
-/// representations, so the two sides of one join may mix them freely.
-pub(crate) struct JoinSide {
-    /// Per-row key hash; `None` = row excluded.
-    pub hashes: Vec<Option<u64>>,
-    /// Per-part `IS NOT DISTINCT FROM` flag (raw total-order matching).
-    null_ok: Vec<bool>,
-    repr: SideRepr,
-}
-
-enum SideRepr {
-    /// Transposed key-part columns (raw values; exclusion lives in `hashes`).
-    Cols(Vec<Column>),
-    /// Extracted keys, `=` parts `eq_key`-normalized.
-    Keys(Vec<Option<Vec<Value>>>),
-}
-
-/// Build one join side from its rows and key expressions.
-pub(crate) fn join_side(
-    pool: &WorkerPool,
-    rows: &[Row],
-    layout: &Layout,
-    keys: &[(&Expr, bool)],
-    env: Option<&Env<'_>>,
-) -> Result<JoinSide> {
-    let null_ok: Vec<bool> = keys.iter().map(|&(_, ok)| ok).collect();
-    let offs: Option<Vec<usize>> = keys
-        .iter()
-        .map(|(k, _)| match k {
-            Expr::Col { quant, col } => layout.offset_of(*quant).map(|off| off + col),
-            _ => None,
-        })
-        .collect();
-    if let Some(offs) = offs {
-        let parts: Vec<Column> = offs
-            .iter()
-            .map(|&off| Column::from_values(rows.iter().map(move |r| &r[off]), rows.len()))
-            .collect();
-        let spec: Vec<(&Column, bool)> = parts.iter().zip(null_ok.iter().copied()).collect();
-        let sel: SelVec = (0..rows.len() as u32).collect();
-        let hashes = columnar::hash_kernel(&spec, &sel);
-        return Ok(JoinSide { hashes, null_ok, repr: SideRepr::Cols(parts) });
-    }
-    let keyed = extract_join_keys(pool, rows, layout, keys, env)?;
-    let hashes = columnar::hash_keys(&keyed);
-    Ok(JoinSide { hashes, null_ok, repr: SideRepr::Keys(keyed) })
-}
-
-impl JoinSide {
-    fn part(&self, row: usize, p: usize) -> ValRef<'_> {
-        match &self.repr {
-            SideRepr::Cols(parts) => parts[p].get(row),
-            SideRepr::Keys(keys) => {
-                ValRef::of(&keys[row].as_ref().expect("hashed row has a key")[p])
-            }
-        }
-    }
-
-    /// Do the keys of `self[i]` and `other[j]` match? Only called on rows
-    /// whose hashes are present and equal (collision verification).
-    ///
-    /// `=` parts compare under SQL equality — valid whether the part is
-    /// raw (`Cols`) or normalized (`Keys`), since exclusion already
-    /// removed NULL/NaN and SQL equality folds `-0.0`/`0.0` and
-    /// `Int`/`Double` the same way `eq_key` normalization does. `IS NOT
-    /// DISTINCT FROM` parts compare under the total order, which both
-    /// representations keep raw.
-    pub fn key_eq(&self, i: usize, other: &JoinSide, j: usize) -> bool {
-        (0..self.null_ok.len()).all(|p| {
-            let a = self.part(i, p);
-            let b = other.part(j, p);
-            if self.null_ok[p] {
-                a.total_cmp(b) == Ordering::Equal
-            } else {
-                a.sql_cmp(b) == Some(Ordering::Equal)
-            }
-        })
-    }
 }
 
 /// Hash-partition a table's rows by one column for set-oriented nested

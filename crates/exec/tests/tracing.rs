@@ -3,7 +3,8 @@
 
 use decorr_common::{row, DataType, Schema};
 use decorr_core::{apply_strategy, Strategy};
-use decorr_exec::{execute, execute_traced, ExecOptions};
+use decorr_exec::{execute, execute_traced, ExecOptions, JoinStrategy};
+use decorr_qgm::BoxKind;
 use decorr_sql::parse_and_bind;
 use decorr_storage::Database;
 
@@ -123,4 +124,50 @@ fn trace_json_mirrors_the_operator_tree() {
         assert!(json.contains(key), "missing {key} in {json}");
     }
     assert!(json.contains("\"strategy\":\"hash\""), "{json}");
+}
+
+/// The COUNT-bug-repairing outer join says how it ran: one join entry on
+/// the OuterJoin box, keyed by its null-producing (right) quantifier —
+/// `hash` normally, `nested-loop` when the build side is over the memory
+/// budget — with the children's row counts on either side.
+#[test]
+fn outer_join_records_its_join_strategy() {
+    let db = empdept();
+    let g = parse_and_bind(PAPER_QUERY, &db).unwrap();
+    let plan = apply_strategy(&g, Strategy::Magic).unwrap();
+    let oj = plan
+        .reachable_boxes(plan.top())
+        .into_iter()
+        .find(|&b| matches!(plan.boxref(b).kind, BoxKind::OuterJoin))
+        .expect("magic decorrelation of a COUNT subquery ends in an outer join");
+    let (ql, qr) = (plan.boxref(oj).quants[0], plan.boxref(oj).quants[1]);
+    for (mem_budget, want) in [
+        (None, JoinStrategy::Hash),
+        (Some(1), JoinStrategy::NestedLoop),
+    ] {
+        let opts = ExecOptions { mem_budget, ..ExecOptions::default() };
+        let (_, stats, trace) = execute_traced(&db, &plan, opts).unwrap();
+        let rendered = trace.render(&plan);
+        let t = trace.get(oj).expect("outer join traced");
+        assert_eq!(t.joins.len(), 1, "{rendered}");
+        let j = &t.joins[0];
+        assert_eq!((j.quant, j.strategy), (qr, want), "{rendered}");
+        // Per evaluation: a shared child (the supplementary table) is
+        // recomputed per reference and its trace entry sums over them.
+        let rows_out = |q| {
+            let child = trace.get(plan.quant(q).input).unwrap();
+            child.rows_out / child.invocations
+        };
+        assert_eq!(
+            (j.left_rows, j.right_rows),
+            (rows_out(ql), rows_out(qr)),
+            "{rendered}"
+        );
+        assert_eq!(j.out_rows, t.rows_out, "{rendered}");
+        assert_eq!(stats.degradations > 0, want == JoinStrategy::NestedLoop);
+        assert!(
+            rendered.contains(&format!("join {qr} via {}", want.name())),
+            "{rendered}"
+        );
+    }
 }

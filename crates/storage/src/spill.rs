@@ -45,7 +45,6 @@ pub struct SpillManager {
     dir: PathBuf,
     env: Arc<dyn StorageEnv>,
     pool: Arc<BufferPool>,
-    counter: AtomicU64,
     /// Spill files whose deletion failed on drop (leaked until the next
     /// store open sweeps the directory).
     cleanup_failures: Arc<AtomicU64>,
@@ -60,13 +59,7 @@ impl SpillManager {
     ) -> Result<SpillManager> {
         let dir = dir.into();
         env.create_dir_all(&dir)?;
-        Ok(SpillManager {
-            dir,
-            env,
-            pool,
-            counter: AtomicU64::new(1),
-            cleanup_failures: Arc::new(AtomicU64::new(0)),
-        })
+        Ok(SpillManager { dir, env, pool, cleanup_failures: Arc::new(AtomicU64::new(0)) })
     }
 
     /// The pool spill pages fault through.
@@ -86,7 +79,10 @@ impl SpillManager {
 
     /// Start a new partition set with `parts` partitions.
     pub fn partition_set(&self, parts: usize) -> Result<SpillSet> {
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
+        // Process-wide, not per manager: two managers sharing a directory
+        // must never hand out the same file name.
+        static NEXT_SPILL_FILE: AtomicU64 = AtomicU64::new(1);
+        let n = NEXT_SPILL_FILE.fetch_add(1, Ordering::Relaxed);
         let path = self
             .dir
             .join(format!("spill-{}-{}.tmp", std::process::id(), n));
