@@ -434,7 +434,7 @@ impl ChoiceOutcome {
 /// per-box trace, audit the estimates, and measure every sound strategy
 /// for comparison.
 pub fn race_figure(fig: Figure, db: &Database) -> Result<ChoiceOutcome> {
-    let model = CostModel::new(db);
+    let model = CostModel::new(db)?;
     let qgm = parse_and_bind(fig.sql(), db)?;
     let choice = choose_strategy_with(&model, qgm)?;
     let (_, stats, trace) = execute_traced(db, &choice.plan, fig.exec_opts(choice.strategy))?;
@@ -458,7 +458,7 @@ pub fn race_figure(fig: Figure, db: &Database) -> Result<ChoiceOutcome> {
 /// `ANALYZE` the database a figure runs against and render the result.
 pub fn analyze_figure(fig: Figure, scale: f64, seed: u64) -> Result<String> {
     let db = fig.database(scale, seed)?;
-    Ok(Statistics::analyze(&db).render())
+    Ok(Statistics::analyze(&db)?.render())
 }
 
 /// The figures recorded by the benchmark baseline (`harness --bench-json`):

@@ -827,10 +827,11 @@ pub type HashKeyPart<'a> = (&'a Column, bool);
 /// respective equality hash identically — including `Int(1)`/`Double(1.0)`
 /// and `-0.0`/`0.0` on normalized parts.
 pub fn hash_kernel(parts: &[HashKeyPart<'_>], sel: &[u32]) -> Vec<Option<u64>> {
-    // Standalone part hashes are combined with the same Fx mixing an
-    // `FxHasher` would apply to a sequence of u64 writes, so a one-part key
-    // and a multi-part key both get well-mixed 64-bit hashes. Dictionary
-    // columns hash each distinct string once.
+    // Standalone part hashes are combined the way an `FxHasher` combines a
+    // sequence of u64 writes. The Fx round alone leaves a small-integer
+    // key's low 36 bits constant; it is `FxHasher::finish` that mixes, so
+    // one-part and multi-part keys alike come out with every bit
+    // key-dependent. Dictionary columns hash each distinct string once.
     let memo: Vec<Option<Vec<u64>>> = parts
         .iter()
         .map(|(col, _)| match &col.data {

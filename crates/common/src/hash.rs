@@ -4,8 +4,10 @@
 //! hash aggregation on integer and short-string keys. The standard library's
 //! SipHash is collision-resistant but slow for this use; the offline crate
 //! set does not include `rustc-hash`, so we carry a small implementation of
-//! the same "Fx" multiply-and-rotate hash used by the Rust compiler.
-//! HashDoS is not a concern: all inputs are generated workloads.
+//! the same "Fx" multiply-and-rotate hash used by the Rust compiler, with
+//! a bit-mixing finisher ([`FxHasher::finish`]) so every bit of the result
+//! depends on the key. HashDoS is not a concern: all inputs are generated
+//! workloads.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -17,7 +19,8 @@ pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// The Fx hash function: for each word, `state = (state.rotl(5) ^ word) * SEED`.
+/// The Fx hash function: for each word, `state = (state.rotl(5) ^ word) * SEED`;
+/// [`finish`](Hasher::finish) runs the state through [`mix64`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -31,9 +34,18 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The state, bit-mixed. The last step of the Fx round is a multiply by
+    /// an odd constant, which only carries entropy *upward*: whatever low
+    /// bits of the last word were key-independent stay key-independent in
+    /// the state. [`Value`](crate::Value) hashes numerics as `f64` bits, and
+    /// the `f64` pattern of an integer below 2^16 has 36+ trailing zeroes —
+    /// returned unmixed, every such key lands in one bucket chain of a
+    /// `HashMap` (bucket = low bits) and on bucket 0 of any `% n`
+    /// partitioning. After the mix both the low bits (hashbrown's bucket
+    /// index) and the top seven (its control byte) depend on the whole key.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        mix64(self.hash)
     }
 
     #[inline]
@@ -80,12 +92,9 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Murmur-style bit-mix finalizer for Fx hashes that feed `% n` bucketing.
-///
-/// Fx multiply hashes of small integer values carry little entropy in their
-/// low bits (the f64 bit pattern of a small integer has 30+ trailing
-/// zeroes), so plain modulo partitioning would collapse onto bucket 0.
-/// Used by hash-partitioned joins and cluster partitioning alike.
+/// The murmur3 64-bit finalizer: every output bit depends on every input
+/// bit. [`FxHasher::finish`] is its one caller in the engine; it is public
+/// for seeded draws (`splitmix`-style generators in the benches).
 #[inline]
 pub fn mix64(h: u64) -> u64 {
     let mut x = h;
@@ -129,6 +138,44 @@ mod tests {
         let mut s: FxHashSet<&str> = FxHashSet::default();
         assert!(s.insert("x"));
         assert!(!s.insert("x"));
+    }
+
+    /// Distinct values of the low 12 bits (hashbrown's bucket index at
+    /// 4096 buckets) and of the top 7 bits (its control byte).
+    fn spread(hashes: impl Iterator<Item = u64>) -> (usize, usize) {
+        let (mut low, mut top) = (FxHashSet::default(), FxHashSet::default());
+        for h in hashes {
+            low.insert(h & 0xfff);
+            top.insert(h >> 57);
+        }
+        (low.len(), top.len())
+    }
+
+    #[test]
+    fn small_numeric_keys_spread_over_buckets_and_control_bytes() {
+        use crate::columnar::hash_keys;
+        use crate::Value;
+        let ints = || (0..4096).map(Value::Int);
+        let key_hashes = hash_keys(&ints().map(|v| Some(vec![v])).collect::<Vec<_>>());
+        let families: [(&str, Vec<u64>); 4] = [
+            ("Int", ints().map(|v| hash_of(&v)).collect()),
+            (
+                "Double",
+                (0..4096)
+                    .map(|k| hash_of(&Value::Double(k as f64 * 0.5)))
+                    .collect(),
+            ),
+            ("[Int]", ints().map(|v| hash_of(&vec![v])).collect()),
+            (
+                "u64 of hash_keys",
+                key_hashes.iter().map(|h| hash_of(&h.unwrap())).collect(),
+            ),
+        ];
+        for (name, hashes) in families {
+            let (low, top) = spread(hashes.into_iter());
+            assert!(low >= 2048, "{name}: {low} distinct low-12-bit values");
+            assert!(top >= 64, "{name}: {top} distinct top-7-bit values");
+        }
     }
 
     #[test]

@@ -29,9 +29,11 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Analyze every table of `db` and build a model over the result.
-    pub fn new(db: &Database) -> Self {
-        CostModel { stats: Statistics::analyze(db) }
+    /// Analyze every table of `db` and build a model over the result; a
+    /// table that cannot be read fails the model instead of pricing plans
+    /// from statistics of rows nobody saw.
+    pub fn new(db: &Database) -> Result<Self> {
+        Ok(CostModel { stats: Statistics::analyze(db)? })
     }
 
     /// Build a model over pre-collected statistics (e.g. a cached
@@ -80,7 +82,7 @@ mod tests {
 
     fn est(db: &Database, sql: &str) -> Estimate {
         let qgm = decorr_sql::parse_and_bind(sql, db).unwrap();
-        CostModel::new(db).estimate(&qgm).unwrap()
+        CostModel::new(db).unwrap().estimate(&qgm).unwrap()
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::time::Instant;
 
 use decorr_common::columnar::{self, CmpOp, ColumnarBatch, SelVec};
 use decorr_common::{
-    mix64, Budget, CancelToken, Error, ExecStats, FxHashMap, FxHashSet, FxHasher, Result, Row,
-    RowBatch, Value, WorkerPool, MORSEL_ROWS,
+    Budget, CancelToken, Error, ExecStats, FxHashMap, FxHashSet, FxHasher, Result, Row, RowBatch,
+    Value, WorkerPool, MORSEL_ROWS,
 };
 use decorr_qgm::{AggFunc, BinOp, BoxId, BoxKind, Expr, OutputCol, Qgm, QuantId, QuantKind, UnOp};
 use decorr_storage::{Database, PageIo, SpillManager, Table};
@@ -2646,13 +2646,11 @@ fn merge_acc(slot: &AggSlot<'_>, into: &mut Acc, from: Acc) -> Result<()> {
 
 // ---- partitioning and dedup ------------------------------------------------
 
-/// Which of `parts` spill partitions does a group key belong to? The Fx
-/// hash is run through a murmur finalizer so small-integer keys spread
-/// across partitions instead of collapsing onto the low buckets.
+/// Which of `parts` spill partitions does a group key belong to?
 fn key_partition(key: &[Value], parts: usize) -> usize {
     let mut h = FxHasher::default();
     key.hash(&mut h);
-    (mix64(h.finish()) % parts as u64) as usize
+    (h.finish() % parts as u64) as usize
 }
 
 /// Order-preserving duplicate elimination (DISTINCT, UNION, the magic

@@ -26,7 +26,7 @@
 use std::cmp::Ordering;
 
 use decorr_common::columnar::{self, Column, SelVec, ValRef};
-use decorr_common::{mix64, FxHashMap, Result, Row, Value, WorkerPool, MORSEL_ROWS};
+use decorr_common::{FxHashMap, Result, Row, Value, WorkerPool, MORSEL_ROWS};
 use decorr_qgm::{BinOp, Expr, QuantId};
 
 use crate::env::{Env, Layout};
@@ -189,11 +189,9 @@ impl JoinSide {
     }
 
     /// Which of `parts` hash partitions row `i` belongs to — equal keys
-    /// land in the same partition on both sides. The hash runs through a
-    /// murmur finalizer so small-integer keys spread instead of collapsing
-    /// onto the low buckets.
+    /// land in the same partition on both sides.
     pub fn partition(&self, i: usize, parts: usize) -> Option<usize> {
-        self.hashes[i].map(|h| (mix64(h) % parts as u64) as usize)
+        self.hashes[i].map(|h| (h % parts as u64) as usize)
     }
 
     fn part(&self, row: usize, p: usize) -> ValRef<'_> {

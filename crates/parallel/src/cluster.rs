@@ -3,7 +3,7 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
-use decorr_common::{mix64, Chaos, Error, FaultEvent, FxHasher, Result, Row, Schema, WorkerPool};
+use decorr_common::{Chaos, Error, FaultEvent, FxHasher, Result, Row, Schema, WorkerPool};
 use decorr_storage::{Database, Table};
 
 /// Retry budget per replica: a transient fault (or a finite crash window)
@@ -32,15 +32,10 @@ pub struct Cluster {
     replication: usize,
 }
 
-/// Fx hashes of small integer values carry no entropy in their low bits
-/// (the f64 bit pattern of a small integer has 30+ trailing zeroes), so
-/// plain modulo bucketing would collapse onto node 0; [`mix64`] spreads
-/// them before `% n` — the same finalizer the executor's partitioned hash
-/// join uses.
 fn hash_value(v: &decorr_common::Value) -> u64 {
     let mut h = FxHasher::default();
     v.hash(&mut h);
-    mix64(h.finish())
+    h.finish()
 }
 
 /// How one recoverable job was ultimately served.
@@ -153,7 +148,7 @@ impl Cluster {
                         for &c in key {
                             row[c].hash(&mut h);
                         }
-                        (mix64(h.finish()) % n as u64) as usize
+                        (h.finish() % n as u64) as usize
                     }
                     None => i % n,
                 };

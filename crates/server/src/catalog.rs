@@ -11,15 +11,22 @@
 //! against the snapshot they started with, so every query sees one
 //! internally consistent catalog — never a mix of epochs.
 //!
-//! Each version lazily builds (and then shares) the statistics-backed
-//! [`CostModel`] the strategy race prices plans with, so `ANALYZE`-grade
-//! statistics are paid once per epoch, not once per query. The catalog also
+//! Every version a writer publishes carries the statistics-backed
+//! [`CostModel`] the strategy race prices plans with. The writer builds it
+//! before publishing: statistics are held per table and keyed by
+//! [`Table::version`](decorr_storage::Table::version), so the entries of
+//! tables the write did not touch are carried over from the previous
+//! epoch (shared, not copied) and only the changed tables are analyzed —
+//! on the rows the writer already holds, before a durable catalog turns
+//! them into segments. Readers therefore never analyze on a published
+//! epoch; only the version a catalog is constructed or reopened with
+//! builds its model on first use. The catalog also
 //! owns the process-wide [`ColumnarCache`]; its entries are keyed by table
 //! snapshot version, so publishing a new epoch invalidates them by
 //! construction (stale snapshots simply stop being looked up).
 
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use decorr::plan_cache::PlanCache;
 use decorr_common::env::{EnvStats, StorageEnv};
@@ -35,9 +42,11 @@ use decorr_storage::{
 pub struct CatalogVersion {
     epoch: u64,
     db: Arc<Database>,
-    /// Statistics + estimator for this version, built on first use and
-    /// shared by every query planned against this epoch.
-    model: OnceLock<Arc<CostModel>>,
+    /// Statistics + estimator for this version, shared by every query
+    /// planned against this epoch. `Some` from the start on every version
+    /// a writer published; `None` until first use on the version a catalog
+    /// was constructed or reopened with.
+    model: Mutex<Option<Arc<CostModel>>>,
 }
 
 impl CatalogVersion {
@@ -57,13 +66,31 @@ impl CatalogVersion {
         Arc::clone(&self.db)
     }
 
-    /// The cost model for this version, analyzing the catalog on first
-    /// call. Every later query on this epoch reuses the same statistics.
+    /// The cost model for this version. On a catalog's first epoch the
+    /// first caller analyzes the catalog (later callers wait for it, then
+    /// share it); every published epoch already carries its model.
+    ///
+    /// A table that cannot be read must not become this epoch's
+    /// statistics: the failing call prices its statement with none, caches
+    /// nothing, and the next call analyzes again. The scan the statement
+    /// goes on to run surfaces the I/O error itself.
     pub fn cost_model(&self) -> Arc<CostModel> {
-        Arc::clone(
-            self.model
-                .get_or_init(|| Arc::new(CostModel::new(&self.db))),
-        )
+        let mut model = self.model.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(m) = &*model {
+            return Arc::clone(m);
+        }
+        match CostModel::new(&self.db) {
+            Ok(m) => Arc::clone(model.insert(Arc::new(m))),
+            Err(_) => Arc::new(CostModel::from_stats(Statistics::default())),
+        }
+    }
+
+    /// The model, if this version has one yet.
+    fn built_model(&self) -> Option<Arc<CostModel>> {
+        self.model
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -139,7 +166,7 @@ impl SharedCatalog {
             current: RwLock::new(Arc::new(CatalogVersion {
                 epoch,
                 db: Arc::new(db),
-                model: OnceLock::new(),
+                model: Mutex::new(None),
             })),
             writer: Mutex::new(()),
             cache: ColumnarCache::new(),
@@ -187,17 +214,16 @@ impl SharedCatalog {
 
     /// Copy-on-write update: clone the current database, apply `f`, and
     /// publish the result as a new epoch. Readers holding older snapshots
-    /// are unaffected. If `f` fails nothing is published. In durable mode
-    /// the epoch is committed (segments + WAL, fsynced) before it becomes
-    /// visible to any session.
+    /// are unaffected. If `f` fails — or a changed table cannot be
+    /// analyzed — nothing is published. In durable mode the epoch is
+    /// committed (segments + WAL, fsynced) before it becomes visible to
+    /// any session.
     pub fn update<T>(&self, f: impl FnOnce(&mut Database) -> Result<T>) -> Result<T> {
         let _w = self.writer.lock().map_err(|_| poisoned())?;
         let snap = self.snapshot();
         let mut db = (*snap.db).clone();
         let out = f(&mut db)?;
-        let epoch = snap.epoch + 1;
-        let db = self.commit_durable(epoch, db)?;
-        self.publish(epoch, Arc::new(db), None)?;
+        self.publish_next(&snap, Arc::new(db))?;
         Ok(out)
     }
 
@@ -206,47 +232,52 @@ impl SharedCatalog {
     /// conversion — `\load` returns only after the data is on disk.
     pub fn replace(&self, db: Database) -> Result<u64> {
         let _w = self.writer.lock().map_err(|_| poisoned())?;
-        let epoch = self.snapshot().epoch + 1;
-        let db = self.commit_durable(epoch, db)?;
-        self.publish(epoch, Arc::new(db), None)?;
-        Ok(epoch)
+        let snap = self.snapshot();
+        self.publish_next(&snap, Arc::new(db))?;
+        Ok(snap.epoch + 1)
     }
 
-    /// `ANALYZE`: collect statistics over the current database and publish
-    /// them as a new epoch sharing the same (unchanged) data. Queries
-    /// planned on the new epoch price plans with the fresh statistics.
+    /// `ANALYZE`: publish a new epoch sharing the same (unchanged) data and
+    /// return its model. Statistics are per table version, so this analyzes
+    /// only what no earlier epoch has — straight after a write, nothing.
     pub fn analyze(&self) -> Result<Arc<CostModel>> {
         let _w = self.writer.lock().map_err(|_| poisoned())?;
         let snap = self.snapshot();
-        let model = Arc::new(CostModel::from_stats(Statistics::analyze(&snap.db)));
+        self.publish_next(&snap, Arc::clone(&snap.db))
+    }
+
+    /// The tail of every write: bring `snap`'s statistics up to `db`
+    /// (analyzing only the tables whose version changed, while their rows
+    /// are still resident), make the next epoch durable, and publish it
+    /// with its model attached. Any error publishes nothing. Callers hold
+    /// the writer lock.
+    fn publish_next(&self, snap: &CatalogVersion, db: Arc<Database>) -> Result<Arc<CostModel>> {
+        let mut stats = match snap.built_model() {
+            Some(m) => m.stats().refreshed(&db)?,
+            None => Statistics::analyze(&db)?,
+        };
         let epoch = snap.epoch + 1;
-        // Durable mode: append the epoch bump to the WAL (the tables are
-        // already segment-backed, so this records references, not data) —
-        // recovery then lands on the exact epoch sessions last saw.
-        if let Some(d) = &self.persist {
-            let mut store = d.store.lock().map_err(|_| poisoned())?;
-            store.commit(epoch, &snap.db)?;
-        }
-        let version = Arc::new(CatalogVersion {
-            epoch,
-            db: Arc::clone(&snap.db),
-            model: OnceLock::from(Arc::clone(&model)),
-        });
-        let mut cur = self.current.write().map_err(|_| poisoned())?;
-        *cur = version;
+        let db = self.commit_durable(epoch, db)?;
+        stats.rebind(&db);
+        let model = Arc::new(CostModel::from_stats(stats));
+        let version =
+            Arc::new(CatalogVersion { epoch, db, model: Mutex::new(Some(Arc::clone(&model))) });
+        *self.current.write().map_err(|_| poisoned())? = version;
         Ok(model)
     }
 
     /// Durable commit of `epoch`, returning the database to publish (the
-    /// segment-backed conversion when the store produced one). Ephemeral
-    /// catalogs pass `db` through untouched. Callers hold the writer lock,
-    /// so the writer → store lock order is invariant.
-    fn commit_durable(&self, epoch: u64, db: Database) -> Result<Database> {
+    /// segment-backed conversion when the store produced one; an already
+    /// segment-backed catalog, as under `ANALYZE`, only appends the epoch
+    /// to the WAL so recovery lands on the epoch sessions last saw).
+    /// Ephemeral catalogs pass `db` through untouched. Callers hold the
+    /// writer lock, so the writer → store lock order is invariant.
+    fn commit_durable(&self, epoch: u64, db: Arc<Database>) -> Result<Arc<Database>> {
         let Some(d) = &self.persist else {
             return Ok(db);
         };
         let mut store = d.store.lock().map_err(|_| poisoned())?;
-        Ok(store.commit(epoch, &db)?.unwrap_or(db))
+        Ok(store.commit(epoch, &db)?.map_or(db, Arc::new))
     }
 
     /// Is this catalog backed by a data directory?
@@ -303,19 +334,5 @@ impl SharedCatalog {
         };
         let store = d.store.lock().map_err(|_| poisoned())?;
         Ok(Some(store.gc_failures()))
-    }
-
-    fn publish(&self, epoch: u64, db: Arc<Database>, model: Option<Arc<CostModel>>) -> Result<()> {
-        let version = Arc::new(CatalogVersion {
-            epoch,
-            db,
-            model: match model {
-                Some(m) => OnceLock::from(m),
-                None => OnceLock::new(),
-            },
-        });
-        let mut cur = self.current.write().map_err(|_| poisoned())?;
-        *cur = version;
-        Ok(())
     }
 }

@@ -59,6 +59,11 @@ impl LineClient {
     /// Connect and consume the `;hello` greeting.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<LineClient> {
         let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
+        // Requests are one small write each; without this the kernel may
+        // hold one back until the previous reply's last segment is ACKed.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| io_err("set_nodelay", e))?;
         let reader = BufReader::new(stream.try_clone().map_err(|e| io_err("clone stream", e))?);
         let mut c = LineClient { reader, writer: BufWriter::new(stream), session_id: 0 };
         let greeting = c

@@ -41,7 +41,8 @@
 //! errors and keep serving, and the accept loop exits only on
 //! [`ServerHandle::shutdown`].
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -229,9 +230,16 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// Drive one connection: greeting, then request/response until `\quit`,
 /// EOF or an I/O error. Only complete (newline-terminated) lines are ever
 /// executed; a read deadline sheds the connection with a typed error.
-fn serve_connection(stream: TcpStream, id: u64, shared: &Shared) -> std::io::Result<()> {
+///
+/// Each reply is assembled whole and leaves in one `write_all` on a
+/// `TCP_NODELAY` socket. A buffered writer smaller than the reply splits
+/// it into segments, and with Nagle on, the tail segment of anything over
+/// one buffer waits for the client's delayed ACK (~40 ms) before it is
+/// sent.
+fn serve_connection(mut stream: TcpStream, id: u64, shared: &Shared) -> std::io::Result<()> {
     let _ = stream.set_read_timeout(shared.read_timeout);
     let _ = stream.set_write_timeout(shared.write_timeout);
+    let _ = stream.set_nodelay(true);
     let mut session = Session::new(
         id,
         Arc::clone(&shared.catalog),
@@ -239,9 +247,7 @@ fn serve_connection(stream: TcpStream, id: u64, shared: &Shared) -> std::io::Res
         shared.defaults.clone(),
     );
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    writeln!(writer, ";hello decorr {id}")?;
-    writer.flush()?;
+    stream.write_all(format!(";hello decorr {id}\n").as_bytes())?;
 
     let mut line = String::new();
     loop {
@@ -253,11 +259,9 @@ fn serve_connection(stream: TcpStream, id: u64, shared: &Shared) -> std::io::Res
                 // would run a request the client never finished sending —
                 // discard it, count it, and close.
                 shared.net.partial_lines.fetch_add(1, Ordering::Relaxed);
-                let _ = writeln!(
-                    writer,
-                    ";err i/o error: connection dropped mid-line; partial command discarded"
+                let _ = stream.write_all(
+                    b";err i/o error: connection dropped mid-line; partial command discarded\n",
                 );
-                let _ = writer.flush();
                 return Ok(());
             }
             Ok(_) => {}
@@ -265,11 +269,8 @@ fn serve_connection(stream: TcpStream, id: u64, shared: &Shared) -> std::io::Res
                 // Stalled client: shed with a typed error instead of
                 // parking this thread forever.
                 shared.net.stalled_sheds.fetch_add(1, Ordering::Relaxed);
-                let _ = writeln!(
-                    writer,
-                    ";err i/o error: read deadline exceeded; connection shed"
-                );
-                let _ = writer.flush();
+                let _ =
+                    stream.write_all(b";err i/o error: read deadline exceeded; connection shed\n");
                 return Ok(());
             }
             Err(e) => {
@@ -278,32 +279,37 @@ fn serve_connection(stream: TcpStream, id: u64, shared: &Shared) -> std::io::Res
             }
         }
         let trimmed = line.trim_end_matches(['\n', '\r']);
-        let io = match session.handle_line(trimmed) {
+        // Per request, so one huge result does not pin its buffer to the
+        // connection for as long as it stays open.
+        let mut reply = String::new();
+        let quit = match session.handle_line(trimmed) {
             Ok(resp) => {
-                let mut io = Ok(());
+                reply.reserve(resp.lines.iter().map(|l| l.len() + 1).sum::<usize>() + 16);
                 for l in &resp.lines {
-                    io = io.and_then(|_| writeln!(writer, "{l}"));
+                    reply.push_str(l);
+                    reply.push('\n');
                 }
-                if resp.control == Control::Quit {
-                    io = io
-                        .and_then(|_| writeln!(writer, ";bye"))
-                        .and_then(|_| writer.flush());
-                    if let Err(e) = io {
-                        note_write_failure(shared, &e);
-                    }
-                    return Ok(());
+                let quit = resp.control == Control::Quit;
+                if quit {
+                    reply.push_str(";bye\n");
+                } else {
+                    let _ = writeln!(reply, ";ok {}", resp.lines.len());
                 }
-                io.and_then(|_| writeln!(writer, ";ok {}", resp.lines.len()))
+                quit
             }
             Err(e) => {
                 // Typed errors cross the wire as one line; no payload ever
                 // precedes them (handle_line returns rows only on success).
-                writeln!(writer, ";err {e}")
+                let _ = writeln!(reply, ";err {e}");
+                false
             }
         };
-        if let Err(e) = io.and_then(|_| writer.flush()) {
+        if let Err(e) = stream.write_all(reply.as_bytes()) {
             note_write_failure(shared, &e);
-            return Err(e);
+            return if quit { Ok(()) } else { Err(e) };
+        }
+        if quit {
+            return Ok(());
         }
     }
 }

@@ -93,20 +93,27 @@ proptest! {
         let mut tables_now = 1usize;
         for i in 0..writes {
             let name = format!("w{i}");
-            let r = cat.update(|db| {
-                db.create_table(&name, Schema::from_pairs(&[("y", DataType::Int)]))?
-                    .insert(row![i as i64])
-            });
-            match r {
-                Ok(()) => {
-                    tables_now += 1;
-                    published.lock().unwrap().insert(cat.epoch(), tables_now);
+            // Publish and record under one hold of the map's lock: a
+            // reader that snapshots the new epoch then waits here until
+            // the map knows it, instead of racing the insert.
+            {
+                let mut map = published.lock().unwrap();
+                let r = cat.update(|db| {
+                    db.create_table(&name, Schema::from_pairs(&[("y", DataType::Int)]))?
+                        .insert(row![i as i64])
+                });
+                match r {
+                    Ok(()) => {
+                        tables_now += 1;
+                        map.insert(cat.epoch(), tables_now);
+                    }
+                    Err(e) => assert_typed(&e),
                 }
-                Err(e) => assert_typed(&e),
             }
             if i % 3 == 0 {
+                let mut map = published.lock().unwrap();
                 match cat.analyze() {
-                    Ok(_) => { published.lock().unwrap().insert(cat.epoch(), tables_now); }
+                    Ok(_) => { map.insert(cat.epoch(), tables_now); }
                     Err(e) => assert_typed(&e),
                 }
             }

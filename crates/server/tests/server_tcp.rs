@@ -153,3 +153,31 @@ fn concurrent_clients_get_byte_identical_rows() {
     });
     h.shutdown();
 }
+
+/// A reply larger than one socket buffer's worth must not wait on the
+/// client's delayed ACK: ~45 ms per request when the tail segment of a
+/// reply is held back by Nagle, ~2 ms when each reply leaves whole on a
+/// `TCP_NODELAY` socket. The median keeps one slow scheduling slice from
+/// failing it.
+#[test]
+fn large_replies_do_not_stall_on_the_wire() {
+    let mut h = serve(marked_db(2_500), ServerConfig::default()).unwrap();
+    let mut c = LineClient::connect(h.local_addr()).unwrap();
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let r = c.request("SELECT t.x FROM t").unwrap();
+            assert_eq!(r.status, Status::Ok);
+            assert_eq!(r.rows().count(), 2_500);
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = (ms[9] + ms[10]) / 2.0;
+    assert!(
+        median < 20.0,
+        "median large-reply round trip {median:.1} ms: {ms:?}"
+    );
+    c.quit().unwrap();
+    h.shutdown();
+}

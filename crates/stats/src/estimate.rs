@@ -656,7 +656,7 @@ mod tests {
     }
 
     fn est(db: &Database, sql: &str) -> Estimate {
-        let stats = Statistics::analyze(db);
+        let stats = Statistics::analyze(db).unwrap();
         let qgm = decorr_sql::parse_and_bind(sql, db).unwrap();
         Estimator::new(&stats).estimate(&qgm).unwrap().total()
     }
@@ -739,7 +739,7 @@ mod tests {
     #[test]
     fn per_box_estimates_cover_the_plan() {
         let db = db();
-        let stats = Statistics::analyze(&db);
+        let stats = Statistics::analyze(&db).unwrap();
         let qgm = decorr_sql::parse_and_bind(
             "SELECT a.k FROM t a WHERE a.v > (SELECT COUNT(*) FROM t b WHERE b.v = a.v)",
             &db,

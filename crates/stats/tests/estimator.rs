@@ -12,7 +12,7 @@ use decorr_tpcd::{generate, TpcdConfig};
 
 /// Estimate the root cardinality of `sql` against `db` using fresh stats.
 fn est_rows(sql: &str, db: &Database) -> f64 {
-    let stats = Statistics::analyze(db);
+    let stats = Statistics::analyze(db).unwrap();
     let qgm = parse_and_bind(sql, db).unwrap();
     Estimator::new(&stats).estimate(&qgm).unwrap().total().rows
 }
@@ -41,7 +41,7 @@ fn empty_tables_estimate_nothing_and_stay_finite() {
         Schema::from_pairs(&[("name", DataType::Str), ("salary", DataType::Int)]),
     )
     .unwrap();
-    let stats = Statistics::analyze(&db);
+    let stats = Statistics::analyze(&db).unwrap();
     let qgm = parse_and_bind(
         "SELECT D.name FROM dept D WHERE D.budget > \
          (SELECT SUM(E.salary) FROM emp E)",
@@ -140,7 +140,7 @@ fn dag_shared_uncorrelated_box_priced_once_not_per_parent_edge() {
     for i in 0..100i64 {
         t.insert(row![i, i % 10]).unwrap();
     }
-    let stats = Statistics::analyze(&db);
+    let stats = Statistics::analyze(&db).unwrap();
 
     let mut g = Qgm::new();
     let base = g.add_base_table("t", schema);
@@ -205,7 +205,7 @@ fn correlated_estimate_scales_with_outer_cardinality() {
     for i in 0..200i64 {
         e.insert(row![i % 8, 1000 + i]).unwrap();
     }
-    let stats = Statistics::analyze(&db);
+    let stats = Statistics::analyze(&db).unwrap();
     let sql = "SELECT D.num_emps FROM dept D WHERE D.num_emps > \
                (SELECT COUNT(*) FROM emp E WHERE E.building = D.building)";
     let qgm = parse_and_bind(sql, &db).unwrap();
@@ -241,7 +241,7 @@ proptest! {
     #[test]
     fn tpcd_eq_estimates_have_bounded_q_error(seed in 0u64..1000, pick in 0usize..7919) {
         let db = generate(&TpcdConfig { scale: 0.01, seed, with_indexes: false }).unwrap();
-        let stats = Statistics::analyze(&db);
+        let stats = Statistics::analyze(&db).unwrap();
         for table in db.tables() {
             let rows = table.rows();
             if rows.is_empty() {
@@ -272,7 +272,7 @@ proptest! {
     #[test]
     fn tpcd_range_estimates_have_bounded_error(seed in 0u64..1000, pick in 0usize..7919) {
         let db = generate(&TpcdConfig { scale: 0.01, seed, with_indexes: false }).unwrap();
-        let stats = Statistics::analyze(&db);
+        let stats = Statistics::analyze(&db).unwrap();
         for table in db.tables() {
             let rows = table.rows();
             if rows.is_empty() {

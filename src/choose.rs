@@ -118,7 +118,7 @@ const RACED: [Strategy; 4] = [
 /// are materialized one at a time and dropped as soon as a cheaper one
 /// appears. Ties go to nested iteration (fewer temporary tables).
 pub fn choose_strategy(db: &Database, qgm: Qgm) -> Result<PlanChoice> {
-    let model = CostModel::new(db);
+    let model = CostModel::new(db)?;
     choose_strategy_with(&model, qgm)
 }
 
