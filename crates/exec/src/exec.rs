@@ -326,6 +326,37 @@ impl MemoKey {
     }
 }
 
+/// Rows handed from one step of a Select to the next: a step's own output,
+/// or a child's batch that a memo or cache may hold as well.
+enum Rows {
+    Owned(Vec<Row>),
+    Shared(RowBatch),
+}
+
+impl std::ops::Deref for Rows {
+    type Target = [Row];
+    fn deref(&self) -> &[Row] {
+        match self {
+            Rows::Owned(v) => v,
+            Rows::Shared(b) => b,
+        }
+    }
+}
+
+impl Rows {
+    /// The rows as a vector: moved when owned or when this is the batch's
+    /// only reference, cloned otherwise.
+    fn into_vec(self) -> Vec<Row> {
+        match self {
+            Rows::Owned(v) => v,
+            Rows::Shared(mut b) => match Arc::get_mut(&mut b) {
+                Some(rows) => rows.iter_mut().map(std::mem::take).collect(),
+                None => b.to_vec(),
+            },
+        }
+    }
+}
+
 /// Does every free-reference occurrence in `e` sit in a SQL-comparison
 /// context? `safe` says the current position is reached only through
 /// comparison operands and value-preserving arithmetic (`+ - *` and unary
@@ -832,7 +863,7 @@ impl<'a> Executor<'a> {
         // they may be driven through an index (index nested loops) instead
         // of being scanned — the access path Starburst picks when a small
         // binding set joins a large indexed table.
-        let mut child_rows: FxHashMap<QuantId, RowBatch> = FxHashMap::default();
+        let mut child_rows: FxHashMap<QuantId, Rows> = FxHashMap::default();
         let mut deferred: FxHashMap<QuantId, String> = FxHashMap::default();
         for &q in &foreach {
             if is_lateral[&q] {
@@ -863,9 +894,10 @@ impl<'a> Executor<'a> {
             child_rows.insert(q, rows);
         }
 
-        // Greedy join over the Foreach quantifiers.
+        // Greedy join over the Foreach quantifiers. A Select with none
+        // ranges over exactly one (empty) candidate row.
         let mut layout = Layout::new();
-        let mut rows: Vec<Row> = vec![Row::empty()];
+        let mut rows = Rows::Owned(vec![Row::empty(); usize::from(foreach.is_empty())]);
         let mut bound: Vec<QuantId> = Vec::new();
         let mut remaining: Vec<QuantId> = foreach.clone();
         // Scalar quantifiers already materialized as row columns.
@@ -911,39 +943,32 @@ impl<'a> Executor<'a> {
                 }
             }
 
-            if is_lateral[&next] {
-                rows = self.join_lateral(qgm, next, rows, &layout, env)?;
-                layout.push(next, child_arity);
+            rows = if is_lateral[&next] {
+                Rows::Owned(self.join_lateral(qgm, next, &rows, &layout, env)?)
+            } else if bound.is_empty() {
+                // The first input in join order is the running row set as
+                // it stands — there is nothing to join it to. A deferred
+                // table has no bound row to drive its index: scan it.
+                match child_rows.remove(&next) {
+                    Some(scanned) => scanned,
+                    None => self.scan_quant(qgm, next, preds, &[], env)?,
+                }
             } else if let Some(table) = deferred.get(&next) {
-                rows = self.join_deferred(
-                    qgm,
-                    next,
-                    table,
-                    rows,
-                    &layout,
-                    preds,
-                    &mut applicable,
-                    env,
-                )?;
-                layout.push(next, child_arity);
+                let applicable = &mut applicable;
+                let joined =
+                    self.join_deferred(qgm, next, table, &rows, &layout, preds, applicable, env);
+                Rows::Owned(joined?)
             } else {
-                let right = RowBatch::clone(&child_rows[&next]);
-                rows = self.join_step(
-                    qgm,
-                    next,
-                    rows,
-                    &layout,
-                    &right,
-                    preds,
-                    &mut applicable,
-                    env,
-                )?;
-                layout.push(next, child_arity);
-            }
+                let (right, applicable) = (&child_rows[&next], &mut applicable);
+                let joined =
+                    self.join_step(qgm, next, &rows, &layout, right, preds, applicable, env);
+                Rows::Owned(joined?)
+            };
+            layout.push(next, child_arity);
             // Residual applicable predicates (non-equi or not used as keys).
             if !applicable.is_empty() {
                 let kept: Vec<&Expr> = applicable.iter().map(|&i| &preds[i]).collect();
-                rows = self.filter_rows(rows, &layout, &kept, env)?;
+                rows = Rows::Owned(self.filter_rows(rows.into_vec(), &layout, &kept, env)?);
             }
             for i in applicable {
                 consumed[i] = true;
@@ -964,7 +989,13 @@ impl<'a> Executor<'a> {
                         .filter(|fq| local.contains(fq))
                         .collect();
                     if deps.iter().all(|d| bound.contains(d)) {
-                        rows = self.append_scalar_column(qgm, sq, rows, &layout, env)?;
+                        rows = Rows::Owned(self.append_scalar_column(
+                            qgm,
+                            sq,
+                            rows.into_vec(),
+                            &layout,
+                            env,
+                        )?);
                         layout.push(sq, 1);
                         scalars_bound.insert(sq);
                     }
@@ -1041,7 +1072,8 @@ impl<'a> Executor<'a> {
         // groups are checked per surviving row, and the survivors project.
         // After decorrelation only the filter and the projection remain.
         for &sq in &needed_scalars {
-            rows = self.append_scalar_column(qgm, sq, rows, &layout, env)?;
+            rows =
+                Rows::Owned(self.append_scalar_column(qgm, sq, rows.into_vec(), &layout, env)?);
             layout.push(sq, 1);
         }
         let mut sel = self.select_rows(&rows, None, &layout, &plain_preds, env)?;
@@ -1065,7 +1097,7 @@ impl<'a> Executor<'a> {
             }
             sel = kept;
         }
-        let mut out_rows = self.project_rows(&rows, &sel, &bx.outputs, &layout, env)?;
+        let mut out_rows = self.project_rows(rows, &sel, &bx.outputs, &layout, env)?;
         if bx.distinct {
             out_rows = dedup_rows(out_rows);
         }
@@ -1099,22 +1131,24 @@ impl<'a> Executor<'a> {
         Ok(sat)
     }
 
-    /// Project the rows named by `sel` through a box's output list, in
-    /// morsels: plain column outputs gather by offset under `columnar`,
-    /// anything else evaluates through the expression evaluator.
+    /// Project the rows named by `sel` through a box's output list. The
+    /// identity over every row hands the rows on as they are; otherwise,
+    /// in morsels, plain column outputs gather by offset under `columnar`
+    /// and anything else evaluates through the expression evaluator.
     fn project_rows(
         &self,
-        rows: &[Row],
+        rows: Rows,
         sel: &[u32],
         outputs: &[OutputCol],
         layout: &Layout,
         env: Option<&Env<'_>>,
     ) -> Result<Vec<Row>> {
-        let offsets = if self.opts.columnar {
-            vector::compile_projection(outputs.iter().map(|o| &o.expr), layout)
-        } else {
-            None
-        };
+        let offsets = vector::compile_projection(outputs.iter().map(|o| &o.expr), layout);
+        let identity = |offs: &Vec<usize>| offs.iter().copied().eq(0..layout.width());
+        if sel.len() == rows.len() && offsets.as_ref().is_some_and(identity) {
+            return Ok(rows.into_vec());
+        }
+        let offsets = offsets.filter(|_| self.opts.columnar);
         let morsels = self.for_morsels(sel.len(), |lo, hi| {
             let picked = sel[lo..hi].iter().map(|&i| &rows[i as usize]);
             match &offsets {
@@ -1207,7 +1241,7 @@ impl<'a> Executor<'a> {
         preds: &[Expr],
         applicable: &[usize],
         env: Option<&Env<'_>>,
-    ) -> Result<RowBatch> {
+    ) -> Result<Rows> {
         let child = qgm.quant(q).input;
         let mut q_layout = Layout::new();
         q_layout.push(q, qgm.output_arity(child));
@@ -1216,17 +1250,17 @@ impl<'a> Executor<'a> {
             let t = self.db.table(table)?;
             return self
                 .scan_table(t, q, preds, applicable, &q_layout, env)
-                .map(Into::into);
+                .map(Rows::Owned);
         }
 
         let rows = self.eval_child(qgm, child, env)?;
         if applicable.is_empty() {
             // No predicates to apply: share the child's batch as-is.
-            return Ok(rows);
+            return Ok(Rows::Shared(rows));
         }
         let kept: Vec<&Expr> = applicable.iter().map(|&i| &preds[i]).collect();
         self.filter_rows_ref(&rows, &q_layout, &kept, env)
-            .map(Into::into)
+            .map(Rows::Owned)
     }
 
     /// Base-table scan with optional index assistance.
@@ -1274,7 +1308,7 @@ impl<'a> Executor<'a> {
             let rows = t.read_rows_where(&bounds, &mut io)?.into_owned();
             self.note_io(io);
             self.stats.rows_scanned += rows.len() as u64;
-            return self.filter_rows_ref(&rows, q_layout, &kept, env);
+            return self.filter_rows(rows, q_layout, &kept, env);
         }
 
         // Set-oriented correlated scan: a correlated equality over a column
@@ -1470,7 +1504,9 @@ impl<'a> Executor<'a> {
         Ok(sel)
     }
 
-    /// Filter owned rows: the survivors move out, nothing is cloned.
+    /// Filter rows the caller owns (a join's output, the rows a paged scan
+    /// stitched): the survivors move out, nothing is cloned. Reach for
+    /// this whenever a `Vec<Row>` is at hand.
     fn filter_rows(
         &mut self,
         rows: Vec<Row>,
@@ -1497,8 +1533,8 @@ impl<'a> Executor<'a> {
         Ok(rows)
     }
 
-    /// Filter borrowed rows (a shared batch, a page read): the survivors
-    /// are cloned.
+    /// Filter rows the caller only borrows (a child's shared batch): the
+    /// survivors are cloned, so this is for inputs someone else keeps.
     fn filter_rows_ref(
         &mut self,
         rows: &[Row],
@@ -1523,7 +1559,7 @@ impl<'a> Executor<'a> {
         &mut self,
         qgm: &Qgm,
         next: QuantId,
-        rows: Vec<Row>,
+        rows: &[Row],
         layout: &Layout,
         right: &[Row],
         preds: &[Expr],
@@ -1545,7 +1581,7 @@ impl<'a> Executor<'a> {
             self.checkpoint(projected as u64)?;
             let mut out = Vec::with_capacity(projected.max(1));
             self.stats.nl_comparisons += projected as u64;
-            for l in &rows {
+            for l in rows {
                 self.checkpoint(0)?;
                 for r in right.iter() {
                     out.push(l.concat(r));
@@ -1553,7 +1589,7 @@ impl<'a> Executor<'a> {
             }
             (JoinStrategy::Cross, out)
         } else {
-            self.equi_join(&rows, layout, right, &right_layout, &keys, env)?
+            self.equi_join(rows, layout, right, &right_layout, &keys, env)?
         };
         self.stats.join_output_rows += out.len() as u64;
         self.note_join(
@@ -1751,7 +1787,7 @@ impl<'a> Executor<'a> {
         qgm: &Qgm,
         next: QuantId,
         table: &str,
-        rows: Vec<Row>,
+        rows: &[Row],
         layout: &Layout,
         preds: &[Expr],
         applicable: &mut Vec<usize>,
@@ -1771,7 +1807,7 @@ impl<'a> Executor<'a> {
         applicable.retain(|&i| i != pi);
         let idx = t.index_on(&[col]).expect("checked above");
         let mut out = Vec::new();
-        for l in &rows {
+        for l in rows {
             self.checkpoint(1)?;
             let key = eval_expr(keyexpr, &Env::new(layout, l, env))?;
             // The index normalizes the probe like any Eq key: NULL/NaN
@@ -1799,7 +1835,7 @@ impl<'a> Executor<'a> {
         &mut self,
         qgm: &Qgm,
         next: QuantId,
-        rows: Vec<Row>,
+        rows: &[Row],
         layout: &Layout,
         env: Option<&Env<'_>>,
     ) -> Result<Vec<Row>> {
@@ -1813,7 +1849,7 @@ impl<'a> Executor<'a> {
             let mut slot_of: FxHashMap<MemoKey, usize> = FxHashMap::default();
             let mut slot_rows: Vec<Option<RowBatch>> = Vec::new();
             let mut assignment: Vec<Option<usize>> = Vec::with_capacity(rows.len());
-            for l in &rows {
+            for l in rows {
                 self.checkpoint(1)?;
                 let env2 = Env::new(layout, l, env);
                 let Some(key) = sig.key_under(&env2) else {
@@ -1852,7 +1888,7 @@ impl<'a> Executor<'a> {
                 self.check_mem(out.len(), "lateral join")?;
             }
         } else {
-            for l in &rows {
+            for l in rows {
                 self.checkpoint(1)?;
                 let env2 = Env::new(layout, l, env);
                 let sub = self.memoized_child(qgm, child, &env2, true)?;

@@ -415,3 +415,60 @@ fn null_semantics_in_filters() {
     );
     assert_eq!(rows.len(), 1); // only 3 qualifies; NULL <> 1 is unknown
 }
+
+/// A Select adopts its first input instead of cross-joining it onto a seed
+/// row, so the seed step's `|first input|` comparisons and `|first input|`
+/// join outputs are gone from the counters — and nothing else moved. The
+/// pinned numbers are what the executor with the seed row counted on this
+/// plan.
+#[test]
+fn dropping_the_seed_join_is_the_only_work_difference() {
+    let mut db = Database::new();
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let t = db.create_table("t", schema.clone()).unwrap();
+    t.insert_all((0..1000i64).map(|i| row![i, i % 10])).unwrap();
+    let u = db.create_table("u", schema).unwrap();
+    u.insert_all((0..50i64).map(|i| row![i, i % 5])).unwrap();
+    let qgm = parse_and_bind(
+        "SELECT a.k FROM t a, u b WHERE a.v = b.v AND b.k < 10 \
+         AND a.k > (SELECT COUNT(*) FROM u c WHERE c.v = a.v)",
+        &db,
+    )
+    .unwrap();
+    let (rows, stats) = execute(&db, &qgm).unwrap();
+    assert_eq!(rows.len(), 988);
+
+    // First inputs: the outer block adopts `b` after its scan predicate
+    // (10 rows); the subquery block runs once per distinct `a.v` among the
+    // joined rows (5 bindings) and adopts the 10 matching rows of `c` each.
+    let first_inputs = 10 + 5 * 10;
+    let with_seed = decorr_common::ExecStats {
+        rows_scanned: 1150,
+        index_lookups: 4,
+        index_rows: 40,
+        hash_build_rows: 1050,
+        hash_probes: 10,
+        nl_comparisons: 60,
+        join_output_rows: 1060,
+        agg_input_rows: 50,
+        agg_groups: 5,
+        subquery_invocations: 1000,
+        subquery_distinct_invocations: 5,
+        subquery_memo_hits: 995,
+        predicate_evals: 2100,
+        output_rows: 988,
+        ..Default::default()
+    };
+    assert_eq!(
+        stats,
+        decorr_common::ExecStats {
+            nl_comparisons: with_seed.nl_comparisons - first_inputs,
+            join_output_rows: with_seed.join_output_rows - first_inputs,
+            ..with_seed
+        }
+    );
+    assert_eq!(
+        stats.total_work() + 2 * first_inputs,
+        with_seed.total_work()
+    );
+}

@@ -1,12 +1,15 @@
 //! Bottom-up cardinality and cost estimation over a QGM box graph.
 //!
 //! The estimator walks the graph leaves-to-root computing, per box, the
-//! expected output rows and the expected work *per evaluation*, then walks
-//! top-down to count how often each box is evaluated (once for
-//! set-oriented boxes; once per candidate row for correlated subquery
-//! boxes under nested iteration). The per-box numbers are kept in a
-//! [`PlanEstimate`] so predictions can be audited against an execution
-//! trace box by box (see [`crate::qerror`]).
+//! expected output rows and the expected work of the box *itself* per
+//! evaluation, then walks top-down to count how often each box is
+//! evaluated (once for set-oriented boxes — a box shared by several
+//! consumers included; once per distinct binding for correlated subquery
+//! boxes under nested iteration). The plan's cost is `Σ self cost ×
+//! evaluations` over the DAG, so a shared box is paid for exactly as
+//! often as it runs. The per-box numbers are kept in a [`PlanEstimate`]
+//! so predictions can be audited against an execution trace box by box
+//! (see [`crate::qerror`]).
 //!
 //! Selectivities come from real statistics where the reference can be
 //! traced to a base-table column (through pass-through projections):
@@ -28,7 +31,7 @@ const RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
 const DEFAULT_TABLE_ROWS: f64 = 1000.0;
 
 /// Estimated cardinality and cost of a whole plan (its top box).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Estimate {
     /// Estimated result rows.
     pub rows: f64,
@@ -37,16 +40,19 @@ pub struct Estimate {
     pub cost: f64,
 }
 
-/// Per-box estimate: output rows and inclusive cost *per evaluation*,
-/// plus how many evaluations the box is expected to see.
+/// Per-box estimate: output rows and self cost *per evaluation*, plus
+/// how many evaluations the box is expected to see.
 #[derive(Debug, Clone, Copy)]
 pub struct BoxEstimate {
     /// Rows one evaluation returns.
     pub rows: f64,
-    /// Work of one evaluation, inclusive of children.
+    /// Work of one evaluation of the box itself: reading its base-table
+    /// inputs, joining, filtering, aggregating. Derived inputs are boxes
+    /// of their own and carry their own cost.
     pub cost: f64,
-    /// Expected number of evaluations (1 for set-oriented boxes; the
-    /// candidate-row count for correlated subqueries under NI).
+    /// Expected number of evaluations (1 for set-oriented boxes, shared
+    /// ones included; the distinct-binding count for correlated
+    /// subqueries under NI).
     pub invocations: f64,
 }
 
@@ -59,25 +65,17 @@ impl BoxEstimate {
 }
 
 /// The estimate of every box of one plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanEstimate {
     per_box: FxHashMap<BoxId, BoxEstimate>,
-    root: BoxId,
-}
-
-impl Default for PlanEstimate {
-    fn default() -> Self {
-        PlanEstimate { per_box: FxHashMap::default(), root: BoxId::from_index(0) }
-    }
+    total: Estimate,
 }
 
 impl PlanEstimate {
-    /// The whole-plan estimate (top box, one evaluation).
+    /// The whole-plan estimate: the top box's rows, and every box's self
+    /// cost times its evaluations.
     pub fn total(&self) -> Estimate {
-        match self.per_box.get(&self.root) {
-            Some(b) => Estimate { rows: b.rows, cost: b.cost },
-            None => Estimate { rows: 0.0, cost: 0.0 },
-        }
+        self.total
     }
 
     /// The estimate for one box, if it is part of the plan.
@@ -93,6 +91,15 @@ impl PlanEstimate {
     }
 }
 
+/// What a consumer pays to read input box `child` of `rows` rows: a scan
+/// of a base table, nothing for a derived box (which carries its own cost).
+fn scan_cost(qgm: &Qgm, child: BoxId, rows: f64) -> f64 {
+    match qgm.boxref(child).kind {
+        BoxKind::BaseTable { .. } => rows,
+        _ => 0.0,
+    }
+}
+
 /// The statistics-backed cardinality estimator.
 pub struct Estimator<'a> {
     stats: &'a Statistics,
@@ -102,6 +109,7 @@ pub struct Estimator<'a> {
 /// multipliers needed by the top-down pass.
 struct BottomUp {
     rows: FxHashMap<BoxId, f64>,
+    /// Self cost: the box's own work per evaluation, children excluded.
     cost: FxHashMap<BoxId, f64>,
     /// `(owner box, quant) ->` evaluations of the quant's input box per
     /// evaluation of the owner (1 except for correlated subqueries).
@@ -126,9 +134,9 @@ impl<'a> Estimator<'a> {
         // Top-down: count evaluations. Kahn order so every parent is
         // settled before its children (the graph is a DAG). Correlated
         // shared boxes accumulate invocations from every parent edge; an
-        // *uncorrelated* derived box shared by several parents (OptMag-CSE
-        // dedup, run-lifetime subquery memo) is materialized once and
-        // served to the others, so summing its parent edges would
+        // *uncorrelated* derived box shared by several parents (SUPP,
+        // OptMag-CSE dedup, run-lifetime subquery memo) is materialized
+        // once and served to the others, so summing its parent edges would
         // double-count — it takes the heaviest single edge instead.
         let reachable = qgm.reachable_boxes(top);
         let mut indegree: FxHashMap<BoxId, usize> = reachable.iter().map(|&b| (b, 0)).collect();
@@ -174,25 +182,26 @@ impl<'a> Estimator<'a> {
             }
         }
 
-        let per_box = reachable
-            .into_iter()
-            .map(|b| {
-                (
-                    b,
-                    BoxEstimate {
-                        rows: bu.rows[&b],
-                        cost: bu.cost[&b],
-                        invocations: invocations[&b].max(1.0),
-                    },
-                )
-            })
-            .collect();
-        Ok(PlanEstimate { per_box, root: top })
+        // The plan costs what its boxes cost, each as often as it runs.
+        let mut total = Estimate { rows: bu.rows[&top], cost: 0.0 };
+        let mut per_box = FxHashMap::default();
+        for b in reachable {
+            let e = BoxEstimate {
+                rows: bu.rows[&b],
+                cost: bu.cost[&b],
+                invocations: invocations[&b].max(1.0),
+            };
+            total.cost += e.cost * e.invocations;
+            per_box.insert(b, e);
+        }
+        Ok(PlanEstimate { per_box, total })
     }
 
-    fn est_box(&self, qgm: &Qgm, b: BoxId, bu: &mut BottomUp) -> Result<(f64, f64)> {
+    /// Estimate box `b` (memoized): returns its rows per evaluation and
+    /// records its self cost.
+    fn est_box(&self, qgm: &Qgm, b: BoxId, bu: &mut BottomUp) -> Result<f64> {
         if let Some(&r) = bu.rows.get(&b) {
-            return Ok((r, bu.cost[&b]));
+            return Ok(r);
         }
         let (rows, cost) = match &qgm.boxref(b).kind {
             BoxKind::BaseTable { table, .. } => {
@@ -201,26 +210,28 @@ impl<'a> Estimator<'a> {
                     .table(table)
                     .map(|t| t.rows as f64)
                     .unwrap_or(DEFAULT_TABLE_ROWS);
-                (rows, rows)
+                // The consumer prices the access: a scan or an index probe.
+                (rows, 0.0)
             }
             BoxKind::Select => self.est_select(qgm, b, bu)?,
             BoxKind::Grouping { group_by } => {
-                let q = qgm.boxref(b).quants[0];
-                let (crows, ccost) = self.est_box(qgm, qgm.quant(q).input, bu)?;
+                let child = qgm.quant(qgm.boxref(b).quants[0]).input;
+                let crows = self.est_box(qgm, child, bu)?;
                 let groups = if group_by.is_empty() {
                     1.0
                 } else {
                     self.distinct_estimate(qgm, group_by.iter(), crows)
                 };
-                (groups.max(1.0), ccost + crows)
+                (groups.max(1.0), scan_cost(qgm, child, crows) + crows)
             }
             BoxKind::Union { all } => {
                 let mut rows = 0.0;
                 let mut cost = 0.0;
                 for &q in &qgm.boxref(b).quants {
-                    let (crows, ccost) = self.est_box(qgm, qgm.quant(q).input, bu)?;
+                    let child = qgm.quant(q).input;
+                    let crows = self.est_box(qgm, child, bu)?;
                     rows += crows;
-                    cost += ccost;
+                    cost += scan_cost(qgm, child, crows);
                 }
                 if !all {
                     cost += rows; // dedup pass
@@ -229,20 +240,22 @@ impl<'a> Estimator<'a> {
             }
             BoxKind::OuterJoin => {
                 let bx = qgm.boxref(b);
-                let (lrows, lcost) = self.est_box(qgm, qgm.quant(bx.quants[0]).input, bu)?;
-                let (rrows, rcost) = self.est_box(qgm, qgm.quant(bx.quants[1]).input, bu)?;
+                let (l, r) = (qgm.quant(bx.quants[0]).input, qgm.quant(bx.quants[1]).input);
+                let lrows = self.est_box(qgm, l, bu)?;
+                let rrows = self.est_box(qgm, r, bu)?;
                 let mut sel = 1.0;
                 for p in &bx.preds {
                     sel *= self.pred_selectivity(qgm, p);
                 }
                 // LOJ preserves the left side at minimum.
                 let joined = (lrows * rrows * sel).max(lrows);
-                (joined, lcost + rcost + lrows + rrows + joined)
+                let scans = scan_cost(qgm, l, lrows) + scan_cost(qgm, r, rrows);
+                (joined, scans + lrows + rrows + joined)
             }
         };
         bu.rows.insert(b, rows);
         bu.cost.insert(b, cost);
-        Ok((rows, cost))
+        Ok(rows)
     }
 
     fn est_select(&self, qgm: &Qgm, b: BoxId, bu: &mut BottomUp) -> Result<(f64, f64)> {
@@ -290,41 +303,40 @@ impl<'a> Estimator<'a> {
             }
         }
         rows = rows.max(0.0);
-        cost += rows; // materializing / filtering the joined result
+        // The joined result is materialized; a lone input is simply
+        // adopted, its scan and filter pass already paid.
+        if join_children.len() > 1 {
+            cost += rows;
+        }
 
         // Correlated quantifiers: under memoized nested iteration a
         // subtree *executes* once per distinct correlation binding, not
         // once per candidate row — `min(candidates, NDV(correlation key))`
         // — which is the term that makes NI competitive on
         // high-duplication workloads. Uncorrelated non-Foreach subqueries
-        // are evaluated once.
+        // are evaluated once. The subtree's own boxes carry its cost; the
+        // multiplier says how often they run.
         for &q in &bx.quants {
             let kind = qgm.quant(q).kind;
             let child_box = qgm.quant(q).input;
             let correlated = !qgm.free_refs(child_box).is_empty();
-            match kind {
-                QuantKind::Foreach if correlated => {
-                    let (crows, ccost) = self.est_box(qgm, child_box, bu)?;
-                    let fanout = rows.max(1.0);
-                    let execs = self.corr_invocations(qgm, child_box, fanout);
-                    bu.multiplier.insert((b, q), execs);
-                    cost += execs * ccost.max(1.0);
-                    rows *= crows.max(1.0).min(fanout);
-                }
-                QuantKind::Foreach => {}
-                _ => {
-                    let (_, ccost) = self.est_box(qgm, child_box, bu)?;
-                    let invocations = if correlated {
-                        self.corr_invocations(qgm, child_box, rows.max(1.0))
-                    } else {
-                        1.0
-                    };
-                    bu.multiplier.insert((b, q), invocations);
-                    cost += invocations * ccost.max(1.0);
-                    // Quantified/scalar predicates halve the candidates
-                    // (coarse, like the classic 1/2 default).
-                    rows *= 0.5;
-                }
+            if kind == QuantKind::Foreach && !correlated {
+                continue; // joined above
+            }
+            let crows = self.est_box(qgm, child_box, bu)?;
+            let execs = if correlated {
+                self.corr_invocations(qgm, child_box, rows.max(1.0))
+            } else {
+                1.0
+            };
+            bu.multiplier.insert((b, q), execs);
+            cost += execs * scan_cost(qgm, child_box, crows);
+            if kind == QuantKind::Foreach {
+                rows *= crows.max(1.0).min(rows.max(1.0));
+            } else {
+                // Quantified/scalar predicates halve the candidates
+                // (coarse, like the classic 1/2 default).
+                rows *= 0.5;
             }
         }
 
@@ -345,7 +357,9 @@ impl<'a> Estimator<'a> {
     /// through an index — when an equality binds one of its indexed
     /// columns to an already-placed quantifier or to a correlation
     /// binding — or scanned and hash-joined. Returns the joined rows,
-    /// the access cost, and which predicate indices were consumed.
+    /// the access cost (base-table reads, filter passes and probes; derived
+    /// children are boxes with a cost of their own), and which predicate
+    /// indices were consumed.
     fn est_join(
         &self,
         qgm: &Qgm,
@@ -367,21 +381,23 @@ impl<'a> Estimator<'a> {
         // cardinality order.
         let mut order = Vec::new();
         for &q in children {
-            let (crows, ccost) = self.est_box(qgm, qgm.quant(q).input, bu)?;
+            let child = qgm.quant(q).input;
+            let crows = self.est_box(qgm, child, bu)?;
+            let scan = scan_cost(qgm, child, crows);
             let mut eff = crows;
             for (i, p) in bx.preds.iter().enumerate() {
                 if !deferred[i] && self.pred_ready(qgm, p, q, local, &[]) {
                     eff *= self.pred_selectivity(qgm, p);
                 }
             }
-            order.push((q, crows, ccost, eff));
+            order.push((q, crows, scan, eff));
         }
         order.sort_by(|a, b| a.3.total_cmp(&b.3).then(a.0.cmp(&b.0)));
 
         let mut placed: Vec<QuantId> = Vec::new();
         let mut rows = 1.0f64;
         let mut cost = 0.0f64;
-        for (q, crows, ccost, _) in order {
+        for (q, crows, scan, _) in order {
             // Predicates that become applicable once `q` is placed.
             let mut sel = 1.0f64;
             let mut npreds = 0usize;
@@ -406,7 +422,7 @@ impl<'a> Estimator<'a> {
                 // Scan (+ one filter pass when predicated); joining to
                 // prior children probes their hash per driving row.
                 None => {
-                    cost += ccost + if npreds > 0 { crows } else { 0.0 };
+                    cost += scan + if npreds > 0 { crows } else { 0.0 };
                     if !placed.is_empty() {
                         cost += drv;
                     }
@@ -489,7 +505,10 @@ impl<'a> Estimator<'a> {
     /// Estimated distinct combinations of `exprs` among `input_rows` rows:
     /// the product of the columns' distinct counts when every expression
     /// resolves to statistics, a sub-linear guess otherwise, always capped
-    /// by the input cardinality.
+    /// by the input cardinality. A column has no more distinct values than
+    /// the quantifier it comes from has rows left after its own predicates
+    /// (the magic table of a filtered outer block holds only the surviving
+    /// bindings).
     fn distinct_estimate<'e>(
         &self,
         qgm: &Qgm,
@@ -500,11 +519,11 @@ impl<'a> Estimator<'a> {
         let mut resolved_all = true;
         for e in exprs {
             match e {
-                Expr::Col { quant, col } => match self.col_stats(qgm, *quant, *col) {
-                    Some(cs) => {
+                Expr::Col { quant, col } => match self.col_origin(qgm, *quant, *col) {
+                    Some((origin, cs)) => {
                         // +1 admits a NULL group alongside the distinct values.
                         let d = cs.ndv as f64 + if cs.null_count > 0 { 1.0 } else { 0.0 };
-                        product *= d.max(1.0);
+                        product *= d.min(self.filtered_rows(qgm, origin, cs)).max(1.0);
                     }
                     None => resolved_all = false,
                 },
@@ -603,10 +622,32 @@ impl<'a> Estimator<'a> {
         self.col_stats(qgm, *quant, *col)
     }
 
-    /// Resolve `(quant, col)` to base-table column statistics, following
-    /// pass-through projections (Select/Grouping outputs that are bare
-    /// column references to the box's own quantifiers).
+    /// Estimated rows of base-table quantifier `q` (whose column has
+    /// statistics `cs`) after the predicates of its owner Select that
+    /// involve no other local quantifier.
+    fn filtered_rows(&self, qgm: &Qgm, q: QuantId, cs: &ColumnStats) -> f64 {
+        let bx = qgm.boxref(qgm.quant(q).owner);
+        let mut rows = cs.row_count as f64;
+        if matches!(bx.kind, BoxKind::Select) {
+            for p in &bx.preds {
+                if self.pred_ready(qgm, p, q, &bx.quants, &[]) {
+                    rows *= self.pred_selectivity(qgm, p);
+                }
+            }
+        }
+        rows
+    }
+
+    /// Column statistics for `(quant, col)`, if it resolves to a base table.
     fn col_stats(&self, qgm: &Qgm, quant: QuantId, col: usize) -> Option<&ColumnStats> {
+        self.col_origin(qgm, quant, col).map(|(_, cs)| cs)
+    }
+
+    /// Resolve `(quant, col)` to the base-table quantifier it comes from
+    /// and that column's statistics, following pass-through projections
+    /// (Select/Grouping outputs that are bare column references to the
+    /// box's own quantifiers).
+    fn col_origin(&self, qgm: &Qgm, quant: QuantId, col: usize) -> Option<(QuantId, &ColumnStats)> {
         let mut q = quant;
         let mut c = col;
         // Bounded by plan depth; the chain is acyclic.
@@ -615,7 +656,7 @@ impl<'a> Estimator<'a> {
             let bx = qgm.boxref(input);
             match &bx.kind {
                 BoxKind::BaseTable { table, .. } => {
-                    return self.stats.table(table)?.column(c);
+                    return Some((q, self.stats.table(table)?.column(c)?));
                 }
                 BoxKind::Select | BoxKind::Grouping { .. } => {
                     match bx.outputs.get(c).map(|o| &o.expr) {

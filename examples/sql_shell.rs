@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! ANALYZE;               collect table statistics and print them
-//! EXPLAIN COST <query>;  race all five strategies, show the ranked
+//! EXPLAIN COST <query>;  race the sound strategies, show the ranked
 //!                        estimates and the per-box est-vs-actual q-error
 //! ```
 //!

@@ -1,19 +1,20 @@
-//! Cost-based strategy race over all five evaluation strategies.
+//! Cost-based strategy race over the paper's evaluation strategies.
 //!
 //! The paper's Section 7: "Our implementation simply optimizes the query
 //! once without decorrelation, and using the chosen join orders repeats
 //! the optimization with decorrelation. The better of the two optimized
 //! plans is chosen." [`choose_strategy`] generalizes that two-way
-//! comparison into a race over every strategy of Section 5 — nested
-//! iteration, Kim, Dayal, Ganski/Wong and magic decorrelation — each
+//! comparison into a race over every sound strategy of Section 5 —
+//! nested iteration, Dayal, Ganski/Wong and magic decorrelation — each
 //! rewritten (where applicable) and priced by the statistics-backed
 //! [`decorr_exec::CostModel`]. The result is a ranked [`PlanChoice`]:
 //! only the winning plan is materialized; the losers keep just their
 //! [`Estimate`] breakdown.
 //!
-//! Kim's method is raced for its estimate but is **never chosen**: it
-//! carries the COUNT bug (Section 2) and may return wrong answers, and no
-//! cost advantage buys back correctness.
+//! Kim's method is ranked but **not raced**: it carries the COUNT bug
+//! (Section 2) and may return wrong answers, no cost advantage buys back
+//! correctness, so it is neither rewritten nor priced. `\strategy kim`
+//! still pins it.
 
 use decorr_common::Result;
 use decorr_core::{apply_strategy, Strategy};
@@ -26,11 +27,12 @@ use decorr_storage::Database;
 #[derive(Debug, Clone)]
 pub struct StrategyEstimate {
     pub strategy: Strategy,
-    /// The plan estimate, or `None` when the rewrite does not apply to
-    /// this query (e.g. Kim/Dayal on a non-linear UNION query).
+    /// The plan estimate, or `None` when the strategy was not priced: the
+    /// rewrite does not apply to this query (e.g. Dayal on a non-linear
+    /// UNION query) or is unsound.
     pub estimate: Option<Estimate>,
-    /// Ranked for comparison but excluded from winning (Kim: the COUNT
-    /// bug makes it unsound).
+    /// Excluded from winning, so not raced (Kim: the COUNT bug makes it
+    /// unsound).
     pub unsound: bool,
     /// Why the strategy is unsound or inapplicable.
     pub note: Option<String>,
@@ -54,7 +56,7 @@ pub struct PlanChoice {
     /// The winner's per-box estimates, for q-error auditing against an
     /// execution trace.
     pub plan_estimate: PlanEstimate,
-    /// Every raced strategy, cheapest first (inapplicable ones last).
+    /// Every strategy of the race, cheapest first (unpriced ones last).
     pub ranked: Vec<StrategyEstimate>,
 }
 
@@ -100,11 +102,11 @@ impl PlanChoice {
     }
 }
 
-/// The five strategies of the race, in the paper's figure order. OptMag
-/// is a refinement of Magic rather than an independent algorithm; it
-/// joins the race in a future PR once the CSE-elimination estimate is
-/// distinguishable.
-const RACED: [Strategy; 4] = [
+/// The lanes ranked beside nested iteration, in the paper's figure order
+/// (Kim is listed, not raced). OptMag is a refinement of Magic rather than
+/// an independent algorithm; it joins the race in a future PR once the
+/// CSE-elimination estimate is distinguishable.
+const LANES: [Strategy; 4] = [
     Strategy::Kim,
     Strategy::Dayal,
     Strategy::GanskiWong,
@@ -144,7 +146,7 @@ pub fn choose_strategy_with(model: &CostModel, qgm: Qgm) -> Result<PlanChoice> {
     // the cheapest sound one seen so far (beating the NI champion).
     let mut champion_cost = ni_estimate.cost;
     let mut best: Option<(Strategy, Qgm, PlanEstimate)> = None;
-    for s in RACED {
+    for s in LANES {
         if !correlated {
             // Nothing to decorrelate: rewrites are identity (or error);
             // the paper's choice machinery only engages on correlation.
@@ -156,19 +158,28 @@ pub fn choose_strategy_with(model: &CostModel, qgm: Qgm) -> Result<PlanChoice> {
             });
             continue;
         }
+        if s == Strategy::Kim {
+            // A lane that can never win is not worth a rewrite and an
+            // estimate.
+            ranked.push(StrategyEstimate {
+                strategy: s,
+                estimate: None,
+                unsound: true,
+                note: Some("unsound (COUNT bug): not raced".into()),
+            });
+            continue;
+        }
         match apply_strategy(&qgm, s) {
             Ok(plan) => {
                 let plan_estimate = model.estimate_plan(&plan)?;
                 let estimate = plan_estimate.total();
-                let unsound = s == Strategy::Kim;
                 ranked.push(StrategyEstimate {
                     strategy: s,
                     estimate: Some(estimate),
-                    unsound,
-                    note: unsound
-                        .then(|| "unsound (COUNT bug): raced but never chosen".to_string()),
+                    unsound: false,
+                    note: None,
                 });
-                if !unsound && estimate.cost < champion_cost {
+                if estimate.cost < champion_cost {
                     champion_cost = estimate.cost;
                     best = Some((s, plan, plan_estimate)); // previous best dropped here
                 }
@@ -176,13 +187,13 @@ pub fn choose_strategy_with(model: &CostModel, qgm: Qgm) -> Result<PlanChoice> {
             Err(e) => ranked.push(StrategyEstimate {
                 strategy: s,
                 estimate: None,
-                unsound: s == Strategy::Kim,
+                unsound: false,
                 note: Some(format!("inapplicable: {e}")),
             }),
         }
     }
 
-    // Cheapest first; inapplicable lanes sort last, in race order.
+    // Cheapest first; unpriced lanes sort last, in race order.
     ranked.sort_by(|a, b| match (a.estimate, b.estimate) {
         (Some(x), Some(y)) => x.cost.total_cmp(&y.cost),
         (Some(_), None) => std::cmp::Ordering::Less,

@@ -1,0 +1,117 @@
+//! An allocation budget for pass-through boxes.
+//!
+//! A row is a `Vec<Value>`, so every copy of a row set costs one heap
+//! allocation per row. Under `auto` the nested-iteration lane runs the
+//! graph as bound, pass-through Selects included: a Select over one input
+//! must *adopt* that input (no seed row to cross it onto), a paged scan
+//! without predicates must return the rows it stitched, and an identity
+//! projection must hand its rows on. Counted here with a counting global
+//! allocator: `Select count(*), sum(x) From T` makes one copy of `T` (the
+//! scan), a Select that only reorders columns makes two (scan + gather).
+//! Before first-input adoption these were three to four and five to six.
+//!
+//! One `#[test]`, so nothing else allocates while a statement is counted.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use decorr::prelude::*;
+use decorr::row;
+use decorr_server::{AdmissionControl, Quotas, Session, SessionSettings, SharedCatalog};
+use decorr_storage::StoreOptions;
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a statistic and publishes no data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const N: usize = 20_000;
+/// Everything that does not grow with the table: parse, plan-cache lookup,
+/// binding, the executor's maps, vector doublings, the rendered reply.
+const C: u64 = 2_000;
+
+fn table() -> Database {
+    let mut db = Database::new();
+    let t = db
+        .create_table(
+            "t",
+            Schema::from_pairs(&[("k", DataType::Int), ("x", DataType::Double)]),
+        )
+        .unwrap();
+    t.insert_all((0..N as i64).map(|i| row![i, i as f64 / 4.0]))
+        .unwrap();
+    db
+}
+
+/// Heap allocations of one warm execution of `sql` (the first run fills
+/// the plan cache and, on the durable catalog, the buffer pool).
+fn allocations(session: &mut Session, sql: &str) -> u64 {
+    let warm = session.handle_line(sql).unwrap().lines;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let reply = session.handle_line(sql).unwrap().lines;
+    let counted = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(reply[0], warm[0], "the rows (the footer carries timings)");
+    counted
+}
+
+#[test]
+fn pass_through_boxes_copy_their_input_once() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("alloc-budget");
+    let _ = std::fs::remove_dir_all(&dir);
+    let catalogs = [
+        ("resident", SharedCatalog::new(table())),
+        (
+            "durable",
+            SharedCatalog::open_durable(&dir, StoreOptions::default(), table()).unwrap(),
+        ),
+    ];
+    for (tier, catalog) in catalogs {
+        let catalog = Arc::new(catalog);
+        catalog.analyze().unwrap();
+        assert_eq!(
+            catalog.snapshot().db().table("t").unwrap().is_paged(),
+            tier == "durable"
+        );
+        let admission = Arc::new(AdmissionControl::new(Quotas::default()));
+        let mut session = Session::new(0, catalog, admission, SessionSettings::default());
+
+        let n = N as u64;
+        let total = allocations(&mut session, "Select count(*), sum(t.x) From T t");
+        assert!(
+            total <= n * 3 / 2 + C,
+            "{tier}: pass-through aggregate made {total} allocations over {N} rows"
+        );
+        let reordered = allocations(
+            &mut session,
+            "Select count(*), sum(d.x) From (Select t.x, t.k From T t) As d",
+        );
+        assert!(
+            reordered <= n * 5 / 2 + C,
+            "{tier}: column reorder made {reordered} allocations over {N} rows"
+        );
+        println!("{tier}: {total} and {reordered} allocations over {N} rows");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

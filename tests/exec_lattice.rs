@@ -4,8 +4,9 @@
 //! serial, spill vs in-memory, degraded vs unbudgeted) live in
 //! `crates/exec/tests` and only run under `cargo test --workspace`; each
 //! varies one axis against the default. This suite is reachable from plain
-//! `cargo test` and crosses the axes: the paper's figure queries and the
-//! EMP/DEPT COUNT-bug query, under every sound strategy, at every point of
+//! `cargo test` and crosses the axes: the paper's figure queries, the
+//! EMP/DEPT COUNT-bug query and the single-input Selects whose one input
+//! *is* the running row set, under every sound strategy, at every point of
 //!
 //! `columnar {on, off}` × `threads {1, 4}` × budget lane {none, tiny with a
 //! spill manager, tiny without}.
@@ -56,12 +57,17 @@ fn check_lattice(
 ) -> (u64, u64) {
     let qgm = parse_and_bind(sql, db).unwrap();
     let plan = apply_strategy(&qgm, strategy).unwrap();
+    check_plan(&format!("{what} {strategy:?}"), db, &plan, base)
+}
+
+/// [`check_lattice`] for a plan at hand.
+fn check_plan(what: &str, db: &Database, plan: &Qgm, base: ExecOptions) -> (u64, u64) {
     let mut reference: Option<Vec<Row>> = None;
     let (mut spills, mut degradations) = (0, 0);
     for lane in [Lane::Unbudgeted, Lane::Spill, Lane::Degrade] {
         let mut first: Option<(Vec<Row>, ExecStats)> = None;
         for (columnar, threads) in [(true, 1), (false, 1), (true, 4), (false, 4)] {
-            let at = format!("{what} {strategy:?} {lane:?} columnar={columnar} threads={threads}");
+            let at = format!("{what} {lane:?} columnar={columnar} threads={threads}");
             let opts = ExecOptions {
                 columnar,
                 threads,
@@ -70,7 +76,7 @@ fn check_lattice(
                 ..base.clone()
             };
             let (rows, stats) =
-                execute_with(db, &plan, opts).unwrap_or_else(|e| panic!("{at}: {e}"));
+                execute_with(db, plan, opts).unwrap_or_else(|e| panic!("{at}: {e}"));
             // (An outer join has no spill path, so the spill lane may
             // still degrade one.)
             match lane {
@@ -152,4 +158,67 @@ fn count_bug_query_agrees_across_the_lattice() {
         degradations += de;
     }
     assert!(spills > 0 && degradations > 0, "the budget lanes never bit");
+}
+
+#[test]
+fn single_input_selects_agree_across_the_lattice() {
+    // `t` is indexed, so an unfiltered scan of it is *deferred* with
+    // nothing to drive its index; `u` is not; `e` is empty. Both cross
+    // the morsel threshold.
+    let mut db = Database::new();
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("v", DataType::Int),
+        ("s", DataType::Str),
+    ]);
+    let n = 2 * MORSEL_ROWS as i64 + 77;
+    for name in ["t", "u", "e"] {
+        let table = db.create_table(name, schema.clone()).unwrap();
+        if name != "e" {
+            table
+                .insert_all((0..n).map(|i| row![i, i % 7, format!("s{}", i % 13)]))
+                .unwrap();
+        }
+    }
+    db.table_mut("t").unwrap().create_index(&["k"]).unwrap();
+
+    let cases = [
+        ("identity", "SELECT a.k, a.v, a.s FROM u a"),
+        ("reorder", "SELECT a.s, a.k FROM u a"),
+        ("computed", "SELECT a.k + 1, a.v * 2 FROM u a"),
+        ("distinct", "SELECT DISTINCT a.v, a.s FROM u a"),
+        (
+            "scan predicate",
+            "SELECT a.k, a.v, a.s FROM u a WHERE a.v > 3",
+        ),
+        (
+            "residual predicate",
+            "SELECT a.k FROM u a WHERE a.k < (SELECT COUNT(*) FROM u b WHERE b.v = a.v)",
+        ),
+        ("constant false", "SELECT a.k FROM u a WHERE 1 = 0"),
+        ("deferred", "SELECT a.k, a.v, a.s FROM t a"),
+        ("deferred reorder", "SELECT a.s, a.k FROM t a"),
+        (
+            "lateral",
+            "SELECT a.k, c FROM u a, DT(c) AS \
+             (SELECT b.k FROM u b WHERE b.v = a.v AND b.k < 3) WHERE a.k < 40",
+        ),
+        ("empty", "SELECT a.k, a.v, a.s FROM e a"),
+        ("empty total", "SELECT COUNT(*), SUM(a.k) FROM e a"),
+        ("pass-through total", "SELECT COUNT(*), SUM(a.k) FROM u a"),
+    ];
+    for (what, sql) in cases {
+        // The graph as bound — what the race runs when NI wins, with its
+        // pass-through Selects — and each sound rewrite of it.
+        let qgm = parse_and_bind(sql, &db).unwrap();
+        check_plan(
+            &format!("{what} as bound"),
+            &db,
+            &qgm,
+            ExecOptions::default(),
+        );
+        for s in [Strategy::NestedIteration, Strategy::Magic, Strategy::OptMag] {
+            check_lattice(what, &db, sql, s, ExecOptions::default());
+        }
+    }
 }

@@ -65,7 +65,11 @@ fn full_scale_figure_shapes() {
     use decorr_bench::{run_figure, Figure};
     let db = db();
     // Figure 8 at full scale: OptMag within 2x of NI; Kim and Dayal at
-    // least 20x worse (the paper: "orders of magnitude").
+    // least 15x worse (the paper: "orders of magnitude"). The ratios were
+    // 31x and 35x while a Select cross-joined its first input onto a seed
+    // row: both plans start from the 600 000-row lineitem scan, and that
+    // step alone counted 600 174 comparisons + 600 174 outputs (Kim:
+    // 2 478 519 - 2 x 600 174 = 1 278 171 against OptMag's 78 106).
     let ms = run_figure(Figure::Fig8, &db).unwrap();
     let work = |s: Strategy| {
         ms.iter()
@@ -74,8 +78,8 @@ fn full_scale_figure_shapes() {
             .unwrap()
     };
     assert!(work(Strategy::OptMag) < 2.0 * work(Strategy::NestedIteration));
-    assert!(work(Strategy::Kim) > 20.0 * work(Strategy::OptMag));
-    assert!(work(Strategy::Dayal) > 20.0 * work(Strategy::OptMag));
+    assert!(work(Strategy::Kim) > 15.0 * work(Strategy::OptMag));
+    assert!(work(Strategy::Dayal) > 15.0 * work(Strategy::OptMag));
 
     // Figure 9: magic beats NI by at least 3x in work.
     let ms = run_figure(Figure::Fig9, &db).unwrap();

@@ -1,7 +1,7 @@
-//! The Section 7 cost-based chooser, grown into a five-way strategy
-//! race: NI, Kim, Dayal, Ganski and Magic are each rewritten (where
-//! applicable), priced by the statistics-backed cost model, and the
-//! cheapest *sound* plan wins — validated here against actual work.
+//! The Section 7 cost-based chooser, grown into a strategy race: NI,
+//! Dayal, Ganski and Magic are each rewritten (where applicable), priced
+//! by the statistics-backed cost model, and the cheapest plan wins; Kim is
+//! ranked as unsound and never raced — validated here against actual work.
 
 use decorr::prelude::*;
 use decorr_tpcd::empdept::{generate, EmpDeptConfig};
@@ -32,9 +32,9 @@ fn race_covers_all_five_strategies() {
 }
 
 #[test]
-fn kim_is_raced_but_never_chosen() {
-    // Kim's rewrite has the COUNT bug: it may lose rows, so whatever its
-    // estimate says, it must not win.
+fn kim_is_ranked_but_never_raced() {
+    // Kim's rewrite has the COUNT bug: it may lose rows, so it cannot win
+    // and the race spends neither a rewrite nor an estimate on it.
     let db = generate(&EmpDeptConfig {
         departments: 200,
         employees: 2000,
@@ -48,7 +48,15 @@ fn kim_is_raced_but_never_chosen() {
     assert_ne!(choice.strategy, Strategy::Kim);
     let kim = choice.entry(Strategy::Kim).unwrap();
     assert!(kim.unsound);
-    assert!(kim.applicable(), "Kim applies to the linear EMP/DEPT query");
+    assert!(
+        kim.estimate.is_none(),
+        "Kim applies here, yet is not priced"
+    );
+    assert_eq!(kim.note.as_deref(), Some("unsound (COUNT bug): not raced"));
+    assert!(choice.render().contains("not raced"));
+    // Pinning it still works.
+    let qgm = parse_and_bind(queries::EMPDEPT, &db).unwrap();
+    apply_strategy(&qgm, Strategy::Kim).unwrap();
 }
 
 #[test]
@@ -161,4 +169,73 @@ fn estimates_audit_against_the_trace() {
     // The rendered table mentions every audited box.
     let rendered = report.render();
     assert!(rendered.contains("q-error"));
+}
+
+/// Execute `plan` the way `Session` does — default options plus a
+/// shared-subplan cache over the plan's marked boxes, so a box referenced
+/// twice (SUPP) is computed once — and return the work done.
+fn session_work(db: &Database, plan: &Qgm) -> u64 {
+    use decorr::exec::{SharedSubplans, SubplanCache, SubplanShape};
+    let marks = decorr::core::shared_subplan_marks(plan)
+        .into_iter()
+        .map(|m| (m.box_id, SubplanShape { shape: m.shape, tables: m.tables }))
+        .collect();
+    let opts = decorr::exec::ExecOptions {
+        shared_subplans: Some(SharedSubplans { cache: SubplanCache::new(64 << 20), marks }),
+        ..Default::default()
+    };
+    execute_with(db, plan, opts).unwrap().1.total_work()
+}
+
+/// Work regret of the race, per figure × {indexed, un-indexed}: the
+/// race's pick against the cheapest sound pinned strategy, both executed
+/// as `Session` executes them. The table is printed (CI runs it with
+/// `--nocapture`); asserted is only what work units resolve.
+#[test]
+fn regret_table_over_the_figures() {
+    const PINNED: [Strategy; 5] = [
+        Strategy::NestedIteration,
+        Strategy::Dayal,
+        Strategy::GanskiWong,
+        Strategy::Magic,
+        Strategy::OptMag,
+    ];
+    println!(
+        "{:<8} {:<10} {:<7} {:>10} {:<7} {:>10} {:>6}",
+        "query", "indexes", "pick", "work", "best", "work", "ratio"
+    );
+    for with_indexes in [true, false] {
+        let tpcd = tpcd_generate(&TpcdConfig { scale: 0.02, seed: 42, with_indexes }).unwrap();
+        let empdept = generate(&EmpDeptConfig { with_indexes, ..Default::default() }).unwrap();
+        for (name, sql, db) in [
+            ("fig5", queries::Q1A, &tpcd),
+            ("fig6", queries::Q1B, &tpcd),
+            ("fig8", queries::Q2, &tpcd),
+            ("fig9", queries::Q3, &tpcd),
+            ("empdept", queries::EMPDEPT, &empdept),
+        ] {
+            let qgm = parse_and_bind(sql, db).unwrap();
+            let choice = choose_strategy(db, qgm.clone()).unwrap();
+            let pick_work = session_work(db, &choice.plan);
+            let (best, best_work) = PINNED
+                .into_iter()
+                .filter_map(|s| Some((s, session_work(db, &apply_strategy(&qgm, s).ok()?))))
+                .chain([(choice.strategy, pick_work)])
+                .min_by_key(|&(_, work)| work)
+                .unwrap();
+            let ratio = pick_work as f64 / best_work.max(1) as f64;
+            println!(
+                "{name:<8} {:<10} {:<7} {pick_work:>10} {:<7} {best_work:>10} {ratio:>6.2}",
+                if with_indexes { "indexed" } else { "none" },
+                choice.strategy.name(),
+                best.name(),
+            );
+            if name == "fig8" && !with_indexes {
+                // SUPP is priced once and the magic table by its filtered
+                // origin, so Magic undercuts Dayal as it does in work done.
+                assert_eq!(choice.strategy, Strategy::Magic, "{}", choice.render());
+                assert!(ratio <= 1.5, "fig8 un-indexed regret {ratio:.2}");
+            }
+        }
+    }
 }
