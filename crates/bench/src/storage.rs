@@ -27,7 +27,8 @@ use decorr_sql::parse_and_bind;
 use decorr_storage::{Database, PersistentStore, StoreOptions};
 use decorr_tpcd::{cardinalities, generate, TpcdConfig};
 
-/// Full scan: touches every lineitem page through the buffer pool.
+/// Full scan: reads every stripe of lineitem through the buffer pool (the
+/// pages of the two columns it looks at — nothing else is pinned).
 const SCAN_SQL: &str = "Select sum(l.l_extendedprice) From Lineitem l Where l.l_quantity < 25";
 
 /// Key-range scan: `l_orderkey` is sequential, so per-page zone maps

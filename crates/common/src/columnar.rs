@@ -55,10 +55,49 @@ impl NullBitmap {
         NullBitmap { words: vec![0; len.div_ceil(64)], len, any: false }
     }
 
+    /// The bitmap a column page stores: one byte per eight rows, bit
+    /// `i & 7` of byte `i >> 3` set for a NULL row `i`. Bits past `len`
+    /// are ignored.
+    pub fn from_le_bytes(bytes: &[u8], len: usize) -> Self {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for (w, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
+            let mut b = [0u8; 8];
+            b[..chunk.len()].copy_from_slice(chunk);
+            *w = u64::from_le_bytes(b);
+        }
+        if let Some(last) = words.last_mut().filter(|_| !len.is_multiple_of(64)) {
+            *last &= (1u64 << (len % 64)) - 1;
+        }
+        let any = words.iter().any(|&w| w != 0);
+        NullBitmap { words, len, any }
+    }
+
     /// Mark row `i` NULL.
     pub fn set_null(&mut self, i: usize) {
         self.words[i >> 6] |= 1u64 << (i & 63);
         self.any = true;
+    }
+
+    /// Append one row.
+    pub fn push(&mut self, null: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        if null {
+            self.set_null(self.len - 1);
+        }
+    }
+
+    /// Append `n` valid rows.
+    pub fn push_valid(&mut self, n: usize) {
+        self.len += n;
+        self.words.resize(self.len.div_ceil(64), 0);
+    }
+
+    /// Number of NULL rows.
+    pub fn null_count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Is row `i` NULL?
@@ -88,8 +127,9 @@ impl NullBitmap {
 // ---------------------------------------------------------------------------
 
 /// Dictionary for a [`Column::Str`]: interns each distinct string once and
-/// hands out dense `u32` codes. Equal strings always share a code, so
-/// equality over the column is code equality.
+/// hands out dense `u32` codes. (A pool decoded from a stored page takes
+/// the page's dictionary as it is, so kernels decide per dictionary entry
+/// and never assume that equal strings share a code.)
 #[derive(Debug, Clone, Default)]
 pub struct StrPool {
     strings: Vec<Arc<str>>,
@@ -97,8 +137,17 @@ pub struct StrPool {
 }
 
 impl StrPool {
+    /// A read-only pool over a page's stored dictionary: code `i` is
+    /// `strings[i]`. No interning index is built — a decoded page is only
+    /// ever read by code — so a page of distinct strings costs its strings
+    /// and nothing more.
+    pub fn from_dictionary(strings: Vec<Arc<str>>) -> Self {
+        StrPool { strings, index: FxHashMap::default() }
+    }
+
     /// Intern `s`, returning its code (existing or freshly assigned).
     pub fn intern(&mut self, s: &Arc<str>) -> u32 {
+        debug_assert_eq!(self.index.len(), self.strings.len(), "pool has no index");
         if let Some(&c) = self.index.get(s.as_ref()) {
             return c;
         }
@@ -106,11 +155,6 @@ impl StrPool {
         self.strings.push(Arc::clone(s));
         self.index.insert(Arc::clone(s), c);
         c
-    }
-
-    /// The code of `s`, if interned.
-    pub fn lookup(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
     }
 
     /// The string behind `code`.
@@ -152,6 +196,24 @@ pub enum ColumnData {
     /// Dynamically typed fallback (e.g. a column mixing `Int` and `Double`
     /// mid-pipeline). Values are stored verbatim so reconstruction is exact.
     Mixed(Vec<Value>),
+}
+
+impl ColumnData {
+    /// Number of value slots (one per row, NULL rows included).
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnData::Int(v) => v.len(),
+            ColumnData::Double(v) => v.len(),
+            ColumnData::Bool(v) => v.len(),
+            ColumnData::Str { codes, .. } => codes.len(),
+            ColumnData::Mixed(v) => v.len(),
+        }
+    }
+
+    /// True when there are no slots.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// One column of a [`ColumnarBatch`]: typed data plus a null bitmap.
@@ -384,6 +446,14 @@ impl Column {
         Column { data, nulls }
     }
 
+    /// Assemble a column from typed storage and its null bitmap (the page
+    /// decoder's constructor). `data` holds one slot per row, NULL rows
+    /// included; what a NULL row's slot holds is never read.
+    pub fn from_parts(data: ColumnData, nulls: NullBitmap) -> Column {
+        debug_assert_eq!(data.len(), nulls.len());
+        Column { data, nulls }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.nulls.len()
@@ -392,6 +462,35 @@ impl Column {
     /// True when the column holds zero rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Heap bytes behind the column: its value slots, null bitmap and
+    /// dictionary. Strings count their bytes plus the `Arc` header.
+    pub fn heap_bytes(&self) -> usize {
+        const ARC_HEADER: usize = 16;
+        let str_bytes = |s: &Arc<str>| std::mem::size_of::<Arc<str>>() + ARC_HEADER + s.len();
+        let data = match &self.data {
+            ColumnData::Int(v) => v.len() * 8,
+            ColumnData::Double(v) => v.len() * 8,
+            ColumnData::Bool(v) => v.len(),
+            ColumnData::Str { codes, pool } => {
+                // An interning index, where there is one, holds a second
+                // handle and the code per string.
+                let indexed = pool.index.len() * (std::mem::size_of::<Arc<str>>() + 8);
+                codes.len() * 4 + pool.strings.iter().map(str_bytes).sum::<usize>() + indexed
+            }
+            ColumnData::Mixed(v) => v
+                .iter()
+                .map(|v| {
+                    std::mem::size_of::<Value>()
+                        + match v {
+                            Value::Str(s) => ARC_HEADER + s.len(),
+                            _ => 0,
+                        }
+                })
+                .sum(),
+        };
+        data + self.nulls.words.len() * 8
     }
 
     /// The typed storage.
@@ -433,6 +532,120 @@ impl Column {
             ColumnData::Str { codes, pool } => Value::Str(Arc::clone(pool.get(codes[i]))),
             ColumnData::Mixed(v) => v[i].clone(),
         }
+    }
+}
+
+/// Copies selected rows of a sequence of column pages out into one
+/// [`Column`], in push order — how a paged scan hands a join its key
+/// column, or an aggregate its argument, without making rows.
+///
+/// The result stays a typed `Int`/`Double`/`Bool` vector while the pages
+/// agree on one type (all-NULL stretches fit any) and falls back to
+/// `Mixed` otherwise, strings included. Either way `value_at` of the
+/// result is the pushed page's `value_at`, so every kernel computes from
+/// it what it would from the gathered rows.
+#[derive(Debug, Default)]
+pub struct ColumnGather {
+    /// `None` until a pushed row is not NULL.
+    data: Option<ColumnData>,
+    nulls: NullBitmap,
+}
+
+impl ColumnGather {
+    /// An empty gather.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append rows `sel` of `page`.
+    pub fn push(&mut self, page: &Column, sel: &[u32]) {
+        let page_nulls = page.nulls.any_null();
+        let all_null = page_nulls && sel.iter().all(|&i| page.is_null(i as usize));
+        if !all_null {
+            let fits = match (&self.data, &page.data) {
+                (None, _) => {
+                    let n = self.nulls.len();
+                    self.data = Some(match &page.data {
+                        ColumnData::Int(_) => ColumnData::Int(vec![0; n]),
+                        ColumnData::Double(_) => ColumnData::Double(vec![0.0; n]),
+                        ColumnData::Bool(_) => ColumnData::Bool(vec![false; n]),
+                        _ => ColumnData::Mixed(vec![Value::Null; n]),
+                    });
+                    true
+                }
+                (Some(ColumnData::Int(_)), ColumnData::Int(_))
+                | (Some(ColumnData::Double(_)), ColumnData::Double(_))
+                | (Some(ColumnData::Bool(_)), ColumnData::Bool(_))
+                | (Some(ColumnData::Mixed(_)), _) => true,
+                _ => false,
+            };
+            if !fits {
+                self.demote();
+            }
+        }
+        let at = |i: &u32| *i as usize;
+        match (&mut self.data, &page.data) {
+            (None, _) => {}
+            (Some(ColumnData::Mixed(out)), _) => {
+                out.extend(sel.iter().map(|i| page.value_at(at(i))))
+            }
+            (Some(ColumnData::Int(out)), ColumnData::Int(v)) => {
+                out.extend(sel.iter().map(|i| v[at(i)]))
+            }
+            (Some(ColumnData::Double(out)), ColumnData::Double(v)) => {
+                out.extend(sel.iter().map(|i| v[at(i)]))
+            }
+            (Some(ColumnData::Bool(out)), ColumnData::Bool(v)) => {
+                out.extend(sel.iter().map(|i| v[at(i)]))
+            }
+            // An all-NULL stretch of another type: the slots are never read.
+            (Some(ColumnData::Int(out)), _) => out.resize(out.len() + sel.len(), 0),
+            (Some(ColumnData::Double(out)), _) => out.resize(out.len() + sel.len(), 0.0),
+            (Some(ColumnData::Bool(out)), _) => out.resize(out.len() + sel.len(), false),
+            (Some(ColumnData::Str { .. }), _) => unreachable!("strings gather as Mixed"),
+        }
+        if page_nulls {
+            for &i in sel {
+                self.nulls.push(page.is_null(i as usize));
+            }
+        } else {
+            self.nulls.push_valid(sel.len());
+        }
+    }
+
+    /// Re-house what was gathered so far as verbatim values.
+    fn demote(&mut self) {
+        let nulls = &self.nulls;
+        fn lift<T: Copy>(v: &[T], nulls: &NullBitmap, wrap: impl Fn(T) -> Value) -> Vec<Value> {
+            v.iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    if nulls.is_null(i) {
+                        Value::Null
+                    } else {
+                        wrap(x)
+                    }
+                })
+                .collect()
+        }
+        let values = match self.data.take() {
+            Some(ColumnData::Int(v)) => lift(&v, nulls, Value::Int),
+            Some(ColumnData::Double(v)) => lift(&v, nulls, Value::Double),
+            Some(ColumnData::Bool(v)) => lift(&v, nulls, Value::Bool),
+            Some(ColumnData::Mixed(v)) => v,
+            Some(ColumnData::Str { .. }) => unreachable!("strings gather as Mixed"),
+            None => vec![Value::Null; nulls.len()],
+        };
+        self.data = Some(ColumnData::Mixed(values));
+    }
+
+    /// The gathered column (an all-NULL `Int` column when no pushed row
+    /// held a value, like [`Column::from_values`]).
+    pub fn finish(self) -> Column {
+        let data = self
+            .data
+            .unwrap_or_else(|| ColumnData::Int(vec![0; self.nulls.len()]));
+        Column { data, nulls: self.nulls }
     }
 }
 
@@ -652,10 +865,20 @@ pub enum ColPredicate {
 /// and NaN comparisons never qualify), `IS NOT DISTINCT FROM` uses
 /// [`Value::total_cmp`] (NULL matches NULL, `-0.0` ≠ `0.0`).
 pub fn filter_kernel(batch: &ColumnarBatch, pred: &ColPredicate, sel: &[u32]) -> SelVec {
+    filter_columns(&|c| batch.column(c), pred, sel)
+}
+
+/// [`filter_kernel`] over columns that live wherever `column` finds them
+/// (a batch, or the pinned pages of one stripe of a stored table).
+pub fn filter_columns<'a>(
+    column: &dyn Fn(usize) -> &'a Column,
+    pred: &ColPredicate,
+    sel: &[u32],
+) -> SelVec {
     match pred {
-        ColPredicate::ColLit { col, op, lit } => filter_col_lit(batch.column(*col), *op, lit, sel),
+        ColPredicate::ColLit { col, op, lit } => filter_col_lit(column(*col), *op, lit, sel),
         ColPredicate::ColCol { left, op, right } => {
-            filter_col_col(batch.column(*left), *op, batch.column(*right), sel)
+            filter_col_col(column(*left), *op, column(*right), sel)
         }
     }
 }
@@ -664,14 +887,13 @@ fn filter_col_lit(col: &Column, op: CmpOp, lit: &Value, sel: &[u32]) -> SelVec {
     let mut out = Vec::with_capacity(sel.len());
     if op == CmpOp::NullEq {
         // Total equality, NULL matches NULL; no fast path needed beyond the
-        // dictionary (code equality) for strings.
+        // dictionary (decided once per distinct string) for strings.
         if let (ColumnData::Str { codes, pool }, Value::Str(s)) = (&col.data, lit) {
-            if let Some(code) = pool.lookup(s) {
-                for &i in sel {
-                    let i_us = i as usize;
-                    if !col.is_null(i_us) && codes[i_us] == code {
-                        out.push(i);
-                    }
+            let verdict: Vec<bool> = pool.strings.iter().map(|p| p == s).collect();
+            for &i in sel {
+                let i_us = i as usize;
+                if !col.is_null(i_us) && verdict[codes[i_us] as usize] {
+                    out.push(i);
                 }
             }
             return out;
@@ -1253,6 +1475,69 @@ mod tests {
 
         let overflow = vals(&[Value::Int(i64::MAX), Value::Int(1)]);
         assert!(sum_kernel(&overflow).is_err());
+    }
+
+    #[test]
+    fn column_gather_copies_pages_out_exactly() {
+        let ints = vals(&[Value::Int(1), Value::Null, Value::Int(3)]);
+        let nulls = vals(&[Value::Null, Value::Null]);
+        let doubles = vals(&[Value::Double(-0.0), Value::Double(f64::NAN)]);
+        let strs = vals(&[Value::str("a"), Value::Null]);
+        let gathered = |pages: &[(&Column, &[u32])]| {
+            let mut g = ColumnGather::new();
+            let mut want = Vec::new();
+            for (page, sel) in pages {
+                g.push(page, sel);
+                want.extend(sel.iter().map(|&i| page.value_at(i as usize)));
+            }
+            let col = g.finish();
+            assert_eq!(col.len(), want.len());
+            for (i, w) in want.iter().enumerate() {
+                // `Debug` tells `Int` from `Double` and `-0.0` from `0.0`.
+                assert_eq!(format!("{:?}", col.value_at(i)), format!("{w:?}"));
+                assert_eq!(col.is_null(i), w.is_null());
+            }
+            col
+        };
+        // One type throughout, all-NULL stretches before and between: typed.
+        let col = gathered(&[
+            (&nulls, &[0, 1]),
+            (&ints, &[2, 1, 0]),
+            (&nulls, &[1]),
+            (&ints, &[0]),
+        ]);
+        assert!(matches!(col.data(), ColumnData::Int(_)));
+        assert_eq!(sum_kernel(&col).unwrap(), Value::Int(5));
+        let col = gathered(&[(&doubles, &[0, 1]), (&ints, &[1])]);
+        assert!(
+            matches!(col.data(), ColumnData::Double(_)),
+            "a NULL fits any type"
+        );
+        // A second type, or strings: verbatim values, nothing lost.
+        let col = gathered(&[(&ints, &[0, 1]), (&doubles, &[0]), (&ints, &[2])]);
+        assert!(matches!(col.data(), ColumnData::Mixed(_)));
+        let col = gathered(&[(&nulls, &[0]), (&strs, &[0, 1, 0])]);
+        assert!(matches!(col.data(), ColumnData::Mixed(_)));
+        // Nothing but NULLs, and nothing at all: `Int`, like `from_values`.
+        assert!(matches!(
+            gathered(&[(&nulls, &[0, 1])]).data(),
+            ColumnData::Int(_)
+        ));
+        assert!(matches!(gathered(&[]).data(), ColumnData::Int(_)));
+    }
+
+    #[test]
+    fn null_bitmap_reads_a_page_bitmap() {
+        // Rows 1, 9 and 66 of 70; the bits past row 69 are noise.
+        let mut bytes = [0u8; 9];
+        bytes[0] = 0b10;
+        bytes[1] = 0b10;
+        bytes[8] = 0b1100_0100;
+        let nulls = NullBitmap::from_le_bytes(&bytes, 70);
+        let set: Vec<usize> = (0..70).filter(|&i| nulls.is_null(i)).collect();
+        assert_eq!(set, vec![1, 9, 66]);
+        assert_eq!((nulls.null_count(), nulls.len()), (3, 70));
+        assert!(!NullBitmap::from_le_bytes(&[0; 9], 70).any_null());
     }
 
     #[test]

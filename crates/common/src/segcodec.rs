@@ -28,7 +28,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::columnar::CmpOp;
+use crate::columnar::{CmpOp, Column, ColumnData, NullBitmap, StrPool};
 use crate::error::{Error, Result};
 use crate::row::Row;
 use crate::value::Value;
@@ -314,6 +314,11 @@ fn width_for(max: u64) -> u32 {
 // Column-page codec
 // ---------------------------------------------------------------------------
 
+/// The most rows one column page may hold (a thousand default pages).
+/// The decoder sizes its vectors by a page's stated row count, so the
+/// count is checked against this before anything is allocated.
+pub const MAX_PAGE_ROWS: usize = 1 << 22;
+
 const ENC_INT_RAW: u8 = 1;
 const ENC_INT_RLE: u8 = 2;
 const ENC_INT_PACK: u8 = 3;
@@ -470,9 +475,26 @@ fn encode_strs(buf: &mut Vec<u8>, present: &[&Value]) {
     buf.extend_from_slice(&w.finish());
 }
 
-/// Decode one column page back into row-order values. Exact inverse of
-/// [`encode_column_page`].
-pub fn decode_column_page(bytes: &[u8]) -> Result<Vec<Value>> {
+/// Place the `dense` non-NULL values of a page at their row positions,
+/// leaving `T::default()` in the slot of every NULL row.
+fn spread<T: Copy + Default>(dense: Vec<T>, nulls: &NullBitmap) -> Vec<T> {
+    if !nulls.any_null() {
+        return dense;
+    }
+    let mut next = dense.into_iter();
+    (0..nulls.len())
+        .map(|i| if nulls.is_null(i) { None } else { next.next() }.unwrap_or_default())
+        .collect()
+}
+
+/// Decode one column page straight into a typed [`Column`], one slot per
+/// row: `Int`/`Double`/`Bool` vectors, the page's own dictionary for
+/// strings, and verbatim values only for a page that really mixes types.
+/// A page without a single value (every row NULL, or no rows) is an `Int`
+/// column of NULLs, as [`Column::from_values`] would make it. Exact
+/// inverse of [`encode_column_page`]: `value_at(i)` of the result is the
+/// `i`-th encoded value, bit for bit.
+pub fn decode_column_page(bytes: &[u8]) -> Result<Column> {
     let mut c = Cursor::new(bytes);
     let rows = c.varint()? as usize;
     let null_count = c.varint()? as usize;
@@ -481,37 +503,51 @@ pub fn decode_column_page(bytes: &[u8]) -> Result<Vec<Value>> {
             "segment codec: null count exceeds row count",
         ));
     }
-    let bitmap = if null_count > 0 && null_count < rows {
-        Some(c.bytes(rows.div_ceil(8))?.to_vec())
+    // Constant, run-length and all-NULL pages store nothing per row, so
+    // the bytes at hand do not bound `rows`; the format does.
+    if rows > MAX_PAGE_ROWS {
+        return Err(Error::internal("segment codec: implausible page row count"));
+    }
+    let nulls = if null_count > 0 && null_count < rows {
+        let nulls = NullBitmap::from_le_bytes(c.bytes(rows.div_ceil(8))?, rows);
+        if nulls.null_count() != null_count {
+            return Err(Error::internal(
+                "segment codec: null bitmap disagrees with the null count",
+            ));
+        }
+        nulls
     } else {
-        None
-    };
-    let is_null = |i: usize| match &bitmap {
-        Some(bm) => (bm[i >> 3] >> (i & 7)) & 1 == 1,
-        None => null_count == rows,
+        let mut nulls = NullBitmap::new(rows);
+        if null_count > 0 {
+            (0..rows).for_each(|i| nulls.set_null(i));
+        }
+        nulls
     };
     let present = rows - null_count;
     let tag = c.byte()?;
-    let mut vals: Vec<Value> = Vec::with_capacity(present);
-    match tag {
+    let data = match tag {
         ENC_INT_RAW => {
+            let mut vals = Vec::with_capacity(present.min(c.remaining()));
             for _ in 0..present {
-                vals.push(Value::Int(unzigzag(c.varint()?)));
+                vals.push(unzigzag(c.varint()?));
             }
+            ColumnData::Int(spread(vals, &nulls))
         }
         ENC_INT_RLE => {
             let n_runs = c.varint()? as usize;
+            let mut vals: Vec<i64> = Vec::with_capacity(present);
             for _ in 0..n_runs {
                 let v = unzigzag(c.varint()?);
                 let n = c.varint()? as usize;
-                if vals.len() + n > present {
+                if n > present - vals.len() {
                     return Err(Error::internal("segment codec: RLE run overflow"));
                 }
-                vals.extend(std::iter::repeat_with(|| Value::Int(v)).take(n));
+                vals.resize(vals.len() + n, v);
             }
             if vals.len() != present {
                 return Err(Error::internal("segment codec: RLE run underflow"));
             }
+            ColumnData::Int(spread(vals, &nulls))
         }
         ENC_INT_PACK => {
             let base = unzigzag(c.varint()?);
@@ -520,25 +556,31 @@ pub fn decode_column_page(bytes: &[u8]) -> Result<Vec<Value>> {
                 return Err(Error::internal("segment codec: bad pack width"));
             }
             let mut r = BitReader::new(c.bytes((present * width as usize).div_ceil(8))?);
+            let mut vals = Vec::with_capacity(present);
             for _ in 0..present {
-                vals.push(Value::Int(base.wrapping_add(r.read(width)? as i64)));
+                vals.push(base.wrapping_add(r.read(width)? as i64));
             }
+            ColumnData::Int(spread(vals, &nulls))
         }
         ENC_BOOL => {
             let mut r = BitReader::new(c.bytes(present.div_ceil(8))?);
+            let mut vals = Vec::with_capacity(present);
             for _ in 0..present {
-                vals.push(Value::Bool(r.read(1)? == 1));
+                vals.push(r.read(1)? == 1);
             }
+            ColumnData::Bool(spread(vals, &nulls))
         }
         ENC_DOUBLE => {
-            for _ in 0..present {
-                let b: [u8; 8] = c.bytes(8)?.try_into().expect("8 bytes requested");
-                vals.push(Value::Double(f64::from_bits(u64::from_le_bytes(b))));
-            }
+            let raw = c.bytes(present.checked_mul(8).ok_or_else(truncated)?)?;
+            let vals = raw
+                .chunks_exact(8)
+                .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
+                .collect();
+            ColumnData::Double(spread(vals, &nulls))
         }
         ENC_STR_DICT => {
             let dict_len = c.varint()? as usize;
-            let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_len);
+            let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_len.min(c.remaining()));
             for _ in 0..dict_len {
                 dict.push(Arc::from(c.string()?.as_str()));
             }
@@ -547,31 +589,31 @@ pub fn decode_column_page(bytes: &[u8]) -> Result<Vec<Value>> {
                 return Err(Error::internal("segment codec: bad dict code width"));
             }
             let mut r = BitReader::new(c.bytes((present * width as usize).div_ceil(8))?);
+            let mut codes = Vec::with_capacity(present);
             for _ in 0..present {
-                let code = r.read(width)? as usize;
-                let s = dict
-                    .get(code)
-                    .ok_or_else(|| Error::internal("segment codec: dict code out of range"))?;
-                vals.push(Value::Str(Arc::clone(s)));
+                let code = r.read(width)? as u32;
+                if code as usize >= dict.len() {
+                    return Err(Error::internal("segment codec: dict code out of range"));
+                }
+                codes.push(code);
             }
+            ColumnData::Str { codes: spread(codes, &nulls), pool: StrPool::from_dictionary(dict) }
         }
+        ENC_MIXED if present == 0 => ColumnData::Int(vec![0; rows]),
         ENC_MIXED => {
-            for _ in 0..present {
-                vals.push(get_value(&mut c)?);
+            let mut vals = Vec::with_capacity(rows.min(c.remaining() + null_count));
+            for i in 0..rows {
+                vals.push(if nulls.is_null(i) {
+                    Value::Null
+                } else {
+                    get_value(&mut c)?
+                });
             }
+            ColumnData::Mixed(vals)
         }
         t => return Err(Error::internal(format!("segment codec: bad page tag {t}"))),
-    }
-    let mut out = Vec::with_capacity(rows);
-    let mut next = vals.into_iter();
-    for i in 0..rows {
-        if is_null(i) {
-            out.push(Value::Null);
-        } else {
-            out.push(next.next().ok_or_else(truncated)?);
-        }
-    }
-    Ok(out)
+    };
+    Ok(Column::from_parts(data, nulls))
 }
 
 // ---------------------------------------------------------------------------
@@ -734,7 +776,8 @@ mod tests {
         let bytes = encode_column_page(&values);
         let back = decode_column_page(&bytes).unwrap();
         assert_eq!(values.len(), back.len());
-        for (a, b) in values.iter().zip(&back) {
+        for (i, a) in values.iter().enumerate() {
+            let b = &back.value_at(i);
             assert_eq!(a.total_cmp(b), Ordering::Equal, "{a:?} vs {b:?}");
             // total_cmp folds nothing, but double-check the bit patterns.
             if let (Value::Double(x), Value::Double(y)) = (a, b) {

@@ -15,17 +15,18 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-use decorr_common::columnar::{self, CmpOp, ColumnarBatch, SelVec};
+use decorr_common::columnar::{self, Column, ColumnarBatch, SelVec};
 use decorr_common::{
     Budget, CancelToken, Error, ExecStats, FxHashMap, FxHashSet, FxHasher, Result, Row, RowBatch,
     Value, WorkerPool, MORSEL_ROWS,
 };
 use decorr_qgm::{AggFunc, BinOp, BoxId, BoxKind, Expr, OutputCol, Qgm, QuantId, QuantKind, UnOp};
-use decorr_storage::{Database, PageIo, SpillManager, Table};
+use decorr_storage::{Bound, Database, PageIo, SpillManager, Stripes, Table};
 
 use crate::env::{Env, Layout};
 use crate::eval::{eval_expr, qualifies};
 use crate::join::{self, EquiKeys, JoinSide};
+use crate::scan::PagedSel;
 use crate::subplan::{SharedSubplans, SubplanLookup, SubplanShape};
 use crate::trace::{ExecTrace, JoinStrategy};
 use crate::vector;
@@ -220,6 +221,9 @@ pub struct Executor<'a> {
     /// of the same shape builds the probe index, so one-shot scans never
     /// pay the build pass.
     corr_scan_seen: FxHashSet<CorrIndexKey>,
+    /// Per Select box, the references its subquery and lateral children
+    /// make to its quantifiers (their free references), computed once.
+    below_refs: FxHashMap<BoxId, Arc<[(QuantId, usize)]>>,
 }
 
 /// Identity of one probe-indexable scan shape: `(table, snapshot version,
@@ -357,6 +361,49 @@ impl Rows {
     }
 }
 
+/// One input of a Select, scanned and filtered but not yet joined: rows, or
+/// the survivors of a paged scan still on their pages. Whichever step
+/// consumes it decides how much of it ever becomes rows.
+enum Input<'t> {
+    Rows(Rows),
+    Paged(PagedSel<'t>),
+}
+
+impl Input<'_> {
+    /// Rows in the input (for a paged scan, the survivors), so the greedy
+    /// join order never depends on where an input lives.
+    fn len(&self) -> usize {
+        match self {
+            Input::Rows(rows) => rows.len(),
+            Input::Paged(sel) => sel.len(),
+        }
+    }
+}
+
+/// A Select that only scans a paged table: its quantifier, the table's
+/// row count and stripes, and the table column behind each output.
+type ScanOnly<'t> = (QuantId, usize, Stripes<'t>, Vec<usize>);
+
+/// What a scan-only Select hands a grand total: the scan's survivors and
+/// the table column behind each of the Select's outputs.
+type ScannedOutputs<'t> = (PagedSel<'t>, Vec<usize>);
+
+/// The right-hand (build) side of a join step, borrowed.
+#[derive(Clone, Copy)]
+enum Build<'r, 't> {
+    Rows(&'r [Row]),
+    Paged(&'r PagedSel<'t>),
+}
+
+impl<'t> Input<'t> {
+    fn as_build(&self) -> Build<'_, 't> {
+        match self {
+            Input::Rows(rows) => Build::Rows(rows),
+            Input::Paged(sel) => Build::Paged(sel),
+        }
+    }
+}
+
 /// Does every free-reference occurrence in `e` sit in a SQL-comparison
 /// context? `safe` says the current position is reached only through
 /// comparison operands and value-preserving arithmetic (`+ - *` and unary
@@ -407,6 +454,7 @@ impl<'a> Executor<'a> {
             scope_counter: 0,
             corr_index: FxHashMap::default(),
             corr_scan_seen: FxHashSet::default(),
+            below_refs: FxHashMap::default(),
         }
     }
 
@@ -552,18 +600,29 @@ impl<'a> Executor<'a> {
     /// double-counting concern: the QGM is a DAG, a box never recursively
     /// evaluates itself).
     fn eval_box(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Vec<Row>> {
+        self.traced(b, |ex| ex.eval_box_inner(qgm, b, env), Vec::len)
+    }
+
+    /// Run one evaluation of box `b`, recording its trace entry (with
+    /// `rows_out` counting what it returned) when tracing is on.
+    fn traced<T>(
+        &mut self,
+        b: BoxId,
+        eval: impl FnOnce(&mut Self) -> Result<T>,
+        rows_out: impl Fn(&T) -> usize,
+    ) -> Result<T> {
         if self.trace.is_none() {
-            return self.eval_box_inner(qgm, b, env);
+            return eval(self);
         }
         let started = Instant::now();
         self.box_stack.push(b);
-        let result = self.eval_box_inner(qgm, b, env);
+        let result = eval(self);
         self.box_stack.pop();
         let elapsed = started.elapsed();
-        if let (Some(trace), Ok(rows)) = (&mut self.trace, &result) {
+        if let (Some(trace), Ok(out)) = (&mut self.trace, &result) {
             let e = trace.entry(b);
             e.invocations += 1;
-            e.rows_out += rows.len() as u64;
+            e.rows_out += rows_out(out) as u64;
             e.wall += elapsed;
         }
         result
@@ -863,7 +922,7 @@ impl<'a> Executor<'a> {
         // they may be driven through an index (index nested loops) instead
         // of being scanned — the access path Starburst picks when a small
         // binding set joins a large indexed table.
-        let mut child_rows: FxHashMap<QuantId, Rows> = FxHashMap::default();
+        let mut child_rows: FxHashMap<QuantId, Input<'a>> = FxHashMap::default();
         let mut deferred: FxHashMap<QuantId, String> = FxHashMap::default();
         for &q in &foreach {
             if is_lateral[&q] {
@@ -887,7 +946,7 @@ impl<'a> Executor<'a> {
                     }
                 }
             }
-            let rows = self.scan_quant(qgm, q, preds, &applicable, env)?;
+            let rows = self.scan_quant(qgm, b, q, &applicable, env)?;
             for i in &applicable {
                 consumed[*i] = true;
             }
@@ -947,19 +1006,21 @@ impl<'a> Executor<'a> {
                 Rows::Owned(self.join_lateral(qgm, next, &rows, &layout, env)?)
             } else if bound.is_empty() {
                 // The first input in join order is the running row set as
-                // it stands — there is nothing to join it to. A deferred
+                // it stands — there is nothing to join it to, so this is
+                // where a paged scan's survivors become rows. A deferred
                 // table has no bound row to drive its index: scan it.
-                match child_rows.remove(&next) {
+                let first = match child_rows.remove(&next) {
                     Some(scanned) => scanned,
-                    None => self.scan_quant(qgm, next, preds, &[], env)?,
-                }
+                    None => self.scan_quant(qgm, b, next, &[], env)?,
+                };
+                self.gathered(first)?
             } else if let Some(table) = deferred.get(&next) {
                 let applicable = &mut applicable;
                 let joined =
                     self.join_deferred(qgm, next, table, &rows, &layout, preds, applicable, env);
                 Rows::Owned(joined?)
             } else {
-                let (right, applicable) = (&child_rows[&next], &mut applicable);
+                let (right, applicable) = (child_rows[&next].as_build(), &mut applicable);
                 let joined =
                     self.join_step(qgm, next, &rows, &layout, right, preds, applicable, env);
                 Rows::Owned(joined?)
@@ -1231,48 +1292,109 @@ impl<'a> Executor<'a> {
     }
 
     /// Scan/evaluate a non-lateral Foreach quantifier's input with its
-    /// single-quantifier predicates, using an index when the input is a
-    /// base table and a predicate binds an indexed column to a value
-    /// computable before the scan.
+    /// single-quantifier predicates (`applicable`, among those of the
+    /// Select `b` that owns `q`), using an index when the input is a base
+    /// table and a predicate binds an indexed column to a value computable
+    /// before the scan.
     fn scan_quant(
         &mut self,
         qgm: &Qgm,
+        b: BoxId,
         q: QuantId,
-        preds: &[Expr],
         applicable: &[usize],
         env: Option<&Env<'_>>,
-    ) -> Result<Rows> {
+    ) -> Result<Input<'a>> {
+        let preds: &[Expr] = &qgm.boxref(b).preds;
         let child = qgm.quant(q).input;
-        let mut q_layout = Layout::new();
-        q_layout.push(q, qgm.output_arity(child));
-
         if let BoxKind::BaseTable { table, .. } = &qgm.boxref(child).kind {
             let t = self.db.table(table)?;
-            return self
-                .scan_table(t, q, preds, applicable, &q_layout, env)
-                .map(Rows::Owned);
+            let read = match t.is_paged() {
+                true => self.cols_read_past_scan(qgm, b, q, applicable),
+                false => Vec::new(),
+            };
+            return self.scan_table(t, q, preds, applicable, read, env);
         }
 
         let rows = self.eval_child(qgm, child, env)?;
         if applicable.is_empty() {
             // No predicates to apply: share the child's batch as-is.
-            return Ok(Rows::Shared(rows));
+            return Ok(Input::Rows(Rows::Shared(rows)));
         }
+        let mut q_layout = Layout::new();
+        q_layout.push(q, qgm.output_arity(child));
         let kept: Vec<&Expr> = applicable.iter().map(|&i| &preds[i]).collect();
-        self.filter_rows_ref(&rows, &q_layout, &kept, env)
-            .map(Rows::Owned)
+        let kept = self.filter_rows_ref(&rows, &q_layout, &kept, env)?;
+        Ok(Input::Rows(Rows::Owned(kept)))
+    }
+
+    /// The columns of quantifier `q` that anything reads once its scan has
+    /// applied the predicates `applicable`: the other predicates and the
+    /// outputs of the Select `b` that owns it, and the subqueries and
+    /// lateral children correlated to it. A reference to `q` can sit
+    /// nowhere else, so a paged scan need not fetch any other column.
+    fn cols_read_past_scan(
+        &mut self,
+        qgm: &Qgm,
+        b: BoxId,
+        q: QuantId,
+        applicable: &[usize],
+    ) -> Vec<usize> {
+        let bx = qgm.boxref(b);
+        let below = Arc::clone(self.below_refs.entry(b).or_insert_with(|| {
+            let children = bx.quants.iter().map(|&c| qgm.quant(c).input);
+            children.flat_map(|c| qgm.free_refs(c)).collect()
+        }));
+        let mut cols: Vec<usize> = below
+            .iter()
+            .filter(|(fq, _)| *fq == q)
+            .map(|&(_, c)| c)
+            .collect();
+        let mut note = |fq: QuantId, c: usize| {
+            if fq == q {
+                cols.push(c);
+            }
+        };
+        for (i, p) in bx.preds.iter().enumerate() {
+            if !applicable.contains(&i) {
+                p.for_each_col(&mut note);
+            }
+        }
+        for o in &bx.outputs {
+            o.expr.for_each_col(&mut note);
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+
+    /// The input as rows: a paged scan's survivors are gathered, all of
+    /// them, now.
+    fn gathered(&mut self, input: Input<'_>) -> Result<Rows> {
+        match input {
+            Input::Rows(rows) => Ok(rows),
+            Input::Paged(sel) => {
+                let mut io = PageIo::default();
+                let rows = sel.gather(&mut io)?;
+                self.note_io(io);
+                Ok(Rows::Owned(rows))
+            }
+        }
     }
 
     /// Base-table scan with optional index assistance.
     fn scan_table(
         &mut self,
-        t: &Table,
+        t: &'a Table,
         q: QuantId,
         preds: &[Expr],
         applicable: &[usize],
-        q_layout: &Layout,
+        read: Vec<usize>,
         env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Input<'a>> {
+        let owned = |rows: Vec<Row>| Input::Rows(Rows::Owned(rows));
+        let mut q_layout = Layout::new();
+        q_layout.push(q, t.schema().arity());
+        let q_layout = &q_layout;
         let empty_layout = Layout::new();
         let empty_row = Row::empty();
         let env0 = Env::new(&empty_layout, &empty_row, env);
@@ -1292,23 +1414,14 @@ impl<'a> Executor<'a> {
             let key = eval_expr(key, &env0)?;
             let idx = t.index_on(&[col]).expect("index checked above");
             let positions = idx.lookup(std::slice::from_ref(&key)).iter().copied();
-            return self.fetch_probed(t, positions, &rest_of(pi), q_layout, env);
+            return self
+                .fetch_probed(t, positions, &rest_of(pi), q_layout, env)
+                .map(owned);
         }
 
         let kept: Vec<&Expr> = applicable.iter().map(|&i| &preds[i]).collect();
-        // Paged tables scan through the buffer pool, page stripe by page
-        // stripe, skipping every stripe whose zone maps refute one of the
-        // sargable `col op literal` bounds. The surviving stripes then run
-        // the full predicate set exactly like a resident scan, so pruning
-        // can only remove rows no predicate would keep.
-        if t.is_paged() {
-            self.checkpoint(t.len() as u64)?;
-            let bounds = self.prune_bounds(&kept, q, env)?;
-            let mut io = PageIo::default();
-            let rows = t.read_rows_where(&bounds, &mut io)?.into_owned();
-            self.note_io(io);
-            self.stats.rows_scanned += rows.len() as u64;
-            return self.filter_rows(rows, q_layout, &kept, env);
+        if let Some(stripes) = t.stripes() {
+            return self.scan_paged(t.len(), stripes, q, &kept, read, q_layout, env);
         }
 
         // Set-oriented correlated scan: a correlated equality over a column
@@ -1348,7 +1461,9 @@ impl<'a> Executor<'a> {
                     .and_then(|k| idx.get(&k))
                     .map_or(&[], |v| v.as_slice());
                 let positions = positions.iter().map(|&p| p as usize);
-                return self.fetch_probed(t, positions, &rest_of(pi), q_layout, env);
+                return self
+                    .fetch_probed(t, positions, &rest_of(pi), q_layout, env)
+                    .map(owned);
             }
         }
 
@@ -1358,11 +1473,80 @@ impl<'a> Executor<'a> {
         // literals — runs the filter kernels over it.
         self.stats.rows_scanned += t.len() as u64;
         if kept.is_empty() {
-            return Ok(t.rows().to_vec());
+            return Ok(owned(t.rows().to_vec()));
         }
         self.checkpoint(t.len() as u64)?;
         let sel = self.select_rows(t.rows(), Some(t), q_layout, &kept, env)?;
-        Ok(sel.iter().map(|&i| t.rows()[i as usize].clone()).collect())
+        Ok(owned(
+            sel.iter().map(|&i| t.rows()[i as usize].clone()).collect(),
+        ))
+    }
+
+    /// Scan a paged table through the buffer pool, stripe by stripe. A
+    /// stripe whose zone maps refute one of the sargable `col op literal`
+    /// bounds is skipped without touching its pages; over the others,
+    /// predicates that compile to kernel form run on the pinned predicate
+    /// columns alone, charging one evaluation per predicate per row still
+    /// alive at its turn, exactly as [`vector::filter_range`] does over a
+    /// resident batch. What comes back is the selection: no row has been
+    /// made, and when one is, only its columns `read` will be fetched.
+    /// Predicates that need the row-wise evaluator get rows — every row,
+    /// whole, of every stripe the zone maps kept — and filter those.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_paged(
+        &mut self,
+        table_rows: usize,
+        stripes: Stripes<'a>,
+        q: QuantId,
+        kept: &[&Expr],
+        read: Vec<usize>,
+        q_layout: &Layout,
+        env: Option<&Env<'_>>,
+    ) -> Result<Input<'a>> {
+        self.checkpoint(table_rows as u64)?;
+        let bounds = self.prune_bounds(kept, q, env)?;
+        let compiled = if self.opts.columnar {
+            vector::compile_preds(kept, q_layout, env)
+        } else {
+            None
+        };
+        let row_wise = compiled.is_none() && !kept.is_empty();
+        let mut filter = compiled.unwrap_or_default();
+        let filter_cols = vector::pred_columns(&filter);
+        vector::remap_preds(&mut filter, &filter_cols);
+
+        let live: Vec<usize> = (0..stripes.count())
+            .filter(|&page| stripes.may_match(page, &bounds))
+            .collect();
+        let mut io = PageIo::default();
+        io.pages_pruned += (stripes.count() - live.len()) as u64;
+        let scanned: u64 = live.iter().map(|&page| stripes.rows(page) as u64).sum();
+        self.stats.rows_scanned += scanned;
+        if !filter.is_empty() {
+            self.checkpoint(scanned)?;
+        }
+        let read = match row_wise {
+            true => (0..q_layout.width()).collect(),
+            false => read,
+        };
+        let mut sel = PagedSel::new(stripes, read);
+        let mut evals = 0u64;
+        for page in live {
+            self.checkpoint(0)?;
+            let (mut stripe, n) = (stripes.open(page), stripes.rows(page) as u32);
+            let cols = stripe.pin_all(&filter_cols, &mut io)?;
+            let (survivors, e) = vector::filter_range(&|c| cols[c], &filter, 0, n);
+            evals += e;
+            sel.push(page, survivors);
+        }
+        self.note_io(io);
+        self.note_preds(evals);
+        if !row_wise {
+            return Ok(Input::Paged(sel));
+        }
+        let rows = self.gathered(Input::Paged(sel))?.into_vec();
+        let rows = self.filter_rows(rows, q_layout, kept, env)?;
+        Ok(Input::Rows(Rows::Owned(rows)))
     }
 
     /// One index (or correlation-index) lookup: fetch the probed positions
@@ -1401,7 +1585,7 @@ impl<'a> Executor<'a> {
         kept: &[&Expr],
         q: QuantId,
         env: Option<&Env<'_>>,
-    ) -> Result<Vec<(usize, CmpOp, Value)>> {
+    ) -> Result<Vec<Bound>> {
         let empty_layout = Layout::new();
         let empty_row = Row::empty();
         let env0 = Env::new(&empty_layout, &empty_row, env);
@@ -1410,7 +1594,7 @@ impl<'a> Executor<'a> {
             let Expr::Binary { op, left, right } = &**p else {
                 continue;
             };
-            let Some(cmp) = vector::cmp_of(*op) else {
+            let Some(cmp) = op.cmp_op() else {
                 continue;
             };
             for (a, b, cmp) in [(left, right, cmp), (right, left, cmp.flip())] {
@@ -1478,8 +1662,9 @@ impl<'a> Executor<'a> {
             };
             vector::remap_preds(&mut compiled, &cols);
             self.for_morsels(rows.len(), |lo, hi| {
+                let column = |c: usize| batch.column(c);
                 Ok(vector::filter_range(
-                    &batch, &compiled, lo as u32, hi as u32,
+                    &column, &compiled, lo as u32, hi as u32,
                 ))
             })?
         } else {
@@ -1504,9 +1689,9 @@ impl<'a> Executor<'a> {
         Ok(sel)
     }
 
-    /// Filter rows the caller owns (a join's output, the rows a paged scan
-    /// stitched): the survivors move out, nothing is cloned. Reach for
-    /// this whenever a `Vec<Row>` is at hand.
+    /// Filter rows the caller owns (a join's output, the rows gathered for
+    /// a row-wise predicate): the survivors move out, nothing is cloned.
+    /// Reach for this whenever a `Vec<Row>` is at hand.
     fn filter_rows(
         &mut self,
         rows: Vec<Row>,
@@ -1554,6 +1739,10 @@ impl<'a> Executor<'a> {
     /// (the rows of quantifier `next`). Equi-join predicates among
     /// `applicable` become join keys and are removed from the list;
     /// everything else stays for the caller's residual filter.
+    ///
+    /// A paged scan on the right becomes rows here, in full, unless the
+    /// in-memory hash join can take its key columns straight off the pages
+    /// ([`Executor::paged_key_cols`]) and make rows of the matches only.
     #[allow(clippy::too_many_arguments)]
     fn join_step(
         &mut self,
@@ -1561,7 +1750,7 @@ impl<'a> Executor<'a> {
         next: QuantId,
         rows: &[Row],
         layout: &Layout,
-        right: &[Row],
+        right: Build<'_, '_>,
         preds: &[Expr],
         applicable: &mut Vec<usize>,
         env: Option<&Env<'_>>,
@@ -1572,6 +1761,23 @@ impl<'a> Executor<'a> {
         let keys = join::split_equi_keys(applicable.iter().map(|&i| &preds[i]), layout, next);
         *applicable = keys.residual.iter().map(|&at| applicable[at]).collect();
 
+        let gathered;
+        let right = match right {
+            Build::Rows(right) => right,
+            Build::Paged(sel) => match self.paged_key_cols(&keys, next, sel.len()) {
+                Some(cols) => {
+                    let out = self.paged_hash_join(rows, layout, sel, &cols, &keys, env)?;
+                    self.note_joined(next, JoinStrategy::Hash, rows.len(), sel.len(), out.len());
+                    return Ok(out);
+                }
+                None => {
+                    let mut io = PageIo::default();
+                    gathered = sel.gather(&mut io)?;
+                    self.note_io(io);
+                    &gathered
+                }
+            },
+        };
         let (strategy, out) = if keys.left.is_empty() {
             // Cross product (with residual filtering done by the caller).
             // The output size is known up front, so the memory ceiling is
@@ -1591,15 +1797,101 @@ impl<'a> Executor<'a> {
         } else {
             self.equi_join(rows, layout, right, &right_layout, &keys, env)?
         };
-        self.stats.join_output_rows += out.len() as u64;
-        self.note_join(
-            next,
-            strategy,
-            rows.len() as u64,
-            right.len() as u64,
-            out.len() as u64,
-        );
+        self.note_joined(next, strategy, rows.len(), right.len(), out.len());
         Ok(out)
+    }
+
+    /// Count a finished join step's output and record its strategy.
+    fn note_joined(
+        &mut self,
+        quant: QuantId,
+        strategy: JoinStrategy,
+        left_rows: usize,
+        right_rows: usize,
+        out_rows: usize,
+    ) {
+        self.stats.join_output_rows += out_rows as u64;
+        self.note_join(
+            quant,
+            strategy,
+            left_rows as u64,
+            right_rows as u64,
+            out_rows as u64,
+        );
+    }
+
+    /// The table columns keying a paged build side of `build_rows` rows,
+    /// when the in-memory hash join can read them off the pages: kernels
+    /// on, every build key a plain column of the scanned quantifier, the
+    /// build side within the memory budget. Anything else — a computed
+    /// key, the row-wise reference configuration, a Grace spill or a
+    /// block nested-loop degradation — joins rows.
+    fn paged_key_cols(
+        &self,
+        keys: &EquiKeys<'_>,
+        next: QuantId,
+        build_rows: usize,
+    ) -> Option<Vec<usize>> {
+        if !self.opts.columnar || keys.right.is_empty() || self.over_mem_budget(build_rows) {
+            return None;
+        }
+        keys.right
+            .iter()
+            .map(|(k, _)| match k {
+                Expr::Col { quant, col } if *quant == next => Some(*col),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The in-memory hash join with a paged scan as its build side: hash
+    /// the key columns `cols` at the scan's surviving positions (copied
+    /// out of their pages, so nothing stays pinned while the join runs),
+    /// match as ever, then make a row of each build survivor that found a
+    /// partner — once, however many partners — and concatenate.
+    fn paged_hash_join(
+        &mut self,
+        rows: &[Row],
+        layout: &Layout,
+        build: &PagedSel<'_>,
+        cols: &[usize],
+        keys: &EquiKeys<'_>,
+        env: Option<&Env<'_>>,
+    ) -> Result<Vec<Row>> {
+        let mut io = PageIo::default();
+        let parts = cols
+            .iter()
+            .map(|&col| build.column(col, &mut io))
+            .collect::<Result<Vec<_>>>()?;
+        let rs = JoinSide::from_columns(parts, keys.right.iter().map(|&(_, ok)| ok).collect());
+        let ls = JoinSide::build(&self.pool, rows, layout, &keys.left, env, true)?;
+        let pairs = self.hash_pairs(&ls, &rs, rows.len(), build.len())?;
+        let (matched, slot) = build.gather_matched(pairs.iter().map(|&(_, ri)| ri), &mut io)?;
+        self.note_io(io);
+        Ok(pairs
+            .iter()
+            .map(|&(li, ri)| rows[li as usize].concat(&matched[slot[ri as usize] as usize]))
+            .collect())
+    }
+
+    /// The matches of an in-memory hash join of `probe_rows` rows hashed
+    /// as `ls` against `build_rows` rows hashed as `rs`: build on the right
+    /// (the fresh quantifier), probe with the accumulated rows; large
+    /// inputs hash-partition across the pool.
+    fn hash_pairs(
+        &mut self,
+        ls: &JoinSide,
+        rs: &JoinSide,
+        probe_rows: usize,
+        build_rows: usize,
+    ) -> Result<Vec<(u32, u32)>> {
+        self.checkpoint((probe_rows + build_rows) as u64)?;
+        self.stats.hash_build_rows += build_rows as u64;
+        self.stats.hash_probes += probe_rows as u64;
+        let parallel = self.parallel_over(probe_rows.max(build_rows));
+        let pairs = join::match_pairs(&self.pool, ls, rs, parallel);
+        self.check_mem(pairs.len(), "hash join")?;
+        Ok(pairs)
     }
 
     /// Hash both inputs of an equi-join on `keys` (build side first).
@@ -1674,14 +1966,7 @@ impl<'a> Executor<'a> {
             return Ok((JoinStrategy::NestedLoop, out));
         }
 
-        // Hash join: build on the right (the fresh quantifier), probe with
-        // the accumulated rows; large inputs hash-partition across the pool.
-        self.checkpoint((rows.len() + right.len()) as u64)?;
-        self.stats.hash_build_rows += right.len() as u64;
-        self.stats.hash_probes += rows.len() as u64;
-        let parallel = self.parallel_over(rows.len().max(right.len()));
-        let pairs = join::match_pairs(&self.pool, &ls, &rs, parallel);
-        self.check_mem(pairs.len(), "hash join")?;
+        let pairs = self.hash_pairs(&ls, &rs, rows.len(), right.len())?;
         let out = pairs
             .iter()
             .map(|&(li, ri)| rows[li as usize].concat(&right[ri as usize]))
@@ -1798,11 +2083,10 @@ impl<'a> Executor<'a> {
         let probe = find_eq_probe(preds, applicable, next, indexed)
             .filter(|_| rows.len() * 2 < t.len().max(1));
         let Some((pi, col, keyexpr)) = probe else {
+            // (A deferred table carries an index, so it is resident.)
             self.stats.rows_scanned += t.len() as u64;
-            let mut io = PageIo::default();
-            let right = t.read_rows(&mut io)?;
-            self.note_io(io);
-            return self.join_step(qgm, next, rows, layout, &right, preds, applicable, env);
+            let right = Build::Rows(t.rows());
+            return self.join_step(qgm, next, rows, layout, right, preds, applicable, env);
         };
         applicable.retain(|&i| i != pi);
         let idx = t.index_on(&[col]).expect("checked above");
@@ -1964,7 +2248,6 @@ impl<'a> Executor<'a> {
         let bx = qgm.boxref(b);
         let q = bx.quants[0];
         let child = qgm.quant(q).input;
-        let input = self.eval_child(qgm, child, env)?;
         let mut layout = Layout::new();
         layout.push(q, qgm.output_arity(child));
 
@@ -1985,8 +2268,33 @@ impl<'a> Executor<'a> {
             }
         }
 
-        self.checkpoint(input.len() as u64)?;
-        self.stats.agg_input_rows += input.len() as u64;
+        // Grand totals (no GROUP BY) whose aggregates are plain-column
+        // COUNT/SUM/MIN/MAX vectorize: the aggregate kernels fold each
+        // argument as a column and reproduce the serial fold exactly
+        // (Double accumulation order and Int overflow included).
+        let kernel_cols = if self.opts.columnar && group_by.is_empty() {
+            grand_total_cols(&agg_slots, &layout)
+        } else {
+            None
+        };
+
+        // When such a total, made of aggregates alone, sits right on a
+        // Select that only scans a paged table, the scan's survivors never
+        // become rows: the arguments come off the pages as columns
+        // (`scan`, with the table column behind each of the Select's
+        // outputs), in page order — the serial fold order.
+        let scan_shape = match &kernel_cols {
+            Some(_) if agg_slots.len() == bx.outputs.len() => self.scan_only_select(qgm, child),
+            _ => None,
+        };
+        let (input, scan) = match scan_shape {
+            None => (self.eval_child(qgm, child, env)?, None),
+            Some(shape) => self.eval_scan_only_select(qgm, child, shape, env)?,
+        };
+        let input_rows = scan.as_ref().map_or(input.len(), |(sel, _)| sel.len());
+
+        self.checkpoint(input_rows as u64)?;
+        self.stats.agg_input_rows += input_rows as u64;
 
         // Memory governance: a hash-aggregation table over this input
         // could exceed the budget (worst case, one group per row). With a
@@ -1998,7 +2306,7 @@ impl<'a> Executor<'a> {
         // input order, so per-group accumulation (and floating-point sums)
         // matches the hash path exactly; only the emission order changes
         // (key-sorted instead of first-appearance).
-        let over_budget = self.over_mem_budget(input.len());
+        let over_budget = self.over_mem_budget(input_rows);
         let spilling = if over_budget {
             self.opts.spill.clone()
         } else {
@@ -2020,15 +2328,7 @@ impl<'a> Executor<'a> {
             ));
         }
 
-        // Grand totals (no GROUP BY) whose aggregates are plain-column
-        // COUNT/SUM/MIN/MAX vectorize: each argument transposes into a
-        // column and the aggregate kernels reproduce the serial fold
-        // exactly (Double accumulation order and Int overflow included).
-        let kernel_cols = if self.opts.columnar && !over_budget && group_by.is_empty() {
-            grand_total_cols(&agg_slots, &layout)
-        } else {
-            None
-        };
+        let kernel_cols = kernel_cols.filter(|_| !over_budget);
 
         // One accumulator vector per group (one accumulator per agg slot),
         // in first-appearance order. Large inputs aggregate into
@@ -2053,8 +2353,23 @@ impl<'a> Executor<'a> {
             }
         } else if degraded {
             sort_groups(&input, &layout, env, group_by, &agg_slots)?
+        } else if let Some((sel, out_cols)) = scan.as_ref().filter(|(sel, _)| sel.len() > 0) {
+            let cols = kernel_cols
+                .as_ref()
+                .expect("a scan is only kept for kernels");
+            let mut io = PageIo::default();
+            let args = cols
+                .iter()
+                .map(|c| c.map(|c| sel.column(out_cols[c], &mut io)).transpose())
+                .collect::<Result<Vec<_>>>()?;
+            self.note_io(io);
+            grand_total_groups(sel.len(), None, &agg_slots, &args)?
         } else if let (Some(cols), false) = (&kernel_cols, input.is_empty()) {
-            grand_total_groups(&input, &agg_slots, cols)?
+            let args: Vec<Option<Column>> = cols
+                .iter()
+                .map(|c| c.map(|c| Column::from_values(input.iter().map(|r| &r[c]), input.len())))
+                .collect();
+            grand_total_groups(input.len(), Some(input[0].clone()), &agg_slots, &args)?
         } else if self.parallel_over(input.len()) {
             let partials = self.pool.map_worker_slices(&input, |slice| {
                 build_groups(slice, &layout, env, group_by, &agg_slots, true)
@@ -2113,6 +2428,80 @@ impl<'a> Executor<'a> {
             out.push(row);
         }
         Ok(out)
+    }
+
+    /// Evaluate the scan-only Select `b` (of `shape`, as
+    /// [`Executor::scan_only_select`] found it) for a grand total: the
+    /// scan's survivors, still on their pages, with the table column
+    /// behind each output — or, when the total will not run on kernels
+    /// after all (an input over the memory budget, predicates that had to
+    /// filter rows), the Select's rows. Counts and traces as `eval_box`
+    /// on `b` does.
+    fn eval_scan_only_select(
+        &mut self,
+        qgm: &Qgm,
+        b: BoxId,
+        (q, table_rows, stripes, out_cols): ScanOnly<'a>,
+        env: Option<&Env<'_>>,
+    ) -> Result<(RowBatch, Option<ScannedOutputs<'a>>)> {
+        let mut q_layout = Layout::new();
+        q_layout.push(q, qgm.output_arity(qgm.quant(q).input));
+        let scanned = self.traced(
+            b,
+            |ex| {
+                ex.checkpoint(0)?;
+                let kept: Vec<&Expr> = qgm.boxref(b).preds.iter().collect();
+                let whole = (0..q_layout.width()).collect();
+                ex.scan_paged(table_rows, stripes, q, &kept, whole, &q_layout, env)
+            },
+            Input::len,
+        )?;
+        match scanned {
+            Input::Paged(sel) if !self.over_mem_budget(sel.len()) => {
+                Ok((Vec::new().into(), Some((sel, out_cols))))
+            }
+            scanned => {
+                let rows = self.gathered(scanned)?.into_vec();
+                let rows = match out_cols.iter().copied().eq(0..q_layout.width()) {
+                    true => rows.into(),
+                    false => rows.iter().map(|r| r.project(&out_cols)).collect(),
+                };
+                Ok((rows, None))
+            }
+        }
+    }
+
+    /// Is box `b` a Select that does nothing but scan a paged table — one
+    /// Foreach quantifier over it, every predicate on that quantifier, the
+    /// outputs plain columns of it, no DISTINCT, and no cache that would
+    /// want the box's rows? Then: the quantifier, the table's row count
+    /// and stripes, and the table column behind each output.
+    fn scan_only_select(&self, qgm: &Qgm, b: BoxId) -> Option<ScanOnly<'a>> {
+        let bx = qgm.boxref(b);
+        let &[q] = &bx.quants[..] else { return None };
+        let cached = self.opts.memoize_cse
+            || (self.opts.shared_subplans.as_ref()).is_some_and(|ss| ss.marks.contains_key(&b));
+        if !matches!(bx.kind, BoxKind::Select)
+            || bx.distinct
+            || cached
+            || qgm.quant(q).kind != QuantKind::Foreach
+            || !bx.preds.iter().all(|p| p.references(q))
+        {
+            return None;
+        }
+        let BoxKind::BaseTable { table, .. } = &qgm.boxref(qgm.quant(q).input).kind else {
+            return None;
+        };
+        let t = self.db.table(table).ok()?;
+        let out_cols = bx
+            .outputs
+            .iter()
+            .map(|o| match &o.expr {
+                Expr::Col { quant, col } if *quant == q => Some(*col),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some((q, t.len(), t.stripes()?, out_cols))
     }
 
     // ---- Union and OuterJoin ------------------------------------------------
@@ -2423,32 +2812,32 @@ fn grand_total_cols(slots: &[AggSlot<'_>], layout: &Layout) -> Option<Vec<Option
         .collect()
 }
 
-/// Vectorized grand-total aggregation: one accumulator per slot, computed
-/// by the columnar COUNT/SUM/MIN/MAX kernels over a transposed argument
-/// column instead of a per-row fold. The representative row (for group
-/// column outputs) is the first input row, exactly as the serial fold
-/// sets it.
+/// Vectorized grand-total aggregation over `rows` input rows: one
+/// accumulator per slot, computed by the columnar COUNT/SUM/MIN/MAX
+/// kernels over the slot's argument column (`None`: `COUNT(*)`) instead of
+/// a per-row fold. `rep` is the representative row for group column
+/// outputs — the first input row, exactly as the serial fold sets it, or
+/// nothing when every output is an aggregate.
 fn grand_total_groups(
-    input: &[Row],
+    rows: usize,
+    rep: Option<Row>,
     slots: &[AggSlot<'_>],
-    cols: &[Option<usize>],
+    args: &[Option<Column>],
 ) -> Result<Vec<(Vec<Value>, Vec<Acc>)>> {
-    let rep = Some(input[0].clone());
     let mut accs = Vec::with_capacity(slots.len());
-    for (slot, col) in slots.iter().zip(cols) {
+    for (slot, arg) in slots.iter().zip(args) {
         let mut acc = Acc::new();
         acc.rep = rep.clone();
-        match col {
-            None => acc.count = input.len() as i64, // COUNT(*): every row counts
-            Some(off) => {
-                let c = columnar::Column::from_values(input.iter().map(|r| &r[*off]), input.len());
-                acc.count = columnar::count_kernel(&c);
+        match arg {
+            None => acc.count = rows as i64, // COUNT(*): every row counts
+            Some(c) => {
+                acc.count = columnar::count_kernel(c);
                 match slot.func {
                     AggFunc::Count => {}
-                    AggFunc::Sum | AggFunc::Avg => acc.sum = columnar::sum_kernel(&c)?,
+                    AggFunc::Sum | AggFunc::Avg => acc.sum = columnar::sum_kernel(c)?,
                     AggFunc::Min | AggFunc::Max => {
-                        acc.min = columnar::min_kernel(&c);
-                        acc.max = columnar::max_kernel(&c);
+                        acc.min = columnar::min_kernel(c);
+                        acc.max = columnar::max_kernel(c);
                     }
                 }
             }

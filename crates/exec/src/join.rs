@@ -173,14 +173,21 @@ impl JoinSide {
                 .iter()
                 .map(|&off| Column::from_values(rows.iter().map(move |r| &r[off]), rows.len()))
                 .collect();
-            let spec: Vec<(&Column, bool)> = parts.iter().zip(null_ok.iter().copied()).collect();
-            let sel: SelVec = (0..rows.len() as u32).collect();
-            let hashes = columnar::hash_kernel(&spec, &sel);
-            return Ok(JoinSide { hashes, null_ok, repr: SideRepr::Cols(parts) });
+            return Ok(JoinSide::from_columns(parts, null_ok));
         }
         let keyed = extract_join_keys(pool, rows, layout, keys, env)?;
         let hashes = columnar::hash_keys(&keyed);
         Ok(JoinSide { hashes, null_ok, repr: SideRepr::Keys(keyed) })
+    }
+
+    /// Hash a join input whose key parts are at hand as columns (one per
+    /// part, all of the input's length): the transpose of rows above, or
+    /// the key columns a paged scan copied out at its surviving positions.
+    pub fn from_columns(parts: Vec<Column>, null_ok: Vec<bool>) -> JoinSide {
+        let spec: Vec<(&Column, bool)> = parts.iter().zip(null_ok.iter().copied()).collect();
+        let sel: SelVec = (0..parts.first().map_or(0, Column::len) as u32).collect();
+        let hashes = columnar::hash_kernel(&spec, &sel);
+        JoinSide { hashes, null_ok, repr: SideRepr::Cols(parts) }
     }
 
     /// The key hash of row `i`; `None` = the row matches nothing.
@@ -227,27 +234,55 @@ impl JoinSide {
 
 /// Build a table over the `right` rows of `rs`, probe it with the `left`
 /// rows of `ls` in the order given: the one equi-join hash table in the
-/// executor. The table maps `hash → right-row indices` in build order and
-/// collisions verify by comparing the keyed rows *in place* — no per-probe
-/// rehash, no owned map keys.
+/// executor. The table maps a key hash to the build rows carrying it, in
+/// build order, and collisions verify by comparing the keyed rows *in
+/// place* — no per-probe rehash, no owned map keys. The rows of all
+/// hashes share one vector (each hash owns a contiguous run of it), so
+/// building allocates a handful of times, not once per distinct key.
 fn build_and_probe(
     ls: &JoinSide,
     rs: &JoinSide,
     left: impl Iterator<Item = u32>,
     right: impl Iterator<Item = u32>,
 ) -> Vec<(u32, u32)> {
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    // First pass: number the distinct hashes and count their rows.
+    let mut run_of: FxHashMap<u64, u32> = FxHashMap::default();
+    let mut run_len: Vec<u32> = Vec::new();
+    let mut keyed: Vec<(u32, u32)> = Vec::new(); // (build row, its run)
     for ri in right {
         if let Some(h) = rs.hashes[ri as usize] {
-            table.entry(h).or_default().push(ri);
+            let run = *run_of.entry(h).or_insert_with(|| {
+                run_len.push(0);
+                run_len.len() as u32 - 1
+            });
+            run_len[run as usize] += 1;
+            keyed.push((ri, run));
         }
     }
+    // Second pass: lay the runs out back to back, rows in build order.
+    let mut run_end = run_len;
+    let mut at = 0;
+    for end in &mut run_end {
+        at += *end;
+        *end = at - *end; // the run's start, advanced to its end below
+    }
+    let mut rows = vec![0u32; keyed.len()];
+    for (ri, run) in keyed {
+        let slot = &mut run_end[run as usize];
+        rows[*slot as usize] = ri;
+        *slot += 1;
+    }
+
     let mut pairs = Vec::new();
     for li in left {
-        let Some(cands) = ls.hashes[li as usize].and_then(|h| table.get(&h)) else {
+        let Some(&run) = ls.hashes[li as usize].and_then(|h| run_of.get(&h)) else {
             continue;
         };
-        for &ri in cands {
+        let start = match run {
+            0 => 0,
+            run => run_end[run as usize - 1],
+        };
+        for &ri in &rows[start as usize..run_end[run as usize] as usize] {
             if ls.key_eq(li as usize, rs, ri as usize) {
                 pairs.push((li, ri));
             }

@@ -35,6 +35,7 @@ pub mod env;
 pub mod eval;
 pub mod exec;
 mod join;
+mod scan;
 pub mod subplan;
 pub mod trace;
 mod vector;

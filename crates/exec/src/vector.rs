@@ -23,25 +23,10 @@
 //! once, and each re-scan compiles to a fresh `Col cmp Lit` kernel call.
 
 use decorr_common::columnar::{self, ColPredicate, Column, ColumnarBatch, SelVec};
-use decorr_common::{CmpOp, FxHashMap, Row, Value};
-use decorr_qgm::{BinOp, Expr};
+use decorr_common::{FxHashMap, Row, Value};
+use decorr_qgm::Expr;
 
 use crate::env::{Env, Layout};
-
-/// Map a plan comparison operator onto a kernel operator. Logical and
-/// arithmetic operators have no kernel form.
-pub(crate) fn cmp_of(op: BinOp) -> Option<CmpOp> {
-    match op {
-        BinOp::Eq => Some(CmpOp::Eq),
-        BinOp::NullEq => Some(CmpOp::NullEq),
-        BinOp::Ne => Some(CmpOp::Ne),
-        BinOp::Lt => Some(CmpOp::Lt),
-        BinOp::Le => Some(CmpOp::Le),
-        BinOp::Gt => Some(CmpOp::Gt),
-        BinOp::Ge => Some(CmpOp::Ge),
-        _ => None,
-    }
-}
 
 /// A compiled comparison operand: a batch column or a constant.
 enum Operand {
@@ -77,7 +62,7 @@ pub(crate) fn compile_pred(
     let Expr::Binary { op, left, right } = e else {
         return None;
     };
-    let op = cmp_of(*op)?;
+    let op = op.cmp_op()?;
     match (operand(left, layout, env)?, operand(right, layout, env)?) {
         (Operand::Col(col), Operand::Lit(lit)) => Some(ColPredicate::ColLit { col, op, lit }),
         (Operand::Lit(lit), Operand::Col(col)) => {
@@ -161,13 +146,14 @@ pub(crate) fn narrow_batch(rows: &[Row], cols: &[usize]) -> ColumnarBatch {
     ColumnarBatch::from_columns(columns, rows.len())
 }
 
-/// Run compiled predicates over rows `lo..hi` of `batch`, narrowing the
+/// Run compiled predicates over rows `lo..hi` of the columns `column`
+/// finds (a batch's, or the pinned pages of one stripe), narrowing the
 /// selection stage by stage in plan order. Returns the survivors and the
 /// number of predicate evaluations the row-wise short-circuit loop would
 /// have performed: each stage charges one eval per row still alive when it
 /// starts (predicates past the first only see prior survivors).
-pub(crate) fn filter_range(
-    batch: &ColumnarBatch,
+pub(crate) fn filter_range<'a>(
+    column: &dyn Fn(usize) -> &'a Column,
     preds: &[ColPredicate],
     lo: u32,
     hi: u32,
@@ -179,7 +165,7 @@ pub(crate) fn filter_range(
             break;
         }
         evals += sel.len() as u64;
-        sel = columnar::filter_kernel(batch, p, &sel);
+        sel = columnar::filter_columns(column, p, &sel);
     }
     (sel, evals)
 }

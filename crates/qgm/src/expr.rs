@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use decorr_common::Value;
+use decorr_common::{CmpOp, Value};
 
 use crate::graph::QuantId;
 
@@ -33,6 +33,21 @@ impl BinOp {
             self,
             BinOp::Eq | BinOp::NullEq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
         )
+    }
+
+    /// The kernel-layer operator of a comparison; logical and arithmetic
+    /// operators have none.
+    pub fn cmp_op(self) -> Option<CmpOp> {
+        match self {
+            BinOp::Eq => Some(CmpOp::Eq),
+            BinOp::NullEq => Some(CmpOp::NullEq),
+            BinOp::Ne => Some(CmpOp::Ne),
+            BinOp::Lt => Some(CmpOp::Lt),
+            BinOp::Le => Some(CmpOp::Le),
+            BinOp::Gt => Some(CmpOp::Gt),
+            BinOp::Ge => Some(CmpOp::Ge),
+            _ => None,
+        }
     }
 
     /// The comparison with swapped operands (`a < b` ⇔ `b > a`).

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use decorr_common::{FxHashMap, Result, Value};
+use decorr_common::{FxHashMap, Result, Value, ZoneMap};
 use decorr_qgm::BinOp;
 use decorr_storage::{Database, Table};
 
@@ -271,6 +271,11 @@ pub struct TableStats {
     /// Column sets with a hash index (so the estimator can price indexed
     /// probes — Figure 7 drops an index and the cost must follow).
     pub indexed: Vec<Vec<usize>>,
+    /// A paged table's zone maps, `zones[stripe][column]` (so the
+    /// estimator can price a scan at the stripes it will actually read —
+    /// it asks the same `ZoneMap::may_match` the executor prunes by).
+    /// Empty for a resident table, which is always read whole.
+    pub zones: Vec<Vec<ZoneMap>>,
 }
 
 impl TableStats {
@@ -294,6 +299,7 @@ impl TableStats {
             rows,
             columns,
             indexed: Self::indexed_of(table),
+            zones: Self::zones_of(table),
         })
     }
 
@@ -306,6 +312,7 @@ impl TableStats {
             rows: table.len() as u64,
             columns: Vec::new(),
             indexed: Self::indexed_of(table),
+            zones: Self::zones_of(table),
         })
     }
 
@@ -314,6 +321,20 @@ impl TableStats {
             .indexes()
             .iter()
             .map(|i| i.columns().to_vec())
+            .collect()
+    }
+
+    fn zones_of(table: &Table) -> Vec<Vec<ZoneMap>> {
+        let Some(stripes) = table.stripes() else {
+            return Vec::new();
+        };
+        let arity = table.schema().arity();
+        (0..stripes.count())
+            .map(|page| {
+                (0..arity)
+                    .map(|col| stripes.zone(page, col).clone())
+                    .collect()
+            })
             .collect()
     }
 
@@ -368,14 +389,17 @@ impl Statistics {
 
     /// Re-key to `published`, the durable conversion of the database these
     /// statistics were collected from: the same rows under new table
-    /// versions, and without the hash indexes a resident table carried.
+    /// versions, without the hash indexes a resident table carried and
+    /// with the zone maps its segment now has.
     pub fn rebind(&mut self, published: &Database) {
         for t in published.tables() {
             if let Some((version, stats)) = self.tables.get_mut(&Self::norm(t.name())) {
                 *version = t.version();
-                let indexed = TableStats::indexed_of(t);
-                if stats.indexed != indexed {
-                    Arc::make_mut(stats).indexed = indexed;
+                let (indexed, zones) = (TableStats::indexed_of(t), TableStats::zones_of(t));
+                if stats.indexed != indexed || stats.zones != zones {
+                    let stats = Arc::make_mut(stats);
+                    stats.indexed = indexed;
+                    stats.zones = zones;
                 }
             }
         }
@@ -730,6 +754,7 @@ mod tests {
                 rows,
                 columns,
                 indexed: TableStats::indexed_of(t),
+                zones: Vec::new(),
             };
             let key = Statistics::norm(t.name());
             want.tables

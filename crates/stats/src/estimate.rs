@@ -383,21 +383,27 @@ impl<'a> Estimator<'a> {
         for &q in children {
             let child = qgm.quant(q).input;
             let crows = self.est_box(qgm, child, bu)?;
-            let scan = scan_cost(qgm, child, crows);
+            // What a scan of the child reads and filters: a base table's
+            // rows — for a paged one, those of the stripes its zone maps
+            // keep under the scan's own predicates — nothing of a derived
+            // box.
+            let own = bx.preds.iter().enumerate().filter_map(|(i, p)| {
+                (!deferred[i] && self.pred_ready(qgm, p, q, local, &[])).then_some(p)
+            });
+            let read = self.rows_in_kept_stripes(qgm, q, own.clone(), crows);
+            let scan = scan_cost(qgm, child, read);
             let mut eff = crows;
-            for (i, p) in bx.preds.iter().enumerate() {
-                if !deferred[i] && self.pred_ready(qgm, p, q, local, &[]) {
-                    eff *= self.pred_selectivity(qgm, p);
-                }
+            for p in own {
+                eff *= self.pred_selectivity(qgm, p);
             }
-            order.push((q, crows, scan, eff));
+            order.push((q, crows, scan, read, eff));
         }
-        order.sort_by(|a, b| a.3.total_cmp(&b.3).then(a.0.cmp(&b.0)));
+        order.sort_by(|a, b| a.4.total_cmp(&b.4).then(a.0.cmp(&b.0)));
 
         let mut placed: Vec<QuantId> = Vec::new();
         let mut rows = 1.0f64;
         let mut cost = 0.0f64;
-        for (q, crows, scan, _) in order {
+        for (q, crows, scan, read, _) in order {
             // Predicates that become applicable once `q` is placed.
             let mut sel = 1.0f64;
             let mut npreds = 0usize;
@@ -419,10 +425,11 @@ impl<'a> Estimator<'a> {
                 // driving row (1 driving row for the first child — the
                 // correlated-invocation case).
                 Some(ps) => cost += drv * (1.0 + crows * ps),
-                // Scan (+ one filter pass when predicated); joining to
-                // prior children probes their hash per driving row.
+                // Scan (+ one filter pass over what it read when
+                // predicated); joining to prior children probes their
+                // hash per driving row.
                 None => {
-                    cost += scan + if npreds > 0 { crows } else { 0.0 };
+                    cost += scan + if npreds > 0 { read } else { 0.0 };
                     if !placed.is_empty() {
                         cost += drv;
                     }
@@ -432,6 +439,56 @@ impl<'a> Estimator<'a> {
             placed.push(q);
         }
         Ok((rows, cost, consumed))
+    }
+
+    /// Rows of quantifier `q`'s input (`all` in total) in the stripes a
+    /// scan under the predicates `own` reads. The executor skips a stripe
+    /// of a paged table when a zone map refutes one of the scan's `col op
+    /// literal` predicates; this asks the same maps the same question.
+    /// A derived input, a resident table, or a scan without such a
+    /// predicate is read whole.
+    fn rows_in_kept_stripes<'e>(
+        &self,
+        qgm: &Qgm,
+        q: QuantId,
+        own: impl Iterator<Item = &'e Expr>,
+        all: f64,
+    ) -> f64 {
+        let BoxKind::BaseTable { table, .. } = &qgm.boxref(qgm.quant(q).input).kind else {
+            return all;
+        };
+        let zones = match self.stats.table(table) {
+            Some(ts) if !ts.zones.is_empty() => &ts.zones,
+            _ => return all,
+        };
+        let bounds: Vec<_> = own
+            .filter_map(|p| {
+                let Expr::Binary { op, left, right } = p else {
+                    return None;
+                };
+                let op = op.cmp_op()?;
+                match (&**left, &**right) {
+                    (Expr::Col { quant, col }, Expr::Lit(v)) if *quant == q => Some((*col, op, v)),
+                    (Expr::Lit(v), Expr::Col { quant, col }) if *quant == q => {
+                        Some((*col, op.flip(), v))
+                    }
+                    _ => None,
+                }
+            })
+            .collect();
+        if bounds.is_empty() {
+            return all;
+        }
+        zones
+            .iter()
+            .filter(|stripe| {
+                bounds
+                    .iter()
+                    .all(|&(col, op, lit)| stripe.get(col).is_none_or(|z| z.may_match(op, lit)))
+            })
+            .filter_map(|stripe| stripe.first())
+            .map(|z| z.rows as f64)
+            .sum()
     }
 
     /// Expected *executions* of a correlated subtree under memoized nested

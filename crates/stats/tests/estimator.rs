@@ -448,3 +448,69 @@ proptest! {
         }
     }
 }
+
+/// A scan is priced at what it reads: on a paged table, the stripes whose
+/// zone maps the executor's pruning keeps.
+#[test]
+fn zone_map_pruning_is_priced_by_the_function_the_executor_prunes_by() {
+    use std::sync::Arc;
+
+    use decorr_common::RealEnv;
+    use decorr_storage::{write_segment, BufferPool, PagedBacking, SegmentReader, Table};
+
+    // `k` is the insertion order (sorted: zone maps prune on it), `u` is
+    // scattered over its whole range in every stripe.
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("u", DataType::Int)]);
+    let mut resident = Database::new();
+    resident
+        .create_table("t", schema.clone())
+        .unwrap()
+        .insert_all((0..20_000i64).map(|i| row![i, (i * 7919) % 20_000]))
+        .unwrap();
+    let path = std::env::temp_dir().join(format!("decorr-estimator-{}.seg", std::process::id()));
+    let rows = resident.table("t").unwrap().rows();
+    write_segment(&RealEnv, &path, "t", &schema, None, rows, 1024).unwrap();
+    let seg = Arc::new(SegmentReader::open(&RealEnv, &path).unwrap());
+    std::fs::remove_file(&path).unwrap();
+    let mut paged = Database::new();
+    let backing = PagedBacking::new(seg, BufferPool::new(1 << 20), "t.seg".into());
+    paged.add_table(Table::paged(backing)).unwrap();
+
+    let cost = |db: &Database, sql: &str| {
+        let stats = Statistics::analyze(db).unwrap();
+        let qgm = parse_and_bind(sql, db).unwrap();
+        let est = Estimator::new(&stats).estimate(&qgm).unwrap().total().cost;
+        let (_, run) = decorr_exec::execute(db, &qgm).unwrap();
+        (est, run)
+    };
+
+    // 1 % of the rows, all in the first stripe of twenty.
+    let sorted = "SELECT COUNT(*) FROM t WHERE t.k < 200";
+    let (est, run) = cost(&paged, sorted);
+    assert_eq!((run.pages_pruned, run.rows_scanned), (19, 1024));
+    let ratio = q_error(est, run.total_work() as f64);
+    assert!(
+        ratio <= 1.1,
+        "estimated {est}, did {} ({ratio:.2}x)",
+        run.total_work()
+    );
+    // The same statement over the resident rows reads all of them, and is
+    // priced as it always was.
+    let (whole, run) = cost(&resident, sorted);
+    assert_eq!(run.rows_scanned, 20_000);
+    assert!(whole > 10.0 * est, "resident {whole} against paged {est}");
+    assert!(q_error(whole, run.total_work() as f64) <= 1.1);
+
+    // No zone map refutes a bound on the scattered column, and a bound the
+    // estimator cannot see as a literal prunes nothing it could price:
+    // both cost on the paged table what they cost on the resident one.
+    for unpruned in [
+        "SELECT COUNT(*) FROM t WHERE t.u < 200",
+        "SELECT COUNT(*) FROM t WHERE t.k + 0 < 200",
+        "SELECT COUNT(*) FROM t",
+    ] {
+        let ((on_pages, run), (in_memory, _)) = (cost(&paged, unpruned), cost(&resident, unpruned));
+        assert_eq!(run.pages_pruned, 0, "{unpruned}");
+        assert_eq!(on_pages, in_memory, "{unpruned}");
+    }
+}

@@ -37,4 +37,4 @@ pub use pager::{BufferPool, PageData, PageIo, PageKey, PoolStats, SegmentId};
 pub use persist::{Checkpoint, PersistentStore, Recovered, StoreOptions};
 pub use segment::{write_segment, SegmentMeta, SegmentReader, DEFAULT_PAGE_ROWS};
 pub use spill::{SpillManager, SpillSet};
-pub use table::{PagedBacking, Table};
+pub use table::{Bound, PagedBacking, Stripe, Stripes, Table};

@@ -10,8 +10,8 @@
 //! Eviction is clock (second chance): each `get` sets the frame's
 //! reference bit; the clock hand clears bits until it finds an
 //! unreferenced, unpinned frame. Pinned frames ([`PageGuard`]) are never
-//! evicted — scans pin the pages of the stripe they are stitching so a
-//! concurrent query cannot churn them mid-row.
+//! evicted — a scan pins the column pages of the stripe it is reading, each
+//! on first use, so a concurrent query cannot churn them mid-stripe.
 //!
 //! The pool keeps process-lifetime counters (for the `\pool` command);
 //! per-query attribution goes through [`PageIo`], which the executor folds
@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use decorr_common::{Error, FxHashMap, Result, Row, Value};
+use decorr_common::{Column, Error, FxHashMap, Result, Row, Value};
 
 /// Identifies one registered page source (a segment or spill file).
 pub type SegmentId = u64;
@@ -39,14 +39,17 @@ pub struct PageKey {
 /// One decoded page.
 #[derive(Debug)]
 pub enum PageData {
-    /// A column segment page: one column's values for a stripe of rows.
-    Col(Vec<Value>),
+    /// A column segment page: one column's values for a stripe of rows,
+    /// decoded into its typed vector.
+    Col(Column),
     /// A spill page: whole rows.
     Rows(Vec<Row>),
 }
 
 impl PageData {
-    /// Approximate resident bytes, for budget accounting.
+    /// Approximate resident bytes, for budget accounting: a column page's
+    /// real heap size (8 bytes a row for an `Int` page, not a 24-byte
+    /// `Value` each), a row page's values.
     pub fn approx_bytes(&self) -> usize {
         fn value_bytes(v: &Value) -> usize {
             std::mem::size_of::<Value>()
@@ -56,7 +59,7 @@ impl PageData {
                 }
         }
         match self {
-            PageData::Col(vals) => 32 + vals.iter().map(value_bytes).sum::<usize>(),
+            PageData::Col(col) => 32 + col.heap_bytes(),
             PageData::Rows(rows) => {
                 32 + rows
                     .iter()
@@ -66,11 +69,11 @@ impl PageData {
         }
     }
 
-    /// The column values, or an error for a row page (shape mismatch is a
+    /// The column, or an error for a row page (shape mismatch is a
     /// storage-layer bug surfaced as a typed error, never a panic).
-    pub fn as_col(&self) -> Result<&[Value]> {
+    pub fn as_col(&self) -> Result<&Column> {
         match self {
-            PageData::Col(v) => Ok(v),
+            PageData::Col(c) => Ok(c),
             PageData::Rows(_) => Err(Error::internal("buffer pool: expected a column page")),
         }
     }
@@ -94,7 +97,7 @@ struct Frame {
 #[derive(Default)]
 struct Inner {
     frames: FxHashMap<PageKey, Frame>,
-    /// Clock order; entries are lazily compacted when evicted.
+    /// Clock order: exactly the keys of `frames`.
     clock: Vec<PageKey>,
     hand: usize,
     resident: usize,
@@ -260,7 +263,8 @@ impl BufferPool {
                 }
                 Some(_) => true,
                 None => {
-                    // Stale clock entry (forgotten segment): drop it.
+                    // An entry without a frame breaks the invariant on
+                    // `clock`; drop it rather than spin on it.
                     inner.clock.swap_remove(inner.hand);
                     sweeps += 1;
                     continue;
@@ -279,22 +283,34 @@ impl BufferPool {
         }
     }
 
-    /// Drop every cached page of `seg` (the file is going away). Stale
-    /// clock entries are compacted lazily by the sweep.
+    /// Drop every cached page of `seg` (the file is going away), frames
+    /// and clock entries alike: a pool that never goes over budget never
+    /// sweeps, so nothing else would ever reclaim the entries. The hand
+    /// keeps pointing at the entry it pointed at.
     pub fn forget_segment(&self, seg: SegmentId) {
         if let Ok(mut inner) = self.inner.lock() {
-            let keys: Vec<PageKey> = inner
-                .frames
-                .keys()
-                .filter(|k| k.seg == seg)
-                .copied()
-                .collect();
-            for k in keys {
-                if let Some(f) = inner.frames.remove(&k) {
-                    inner.resident -= f.bytes;
+            let inner = &mut *inner;
+            let (frames, resident) = (&mut inner.frames, &mut inner.resident);
+            frames.retain(|k, f| {
+                let keep = k.seg != seg;
+                if !keep {
+                    *resident -= f.bytes;
                 }
-            }
+                keep
+            });
+            let before_hand = inner.clock[..inner.hand.min(inner.clock.len())]
+                .iter()
+                .filter(|k| k.seg != seg)
+                .count();
+            inner.clock.retain(|k| k.seg != seg);
+            inner.hand = before_hand;
         }
+    }
+
+    /// Entries on the clock. Always the resident page count: forgetting a
+    /// segment takes its entries along, whether or not a sweep ever runs.
+    pub fn clock_len(&self) -> usize {
+        self.inner.lock().map_or(0, |inner| inner.clock.len())
     }
 
     /// Current counters.

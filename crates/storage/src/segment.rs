@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 
 use decorr_common::env::{EnvFile, StorageEnv};
 use decorr_common::segcodec::{self, crc32, put_string, put_varint, Cursor, ZoneMap};
-use decorr_common::{ColumnDef, DataType, Error, Result, Row, Schema, Value};
+use decorr_common::{Column, ColumnDef, DataType, Error, Result, Row, Schema, Value};
 
 /// Rows per page stripe. 4096 keeps pages in the tens-of-KB range for
 /// typical TPC-D columns — large enough to amortize frame overhead, small
@@ -153,7 +153,7 @@ pub fn write_segment(
     rows: &[Row],
     page_rows: usize,
 ) -> Result<u64> {
-    let page_rows = page_rows.max(1);
+    let page_rows = page_rows.clamp(1, segcodec::MAX_PAGE_ROWS);
     let file = env.create(path)?;
     let mut w = EnvWriter::new(file.as_ref());
     w.write_all(MAGIC)?;
@@ -162,7 +162,7 @@ pub fn write_segment(
     let mut pages = Vec::with_capacity(n_pages * n_cols);
     let mut zones = Vec::with_capacity(n_pages * n_cols);
     let mut colbuf: Vec<Value> = Vec::with_capacity(page_rows);
-    for chunk in rows.chunks(page_rows.max(1)) {
+    for chunk in rows.chunks(page_rows) {
         for col in 0..n_cols {
             colbuf.clear();
             colbuf.extend(chunk.iter().map(|r| r[col].clone()));
@@ -269,7 +269,7 @@ impl SegmentReader {
     }
 
     /// Read and decode one column page. CRC-checked.
-    pub fn read_page(&self, page: usize, col: usize) -> Result<Vec<Value>> {
+    pub fn read_page(&self, page: usize, col: usize) -> Result<Column> {
         let (offset, _) = self.meta.pages[self.meta.slot(page, col)];
         let payload = read_frame_at(self.file.as_ref(), &self.path, offset)?;
         let values = segcodec::decode_column_page(&payload)?;

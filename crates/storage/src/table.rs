@@ -5,11 +5,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use decorr_common::segcodec::ZoneMap;
-use decorr_common::{CmpOp, Error, Result, Row, Schema, Value};
+use decorr_common::{CmpOp, Column, Error, Result, Row, Schema, Value};
 
 use crate::index::HashIndex;
-use crate::pager::{BufferPool, PageData, PageIo, PageKey, SegmentId};
-use crate::segment::SegmentReader;
+use crate::pager::{BufferPool, PageData, PageGuard, PageIo, PageKey, SegmentId};
+use crate::segment::{SegmentMeta, SegmentReader};
 
 /// Process-wide version counter: every table creation or mutation draws a
 /// fresh, never-reused value. Versions therefore distinguish not just "has
@@ -25,9 +25,14 @@ fn next_version() -> u64 {
 
 /// The disk half of a paged table: an open segment file plus the buffer
 /// pool its pages fault through. Cloning shares both (a paged table is an
-/// immutable snapshot).
+/// immutable snapshot); when the last clone drops — the catalog moved on
+/// and no reader holds the snapshot any more — the segment's pages leave
+/// the pool with it.
 #[derive(Debug, Clone)]
-pub struct PagedBacking {
+pub struct PagedBacking(Arc<Backing>);
+
+#[derive(Debug)]
+struct Backing {
     seg: Arc<SegmentReader>,
     pool: Arc<BufferPool>,
     seg_id: SegmentId,
@@ -35,12 +40,136 @@ pub struct PagedBacking {
     file: String,
 }
 
+impl Drop for Backing {
+    fn drop(&mut self) {
+        self.pool.forget_segment(self.seg_id);
+    }
+}
+
 impl PagedBacking {
     /// Wire an open segment to a pool. `file` is the store-relative path
     /// recorded in WAL/manifest entries.
     pub fn new(seg: Arc<SegmentReader>, pool: Arc<BufferPool>, file: String) -> Self {
         let seg_id = pool.register_segment();
-        PagedBacking { seg, pool, seg_id, file }
+        PagedBacking(Arc::new(Backing { seg, pool, seg_id, file }))
+    }
+
+    fn meta(&self) -> &SegmentMeta {
+        self.0.seg.meta()
+    }
+}
+
+/// A `col op literal` bound a scan prunes stripes by.
+pub type Bound = (usize, CmpOp, Value);
+
+/// The row stripes of a paged table — the one way its data is read. A
+/// stripe is one page of every column; its zone maps say whether a scan
+/// needs it at all ([`Stripes::may_match`]), and an opened [`Stripe`] pins
+/// a column's page on first use and gathers the rows asked for.
+#[derive(Debug, Clone, Copy)]
+pub struct Stripes<'t>(&'t Backing);
+
+impl<'t> Stripes<'t> {
+    /// Number of stripes.
+    pub fn count(&self) -> usize {
+        self.0.seg.meta().n_pages
+    }
+
+    /// Rows in stripe `page` (the last may be short).
+    pub fn rows(&self, page: usize) -> usize {
+        self.0.seg.meta().page_len(page)
+    }
+
+    /// The zone map of column `col` over stripe `page`.
+    pub fn zone(&self, page: usize, col: usize) -> &'t ZoneMap {
+        self.0.seg.meta().zone(page, col)
+    }
+
+    /// Could any row of stripe `page` satisfy every bound? `false` only
+    /// when a zone map proves none can, so skipping the stripe never
+    /// changes a filtered result — it only avoids touching its pages.
+    pub fn may_match(&self, page: usize, bounds: &[Bound]) -> bool {
+        bounds
+            .iter()
+            .all(|(col, op, lit)| self.zone(page, *col).may_match(*op, lit))
+    }
+
+    /// Open stripe `page`; nothing is pinned yet.
+    pub fn open(&self, page: usize) -> Stripe<'t> {
+        let n_cols = self.0.seg.meta().schema.arity();
+        Stripe { backing: self.0, page, pins: (0..n_cols).map(|_| None).collect() }
+    }
+}
+
+/// One stripe under scan. Each column page is pinned in the buffer pool
+/// when first asked for and unpinned when the stripe drops.
+pub struct Stripe<'t> {
+    backing: &'t Backing,
+    page: usize,
+    pins: Vec<Option<PageGuard>>,
+}
+
+impl Stripe<'_> {
+    /// Column `col` of the stripe, pinned now if it was not yet; the page
+    /// I/O is recorded in `io`.
+    pub fn pin(&mut self, col: usize, io: &mut PageIo) -> Result<&Column> {
+        if self.pins[col].is_none() {
+            let (b, page) = (self.backing, self.page);
+            let key = PageKey { seg: b.seg_id, page: page as u32, col: col as u32 };
+            self.pins[col] = Some(
+                b.pool
+                    .get_pinned(key, io, || Ok(PageData::Col(b.seg.read_page(page, col)?)))?,
+            );
+        }
+        self.pinned(col)
+    }
+
+    /// The columns `cols`, in that order, each pinned now if it was not.
+    pub fn pin_all(&mut self, cols: &[usize], io: &mut PageIo) -> Result<Vec<&Column>> {
+        for &col in cols {
+            self.pin(col, io)?;
+        }
+        cols.iter().map(|&col| self.pinned(col)).collect()
+    }
+
+    fn pinned(&self, col: usize) -> Result<&Column> {
+        match &self.pins[col] {
+            Some(guard) => guard.data().as_col(),
+            None => Err(Error::internal("stripe: column read before it was pinned")),
+        }
+    }
+
+    /// Make a row of each position in `sel` and append it to `out`,
+    /// pinning whichever of `cols` were not pinned yet. A row has the
+    /// table's full arity; a column not in `cols` (ascending) is left
+    /// NULL and its page untouched — for a reader that knows it will
+    /// never look there.
+    pub fn gather(
+        &mut self,
+        sel: impl ExactSizeIterator<Item = u32>,
+        cols: &[usize],
+        out: &mut Vec<Row>,
+        io: &mut PageIo,
+    ) -> Result<()> {
+        if sel.len() == 0 {
+            return Ok(());
+        }
+        let arity = self.pins.len();
+        let pinned = self.pin_all(cols, io)?;
+        out.reserve(sel.len());
+        for i in sel {
+            let i = i as usize;
+            out.push(Row::new(if cols.len() == arity {
+                pinned.iter().map(|c| c.value_at(i)).collect()
+            } else {
+                let mut values = vec![Value::Null; arity];
+                for (&col, page) in cols.iter().zip(&pinned) {
+                    values[col] = page.value_at(i);
+                }
+                values
+            }));
+        }
+        Ok(())
     }
 }
 
@@ -48,10 +177,12 @@ impl PagedBacking {
 ///
 /// Two backings exist. A **resident** table owns its rows in memory and
 /// supports mutation and hash indexes. A **paged** table is an immutable
-/// snapshot backed by a columnar segment file; its rows are materialized
-/// page-by-page through the buffer pool ([`Table::read_rows`]), zone maps
-/// let scans skip whole stripes ([`Table::read_rows_where`]), and
-/// mutation or index DDL is a catalog error (reload to change it).
+/// snapshot backed by a columnar segment file; it is read stripe by
+/// stripe through the buffer pool ([`Table::stripes`]: zone maps let a
+/// scan skip whole stripes, columns are pinned as they are needed, and
+/// rows are made only of the positions asked for — [`Table::read_rows`]
+/// asks for all of them), and mutation or index DDL is a catalog error
+/// (reload to change it).
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -85,7 +216,7 @@ impl Table {
     /// indexes (index probes need resident row positions) and rejects
     /// mutation.
     pub fn paged(backing: PagedBacking) -> Table {
-        let meta = backing.seg.meta();
+        let meta = backing.meta();
         Table {
             name: meta.name.clone(),
             schema: meta.schema.clone(),
@@ -104,7 +235,7 @@ impl Table {
 
     /// The store-relative segment file backing this table, if paged.
     pub fn paged_file(&self) -> Option<&str> {
-        self.paged.as_ref().map(|p| p.file.as_str())
+        self.paged.as_ref().map(|p| p.0.file.as_str())
     }
 
     fn immutable(&self) -> Error {
@@ -138,9 +269,9 @@ impl Table {
     }
 
     /// The *resident* rows. Empty for a paged table — scan paths must use
-    /// [`Table::read_rows`] (or [`Table::read_rows_where`]), which serves
-    /// both backings. Index probe paths may keep using `rows()` because
-    /// paged tables never carry indexes.
+    /// [`Table::read_rows`], which serves both backings, or read the
+    /// [`Table::stripes`]. Index probe paths may keep using `rows()`
+    /// because paged tables never carry indexes.
     pub fn rows(&self) -> &[Row] {
         &self.rows
     }
@@ -148,7 +279,7 @@ impl Table {
     /// Row count, resident or persisted.
     pub fn len(&self) -> usize {
         match &self.paged {
-            Some(p) => p.seg.meta().row_count,
+            Some(p) => p.meta().row_count,
             None => self.rows.len(),
         }
     }
@@ -157,85 +288,33 @@ impl Table {
         self.len() == 0
     }
 
-    /// All rows of the table, through the buffer pool when paged. Resident
-    /// tables borrow; paged tables materialize page stripes (pinning each
-    /// stripe's column pages while stitching) and record the page I/O in
-    /// `io`.
-    pub fn read_rows(&self, io: &mut PageIo) -> Result<Cow<'_, [Row]>> {
-        match &self.paged {
-            None => Ok(Cow::Borrowed(&self.rows[..])),
-            Some(p) => {
-                let mut out = Vec::with_capacity(self.len());
-                for page in 0..p.seg.meta().n_pages {
-                    self.stitch_page(p, page, &mut out, io)?;
-                }
-                Ok(Cow::Owned(out))
-            }
-        }
+    /// The stripes of a paged table; `None` for a resident one.
+    pub fn stripes(&self) -> Option<Stripes<'_>> {
+        self.paged.as_ref().map(|p| Stripes(&p.0))
     }
 
-    /// Rows that *might* satisfy every `col op literal` bound, through the
-    /// buffer pool. Pages whose zone map proves no row can match are
-    /// skipped without touching their bytes (`io.pages_pruned`); surviving
-    /// pages are returned whole, so the caller must still apply the full
-    /// predicate — pruning never changes the filtered result, it only
-    /// avoids I/O. Resident tables return all rows borrowed.
-    pub fn read_rows_where(
-        &self,
-        bounds: &[(usize, CmpOp, Value)],
-        io: &mut PageIo,
-    ) -> Result<Cow<'_, [Row]>> {
-        let p = match &self.paged {
-            None => return Ok(Cow::Borrowed(&self.rows[..])),
-            Some(p) => p,
+    /// All rows of the table, through the buffer pool when paged. Resident
+    /// tables borrow; paged tables gather every row of every stripe
+    /// (pinning each stripe's column pages meanwhile) and record the page
+    /// I/O in `io`.
+    pub fn read_rows(&self, io: &mut PageIo) -> Result<Cow<'_, [Row]>> {
+        let Some(stripes) = self.stripes() else {
+            return Ok(Cow::Borrowed(&self.rows[..]));
         };
-        let mut out = Vec::new();
-        'pages: for page in 0..p.seg.meta().n_pages {
-            for (col, op, lit) in bounds {
-                if !p.seg.meta().zone(page, *col).may_match(*op, lit) {
-                    io.pages_pruned += 1;
-                    continue 'pages;
-                }
-            }
-            self.stitch_page(p, page, &mut out, io)?;
+        let mut out = Vec::with_capacity(self.len());
+        let all: Vec<usize> = (0..self.schema.arity()).collect();
+        for page in 0..stripes.count() {
+            let rows = 0..stripes.rows(page) as u32;
+            stripes.open(page).gather(rows, &all, &mut out, io)?;
         }
         Ok(Cow::Owned(out))
-    }
-
-    /// Materialize one page stripe: pin every column's page, transpose
-    /// into rows.
-    fn stitch_page(
-        &self,
-        p: &PagedBacking,
-        page: usize,
-        out: &mut Vec<Row>,
-        io: &mut PageIo,
-    ) -> Result<()> {
-        let n_cols = self.schema.arity();
-        let mut guards = Vec::with_capacity(n_cols);
-        for col in 0..n_cols {
-            let key = PageKey { seg: p.seg_id, page: page as u32, col: col as u32 };
-            let seg = Arc::clone(&p.seg);
-            guards.push(p.pool.get_pinned(key, io, move || {
-                Ok(PageData::Col(seg.read_page(page, col)?))
-            })?);
-        }
-        let rows_in_page = p.seg.meta().page_len(page);
-        for i in 0..rows_in_page {
-            let mut vals = Vec::with_capacity(n_cols);
-            for g in &guards {
-                vals.push(g.data().as_col()?[i].clone());
-            }
-            out.push(Row::new(vals));
-        }
-        Ok(())
     }
 
     /// The merged (all-pages) zone map of a column: exact min/max in total
     /// order plus the null count. `None` for resident tables — the
     /// estimator computes those stats by scanning.
     pub fn zone_map(&self, col: usize) -> Option<ZoneMap> {
-        self.paged.as_ref().map(|p| p.seg.meta().column_zone(col))
+        self.paged.as_ref().map(|p| p.meta().column_zone(col))
     }
 
     /// Declare the primary key by column names. Purely metadata: it informs

@@ -2,8 +2,11 @@
 //! relocated out of `src/` so the no-panic grep gate covers
 //! `crates/storage/src`.
 
-use decorr_common::{row, DataType, Row, Schema, Value};
-use decorr_storage::{BufferPool, Database, HashIndex, PageData, PageIo, PageKey, Table};
+use decorr_common::{row, Column, DataType, Row, Schema, Value};
+use decorr_storage::{
+    write_segment, BufferPool, Database, HashIndex, PageData, PageIo, PageKey, PagedBacking,
+    SegmentReader, Table,
+};
 
 // ------------------------------------------------------------- catalog
 
@@ -124,7 +127,8 @@ fn index_incremental_insert() {
 // --------------------------------------------------------------- pager
 
 fn page(n: i64) -> PageData {
-    PageData::Col((0..64).map(|i| Value::Int(n + i)).collect())
+    let values: Vec<Value> = (0..64).map(|i| Value::Int(n + i)).collect();
+    PageData::Col(Column::from_values(values.iter(), values.len()))
 }
 
 #[test]
@@ -209,7 +213,103 @@ fn pager_forget_segment_drops_its_pages() {
     assert_eq!(io.misses, 2);
 }
 
+#[test]
+fn pager_forgotten_segments_leave_the_clock_too() {
+    // Under budget no sweep ever runs, so forgetting is the only thing
+    // that can take a dead segment's entries off the clock.
+    let pool = BufferPool::new(1 << 20);
+    let mut io = PageIo::default();
+    for _ in 0..1000 {
+        let seg = pool.register_segment();
+        for p in 0..3 {
+            let key = PageKey { seg, page: p, col: 0 };
+            drop(pool.get_pinned(key, &mut io, || Ok(page(0))).unwrap());
+        }
+        pool.forget_segment(seg);
+        assert!(pool.clock_len() as u64 <= pool.stats().resident_pages);
+    }
+    assert_eq!((pool.clock_len(), pool.stats().resident_bytes), (0, 0));
+    assert_eq!(pool.stats().evictions, 0, "the pool never went over budget");
+}
+
+#[test]
+fn pager_forgetting_mid_sweep_keeps_the_hand_on_the_clock() {
+    // Room for four pages; two segments interleaved on the clock, the hand
+    // advanced past some of each, then one forgotten: the sweep carries on
+    // over what is left and the pool stays within its budget.
+    let budget = page(0).approx_bytes() * 4 + 1;
+    let pool = BufferPool::new(budget);
+    let (a, b) = (pool.register_segment(), pool.register_segment());
+    let mut io = PageIo::default();
+    let mut load = |seg, p| {
+        let key = PageKey { seg, page: p, col: 0 };
+        drop(pool.get_pinned(key, &mut io, || Ok(page(0))).unwrap());
+    };
+    for p in 0..6 {
+        load(a, p);
+        load(b, p);
+    }
+    pool.forget_segment(a);
+    assert!(pool.clock_len() as u64 == pool.stats().resident_pages);
+    for p in 6..40 {
+        load(b, p);
+        let s = pool.stats();
+        assert!(s.resident_bytes <= budget as u64, "{s:?}");
+        assert_eq!(pool.clock_len() as u64, s.resident_pages);
+    }
+}
+
 // --------------------------------------------------------------- table
+
+/// `rows` two-column rows as a paged table of 64-row stripes on `pool`.
+fn paged_table(pool: &std::sync::Arc<BufferPool>, name: &str, rows: i64) -> Table {
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]);
+    let data: Vec<Row> = (0..rows).map(|i| row![i, format!("s{}", i % 7)]).collect();
+    let path = std::env::temp_dir().join(format!(
+        "decorr-core-units-{}-{name}.seg",
+        std::process::id()
+    ));
+    let env = decorr_common::RealEnv;
+    write_segment(&env, &path, name, &schema, None, &data, 64).unwrap();
+    let seg = std::sync::Arc::new(SegmentReader::open(&env, &path).unwrap());
+    // The reader holds the file open; the name can go.
+    std::fs::remove_file(&path).unwrap();
+    Table::paged(PagedBacking::new(
+        seg,
+        std::sync::Arc::clone(pool),
+        format!("{name}.seg"),
+    ))
+}
+
+#[test]
+fn paged_table_pages_leave_the_pool_with_its_last_handle() {
+    let pool = BufferPool::new(1 << 20);
+    let (t, other) = (
+        paged_table(&pool, "t", 300),
+        paged_table(&pool, "other", 100),
+    );
+    let mut io = PageIo::default();
+    assert_eq!(t.read_rows(&mut io).unwrap().len(), 300);
+    assert_eq!(other.read_rows(&mut io).unwrap().len(), 100);
+    // 5 and 2 stripes of 2 columns.
+    assert_eq!((io.misses, pool.stats().resident_pages), (14, 14));
+
+    // A snapshot reader still holding the table keeps it cached …
+    let reader = t.clone();
+    drop(t);
+    assert_eq!(pool.stats().resident_pages, 14);
+    let mut warm = PageIo::default();
+    assert_eq!(reader.read_rows(&mut warm).unwrap().len(), 300);
+    assert_eq!((warm.hits, warm.misses), (10, 0));
+
+    // … and the last handle takes the table's pages, and only those.
+    drop(reader);
+    assert_eq!(pool.stats().resident_pages, 4);
+    assert_eq!(pool.clock_len(), 4);
+    let mut still = PageIo::default();
+    other.read_rows(&mut still).unwrap();
+    assert_eq!(still.misses, 0);
+}
 
 fn emp() -> Table {
     let mut t = Table::new(

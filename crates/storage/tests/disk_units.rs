@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use decorr_common::{row, DataType, RealEnv, Row, Schema, Value};
+use decorr_common::{row, Column, DataType, RealEnv, Row, Schema, Value};
 use decorr_storage::manifest::{read_manifest, write_manifest};
 use decorr_storage::wal::{valid_prefix, WalWriter};
 use decorr_storage::{
@@ -144,9 +144,9 @@ fn segment_round_trips_across_pages() {
     assert_eq!(seg.meta().schema, sample_schema());
     let mut rebuilt = Vec::new();
     for p in 0..seg.meta().n_pages {
-        let cols: Vec<Vec<Value>> = (0..3).map(|c| seg.read_page(p, c).unwrap()).collect();
+        let cols: Vec<Column> = (0..3).map(|c| seg.read_page(p, c).unwrap()).collect();
         for i in 0..seg.meta().page_len(p) {
-            rebuilt.push(Row::new(cols.iter().map(|c| c[i].clone()).collect()));
+            rebuilt.push(Row::new(cols.iter().map(|c| c.value_at(i)).collect()));
         }
     }
     assert_eq!(rows, rebuilt);

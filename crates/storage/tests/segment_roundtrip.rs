@@ -6,14 +6,20 @@
 //! pages) next to arbitrary unicode, and ints both tiny (bit-packed) and
 //! full-range. Zone-map pruning is checked as a pure I/O optimization:
 //! filtering the pruned scan must equal filtering the full scan, for every
-//! operator and literal.
+//! operator and literal. The page codec is held to the same standard one
+//! level down: a page decodes straight into a typed column, bit for bit,
+//! and the pool is charged what that column really holds.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use decorr_common::columnar::ColumnData;
+use decorr_common::segcodec::{decode_column_page, encode_column_page};
 use decorr_common::{CmpOp, DataType, Row, Schema, Value};
-use decorr_storage::{write_segment, BufferPool, PageIo, PagedBacking, SegmentReader, Table};
+use decorr_storage::{
+    write_segment, BufferPool, PageData, PageIo, PagedBacking, SegmentReader, Table,
+};
 use proptest::prelude::*;
 
 static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -93,6 +99,67 @@ fn bool_val() -> impl Strategy<Value = Value> {
     prop_oneof![Just(Value::Null), any::<bool>().prop_map(Value::Bool)]
 }
 
+/// One column page's worth of values: each typed generator on its own,
+/// `Int`s widening into a `DOUBLE` column, and pages without a value.
+fn page_values() -> impl Strategy<Value = Vec<Value>> {
+    prop_oneof![
+        prop::collection::vec(int_val(), 0..300),
+        prop::collection::vec(double_val(), 0..300),
+        prop::collection::vec(str_val(), 0..300),
+        prop::collection::vec(bool_val(), 0..300),
+        prop::collection::vec(prop_oneof![int_val(), double_val()], 0..300),
+        (0usize..300).prop_map(|n| vec![Value::Null; n]),
+    ]
+}
+
+/// The representation a page of `values` must decode into: the typed
+/// vector when the non-NULL values share one type (`Int` when there are
+/// none), verbatim values only for a real mix.
+fn expected_variant(values: &[Value]) -> &'static str {
+    let mut kinds: Vec<&'static str> = values
+        .iter()
+        .filter_map(|v| match v {
+            Value::Null => None,
+            Value::Int(_) => Some("Int"),
+            Value::Double(_) => Some("Double"),
+            Value::Bool(_) => Some("Bool"),
+            Value::Str(_) => Some("Str"),
+        })
+        .collect();
+    kinds.dedup();
+    match kinds[..] {
+        [] => "Int",
+        [one] => one,
+        _ => "Mixed",
+    }
+}
+
+/// The heap a decoded column holds, counted from the outside: its value
+/// slots, one null bit per row, and each distinct string once.
+fn heap_bytes_by_hand(data: &ColumnData, values: &[Value]) -> usize {
+    let strings = |vals: &[Value], dedup: bool| -> usize {
+        let mut seen: Vec<&str> = Vec::new();
+        let mut bytes = 0;
+        for v in vals {
+            if let Value::Str(s) = v {
+                if !dedup || !seen.contains(&&**s) {
+                    seen.push(s);
+                    bytes += 32 + s.len();
+                }
+            }
+        }
+        bytes
+    };
+    let slots = match data {
+        ColumnData::Int(v) => v.len() * 8,
+        ColumnData::Double(v) => v.len() * 8,
+        ColumnData::Bool(v) => v.len(),
+        ColumnData::Str { codes, .. } => codes.len() * 4 + strings(values, true),
+        ColumnData::Mixed(v) => v.len() * 24 + strings(values, false),
+    };
+    slots + values.len().div_ceil(64) * 8
+}
+
 fn rows() -> impl Strategy<Value = Vec<Row>> {
     prop::collection::vec((int_val(), double_val(), str_val(), bool_val()), 0..250).prop_map(
         |tuples| {
@@ -169,6 +236,46 @@ proptest! {
     }
 
     #[test]
+    fn typed_decode_is_bit_exact_and_honestly_sized(values in page_values()) {
+        let bytes = encode_column_page(&values);
+        let col = decode_column_page(&bytes).unwrap();
+        prop_assert_eq!(col.len(), values.len());
+        for (i, v) in values.iter().enumerate() {
+            prop_assert!(same_value(&col.value_at(i), v), "row {}: {:?} vs {:?}", i, col.value_at(i), v);
+        }
+        let variant = match col.data() {
+            ColumnData::Int(_) => "Int",
+            ColumnData::Double(_) => "Double",
+            ColumnData::Bool(_) => "Bool",
+            ColumnData::Str { .. } => "Str",
+            ColumnData::Mixed(_) => "Mixed",
+        };
+        prop_assert_eq!(variant, expected_variant(&values));
+
+        // The pool's charge against the heap counted by hand: within 2x
+        // either way (past the fixed 32-byte frame overhead).
+        let by_hand = heap_bytes_by_hand(col.data(), &values);
+        let charged = PageData::Col(col).approx_bytes() - 32;
+        prop_assert!(
+            charged <= 2 * by_hand && by_hand <= 2 * charged,
+            "{} rows of {}: charged {} for {} bytes", values.len(), variant, charged, by_hand
+        );
+
+        // Corruption stays a typed error (or, for a flip the format cannot
+        // see, some other column): never a panic, never an abort.
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_column_page(&bytes[..cut]).is_err(), "truncated at {}", cut);
+        }
+        for at in 0..bytes.len().min(48) {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                let _ = decode_column_page(&flipped);
+            }
+        }
+    }
+
+    #[test]
     fn zone_pruning_never_changes_filtered_results(
         data in rows(),
         page_rows in 1usize..16,
@@ -179,8 +286,18 @@ proptest! {
     ) {
         let (t, path) = paged(&data, page_rows);
         let bounds = vec![(0, OPS[op_i], int_lit), (2, OPS[op_s], str_lit)];
+        // What a pruned scan reads: every row of every stripe the zone
+        // maps cannot refute.
         let mut io = PageIo::default();
-        let survivors = t.read_rows_where(&bounds, &mut io).unwrap().into_owned();
+        let stripes = t.stripes().unwrap();
+        let mut survivors = Vec::new();
+        for page in (0..stripes.count()).filter(|&p| stripes.may_match(p, &bounds)) {
+            let rows = 0..stripes.rows(page) as u32;
+            stripes
+                .open(page)
+                .gather(rows, &[0, 1, 2, 3], &mut survivors, &mut io)
+                .unwrap();
+        }
         let filter = |rows: &[Row]| -> Vec<Row> {
             rows.iter()
                 .filter(|r| bounds.iter().all(|(c, op, lit)| row_matches(&r[*c], *op, lit)))

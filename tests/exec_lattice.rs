@@ -18,6 +18,17 @@
 //! within the lane. Within a lane, `ExecStats` must not depend on
 //! `columnar` or `threads` at all. (That the strategies agree with each
 //! other is `tests/equivalence.rs`'s job.)
+//!
+//! The storage axis: every case runs again, at every point, on two durable
+//! copies of its database (`SharedCatalog::open_durable`, 512-row stripes;
+//! one buffer pool that holds everything and one of 64 KiB that holds a
+//! dozen pages). Paged
+//! tables carry no index, so those runs are held, rows and row order, to
+//! the *un-indexed* resident run. Inside a paged lane the work counters
+//! may not depend on `columnar` or `threads` either, and the page I/O may
+//! not depend on `threads`. (It does depend on `columnar`: the row-wise
+//! evaluators are handed every column of every stripe the zone maps keep,
+//! as rows; the kernels pin a column when something reads it.)
 
 use std::sync::Arc;
 
@@ -25,7 +36,9 @@ use decorr::prelude::*;
 use decorr::row;
 use decorr_bench::Figure;
 use decorr_common::{RealEnv, MORSEL_ROWS};
-use decorr_storage::{BufferPool, SpillManager};
+use decorr_qgm::{BinOp, Expr};
+use decorr_server::SharedCatalog;
+use decorr_storage::{BufferPool, SpillManager, StoreOptions};
 use decorr_tpcd::empdept::{self, EmpDeptConfig};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,6 +47,10 @@ enum Lane {
     Spill,
     Degrade,
 }
+
+const LANES: [Lane; 3] = [Lane::Unbudgeted, Lane::Spill, Lane::Degrade];
+/// `(columnar, threads)`.
+const POINTS: [(bool, usize); 4] = [(true, 1), (false, 1), (true, 4), (false, 4)];
 
 /// Small enough that the hash joins and groupings of the cases below go
 /// over budget, large enough that no operator output hits the `1024 ×`
@@ -45,36 +62,122 @@ fn spill_mgr() -> Arc<SpillManager> {
     Arc::new(SpillManager::new(dir, RealEnv::shared(), BufferPool::new(1 << 20)).unwrap())
 }
 
+fn opts_at(base: &ExecOptions, lane: Lane, columnar: bool, threads: usize) -> ExecOptions {
+    ExecOptions {
+        columnar,
+        threads,
+        mem_budget: (lane != Lane::Unbudgeted).then_some(TINY_BUDGET),
+        spill: (lane == Lane::Spill).then(spill_mgr),
+        ..base.clone()
+    }
+}
+
+/// One database in every storage tier the lattice crosses.
+struct Tiers {
+    /// As the case built it, indexes and all.
+    resident: Database,
+    /// The same rows without an index: what a durable copy — paged tables
+    /// carry none — can be held to row for row.
+    unindexed: Database,
+    /// Durable copies, by buffer pool.
+    durable: Vec<(&'static str, SharedCatalog)>,
+}
+
+impl Tiers {
+    /// `tag` names the data directories; tests run side by side.
+    fn of(tag: &str, resident: Database) -> Tiers {
+        let mut unindexed = resident.clone();
+        let names: Vec<String> = unindexed.tables().map(|t| t.name().to_string()).collect();
+        for name in &names {
+            unindexed.table_mut(name).unwrap().drop_all_indexes();
+        }
+        let durable = [("pool fits", 64 << 20), ("64 KiB pool", 64 << 10)]
+            .into_iter()
+            .map(|(pool, pool_bytes)| {
+                let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+                    .join(format!("exec-lattice-{tag}-{pool_bytes}"));
+                let _ = std::fs::remove_dir_all(&dir);
+                // Short stripes, so that the small tables here have several.
+                let opts = StoreOptions { pool_bytes, page_rows: 512, ..StoreOptions::default() };
+                let catalog = SharedCatalog::open_durable(&dir, opts, unindexed.clone()).unwrap();
+                (pool, catalog)
+            })
+            .collect();
+        Tiers { resident, unindexed, durable }
+    }
+}
+
+/// Spills and degradations seen in the budgeted lanes, so a caller can
+/// tell the lanes were real: on the resident tier, and on the durable ones.
+#[derive(Debug, Default, Clone, Copy)]
+struct Bites {
+    resident: (u64, u64),
+    paged: (u64, u64),
+}
+
+impl std::ops::AddAssign for Bites {
+    fn add_assign(&mut self, o: Bites) {
+        self.resident.0 += o.resident.0;
+        self.resident.1 += o.resident.1;
+        self.paged.0 += o.paged.0;
+        self.paged.1 += o.paged.1;
+    }
+}
+
+impl Bites {
+    fn assert_every_lane_bit(&self) {
+        let all = [self.resident.0, self.resident.1, self.paged.0, self.paged.1];
+        assert!(
+            all.iter().all(|&n| n > 0),
+            "a budget lane never bit: {self:?}"
+        );
+    }
+}
+
 /// Run `sql` under `strategy` at every lattice point and check the
-/// contract in the module docs. Returns the spills and degradations seen
-/// in the two budgeted lanes, so the caller can tell the lanes were real.
+/// contract in the module docs.
 fn check_lattice(
     what: &str,
-    db: &Database,
+    tiers: &Tiers,
     sql: &str,
     strategy: Strategy,
     base: ExecOptions,
-) -> (u64, u64) {
-    let qgm = parse_and_bind(sql, db).unwrap();
+) -> Bites {
+    let qgm = parse_and_bind(sql, &tiers.resident).unwrap();
     let plan = apply_strategy(&qgm, strategy).unwrap();
-    check_plan(&format!("{what} {strategy:?}"), db, &plan, base)
+    check_plan(&format!("{what} {strategy:?}"), tiers, &plan, base)
 }
 
 /// [`check_lattice`] for a plan at hand.
-fn check_plan(what: &str, db: &Database, plan: &Qgm, base: ExecOptions) -> (u64, u64) {
+fn check_plan(what: &str, tiers: &Tiers, plan: &Qgm, base: ExecOptions) -> Bites {
+    let mut bites =
+        Bites { resident: check_resident(what, &tiers.resident, plan, &base), ..Bites::default() };
+    let unbudgeted = opts_at(&base, Lane::Unbudgeted, true, 1);
+    let (want, _) = execute_with(&tiers.unindexed, plan, unbudgeted).unwrap();
+    for (pool, catalog) in &tiers.durable {
+        let snapshot = catalog.snapshot();
+        let (spills, degradations) = check_paged(
+            &format!("{what} [{pool}]"),
+            snapshot.db(),
+            plan,
+            &base,
+            &want,
+        );
+        bites.paged.0 += spills;
+        bites.paged.1 += degradations;
+    }
+    bites
+}
+
+/// The resident tier: one answer and, per lane, one `ExecStats`.
+fn check_resident(what: &str, db: &Database, plan: &Qgm, base: &ExecOptions) -> (u64, u64) {
     let mut reference: Option<Vec<Row>> = None;
     let (mut spills, mut degradations) = (0, 0);
-    for lane in [Lane::Unbudgeted, Lane::Spill, Lane::Degrade] {
+    for lane in LANES {
         let mut first: Option<(Vec<Row>, ExecStats)> = None;
-        for (columnar, threads) in [(true, 1), (false, 1), (true, 4), (false, 4)] {
+        for (columnar, threads) in POINTS {
             let at = format!("{what} {lane:?} columnar={columnar} threads={threads}");
-            let opts = ExecOptions {
-                columnar,
-                threads,
-                mem_budget: (lane != Lane::Unbudgeted).then_some(TINY_BUDGET),
-                spill: (lane == Lane::Spill).then(spill_mgr),
-                ..base.clone()
-            };
+            let opts = opts_at(base, lane, columnar, threads);
             let (rows, stats) =
                 execute_with(db, plan, opts).unwrap_or_else(|e| panic!("{at}: {e}"));
             // (An outer join has no spill path, so the spill lane may
@@ -85,14 +188,7 @@ fn check_plan(what: &str, db: &Database, plan: &Qgm, base: ExecOptions) -> (u64,
                 Lane::Degrade => assert_eq!(stats.spills, 0, "{at}"),
             }
             let reference = reference.get_or_insert_with(|| rows.clone());
-            if lane == Lane::Degrade {
-                let (mut got, mut want) = (rows.clone(), reference.clone());
-                got.sort();
-                want.sort();
-                assert_eq!(got, want, "{at}: rows differ from the unbudgeted run");
-            } else {
-                assert_eq!(&rows, reference, "{at}: rows or row order differ");
-            }
+            assert_same_answer(&at, lane, &rows, reference);
             match &first {
                 None => {
                     spills += stats.spills;
@@ -112,24 +208,88 @@ fn check_plan(what: &str, db: &Database, plan: &Qgm, base: ExecOptions) -> (u64,
     (spills, degradations)
 }
 
+/// `rows` against the reference answer: the same rows in the same order,
+/// except in the degrade lane, whose sort-based grouping emits in key
+/// order — there, the same multiset.
+fn assert_same_answer(at: &str, lane: Lane, rows: &[Row], reference: &[Row]) {
+    if lane == Lane::Degrade {
+        let (mut got, mut want) = (rows.to_vec(), reference.to_vec());
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "{at}: rows differ from the unbudgeted run");
+    } else {
+        assert_eq!(rows, reference, "{at}: rows or row order differ");
+    }
+}
+
+/// A durable tier: the un-indexed resident answer `want` at every point;
+/// per lane, work counters that know neither `columnar` nor `threads` and
+/// page I/O that does not know `threads`.
+fn check_paged(
+    what: &str,
+    db: &Database,
+    plan: &Qgm,
+    base: &ExecOptions,
+    want: &[Row],
+) -> (u64, u64) {
+    // Which requests hit depends on what earlier runs left in the pool;
+    // how many pages a run asks for does not.
+    let io_blind = |s: &ExecStats| ExecStats { pool_hits: 0, pool_misses: 0, pages_read: 0, ..*s };
+    let (mut spills, mut degradations) = (0, 0);
+    for lane in LANES {
+        let mut first: Option<(Vec<Row>, ExecStats)> = None;
+        let mut pages: [Option<u64>; 2] = [None, None];
+        for (columnar, threads) in POINTS {
+            let at = format!("{what} {lane:?} columnar={columnar} threads={threads}");
+            let opts = opts_at(base, lane, columnar, threads);
+            let (rows, stats) =
+                execute_with(db, plan, opts).unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_same_answer(&at, lane, &rows, want);
+            assert_eq!(
+                stats.pages_read,
+                stats.pool_hits + stats.pool_misses,
+                "{at}"
+            );
+            let seen = pages[usize::from(columnar)].get_or_insert(stats.pages_read);
+            assert_eq!(stats.pages_read, *seen, "{at}: page I/O depends on threads");
+            match &first {
+                None => {
+                    spills += stats.spills;
+                    degradations += stats.degradations;
+                    first = Some((rows, stats));
+                }
+                Some((first_rows, first_stats)) => {
+                    assert_eq!(&rows, first_rows, "{at}: row order differs within the lane");
+                    assert_eq!(
+                        io_blind(&stats),
+                        io_blind(first_stats),
+                        "{at}: work counters differ within the lane"
+                    );
+                }
+            }
+        }
+    }
+    (spills, degradations)
+}
+
 #[test]
 fn figure_queries_agree_across_the_lattice() {
     // Summed over the figures: at this scale figs 5 and 9 run on index
-    // probes alone and never go over budget, figs 6 and 8 do.
-    let (mut spills, mut degradations) = (0, 0);
+    // probes alone on the resident tier and never go over budget there,
+    // figs 6 and 8 do.
+    let mut bites = Bites::default();
     for fig in [Figure::Fig5, Figure::Fig6, Figure::Fig8, Figure::Fig9] {
         let db = fig.database(0.005, 42).unwrap();
         assert!(
             db.table("lineitem").unwrap().len() > MORSEL_ROWS,
             "the input must cross the morsel threshold or threads=4 never fans out"
         );
+        let tiers = Tiers::of(fig.id(), db);
         for s in fig.strategies() {
-            let (sp, de) = check_lattice(fig.id(), &db, fig.sql(), s, fig.exec_opts(s));
-            spills += sp;
-            degradations += de;
+            bites += check_lattice(fig.id(), &tiers, fig.sql(), s, fig.exec_opts(s));
         }
     }
-    assert!(spills > 0 && degradations > 0, "the budget lanes never bit");
+    bites.assert_every_lane_bit();
 }
 
 #[test]
@@ -149,15 +309,26 @@ fn count_bug_query_agrees_across_the_lattice() {
     db.table_mut("dept").unwrap().insert(nowhere).unwrap();
     let nobody = row!["nobody", Value::Null];
     db.table_mut("emp").unwrap().insert(nobody).unwrap();
-    let (mut spills, mut degradations) = (0, 0);
+    let tiers = Tiers::of("empdept", db);
+    let mut bites = Bites::default();
     // Every strategy but Kim, which is unsound on exactly this query.
     for s in Strategy::all().into_iter().filter(|s| *s != Strategy::Kim) {
         let sql = decorr_tpcd::queries::EMPDEPT;
-        let (sp, de) = check_lattice("empdept", &db, sql, s, ExecOptions::default());
-        spills += sp;
-        degradations += de;
+        bites += check_lattice("empdept", &tiers, sql, s, ExecOptions::default());
     }
-    assert!(spills > 0 && degradations > 0, "the budget lanes never bit");
+    bites.assert_every_lane_bit();
+}
+
+/// `check_plan` for the graph as bound — what the race runs when NI wins,
+/// with its pass-through Selects — and for each sound rewrite of it.
+fn check_bound_and_rewritten(what: &str, tiers: &Tiers, sql: &str) -> Bites {
+    let qgm = parse_and_bind(sql, &tiers.resident).unwrap();
+    let as_bound = format!("{what} as bound");
+    let mut bites = check_plan(&as_bound, tiers, &qgm, ExecOptions::default());
+    for s in [Strategy::NestedIteration, Strategy::Magic, Strategy::OptMag] {
+        bites += check_lattice(what, tiers, sql, s, ExecOptions::default());
+    }
+    bites
 }
 
 #[test]
@@ -181,6 +352,7 @@ fn single_input_selects_agree_across_the_lattice() {
         }
     }
     db.table_mut("t").unwrap().create_index(&["k"]).unwrap();
+    let tiers = Tiers::of("single-input", db);
 
     let cases = [
         ("identity", "SELECT a.k, a.v, a.s FROM u a"),
@@ -208,17 +380,144 @@ fn single_input_selects_agree_across_the_lattice() {
         ("pass-through total", "SELECT COUNT(*), SUM(a.k) FROM u a"),
     ];
     for (what, sql) in cases {
-        // The graph as bound — what the race runs when NI wins, with its
-        // pass-through Selects — and each sound rewrite of it.
-        let qgm = parse_and_bind(sql, &db).unwrap();
-        check_plan(
-            &format!("{what} as bound"),
-            &db,
-            &qgm,
-            ExecOptions::default(),
-        );
-        for s in [Strategy::NestedIteration, Strategy::Magic, Strategy::OptMag] {
-            check_lattice(what, &db, sql, s, ExecOptions::default());
-        }
+        check_bound_and_rewritten(what, &tiers, sql);
     }
+}
+
+#[test]
+fn paged_scan_arms_agree_across_the_lattice() {
+    // `big` crosses two morsels and four 512-row stripes; `id` is its
+    // insertion order, so zone maps prune on it. Its key column is a
+    // DOUBLE that also holds `Int`s, NULL, NaN and both zeros; `small`
+    // holds one key of each kind — with no, one and many partners in
+    // `big` — and is always the smaller side, so `big` is the one hashed.
+    let mut db = Database::new();
+    let big = db
+        .create_table(
+            "big",
+            Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("k", DataType::Double),
+                ("v", DataType::Int),
+                ("s", DataType::Str),
+            ]),
+        )
+        .unwrap();
+    let n = 2 * MORSEL_ROWS as i64 + 77;
+    big.insert_all((0..n).map(|i| {
+        let k = match i % 97 {
+            0 => Value::Null,
+            1 => Value::Double(f64::NAN),
+            2 => Value::Double(-0.0),
+            3 => Value::Double(0.0),
+            4 => Value::Int(7),
+            _ if i == 1500 => Value::Double(-1.5),
+            r => Value::Double(r as f64),
+        };
+        row![i, k, i % 7, format!("s{}", i % 13)]
+    }))
+    .unwrap();
+    let small = db
+        .create_table(
+            "small",
+            Schema::from_pairs(&[("k", DataType::Double), ("tag", DataType::Str)]),
+        )
+        .unwrap();
+    small
+        .insert_all([
+            row![Value::Null, "null"],
+            row![f64::NAN, "nan"],
+            row![0.0, "zero"],
+            row![-0.0, "minus zero"],
+            row![7.0, "many, stored as Int"],
+            row![-1.5, "one"],
+            row![1234.5, "none"],
+        ])
+        .unwrap();
+    let tiers = Tiers::of("scan-arms", db);
+
+    let mut bites = Bites::default();
+    let cases = [
+        // The scan is the Select's first (and only) input.
+        (
+            "first input",
+            "SELECT b.id, b.k, b.s FROM big b WHERE b.v > 3",
+        ),
+        // The scan is the build side; `=` keys.
+        (
+            "build side",
+            "SELECT s.tag, b.id, b.s FROM small s, big b WHERE s.k = b.k",
+        ),
+        (
+            "filtered build side",
+            "SELECT s.tag, b.id FROM small s, big b WHERE s.k = b.k AND b.v < 2 AND b.id > 600",
+        ),
+        // A computed build key: rows first.
+        (
+            "computed key",
+            "SELECT s.tag, b.id FROM small s, big b WHERE s.k = b.k + 0",
+        ),
+        // Neither compiles to a kernel: the row-wise evaluator gets rows.
+        (
+            "in list",
+            "SELECT b.id, b.s FROM big b WHERE b.v IN (1, 5) AND b.id > 100",
+        ),
+        (
+            "arithmetic",
+            "SELECT s.tag, b.id FROM small s, big b WHERE s.k = b.k AND b.v + 1 > 6",
+        ),
+        // Zone maps refute every stripe.
+        ("all pruned", "SELECT b.id, b.s FROM big b WHERE b.id < -5"),
+        (
+            "all pruned build side",
+            "SELECT s.tag, b.id FROM small s, big b WHERE s.k = b.k AND b.id < -5",
+        ),
+        // Grand totals straight over the scan; over nothing, the row that
+        // the COUNT bug is about must still appear.
+        (
+            "total",
+            "SELECT COUNT(*), COUNT(b.k), SUM(b.v), MIN(b.k), MAX(b.s) FROM big b",
+        ),
+        (
+            "filtered total",
+            "SELECT COUNT(*), SUM(b.k), MIN(b.id) FROM big b WHERE b.v = 3 AND b.id >= 1024",
+        ),
+        (
+            "total over nothing",
+            "SELECT COUNT(*), SUM(b.v), MAX(b.k) FROM big b WHERE b.id < -5",
+        ),
+        (
+            "total of a subset of columns",
+            "SELECT SUM(d.v) FROM (SELECT b.v, b.id FROM big b WHERE b.id > 9) AS d",
+        ),
+        // Not a kernel total: DISTINCT, a computed argument.
+        (
+            "distinct total",
+            "SELECT COUNT(DISTINCT b.v), SUM(b.v + 1) FROM big b",
+        ),
+    ];
+    for (what, sql) in cases {
+        bites += check_bound_and_rewritten(what, &tiers, sql);
+    }
+
+    // The decorrelated re-join with the magic table matches NULL to NULL:
+    // the build-side join above with `IS NOT DISTINCT FROM` for `=` (which
+    // SQL text cannot say).
+    let mut plan = parse_and_bind(cases[1].1, &tiers.resident).unwrap();
+    let top = plan.top();
+    plan.boxmut(top).for_each_expr_mut(|e| {
+        if let Expr::Binary { op: op @ BinOp::Eq, .. } = e {
+            *op = BinOp::NullEq;
+        }
+    });
+    let null_eq = execute(&tiers.unindexed, &plan).unwrap().0;
+    let tagged = |tag: &str| null_eq.iter().filter(|r| r[0] == Value::str(tag)).count();
+    assert!(
+        tagged("null") > 1 && tagged("nan") > 1,
+        "NULL and NaN keys must match"
+    );
+    assert_eq!(tagged("zero"), tagged("minus zero"), "the zeros stay apart");
+    bites += check_plan("NullEq build side", &tiers, &plan, ExecOptions::default());
+
+    bites.assert_every_lane_bit();
 }
