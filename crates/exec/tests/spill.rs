@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use decorr_common::{row, DataType, Row, Schema, Value};
+use decorr_common::{row, Budget, DataType, Error, Row, Schema, Value};
 use decorr_exec::{execute_traced, ExecOptions, ExecTrace, JoinStrategy};
 use decorr_qgm::{AggFunc, BinOp, BoxKind, Expr, Qgm, QuantKind};
 use decorr_storage::{BufferPool, Database, SpillManager};
@@ -117,9 +117,23 @@ fn spilled_hash_join_is_byte_identical_to_in_memory() {
         let (reference, ref_stats, _) = execute_traced(&db, &g, ExecOptions::default()).unwrap();
         assert_eq!(ref_stats.spills, 0);
 
-        let opts =
-            ExecOptions { mem_budget: Some(50), spill: Some(spill_mgr()), ..Default::default() };
+        // One tick budget for both runs, linear in the input (8 ticks a
+        // row; the spilled pass takes 1): enough for one partitioned pass,
+        // hopeless for the O(n·m) block nested loop the executor falls back
+        // to without a spill manager.
+        let ticks = || Some(Budget::ticks(8 * (302 + 203)));
+        let opts = ExecOptions {
+            mem_budget: Some(50),
+            spill: Some(spill_mgr()),
+            timeout: ticks(),
+            ..Default::default()
+        };
         let (spilled, stats, trace) = execute_traced(&db, &g, opts).unwrap();
+        let no_spill = ExecOptions { mem_budget: Some(50), timeout: ticks(), ..Default::default() };
+        assert!(
+            matches!(execute_traced(&db, &g, no_spill), Err(Error::Timeout)),
+            "the in-memory fallback fit the budget the spilled run needed ({op:?})"
+        );
         assert!(
             used_grace(&trace, &g),
             "expected grace-hash:\n{}",

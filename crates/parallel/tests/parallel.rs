@@ -159,6 +159,18 @@ fn chaos_db() -> decorr_storage::Database {
     .unwrap()
 }
 
+/// Run a crash-seed sweep from four threads at once against the one
+/// shared cluster, each on its own `Chaos` — recovery under the concurrent
+/// load a query service generates. Every thread must hold the contract by
+/// itself; a panic in any of them fails the test when the scope closes.
+fn replayed_from_four_threads(sweep: impl Fn() + Sync) {
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(&sweep);
+        }
+    });
+}
+
 /// With a replica for every partition, a permanently crashed node must be
 /// invisible in the answer: the gathered run under every crash seed is
 /// **byte-identical** (same rows, same order) to the fault-free run.
@@ -172,14 +184,16 @@ fn gathered_chaos_recovers_byte_identically_with_replicas() {
     assert!(!baseline.is_empty());
     assert_eq!(base_stats.retries, 0);
 
-    for seed in 0..8u64 {
-        let chaos = Chaos::new(FaultPlan::single_crash(seed, 4));
-        let (rows, stats) = run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos))
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert_eq!(rows, baseline, "seed {seed} not byte-identical");
-        assert!(stats.failovers >= 1, "seed {seed} never failed over");
-        assert!(stats.redriven_rows > 0, "seed {seed} redrove no rows");
-    }
+    replayed_from_four_threads(|| {
+        for seed in 0..8u64 {
+            let chaos = Chaos::new(FaultPlan::single_crash(seed, 4));
+            let (rows, stats) = run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos))
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(rows, baseline, "seed {seed} not byte-identical");
+            assert!(stats.failovers >= 1, "seed {seed} never failed over");
+            assert!(stats.redriven_rows > 0, "seed {seed} redrove no rows");
+        }
+    });
 }
 
 /// Without replicas the same crash seeds must fail *closed*: a typed
@@ -189,11 +203,14 @@ fn gathered_chaos_without_replicas_fails_closed() {
     let db = chaos_db();
     let qgm = parse_and_bind(QUERY, &db).unwrap();
     let cluster = Cluster::partition_by_key(&db, 4).unwrap();
-    for seed in 0..8u64 {
-        let chaos = Chaos::new(FaultPlan::single_crash(seed, 4));
-        let err = run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos)).unwrap_err();
-        assert!(matches!(err, Error::NodeFailed(_)), "seed {seed}: {err:?}");
-    }
+    replayed_from_four_threads(|| {
+        for seed in 0..8u64 {
+            let chaos = Chaos::new(FaultPlan::single_crash(seed, 4));
+            let err =
+                run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos)).unwrap_err();
+            assert!(matches!(err, Error::NodeFailed(_)), "seed {seed}: {err:?}");
+        }
+    });
 }
 
 /// Seeded transient faults and finite crash windows are absorbed by retry

@@ -272,3 +272,27 @@ fn cached_readers_never_see_stale_epochs() {
     assert!(footer(&b.lines).contains("plan cache hit"), "{:?}", b.lines);
     assert_eq!(payload(&a.lines), payload(&b.lines));
 }
+
+/// The cache below the plan cache: two sessions pinned to `\strategy
+/// magic` on one catalog replay one correlated statement, so the
+/// SUPP / magic subtrees the first execution materialises are served to
+/// every later one — theirs and the other session's — with the same bytes.
+#[test]
+fn sessions_share_magic_subplans_with_identical_payloads() {
+    use decorr_tpcd::{empdept, queries};
+    let db = empdept::generate(&empdept::EmpDeptConfig::default()).unwrap();
+    let catalog = Arc::new(SharedCatalog::new(db));
+    let admission = Arc::new(AdmissionControl::new(Quotas::default()));
+    let mut payloads = Vec::new();
+    for id in [1, 2] {
+        let mut s = session_on(&catalog, &admission, id);
+        s.handle_line("\\strategy magic").unwrap();
+        for _ in 0..2 {
+            payloads.push(payload(&s.handle_line(queries::EMPDEPT).unwrap().lines));
+        }
+    }
+    assert!(!payloads[0].is_empty());
+    assert!(payloads.iter().all(|p| p == &payloads[0]), "{payloads:?}");
+    let stats = catalog.subplan_cache().stats();
+    assert!(stats.hits > 0, "no shared subplan was reused: {stats:?}");
+}

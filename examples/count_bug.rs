@@ -2,66 +2,19 @@
 //!
 //! Kim's method \[Kim82\] converts the aggregate subquery into a grouped
 //! table expression joined back in the outer block — and silently loses
-//! every outer row whose group is empty. Dayal's outer-join method and
-//! magic decorrelation return the correct answer.
+//! every outer row whose group is empty: those departments sit in
+//! buildings with zero employees, their correlated COUNT(*) is 0, and a
+//! grouped table expression can never produce that value. Dayal's
+//! outer-join method and magic decorrelation (left outer join +
+//! COALESCE(count, 0), the BugRemoval box) return nested iteration's rows.
+//!
+//! The same demonstration as `harness countbug`:
 //!
 //! ```text
 //! cargo run --example count_bug
 //! ```
 
-use decorr::prelude::*;
-use decorr_tpcd::empdept::{generate, EmpDeptConfig};
-use decorr_tpcd::queries::EMPDEPT;
-
-fn main() -> Result<()> {
-    let db = generate(&EmpDeptConfig {
-        departments: 100,
-        employees: 900,
-        buildings: 10,
-        seed: 7,
-        with_indexes: true,
-    })?;
-    let qgm = parse_and_bind(EMPDEPT, &db)?;
-
-    println!("query: {EMPDEPT}\n");
-
-    let mut results = Vec::new();
-    for s in [
-        Strategy::NestedIteration,
-        Strategy::Kim,
-        Strategy::Dayal,
-        Strategy::GanskiWong,
-        Strategy::Magic,
-    ] {
-        let plan = apply_strategy(&qgm, s)?;
-        let (mut rows, _) = execute(&db, &plan)?;
-        rows.sort();
-        println!("{:<8} -> {} rows", s.name(), rows.len());
-        results.push((s, rows));
-    }
-
-    let (_, ni) = &results[0];
-    let (_, kim) = &results[1];
-    let missing: Vec<_> = ni.iter().filter(|r| !kim.contains(r)).collect();
-    println!(
-        "\nKim's method lost {} department(s): {}",
-        missing.len(),
-        missing
-            .iter()
-            .map(|r| r[0].to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!(
-        "Those departments sit in buildings with zero employees; their \
-         correlated COUNT(*) is 0 — a value Kim's grouped table expression \
-         can never produce. Magic decorrelation repairs it with a left \
-         outer-join + COALESCE(count, 0) (the BugRemoval box)."
-    );
-
-    for (s, rows) in &results[2..] {
-        assert_eq!(rows, ni, "{} diverged", s.name());
-    }
-    println!("\nDayal, Ganski/Wong and Magic all match nested iteration.");
+fn main() -> decorr::prelude::Result<()> {
+    print!("{}", decorr::figures::count_bug_table()?);
     Ok(())
 }

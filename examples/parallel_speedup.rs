@@ -1,77 +1,17 @@
 //! Section 6: why decorrelation is *crucial* on shared-nothing clusters.
 //!
 //! Nested iteration broadcasts every correlation binding to every node —
-//! O(n²) computation fragments and 2(n−1) messages per binding — while the
-//! decorrelated plan repartitions once on the correlation attribute and
-//! then runs completely locally on each node.
+//! fragments grow as bindings × n and every binding costs 2(n−1) messages —
+//! while the decorrelated plan repartitions once on the correlation
+//! attribute, then runs one fragment per node completely locally.
+//!
+//! The same demonstration as `harness parallel --nodes 2,4,8,16`:
 //!
 //! ```text
 //! cargo run --release --example parallel_speedup
 //! ```
 
-use decorr::core::magic::MagicOptions;
-use decorr::parallel::{run_decorrelated, run_nested_iteration, Cluster};
-use decorr::prelude::*;
-use decorr_tpcd::empdept::{generate, EmpDeptConfig};
-use decorr_tpcd::queries::EMPDEPT;
-
-fn main() -> Result<()> {
-    let db = generate(&EmpDeptConfig {
-        departments: 400,
-        employees: 4_000,
-        buildings: 25,
-        seed: 42,
-        with_indexes: true,
-    })?;
-    let qgm = parse_and_bind(EMPDEPT, &db)?;
-
-    // Single-node truth.
-    let (mut truth, _) = execute(&db, &qgm)?;
-    truth.sort();
-    println!("single node: {} result rows\n", truth.len());
-
-    println!(
-        "{:<6} {:<14} {:>10} {:>10} {:>12} {:>10}",
-        "nodes", "strategy", "fragments", "messages", "total work", "skew"
-    );
-    for n in [2usize, 4, 8, 16] {
-        let cluster = Cluster::partition_by_key(&db, n)?;
-        let (mut rows, ni) = run_nested_iteration(&cluster, &qgm)?;
-        rows.sort();
-        assert_eq!(rows, truth);
-        println!(
-            "{:<6} {:<14} {:>10} {:>10} {:>12} {:>10.2}",
-            n,
-            "NI-broadcast",
-            ni.fragments,
-            ni.messages,
-            ni.total_work(),
-            ni.skew()
-        );
-
-        let mut cluster = Cluster::partition_by_key(&db, n)?;
-        let (mut rows, dc) = run_decorrelated(
-            &mut cluster,
-            &qgm,
-            &[("dept", "building"), ("emp", "building")],
-            &MagicOptions::default(),
-        )?;
-        rows.sort();
-        assert_eq!(rows, truth);
-        println!(
-            "{:<6} {:<14} {:>10} {:>10} {:>12} {:>10.2}",
-            n,
-            "Magic",
-            dc.fragments,
-            dc.messages,
-            dc.total_work(),
-            dc.skew()
-        );
-    }
-    println!(
-        "\nNI fragments grow as bindings x n (O(n^2) work spread); the \
-         decorrelated plan runs one fragment per node and communicates \
-         only while repartitioning."
-    );
+fn main() -> decorr::prelude::Result<()> {
+    print!("{}", decorr::figures::parallel_table(&[2, 4, 8, 16], 42)?);
     Ok(())
 }

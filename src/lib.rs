@@ -40,6 +40,7 @@
 //! ```
 
 pub mod choose;
+pub mod figures;
 pub mod plan_cache;
 
 pub use decorr_common as common;

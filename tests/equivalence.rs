@@ -59,7 +59,7 @@ fn run_strategy(db: &Database, sql: &str, s: Strategy) -> Result<Vec<Row>> {
 }
 
 /// Assert that all given strategies agree with nested iteration. On a
-/// mismatch, [`decorr_bench::diff_strategies`] dumps both EXPLAIN plans,
+/// mismatch, [`decorr::figures::diff_strategies`] dumps both EXPLAIN plans,
 /// both rewrite/execution traces and the first differing row.
 fn assert_equivalent(db: &Database, sql: &str, strategies: &[Strategy]) {
     let expected = run_strategy(db, sql, Strategy::NestedIteration).unwrap();
@@ -67,7 +67,7 @@ fn assert_equivalent(db: &Database, sql: &str, strategies: &[Strategy]) {
         let got = run_strategy(db, sql, s)
             .unwrap_or_else(|e| panic!("strategy {} failed on {sql:?}: {e}", s.name()));
         if got != expected {
-            let dump = decorr_bench::diff_strategies(
+            let dump = decorr::figures::diff_strategies(
                 db,
                 sql,
                 Strategy::NestedIteration,

@@ -32,9 +32,9 @@
 
 use std::sync::Arc;
 
+use decorr::figures::Figure;
 use decorr::prelude::*;
 use decorr::row;
-use decorr_bench::Figure;
 use decorr_common::{RealEnv, MORSEL_ROWS};
 use decorr_qgm::{BinOp, Expr};
 use decorr_server::SharedCatalog;

@@ -62,7 +62,7 @@ fn invocation_counts_are_in_the_papers_ballpark() {
 #[test]
 #[ignore = "generates the full 716k-row database"]
 fn full_scale_figure_shapes() {
-    use decorr_bench::{run_figure, Figure};
+    use decorr::figures::{run_figure, run_strategy, Figure};
     let db = db();
     // Figure 8 at full scale: OptMag within 2x of NI; Kim and Dayal at
     // least 15x worse (the paper: "orders of magnitude"). The ratios were
@@ -81,9 +81,27 @@ fn full_scale_figure_shapes() {
     assert!(work(Strategy::Kim) > 15.0 * work(Strategy::OptMag));
     assert!(work(Strategy::Dayal) > 15.0 * work(Strategy::OptMag));
 
-    // Figure 9: magic beats NI by at least 3x in work.
+    // Figure 9. The paper's claim — Magic at least 3x cheaper than NI — is
+    // about its own executor, which re-ran the subquery on every
+    // invocation: hold it against `naive_ni()` (6.8x today).
     let ms = run_figure(Figure::Fig9, &db).unwrap();
-    let ni = ms[0].stats.total_work() as f64;
-    let mag = ms[1].stats.total_work() as f64;
-    assert!(mag * 3.0 < ni, "fig9: mag {mag} vs ni {ni}");
+    let (ni, mag) = (&ms[0].stats, ms[1].stats.total_work());
+    let (_, naive) = run_strategy(
+        &db,
+        Figure::Fig9.sql(),
+        Strategy::NestedIteration,
+        ExecOptions::default().naive_ni(),
+    )
+    .unwrap();
+    let naive = naive.stats.total_work();
+    assert!(mag * 3 < naive, "fig9: mag {mag} vs naive ni {naive}");
+    // Guravannavar's correction beside it: the 200 invocations carry 5
+    // distinct bindings, so NI that remembers them undercuts Magic.
+    assert_eq!(ni.subquery_invocations, 200);
+    assert_eq!(ni.subquery_distinct_invocations, 5);
+    assert!(
+        ni.total_work() < mag,
+        "fig9: memoised ni {} vs mag {mag}",
+        ni.total_work()
+    );
 }

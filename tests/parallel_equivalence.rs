@@ -7,9 +7,9 @@
 //! [`ExecStats`] must equal the serial counters exactly (the pool's
 //! determinism contract, not just row equality).
 
+use decorr::figures::{run_figure_with, run_strategy, Figure};
 use decorr::prelude::Strategy as ExecStrategy;
 use decorr::prelude::*;
-use decorr_bench::{Figure, BASELINE_FIGURES};
 use decorr_common::MORSEL_ROWS;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -238,13 +238,12 @@ proptest! {
 /// The paper's benchmark queries, serial vs parallel, every strategy.
 #[test]
 fn figure_queries_parallel_equal_serial() {
-    for fig in BASELINE_FIGURES {
+    for fig in [Figure::Fig5, Figure::Fig8, Figure::Fig9] {
         let db = fig.database(0.02, 42).unwrap();
         for s in fig.strategies() {
-            let (mut srows, _) =
-                decorr_bench::run_strategy(&db, fig.sql(), s, fig.exec_opts_threads(s, 1)).unwrap();
-            let (mut prows, _) =
-                decorr_bench::run_strategy(&db, fig.sql(), s, fig.exec_opts_threads(s, 4)).unwrap();
+            let opts = |threads| ExecOptions { threads, ..fig.exec_opts(s) };
+            let (mut srows, _) = run_strategy(&db, fig.sql(), s, opts(1)).unwrap();
+            let (mut prows, _) = run_strategy(&db, fig.sql(), s, opts(4)).unwrap();
             srows.sort();
             prows.sort();
             assert_eq!(prows, srows, "{} diverged on {}", s.name(), fig.id());
@@ -258,8 +257,8 @@ fn figure_queries_parallel_equal_serial() {
 fn run_figure_accepts_thread_count() {
     let fig = Figure::Fig8;
     let db = fig.database(0.02, 42).unwrap();
-    let serial = decorr_bench::run_figure_with(fig, &db, 1).unwrap();
-    let parallel = decorr_bench::run_figure_with(fig, &db, 4).unwrap();
+    let serial = run_figure_with(fig, &db, 1).unwrap();
+    let parallel = run_figure_with(fig, &db, 4).unwrap();
     for (a, b) in serial.iter().zip(parallel.iter()) {
         assert_eq!(a.rows, b.rows, "{} row count changed", a.strategy.name());
     }

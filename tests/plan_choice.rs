@@ -139,7 +139,7 @@ fn chosen_plan_is_competitive_with_the_best_measured_strategy() {
     // plan's measured total work stays within 2x of the best choosable
     // strategy's measured work (each strategy run with its figure's
     // execution options, e.g. Fig 8's NI places the subquery early).
-    use decorr_bench::{race_figure, Figure};
+    use decorr::figures::{race_figure, Figure};
     for fig in Figure::all() {
         let db = fig.database(0.02, 42).unwrap();
         let outcome = race_figure(fig, &db).unwrap();
@@ -151,6 +151,16 @@ fn chosen_plan_is_competitive_with_the_best_measured_strategy() {
             outcome.chosen_work,
             outcome.best_strategy.name(),
             outcome.best_work
+        );
+        // The cost estimate behind the pick is held here too (worst today:
+        // fig 7 at 2.72). It grows with scale — 10.6 at 0.1, 81.5 at 1.0 —
+        // which EXPERIMENTS.md records and ROADMAP 2(b) owns.
+        assert!(
+            outcome.cost_q_error() <= 4.0,
+            "{}: estimated {:.0} for {} work units done",
+            fig.id(),
+            outcome.choice.estimate.cost,
+            outcome.chosen_work
         );
     }
 }

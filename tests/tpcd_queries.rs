@@ -233,3 +233,55 @@ fn memoizing_the_supplementary_cse_preserves_results() {
     // Materializing SUPP instead of recomputing it reads strictly less.
     assert!(b_stats.rows_scanned < a_stats.rows_scanned);
 }
+
+/// The three nested-iteration lanes on the figure queries: memoising a
+/// binding (`memo`) and batching the outer rows on top (`batched`, the
+/// default) may change what executes, never what the plan asks for or
+/// what it answers — and a memo hit that saves no work is a bug.
+#[test]
+fn ni_lanes_agree_and_a_memo_hit_always_saves_work() {
+    let db = db();
+    for (name, sql) in [
+        ("fig5", queries::Q1A),
+        ("fig6", queries::Q1B),
+        ("fig8", queries::Q2),
+        ("fig9", queries::Q3),
+    ] {
+        let qgm = parse_and_bind(sql, db).unwrap();
+        let lane = |opts: ExecOptions| execute_with(db, &qgm, opts).unwrap();
+        let (naive_rows, naive) = lane(ExecOptions::default().naive_ni());
+        assert_eq!(
+            naive.subquery_distinct_invocations, naive.subquery_invocations,
+            "{name}: the naive lane executes every invocation"
+        );
+        for (label, opts) in [
+            (
+                "memo",
+                ExecOptions { ni_batch: false, ..Default::default() },
+            ),
+            ("batched", ExecOptions::default()),
+        ] {
+            let (rows, s) = lane(opts);
+            assert_eq!(rows, naive_rows, "{name} {label}: rows or row order");
+            assert_eq!(
+                s.subquery_invocations, naive.subquery_invocations,
+                "{name} {label}"
+            );
+            assert_eq!(
+                s.subquery_invocations,
+                s.subquery_distinct_invocations + s.subquery_memo_hits,
+                "{name} {label}"
+            );
+            let saved = naive.total_work() as i64 - s.total_work() as i64;
+            assert!(
+                if s.subquery_memo_hits > 0 {
+                    saved > 0
+                } else {
+                    saved >= 0
+                },
+                "{name} {label}: {} memo hits saved {saved} work units",
+                s.subquery_memo_hits
+            );
+        }
+    }
+}
