@@ -50,8 +50,6 @@ pub struct ExecStats {
     /// subquery_distinct_invocations + subquery_memo_hits` holds for every
     /// run.
     pub subquery_memo_hits: u64,
-    /// Rows materialized into temporary tables (SUPP, MAGIC, views, ...).
-    pub rows_materialized: u64,
     /// Predicate evaluations applied to candidate rows.
     pub predicate_evals: u64,
     /// Rows emitted as the final query result.
@@ -102,21 +100,7 @@ impl ExecStats {
             + self.nl_comparisons
             + self.join_output_rows
             + self.agg_input_rows
-            + self.rows_materialized
             + self.predicate_evals
-    }
-
-    /// Fraction of subplan materialization served by the cross-query
-    /// shared-subplan cache: `reused / (reused + materialized)`. A method
-    /// (not a field) so the struct stays `Eq` and equality gates that
-    /// compare stats across runs keep holding bit-for-bit.
-    pub fn shared_work_ratio(&self) -> f64 {
-        let total = self.shared_subplan_rows + self.rows_materialized;
-        if total == 0 {
-            0.0
-        } else {
-            self.shared_subplan_rows as f64 / total as f64
-        }
     }
 }
 
@@ -134,7 +118,6 @@ impl AddAssign for ExecStats {
         self.subquery_invocations += o.subquery_invocations;
         self.subquery_distinct_invocations += o.subquery_distinct_invocations;
         self.subquery_memo_hits += o.subquery_memo_hits;
-        self.rows_materialized += o.rows_materialized;
         self.predicate_evals += o.predicate_evals;
         self.output_rows += o.output_rows;
         self.degradations += o.degradations;
@@ -167,7 +150,6 @@ impl fmt::Display for ExecStats {
             self.subquery_distinct_invocations
         )?;
         writeln!(f, "  memo hits      {:>12}", self.subquery_memo_hits)?;
-        writeln!(f, "materialized     {:>12}", self.rows_materialized)?;
         writeln!(f, "predicate evals  {:>12}", self.predicate_evals)?;
         writeln!(f, "output rows      {:>12}", self.output_rows)?;
         writeln!(f, "degradations     {:>12}", self.degradations)?;

@@ -17,16 +17,20 @@ use std::time::Instant;
 
 use decorr_common::columnar::{self, Column, ColumnarBatch, SelVec};
 use decorr_common::{
-    Budget, CancelToken, Error, ExecStats, FxHashMap, FxHashSet, FxHasher, Result, Row, RowBatch,
-    Value, WorkerPool, MORSEL_ROWS,
+    Budget, CancelToken, Error, ExecStats, FxHashMap, FxHashSet, Result, Row, RowBatch, Value,
+    WorkerPool, MORSEL_ROWS,
 };
-use decorr_qgm::{AggFunc, BinOp, BoxId, BoxKind, Expr, OutputCol, Qgm, QuantId, QuantKind, UnOp};
+use decorr_qgm::{BinOp, BoxId, BoxKind, Expr, OutputCol, Qgm, QuantId, QuantKind, UnOp};
 use decorr_storage::{Bound, Database, PageIo, SpillManager, Stripes, Table};
 
 use crate::env::{Env, Layout};
 use crate::eval::{eval_expr, qualifies};
+use crate::group::{
+    build_groups, grand_total_cols, grand_total_groups, merge_groups, sort_groups, AggSlot, Group,
+    GroupKeys,
+};
 use crate::join::{self, EquiKeys, JoinSide};
-use crate::scan::PagedSel;
+use crate::scan::{ScanSel, Source};
 use crate::subplan::{SharedSubplans, SubplanLookup, SubplanShape};
 use crate::trace::{ExecTrace, JoinStrategy};
 use crate::vector;
@@ -362,44 +366,44 @@ impl Rows {
 }
 
 /// One input of a Select, scanned and filtered but not yet joined: rows, or
-/// the survivors of a paged scan still on their pages. Whichever step
+/// the survivors of a full scan still in their table. Whichever step
 /// consumes it decides how much of it ever becomes rows.
 enum Input<'t> {
     Rows(Rows),
-    Paged(PagedSel<'t>),
+    Scan(ScanSel<'t>),
 }
 
 impl Input<'_> {
-    /// Rows in the input (for a paged scan, the survivors), so the greedy
-    /// join order never depends on where an input lives.
+    /// Rows in the input (for a scan, the survivors), so the greedy join
+    /// order never depends on where an input lives.
     fn len(&self) -> usize {
         match self {
             Input::Rows(rows) => rows.len(),
-            Input::Paged(sel) => sel.len(),
+            Input::Scan(sel) => sel.len(),
         }
     }
 }
 
-/// A Select that only scans a paged table: its quantifier, the table's
-/// row count and stripes, and the table column behind each output.
-type ScanOnly<'t> = (QuantId, usize, Stripes<'t>, Vec<usize>);
+/// A Select that only scans a table: its quantifier, the table, and the
+/// table column behind each output.
+type ScanOnly<'t> = (QuantId, &'t Table, Vec<usize>);
 
-/// What a scan-only Select hands a grand total: the scan's survivors and
-/// the table column behind each of the Select's outputs.
-type ScannedOutputs<'t> = (PagedSel<'t>, Vec<usize>);
+/// What a scan-only Select hands a grand total or an outer join: the
+/// scan's survivors and the table column behind each output.
+type ScannedOutputs<'t> = (ScanSel<'t>, Vec<usize>);
 
 /// The right-hand (build) side of a join step, borrowed.
 #[derive(Clone, Copy)]
 enum Build<'r, 't> {
     Rows(&'r [Row]),
-    Paged(&'r PagedSel<'t>),
+    Scan(&'r ScanSel<'t>),
 }
 
 impl<'t> Input<'t> {
     fn as_build(&self) -> Build<'_, 't> {
         match self {
             Input::Rows(rows) => Build::Rows(rows),
-            Input::Paged(sel) => Build::Paged(sel),
+            Input::Scan(sel) => Build::Scan(sel),
         }
     }
 }
@@ -743,22 +747,6 @@ impl<'a> Executor<'a> {
         n.div_ceil(budget).clamp(2, 256)
     }
 
-    /// Record a join-strategy decision for the current box.
-    fn note_join(
-        &mut self,
-        quant: QuantId,
-        strategy: JoinStrategy,
-        left_rows: u64,
-        right_rows: u64,
-        out_rows: u64,
-    ) {
-        if let Some(trace) = &mut self.trace {
-            if let Some(&b) = self.box_stack.last() {
-                trace.note_join(b, quant, strategy, left_rows, right_rows, out_rows);
-            }
-        }
-    }
-
     fn eval_box_inner(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Vec<Row>> {
         self.checkpoint(0)?;
         match &qgm.boxref(b).kind {
@@ -1007,7 +995,7 @@ impl<'a> Executor<'a> {
             } else if bound.is_empty() {
                 // The first input in join order is the running row set as
                 // it stands — there is nothing to join it to, so this is
-                // where a paged scan's survivors become rows. A deferred
+                // where a scan's survivors become rows. A deferred
                 // table has no bound row to drive its index: scan it.
                 let first = match child_rows.remove(&next) {
                     Some(scanned) => scanned,
@@ -1367,12 +1355,12 @@ impl<'a> Executor<'a> {
         cols
     }
 
-    /// The input as rows: a paged scan's survivors are gathered, all of
-    /// them, now.
+    /// The input as rows: a scan's survivors are gathered, all of them,
+    /// now.
     fn gathered(&mut self, input: Input<'_>) -> Result<Rows> {
         match input {
             Input::Rows(rows) => Ok(rows),
-            Input::Paged(sel) => {
+            Input::Scan(sel) => {
                 let mut io = PageIo::default();
                 let rows = sel.gather(&mut io)?;
                 self.note_io(io);
@@ -1470,16 +1458,16 @@ impl<'a> Executor<'a> {
         // Full scan. Under `columnar` the filter columns transpose into the
         // per-run batch cache once, and each (re-)scan — notably nested
         // iteration's correlated re-scans, whose outer bindings compile to
-        // literals — runs the filter kernels over it.
+        // literals — runs the filter kernels over it. The survivors stay
+        // where they are: the resident rows are the selection's one stripe.
         self.stats.rows_scanned += t.len() as u64;
-        if kept.is_empty() {
-            return Ok(owned(t.rows().to_vec()));
+        if !kept.is_empty() {
+            self.checkpoint(t.len() as u64)?;
         }
-        self.checkpoint(t.len() as u64)?;
-        let sel = self.select_rows(t.rows(), Some(t), q_layout, &kept, env)?;
-        Ok(owned(
-            sel.iter().map(|&i| t.rows()[i as usize].clone()).collect(),
-        ))
+        let survivors = self.select_rows(t.rows(), Some(t), q_layout, &kept, env)?;
+        let mut sel = ScanSel::new(Source::Rows(t.rows()), read);
+        sel.push(0, survivors);
+        Ok(Input::Scan(sel))
     }
 
     /// Scan a paged table through the buffer pool, stripe by stripe. A
@@ -1529,7 +1517,7 @@ impl<'a> Executor<'a> {
             true => (0..q_layout.width()).collect(),
             false => read,
         };
-        let mut sel = PagedSel::new(stripes, read);
+        let mut sel = ScanSel::new(Source::Stripes(stripes), read);
         let mut evals = 0u64;
         for page in live {
             self.checkpoint(0)?;
@@ -1542,9 +1530,9 @@ impl<'a> Executor<'a> {
         self.note_io(io);
         self.note_preds(evals);
         if !row_wise {
-            return Ok(Input::Paged(sel));
+            return Ok(Input::Scan(sel));
         }
-        let rows = self.gathered(Input::Paged(sel))?.into_vec();
+        let rows = self.gathered(Input::Scan(sel))?.into_vec();
         let rows = self.filter_rows(rows, q_layout, kept, env)?;
         Ok(Input::Rows(Rows::Owned(rows)))
     }
@@ -1740,9 +1728,9 @@ impl<'a> Executor<'a> {
     /// `applicable` become join keys and are removed from the list;
     /// everything else stays for the caller's residual filter.
     ///
-    /// A paged scan on the right becomes rows here, in full, unless the
-    /// in-memory hash join can take its key columns straight off the pages
-    /// ([`Executor::paged_key_cols`]) and make rows of the matches only.
+    /// A scan on the right becomes rows here, in full, unless the in-memory
+    /// hash join can take its key columns straight off the table
+    /// ([`Executor::scan_key_cols`]) and make rows of the matches only.
     #[allow(clippy::too_many_arguments)]
     fn join_step(
         &mut self,
@@ -1764,9 +1752,9 @@ impl<'a> Executor<'a> {
         let gathered;
         let right = match right {
             Build::Rows(right) => right,
-            Build::Paged(sel) => match self.paged_key_cols(&keys, next, sel.len()) {
+            Build::Scan(sel) => match self.scan_key_cols(&keys.right, next, sel.len()) {
                 Some(cols) => {
-                    let out = self.paged_hash_join(rows, layout, sel, &cols, &keys, env)?;
+                    let out = self.scan_hash_join(rows, layout, sel, &cols, &keys, env)?;
                     self.note_joined(next, JoinStrategy::Hash, rows.len(), sel.len(), out.len());
                     return Ok(out);
                 }
@@ -1811,31 +1799,30 @@ impl<'a> Executor<'a> {
         out_rows: usize,
     ) {
         self.stats.join_output_rows += out_rows as u64;
-        self.note_join(
-            quant,
-            strategy,
-            left_rows as u64,
-            right_rows as u64,
-            out_rows as u64,
-        );
+        if let Some(trace) = &mut self.trace {
+            if let Some(&b) = self.box_stack.last() {
+                let (l, r, out) = (left_rows as u64, right_rows as u64, out_rows as u64);
+                trace.note_join(b, quant, strategy, l, r, out);
+            }
+        }
     }
 
-    /// The table columns keying a paged build side of `build_rows` rows,
-    /// when the in-memory hash join can read them off the pages: kernels
-    /// on, every build key a plain column of the scanned quantifier, the
-    /// build side within the memory budget. Anything else — a computed
-    /// key, the row-wise reference configuration, a Grace spill or a
-    /// block nested-loop degradation — joins rows.
-    fn paged_key_cols(
+    /// The columns keying a scanned build side of `build_rows` rows, when
+    /// the in-memory hash join can read them off the table: kernels on,
+    /// every build key a plain column of the scanned quantifier, the build
+    /// side within the memory budget. Anything else — a computed key, the
+    /// row-wise reference configuration, a Grace spill or a block
+    /// nested-loop degradation — joins rows.
+    fn scan_key_cols(
         &self,
-        keys: &EquiKeys<'_>,
+        right_keys: &[join::KeyExpr<'_>],
         next: QuantId,
         build_rows: usize,
     ) -> Option<Vec<usize>> {
-        if !self.opts.columnar || keys.right.is_empty() || self.over_mem_budget(build_rows) {
+        if !self.opts.columnar || right_keys.is_empty() || self.over_mem_budget(build_rows) {
             return None;
         }
-        keys.right
+        right_keys
             .iter()
             .map(|(k, _)| match k {
                 Expr::Col { quant, col } if *quant == next => Some(*col),
@@ -1844,26 +1831,22 @@ impl<'a> Executor<'a> {
             .collect()
     }
 
-    /// The in-memory hash join with a paged scan as its build side: hash
-    /// the key columns `cols` at the scan's surviving positions (copied
-    /// out of their pages, so nothing stays pinned while the join runs),
-    /// match as ever, then make a row of each build survivor that found a
-    /// partner — once, however many partners — and concatenate.
-    fn paged_hash_join(
+    /// The in-memory hash join with a scan as its build side: hash the key
+    /// columns `cols` at the scan's surviving positions (copied out of the
+    /// table, so nothing stays pinned while the join runs), match as ever,
+    /// then make a row of each build survivor that found a partner — once,
+    /// however many partners — and concatenate.
+    fn scan_hash_join(
         &mut self,
         rows: &[Row],
         layout: &Layout,
-        build: &PagedSel<'_>,
+        build: &ScanSel<'_>,
         cols: &[usize],
         keys: &EquiKeys<'_>,
         env: Option<&Env<'_>>,
     ) -> Result<Vec<Row>> {
         let mut io = PageIo::default();
-        let parts = cols
-            .iter()
-            .map(|&col| build.column(col, &mut io))
-            .collect::<Result<Vec<_>>>()?;
-        let rs = JoinSide::from_columns(parts, keys.right.iter().map(|&(_, ok)| ok).collect());
+        let rs = JoinSide::from_scan(build, cols, &keys.right, &mut io)?;
         let ls = JoinSide::build(&self.pool, rows, layout, &keys.left, env, true)?;
         let pairs = self.hash_pairs(&ls, &rs, rows.len(), build.len())?;
         let (matched, slot) = build.gather_matched(pairs.iter().map(|&(_, ri)| ri), &mut io)?;
@@ -2103,14 +2086,8 @@ impl<'a> Executor<'a> {
                 out.push(l.concat(&t.rows()[p]));
             }
         }
-        self.stats.join_output_rows += out.len() as u64;
-        self.note_join(
-            next,
-            JoinStrategy::IndexNestedLoop,
-            rows.len() as u64,
-            t.len() as u64,
-            out.len() as u64,
-        );
+        let strategy = JoinStrategy::IndexNestedLoop;
+        self.note_joined(next, strategy, rows.len(), t.len(), out.len());
         Ok(out)
     }
 
@@ -2182,13 +2159,12 @@ impl<'a> Executor<'a> {
                 self.check_mem(out.len(), "lateral join")?;
             }
         }
-        self.stats.join_output_rows += out.len() as u64;
-        self.note_join(
+        self.note_joined(
             next,
             JoinStrategy::Lateral,
-            rows.len() as u64,
-            rows.len() as u64,
-            out.len() as u64,
+            rows.len(),
+            rows.len(),
+            out.len(),
         );
         Ok(out)
     }
@@ -2329,15 +2305,16 @@ impl<'a> Executor<'a> {
         }
 
         let kernel_cols = kernel_cols.filter(|_| !over_budget);
+        let keys = &GroupKeys::compile(group_by, &layout, self.opts.columnar);
 
         // One accumulator vector per group (one accumulator per agg slot),
         // in first-appearance order. Large inputs aggregate into
         // thread-local tables over contiguous slices, merged in slice
         // order — the merge replays distinct values in first-seen order,
         // so the result is the one the serial fold produces.
-        let groups: Vec<(Vec<Value>, Vec<Acc>)> = if let Some(mgr) = &spilling {
+        let groups: Vec<Group> = if let Some(mgr) = &spilling {
             let parts = self.spill_parts(input.len());
-            match self.spilled_groups(&input, &layout, env, group_by, &agg_slots, mgr, parts) {
+            match self.spilled_groups(&input, &layout, env, keys, &agg_slots, mgr, parts) {
                 Ok(groups) => groups,
                 // Fail-closed ENOSPC: the spill partitions cannot grow, so
                 // degrade to the spill-free sort-based path (key-sorted
@@ -2347,12 +2324,12 @@ impl<'a> Executor<'a> {
                         "spill device full (ENOSPC); falling back to \
                          sort-based aggregation",
                     );
-                    sort_groups(&input, &layout, env, group_by, &agg_slots)?
+                    sort_groups(&input, &layout, env, keys, &agg_slots)?
                 }
                 Err(e) => return Err(e),
             }
         } else if degraded {
-            sort_groups(&input, &layout, env, group_by, &agg_slots)?
+            sort_groups(&input, &layout, env, keys, &agg_slots)?
         } else if let Some((sel, out_cols)) = scan.as_ref().filter(|(sel, _)| sel.len() > 0) {
             let cols = kernel_cols
                 .as_ref()
@@ -2372,55 +2349,36 @@ impl<'a> Executor<'a> {
             grand_total_groups(input.len(), Some(input[0].clone()), &agg_slots, &args)?
         } else if self.parallel_over(input.len()) {
             let partials = self.pool.map_worker_slices(&input, |slice| {
-                build_groups(slice, &layout, env, group_by, &agg_slots, true)
+                build_groups(slice, &layout, env, keys, &agg_slots, true)
             });
-            let mut merged: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
+            let mut merged: Vec<Group> = Vec::new();
             let mut index: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
             for partial in partials {
                 merge_groups(&mut merged, &mut index, partial?.0, &agg_slots)?;
             }
             merged
         } else {
-            build_groups(&input, &layout, env, group_by, &agg_slots, false)?.0
+            build_groups(&input, &layout, env, keys, &agg_slots, false)?.0
         };
         let mut groups = groups;
 
         // A grand-total aggregate (no GROUP BY) over empty input still
         // produces one row — the asymmetry behind the COUNT bug.
         if groups.is_empty() && group_by.is_empty() {
-            groups.push((Vec::new(), vec![Acc::new(); agg_slots.len()]));
+            groups.push(Group::new(Vec::new(), None, agg_slots.len()));
         }
 
         self.stats.agg_groups += groups.len() as u64;
         self.check_mem(groups.len(), "grouping")?;
 
         let mut out = Vec::with_capacity(groups.len());
-        for (_key, accs) in &groups {
-            let rep = accs
-                .iter()
-                .find_map(|a| a.rep.clone())
-                .unwrap_or_else(|| Row::nulls(layout.width()));
-            let env1 = Env::new(&layout, &rep, env);
+        let nulls = Row::nulls(layout.width());
+        for group in &groups {
+            let env1 = Env::new(&layout, group.rep.as_ref().unwrap_or(&nulls), env);
             let mut row = Row(Vec::with_capacity(bx.outputs.len()));
             for (i, o) in bx.outputs.iter().enumerate() {
                 if let Some(si) = agg_slots.iter().position(|s| s.out_pos == i) {
-                    let acc = &accs[si];
-                    let slot = &agg_slots[si];
-                    let v = if acc.count == 0 {
-                        slot.func.empty_value()
-                    } else {
-                        match slot.func {
-                            AggFunc::Count => Value::Int(acc.count),
-                            AggFunc::Sum => acc.sum.clone(),
-                            // AVG is always a double, even when the sum
-                            // divides exactly (clients should not see the
-                            // result type vary with the data).
-                            AggFunc::Avg => Value::Double(acc.sum.as_double()? / acc.count as f64),
-                            AggFunc::Min => acc.min.clone(),
-                            AggFunc::Max => acc.max.clone(),
-                        }
-                    };
-                    row.0.push(v);
+                    row.0.push(group.accs[si].finish(agg_slots[si].func)?);
                 } else {
                     row.0.push(eval_expr(&o.expr, &env1)?);
                 }
@@ -2431,51 +2389,48 @@ impl<'a> Executor<'a> {
     }
 
     /// Evaluate the scan-only Select `b` (of `shape`, as
-    /// [`Executor::scan_only_select`] found it) for a grand total: the
-    /// scan's survivors, still on their pages, with the table column
-    /// behind each output — or, when the total will not run on kernels
-    /// after all (an input over the memory budget, predicates that had to
-    /// filter rows), the Select's rows. Counts and traces as `eval_box`
-    /// on `b` does.
+    /// [`Executor::scan_only_select`] found it) for a consumer that can
+    /// work from columns: the scan's survivors, still in their table, with
+    /// the table column behind each output — or, when that consumer will
+    /// not run on kernels after all (an input over the memory budget, an
+    /// index probe or predicates that had to make rows), the Select's
+    /// rows. Counts and traces as `eval_box` on `b` does.
     fn eval_scan_only_select(
         &mut self,
         qgm: &Qgm,
         b: BoxId,
-        (q, table_rows, stripes, out_cols): ScanOnly<'a>,
+        (q, t, out_cols): ScanOnly<'a>,
         env: Option<&Env<'_>>,
     ) -> Result<(RowBatch, Option<ScannedOutputs<'a>>)> {
-        let mut q_layout = Layout::new();
-        q_layout.push(q, qgm.output_arity(qgm.quant(q).input));
+        let preds: &[Expr] = &qgm.boxref(b).preds;
+        let every: Vec<usize> = (0..preds.len()).collect();
+        let mut read = out_cols.clone();
+        read.sort_unstable();
+        read.dedup();
         let scanned = self.traced(
             b,
             |ex| {
                 ex.checkpoint(0)?;
-                let kept: Vec<&Expr> = qgm.boxref(b).preds.iter().collect();
-                let whole = (0..q_layout.width()).collect();
-                ex.scan_paged(table_rows, stripes, q, &kept, whole, &q_layout, env)
+                ex.scan_table(t, q, preds, &every, read, env)
             },
             Input::len,
         )?;
         match scanned {
-            Input::Paged(sel) if !self.over_mem_budget(sel.len()) => {
+            Input::Scan(sel) if !self.over_mem_budget(sel.len()) => {
                 Ok((Vec::new().into(), Some((sel, out_cols))))
             }
             scanned => {
                 let rows = self.gathered(scanned)?.into_vec();
-                let rows = match out_cols.iter().copied().eq(0..q_layout.width()) {
-                    true => rows.into(),
-                    false => rows.iter().map(|r| r.project(&out_cols)).collect(),
-                };
-                Ok((rows, None))
+                Ok((select_shape(rows, &out_cols), None))
             }
         }
     }
 
-    /// Is box `b` a Select that does nothing but scan a paged table — one
+    /// Is box `b` a Select that does nothing but scan a table — one
     /// Foreach quantifier over it, every predicate on that quantifier, the
     /// outputs plain columns of it, no DISTINCT, and no cache that would
-    /// want the box's rows? Then: the quantifier, the table's row count
-    /// and stripes, and the table column behind each output.
+    /// want the box's rows? Then: the quantifier, the table, and the table
+    /// column behind each output.
     fn scan_only_select(&self, qgm: &Qgm, b: BoxId) -> Option<ScanOnly<'a>> {
         let bx = qgm.boxref(b);
         let &[q] = &bx.quants[..] else { return None };
@@ -2501,7 +2456,7 @@ impl<'a> Executor<'a> {
                 _ => None,
             })
             .collect::<Option<Vec<_>>>()?;
-        Some((q, t.len(), t.stripes()?, out_cols))
+        Some((q, t, out_cols))
     }
 
     // ---- Union and OuterJoin ------------------------------------------------
@@ -2528,13 +2483,17 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
+    /// Left outer join. When the right child is a scan-only Select —
+    /// Dayal's subquery block, its correlation predicate lifted into the
+    /// ON clause — and the scan's columns can key the hash table, the
+    /// child hands on its selection, the keys are hashed off the table and
+    /// only the build positions that found a partner become rows.
     fn eval_outer_join(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Vec<Row>> {
         let bx = qgm.boxref(b);
         let (ql, qr) = (bx.quants[0], bx.quants[1]);
-        let left = self.eval_child(qgm, qgm.quant(ql).input, env)?;
-        let right = self.eval_child(qgm, qgm.quant(qr).input, env)?;
-        let l_arity = qgm.output_arity(qgm.quant(ql).input);
-        let r_arity = qgm.output_arity(qgm.quant(qr).input);
+        let (lchild, rchild) = (qgm.quant(ql).input, qgm.quant(qr).input);
+        let l_arity = qgm.output_arity(lchild);
+        let r_arity = qgm.output_arity(rchild);
 
         let mut layout = Layout::new();
         layout.push(ql, l_arity);
@@ -2543,27 +2502,36 @@ impl<'a> Executor<'a> {
         l_layout.push(ql, l_arity);
         let mut r_layout = Layout::new();
         r_layout.push(qr, r_arity);
+        let keys = join::split_equi_keys(&bx.preds, &l_layout, qr);
 
-        self.checkpoint((left.len() + right.len()) as u64)?;
+        let left = self.eval_child(qgm, lchild, env)?;
+        let key_cols = self.scan_key_cols(&keys.right, qr, 0);
+        let shape = key_cols
+            .as_ref()
+            .and_then(|_| self.scan_only_select(qgm, rchild));
+        let (right, scan) = match shape {
+            None => (self.eval_child(qgm, rchild, env)?, None),
+            Some(shape) => self.eval_scan_only_select(qgm, rchild, shape, env)?,
+        };
+        let right_rows = scan.as_ref().map_or(right.len(), |(sel, _)| sel.len());
+
+        self.checkpoint((left.len() + right_rows) as u64)?;
 
         // Memory governance: the hash table covers the whole right side,
         // so when that exceeds the budget every ON predicate is treated as
         // residual — the keyless walk below tries every right row per left
         // row (a block nested-loop outer join), identical match semantics.
-        let degraded = self.over_mem_budget(right.len());
+        let degraded = self.over_mem_budget(right_rows);
         if degraded {
             self.note_degradation(&format!(
-                "outer-join build side of {} rows exceeds mem_budget; \
-                 using nested-loop outer join",
-                right.len()
+                "outer-join build side of {right_rows} rows exceeds mem_budget; \
+                 using nested-loop outer join"
             ));
-            self.stats.nl_comparisons += (left.len() * right.len()) as u64;
+            self.stats.nl_comparisons += (left.len() * right_rows) as u64;
         } else {
-            self.stats.hash_build_rows += right.len() as u64;
+            self.stats.hash_build_rows += right_rows as u64;
             self.stats.hash_probes += left.len() as u64;
         }
-        let on: &[Expr] = if degraded { &[] } else { &bx.preds };
-        let keys = join::split_equi_keys(on, &l_layout, qr);
         let residual: Vec<&Expr> = if degraded {
             bx.preds.iter().collect()
         } else {
@@ -2572,49 +2540,80 @@ impl<'a> Executor<'a> {
 
         // Key matches in left-row order; a keyless ON clause offers every
         // right row to every left row instead.
-        let keyed = !keys.left.is_empty();
-        let pairs = if keyed {
-            let (ls, rs) = self.join_sides(&left, &l_layout, &right, &r_layout, &keys, env)?;
-            let parallel = self.parallel_over(left.len().max(right.len()));
+        let keyed = !degraded && !keys.left.is_empty();
+        debug_assert!(
+            scan.is_none() || keyed,
+            "a scan is only kept for a hash table"
+        );
+        let mut io = PageIo::default();
+        let mut pairs = if keyed {
+            let (ls, rs) = match (&scan, key_cols) {
+                (Some((sel, out_cols)), Some(key_cols)) => {
+                    let cols: Vec<usize> = key_cols.iter().map(|&c| out_cols[c]).collect();
+                    let rs = JoinSide::from_scan(sel, &cols, &keys.right, &mut io)?;
+                    let ls = JoinSide::build(&self.pool, &left, &l_layout, &keys.left, env, true)?;
+                    (ls, rs)
+                }
+                _ => self.join_sides(&left, &l_layout, &right, &r_layout, &keys, env)?,
+            };
+            let parallel = self.parallel_over(left.len().max(right_rows));
             join::match_pairs(&self.pool, &ls, &rs, parallel)
         } else {
             Vec::new()
         };
+        // Of a scanned build side, the matched positions alone become rows
+        // (in the Select's output shape); the pairs then index those.
+        let right = match scan {
+            None => right,
+            Some((sel, out_cols)) => {
+                let (matched, slot) = sel.gather_matched(pairs.iter().map(|p| p.1), &mut io)?;
+                for p in &mut pairs {
+                    p.1 = slot[p.1 as usize];
+                }
+                select_shape(matched, &out_cols)
+            }
+        };
+        self.note_io(io);
         let every_right = 0..if keyed { 0 } else { right.len() };
 
         // Walk the candidates per left row: a candidate passing the
         // residual predicates emits a joined row; a left row nothing
-        // matched emits once, null-extended.
+        // matched emits once, null-extended. With plain-column outputs and
+        // no residual predicate every cell is copied once, from the left or
+        // the build row, through offsets compiled here; otherwise the
+        // evaluator reads a combined scratch row.
         let outputs = &bx.outputs;
+        let offsets = vector::compile_projection(outputs.iter().map(|o| &o.expr), &layout)
+            .filter(|_| self.opts.columnar && residual.is_empty());
         let nulls = Row::nulls(r_arity);
         let morsels = self.for_morsels(left.len(), |lo, hi| {
-            let mut out = Vec::new();
             let mut evals = 0u64;
-            // The combined (left ++ right) row only feeds predicate and
-            // projection evaluation — it is never stored — so one scratch
-            // buffer per morsel absorbs an allocation per candidate pair.
             let mut combined = Row::empty();
-            let mut at = pairs.partition_point(|&(li, _)| (li as usize) < lo);
-            for (li, l) in left[lo..hi].iter().enumerate() {
-                let from = at;
-                while pairs.get(at).is_some_and(|&(pl, _)| pl as usize == lo + li) {
-                    at += 1;
-                }
-                let candidates = pairs[from..at].iter().map(|&(_, ri)| ri as usize);
-                let mut matched = false;
-                for ri in candidates.chain(every_right.clone()) {
-                    l.concat_into(&right[ri], &mut combined);
+            let out = join::walk_outer(
+                &left,
+                lo..hi,
+                &pairs,
+                &right,
+                every_right.clone(),
+                |l, r, out| {
+                    if let Some(offs) = &offsets {
+                        let r = r.unwrap_or(&nulls);
+                        let cell = |&o: &usize| match o.checked_sub(l_arity) {
+                            None => l[o].clone(),
+                            Some(c) => r[c].clone(),
+                        };
+                        out.push(offs.iter().map(cell).collect());
+                        return Ok(true);
+                    }
+                    l.concat_into(r.unwrap_or(&nulls), &mut combined);
                     let env2 = Env::new(&layout, &combined, env);
-                    if qualifies_all(&residual, &env2, &mut evals)? {
-                        matched = true;
+                    let ok = r.is_none() || qualifies_all(&residual, &env2, &mut evals)?;
+                    if ok {
                         out.push(project_row(outputs, &env2)?);
                     }
-                }
-                if !matched {
-                    l.concat_into(&nulls, &mut combined);
-                    out.push(project_row(outputs, &Env::new(&layout, &combined, env))?);
-                }
-            }
+                    Ok(ok)
+                },
+            )?;
             Ok((out, evals))
         })?;
         let mut out = Vec::new();
@@ -2625,20 +2624,24 @@ impl<'a> Executor<'a> {
         }
         self.check_mem(out.len(), "outer join")?;
         self.note_preds(evals);
-        self.stats.join_output_rows += out.len() as u64;
         let strategy = if keyed {
             JoinStrategy::Hash
         } else {
             JoinStrategy::NestedLoop
         };
-        self.note_join(
-            qr,
-            strategy,
-            left.len() as u64,
-            right.len() as u64,
-            out.len() as u64,
-        );
+        self.note_joined(qr, strategy, left.len(), right_rows, out.len());
         Ok(out)
+    }
+}
+
+/// Rows of a scanned table as the rows of the scan-only Select whose
+/// outputs are the table columns `out_cols`.
+fn select_shape(rows: Vec<Row>, out_cols: &[usize]) -> RowBatch {
+    match rows.first() {
+        Some(r) if !out_cols.iter().copied().eq(0..r.arity()) => {
+            rows.iter().map(|r| r.project(out_cols)).collect()
+        }
+        _ => rows.into(),
     }
 }
 
@@ -2712,214 +2715,7 @@ fn untag_rows(spilled: Vec<Row>) -> Result<(Vec<i64>, Vec<Row>)> {
     Ok((origs, rows))
 }
 
-// ---- grouping support ------------------------------------------------------
-
-/// One aggregate call in a Grouping box's output list.
-struct AggSlot<'e> {
-    func: AggFunc,
-    arg: Option<&'e Expr>,
-    distinct: bool,
-    out_pos: usize,
-}
-
-/// One aggregated group: its key values plus one accumulator per slot.
-type Group = (Vec<Value>, Vec<Acc>);
-
-/// Accumulator state for one aggregate over one group.
-#[derive(Clone)]
-struct Acc {
-    count: i64,
-    sum: Value,
-    min: Value,
-    max: Value,
-    distinct: FxHashSet<Value>,
-    /// Distinct values in first-seen order. Parallel merges replay a later
-    /// slice's values through [`acc_update`] in this order, reproducing the
-    /// exact accumulation sequence of a serial scan (sum order included).
-    distinct_order: Vec<Value>,
-    /// Non-distinct SUM/AVG inputs in arrival order, recorded only by
-    /// parallel slice workers. Floating-point addition is not associative,
-    /// so merging partial sums would produce a (slightly) different Double
-    /// than the serial fold; the merge replays these values instead.
-    sum_order: Vec<Value>,
-    rep: Option<Row>, // representative row for group-column outputs
-}
-
-impl Acc {
-    fn new() -> Self {
-        Acc {
-            count: 0,
-            sum: Value::Null,
-            min: Value::Null,
-            max: Value::Null,
-            distinct: FxHashSet::default(),
-            distinct_order: Vec::new(),
-            sum_order: Vec::new(),
-            rep: None,
-        }
-    }
-}
-
-/// Fold a (non-NULL, distinct-deduplicated upstream of the DISTINCT check
-/// here) value into an accumulator.
-fn acc_update(slot: &AggSlot<'_>, acc: &mut Acc, v: Value) -> Result<()> {
-    if slot.distinct {
-        if !acc.distinct.insert(v.clone()) {
-            return Ok(());
-        }
-        acc.distinct_order.push(v.clone());
-    }
-    acc.count += 1;
-    match slot.func {
-        AggFunc::Count => {}
-        AggFunc::Sum | AggFunc::Avg => {
-            acc.sum = if acc.sum.is_null() {
-                v.clone()
-            } else {
-                acc.sum.add(&v)?
-            };
-        }
-        AggFunc::Min | AggFunc::Max => {
-            if acc.min.is_null() || v < acc.min {
-                acc.min = v.clone();
-            }
-            if acc.max.is_null() || v > acc.max {
-                acc.max = v;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Per-slot kernel argument offsets for a vectorizable grand total:
-/// `None` inside the vec means `COUNT(*)`. `None` overall when any slot
-/// needs the row-wise fold (DISTINCT, computed or unbound arguments).
-fn grand_total_cols(slots: &[AggSlot<'_>], layout: &Layout) -> Option<Vec<Option<usize>>> {
-    slots
-        .iter()
-        .map(|s| {
-            if s.distinct {
-                return None;
-            }
-            match s.arg {
-                None => Some(None),
-                Some(Expr::Col { quant, col }) => {
-                    layout.offset_of(*quant).map(|off| Some(off + col))
-                }
-                Some(_) => None,
-            }
-        })
-        .collect()
-}
-
-/// Vectorized grand-total aggregation over `rows` input rows: one
-/// accumulator per slot, computed by the columnar COUNT/SUM/MIN/MAX
-/// kernels over the slot's argument column (`None`: `COUNT(*)`) instead of
-/// a per-row fold. `rep` is the representative row for group column
-/// outputs — the first input row, exactly as the serial fold sets it, or
-/// nothing when every output is an aggregate.
-fn grand_total_groups(
-    rows: usize,
-    rep: Option<Row>,
-    slots: &[AggSlot<'_>],
-    args: &[Option<Column>],
-) -> Result<Vec<(Vec<Value>, Vec<Acc>)>> {
-    let mut accs = Vec::with_capacity(slots.len());
-    for (slot, arg) in slots.iter().zip(args) {
-        let mut acc = Acc::new();
-        acc.rep = rep.clone();
-        match arg {
-            None => acc.count = rows as i64, // COUNT(*): every row counts
-            Some(c) => {
-                acc.count = columnar::count_kernel(c);
-                match slot.func {
-                    AggFunc::Count => {}
-                    AggFunc::Sum | AggFunc::Avg => acc.sum = columnar::sum_kernel(c)?,
-                    AggFunc::Min | AggFunc::Max => {
-                        acc.min = columnar::min_kernel(c);
-                        acc.max = columnar::max_kernel(c);
-                    }
-                }
-            }
-        }
-        accs.push(acc);
-    }
-    Ok(vec![(Vec::new(), accs)])
-}
-
-/// The GROUP BY key of the row bound by `env`. Forced inline: as an
-/// out-of-line call it cost hash aggregation ~30 ns per input row (+15 % on
-/// the grouping box of EMP/DEPT under Dayal, measured).
-#[inline(always)]
-fn group_key(group_by: &[Expr], env: &Env<'_>) -> Result<Vec<Value>> {
-    let mut key = Vec::with_capacity(group_by.len());
-    for g in group_by {
-        key.push(eval_expr(g, env)?);
-    }
-    Ok(key)
-}
-
-/// Hash-aggregate `rows` into per-group accumulators, groups in
-/// first-appearance order, each with the index of its first row. Runs
-/// serially over the whole input, or as one worker's thread-local
-/// aggregation over a contiguous slice.
-fn build_groups(
-    rows: &[Row],
-    layout: &Layout,
-    env: Option<&Env<'_>>,
-    group_by: &[Expr],
-    slots: &[AggSlot<'_>],
-    record_sum_order: bool,
-) -> Result<(Vec<Group>, Vec<usize>)> {
-    let mut groups: Vec<Group> = Vec::new();
-    let mut firsts = Vec::new();
-    let mut index: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-    for (ri, r) in rows.iter().enumerate() {
-        let env1 = Env::new(layout, r, env);
-        let key = group_key(group_by, &env1)?;
-        let gi = match index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = groups.len();
-                index.insert(key.clone(), i);
-                groups.push((key, vec![Acc::new(); slots.len()]));
-                firsts.push(ri);
-                i
-            }
-        };
-        fold_row(slots, &mut groups[gi].1, r, &env1, record_sum_order)?;
-    }
-    Ok((groups, firsts))
-}
-
-/// Fold one input row into a group's accumulators — the per-row body shared
-/// by hash aggregation ([`build_groups`]) and sort-based aggregation
-/// ([`sort_groups`]).
-fn fold_row(
-    slots: &[AggSlot<'_>],
-    accs: &mut [Acc],
-    r: &Row,
-    env1: &Env<'_>,
-    record_sum_order: bool,
-) -> Result<()> {
-    for (slot, acc) in slots.iter().zip(accs.iter_mut()) {
-        if acc.rep.is_none() {
-            acc.rep = Some(r.clone());
-        }
-        let v = match slot.arg {
-            None => Value::Int(1), // COUNT(*): every row counts
-            Some(a) => eval_expr(a, env1)?,
-        };
-        if slot.arg.is_some() && v.is_null() {
-            continue; // NULLs are ignored by all aggregates
-        }
-        if record_sum_order && !slot.distinct && matches!(slot.func, AggFunc::Sum | AggFunc::Avg) {
-            acc.sum_order.push(v.clone());
-        }
-        acc_update(slot, acc, v)?;
-    }
-    Ok(())
-}
+// ---- grouping over spilled partitions --------------------------------------
 
 impl Executor<'_> {
     /// Partitioned (spilled) hash aggregation: the disk-backed path for a
@@ -2935,15 +2731,15 @@ impl Executor<'_> {
         input: &[Row],
         layout: &Layout,
         env: Option<&Env<'_>>,
-        group_by: &[Expr],
+        group_by: &GroupKeys<'_>,
         slots: &[AggSlot<'_>],
         spill: &SpillManager,
         parts: usize,
-    ) -> Result<Vec<(Vec<Value>, Vec<Acc>)>> {
+    ) -> Result<Vec<Group>> {
         let mut set = spill.partition_set(parts)?;
         for (i, r) in input.iter().enumerate() {
-            let key = group_key(group_by, &Env::new(layout, r, env))?;
-            set.push(key_partition(&key, parts), tag_row(i, r))?;
+            let key = group_by.of(r, &Env::new(layout, r, env))?;
+            set.push((key.hash() % parts as u64) as usize, tag_row(i, r))?;
         }
         set.finish()?;
 
@@ -2961,122 +2757,7 @@ impl Executor<'_> {
     }
 }
 
-/// Sort-based aggregation: the memory-budget fallback for [`build_groups`].
-/// Rows are stable-sorted by group key and each run is folded in input
-/// order, so every accumulator (floating-point sums included) is exactly
-/// what the hash path computes for that group; only the group *emission*
-/// order differs (key-sorted instead of first-appearance). Peak state is the
-/// sorted key/index vector plus one group's accumulators.
-fn sort_groups(
-    rows: &[Row],
-    layout: &Layout,
-    env: Option<&Env<'_>>,
-    group_by: &[Expr],
-    slots: &[AggSlot<'_>],
-) -> Result<Vec<(Vec<Value>, Vec<Acc>)>> {
-    let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(rows.len());
-    for (i, r) in rows.iter().enumerate() {
-        keyed.push((group_key(group_by, &Env::new(layout, r, env))?, i));
-    }
-    // Stable: rows with equal keys stay in input order.
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
-    let mut run = 0;
-    while run < keyed.len() {
-        let key = &keyed[run].0;
-        let mut end = run + 1;
-        while end < keyed.len() && keyed[end].0 == *key {
-            end += 1;
-        }
-        let mut accs = vec![Acc::new(); slots.len()];
-        for (_, ri) in &keyed[run..end] {
-            let r = &rows[*ri];
-            let env1 = Env::new(layout, r, env);
-            fold_row(slots, &mut accs, r, &env1, false)?;
-        }
-        groups.push((key.clone(), accs));
-        run = end;
-    }
-    Ok(groups)
-}
-
-/// Merge a later slice's groups into the accumulated result, preserving
-/// first-appearance order across slices (slices are merged in input
-/// order, so this is the serial appearance order).
-fn merge_groups(
-    into: &mut Vec<(Vec<Value>, Vec<Acc>)>,
-    index: &mut FxHashMap<Vec<Value>, usize>,
-    from: Vec<(Vec<Value>, Vec<Acc>)>,
-    slots: &[AggSlot<'_>],
-) -> Result<()> {
-    for (key, accs) in from {
-        match index.get(&key) {
-            Some(&gi) => {
-                for ((slot, into_acc), from_acc) in
-                    slots.iter().zip(into[gi].1.iter_mut()).zip(accs)
-                {
-                    merge_acc(slot, into_acc, from_acc)?;
-                }
-            }
-            None => {
-                index.insert(key.clone(), into.len());
-                into.push((key, accs));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Combine two accumulators for the same (group, aggregate) pair. `into`
-/// comes from an earlier input slice than `from`.
-fn merge_acc(slot: &AggSlot<'_>, into: &mut Acc, from: Acc) -> Result<()> {
-    if into.rep.is_none() {
-        into.rep = from.rep;
-    }
-    if slot.distinct {
-        // Partial DISTINCT sets may overlap; replay the later slice's
-        // values (first-seen order) through the serial update, which
-        // dedups against the earlier slice's set.
-        for v in from.distinct_order {
-            acc_update(slot, into, v)?;
-        }
-        return Ok(());
-    }
-    match slot.func {
-        AggFunc::Count => into.count += from.count,
-        AggFunc::Sum | AggFunc::Avg => {
-            // Adding `from.sum` here would re-associate floating-point
-            // addition (slice totals instead of the serial left-to-right
-            // fold) and shift Double sums by an ulp or two. Replay the
-            // later slice's inputs in arrival order instead; this also
-            // advances `into.count`, once per value, exactly as the
-            // serial scan did.
-            for v in from.sum_order {
-                acc_update(slot, into, v)?;
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            into.count += from.count;
-            if !from.min.is_null() && (into.min.is_null() || from.min < into.min) {
-                into.min = from.min;
-            }
-            if !from.max.is_null() && (into.max.is_null() || from.max > into.max) {
-                into.max = from.max;
-            }
-        }
-    }
-    Ok(())
-}
-
 // ---- partitioning and dedup ------------------------------------------------
-
-/// Which of `parts` spill partitions does a group key belong to?
-fn key_partition(key: &[Value], parts: usize) -> usize {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    (h.finish() % parts as u64) as usize
-}
 
 /// Order-preserving duplicate elimination (DISTINCT, UNION, the magic
 /// table's binding set). Rows are bulk-hashed with total-order semantics

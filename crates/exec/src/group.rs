@@ -1,0 +1,420 @@
+//! Grouping support: accumulators, group tables and GROUP BY keys.
+//!
+//! `Executor::eval_grouping` picks the algorithm — hash aggregation
+//! ([`build_groups`]: whole, per worker slice and merged, or per spilled
+//! partition), the sort-based degradation ([`sort_groups`]) or the kernel
+//! grand total ([`grand_total_groups`]); all fold the same values in the
+//! same order, so the result bytes never depend on which one ran. A GROUP
+//! BY list of plain columns compiles to row offsets ([`GroupKeys`]): a key
+//! is hashed and compared where it sits and copied only into the group it
+//! opens. Computed keys, and every key when `ExecOptions::columnar` is off,
+//! go through the evaluator.
+
+use std::hash::{Hash, Hasher};
+
+use decorr_common::columnar::{self, Column};
+use decorr_common::{FxHashMap, FxHashSet, FxHasher, Result, Row, Value};
+use decorr_qgm::{AggFunc, Expr};
+
+use crate::env::{Env, Layout};
+use crate::eval::eval_expr;
+use crate::vector;
+
+/// One aggregate call in a Grouping box's output list.
+pub(crate) struct AggSlot<'e> {
+    pub func: AggFunc,
+    pub arg: Option<&'e Expr>,
+    pub distinct: bool,
+    pub out_pos: usize,
+}
+
+/// One aggregated group.
+pub(crate) struct Group {
+    key: Vec<Value>,
+    /// The group's first input row, which the outputs that are not
+    /// aggregates are read from; `None` when the input was never rows (a
+    /// total folded from a scan's columns, or over nothing).
+    pub rep: Option<Row>,
+    /// One accumulator per aggregate slot.
+    pub accs: Vec<Acc>,
+}
+
+impl Group {
+    pub fn new(key: Vec<Value>, rep: Option<Row>, slots: usize) -> Self {
+        Group { key, rep, accs: vec![Acc::new(); slots] }
+    }
+}
+
+/// Accumulator state for one aggregate over one group.
+#[derive(Clone)]
+pub(crate) struct Acc {
+    count: i64,
+    sum: Value,
+    min: Value,
+    max: Value,
+    distinct: FxHashSet<Value>,
+    /// Distinct values in first-seen order. Parallel merges replay a later
+    /// slice's values through [`acc_update`] in this order, reproducing the
+    /// exact accumulation sequence of a serial scan (sum order included).
+    distinct_order: Vec<Value>,
+    /// Non-distinct SUM/AVG inputs in arrival order, recorded only by
+    /// parallel slice workers. Floating-point addition is not associative,
+    /// so merging partial sums would produce a (slightly) different Double
+    /// than the serial fold; the merge replays these values instead.
+    sum_order: Vec<Value>,
+}
+
+impl Acc {
+    fn new() -> Self {
+        Acc {
+            count: 0,
+            sum: Value::Null,
+            min: Value::Null,
+            max: Value::Null,
+            distinct: FxHashSet::default(),
+            distinct_order: Vec::new(),
+            sum_order: Vec::new(),
+        }
+    }
+
+    /// The aggregate's value once every row is folded in.
+    pub fn finish(&self, func: AggFunc) -> Result<Value> {
+        if self.count == 0 {
+            return Ok(func.empty_value());
+        }
+        Ok(match func {
+            AggFunc::Count => Value::Int(self.count),
+            AggFunc::Sum => self.sum.clone(),
+            // AVG is always a double, even when the sum divides exactly
+            // (clients should not see the result type vary with the data).
+            AggFunc::Avg => Value::Double(self.sum.as_double()? / self.count as f64),
+            AggFunc::Min => self.min.clone(),
+            AggFunc::Max => self.max.clone(),
+        })
+    }
+}
+
+/// Fold a (non-NULL, distinct-deduplicated upstream of the DISTINCT check
+/// here) value into an accumulator.
+fn acc_update(slot: &AggSlot<'_>, acc: &mut Acc, v: Value) -> Result<()> {
+    if slot.distinct {
+        if !acc.distinct.insert(v.clone()) {
+            return Ok(());
+        }
+        acc.distinct_order.push(v.clone());
+    }
+    acc.count += 1;
+    match slot.func {
+        AggFunc::Count => {}
+        AggFunc::Sum | AggFunc::Avg => {
+            acc.sum = if acc.sum.is_null() {
+                v.clone()
+            } else {
+                acc.sum.add(&v)?
+            };
+        }
+        AggFunc::Min | AggFunc::Max => {
+            if acc.min.is_null() || v < acc.min {
+                acc.min = v.clone();
+            }
+            if acc.max.is_null() || v > acc.max {
+                acc.max = v;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Per-slot kernel argument offsets for a vectorizable grand total:
+/// `None` inside the vec means `COUNT(*)`. `None` overall when any slot
+/// needs the row-wise fold (DISTINCT, computed or unbound arguments).
+pub(crate) fn grand_total_cols(
+    slots: &[AggSlot<'_>],
+    layout: &Layout,
+) -> Option<Vec<Option<usize>>> {
+    slots
+        .iter()
+        .map(|s| {
+            if s.distinct {
+                return None;
+            }
+            match s.arg {
+                None => Some(None),
+                Some(Expr::Col { quant, col }) => {
+                    layout.offset_of(*quant).map(|off| Some(off + col))
+                }
+                Some(_) => None,
+            }
+        })
+        .collect()
+}
+
+/// Vectorized grand-total aggregation over `rows` input rows: one
+/// accumulator per slot, computed by the columnar COUNT/SUM/MIN/MAX
+/// kernels over the slot's argument column (`None`: `COUNT(*)`) instead of
+/// a per-row fold. `rep` is the representative row for group column
+/// outputs — the first input row, exactly as the serial fold sets it, or
+/// nothing when every output is an aggregate.
+pub(crate) fn grand_total_groups(
+    rows: usize,
+    rep: Option<Row>,
+    slots: &[AggSlot<'_>],
+    args: &[Option<Column>],
+) -> Result<Vec<Group>> {
+    let mut total = Group::new(Vec::new(), rep, slots.len());
+    for ((slot, arg), acc) in slots.iter().zip(args).zip(&mut total.accs) {
+        match arg {
+            None => acc.count = rows as i64, // COUNT(*): every row counts
+            Some(c) => {
+                acc.count = columnar::count_kernel(c);
+                match slot.func {
+                    AggFunc::Count => {}
+                    AggFunc::Sum | AggFunc::Avg => acc.sum = columnar::sum_kernel(c)?,
+                    AggFunc::Min | AggFunc::Max => {
+                        acc.min = columnar::min_kernel(c);
+                        acc.max = columnar::max_kernel(c);
+                    }
+                }
+            }
+        }
+    }
+    Ok(vec![total])
+}
+
+/// The GROUP BY key of the row bound by `env`. Forced inline: as an
+/// out-of-line call it cost hash aggregation ~30 ns per input row (+15 % on
+/// the grouping box of EMP/DEPT under Dayal, measured).
+#[inline(always)]
+fn group_key(group_by: &[Expr], env: &Env<'_>) -> Result<Vec<Value>> {
+    let mut key = Vec::with_capacity(group_by.len());
+    for g in group_by {
+        key.push(eval_expr(g, env)?);
+    }
+    Ok(key)
+}
+
+/// A Grouping's GROUP BY list, compiled once.
+pub(crate) struct GroupKeys<'e> {
+    exprs: &'e [Expr],
+    /// Where each key sits in an input row, when every key is a plain
+    /// column and kernels are on; otherwise the evaluator makes the keys.
+    offs: Option<Vec<usize>>,
+}
+
+/// One input row's GROUP BY key.
+pub(crate) enum RowKey<'r> {
+    At(&'r Row, &'r [usize]),
+    Made(Vec<Value>),
+}
+
+impl<'e> GroupKeys<'e> {
+    pub fn compile(exprs: &'e [Expr], layout: &Layout, columnar: bool) -> Self {
+        let offs = vector::compile_projection(exprs.iter(), layout).filter(|_| columnar);
+        GroupKeys { exprs, offs }
+    }
+
+    pub fn of<'r>(&'r self, r: &'r Row, env1: &Env<'_>) -> Result<RowKey<'r>> {
+        match &self.offs {
+            Some(offs) => Ok(RowKey::At(r, offs)),
+            None => group_key(self.exprs, env1).map(RowKey::Made),
+        }
+    }
+}
+
+impl RowKey<'_> {
+    /// The hash of the key's values, the same whichever way it is held.
+    pub fn hash(&self) -> u64 {
+        fn of<'v>(values: impl Iterator<Item = &'v Value>) -> u64 {
+            let mut h = FxHasher::default();
+            values.for_each(|v| v.hash(&mut h));
+            h.finish()
+        }
+        match self {
+            RowKey::At(r, offs) => of(offs.iter().map(|&c| &r[c])),
+            RowKey::Made(key) => of(key.iter()),
+        }
+    }
+
+    fn is(&self, key: &[Value]) -> bool {
+        match self {
+            RowKey::At(r, offs) => offs.iter().map(|&c| &r[c]).eq(key),
+            RowKey::Made(made) => made == key,
+        }
+    }
+
+    fn into_values(self) -> Vec<Value> {
+        match self {
+            RowKey::At(r, offs) => offs.iter().map(|&c| r[c].clone()).collect(),
+            RowKey::Made(key) => key,
+        }
+    }
+}
+
+/// Hash-aggregate `rows` into per-group accumulators, groups in
+/// first-appearance order, each with the index of its first row. Runs
+/// serially over the whole input, or as one worker's thread-local
+/// aggregation over a contiguous slice.
+pub(crate) fn build_groups(
+    rows: &[Row],
+    layout: &Layout,
+    env: Option<&Env<'_>>,
+    group_by: &GroupKeys<'_>,
+    slots: &[AggSlot<'_>],
+    record_sum_order: bool,
+) -> Result<(Vec<Group>, Vec<usize>)> {
+    let mut groups: Vec<Group> = Vec::new();
+    let mut firsts = Vec::new();
+    // Key hash → the groups carrying it.
+    let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    for (ri, r) in rows.iter().enumerate() {
+        let env1 = Env::new(layout, r, env);
+        let key = group_by.of(r, &env1)?;
+        let same_hash = index.entry(key.hash()).or_default();
+        let gi = match same_hash.iter().find(|&&g| key.is(&groups[g as usize].key)) {
+            Some(&g) => g as usize,
+            None => {
+                same_hash.push(groups.len() as u32);
+                groups.push(Group::new(key.into_values(), Some(r.clone()), slots.len()));
+                firsts.push(ri);
+                groups.len() - 1
+            }
+        };
+        fold_row(slots, &mut groups[gi].accs, &env1, record_sum_order)?;
+    }
+    Ok((groups, firsts))
+}
+
+/// Fold one input row into a group's accumulators — the per-row body shared
+/// by hash aggregation ([`build_groups`]) and sort-based aggregation
+/// ([`sort_groups`]).
+fn fold_row(
+    slots: &[AggSlot<'_>],
+    accs: &mut [Acc],
+    env1: &Env<'_>,
+    record_sum_order: bool,
+) -> Result<()> {
+    for (slot, acc) in slots.iter().zip(accs.iter_mut()) {
+        let v = match slot.arg {
+            None => Value::Int(1), // COUNT(*): every row counts
+            Some(a) => eval_expr(a, env1)?,
+        };
+        if slot.arg.is_some() && v.is_null() {
+            continue; // NULLs are ignored by all aggregates
+        }
+        if record_sum_order && !slot.distinct && matches!(slot.func, AggFunc::Sum | AggFunc::Avg) {
+            acc.sum_order.push(v.clone());
+        }
+        acc_update(slot, acc, v)?;
+    }
+    Ok(())
+}
+
+/// Sort-based aggregation: the memory-budget fallback for [`build_groups`].
+/// Rows are stable-sorted by group key and each run is folded in input
+/// order, so every accumulator (floating-point sums included) is exactly
+/// what the hash path computes for that group; only the group *emission*
+/// order differs (key-sorted instead of first-appearance). Peak state is the
+/// sorted key/index vector plus one group's accumulators.
+pub(crate) fn sort_groups(
+    rows: &[Row],
+    layout: &Layout,
+    env: Option<&Env<'_>>,
+    group_by: &GroupKeys<'_>,
+    slots: &[AggSlot<'_>],
+) -> Result<Vec<Group>> {
+    let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(rows.len());
+    for (i, r) in rows.iter().enumerate() {
+        let key = group_by.of(r, &Env::new(layout, r, env))?;
+        keyed.push((key.into_values(), i));
+    }
+    // Stable: rows with equal keys stay in input order.
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+
+    let mut groups: Vec<Group> = Vec::new();
+    let mut run = 0;
+    while run < keyed.len() {
+        let key = &keyed[run].0;
+        let mut end = run + 1;
+        while end < keyed.len() && keyed[end].0 == *key {
+            end += 1;
+        }
+        let first = rows[keyed[run].1].clone();
+        let mut group = Group::new(key.clone(), Some(first), slots.len());
+        for (_, ri) in &keyed[run..end] {
+            fold_row(
+                slots,
+                &mut group.accs,
+                &Env::new(layout, &rows[*ri], env),
+                false,
+            )?;
+        }
+        groups.push(group);
+        run = end;
+    }
+    Ok(groups)
+}
+
+/// Merge a later slice's groups into the accumulated result, preserving
+/// first-appearance order across slices (slices are merged in input
+/// order, so this is the serial appearance order).
+pub(crate) fn merge_groups(
+    into: &mut Vec<Group>,
+    index: &mut FxHashMap<Vec<Value>, usize>,
+    from: Vec<Group>,
+    slots: &[AggSlot<'_>],
+) -> Result<()> {
+    for group in from {
+        match index.get(&group.key) {
+            Some(&gi) => {
+                for ((slot, into_acc), from_acc) in
+                    slots.iter().zip(into[gi].accs.iter_mut()).zip(group.accs)
+                {
+                    merge_acc(slot, into_acc, from_acc)?;
+                }
+            }
+            None => {
+                index.insert(group.key.clone(), into.len());
+                into.push(group);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Combine two accumulators for the same (group, aggregate) pair. `into`
+/// comes from an earlier input slice than `from`.
+fn merge_acc(slot: &AggSlot<'_>, into: &mut Acc, from: Acc) -> Result<()> {
+    if slot.distinct {
+        // Partial DISTINCT sets may overlap; replay the later slice's
+        // values (first-seen order) through the serial update, which
+        // dedups against the earlier slice's set.
+        for v in from.distinct_order {
+            acc_update(slot, into, v)?;
+        }
+        return Ok(());
+    }
+    match slot.func {
+        AggFunc::Count => into.count += from.count,
+        AggFunc::Sum | AggFunc::Avg => {
+            // Adding `from.sum` here would re-associate floating-point
+            // addition (slice totals instead of the serial left-to-right
+            // fold) and shift Double sums by an ulp or two. Replay the
+            // later slice's inputs in arrival order instead; this also
+            // advances `into.count`, once per value, exactly as the
+            // serial scan did.
+            for v in from.sum_order {
+                acc_update(slot, into, v)?;
+            }
+        }
+        AggFunc::Min | AggFunc::Max => {
+            into.count += from.count;
+            if !from.min.is_null() && (into.min.is_null() || from.min < into.min) {
+                into.min = from.min;
+            }
+            if !from.max.is_null() && (into.max.is_null() || from.max > into.max) {
+                into.max = from.max;
+            }
+        }
+    }
+    Ok(())
+}

@@ -12,10 +12,12 @@
 //!   matching `(left, right)` row-index pairs in serial probe order.
 //!
 //! The callers differ only in what they do with the pairs: the inner join
-//! concatenates them, the outer join walks them per left row (residual ON
-//! predicates, null extension), a Grace spill runs the kernel once per
-//! re-read partition, and the block nested-loop degradation skips the
-//! table and compares the same two [`JoinSide`]s pairwise.
+//! concatenates them, the outer join walks them per left row
+//! ([`walk_outer`]: residual ON predicates, null extension), a Grace spill
+//! runs the kernel once per re-read partition, and the block nested-loop
+//! degradation skips the table and compares the same two [`JoinSide`]s
+//! pairwise. A build side hashed off a scan's selection
+//! ([`JoinSide::from_scan`]) makes rows only of the positions a pair names.
 //!
 //! `ExecStats` parity is the design constraint: both key representations
 //! hash with the same `eq_key`/total-order semantics, so equal keys hash
@@ -28,9 +30,11 @@ use std::cmp::Ordering;
 use decorr_common::columnar::{self, Column, SelVec, ValRef};
 use decorr_common::{FxHashMap, Result, Row, Value, WorkerPool, MORSEL_ROWS};
 use decorr_qgm::{BinOp, Expr, QuantId};
+use decorr_storage::PageIo;
 
 use crate::env::{Env, Layout};
 use crate::eval::eval_expr;
+use crate::scan::ScanSel;
 
 /// One key part: the expression, and whether it matches under `IS NOT
 /// DISTINCT FROM` (`true`: NULL matches NULL, the decorrelated re-join
@@ -180,10 +184,25 @@ impl JoinSide {
         Ok(JoinSide { hashes, null_ok, repr: SideRepr::Keys(keyed) })
     }
 
+    /// Hash a scan's survivors on its table columns `cols` (one per part
+    /// of `keys`), copied out at the surviving positions: no row is made.
+    pub fn from_scan(
+        sel: &ScanSel<'_>,
+        cols: &[usize],
+        keys: &[KeyExpr<'_>],
+        io: &mut PageIo,
+    ) -> Result<JoinSide> {
+        let parts = cols
+            .iter()
+            .map(|&col| sel.column(col, io))
+            .collect::<Result<Vec<_>>>()?;
+        let null_ok = keys.iter().map(|&(_, ok)| ok).collect();
+        Ok(JoinSide::from_columns(parts, null_ok))
+    }
+
     /// Hash a join input whose key parts are at hand as columns (one per
-    /// part, all of the input's length): the transpose of rows above, or
-    /// the key columns a paged scan copied out at its surviving positions.
-    pub fn from_columns(parts: Vec<Column>, null_ok: Vec<bool>) -> JoinSide {
+    /// part, all of the input's length).
+    fn from_columns(parts: Vec<Column>, null_ok: Vec<bool>) -> JoinSide {
         let spec: Vec<(&Column, bool)> = parts.iter().zip(null_ok.iter().copied()).collect();
         let sel: SelVec = (0..parts.first().map_or(0, Column::len) as u32).collect();
         let hashes = columnar::hash_kernel(&spec, &sel);
@@ -343,6 +362,39 @@ pub(crate) fn match_pairs(
         *slot += 1;
     }
     merged
+}
+
+/// Walk a left outer join's candidates for the left rows `rows` of `left`,
+/// in order: per left row, the right rows its `pairs` ([`match_pairs`]
+/// order) name, then `every_right`. `emit(l, Some(r), out)` writes the
+/// joined row if the candidate passes and says whether it did; a left row
+/// without a passing candidate gets `emit(l, None, out)`, its one
+/// null-extended row.
+pub(crate) fn walk_outer(
+    left: &[Row],
+    rows: std::ops::Range<usize>,
+    pairs: &[(u32, u32)],
+    right: &[Row],
+    every_right: std::ops::Range<usize>,
+    mut emit: impl FnMut(&Row, Option<&Row>, &mut Vec<Row>) -> Result<bool>,
+) -> Result<Vec<Row>> {
+    let mut out = Vec::new();
+    let mut at = pairs.partition_point(|&(li, _)| (li as usize) < rows.start);
+    for li in rows {
+        let from = at;
+        while pairs.get(at).is_some_and(|&(pl, _)| pl as usize == li) {
+            at += 1;
+        }
+        let keyed = pairs[from..at].iter().map(|&(_, ri)| ri as usize);
+        let mut matched = false;
+        for ri in keyed.chain(every_right.clone()) {
+            matched |= emit(&left[li], Some(&right[ri]), &mut out)?;
+        }
+        if !matched {
+            emit(&left[li], None, &mut out)?;
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -34,6 +34,7 @@ pub mod cost;
 pub mod env;
 pub mod eval;
 pub mod exec;
+mod group;
 mod join;
 mod scan;
 pub mod subplan;

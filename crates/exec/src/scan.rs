@@ -1,28 +1,41 @@
-//! What a paged scan hands on: a selection over stripes, not rows.
+//! What a scan hands on: a selection over its table, not rows.
 //!
-//! A scan of a disk-backed table decides, stripe by stripe, which rows
-//! survive — from the zone maps and from the pinned predicate columns
-//! alone — and records the survivors as positions ([`PagedSel`]). Rows are
-//! made last, by whoever turns out to need them and only of the positions
-//! that consumer still wants: all of them when the scan is a Select's first
-//! input ([`PagedSel::gather`]), the build rows that found a partner when
-//! it is the build side of a hash join ([`PagedSel::gather_matched`], after
-//! the join hashed [`PagedSel::column`]), none at all when a grand total
-//! folds its argument columns.
+//! On either storage tier, **no operator copies a row it does not emit.**
+//! A full scan decides which rows survive — a paged table's stripe by
+//! stripe, from the zone maps and the pinned predicate columns alone; a
+//! resident table's over the cached transpose of its predicate columns —
+//! and records the survivors as positions ([`ScanSel`]). Rows are made
+//! last, by whoever turns out to need them and only of the positions that
+//! consumer still wants: all of them when the scan is a Select's first
+//! input ([`ScanSel::gather`]), the build rows that found a partner when it
+//! is the build side of a hash join or a left outer join
+//! ([`ScanSel::gather_matched`], after the join hashed
+//! [`ScanSel::column`]), none at all when a grand total folds its argument
+//! columns.
 //!
-//! Nothing here keeps a page pinned between calls: each gather opens the
-//! stripes it touches, pins what it reads, and lets go.
+//! A resident table's `&[Row]` is read as a single stripe whose positions
+//! are row indices. Nothing here keeps a page pinned between calls: each
+//! gather opens the stripes it touches, pins what it reads, and lets go.
 
 use decorr_common::columnar::{Column, ColumnGather, SelVec};
 use decorr_common::{Result, Row};
 use decorr_storage::{PageIo, Stripes};
 
-/// The surviving rows of a paged scan, in scan order, still on their pages.
-pub(crate) struct PagedSel<'t> {
-    stripes: Stripes<'t>,
-    /// The table columns (ascending) anything past the scan reads. A
-    /// gathered row has the table's arity, but only these are filled in;
-    /// the pages of the others are never pinned.
+/// Where a scan's survivors still are.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'t> {
+    /// On the pages of a paged table.
+    Stripes(Stripes<'t>),
+    /// In the rows of a resident table: one stripe, numbered 0.
+    Rows(&'t [Row]),
+}
+
+/// The surviving rows of a scan, in scan order, still in their table.
+pub(crate) struct ScanSel<'t> {
+    source: Source<'t>,
+    /// The table columns (ascending) anything past the scan reads. A row
+    /// gathered off pages has the table's arity, but only these are filled
+    /// in; the pages of the others are never pinned.
     cols: Vec<usize>,
     /// `(stripe, its surviving positions, ascending)` in stripe order;
     /// stripes without a survivor have no entry.
@@ -30,11 +43,11 @@ pub(crate) struct PagedSel<'t> {
     len: usize,
 }
 
-impl<'t> PagedSel<'t> {
-    /// An empty selection over `stripes`, whose rows will be read at
+impl<'t> ScanSel<'t> {
+    /// An empty selection over `source`, whose rows will be read at
     /// columns `cols` only.
-    pub fn new(stripes: Stripes<'t>, cols: Vec<usize>) -> Self {
-        PagedSel { stripes, cols, picks: Vec::new(), len: 0 }
+    pub fn new(source: Source<'t>, cols: Vec<usize>) -> Self {
+        ScanSel { source, cols, picks: Vec::new(), len: 0 }
     }
 
     /// Record the survivors of the next stripe.
@@ -50,25 +63,50 @@ impl<'t> PagedSel<'t> {
         self.len
     }
 
+    /// Append a row of each of `positions` of `stripe` to `out`.
+    fn make_rows(
+        &self,
+        stripe: u32,
+        positions: &[u32],
+        out: &mut Vec<Row>,
+        io: &mut PageIo,
+    ) -> Result<()> {
+        match self.source {
+            Source::Stripes(stripes) => {
+                stripes
+                    .open(stripe as usize)
+                    .gather(positions.iter().copied(), &self.cols, out, io)
+            }
+            Source::Rows(rows) => {
+                out.extend(positions.iter().map(|&i| rows[i as usize].clone()));
+                Ok(())
+            }
+        }
+    }
+
     /// Make a row of every survivor.
     pub fn gather(&self, io: &mut PageIo) -> Result<Vec<Row>> {
         let mut out = Vec::with_capacity(self.len);
         for (stripe, sel) in &self.picks {
-            self.stripes.open(*stripe as usize).gather(
-                sel.iter().copied(),
-                &self.cols,
-                &mut out,
-                io,
-            )?;
+            self.make_rows(*stripe, sel, &mut out, io)?;
         }
         Ok(out)
     }
 
-    /// Column `col` at the surviving positions, copied out of its pages.
+    /// Column `col` at the surviving positions, copied out of its table.
     pub fn column(&self, col: usize, io: &mut PageIo) -> Result<Column> {
+        let stripes = match self.source {
+            Source::Stripes(stripes) => stripes,
+            Source::Rows(rows) => {
+                // (One stripe, so at most one pick.)
+                let sel = self.picks.first().map_or(&[][..], |(_, sel)| sel);
+                let values = sel.iter().map(|&i| &rows[i as usize][col]);
+                return Ok(Column::from_values(values, self.len));
+            }
+        };
         let mut out = ColumnGather::new();
         for (stripe, sel) in &self.picks {
-            let mut stripe = self.stripes.open(*stripe as usize);
+            let mut stripe = stripes.open(*stripe as usize);
             out.push(stripe.pin(col, io)?, sel);
         }
         Ok(out.finish())
@@ -99,12 +137,7 @@ impl<'t> PagedSel<'t> {
                     picked.push(pos);
                 }
             }
-            self.stripes.open(*stripe as usize).gather(
-                picked.into_iter(),
-                &self.cols,
-                &mut rows,
-                io,
-            )?;
+            self.make_rows(*stripe, &picked, &mut rows, io)?;
             base += sel.len();
         }
         Ok((rows, slot))

@@ -239,3 +239,45 @@ fn union_distinct_under_grouping() {
     // UNION (distinct) of {1,2,2} with itself = {1,2}: count 2.
     assert_eq!(rows, vec![row![2]]);
 }
+
+/// A GROUP BY without an aggregate: the group's columns come from its first
+/// row, which the grouping must keep even when no aggregate slot would.
+/// (The representative row used to live in the aggregate accumulators, so
+/// with none of them every output evaluated over NULLs.) Hash grouping,
+/// the sort-based degradation and the row-wise evaluator share the answer.
+#[test]
+fn group_by_without_an_aggregate_keeps_the_group_columns() {
+    let mut db = Database::new();
+    let t = db
+        .create_table(
+            "t",
+            Schema::from_pairs(&[("b", DataType::Str), ("n", DataType::Int)]),
+        )
+        .unwrap();
+    t.insert_all(vec![
+        row!["east", 1],
+        row!["west", 2],
+        row!["east", 3],
+        Row::new(vec![Value::Null, Value::Int(4)]),
+        row!["west", 5],
+    ])
+    .unwrap();
+    let want = vec![row!["east"], row!["west"], Row::new(vec![Value::Null])];
+    let qgm = decorr_sql::parse_and_bind("SELECT t.b FROM t GROUP BY t.b", &db).unwrap();
+    for columnar in [true, false] {
+        let opts = ExecOptions { columnar, ..ExecOptions::default() };
+        let (rows, stats) = execute_with(&db, &qgm, opts.clone()).unwrap();
+        assert_eq!(rows, want, "columnar={columnar}");
+        assert_eq!((stats.agg_input_rows, stats.agg_groups), (5, 3));
+        // Over budget without a spill manager: sorted by key, NULL first.
+        let degraded = ExecOptions { mem_budget: Some(2), ..opts };
+        let (mut rows, stats) = execute_with(&db, &qgm, degraded).unwrap();
+        assert_eq!(stats.degradations, 1);
+        rows.rotate_left(1);
+        assert_eq!(rows, want, "columnar={columnar}, sort-based");
+    }
+    // With an aggregate beside it, as before.
+    let qgm = decorr_sql::parse_and_bind("SELECT t.b, COUNT(*) FROM t GROUP BY t.b", &db).unwrap();
+    let (rows, _) = execute(&db, &qgm).unwrap();
+    assert_eq!(rows[..2], [row!["east", 2], row!["west", 2]]);
+}

@@ -5,8 +5,10 @@
 //! `crates/exec/tests` and only run under `cargo test --workspace`; each
 //! varies one axis against the default. This suite is reachable from plain
 //! `cargo test` and crosses the axes: the paper's figure queries, the
-//! EMP/DEPT COUNT-bug query and the single-input Selects whose one input
-//! *is* the running row set, under every sound strategy, at every point of
+//! EMP/DEPT COUNT-bug query, the single-input Selects whose one input
+//! *is* the running row set, and the scan consumers (a Select's first
+//! input, the build side of a hash join and of a left outer join, a grand
+//! total), under every sound strategy, at every point of
 //!
 //! `columnar {on, off}` × `threads {1, 4}` × budget lane {none, tiny with a
 //! spill manager, tiny without}.
@@ -24,7 +26,8 @@
 //! one buffer pool that holds everything and one of 64 KiB that holds a
 //! dozen pages). Paged
 //! tables carry no index, so those runs are held, rows and row order, to
-//! the *un-indexed* resident run. Inside a paged lane the work counters
+//! the *un-indexed* resident run — which holds a resident scan's selection
+//! (one stripe) and a paged scan's (several) to each other. Inside a paged lane the work counters
 //! may not depend on `columnar` or `threads` either, and the page I/O may
 //! not depend on `threads`. (It does depend on `columnar`: the row-wise
 //! evaluators are handed every column of every stripe the zone maps keep,
@@ -36,7 +39,7 @@ use decorr::figures::Figure;
 use decorr::prelude::*;
 use decorr::row;
 use decorr_common::{RealEnv, MORSEL_ROWS};
-use decorr_qgm::{BinOp, Expr};
+use decorr_qgm::{validate::validate, BinOp, BoxKind, Expr, QuantId, QuantKind};
 use decorr_server::SharedCatalog;
 use decorr_storage::{BufferPool, SpillManager, StoreOptions};
 use decorr_tpcd::empdept::{self, EmpDeptConfig};
@@ -384,39 +387,46 @@ fn single_input_selects_agree_across_the_lattice() {
     }
 }
 
-#[test]
-fn paged_scan_arms_agree_across_the_lattice() {
-    // `big` crosses two morsels and four 512-row stripes; `id` is its
-    // insertion order, so zone maps prune on it. Its key column is a
-    // DOUBLE that also holds `Int`s, NULL, NaN and both zeros; `small`
-    // holds one key of each kind — with no, one and many partners in
-    // `big` — and is always the smaller side, so `big` is the one hashed.
+/// `big` crosses two morsels and four 512-row stripes; `id` is its
+/// insertion order, so zone maps prune on it. Its key column is a DOUBLE
+/// that also holds `Int`s, NULL, NaN and both zeros; `small` holds one key
+/// of each kind — with no, one and many partners in `big` — and is always
+/// the smaller side, so `big` is the one hashed. `none` is `big` without a
+/// row; `r511`, `r512` and `r513` are its first rows, ending one short of,
+/// on and one past the suite's stripe length, each with the key of
+/// `small`'s "one" in its last row.
+fn scan_arms_db() -> Database {
     let mut db = Database::new();
-    let big = db
-        .create_table(
-            "big",
-            Schema::from_pairs(&[
-                ("id", DataType::Int),
-                ("k", DataType::Double),
-                ("v", DataType::Int),
-                ("s", DataType::Str),
-            ]),
-        )
-        .unwrap();
-    let n = 2 * MORSEL_ROWS as i64 + 77;
-    big.insert_all((0..n).map(|i| {
+    let schema = Schema::from_pairs(&[
+        ("id", DataType::Int),
+        ("k", DataType::Double),
+        ("v", DataType::Int),
+        ("s", DataType::Str),
+    ]);
+    let big_row = |i: i64, last: i64| {
         let k = match i % 97 {
+            _ if i == last => Value::Double(-1.5),
             0 => Value::Null,
             1 => Value::Double(f64::NAN),
             2 => Value::Double(-0.0),
             3 => Value::Double(0.0),
             4 => Value::Int(7),
-            _ if i == 1500 => Value::Double(-1.5),
             r => Value::Double(r as f64),
         };
         row![i, k, i % 7, format!("s{}", i % 13)]
-    }))
-    .unwrap();
+    };
+    let n = 2 * MORSEL_ROWS as i64 + 77;
+    let big = db.create_table("big", schema.clone()).unwrap();
+    big.insert_all((0..n).map(|i| big_row(i, 1500))).unwrap();
+    db.create_table("none", schema.clone()).unwrap();
+    for rows in [511, 512, 513] {
+        let table = db
+            .create_table(&format!("r{rows}"), schema.clone())
+            .unwrap();
+        table
+            .insert_all((0..rows).map(|i| big_row(i, rows - 1)))
+            .unwrap();
+    }
     let small = db
         .create_table(
             "small",
@@ -434,7 +444,14 @@ fn paged_scan_arms_agree_across_the_lattice() {
             row![1234.5, "none"],
         ])
         .unwrap();
-    let tiers = Tiers::of("scan-arms", db);
+    // (Dayal's rewrite asks for a keyed outer table.)
+    small.set_key(&["tag"]).unwrap();
+    db
+}
+
+#[test]
+fn paged_scan_arms_agree_across_the_lattice() {
+    let tiers = Tiers::of("scan-arms", scan_arms_db());
 
     let mut bites = Bites::default();
     let cases = [
@@ -519,5 +536,180 @@ fn paged_scan_arms_agree_across_the_lattice() {
     assert_eq!(tagged("zero"), tagged("minus zero"), "the zeros stay apart");
     bites += check_plan("NullEq build side", &tiers, &plan, ExecOptions::default());
 
+    bites.assert_every_lane_bit();
+}
+
+/// `left LOJ (SELECT r.*, r.k AS corr FROM right r [WHERE scan(r)]) AS R ON
+/// left.k <key_op> R.corr [AND residual(left, R)]` — Dayal's shape: the
+/// subquery block scans one table and duplicates its correlation column,
+/// the correlation predicate sits in the ON clause. The outputs are the
+/// left side's last column (`small.tag`), then `id`, `s` and `corr` of the
+/// right side; `computed` adds `R.id + 1`.
+fn loj_over_scan(
+    db: &Database,
+    (left, right): (&str, &str),
+    key_op: BinOp,
+    scan: Option<fn(QuantId) -> Expr>,
+    residual: Option<fn(QuantId, QuantId) -> Expr>,
+    computed: bool,
+) -> Qgm {
+    let schema = |t: &str| db.table(t).unwrap().schema().clone();
+    let k_of = |t: &str| schema(t).index_of("k").unwrap();
+    let mut g = Qgm::new();
+    let lt = g.add_base_table(left, schema(left));
+    let rt = g.add_base_table(right, schema(right));
+    let block = g.add_box(BoxKind::Select, "subquery block");
+    let q = g.add_quant(block, QuantKind::Foreach, rt, "r");
+    let arity = schema(right).arity();
+    for c in 0..arity {
+        g.add_output(block, format!("c{c}"), Expr::col(q, c));
+    }
+    let corr = g.add_output(block, "corr", Expr::col(q, k_of(right)));
+    g.boxmut(block).preds.extend(scan.map(|p| p(q)));
+
+    let oj = g.add_box(BoxKind::OuterJoin, "LOJ");
+    let ql = g.add_quant(oj, QuantKind::Foreach, lt, "L");
+    let qr = g.add_quant(oj, QuantKind::Foreach, block, "R");
+    let on = Expr::bin(key_op, Expr::col(ql, k_of(left)), Expr::col(qr, corr));
+    g.boxmut(oj).preds.push(on);
+    g.boxmut(oj).preds.extend(residual.map(|p| p(ql, qr)));
+    g.add_output(oj, "l", Expr::col(ql, schema(left).arity() - 1));
+    g.add_output(oj, "id", Expr::col(qr, 0));
+    g.add_output(oj, "s", Expr::col(qr, arity - 1));
+    g.add_output(oj, "corr", Expr::col(qr, corr));
+    if computed {
+        let next = Expr::bin(BinOp::Add, Expr::col(qr, 0), Expr::lit(1));
+        g.add_output(oj, "next", next);
+    }
+    g.set_top(oj);
+    validate(&g).unwrap();
+    g
+}
+
+#[test]
+fn outer_join_build_sides_agree_across_the_lattice() {
+    // The outer join builds on its right child. When that is a scan-only
+    // Select the kernels hash the scan's key column and make rows of the
+    // matched positions only — of one resident stripe or of several paged
+    // ones — and the row-wise reference, the degraded nested-loop walk and
+    // a computed output or residual predicate (which need the evaluator's
+    // writer) must all see the same join.
+    let tiers = Tiers::of("loj", scan_arms_db());
+    let db = &tiers.resident;
+    let v_above_3: fn(QuantId) -> Expr = |q| Expr::bin(BinOp::Gt, Expr::col(q, 2), Expr::lit(3));
+    let early: fn(QuantId, QuantId) -> Expr =
+        |_, qr| Expr::bin(BinOp::Lt, Expr::col(qr, 0), Expr::lit(100));
+    let plans = [
+        (
+            "filtered scan build",
+            loj_over_scan(
+                db,
+                ("small", "big"),
+                BinOp::Eq,
+                Some(v_above_3),
+                None,
+                false,
+            ),
+        ),
+        (
+            "NullEq keys",
+            loj_over_scan(db, ("small", "big"), BinOp::NullEq, None, None, false),
+        ),
+        // Key partners past id 99 fail the residual: "one" (id 1500) goes
+        // back to being unmatched.
+        (
+            "residual predicate",
+            loj_over_scan(db, ("small", "big"), BinOp::Eq, None, Some(early), false),
+        ),
+        (
+            "computed output",
+            loj_over_scan(db, ("small", "big"), BinOp::Eq, Some(v_above_3), None, true),
+        ),
+        (
+            "empty right",
+            loj_over_scan(db, ("small", "none"), BinOp::Eq, None, None, false),
+        ),
+        // The probe side crosses the morsel threshold; the build side is
+        // never over budget.
+        (
+            "long left",
+            loj_over_scan(db, ("big", "small"), BinOp::Eq, None, None, false),
+        ),
+        (
+            "r511",
+            loj_over_scan(db, ("small", "r511"), BinOp::Eq, None, None, false),
+        ),
+        (
+            "r512",
+            loj_over_scan(db, ("small", "r512"), BinOp::Eq, None, None, false),
+        ),
+        (
+            "r513",
+            loj_over_scan(db, ("small", "r513"), BinOp::Eq, None, None, false),
+        ),
+    ];
+    let mut bites = Bites::default();
+    for (what, plan) in &plans {
+        bites += check_plan(what, &tiers, plan, ExecOptions::default());
+    }
+
+    // What the join must say, whichever way it was built: per `small` row,
+    // its partners' ids, or one null-extended row.
+    let ids = |plan: &Qgm, tag: &str| -> Vec<Value> {
+        let rows = execute(&tiers.unindexed, plan).unwrap().0;
+        let of_tag = rows.iter().filter(|r| r[0] == Value::str(tag));
+        of_tag.map(|r| r[1].clone()).collect()
+    };
+    let unmatched = vec![Value::Null];
+    for (what, plan) in &plans[..5] {
+        for tag in ["null", "nan", "none"] {
+            let want = match (*what, tag) {
+                ("NullEq keys", "null" | "nan") => continue,
+                _ => &unmatched,
+            };
+            assert_eq!(&ids(plan, tag), want, "{what}: {tag}");
+        }
+    }
+    assert_eq!(ids(&plans[1].1, "one"), vec![Value::Int(1500)]);
+    // `=` folds the zeros together, `IS NOT DISTINCT FROM` keeps them apart.
+    assert_eq!(ids(&plans[0].1, "zero"), ids(&plans[0].1, "minus zero"));
+    assert!(ids(&plans[0].1, "zero").len() > 1);
+    assert_ne!(ids(&plans[1].1, "zero"), ids(&plans[1].1, "minus zero"));
+    assert!(ids(&plans[1].1, "null").len() > 1 && ids(&plans[1].1, "nan").len() > 1);
+    assert_eq!(ids(&plans[2].1, "one"), unmatched);
+    assert!(ids(&plans[2].1, "many, stored as Int").len() > 1);
+    for tag in ["zero", "minus zero", "many, stored as Int", "one"] {
+        assert_eq!(ids(&plans[4].1, tag), unmatched, "empty right: {tag}");
+    }
+    // The last row of each short table is the one partner of "one": at
+    // position 510 or 511 of the first stripe, or alone in the second.
+    for (at, last) in [(6, 510), (7, 511), (8, 512)] {
+        assert_eq!(ids(&plans[at].1, "one"), vec![Value::Int(last)]);
+    }
+
+    // The same shape as the Dayal rewrite makes it, its GROUP BY on plain
+    // columns included, and a GROUP BY without any aggregate.
+    let dayal = "SELECT s.tag FROM small s \
+                 WHERE 2 < (SELECT COUNT(*) FROM big b WHERE b.k = s.k AND b.v > 3)";
+    bites += check_lattice(
+        "dayal",
+        &tiers,
+        dayal,
+        Strategy::Dayal,
+        ExecOptions::default(),
+    );
+    let groups = [
+        "SELECT b.v FROM big b GROUP BY b.v",
+        "SELECT b.s, b.v FROM big b WHERE b.id > 600 GROUP BY b.s, b.v",
+    ];
+    for sql in groups {
+        bites += check_bound_and_rewritten("group by without aggregate", &tiers, sql);
+    }
+    // (The lattice holds the executor to itself; the group columns are not
+    // NULL — they were, with no aggregate to carry the group's first row.)
+    let plan = parse_and_bind(groups[0], &tiers.resident).unwrap();
+    let mut rows = execute(&tiers.resident, &plan).unwrap().0;
+    rows.sort();
+    assert_eq!(rows, (0..7).map(|v| row![v]).collect::<Vec<_>>());
     bites.assert_every_lane_bit();
 }
