@@ -857,6 +857,15 @@ pub enum ColPredicate {
         /// Right column index.
         right: usize,
     },
+    /// `column IN (literals)` — an `OR` of `column = literal`: a row
+    /// qualifies when one of the comparisons is true, so a NULL row, a NULL
+    /// literal and NaN never make it qualify.
+    In {
+        /// Column index in the batch.
+        col: usize,
+        /// The literals (or correlation constants), duplicates allowed.
+        lits: Vec<Value>,
+    },
 }
 
 /// Evaluate `pred` over the rows named by `sel`, returning the surviving
@@ -880,7 +889,24 @@ pub fn filter_columns<'a>(
         ColPredicate::ColCol { left, op, right } => {
             filter_col_col(column(*left), *op, column(*right), sel)
         }
+        ColPredicate::In { col, lits } => filter_in(column(*col), lits, sel),
     }
+}
+
+fn filter_in(col: &Column, lits: &[Value], sel: &[u32]) -> SelVec {
+    if let ColumnData::Str { codes, pool } = &col.data {
+        // Decide once per distinct string; only a string literal can equal one.
+        let hit = |p: &Arc<str>| lits.iter().any(|l| matches!(l, Value::Str(s) if s == p));
+        let verdict: Vec<bool> = pool.strings.iter().map(hit).collect();
+        let keep = |&i: &u32| !col.is_null(i as usize) && verdict[codes[i as usize] as usize];
+        return sel.iter().copied().filter(keep).collect();
+    }
+    let lits: Vec<ValRef<'_>> = lits.iter().map(ValRef::of).collect();
+    let eq = |v: ValRef<'_>| lits.iter().any(|&l| v.sql_cmp(l) == Some(Ordering::Equal));
+    sel.iter()
+        .copied()
+        .filter(|&i| eq(col.get(i as usize)))
+        .collect()
 }
 
 fn filter_col_lit(col: &Column, op: CmpOp, lit: &Value, sel: &[u32]) -> SelVec {

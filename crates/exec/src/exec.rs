@@ -15,7 +15,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-use decorr_common::columnar::{self, Column, ColumnarBatch, SelVec};
+use decorr_common::columnar::{self, ColumnarBatch, SelVec};
 use decorr_common::{
     Budget, CancelToken, Error, ExecStats, FxHashMap, FxHashSet, Result, Row, RowBatch, Value,
     WorkerPool, MORSEL_ROWS,
@@ -30,9 +30,10 @@ use crate::group::{
     GroupKeys,
 };
 use crate::join::{self, EquiKeys, JoinSide};
-use crate::scan::{ScanSel, Source};
+use crate::scan::ScanSel;
 use crate::subplan::{SharedSubplans, SubplanLookup, SubplanShape};
 use crate::trace::{ExecTrace, JoinStrategy};
+use crate::tuple::{Src, Tuples};
 use crate::vector;
 
 /// When nested iteration evaluates a correlated *scalar* subquery.
@@ -334,80 +335,6 @@ impl MemoKey {
     }
 }
 
-/// Rows handed from one step of a Select to the next: a step's own output,
-/// or a child's batch that a memo or cache may hold as well.
-enum Rows {
-    Owned(Vec<Row>),
-    Shared(RowBatch),
-}
-
-impl std::ops::Deref for Rows {
-    type Target = [Row];
-    fn deref(&self) -> &[Row] {
-        match self {
-            Rows::Owned(v) => v,
-            Rows::Shared(b) => b,
-        }
-    }
-}
-
-impl Rows {
-    /// The rows as a vector: moved when owned or when this is the batch's
-    /// only reference, cloned otherwise.
-    fn into_vec(self) -> Vec<Row> {
-        match self {
-            Rows::Owned(v) => v,
-            Rows::Shared(mut b) => match Arc::get_mut(&mut b) {
-                Some(rows) => rows.iter_mut().map(std::mem::take).collect(),
-                None => b.to_vec(),
-            },
-        }
-    }
-}
-
-/// One input of a Select, scanned and filtered but not yet joined: rows, or
-/// the survivors of a full scan still in their table. Whichever step
-/// consumes it decides how much of it ever becomes rows.
-enum Input<'t> {
-    Rows(Rows),
-    Scan(ScanSel<'t>),
-}
-
-impl Input<'_> {
-    /// Rows in the input (for a scan, the survivors), so the greedy join
-    /// order never depends on where an input lives.
-    fn len(&self) -> usize {
-        match self {
-            Input::Rows(rows) => rows.len(),
-            Input::Scan(sel) => sel.len(),
-        }
-    }
-}
-
-/// A Select that only scans a table: its quantifier, the table, and the
-/// table column behind each output.
-type ScanOnly<'t> = (QuantId, &'t Table, Vec<usize>);
-
-/// What a scan-only Select hands a grand total or an outer join: the
-/// scan's survivors and the table column behind each output.
-type ScannedOutputs<'t> = (ScanSel<'t>, Vec<usize>);
-
-/// The right-hand (build) side of a join step, borrowed.
-#[derive(Clone, Copy)]
-enum Build<'r, 't> {
-    Rows(&'r [Row]),
-    Scan(&'r ScanSel<'t>),
-}
-
-impl<'t> Input<'t> {
-    fn as_build(&self) -> Build<'_, 't> {
-        match self {
-            Input::Rows(rows) => Build::Rows(rows),
-            Input::Scan(sel) => Build::Scan(sel),
-        }
-    }
-}
-
 /// Does every free-reference occurrence in `e` sit in a SQL-comparison
 /// context? `safe` says the current position is reached only through
 /// comparison operands and value-preserving arithmetic (`+ - *` and unary
@@ -604,7 +531,54 @@ impl<'a> Executor<'a> {
     /// double-counting concern: the QGM is a DAG, a box never recursively
     /// evaluates itself).
     fn eval_box(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Vec<Row>> {
-        self.traced(b, |ex| ex.eval_box_inner(qgm, b, env), Vec::len)
+        let eval = |ex: &mut Self| {
+            let tuples = ex.eval_box_inner(qgm, b, env)?;
+            ex.rows_of(tuples)
+        };
+        self.traced(b, eval, Vec::len)
+    }
+
+    /// Evaluate a child for a consumer that reads candidate tuples — a
+    /// Grouping, an outer join's build side: a Select's or an outer join's
+    /// candidates as they stand (traced as `eval_box` on it would be), and
+    /// any other box, or one a cache wants whole, as rows.
+    fn eval_tuples(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Tuples<'a>> {
+        let cached = (self.opts.memoize_cse && !self.is_correlated(qgm, b))
+            || (self.opts.shared_subplans.as_ref()).is_some_and(|ss| ss.marks.contains_key(&b));
+        if cached || !matches!(qgm.boxref(b).kind, BoxKind::Select | BoxKind::OuterJoin) {
+            let rows = self.eval_child(qgm, b, env)?;
+            return Ok(Tuples::every(Src::Batch(rows), qgm.output_arity(b)));
+        }
+        self.traced(b, |ex| ex.eval_box_inner(qgm, b, env), Tuples::len)
+    }
+
+    /// The candidates as rows, made now.
+    fn rows_of(&mut self, mut tuples: Tuples<'_>) -> Result<Vec<Row>> {
+        self.settle(&mut tuples)?;
+        Ok(tuples.into_rows())
+    }
+
+    /// Make rows of the still-paged inputs of `tuples`, for a reader of
+    /// rows.
+    fn settle(&mut self, tuples: &mut Tuples<'_>) -> Result<()> {
+        let mut io = PageIo::default();
+        tuples.settle(&mut io)?;
+        self.note_io(io);
+        Ok(())
+    }
+
+    /// `left`'s candidates joined to `right`'s at `pairs` (see
+    /// [`Tuples::join`]).
+    fn join_tuples(
+        &mut self,
+        left: Tuples<'a>,
+        right: Tuples<'a>,
+        pairs: &[(u32, u32)],
+    ) -> Result<Tuples<'a>> {
+        let mut io = PageIo::default();
+        let joined = left.join(right, pairs, &mut io)?;
+        self.note_io(io);
+        Ok(joined)
     }
 
     /// Run one evaluation of box `b`, recording its trace entry (with
@@ -747,8 +721,9 @@ impl<'a> Executor<'a> {
         n.div_ceil(budget).clamp(2, 256)
     }
 
-    fn eval_box_inner(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Vec<Row>> {
+    fn eval_box_inner(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Tuples<'a>> {
         self.checkpoint(0)?;
+        let made = |rows| Tuples::every(Src::Owned(rows), qgm.output_arity(b));
         match &qgm.boxref(b).kind {
             BoxKind::BaseTable { table, .. } => {
                 let t = self.db.table(table)?;
@@ -757,7 +732,7 @@ impl<'a> Executor<'a> {
                 let mut io = PageIo::default();
                 let rows = t.read_rows(&mut io)?.into_owned();
                 self.note_io(io);
-                Ok(rows)
+                Ok(made(rows))
             }
             BoxKind::Select => {
                 // Each Select evaluation gets a fresh scope id; with the
@@ -769,8 +744,8 @@ impl<'a> Executor<'a> {
                 self.cur_scope = saved;
                 r
             }
-            BoxKind::Grouping { .. } => self.eval_grouping(qgm, b, env),
-            BoxKind::Union { all } => self.eval_union(qgm, b, *all, env),
+            BoxKind::Grouping { .. } => self.eval_grouping(qgm, b, env).map(made),
+            BoxKind::Union { all } => self.eval_union(qgm, b, *all, env).map(made),
             BoxKind::OuterJoin => self.eval_outer_join(qgm, b, env),
         }
     }
@@ -844,7 +819,7 @@ impl<'a> Executor<'a> {
 
     // ---- Select boxes ------------------------------------------------------
 
-    fn eval_select(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Vec<Row>> {
+    fn eval_select(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Tuples<'a>> {
         let bx = qgm.boxref(b);
         let local: FxHashSet<QuantId> = bx.quants.iter().copied().collect();
         let foreach: Vec<QuantId> = bx
@@ -884,7 +859,7 @@ impl<'a> Executor<'a> {
                     consumed[i] = true;
                     self.note_preds(1);
                     if !qualifies(p, &env0)? {
-                        return Ok(Vec::new());
+                        return Ok(Tuples::every(Src::Owned(Vec::new()), bx.outputs.len()));
                     }
                 }
             }
@@ -910,7 +885,7 @@ impl<'a> Executor<'a> {
         // they may be driven through an index (index nested loops) instead
         // of being scanned — the access path Starburst picks when a small
         // binding set joins a large indexed table.
-        let mut child_rows: FxHashMap<QuantId, Input<'a>> = FxHashMap::default();
+        let mut inputs: FxHashMap<QuantId, Tuples<'a>> = FxHashMap::default();
         let mut deferred: FxHashMap<QuantId, String> = FxHashMap::default();
         for &q in &foreach {
             if is_lateral[&q] {
@@ -934,17 +909,17 @@ impl<'a> Executor<'a> {
                     }
                 }
             }
-            let rows = self.scan_quant(qgm, b, q, &applicable, env)?;
+            let input = self.scan_quant(qgm, b, q, &applicable, env)?;
             for i in &applicable {
                 consumed[*i] = true;
             }
-            child_rows.insert(q, rows);
+            inputs.insert(q, input);
         }
 
         // Greedy join over the Foreach quantifiers. A Select with none
-        // ranges over exactly one (empty) candidate row.
+        // ranges over exactly one (empty) candidate.
         let mut layout = Layout::new();
-        let mut rows = Rows::Owned(vec![Row::empty(); usize::from(foreach.is_empty())]);
+        let mut tuples = Tuples::unit();
         let mut bound: Vec<QuantId> = Vec::new();
         let mut remaining: Vec<QuantId> = foreach.clone();
         // Scalar quantifiers already materialized as row columns.
@@ -953,7 +928,7 @@ impl<'a> Executor<'a> {
         // Estimated input sizes for the greedy order: materialized children
         // by their (filtered) row count, deferred base tables by table size.
         let mut sizes: FxHashMap<QuantId, usize> = FxHashMap::default();
-        for (&q, r) in &child_rows {
+        for (&q, r) in &inputs {
             sizes.insert(q, r.len());
         }
         for (&q, table) in &deferred {
@@ -990,35 +965,29 @@ impl<'a> Executor<'a> {
                 }
             }
 
-            rows = if is_lateral[&next] {
-                Rows::Owned(self.join_lateral(qgm, next, &rows, &layout, env)?)
+            let running = std::mem::replace(&mut tuples, Tuples::unit());
+            tuples = if is_lateral[&next] {
+                self.join_lateral(qgm, next, running, &layout, env)?
             } else if bound.is_empty() {
-                // The first input in join order is the running row set as
-                // it stands — there is nothing to join it to, so this is
-                // where a scan's survivors become rows. A deferred
-                // table has no bound row to drive its index: scan it.
-                let first = match child_rows.remove(&next) {
+                // The first input in join order is the running candidate
+                // set as it stands. A deferred table has no bound row to
+                // drive its index: scan it.
+                match inputs.remove(&next) {
                     Some(scanned) => scanned,
                     None => self.scan_quant(qgm, b, next, &[], env)?,
-                };
-                self.gathered(first)?
+                }
             } else if let Some(table) = deferred.get(&next) {
                 let applicable = &mut applicable;
-                let joined =
-                    self.join_deferred(qgm, next, table, &rows, &layout, preds, applicable, env);
-                Rows::Owned(joined?)
+                self.join_deferred(qgm, next, table, running, &layout, preds, applicable, env)?
             } else {
-                let (right, applicable) = (child_rows[&next].as_build(), &mut applicable);
-                let joined =
-                    self.join_step(qgm, next, &rows, &layout, right, preds, applicable, env);
-                Rows::Owned(joined?)
+                let right = inputs.remove(&next).expect("an input is joined once");
+                let applicable = &mut applicable;
+                self.join_step(qgm, next, running, &layout, right, preds, applicable, env)?
             };
             layout.push(next, child_arity);
             // Residual applicable predicates (non-equi or not used as keys).
-            if !applicable.is_empty() {
-                let kept: Vec<&Expr> = applicable.iter().map(|&i| &preds[i]).collect();
-                rows = Rows::Owned(self.filter_rows(rows.into_vec(), &layout, &kept, env)?);
-            }
+            let kept: Vec<&Expr> = applicable.iter().map(|&i| &preds[i]).collect();
+            self.filter(&mut tuples, &layout, &kept, env)?;
             for i in applicable {
                 consumed[i] = true;
             }
@@ -1038,13 +1007,7 @@ impl<'a> Executor<'a> {
                         .filter(|fq| local.contains(fq))
                         .collect();
                     if deps.iter().all(|d| bound.contains(d)) {
-                        rows = Rows::Owned(self.append_scalar_column(
-                            qgm,
-                            sq,
-                            rows.into_vec(),
-                            &layout,
-                            env,
-                        )?);
+                        tuples = self.append_scalar_column(qgm, sq, tuples, &layout, env)?;
                         layout.push(sq, 1);
                         scalars_bound.insert(sq);
                     }
@@ -1115,42 +1078,42 @@ impl<'a> Executor<'a> {
         }
 
         // The end stage runs step by step over the whole candidate set.
-        // Scalar subqueries still needed become row columns first (one
-        // logical invocation per candidate row); the plain predicates then
-        // filter through the same driver as every other filter, quantified
-        // groups are checked per surviving row, and the survivors project.
+        // Scalar subqueries still needed become columns first (one logical
+        // invocation per candidate); the plain predicates then filter
+        // through the same driver as every other filter, quantified groups
+        // are checked per surviving candidate, and the survivors project.
         // After decorrelation only the filter and the projection remain.
         for &sq in &needed_scalars {
-            rows =
-                Rows::Owned(self.append_scalar_column(qgm, sq, rows.into_vec(), &layout, env)?);
+            tuples = self.append_scalar_column(qgm, sq, tuples, &layout, env)?;
             layout.push(sq, 1);
         }
-        let mut sel = self.select_rows(&rows, None, &layout, &plain_preds, env)?;
-        if !quant_groups.is_empty() {
-            let mut kept = Vec::with_capacity(sel.len());
-            for (n, &i) in sel.iter().enumerate() {
-                if n % MORSEL_ROWS == 0 {
-                    self.checkpoint(0)?;
-                }
-                let env2 = Env::new(&layout, &rows[i as usize], env);
-                let mut sat = true;
-                for (sq, group) in &quant_groups {
-                    if !self.quantifier_holds(qgm, *sq, group, &env2)? {
-                        sat = false;
-                        break;
+        if !plain_preds.is_empty() || !quant_groups.is_empty() {
+            self.settle(&mut tuples)?;
+            let mut sel = self.select_rows(&tuples, None, &layout, &plain_preds, env)?;
+            if !quant_groups.is_empty() {
+                let mut kept = Vec::with_capacity(sel.len());
+                let mut scratch = Row::empty();
+                for (n, &i) in sel.iter().enumerate() {
+                    if n % MORSEL_ROWS == 0 {
+                        self.checkpoint(0)?;
+                    }
+                    let env2 = Env::new(&layout, tuples.row(i as usize, &mut scratch), env);
+                    let mut sat = true;
+                    for (sq, group) in &quant_groups {
+                        if !self.quantifier_holds(qgm, *sq, group, &env2)? {
+                            sat = false;
+                            break;
+                        }
+                    }
+                    if sat {
+                        kept.push(i);
                     }
                 }
-                if sat {
-                    kept.push(i);
-                }
+                sel = kept;
             }
-            sel = kept;
+            self.pick(&mut tuples, &sel)?;
         }
-        let mut out_rows = self.project_rows(rows, &sel, &bx.outputs, &layout, env)?;
-        if bx.distinct {
-            out_rows = dedup_rows(out_rows);
-        }
-        Ok(out_rows)
+        self.project(tuples, &bx.outputs, bx.distinct, &layout, env)
     }
 
     /// Does the candidate row bound by `env2` satisfy an Existential / All
@@ -1180,40 +1143,43 @@ impl<'a> Executor<'a> {
         Ok(sat)
     }
 
-    /// Project the rows named by `sel` through a box's output list. The
-    /// identity over every row hands the rows on as they are; otherwise,
-    /// in morsels, plain column outputs gather by offset under `columnar`
-    /// and anything else evaluates through the expression evaluator.
-    fn project_rows(
-        &self,
-        rows: Rows,
-        sel: &[u32],
+    /// A box's output: its candidates through its output list. Plain
+    /// columns under kernels — and the identity, whichever evaluator is on
+    /// — stay candidates, re-mapped with nothing copied; anything else, and
+    /// DISTINCT, become rows here, in morsels.
+    fn project(
+        &mut self,
+        mut tuples: Tuples<'a>,
         outputs: &[OutputCol],
+        distinct: bool,
         layout: &Layout,
         env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Tuples<'a>> {
         let offsets = vector::compile_projection(outputs.iter().map(|o| &o.expr), layout);
         let identity = |offs: &Vec<usize>| offs.iter().copied().eq(0..layout.width());
-        if sel.len() == rows.len() && offsets.as_ref().is_some_and(identity) {
-            return Ok(rows.into_vec());
-        }
-        let offsets = offsets.filter(|_| self.opts.columnar);
-        let morsels = self.for_morsels(sel.len(), |lo, hi| {
-            let picked = sel[lo..hi].iter().map(|&i| &rows[i as usize]);
-            match &offsets {
-                Some(offs) => Ok(picked
-                    .map(|row| Row::new(offs.iter().map(|&c| row[c].clone()).collect()))
-                    .collect::<Vec<Row>>()),
-                None => picked
-                    .map(|row| project_row(outputs, &Env::new(layout, row, env)))
-                    .collect(),
+        let offsets = offsets.filter(|offs| self.opts.columnar || identity(offs));
+        let rows = match offsets {
+            Some(offs) => {
+                tuples.project(&offs);
+                if !distinct {
+                    return Ok(tuples);
+                }
+                self.rows_of(tuples)?
             }
-        })?;
-        let mut out = Vec::with_capacity(sel.len());
-        for m in morsels {
-            out.extend(m);
-        }
-        Ok(out)
+            None => {
+                self.settle(&mut tuples)?;
+                let morsels = self.for_morsels(tuples.len(), |lo, hi| {
+                    let mut scratch = Row::empty();
+                    let row = |i| {
+                        project_row(outputs, &Env::new(layout, tuples.row(i, &mut scratch), env))
+                    };
+                    (lo..hi).map(row).collect::<Result<Vec<Row>>>()
+                })?;
+                morsels.into_iter().flatten().collect()
+            }
+        };
+        let rows = if distinct { dedup_rows(rows) } else { rows };
+        Ok(Tuples::every(Src::Owned(rows), outputs.len()))
     }
 
     /// Pick the next Foreach quantifier to join: among the candidates whose
@@ -1291,7 +1257,7 @@ impl<'a> Executor<'a> {
         q: QuantId,
         applicable: &[usize],
         env: Option<&Env<'_>>,
-    ) -> Result<Input<'a>> {
+    ) -> Result<Tuples<'a>> {
         let preds: &[Expr] = &qgm.boxref(b).preds;
         let child = qgm.quant(q).input;
         if let BoxKind::BaseTable { table, .. } = &qgm.boxref(child).kind {
@@ -1303,16 +1269,14 @@ impl<'a> Executor<'a> {
             return self.scan_table(t, q, preds, applicable, read, env);
         }
 
+        // The child's batch, shared: its survivors are positions into it.
         let rows = self.eval_child(qgm, child, env)?;
-        if applicable.is_empty() {
-            // No predicates to apply: share the child's batch as-is.
-            return Ok(Input::Rows(Rows::Shared(rows)));
-        }
+        let mut input = Tuples::every(Src::Batch(rows), qgm.output_arity(child));
         let mut q_layout = Layout::new();
         q_layout.push(q, qgm.output_arity(child));
         let kept: Vec<&Expr> = applicable.iter().map(|&i| &preds[i]).collect();
-        let kept = self.filter_rows_ref(&rows, &q_layout, &kept, env)?;
-        Ok(Input::Rows(Rows::Owned(kept)))
+        self.filter(&mut input, &q_layout, &kept, env)?;
+        Ok(input)
     }
 
     /// The columns of quantifier `q` that anything reads once its scan has
@@ -1355,21 +1319,9 @@ impl<'a> Executor<'a> {
         cols
     }
 
-    /// The input as rows: a scan's survivors are gathered, all of them,
-    /// now.
-    fn gathered(&mut self, input: Input<'_>) -> Result<Rows> {
-        match input {
-            Input::Rows(rows) => Ok(rows),
-            Input::Scan(sel) => {
-                let mut io = PageIo::default();
-                let rows = sel.gather(&mut io)?;
-                self.note_io(io);
-                Ok(Rows::Owned(rows))
-            }
-        }
-    }
-
-    /// Base-table scan with optional index assistance.
+    /// Base-table scan with optional index assistance. A resident table's
+    /// survivors are positions into its rows; a paged table's, a selection
+    /// over its pages (`read`: the columns a row of it will be made at).
     fn scan_table(
         &mut self,
         t: &'a Table,
@@ -1378,8 +1330,9 @@ impl<'a> Executor<'a> {
         applicable: &[usize],
         read: Vec<usize>,
         env: Option<&Env<'_>>,
-    ) -> Result<Input<'a>> {
-        let owned = |rows: Vec<Row>| Input::Rows(Rows::Owned(rows));
+    ) -> Result<Tuples<'a>> {
+        let arity = t.schema().arity();
+        let at = |positions: Vec<u32>| Tuples::of(Src::Table(t.rows()), positions, arity);
         let mut q_layout = Layout::new();
         q_layout.push(q, t.schema().arity());
         let q_layout = &q_layout;
@@ -1404,7 +1357,7 @@ impl<'a> Executor<'a> {
             let positions = idx.lookup(std::slice::from_ref(&key)).iter().copied();
             return self
                 .fetch_probed(t, positions, &rest_of(pi), q_layout, env)
-                .map(owned);
+                .map(at);
         }
 
         let kept: Vec<&Expr> = applicable.iter().map(|&i| &preds[i]).collect();
@@ -1451,7 +1404,7 @@ impl<'a> Executor<'a> {
                 let positions = positions.iter().map(|&p| p as usize);
                 return self
                     .fetch_probed(t, positions, &rest_of(pi), q_layout, env)
-                    .map(owned);
+                    .map(at);
             }
         }
 
@@ -1459,15 +1412,15 @@ impl<'a> Executor<'a> {
         // per-run batch cache once, and each (re-)scan — notably nested
         // iteration's correlated re-scans, whose outer bindings compile to
         // literals — runs the filter kernels over it. The survivors stay
-        // where they are: the resident rows are the selection's one stripe.
+        // where they are: positions into the table's rows.
         self.stats.rows_scanned += t.len() as u64;
-        if !kept.is_empty() {
-            self.checkpoint(t.len() as u64)?;
+        let every = Tuples::every(Src::Table(t.rows()), arity);
+        if kept.is_empty() {
+            return Ok(every);
         }
-        let survivors = self.select_rows(t.rows(), Some(t), q_layout, &kept, env)?;
-        let mut sel = ScanSel::new(Source::Rows(t.rows()), read);
-        sel.push(0, survivors);
-        Ok(Input::Scan(sel))
+        self.checkpoint(t.len() as u64)?;
+        self.select_rows(&every, Some(t), q_layout, &kept, env)
+            .map(at)
     }
 
     /// Scan a paged table through the buffer pool, stripe by stripe. A
@@ -1490,7 +1443,7 @@ impl<'a> Executor<'a> {
         read: Vec<usize>,
         q_layout: &Layout,
         env: Option<&Env<'_>>,
-    ) -> Result<Input<'a>> {
+    ) -> Result<Tuples<'a>> {
         self.checkpoint(table_rows as u64)?;
         let bounds = self.prune_bounds(kept, q, env)?;
         let compiled = if self.opts.columnar {
@@ -1517,7 +1470,7 @@ impl<'a> Executor<'a> {
             true => (0..q_layout.width()).collect(),
             false => read,
         };
-        let mut sel = ScanSel::new(Source::Stripes(stripes), read);
+        let mut sel = ScanSel::new(stripes, read);
         let mut evals = 0u64;
         for page in live {
             self.checkpoint(0)?;
@@ -1529,17 +1482,16 @@ impl<'a> Executor<'a> {
         }
         self.note_io(io);
         self.note_preds(evals);
-        if !row_wise {
-            return Ok(Input::Scan(sel));
+        let mut scanned = Tuples::every(Src::Paged(sel), q_layout.width());
+        if row_wise {
+            self.settle(&mut scanned)?;
+            self.filter(&mut scanned, q_layout, kept, env)?;
         }
-        let rows = self.gathered(Input::Scan(sel))?.into_vec();
-        let rows = self.filter_rows(rows, q_layout, kept, env)?;
-        Ok(Input::Rows(Rows::Owned(rows)))
+        Ok(scanned)
     }
 
-    /// One index (or correlation-index) lookup: fetch the probed positions
-    /// of `t` in order, keeping the rows that pass the `rest` of the scan's
-    /// predicates.
+    /// One index (or correlation-index) lookup: the probed positions of
+    /// `t` in order whose rows pass the `rest` of the scan's predicates.
     fn fetch_probed(
         &mut self,
         t: &Table,
@@ -1547,15 +1499,14 @@ impl<'a> Executor<'a> {
         rest: &[&Expr],
         q_layout: &Layout,
         env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Vec<u32>> {
         self.stats.index_lookups += 1;
         self.stats.index_rows += positions.len() as u64;
         let mut out = Vec::new();
         let mut evals = 0u64;
         for p in positions {
-            let r = &t.rows()[p];
-            if qualifies_all(rest, &Env::new(q_layout, r, env), &mut evals)? {
-                out.push(r.clone());
+            if qualifies_all(rest, &Env::new(q_layout, &t.rows()[p], env), &mut evals)? {
+                out.push(p as u32);
             }
         }
         self.note_preds(evals);
@@ -1617,25 +1568,26 @@ impl<'a> Executor<'a> {
         b
     }
 
-    /// The one filter: which of `rows` satisfy the conjunction `preds`?
-    /// Returns the surviving row indices, ascending. Under `columnar`, a
-    /// conjunction that compiles to kernel form runs [`vector::filter_range`]
-    /// over a narrow transpose of the columns it reads (for a base `table`,
-    /// the cached one); anything else runs the row-wise evaluator. Both
-    /// evaluators run per morsel under the same driver and report the same
-    /// count: one evaluation per predicate per row still alive when the
-    /// predicate's turn comes. The caller has already charged the input
-    /// against the budget.
+    /// The one filter: which candidates satisfy the conjunction `preds`?
+    /// Returns their indices, ascending. Under `columnar`, a conjunction
+    /// that compiles to kernel form runs [`vector::filter_range`] over a
+    /// narrow transpose of the columns it reads (for the candidates of a
+    /// base `table`, every row in order, the cached one); anything else
+    /// runs the row-wise evaluator. Both evaluators run per morsel under
+    /// the same driver and report the same count: one evaluation per
+    /// predicate per candidate still alive when the predicate's turn comes.
+    /// The caller has already charged the input against the budget.
     fn select_rows(
         &mut self,
-        rows: &[Row],
+        tuples: &Tuples<'_>,
         table: Option<&Table>,
         layout: &Layout,
         preds: &[&Expr],
         env: Option<&Env<'_>>,
     ) -> Result<SelVec> {
+        let n = tuples.len();
         if preds.is_empty() {
-            return Ok((0..rows.len() as u32).collect());
+            return Ok((0..n as u32).collect());
         }
         let compiled = if self.opts.columnar {
             vector::compile_preds(preds, layout, env)
@@ -1646,22 +1598,28 @@ impl<'a> Executor<'a> {
             let cols = vector::pred_columns(&compiled);
             let batch = match table {
                 Some(t) => self.table_batch(t, &cols),
-                None => Arc::new(vector::narrow_batch(rows, &cols)),
+                None => {
+                    let mut io = PageIo::default();
+                    let columns = cols.iter().map(|&c| tuples.column(c, &mut io));
+                    let columns = columns.collect::<Result<Vec<_>>>()?;
+                    self.note_io(io);
+                    Arc::new(ColumnarBatch::from_columns(columns, n))
+                }
             };
             vector::remap_preds(&mut compiled, &cols);
-            self.for_morsels(rows.len(), |lo, hi| {
+            self.for_morsels(n, |lo, hi| {
                 let column = |c: usize| batch.column(c);
                 Ok(vector::filter_range(
                     &column, &compiled, lo as u32, hi as u32,
                 ))
             })?
         } else {
-            self.for_morsels(rows.len(), |lo, hi| {
-                let mut sel = Vec::new();
-                let mut evals = 0u64;
-                for (i, r) in rows[lo..hi].iter().enumerate() {
-                    if qualifies_all(preds, &Env::new(layout, r, env), &mut evals)? {
-                        sel.push((lo + i) as u32);
+            self.for_morsels(n, |lo, hi| {
+                let (mut sel, mut evals, mut scratch) = (Vec::new(), 0u64, Row::empty());
+                for i in lo..hi {
+                    let env1 = Env::new(layout, tuples.row(i, &mut scratch), env);
+                    if qualifies_all(preds, &env1, &mut evals)? {
+                        sel.push(i as u32);
                     }
                 }
                 Ok((sel, evals))
@@ -1677,116 +1635,77 @@ impl<'a> Executor<'a> {
         Ok(sel)
     }
 
-    /// Filter rows the caller owns (a join's output, the rows gathered for
-    /// a row-wise predicate): the survivors move out, nothing is cloned.
-    /// Reach for this whenever a `Vec<Row>` is at hand.
-    fn filter_rows(
+    /// Keep the candidates that satisfy `preds`, charging them against the
+    /// budget first.
+    fn filter(
         &mut self,
-        rows: Vec<Row>,
+        tuples: &mut Tuples<'_>,
         layout: &Layout,
         preds: &[&Expr],
         env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<()> {
         if preds.is_empty() {
-            return Ok(rows);
+            return Ok(());
         }
-        self.checkpoint(rows.len() as u64)?;
-        let mut sel = self
-            .select_rows(&rows, None, layout, preds, env)?
-            .into_iter()
-            .peekable();
-        // `retain` visits the rows once, in order; `sel` is ascending.
-        let mut rows = rows;
-        let mut i = 0u32;
-        rows.retain(|_| {
-            let keep = sel.next_if_eq(&i).is_some();
-            i += 1;
-            keep
-        });
-        Ok(rows)
+        self.checkpoint(tuples.len() as u64)?;
+        let sel = self.select_rows(tuples, None, layout, preds, env)?;
+        self.pick(tuples, &sel)
     }
 
-    /// Filter rows the caller only borrows (a child's shared batch): the
-    /// survivors are cloned, so this is for inputs someone else keeps.
-    fn filter_rows_ref(
-        &mut self,
-        rows: &[Row],
-        layout: &Layout,
-        preds: &[&Expr],
-        env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
-        if preds.is_empty() {
-            return Ok(rows.to_vec());
+    /// Keep the candidates `sel` (ascending).
+    fn pick(&mut self, tuples: &mut Tuples<'_>, sel: &[u32]) -> Result<()> {
+        if sel.len() < tuples.len() {
+            let mut io = PageIo::default();
+            tuples.pick(sel, &mut io)?;
+            self.note_io(io);
         }
-        self.checkpoint(rows.len() as u64)?;
-        let sel = self.select_rows(rows, None, layout, preds, env)?;
-        Ok(sel.iter().map(|&i| rows[i as usize].clone()).collect())
+        Ok(())
     }
 
-    /// One join step: combine `rows` (layout `layout`) with `right`
-    /// (the rows of quantifier `next`). Equi-join predicates among
-    /// `applicable` become join keys and are removed from the list;
-    /// everything else stays for the caller's residual filter.
-    ///
-    /// A scan on the right becomes rows here, in full, unless the in-memory
-    /// hash join can take its key columns straight off the table
-    /// ([`Executor::scan_key_cols`]) and make rows of the matches only.
+    /// One join step: combine the running candidates `left` (layout
+    /// `layout`) with `right` (the candidates of quantifier `next`).
+    /// Equi-join predicates among `applicable` become join keys and are
+    /// removed from the list; everything else stays for the caller's
+    /// residual filter. The algorithms differ only in how they find the
+    /// `(left, right)` pairs; the pairs are the step's candidates.
     #[allow(clippy::too_many_arguments)]
     fn join_step(
         &mut self,
         qgm: &Qgm,
         next: QuantId,
-        rows: &[Row],
+        mut left: Tuples<'a>,
         layout: &Layout,
-        right: Build<'_, '_>,
+        mut right: Tuples<'a>,
         preds: &[Expr],
         applicable: &mut Vec<usize>,
         env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Tuples<'a>> {
         let mut right_layout = Layout::new();
         right_layout.push(next, qgm.output_arity(qgm.quant(next).input));
 
         let keys = join::split_equi_keys(applicable.iter().map(|&i| &preds[i]), layout, next);
         *applicable = keys.residual.iter().map(|&at| applicable[at]).collect();
 
-        let gathered;
-        let right = match right {
-            Build::Rows(right) => right,
-            Build::Scan(sel) => match self.scan_key_cols(&keys.right, next, sel.len()) {
-                Some(cols) => {
-                    let out = self.scan_hash_join(rows, layout, sel, &cols, &keys, env)?;
-                    self.note_joined(next, JoinStrategy::Hash, rows.len(), sel.len(), out.len());
-                    return Ok(out);
-                }
-                None => {
-                    let mut io = PageIo::default();
-                    gathered = sel.gather(&mut io)?;
-                    self.note_io(io);
-                    &gathered
-                }
-            },
-        };
-        let (strategy, out) = if keys.left.is_empty() {
+        let (n, m) = (left.len(), right.len());
+        let (strategy, pairs) = if keys.left.is_empty() {
             // Cross product (with residual filtering done by the caller).
             // The output size is known up front, so the memory ceiling is
-            // enforced before materializing anything.
-            let projected = rows.len() * right.len();
+            // enforced before anything is paired.
+            let projected = n * m;
             self.check_mem(projected, "cross join")?;
             self.checkpoint(projected as u64)?;
-            let mut out = Vec::with_capacity(projected.max(1));
             self.stats.nl_comparisons += projected as u64;
-            for l in rows {
+            let mut pairs = Vec::with_capacity(projected);
+            for l in 0..n as u32 {
                 self.checkpoint(0)?;
-                for r in right.iter() {
-                    out.push(l.concat(r));
-                }
+                pairs.extend((0..m as u32).map(|r| (l, r)));
             }
-            (JoinStrategy::Cross, out)
+            (JoinStrategy::Cross, pairs)
         } else {
-            self.equi_join(rows, layout, right, &right_layout, &keys, env)?
+            self.equi_join(&mut left, layout, &mut right, &right_layout, &keys, env)?
         };
-        self.note_joined(next, strategy, rows.len(), right.len(), out.len());
-        Ok(out)
+        self.note_joined(next, strategy, n, m, pairs.len());
+        self.join_tuples(left, right, &pairs)
     }
 
     /// Count a finished join step's output and record its strategy.
@@ -1805,56 +1724,6 @@ impl<'a> Executor<'a> {
                 trace.note_join(b, quant, strategy, l, r, out);
             }
         }
-    }
-
-    /// The columns keying a scanned build side of `build_rows` rows, when
-    /// the in-memory hash join can read them off the table: kernels on,
-    /// every build key a plain column of the scanned quantifier, the build
-    /// side within the memory budget. Anything else — a computed key, the
-    /// row-wise reference configuration, a Grace spill or a block
-    /// nested-loop degradation — joins rows.
-    fn scan_key_cols(
-        &self,
-        right_keys: &[join::KeyExpr<'_>],
-        next: QuantId,
-        build_rows: usize,
-    ) -> Option<Vec<usize>> {
-        if !self.opts.columnar || right_keys.is_empty() || self.over_mem_budget(build_rows) {
-            return None;
-        }
-        right_keys
-            .iter()
-            .map(|(k, _)| match k {
-                Expr::Col { quant, col } if *quant == next => Some(*col),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The in-memory hash join with a scan as its build side: hash the key
-    /// columns `cols` at the scan's surviving positions (copied out of the
-    /// table, so nothing stays pinned while the join runs), match as ever,
-    /// then make a row of each build survivor that found a partner — once,
-    /// however many partners — and concatenate.
-    fn scan_hash_join(
-        &mut self,
-        rows: &[Row],
-        layout: &Layout,
-        build: &ScanSel<'_>,
-        cols: &[usize],
-        keys: &EquiKeys<'_>,
-        env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
-        let mut io = PageIo::default();
-        let rs = JoinSide::from_scan(build, cols, &keys.right, &mut io)?;
-        let ls = JoinSide::build(&self.pool, rows, layout, &keys.left, env, true)?;
-        let pairs = self.hash_pairs(&ls, &rs, rows.len(), build.len())?;
-        let (matched, slot) = build.gather_matched(pairs.iter().map(|&(_, ri)| ri), &mut io)?;
-        self.note_io(io);
-        Ok(pairs
-            .iter()
-            .map(|&(li, ri)| rows[li as usize].concat(&matched[slot[ri as usize] as usize]))
-            .collect())
     }
 
     /// The matches of an in-memory hash join of `probe_rows` rows hashed
@@ -1879,57 +1748,58 @@ impl<'a> Executor<'a> {
 
     /// Hash both inputs of an equi-join on `keys` (build side first).
     fn join_sides(
-        &self,
-        rows: &[Row],
+        &mut self,
+        left: &mut Tuples<'_>,
         layout: &Layout,
-        right: &[Row],
+        right: &mut Tuples<'_>,
         right_layout: &Layout,
         keys: &EquiKeys<'_>,
         env: Option<&Env<'_>>,
     ) -> Result<(JoinSide, JoinSide)> {
-        let columnar = self.opts.columnar;
-        let rs = JoinSide::build(&self.pool, right, right_layout, &keys.right, env, columnar)?;
-        let ls = JoinSide::build(&self.pool, rows, layout, &keys.left, env, columnar)?;
+        let (columnar, mut io) = (self.opts.columnar, PageIo::default());
+        let rs = JoinSide::build(
+            &self.pool,
+            right,
+            right_layout,
+            &keys.right,
+            env,
+            columnar,
+            &mut io,
+        )?;
+        let ls = JoinSide::build(&self.pool, left, layout, &keys.left, env, columnar, &mut io)?;
+        self.note_io(io);
         Ok((ls, rs))
     }
 
-    /// Inner equi-join of `rows` with `right` on `keys`, in serial probe
-    /// order (left row order, then build order) whichever algorithm runs:
-    /// the in-memory hash join; or, with a build side over the memory
-    /// budget, a Grace hash join when there is a spill manager and a block
-    /// nested-loop join when there is none (or its device is full).
+    /// The pairs of an inner equi-join of `left` with `right` on `keys`, in
+    /// serial probe order (left candidate order, then build order)
+    /// whichever algorithm runs: the in-memory hash join; or, with a build
+    /// side over the memory budget, a Grace hash join when there is a
+    /// spill manager and a block nested-loop join when there is none (or
+    /// its device is full).
     fn equi_join(
         &mut self,
-        rows: &[Row],
+        left: &mut Tuples<'_>,
         layout: &Layout,
-        right: &[Row],
+        right: &mut Tuples<'_>,
         right_layout: &Layout,
         keys: &EquiKeys<'_>,
         env: Option<&Env<'_>>,
-    ) -> Result<(JoinStrategy, Vec<Row>)> {
-        let (ls, rs) = self.join_sides(rows, layout, right, right_layout, keys, env)?;
-        if self.over_mem_budget(right.len()) {
+    ) -> Result<(JoinStrategy, Vec<(u32, u32)>)> {
+        let (ls, rs) = self.join_sides(left, layout, right, right_layout, keys, env)?;
+        let build_rows = right.len();
+        if self.over_mem_budget(build_rows) {
             if let Some(spill) = self.opts.spill.clone() {
-                let parts = self.spill_parts(right.len());
+                let parts = self.spill_parts(build_rows);
                 self.note_spill(&format!(
-                    "hash-join build side of {} rows exceeds mem_budget; \
-                     spilling {parts} grace partitions",
-                    right.len()
+                    "hash-join build side of {build_rows} rows exceeds mem_budget; \
+                     spilling {parts} grace partitions"
                 ));
-                let spilled = self.spilled_hash_join(
-                    rows,
-                    layout,
-                    right,
-                    right_layout,
-                    keys,
-                    env,
-                    &ls,
-                    &rs,
-                    &spill,
-                    parts,
-                );
-                match spilled {
-                    Ok(out) => return Ok((JoinStrategy::GraceHash, out)),
+                self.settle(left)?;
+                self.settle(right)?;
+                let sides = [(&*left, layout, &ls), (&*right, right_layout, &rs)];
+                match self.spilled_hash_join(sides, keys, env, &spill, parts) {
+                    Ok(pairs) => return Ok((JoinStrategy::GraceHash, pairs)),
                     // Fail-closed ENOSPC: the spill file cannot grow, so
                     // fall back to the spill-free degradation path — same
                     // matches, same order, no disk.
@@ -1941,178 +1811,184 @@ impl<'a> Executor<'a> {
                 }
             }
             self.note_degradation(&format!(
-                "hash-join build side of {} rows exceeds mem_budget; \
-                 using block nested-loop join",
-                right.len()
+                "hash-join build side of {build_rows} rows exceeds mem_budget; \
+                 using block nested-loop join"
             ));
-            let out = self.nested_loop_equi_join(rows, right, &ls, &rs)?;
-            return Ok((JoinStrategy::NestedLoop, out));
+            return Ok((
+                JoinStrategy::NestedLoop,
+                self.nested_loop_equi_join(&ls, &rs)?,
+            ));
         }
-
-        let pairs = self.hash_pairs(&ls, &rs, rows.len(), right.len())?;
-        let out = pairs
-            .iter()
-            .map(|&(li, ri)| rows[li as usize].concat(&right[ri as usize]))
-            .collect();
-        Ok((JoinStrategy::Hash, out))
+        let pairs = self.hash_pairs(&ls, &rs, left.len(), build_rows)?;
+        Ok((JoinStrategy::Hash, pairs))
     }
 
     /// Memory-degraded equi-join: no hash table, just the two hashed sides
     /// compared pairwise — the hash prefilters, the keys decide. Same
-    /// matches and same output order as the hash join, so degrading never
+    /// matches in the same order as the hash join, so degrading never
     /// changes the result bytes.
-    fn nested_loop_equi_join(
-        &mut self,
-        rows: &[Row],
-        right: &[Row],
-        ls: &JoinSide,
-        rs: &JoinSide,
-    ) -> Result<Vec<Row>> {
-        self.checkpoint((rows.len() * right.len()) as u64)?;
-        self.stats.nl_comparisons += (rows.len() * right.len()) as u64;
-        let mut out = Vec::new();
-        for (li, l) in rows.iter().enumerate() {
+    fn nested_loop_equi_join(&mut self, ls: &JoinSide, rs: &JoinSide) -> Result<Vec<(u32, u32)>> {
+        let (n, m) = (ls.len(), rs.len());
+        self.checkpoint((n * m) as u64)?;
+        self.stats.nl_comparisons += (n * m) as u64;
+        let mut pairs = Vec::new();
+        for li in 0..n {
             self.checkpoint(0)?;
             let Some(lh) = ls.hash(li) else { continue };
-            for (ri, r) in right.iter().enumerate() {
+            for ri in 0..m {
                 if rs.hash(ri) == Some(lh) && ls.key_eq(li, rs, ri) {
-                    out.push(l.concat(r));
+                    pairs.push((li as u32, ri as u32));
                 }
             }
-            self.check_mem(out.len(), "nested-loop join")?;
+            self.check_mem(pairs.len(), "nested-loop join")?;
         }
-        Ok(out)
+        Ok(pairs)
     }
 
     /// Grace hash join: the disk-backed path for a build side over the
-    /// memory budget. Both sides hash-partition into a [`SpillSet`] by the
-    /// key hashes of `ls` / `rs`, and each partition is read back and joined
-    /// by the same kernel as the in-memory join. Equal keys always land in
-    /// the same partition and each partition preserves its side's input
-    /// order, so stable-sorting the matches by original probe index
-    /// reproduces the in-memory join's rows byte for byte.
-    #[allow(clippy::too_many_arguments)]
+    /// memory budget. Each side — `(candidates, layout, keys hashed)`,
+    /// probe side first — spills as rows tagged with their candidate index,
+    /// hash-partitioned by its key hashes, and each partition is read back
+    /// and joined by the same kernel as the in-memory join. Equal keys
+    /// always land in the same partition and each partition preserves its
+    /// side's input order, so stable-sorting the pairs by probe index
+    /// reproduces the in-memory join's pairs exactly.
     fn spilled_hash_join(
         &mut self,
-        rows: &[Row],
-        layout: &Layout,
-        right: &[Row],
-        right_layout: &Layout,
+        sides: [(&Tuples<'_>, &Layout, &JoinSide); 2],
         keys: &EquiKeys<'_>,
         env: Option<&Env<'_>>,
-        ls: &JoinSide,
-        rs: &JoinSide,
         spill: &SpillManager,
         parts: usize,
-    ) -> Result<Vec<Row>> {
-        self.checkpoint((rows.len() + right.len()) as u64)?;
+    ) -> Result<Vec<(u32, u32)>> {
+        let [(left, layout, ls), (right, right_layout, rs)] = sides;
+        self.checkpoint((left.len() + right.len()) as u64)?;
         self.stats.hash_build_rows += right.len() as u64;
-        self.stats.hash_probes += rows.len() as u64;
+        self.stats.hash_probes += left.len() as u64;
 
-        // Rows whose key is NULL/NaN match nothing and are never spilled.
-        let mut rset = spill.partition_set(parts)?;
-        for (i, r) in right.iter().enumerate() {
-            if let Some(p) = rs.partition(i, parts) {
-                rset.push(p, r.clone())?;
+        // Candidates whose key is NULL/NaN match nothing and never spill.
+        let mut scratch = Row::empty();
+        let mut spill_side = |tuples: &Tuples<'_>, hashed: &JoinSide| {
+            let mut set = spill.partition_set(parts)?;
+            for i in 0..tuples.len() {
+                if let Some(p) = hashed.partition(i, parts) {
+                    set.push(p, tag_row(i, tuples.row(i, &mut scratch)))?;
+                }
             }
-        }
-        rset.finish()?;
-        // Probe rows carry their original index for the final
-        // order-restoring sort.
-        let mut lset = spill.partition_set(parts)?;
-        for (i, l) in rows.iter().enumerate() {
-            if let Some(p) = ls.partition(i, parts) {
-                lset.push(p, tag_row(i, l))?;
-            }
-        }
-        lset.finish()?;
+            set.finish()?;
+            Ok::<_, Error>(set)
+        };
+        let (rset, lset) = (spill_side(right, rs)?, spill_side(left, ls)?);
 
         let mut io = PageIo::default();
-        let mut tagged: Vec<(i64, Row)> = Vec::new();
+        let mut tagged: Vec<(i64, i64)> = Vec::new();
         for p in 0..parts {
             self.checkpoint(0)?;
-            let build = rset.read_partition(p, &mut io)?;
-            let (origs, probe) = untag_rows(lset.read_partition(p, &mut io)?)?;
-            let (pls, prs) = self.join_sides(&probe, layout, &build, right_layout, keys, env)?;
+            let (rorig, build) = untag_rows(rset.read_partition(p, &mut io)?)?;
+            let (lorig, probe) = untag_rows(lset.read_partition(p, &mut io)?)?;
+            let mut build = Tuples::every(Src::Owned(build), right_layout.width());
+            let mut probe = Tuples::every(Src::Owned(probe), layout.width());
+            let (pls, prs) =
+                self.join_sides(&mut probe, layout, &mut build, right_layout, keys, env)?;
             for (li, ri) in join::match_pairs(&self.pool, &pls, &prs, false) {
-                let (li, ri) = (li as usize, ri as usize);
-                tagged.push((origs[li], probe[li].concat(&build[ri])));
+                tagged.push((lorig[li as usize], rorig[ri as usize]));
             }
             self.check_mem(tagged.len(), "hash join")?;
         }
         self.note_io(io);
-        tagged.sort_by_key(|&(i, _)| i);
-        Ok(tagged.into_iter().map(|(_, r)| r).collect())
+        tagged.sort_by_key(|&(l, _)| l);
+        Ok(tagged
+            .into_iter()
+            .map(|(l, r)| (l as u32, r as u32))
+            .collect())
     }
 
     /// Join a *deferred* base table: drive it through an index
     /// (index nested loops) when an equality predicate binds an indexed
-    /// column to the already-bound rows and the bound side is small;
-    /// otherwise scan it now and fall back to the hash join.
+    /// column to the already-bound candidates and they are few; otherwise
+    /// scan it now and fall back to the hash join.
     #[allow(clippy::too_many_arguments)]
     fn join_deferred(
         &mut self,
         qgm: &Qgm,
         next: QuantId,
         table: &str,
-        rows: &[Row],
+        mut left: Tuples<'a>,
         layout: &Layout,
         preds: &[Expr],
         applicable: &mut Vec<usize>,
         env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Tuples<'a>> {
         let t = self.db.table(table)?;
+        let arity = t.schema().arity();
         let indexed = |c: usize, _: &Expr| t.index_on(&[c]).is_some();
         let probe = find_eq_probe(preds, applicable, next, indexed)
-            .filter(|_| rows.len() * 2 < t.len().max(1));
+            .filter(|_| left.len() * 2 < t.len().max(1));
         let Some((pi, col, keyexpr)) = probe else {
             // (A deferred table carries an index, so it is resident.)
             self.stats.rows_scanned += t.len() as u64;
-            let right = Build::Rows(t.rows());
-            return self.join_step(qgm, next, rows, layout, right, preds, applicable, env);
+            let right = Tuples::every(Src::Table(t.rows()), arity);
+            return self.join_step(qgm, next, left, layout, right, preds, applicable, env);
         };
         applicable.retain(|&i| i != pi);
+        self.settle(&mut left)?;
         let idx = t.index_on(&[col]).expect("checked above");
-        let mut out = Vec::new();
-        for l in rows {
+        // The pairs index `probed`, the table positions in output order.
+        let (mut pairs, mut probed) = (Vec::new(), Vec::new());
+        let mut scratch = Row::empty();
+        for i in 0..left.len() {
             self.checkpoint(1)?;
-            let key = eval_expr(keyexpr, &Env::new(layout, l, env))?;
+            let key = eval_expr(keyexpr, &Env::new(layout, left.row(i, &mut scratch), env))?;
             // The index normalizes the probe like any Eq key: NULL/NaN
             // find nothing, -0.0 finds 0.0.
             self.stats.index_lookups += 1;
             let positions = idx.lookup(std::slice::from_ref(&key));
             self.stats.index_rows += positions.len() as u64;
             for &p in positions {
-                out.push(l.concat(&t.rows()[p]));
+                pairs.push((i as u32, probed.len() as u32));
+                probed.push(p as u32);
             }
         }
         let strategy = JoinStrategy::IndexNestedLoop;
-        self.note_joined(next, strategy, rows.len(), t.len(), out.len());
-        Ok(out)
+        self.note_joined(next, strategy, left.len(), t.len(), pairs.len());
+        let right = Tuples::of(Src::Table(t.rows()), probed, arity);
+        self.join_tuples(left, right, &pairs)
     }
 
-    /// Lateral join: evaluate the child once per bound row.
+    /// Lateral join: evaluate the child once per bound candidate; its rows
+    /// are the right input, one copy per candidate it joins.
     fn join_lateral(
         &mut self,
         qgm: &Qgm,
         next: QuantId,
-        rows: &[Row],
+        mut left: Tuples<'a>,
         layout: &Layout,
         env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Tuples<'a>> {
         let child = qgm.quant(next).input;
-        let mut out = Vec::new();
+        self.settle(&mut left)?;
+        let n = left.len();
+        // The child's batch per distinct binding (batched path).
+        let mut subs: Vec<RowBatch> = Vec::new();
+        let mut scratch = Row::empty();
+        let (mut pairs, mut right) = (Vec::new(), Vec::new());
+        let mut emit = |this: &mut Self, l: usize, sub: &RowBatch| {
+            for r in sub.iter() {
+                pairs.push((l as u32, right.len() as u32));
+                right.push(r.clone());
+            }
+            this.check_mem(pairs.len(), "lateral join")
+        };
         if self.opts.ni_memo && self.opts.ni_batch {
-            // Batched lateral: group the outer rows by correlation key so
+            // Batched lateral: group the candidates by correlation key so
             // each distinct binding executes the subquery once per batch,
-            // then gather results back in the original row order.
+            // then gather results back in the original order.
             let sig = self.corr_sig(qgm, child);
             let mut slot_of: FxHashMap<MemoKey, usize> = FxHashMap::default();
-            let mut slot_rows: Vec<Option<RowBatch>> = Vec::new();
-            let mut assignment: Vec<Option<usize>> = Vec::with_capacity(rows.len());
-            for l in rows {
+            let mut assignment: Vec<Option<usize>> = Vec::with_capacity(n);
+            for l in 0..n {
                 self.checkpoint(1)?;
-                let env2 = Env::new(layout, l, env);
+                let env2 = Env::new(layout, left.row(l, &mut scratch), env);
                 let Some(key) = sig.key_under(&env2) else {
                     assignment.push(None);
                     continue;
@@ -2120,53 +1996,40 @@ impl<'a> Executor<'a> {
                 match slot_of.get(&key) {
                     Some(&s) => {
                         // Logical invocation, physically shared with the
-                        // first row of the group.
+                        // first candidate of the class.
                         self.count_subq_hit(child);
                         assignment.push(Some(s));
                     }
                     None => {
-                        let sub = self.memoized_child(qgm, child, &env2, true)?;
-                        let s = slot_rows.len();
-                        slot_rows.push(Some(sub));
-                        slot_of.insert(key, s);
-                        assignment.push(Some(s));
+                        subs.push(self.memoized_child(qgm, child, &env2, true)?);
+                        slot_of.insert(key, subs.len() - 1);
+                        assignment.push(Some(subs.len() - 1));
                     }
                 }
             }
-            for (l, slot) in rows.iter().zip(assignment) {
-                let sub = match &slot {
-                    Some(s) => RowBatch::clone(slot_rows[*s].as_ref().expect("slot filled")),
+            for (l, slot) in assignment.into_iter().enumerate() {
+                let sub = match slot {
+                    Some(s) => RowBatch::clone(&subs[s]),
                     None => {
                         // Unkeyable binding (an unbound free ref): evaluate
-                        // this row on its own, as the per-row path would.
-                        let env2 = Env::new(layout, l, env);
+                        // this candidate on its own, as the per-row path would.
+                        let env2 = Env::new(layout, left.row(l, &mut scratch), env);
                         self.memoized_child(qgm, child, &env2, true)?
                     }
                 };
-                for r in sub.iter() {
-                    out.push(l.concat(r));
-                }
-                self.check_mem(out.len(), "lateral join")?;
+                emit(self, l, &sub)?;
             }
         } else {
-            for l in rows {
+            for l in 0..n {
                 self.checkpoint(1)?;
-                let env2 = Env::new(layout, l, env);
+                let env2 = Env::new(layout, left.row(l, &mut scratch), env);
                 let sub = self.memoized_child(qgm, child, &env2, true)?;
-                for r in sub.iter() {
-                    out.push(l.concat(r));
-                }
-                self.check_mem(out.len(), "lateral join")?;
+                emit(self, l, &sub)?;
             }
         }
-        self.note_joined(
-            next,
-            JoinStrategy::Lateral,
-            rows.len(),
-            rows.len(),
-            out.len(),
-        );
-        Ok(out)
+        self.note_joined(next, JoinStrategy::Lateral, n, n, pairs.len());
+        let right = Tuples::every(Src::Owned(right), qgm.output_arity(child));
+        self.join_tuples(left, right, &pairs)
     }
 
     /// Compute the rows of a subquery quantifier for the current candidate
@@ -2195,27 +2058,26 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// EarliestBinding: append the scalar subquery's value as an extra
-    /// column of every row.
+    /// Append the scalar subquery's value to every candidate, as a column
+    /// of its own.
     fn append_scalar_column(
         &mut self,
         qgm: &Qgm,
         sq: QuantId,
-        rows: Vec<Row>,
+        mut tuples: Tuples<'a>,
         layout: &Layout,
         env: Option<&Env<'_>>,
-    ) -> Result<Vec<Row>> {
-        let mut out = Vec::with_capacity(rows.len());
-        for mut r in rows {
+    ) -> Result<Tuples<'a>> {
+        self.settle(&mut tuples)?;
+        let mut values = Vec::with_capacity(tuples.len());
+        let mut scratch = Row::empty();
+        for i in 0..tuples.len() {
             self.checkpoint(0)?;
-            let v = {
-                let env2 = Env::new(layout, &r, env);
-                self.scalar_subquery_value(qgm, sq, &env2)?
-            };
-            r.0.push(v);
-            out.push(r);
+            let env2 = Env::new(layout, tuples.row(i, &mut scratch), env);
+            values.push(Row::new(vec![self.scalar_subquery_value(qgm, sq, &env2)?]));
         }
-        Ok(out)
+        let pairs: Vec<(u32, u32)> = (0..tuples.len() as u32).map(|i| (i, i)).collect();
+        self.join_tuples(tuples, Tuples::every(Src::Owned(values), 1), &pairs)
     }
 
     // ---- Grouping boxes ---------------------------------------------------
@@ -2235,42 +2097,21 @@ impl<'a> Executor<'a> {
         let mut agg_slots: Vec<AggSlot<'_>> = Vec::new();
         for (i, o) in bx.outputs.iter().enumerate() {
             if let Expr::Agg { func, arg, distinct } = &o.expr {
-                agg_slots.push(AggSlot {
-                    func: *func,
-                    arg: arg.as_deref(),
-                    distinct: *distinct,
-                    out_pos: i,
-                });
+                let arg = arg.as_deref();
+                let col = arg.and_then(|a| vector::compile_projection([a].into_iter(), &layout));
+                let col = col.filter(|_| self.opts.columnar).map(|c| c[0]);
+                let (func, distinct) = (*func, *distinct);
+                agg_slots.push(AggSlot { func, arg, col, distinct, out_pos: i });
             }
         }
 
-        // Grand totals (no GROUP BY) whose aggregates are plain-column
-        // COUNT/SUM/MIN/MAX vectorize: the aggregate kernels fold each
-        // argument as a column and reproduce the serial fold exactly
-        // (Double accumulation order and Int overflow included).
-        let kernel_cols = if self.opts.columnar && group_by.is_empty() {
-            grand_total_cols(&agg_slots, &layout)
-        } else {
-            None
-        };
-
-        // When such a total, made of aggregates alone, sits right on a
-        // Select that only scans a paged table, the scan's survivors never
-        // become rows: the arguments come off the pages as columns
-        // (`scan`, with the table column behind each of the Select's
-        // outputs), in page order — the serial fold order.
-        let scan_shape = match &kernel_cols {
-            Some(_) if agg_slots.len() == bx.outputs.len() => self.scan_only_select(qgm, child),
-            _ => None,
-        };
-        let (input, scan) = match scan_shape {
-            None => (self.eval_child(qgm, child, env)?, None),
-            Some(shape) => self.eval_scan_only_select(qgm, child, shape, env)?,
-        };
-        let input_rows = scan.as_ref().map_or(input.len(), |(sel, _)| sel.len());
-
-        self.checkpoint(input_rows as u64)?;
-        self.stats.agg_input_rows += input_rows as u64;
+        // The input: a Select's or an outer join's candidates as they
+        // stand — a scan's survivors perhaps still on their pages, a join's
+        // pairs never concatenated.
+        let mut input = self.eval_tuples(qgm, child, env)?;
+        let n = input.len();
+        self.checkpoint(n as u64)?;
+        self.stats.agg_input_rows += n as u64;
 
         // Memory governance: a hash-aggregation table over this input
         // could exceed the budget (worst case, one group per row). With a
@@ -2282,38 +2123,48 @@ impl<'a> Executor<'a> {
         // input order, so per-group accumulation (and floating-point sums)
         // matches the hash path exactly; only the emission order changes
         // (key-sorted instead of first-appearance).
-        let over_budget = self.over_mem_budget(input_rows);
+        let over_budget = self.over_mem_budget(n);
         let spilling = if over_budget {
             self.opts.spill.clone()
         } else {
             None
         };
         let degraded = over_budget && spilling.is_none();
-        if let Some(_mgr) = &spilling {
-            let parts = self.spill_parts(input.len());
+        let parts = self.spill_parts(n);
+        if spilling.is_some() {
             self.note_spill(&format!(
-                "grouping input of {} rows exceeds mem_budget; \
-                 spilling {parts} hash partitions",
-                input.len()
+                "grouping input of {n} rows exceeds mem_budget; \
+                 spilling {parts} hash partitions"
             ));
         } else if degraded {
             self.note_degradation(&format!(
-                "grouping input of {} rows exceeds mem_budget; \
-                 using sort-based aggregation",
-                input.len()
+                "grouping input of {n} rows exceeds mem_budget; \
+                 using sort-based aggregation"
             ));
         }
 
-        let kernel_cols = kernel_cols.filter(|_| !over_budget);
-        let keys = &GroupKeys::compile(group_by, &layout, self.opts.columnar);
+        // Grand totals (no GROUP BY) whose aggregates are plain-column
+        // COUNT/SUM/MIN/MAX vectorize: the aggregate kernels fold each
+        // argument as a column — copied out through the candidates'
+        // positions, or off the pages of a scan that is still paged — and
+        // reproduce the serial fold exactly (Double accumulation order and
+        // Int overflow included). Anything else reads rows.
+        let kernel_cols = match group_by.is_empty() && !over_budget && n > 0 {
+            true => grand_total_cols(&agg_slots),
+            false => None,
+        };
+        let every_output_aggregates = agg_slots.len() == bx.outputs.len();
+        if kernel_cols.is_none() || !every_output_aggregates {
+            self.settle(&mut input)?;
+        }
+        let keys = &GroupKeys::compile(group_by, &layout, self.opts.columnar, &agg_slots);
 
         // One accumulator vector per group (one accumulator per agg slot),
         // in first-appearance order. Large inputs aggregate into
-        // thread-local tables over contiguous slices, merged in slice
+        // thread-local tables over contiguous ranges, merged in range
         // order — the merge replays distinct values in first-seen order,
         // so the result is the one the serial fold produces.
         let groups: Vec<Group> = if let Some(mgr) = &spilling {
-            let parts = self.spill_parts(input.len());
             match self.spilled_groups(&input, &layout, env, keys, &agg_slots, mgr, parts) {
                 Ok(groups) => groups,
                 // Fail-closed ENOSPC: the spill partitions cannot grow, so
@@ -2330,35 +2181,28 @@ impl<'a> Executor<'a> {
             }
         } else if degraded {
             sort_groups(&input, &layout, env, keys, &agg_slots)?
-        } else if let Some((sel, out_cols)) = scan.as_ref().filter(|(sel, _)| sel.len() > 0) {
-            let cols = kernel_cols
-                .as_ref()
-                .expect("a scan is only kept for kernels");
+        } else if let Some(cols) = &kernel_cols {
             let mut io = PageIo::default();
             let args = cols
                 .iter()
-                .map(|c| c.map(|c| sel.column(out_cols[c], &mut io)).transpose())
+                .map(|c| c.map(|c| input.column(c, &mut io)).transpose())
                 .collect::<Result<Vec<_>>>()?;
             self.note_io(io);
-            grand_total_groups(sel.len(), None, &agg_slots, &args)?
-        } else if let (Some(cols), false) = (&kernel_cols, input.is_empty()) {
-            let args: Vec<Option<Column>> = cols
-                .iter()
-                .map(|c| c.map(|c| Column::from_values(input.iter().map(|r| &r[c]), input.len())))
-                .collect();
-            grand_total_groups(input.len(), Some(input[0].clone()), &agg_slots, &args)?
-        } else if self.parallel_over(input.len()) {
-            let partials = self.pool.map_worker_slices(&input, |slice| {
-                build_groups(slice, &layout, env, keys, &agg_slots, true)
+            grand_total_groups(n, Some(0), &agg_slots, &args)?
+        } else if self.parallel_over(n) {
+            let per = n.div_ceil(self.pool.threads());
+            let partials = self.pool.run_indexed(n.div_ceil(per), |s| {
+                let range = s * per..((s + 1) * per).min(n);
+                build_groups(&input, range, &layout, env, keys, &agg_slots, true)
             });
             let mut merged: Vec<Group> = Vec::new();
             let mut index: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
             for partial in partials {
-                merge_groups(&mut merged, &mut index, partial?.0, &agg_slots)?;
+                merge_groups(&mut merged, &mut index, partial?, &agg_slots)?;
             }
             merged
         } else {
-            build_groups(&input, &layout, env, keys, &agg_slots, false)?.0
+            build_groups(&input, 0..n, &layout, env, keys, &agg_slots, false)?
         };
         let mut groups = groups;
 
@@ -2371,10 +2215,16 @@ impl<'a> Executor<'a> {
         self.stats.agg_groups += groups.len() as u64;
         self.check_mem(groups.len(), "grouping")?;
 
+        // The outputs that are not aggregates read the group's first
+        // candidate.
         let mut out = Vec::with_capacity(groups.len());
-        let nulls = Row::nulls(layout.width());
+        let (nulls, mut scratch) = (Row::nulls(layout.width()), Row::empty());
         for group in &groups {
-            let env1 = Env::new(&layout, group.rep.as_ref().unwrap_or(&nulls), env);
+            let rep = match group.rep {
+                Some(i) if !every_output_aggregates => input.row(i as usize, &mut scratch),
+                _ => &nulls,
+            };
+            let env1 = Env::new(&layout, rep, env);
             let mut row = Row(Vec::with_capacity(bx.outputs.len()));
             for (i, o) in bx.outputs.iter().enumerate() {
                 if let Some(si) = agg_slots.iter().position(|s| s.out_pos == i) {
@@ -2386,77 +2236,6 @@ impl<'a> Executor<'a> {
             out.push(row);
         }
         Ok(out)
-    }
-
-    /// Evaluate the scan-only Select `b` (of `shape`, as
-    /// [`Executor::scan_only_select`] found it) for a consumer that can
-    /// work from columns: the scan's survivors, still in their table, with
-    /// the table column behind each output — or, when that consumer will
-    /// not run on kernels after all (an input over the memory budget, an
-    /// index probe or predicates that had to make rows), the Select's
-    /// rows. Counts and traces as `eval_box` on `b` does.
-    fn eval_scan_only_select(
-        &mut self,
-        qgm: &Qgm,
-        b: BoxId,
-        (q, t, out_cols): ScanOnly<'a>,
-        env: Option<&Env<'_>>,
-    ) -> Result<(RowBatch, Option<ScannedOutputs<'a>>)> {
-        let preds: &[Expr] = &qgm.boxref(b).preds;
-        let every: Vec<usize> = (0..preds.len()).collect();
-        let mut read = out_cols.clone();
-        read.sort_unstable();
-        read.dedup();
-        let scanned = self.traced(
-            b,
-            |ex| {
-                ex.checkpoint(0)?;
-                ex.scan_table(t, q, preds, &every, read, env)
-            },
-            Input::len,
-        )?;
-        match scanned {
-            Input::Scan(sel) if !self.over_mem_budget(sel.len()) => {
-                Ok((Vec::new().into(), Some((sel, out_cols))))
-            }
-            scanned => {
-                let rows = self.gathered(scanned)?.into_vec();
-                Ok((select_shape(rows, &out_cols), None))
-            }
-        }
-    }
-
-    /// Is box `b` a Select that does nothing but scan a table — one
-    /// Foreach quantifier over it, every predicate on that quantifier, the
-    /// outputs plain columns of it, no DISTINCT, and no cache that would
-    /// want the box's rows? Then: the quantifier, the table, and the table
-    /// column behind each output.
-    fn scan_only_select(&self, qgm: &Qgm, b: BoxId) -> Option<ScanOnly<'a>> {
-        let bx = qgm.boxref(b);
-        let &[q] = &bx.quants[..] else { return None };
-        let cached = self.opts.memoize_cse
-            || (self.opts.shared_subplans.as_ref()).is_some_and(|ss| ss.marks.contains_key(&b));
-        if !matches!(bx.kind, BoxKind::Select)
-            || bx.distinct
-            || cached
-            || qgm.quant(q).kind != QuantKind::Foreach
-            || !bx.preds.iter().all(|p| p.references(q))
-        {
-            return None;
-        }
-        let BoxKind::BaseTable { table, .. } = &qgm.boxref(qgm.quant(q).input).kind else {
-            return None;
-        };
-        let t = self.db.table(table).ok()?;
-        let out_cols = bx
-            .outputs
-            .iter()
-            .map(|o| match &o.expr {
-                Expr::Col { quant, col } if *quant == q => Some(*col),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some((q, t, out_cols))
     }
 
     // ---- Union and OuterJoin ------------------------------------------------
@@ -2483,12 +2262,18 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    /// Left outer join. When the right child is a scan-only Select —
-    /// Dayal's subquery block, its correlation predicate lifted into the
-    /// ON clause — and the scan's columns can key the hash table, the
-    /// child hands on its selection, the keys are hashed off the table and
-    /// only the build positions that found a partner become rows.
-    fn eval_outer_join(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Vec<Row>> {
+    /// Left outer join. The candidates are the left rows paired with the
+    /// right child's candidates — its tuples as they stand, so a Select
+    /// that scans or joins hands on positions, and those of a paged scan
+    /// become rows only for the matches — or null-extended. The pairs are
+    /// the join's result; plain-column outputs under kernels re-map them
+    /// and make no row.
+    fn eval_outer_join(
+        &mut self,
+        qgm: &Qgm,
+        b: BoxId,
+        env: Option<&Env<'_>>,
+    ) -> Result<Tuples<'a>> {
         let bx = qgm.boxref(b);
         let (ql, qr) = (bx.quants[0], bx.quants[1]);
         let (lchild, rchild) = (qgm.quant(ql).input, qgm.quant(qr).input);
@@ -2505,32 +2290,27 @@ impl<'a> Executor<'a> {
         let keys = join::split_equi_keys(&bx.preds, &l_layout, qr);
 
         let left = self.eval_child(qgm, lchild, env)?;
-        let key_cols = self.scan_key_cols(&keys.right, qr, 0);
-        let shape = key_cols
-            .as_ref()
-            .and_then(|_| self.scan_only_select(qgm, rchild));
-        let (right, scan) = match shape {
-            None => (self.eval_child(qgm, rchild, env)?, None),
-            Some(shape) => self.eval_scan_only_select(qgm, rchild, shape, env)?,
-        };
-        let right_rows = scan.as_ref().map_or(right.len(), |(sel, _)| sel.len());
+        let mut left = Tuples::every(Src::Batch(left), l_arity);
+        let mut right = self.eval_tuples(qgm, rchild, env)?;
+        let (left_rows, right_rows) = (left.len(), right.len());
 
-        self.checkpoint((left.len() + right_rows) as u64)?;
+        self.checkpoint((left_rows + right_rows) as u64)?;
 
         // Memory governance: the hash table covers the whole right side,
         // so when that exceeds the budget every ON predicate is treated as
-        // residual — the keyless walk below tries every right row per left
-        // row (a block nested-loop outer join), identical match semantics.
+        // residual — the keyless walk below tries every right candidate per
+        // left row (a block nested-loop outer join), identical match
+        // semantics.
         let degraded = self.over_mem_budget(right_rows);
         if degraded {
             self.note_degradation(&format!(
                 "outer-join build side of {right_rows} rows exceeds mem_budget; \
                  using nested-loop outer join"
             ));
-            self.stats.nl_comparisons += (left.len() * right_rows) as u64;
+            self.stats.nl_comparisons += (left_rows * right_rows) as u64;
         } else {
             self.stats.hash_build_rows += right_rows as u64;
-            self.stats.hash_probes += left.len() as u64;
+            self.stats.hash_probes += left_rows as u64;
         }
         let residual: Vec<&Expr> = if degraded {
             bx.preds.iter().collect()
@@ -2539,81 +2319,39 @@ impl<'a> Executor<'a> {
         };
 
         // Key matches in left-row order; a keyless ON clause offers every
-        // right row to every left row instead.
+        // right candidate to every left row instead.
         let keyed = !degraded && !keys.left.is_empty();
-        debug_assert!(
-            scan.is_none() || keyed,
-            "a scan is only kept for a hash table"
-        );
-        let mut io = PageIo::default();
-        let mut pairs = if keyed {
-            let (ls, rs) = match (&scan, key_cols) {
-                (Some((sel, out_cols)), Some(key_cols)) => {
-                    let cols: Vec<usize> = key_cols.iter().map(|&c| out_cols[c]).collect();
-                    let rs = JoinSide::from_scan(sel, &cols, &keys.right, &mut io)?;
-                    let ls = JoinSide::build(&self.pool, &left, &l_layout, &keys.left, env, true)?;
-                    (ls, rs)
-                }
-                _ => self.join_sides(&left, &l_layout, &right, &r_layout, &keys, env)?,
-            };
-            let parallel = self.parallel_over(left.len().max(right_rows));
+        let pairs = if keyed {
+            let (ls, rs) =
+                self.join_sides(&mut left, &l_layout, &mut right, &r_layout, &keys, env)?;
+            let parallel = self.parallel_over(left_rows.max(right_rows));
             join::match_pairs(&self.pool, &ls, &rs, parallel)
         } else {
             Vec::new()
         };
-        // Of a scanned build side, the matched positions alone become rows
-        // (in the Select's output shape); the pairs then index those.
-        let right = match scan {
-            None => right,
-            Some((sel, out_cols)) => {
-                let (matched, slot) = sel.gather_matched(pairs.iter().map(|p| p.1), &mut io)?;
-                for p in &mut pairs {
-                    p.1 = slot[p.1 as usize];
-                }
-                select_shape(matched, &out_cols)
-            }
-        };
-        self.note_io(io);
-        let every_right = 0..if keyed { 0 } else { right.len() };
+        let every_right = 0..if keyed { 0 } else { right_rows };
 
         // Walk the candidates per left row: a candidate passing the
-        // residual predicates emits a joined row; a left row nothing
-        // matched emits once, null-extended. With plain-column outputs and
-        // no residual predicate every cell is copied once, from the left or
-        // the build row, through offsets compiled here; otherwise the
-        // evaluator reads a combined scratch row.
-        let outputs = &bx.outputs;
-        let offsets = vector::compile_projection(outputs.iter().map(|o| &o.expr), &layout)
-            .filter(|_| self.opts.columnar && residual.is_empty());
-        let nulls = Row::nulls(r_arity);
-        let morsels = self.for_morsels(left.len(), |lo, hi| {
-            let mut evals = 0u64;
-            let mut combined = Row::empty();
-            let out = join::walk_outer(
-                &left,
-                lo..hi,
-                &pairs,
-                &right,
-                every_right.clone(),
-                |l, r, out| {
-                    if let Some(offs) = &offsets {
-                        let r = r.unwrap_or(&nulls);
-                        let cell = |&o: &usize| match o.checked_sub(l_arity) {
-                            None => l[o].clone(),
-                            Some(c) => r[c].clone(),
-                        };
-                        out.push(offs.iter().map(cell).collect());
-                        return Ok(true);
-                    }
-                    l.concat_into(r.unwrap_or(&nulls), &mut combined);
-                    let env2 = Env::new(&layout, &combined, env);
-                    let ok = r.is_none() || qualifies_all(&residual, &env2, &mut evals)?;
-                    if ok {
-                        out.push(project_row(outputs, &env2)?);
-                    }
-                    Ok(ok)
-                },
-            )?;
+        // residual predicates (read off one combined scratch row) is a
+        // pair; a left row nothing matched is paired with nothing, once.
+        if !residual.is_empty() {
+            self.settle(&mut right)?;
+        }
+        let morsels = self.for_morsels(left_rows, |lo, hi| {
+            let (mut evals, mut combined) = (0u64, Row::empty());
+            let out = join::walk_outer(lo..hi, &pairs, every_right.clone(), |li, ri| {
+                if residual.is_empty() {
+                    return Ok(true);
+                }
+                combined.0.clear();
+                combined
+                    .0
+                    .extend((0..l_arity).map(|c| left.value(li, c).clone()));
+                combined
+                    .0
+                    .extend((0..r_arity).map(|c| right.value(ri, c).clone()));
+                qualifies_all(&residual, &Env::new(&layout, &combined, env), &mut evals)
+            })?;
             Ok((out, evals))
         })?;
         let mut out = Vec::new();
@@ -2629,19 +2367,9 @@ impl<'a> Executor<'a> {
         } else {
             JoinStrategy::NestedLoop
         };
-        self.note_joined(qr, strategy, left.len(), right_rows, out.len());
-        Ok(out)
-    }
-}
-
-/// Rows of a scanned table as the rows of the scan-only Select whose
-/// outputs are the table columns `out_cols`.
-fn select_shape(rows: Vec<Row>, out_cols: &[usize]) -> RowBatch {
-    match rows.first() {
-        Some(r) if !out_cols.iter().copied().eq(0..r.arity()) => {
-            rows.iter().map(|r| r.project(out_cols)).collect()
-        }
-        _ => rows.into(),
+        self.note_joined(qr, strategy, left_rows, right_rows, out.len());
+        let joined = self.join_tuples(left, right, &out)?;
+        self.project(joined, &bx.outputs, false, &layout, env)
     }
 }
 
@@ -2719,16 +2447,16 @@ fn untag_rows(spilled: Vec<Row>) -> Result<(Vec<i64>, Vec<Row>)> {
 
 impl Executor<'_> {
     /// Partitioned (spilled) hash aggregation: the disk-backed path for a
-    /// grouping input over the memory budget. Rows partition to disk by
-    /// group-key hash tagged with their original index; each partition —
-    /// which holds *every* row of each of its groups, in input order —
-    /// then hash-aggregates exactly like the in-memory path, and groups
-    /// are stable-sorted by the index of their first row to restore the
+    /// grouping input over the memory budget. Candidates partition to disk
+    /// as rows, by group-key hash, tagged with their index; each partition
+    /// — which holds *every* candidate of each of its groups, in input
+    /// order — then hash-aggregates exactly like the in-memory path, and
+    /// groups are stable-sorted by their first candidate to restore the
     /// global first-appearance emission order.
     #[allow(clippy::too_many_arguments)]
     fn spilled_groups(
         &mut self,
-        input: &[Row],
+        input: &Tuples<'_>,
         layout: &Layout,
         env: Option<&Env<'_>>,
         group_by: &GroupKeys<'_>,
@@ -2737,23 +2465,28 @@ impl Executor<'_> {
         parts: usize,
     ) -> Result<Vec<Group>> {
         let mut set = spill.partition_set(parts)?;
-        for (i, r) in input.iter().enumerate() {
-            let key = group_by.of(r, &Env::new(layout, r, env))?;
-            set.push((key.hash() % parts as u64) as usize, tag_row(i, r))?;
+        let mut scratch = Row::empty();
+        for i in 0..input.len() {
+            let env1 = group_by.bind(input, i, layout, &mut scratch, env);
+            let part = group_by.of(input, i, env1.as_ref())?.hash() % parts as u64;
+            set.push(part as usize, tag_row(i, input.row(i, &mut scratch)))?;
         }
         set.finish()?;
 
         let mut io = PageIo::default();
-        let mut tagged: Vec<(i64, Group)> = Vec::new();
+        let mut groups: Vec<Group> = Vec::new();
         for p in 0..parts {
             self.checkpoint(0)?;
             let (origs, rows) = untag_rows(set.read_partition(p, &mut io)?)?;
-            let (groups, firsts) = build_groups(&rows, layout, env, group_by, slots, false)?;
-            tagged.extend(firsts.into_iter().map(|f| origs[f]).zip(groups));
+            let rows = Tuples::every(Src::Owned(rows), layout.width());
+            for mut g in build_groups(&rows, 0..rows.len(), layout, env, group_by, slots, false)? {
+                g.rep = g.rep.map(|r| origs[r as usize] as u32);
+                groups.push(g);
+            }
         }
         self.note_io(io);
-        tagged.sort_by_key(|&(i, _)| i);
-        Ok(tagged.into_iter().map(|(_, g)| g).collect())
+        groups.sort_by_key(|g| g.rep);
+        Ok(groups)
     }
 }
 

@@ -4,11 +4,16 @@
 //! ([`build_groups`]: whole, per worker slice and merged, or per spilled
 //! partition), the sort-based degradation ([`sort_groups`]) or the kernel
 //! grand total ([`grand_total_groups`]); all fold the same values in the
-//! same order, so the result bytes never depend on which one ran. A GROUP
-//! BY list of plain columns compiles to row offsets ([`GroupKeys`]): a key
-//! is hashed and compared where it sits and copied only into the group it
-//! opens. Computed keys, and every key when `ExecOptions::columnar` is off,
-//! go through the evaluator.
+//! same order, so the result bytes never depend on which one ran. The input
+//! is candidate tuples (`crate::tuple`): a GROUP BY list of plain columns
+//! compiles to column offsets ([`GroupKeys`]), read through the candidates'
+//! positions, hashed and compared where the values sit and copied only into
+//! the group a key opens. When every key column comes from one input — an
+//! outer join's left side, say — consecutive candidates at one position of
+//! it share their key, which is then hashed once. Plain-column aggregate
+//! arguments are read in place too; computed keys or arguments, and all of
+//! them when `ExecOptions::columnar` is off, go through the evaluator over
+//! one scratch row per candidate.
 
 use std::hash::{Hash, Hasher};
 
@@ -18,12 +23,16 @@ use decorr_qgm::{AggFunc, Expr};
 
 use crate::env::{Env, Layout};
 use crate::eval::eval_expr;
+use crate::tuple::Tuples;
 use crate::vector;
 
 /// One aggregate call in a Grouping box's output list.
 pub(crate) struct AggSlot<'e> {
     pub func: AggFunc,
     pub arg: Option<&'e Expr>,
+    /// The input column `arg` is, when it is a plain column and kernels
+    /// are on.
+    pub col: Option<usize>,
     pub distinct: bool,
     pub out_pos: usize,
 }
@@ -31,16 +40,15 @@ pub(crate) struct AggSlot<'e> {
 /// One aggregated group.
 pub(crate) struct Group {
     key: Vec<Value>,
-    /// The group's first input row, which the outputs that are not
-    /// aggregates are read from; `None` when the input was never rows (a
-    /// total folded from a scan's columns, or over nothing).
-    pub rep: Option<Row>,
+    /// The group's first input candidate, which the outputs that are not
+    /// aggregates are read from; `None` for a total over nothing.
+    pub rep: Option<u32>,
     /// One accumulator per aggregate slot.
     pub accs: Vec<Acc>,
 }
 
 impl Group {
-    pub fn new(key: Vec<Value>, rep: Option<Row>, slots: usize) -> Self {
+    pub fn new(key: Vec<Value>, rep: Option<u32>, slots: usize) -> Self {
         Group { key, rep, accs: vec![Acc::new(); slots] }
     }
 }
@@ -125,39 +133,28 @@ fn acc_update(slot: &AggSlot<'_>, acc: &mut Acc, v: Value) -> Result<()> {
     Ok(())
 }
 
-/// Per-slot kernel argument offsets for a vectorizable grand total:
+/// Per-slot kernel argument columns for a vectorizable grand total:
 /// `None` inside the vec means `COUNT(*)`. `None` overall when any slot
 /// needs the row-wise fold (DISTINCT, computed or unbound arguments).
-pub(crate) fn grand_total_cols(
-    slots: &[AggSlot<'_>],
-    layout: &Layout,
-) -> Option<Vec<Option<usize>>> {
+pub(crate) fn grand_total_cols(slots: &[AggSlot<'_>]) -> Option<Vec<Option<usize>>> {
+    let col = |s: &AggSlot<'_>| match s.arg {
+        None => Some(None),
+        Some(_) => s.col.map(Some),
+    };
     slots
         .iter()
-        .map(|s| {
-            if s.distinct {
-                return None;
-            }
-            match s.arg {
-                None => Some(None),
-                Some(Expr::Col { quant, col }) => {
-                    layout.offset_of(*quant).map(|off| Some(off + col))
-                }
-                Some(_) => None,
-            }
-        })
+        .map(|s| col(s).filter(|_| !s.distinct))
         .collect()
 }
 
 /// Vectorized grand-total aggregation over `rows` input rows: one
 /// accumulator per slot, computed by the columnar COUNT/SUM/MIN/MAX
 /// kernels over the slot's argument column (`None`: `COUNT(*)`) instead of
-/// a per-row fold. `rep` is the representative row for group column
-/// outputs — the first input row, exactly as the serial fold sets it, or
-/// nothing when every output is an aggregate.
+/// a per-row fold. `rep` is the first input candidate, exactly as the
+/// serial fold sets it.
 pub(crate) fn grand_total_groups(
     rows: usize,
-    rep: Option<Row>,
+    rep: Option<u32>,
     slots: &[AggSlot<'_>],
     args: &[Option<Column>],
 ) -> Result<Vec<Group>> {
@@ -193,31 +190,58 @@ fn group_key(group_by: &[Expr], env: &Env<'_>) -> Result<Vec<Value>> {
     Ok(key)
 }
 
-/// A Grouping's GROUP BY list, compiled once.
+/// A Grouping's GROUP BY list, compiled once, and how its candidates are
+/// read.
 pub(crate) struct GroupKeys<'e> {
     exprs: &'e [Expr],
-    /// Where each key sits in an input row, when every key is a plain
+    /// Where each key sits in a candidate, when every key is a plain
     /// column and kernels are on; otherwise the evaluator makes the keys.
     offs: Option<Vec<usize>>,
+    /// Do the keys or an aggregate argument need the evaluator, and so a
+    /// row per candidate?
+    row: bool,
 }
 
-/// One input row's GROUP BY key.
+/// One candidate's GROUP BY key.
 pub(crate) enum RowKey<'r> {
-    At(&'r Row, &'r [usize]),
+    At(&'r Tuples<'r>, usize, &'r [usize]),
     Made(Vec<Value>),
 }
 
 impl<'e> GroupKeys<'e> {
-    pub fn compile(exprs: &'e [Expr], layout: &Layout, columnar: bool) -> Self {
+    pub fn compile(exprs: &'e [Expr], layout: &Layout, columnar: bool, slots: &[AggSlot]) -> Self {
         let offs = vector::compile_projection(exprs.iter(), layout).filter(|_| columnar);
-        GroupKeys { exprs, offs }
+        let row = offs.is_none() || slots.iter().any(|s| s.arg.is_some() && s.col.is_none());
+        GroupKeys { exprs, offs, row }
     }
 
-    pub fn of<'r>(&'r self, r: &'r Row, env1: &Env<'_>) -> Result<RowKey<'r>> {
+    /// The key of candidate `i` of `input`, `env1` binding its row when
+    /// the evaluator needs one.
+    pub fn of<'r>(
+        &'r self,
+        input: &'r Tuples<'_>,
+        i: usize,
+        env1: Option<&Env<'_>>,
+    ) -> Result<RowKey<'r>> {
         match &self.offs {
-            Some(offs) => Ok(RowKey::At(r, offs)),
-            None => group_key(self.exprs, env1).map(RowKey::Made),
+            Some(offs) => Ok(RowKey::At(input, i, offs)),
+            None => {
+                group_key(self.exprs, env1.expect("evaluated keys have a row")).map(RowKey::Made)
+            }
         }
+    }
+
+    /// Candidate `i` bound for the evaluator, if anything needs it.
+    pub fn bind<'s>(
+        &self,
+        input: &'s Tuples<'_>,
+        i: usize,
+        layout: &'s Layout,
+        scratch: &'s mut Row,
+        env: Option<&'s Env<'s>>,
+    ) -> Option<Env<'s>> {
+        self.row
+            .then(|| Env::new(layout, input.row(i, scratch), env))
     }
 }
 
@@ -230,73 +254,98 @@ impl RowKey<'_> {
             h.finish()
         }
         match self {
-            RowKey::At(r, offs) => of(offs.iter().map(|&c| &r[c])),
+            RowKey::At(t, i, offs) => of(offs.iter().map(|&c| t.value(*i, c))),
             RowKey::Made(key) => of(key.iter()),
         }
     }
 
     fn is(&self, key: &[Value]) -> bool {
         match self {
-            RowKey::At(r, offs) => offs.iter().map(|&c| &r[c]).eq(key),
+            RowKey::At(t, i, offs) => offs.iter().map(|&c| t.value(*i, c)).eq(key),
             RowKey::Made(made) => made == key,
         }
     }
 
     fn into_values(self) -> Vec<Value> {
         match self {
-            RowKey::At(r, offs) => offs.iter().map(|&c| r[c].clone()).collect(),
+            RowKey::At(t, i, offs) => offs.iter().map(|&c| t.value(i, c).clone()).collect(),
             RowKey::Made(key) => key,
         }
     }
 }
 
-/// Hash-aggregate `rows` into per-group accumulators, groups in
-/// first-appearance order, each with the index of its first row. Runs
-/// serially over the whole input, or as one worker's thread-local
-/// aggregation over a contiguous slice.
+/// Hash-aggregate the candidates `range` of `input` into per-group
+/// accumulators, groups in first-appearance order, each with its first
+/// candidate. Runs serially over the whole input, or as one worker's
+/// thread-local aggregation over a contiguous range.
 pub(crate) fn build_groups(
-    rows: &[Row],
+    input: &Tuples<'_>,
+    range: std::ops::Range<usize>,
     layout: &Layout,
     env: Option<&Env<'_>>,
-    group_by: &GroupKeys<'_>,
+    keys: &GroupKeys<'_>,
     slots: &[AggSlot<'_>],
     record_sum_order: bool,
-) -> Result<(Vec<Group>, Vec<usize>)> {
+) -> Result<Vec<Group>> {
     let mut groups: Vec<Group> = Vec::new();
-    let mut firsts = Vec::new();
     // Key hash → the groups carrying it.
     let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for (ri, r) in rows.iter().enumerate() {
-        let env1 = Env::new(layout, r, env);
-        let key = group_by.of(r, &env1)?;
-        let same_hash = index.entry(key.hash()).or_default();
-        let gi = match same_hash.iter().find(|&&g| key.is(&groups[g as usize].key)) {
-            Some(&g) => g as usize,
-            None => {
-                same_hash.push(groups.len() as u32);
-                groups.push(Group::new(key.into_values(), Some(r.clone()), slots.len()));
-                firsts.push(ri);
-                groups.len() - 1
+    // The one input every key column is read from, and the position in it
+    // whose group the last candidate joined.
+    let part = keys.offs.as_ref().and_then(|offs| {
+        let p = input.part_of(*offs.first()?);
+        offs.iter().all(|&c| input.part_of(c) == p).then_some(p)
+    });
+    let mut last: Option<(u32, usize)> = None;
+    let mut scratch = Row::empty();
+    for i in range {
+        let env1 = keys.bind(input, i, layout, &mut scratch, env);
+        let at = part.map(|p| input.position(p, i));
+        let gi = match last {
+            Some((pos, gi)) if at == Some(pos) => gi,
+            _ => {
+                let key = keys.of(input, i, env1.as_ref())?;
+                let same_hash = index.entry(key.hash()).or_default();
+                let gi = match same_hash.iter().find(|&&g| key.is(&groups[g as usize].key)) {
+                    Some(&g) => g as usize,
+                    None => {
+                        same_hash.push(groups.len() as u32);
+                        groups.push(Group::new(key.into_values(), Some(i as u32), slots.len()));
+                        groups.len() - 1
+                    }
+                };
+                last = at.map(|pos| (pos, gi));
+                gi
             }
         };
-        fold_row(slots, &mut groups[gi].accs, &env1, record_sum_order)?;
+        fold(
+            slots,
+            &mut groups[gi].accs,
+            input,
+            i,
+            env1.as_ref(),
+            record_sum_order,
+        )?;
     }
-    Ok((groups, firsts))
+    Ok(groups)
 }
 
-/// Fold one input row into a group's accumulators — the per-row body shared
-/// by hash aggregation ([`build_groups`]) and sort-based aggregation
-/// ([`sort_groups`]).
-fn fold_row(
+/// Fold candidate `i` of `input` into a group's accumulators — the
+/// per-candidate body shared by hash aggregation ([`build_groups`]) and
+/// sort-based aggregation ([`sort_groups`]).
+fn fold(
     slots: &[AggSlot<'_>],
     accs: &mut [Acc],
-    env1: &Env<'_>,
+    input: &Tuples<'_>,
+    i: usize,
+    env1: Option<&Env<'_>>,
     record_sum_order: bool,
 ) -> Result<()> {
     for (slot, acc) in slots.iter().zip(accs.iter_mut()) {
-        let v = match slot.arg {
-            None => Value::Int(1), // COUNT(*): every row counts
-            Some(a) => eval_expr(a, env1)?,
+        let v = match (slot.arg, slot.col) {
+            (None, _) => Value::Int(1), // COUNT(*): every row counts
+            (Some(_), Some(c)) => input.value(i, c).clone(),
+            (Some(a), None) => eval_expr(a, env1.expect("evaluated arguments have a row"))?,
         };
         if slot.arg.is_some() && v.is_null() {
             continue; // NULLs are ignored by all aggregates
@@ -310,24 +359,25 @@ fn fold_row(
 }
 
 /// Sort-based aggregation: the memory-budget fallback for [`build_groups`].
-/// Rows are stable-sorted by group key and each run is folded in input
-/// order, so every accumulator (floating-point sums included) is exactly
-/// what the hash path computes for that group; only the group *emission*
-/// order differs (key-sorted instead of first-appearance). Peak state is the
-/// sorted key/index vector plus one group's accumulators.
+/// Candidates are stable-sorted by group key and each run is folded in
+/// input order, so every accumulator (floating-point sums included) is
+/// exactly what the hash path computes for that group; only the group
+/// *emission* order differs (key-sorted instead of first-appearance). Peak
+/// state is the sorted key/index vector plus one group's accumulators.
 pub(crate) fn sort_groups(
-    rows: &[Row],
+    input: &Tuples<'_>,
     layout: &Layout,
     env: Option<&Env<'_>>,
-    group_by: &GroupKeys<'_>,
+    keys: &GroupKeys<'_>,
     slots: &[AggSlot<'_>],
 ) -> Result<Vec<Group>> {
-    let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(rows.len());
-    for (i, r) in rows.iter().enumerate() {
-        let key = group_by.of(r, &Env::new(layout, r, env))?;
-        keyed.push((key.into_values(), i));
+    let mut scratch = Row::empty();
+    let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(input.len());
+    for i in 0..input.len() {
+        let env1 = keys.bind(input, i, layout, &mut scratch, env);
+        keyed.push((keys.of(input, i, env1.as_ref())?.into_values(), i));
     }
-    // Stable: rows with equal keys stay in input order.
+    // Stable: candidates with equal keys stay in input order.
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
 
     let mut groups: Vec<Group> = Vec::new();
@@ -338,15 +388,11 @@ pub(crate) fn sort_groups(
         while end < keyed.len() && keyed[end].0 == *key {
             end += 1;
         }
-        let first = rows[keyed[run].1].clone();
+        let first = keyed[run].1 as u32;
         let mut group = Group::new(key.clone(), Some(first), slots.len());
-        for (_, ri) in &keyed[run..end] {
-            fold_row(
-                slots,
-                &mut group.accs,
-                &Env::new(layout, &rows[*ri], env),
-                false,
-            )?;
+        for &(_, i) in &keyed[run..end] {
+            let env1 = keys.bind(input, i, layout, &mut scratch, env);
+            fold(slots, &mut group.accs, input, i, env1.as_ref(), false)?;
         }
         groups.push(group);
         run = end;

@@ -9,15 +9,14 @@
 //!   columnar hash kernels, or row-wise through [`extract_join_keys`] when
 //!   a key is computed or `ExecOptions::columnar` is off;
 //! * [`match_pairs`] builds and probes the hash table and returns the
-//!   matching `(left, right)` row-index pairs in serial probe order.
+//!   matching `(left, right)` candidate-index pairs in serial probe order.
 //!
-//! The callers differ only in what they do with the pairs: the inner join
-//! concatenates them, the outer join walks them per left row
-//! ([`walk_outer`]: residual ON predicates, null extension), a Grace spill
-//! runs the kernel once per re-read partition, and the block nested-loop
-//! degradation skips the table and compares the same two [`JoinSide`]s
-//! pairwise. A build side hashed off a scan's selection
-//! ([`JoinSide::from_scan`]) makes rows only of the positions a pair names.
+//! The pairs *are* the join's result: the inner join hands them on as
+//! candidate tuples (`Tuples::join`), the outer join walks them per left
+//! row first ([`walk_outer`]: residual ON predicates, null extension), a
+//! Grace spill runs the kernel once per re-read partition and sorts its
+//! pairs back, and the block nested-loop degradation skips the table and
+//! compares the same two [`JoinSide`]s pairwise. No join makes a row.
 //!
 //! `ExecStats` parity is the design constraint: both key representations
 //! hash with the same `eq_key`/total-order semantics, so equal keys hash
@@ -34,7 +33,7 @@ use decorr_storage::PageIo;
 
 use crate::env::{Env, Layout};
 use crate::eval::eval_expr;
-use crate::scan::ScanSel;
+use crate::tuple::{Tuples, NULL_POS};
 
 /// One key part: the expression, and whether it matches under `IS NOT
 /// DISTINCT FROM` (`true`: NULL matches NULL, the decorrelated re-join
@@ -89,42 +88,44 @@ pub(crate) fn split_equi_keys<'e>(
     keys
 }
 
-/// Evaluate normalized join keys for every row — the row-wise key
-/// evaluator. `None` marks a row whose `=` key is NULL/NaN (it can never
-/// match); `=` parts are `eq_key`-normalized, `IS NOT DISTINCT FROM` parts
-/// kept raw (total-order semantics, exactly `Value`'s `Eq`/`Hash`).
+/// Evaluate normalized join keys for every candidate — the row-wise key
+/// evaluator, over one scratch row per candidate. `None` marks a candidate
+/// whose `=` key is NULL/NaN (it can never match); `=` parts are
+/// `eq_key`-normalized, `IS NOT DISTINCT FROM` parts kept raw (total-order
+/// semantics, exactly `Value`'s `Eq`/`Hash`).
 fn extract_join_keys(
     pool: &WorkerPool,
-    rows: &[Row],
+    tuples: &Tuples<'_>,
     layout: &Layout,
     keys: &[KeyExpr<'_>],
     env: Option<&Env<'_>>,
 ) -> Result<Vec<Option<Vec<Value>>>> {
-    let chunks: Vec<Result<Vec<Option<Vec<Value>>>>> =
-        pool.map_morsels(rows, MORSEL_ROWS, |chunk| {
-            let mut out = Vec::with_capacity(chunk.len());
-            'rows: for r in chunk {
-                let env1 = Env::new(layout, r, env);
-                let mut key = Vec::with_capacity(keys.len());
-                for (k, null_ok) in keys {
-                    let v = eval_expr(k, &env1)?;
-                    if *null_ok {
-                        key.push(v);
-                    } else {
-                        match v.eq_key() {
-                            Some(v) => key.push(v),
-                            None => {
-                                out.push(None);
-                                continue 'rows;
-                            }
+    let n = tuples.len();
+    let chunks = pool.run_indexed(n.div_ceil(MORSEL_ROWS), |m| {
+        let mut out = Vec::with_capacity(MORSEL_ROWS);
+        let mut scratch = Row::empty();
+        'rows: for i in m * MORSEL_ROWS..((m + 1) * MORSEL_ROWS).min(n) {
+            let env1 = Env::new(layout, tuples.row(i, &mut scratch), env);
+            let mut key = Vec::with_capacity(keys.len());
+            for (k, null_ok) in keys {
+                let v = eval_expr(k, &env1)?;
+                if *null_ok {
+                    key.push(v);
+                } else {
+                    match v.eq_key() {
+                        Some(v) => key.push(v),
+                        None => {
+                            out.push(None);
+                            continue 'rows;
                         }
                     }
                 }
-                out.push(Some(key));
             }
-            Ok(out)
-        });
-    let mut all = Vec::with_capacity(rows.len());
+            out.push(Some(key));
+        }
+        Ok(out)
+    });
+    let mut all = Vec::with_capacity(n);
     for c in chunks {
         all.extend(c?);
     }
@@ -149,18 +150,21 @@ enum SideRepr {
 
 impl JoinSide {
     /// Hash one join input. With `columnar` and every key a plain local
-    /// column, the key columns transpose once and hash through
-    /// [`columnar::hash_kernel`] — no per-row `Vec<Value>` ever
-    /// materializes. Otherwise (computed keys, correlation constants, the
-    /// row-wise reference configuration) keys evaluate row by row and hash
-    /// through the kernel-compatible [`columnar::hash_keys`].
+    /// column, the key columns are copied out through the candidates'
+    /// positions (off the pages, for a paged input) and hash through
+    /// [`columnar::hash_kernel`] — no row and no per-candidate `Vec<Value>`
+    /// is made. Otherwise (computed keys, correlation constants, the
+    /// row-wise reference configuration) keys evaluate candidate by
+    /// candidate and hash through the kernel-compatible
+    /// [`columnar::hash_keys`].
     pub fn build(
         pool: &WorkerPool,
-        rows: &[Row],
+        tuples: &mut Tuples<'_>,
         layout: &Layout,
         keys: &[KeyExpr<'_>],
         env: Option<&Env<'_>>,
         columnar: bool,
+        io: &mut PageIo,
     ) -> Result<JoinSide> {
         let null_ok: Vec<bool> = keys.iter().map(|&(_, ok)| ok).collect();
         let offs: Option<Vec<usize>> = keys
@@ -173,31 +177,16 @@ impl JoinSide {
             })
             .collect();
         if let Some(offs) = offs {
-            let parts: Vec<Column> = offs
+            let parts = offs
                 .iter()
-                .map(|&off| Column::from_values(rows.iter().map(move |r| &r[off]), rows.len()))
-                .collect();
+                .map(|&off| tuples.column(off, io))
+                .collect::<Result<Vec<Column>>>()?;
             return Ok(JoinSide::from_columns(parts, null_ok));
         }
-        let keyed = extract_join_keys(pool, rows, layout, keys, env)?;
+        tuples.settle(io)?;
+        let keyed = extract_join_keys(pool, tuples, layout, keys, env)?;
         let hashes = columnar::hash_keys(&keyed);
         Ok(JoinSide { hashes, null_ok, repr: SideRepr::Keys(keyed) })
-    }
-
-    /// Hash a scan's survivors on its table columns `cols` (one per part
-    /// of `keys`), copied out at the surviving positions: no row is made.
-    pub fn from_scan(
-        sel: &ScanSel<'_>,
-        cols: &[usize],
-        keys: &[KeyExpr<'_>],
-        io: &mut PageIo,
-    ) -> Result<JoinSide> {
-        let parts = cols
-            .iter()
-            .map(|&col| sel.column(col, io))
-            .collect::<Result<Vec<_>>>()?;
-        let null_ok = keys.iter().map(|&(_, ok)| ok).collect();
-        Ok(JoinSide::from_columns(parts, null_ok))
     }
 
     /// Hash a join input whose key parts are at hand as columns (one per
@@ -207,6 +196,11 @@ impl JoinSide {
         let sel: SelVec = (0..parts.first().map_or(0, Column::len) as u32).collect();
         let hashes = columnar::hash_kernel(&spec, &sel);
         JoinSide { hashes, null_ok, repr: SideRepr::Cols(parts) }
+    }
+
+    /// Candidates hashed.
+    pub fn len(&self) -> usize {
+        self.hashes.len()
     }
 
     /// The key hash of row `i`; `None` = the row matches nothing.
@@ -364,20 +358,17 @@ pub(crate) fn match_pairs(
     merged
 }
 
-/// Walk a left outer join's candidates for the left rows `rows` of `left`,
-/// in order: per left row, the right rows its `pairs` ([`match_pairs`]
-/// order) name, then `every_right`. `emit(l, Some(r), out)` writes the
-/// joined row if the candidate passes and says whether it did; a left row
-/// without a passing candidate gets `emit(l, None, out)`, its one
-/// null-extended row.
+/// Walk a left outer join's candidates for the left rows `rows`, in order:
+/// per left row, the right candidates its `pairs` ([`match_pairs`] order)
+/// name, then `every_right`. Returns the pairs `keep(left, right)` accepts
+/// and, for a left row it accepted none of, `(left, NULL_POS)`: its one
+/// null-extended candidate.
 pub(crate) fn walk_outer(
-    left: &[Row],
     rows: std::ops::Range<usize>,
     pairs: &[(u32, u32)],
-    right: &[Row],
     every_right: std::ops::Range<usize>,
-    mut emit: impl FnMut(&Row, Option<&Row>, &mut Vec<Row>) -> Result<bool>,
-) -> Result<Vec<Row>> {
+    mut keep: impl FnMut(usize, usize) -> Result<bool>,
+) -> Result<Vec<(u32, u32)>> {
     let mut out = Vec::new();
     let mut at = pairs.partition_point(|&(li, _)| (li as usize) < rows.start);
     for li in rows {
@@ -385,13 +376,15 @@ pub(crate) fn walk_outer(
         while pairs.get(at).is_some_and(|&(pl, _)| pl as usize == li) {
             at += 1;
         }
+        let before = out.len();
         let keyed = pairs[from..at].iter().map(|&(_, ri)| ri as usize);
-        let mut matched = false;
         for ri in keyed.chain(every_right.clone()) {
-            matched |= emit(&left[li], Some(&right[ri]), &mut out)?;
+            if keep(li, ri)? {
+                out.push((li as u32, ri as u32));
+            }
         }
-        if !matched {
-            emit(&left[li], None, &mut out)?;
+        if out.len() == before {
+            out.push((li as u32, NULL_POS));
         }
     }
     Ok(out)
@@ -400,6 +393,7 @@ pub(crate) fn walk_outer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Src;
     use decorr_common::row;
 
     fn q(i: u32) -> QuantId {
@@ -477,8 +471,13 @@ mod tests {
                 // Cols × Cols, Keys × Keys, and the two mixed pairings a
                 // join with one computed side produces.
                 for (lcol, rcol) in [(true, true), (false, false), (true, false), (false, true)] {
-                    let ls = JoinSide::build(&pool, &left, &ll, &lkeys, None, lcol).unwrap();
-                    let rs = JoinSide::build(&pool, &right, &rl, &rkeys, None, rcol).unwrap();
+                    let side = |rows: &[Row], layout, keys, columnar| {
+                        let mut t = Tuples::every(Src::Owned(rows.to_vec()), 3);
+                        let io = &mut PageIo::default();
+                        JoinSide::build(&pool, &mut t, layout, keys, None, columnar, io).unwrap()
+                    };
+                    let ls = side(&left, &ll, &lkeys, lcol);
+                    let rs = side(&right, &rl, &rkeys, rcol);
                     assert_eq!(matches!(ls.repr, SideRepr::Cols(_)), lcol);
                     assert_eq!(matches!(rs.repr, SideRepr::Cols(_)), rcol);
                     let got = match_pairs(&pool, &ls, &rs, threads > 1);

@@ -39,6 +39,7 @@ mod join;
 mod scan;
 pub mod subplan;
 pub mod trace;
+mod tuple;
 mod vector;
 
 pub use cache::ColumnarCache;

@@ -24,7 +24,7 @@
 
 use decorr_common::columnar::{self, ColPredicate, Column, ColumnarBatch, SelVec};
 use decorr_common::{FxHashMap, Row, Value};
-use decorr_qgm::Expr;
+use decorr_qgm::{BinOp, Expr};
 
 use crate::env::{Env, Layout};
 
@@ -51,8 +51,9 @@ fn operand(e: &Expr, layout: &Layout, env: Option<&Env<'_>>) -> Option<Operand> 
 }
 
 /// Compile a predicate into kernel form, or `None` if it needs the
-/// row-wise evaluator. Only `Col/Lit cmp Col/Lit` shapes compile, which
-/// also guarantees the kernel can never produce an evaluation error the
+/// row-wise evaluator. Only `Col/Lit cmp Col/Lit` shapes and `OR`s of
+/// `Col = Lit` over one column (an `IN` list) compile, which also
+/// guarantees the kernel can never produce an evaluation error the
 /// row-wise path would have raised (comparisons are total at runtime).
 pub(crate) fn compile_pred(
     e: &Expr,
@@ -62,6 +63,11 @@ pub(crate) fn compile_pred(
     let Expr::Binary { op, left, right } = e else {
         return None;
     };
+    if *op == BinOp::Or {
+        let mut lits = Vec::new();
+        let col = in_list(e, layout, env, &mut lits)?;
+        return Some(ColPredicate::In { col, lits });
+    }
     let op = op.cmp_op()?;
     match (operand(left, layout, env)?, operand(right, layout, env)?) {
         (Operand::Col(col), Operand::Lit(lit)) => Some(ColPredicate::ColLit { col, op, lit }),
@@ -72,6 +78,33 @@ pub(crate) fn compile_pred(
         // Constant-only predicates are consumed before any per-row filter;
         // if one reaches us (degenerate plans), the row path handles it.
         (Operand::Lit(_), Operand::Lit(_)) => None,
+    }
+}
+
+/// The column of `e` if it is an `OR` tree of `Col = Lit` comparisons that
+/// all read that one column, pushing the literals onto `lits`.
+fn in_list(
+    e: &Expr,
+    layout: &Layout,
+    env: Option<&Env<'_>>,
+    lits: &mut Vec<Value>,
+) -> Option<usize> {
+    let Expr::Binary { op, left, right } = e else {
+        return None;
+    };
+    match op {
+        BinOp::Or => {
+            let col = in_list(left, layout, env, lits)?;
+            (in_list(right, layout, env, lits)? == col).then_some(col)
+        }
+        BinOp::Eq => match (operand(left, layout, env)?, operand(right, layout, env)?) {
+            (Operand::Col(col), Operand::Lit(lit)) | (Operand::Lit(lit), Operand::Col(col)) => {
+                lits.push(lit);
+                Some(col)
+            }
+            _ => None,
+        },
+        _ => None,
     }
 }
 
@@ -105,7 +138,7 @@ pub(crate) fn pred_columns(preds: &[ColPredicate]) -> Vec<usize> {
     let mut cols = Vec::with_capacity(preds.len() * 2);
     for p in preds {
         match p {
-            ColPredicate::ColLit { col, .. } => cols.push(*col),
+            ColPredicate::ColLit { col, .. } | ColPredicate::In { col, .. } => cols.push(*col),
             ColPredicate::ColCol { left, right, .. } => {
                 cols.push(*left);
                 cols.push(*right);
@@ -126,7 +159,7 @@ pub(crate) fn remap_preds(preds: &mut [ColPredicate], cols: &[usize]) {
     };
     for p in preds {
         match p {
-            ColPredicate::ColLit { col, .. } => *col = pos(*col),
+            ColPredicate::ColLit { col, .. } | ColPredicate::In { col, .. } => *col = pos(*col),
             ColPredicate::ColCol { left, right, .. } => {
                 *left = pos(*left);
                 *right = pos(*right);
@@ -184,4 +217,35 @@ pub fn build_corr_index(rows: &[Row], col: usize) -> FxHashMap<Value, Vec<u32>> 
         }
     }
     idx
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use decorr_qgm::QuantId;
+
+    #[test]
+    fn a_same_column_or_of_equalities_is_an_in_list() {
+        let (q, outer) = (QuantId::from_index(0), QuantId::from_index(1));
+        let mut layout = Layout::new();
+        layout.push(q, 2);
+        let eq = |c: usize, v: i64| Expr::eq(Expr::col(q, c), Expr::lit(v));
+        let or = |a, b| Expr::bin(BinOp::Or, a, b);
+        // Either operand order, nested, a correlation constant folded in.
+        let outer_row = Row::new(vec![Value::Int(9)]);
+        let mut outer_layout = Layout::new();
+        outer_layout.push(outer, 1);
+        let env = Env::new(&outer_layout, &outer_row, None);
+        let flipped = Expr::eq(Expr::col(outer, 0), Expr::col(q, 1));
+        let list = or(or(eq(1, 3), flipped), eq(1, 3));
+        let Some(ColPredicate::In { col: 1, lits }) = compile_pred(&list, &layout, Some(&env))
+        else {
+            panic!("an IN list compiles to one kernel predicate");
+        };
+        assert_eq!(lits, vec![Value::Int(3), Value::Int(9), Value::Int(3)]);
+        // Two columns, or anything but `=`, stays row-wise.
+        assert!(compile_pred(&or(eq(0, 1), eq(1, 1)), &layout, None).is_none());
+        let ne = Expr::bin(BinOp::Ne, Expr::col(q, 0), Expr::lit(1));
+        assert!(compile_pred(&or(eq(0, 1), ne), &layout, None).is_none());
+    }
 }

@@ -320,6 +320,60 @@ fn columnar_matches_rowwise_on_nan_and_signed_zero() {
     }
 }
 
+/// An `IN` list binds to an `OR` of `=` over one column, which compiles to
+/// one kernel predicate. It must keep exactly the rows the row-wise `OR`
+/// keeps, at one evaluation per live row: a NULL row or a NULL literal
+/// never qualifies, NaN matches nothing, `-0.0` equals `0.0`, an Int
+/// literal matches a Double column numerically and a repeated literal
+/// changes nothing. The correlated list folds the outer binding to a
+/// literal — NaN, `-0.0` and NULL among them — on every re-scan.
+#[test]
+fn columnar_matches_rowwise_on_in_lists() {
+    let mut db = Database::new();
+    let t = db
+        .create_table(
+            "t",
+            Schema::from_pairs(&[
+                ("name", DataType::Str),
+                ("x", DataType::Double),
+                ("s", DataType::Str),
+            ]),
+        )
+        .unwrap();
+    t.insert_all(vec![
+        row!["t0", 0.0, "a"],
+        row!["t1", -0.0, "b"],
+        row!["t2", f64::NAN, Value::Null],
+        row!["t3", Value::Null, "a"],
+        row!["t4", 2.0, "c"],
+        row!["t5", 2.5, "b"],
+        row!["t6", 7.0, "a"],
+    ])
+    .unwrap();
+    let o = db
+        .create_table("o", Schema::from_pairs(&[("k", DataType::Double)]))
+        .unwrap();
+    o.insert_all(vec![
+        row![-0.0],
+        row![f64::NAN],
+        row![Value::Null],
+        row![2.0],
+    ])
+    .unwrap();
+
+    let lists = [
+        "SELECT t.name FROM t t WHERE t.x IN (0, 2, NULL, 2)",
+        "SELECT t.name FROM t t WHERE t.x IN (2.5, 0.0) AND t.s IN ('a', 'b', 'a', NULL)",
+        "SELECT t.name FROM t t WHERE t.s IN ('c', 'zz') OR t.s IN ('b')",
+        "SELECT o.k FROM o o WHERE 0 < (SELECT COUNT(*) FROM t t WHERE t.x IN (o.k, 7, NULL))",
+    ];
+    for sql in lists {
+        assert_columnar_equivalent(&db, sql, &[Strategy::NestedIteration, Strategy::Magic]);
+    }
+    let (rows, _) = run_repr(&db, lists[0], Strategy::NestedIteration, 1, true);
+    assert_eq!(rows, vec![row!["t0"], row!["t1"], row!["t4"]]);
+}
+
 /// A DISTINCT projection exercises the bulk-hash dedup on both paths.
 #[test]
 fn columnar_matches_rowwise_on_distinct() {

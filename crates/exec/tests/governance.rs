@@ -2,7 +2,7 @@
 //! degradation. Every governed exit must be a typed error — never a panic —
 //! and must not leak partial results into the run's counters.
 
-use std::time::Duration;
+use std::sync::Barrier;
 
 use decorr_common::{row, Budget, CancelToken, DataType, Error, Schema};
 use decorr_exec::{execute_traced, execute_with, ExecOptions, Executor};
@@ -68,24 +68,29 @@ fn pre_cancelled_query_returns_cancelled_not_rows() {
 
 /// Fire the token from another thread while the query is running: the run
 /// must unwind with `Cancelled` at a morsel boundary, and no partial rows
-/// may leak into the stats.
+/// may leak into the stats. The killer waits at a barrier the query thread
+/// passes just before `run`, so it fires within a thread wake-up of the
+/// start, and the world is big enough that the run takes a thousand
+/// wake-ups (~50 ms under `--release`): the cancel lands mid-query — or
+/// before the first morsel, if the query thread is the one descheduled,
+/// which is `Cancelled` too. No sleep decides it.
 #[test]
 fn mid_query_cancel_from_another_thread() {
-    let db = big_db(400, 20_000);
+    let db = big_db(2000, 20_000);
     let qgm = parse_and_bind(CORRELATED, &db).unwrap();
     for threads in [1, 4] {
         let tok = CancelToken::new();
-        // Naive nested iteration keeps the run long enough for the killer
-        // thread to land mid-query (the memoized executor finishes this
-        // query in microseconds).
+        // Naive nested iteration keeps the run long (the memoized executor
+        // finishes this query in microseconds).
         let opts = opts_with(threads, |o| o.cancel = Some(tok.clone())).naive_ni();
         let mut ex = Executor::new(&db, opts);
+        let started = Barrier::new(2);
         let result = std::thread::scope(|scope| {
-            let killer = tok.clone();
-            scope.spawn(move || {
-                std::thread::sleep(Duration::from_millis(15));
-                killer.cancel();
+            scope.spawn(|| {
+                started.wait();
+                tok.cancel();
             });
+            started.wait();
             ex.run(&qgm)
         });
         let err = result.unwrap_err();

@@ -17,6 +17,10 @@
 //! the pages), and a grand total over the scan — which folds columns — in
 //! proportion to the pages alone.
 //!
+//! Joins hand on positions too: nothing that a join produces and a later
+//! step cuts down — an index nested-loop intermediate ten times the result,
+//! an outer join's N / 2 pairs grouped into N / 100 groups — is ever a row.
+//!
 //! One `#[test]`, so nothing else allocates while a statement is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,6 +82,27 @@ fn table() -> Database {
         .unwrap();
     // (Dayal's rewrite asks for a keyed outer table.)
     small.set_key(&["k"]).unwrap();
+    // Fifty `fan` rows for each of 400 keys; `hub` holds the first N / 100
+    // of them, so every `hub` row has fifty partners. `j` is the row number.
+    let fan = db
+        .create_table(
+            "fan",
+            Schema::from_pairs(&[
+                ("k", DataType::Int),
+                ("j", DataType::Int),
+                ("x", DataType::Double),
+            ]),
+        )
+        .unwrap();
+    fan.insert_all((0..N as i64).map(|i| row![i % 400, i, i as f64]))
+        .unwrap();
+    fan.create_index(&["k"]).unwrap();
+    let hub = db
+        .create_table("hub", Schema::from_pairs(&[("k", DataType::Int)]))
+        .unwrap();
+    hub.insert_all((0..N as i64 / 100).map(|k| row![k]))
+        .unwrap();
+    hub.set_key(&["k"]).unwrap();
     db
 }
 
@@ -158,9 +183,9 @@ fn pass_through_boxes_copy_their_input_once() {
         // on `corr`, grouped by `Small`'s key. The build side is `T` behind
         // a Select that renames its columns — cloned and then projected,
         // that was 2 N allocations before a single pair was found. Now the
-        // matched positions alone become rows: a few dozen allocations for
-        // each of the N / 100 `Small` rows (join output, group, rendered
-        // reply) and nothing that grows with N.
+        // join's pairs are positions into `T` (or values copied off its
+        // pages): a few allocations for each of the N / 100 `Small` rows
+        // (group, rendered reply) and nothing that grows with N.
         session.handle_line("\\strategy dayal").unwrap();
         let outer = allocations(
             &mut session,
@@ -172,6 +197,39 @@ fn pass_through_boxes_copy_their_input_once() {
             outer <= 20 * (n / 100) + C,
             "{tier}: an outer join finding partners for {} of {N} rows made {outer} allocations",
             N / 100
+        );
+
+        // Dayal's fan-out: `Hub LOJ Fan` is N / 2 pairs, fifty per `hub`
+        // row, grouped by `hub`'s key into N / 100 groups. The group key is
+        // hashed once per `hub` row and the average folds `fan.x` through
+        // the pairs: the allocations follow the groups.
+        session.handle_line("\\strategy dayal").unwrap();
+        let fan_out = allocations(
+            &mut session,
+            "Select h.k From Hub h Where 0.0 < (Select avg(f.x) From Fan f Where f.k = h.k)",
+        );
+        session.handle_line("\\strategy auto").unwrap();
+        // Three inputs: the first 100 `hub` rows, their 5 000 `fan`
+        // partners (through `fan`'s index on the resident tier), and the
+        // 100 of those whose `j` finds a `t` row under 200. The middle
+        // step is fifty times the result and never becomes rows.
+        let three_way = allocations(
+            &mut session,
+            "Select h.k, f.j, t.x From Hub h, Fan f, T t \
+             Where h.k < 100 and f.k = h.k and t.k = f.j and t.k < 200",
+        );
+        println!("{tier}: {fan_out} allocations grouping N / 2 pairs, {three_way} joining three");
+        // While joins wrote concatenated rows these cost 32 322 and 6 211
+        // allocations on the resident tier, 32 400 and 11 333 on the
+        // durable one.
+        let groups = n / 100;
+        assert!(
+            fan_out <= 20 * groups + C,
+            "{tier}: {groups} groups of fifty outer-join pairs made {fan_out} allocations"
+        );
+        assert!(
+            three_way <= 20 * 100 + C,
+            "{tier}: a 100-row result over a 5 000-row intermediate made {three_way} allocations"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -6,9 +6,11 @@
 //! varies one axis against the default. This suite is reachable from plain
 //! `cargo test` and crosses the axes: the paper's figure queries, the
 //! EMP/DEPT COUNT-bug query, the single-input Selects whose one input
-//! *is* the running row set, and the scan consumers (a Select's first
-//! input, the build side of a hash join and of a left outer join, a grand
-//! total), under every sound strategy, at every point of
+//! *is* the running row set, the scan consumers (a Select's first input,
+//! the build side of a hash join and of a left outer join, a grand total)
+//! and the consumers of a join's candidate tuples (the next join, a
+//! residual filter, a Grouping over an outer join, an early scalar
+//! subquery), under every sound strategy, at every point of
 //!
 //! `columnar {on, off}` × `threads {1, 4}` × budget lane {none, tiny with a
 //! spill manager, tiny without}.
@@ -39,7 +41,7 @@ use decorr::figures::Figure;
 use decorr::prelude::*;
 use decorr::row;
 use decorr_common::{RealEnv, MORSEL_ROWS};
-use decorr_qgm::{validate::validate, BinOp, BoxKind, Expr, QuantId, QuantKind};
+use decorr_qgm::{validate::validate, AggFunc, BinOp, BoxKind, Expr, QuantId, QuantKind};
 use decorr_server::SharedCatalog;
 use decorr_storage::{BufferPool, SpillManager, StoreOptions};
 use decorr_tpcd::empdept::{self, EmpDeptConfig};
@@ -474,7 +476,8 @@ fn paged_scan_arms_agree_across_the_lattice() {
             "computed key",
             "SELECT s.tag, b.id FROM small s, big b WHERE s.k = b.k + 0",
         ),
-        // Neither compiles to a kernel: the row-wise evaluator gets rows.
+        // An `IN` list is one kernel predicate; arithmetic compiles to
+        // none, so the row-wise evaluator gets rows.
         (
             "in list",
             "SELECT b.id, b.s FROM big b WHERE b.v IN (1, 5) AND b.id > 100",
@@ -711,5 +714,125 @@ fn outer_join_build_sides_agree_across_the_lattice() {
     let mut rows = execute(&tiers.resident, &plan).unwrap().0;
     rows.sort();
     assert_eq!(rows, (0..7).map(|v| row![v]).collect::<Vec<_>>());
+    bites.assert_every_lane_bit();
+}
+
+/// `plan`'s top box under a Grouping by its columns `keys`, with COUNT(*),
+/// COUNT(c), AVG(c) and MIN(c) of its column `c`: over an outer join, the
+/// null-extended candidates count once under COUNT(*) and never under the
+/// other three.
+fn grouped(mut g: Qgm, keys: &[usize], c: usize) -> Qgm {
+    let below = g.top();
+    let top = g.add_box(BoxKind::Grouping { group_by: Vec::new() }, "group");
+    let q = g.add_quant(top, QuantKind::Foreach, below, "G");
+    if let BoxKind::Grouping { group_by } = &mut g.boxmut(top).kind {
+        *group_by = keys.iter().map(|&k| Expr::col(q, k)).collect();
+    }
+    for &k in keys {
+        g.add_output(top, format!("k{k}"), Expr::col(q, k));
+    }
+    g.add_output(top, "rows", Expr::count_star());
+    for func in [AggFunc::Count, AggFunc::Avg, AggFunc::Min] {
+        g.add_output(top, format!("{func:?}"), Expr::agg(func, Expr::col(q, c)));
+    }
+    g.set_top(top);
+    validate(&g).unwrap();
+    g
+}
+
+#[test]
+fn candidate_tuples_agree_across_the_lattice() {
+    // A join hands its consumer positions: a Grouping over an outer join
+    // hashes each left row's key once and folds the right side through the
+    // pairs, a join's candidates feed the next join, a filter and the
+    // evaluator, and an `IN` list is one kernel predicate. Every hand-off
+    // must see what rows would have shown it.
+    let tiers = Tiers::of("tuples", scan_arms_db());
+    let db = &tiers.resident;
+    let mut bites = Bites::default();
+
+    // `big LOJ small`, grouped by `big.s`: thirteen groups, each spanning
+    // ~160 left rows scattered through the input, most of them
+    // null-extended (their `k` has no partner), and a ±0.0 left row paired
+    // twice in a row; the aggregates read the right side's `corr`. Then
+    // grouped by a right and a left column at once (a key from two inputs,
+    // NULL for the null-extended), and `small` over an empty right side.
+    let long_left = loj_over_scan(db, ("big", "small"), BinOp::Eq, None, None, false);
+    let empty_right = loj_over_scan(db, ("small", "none"), BinOp::Eq, None, None, false);
+    let plans = [
+        (
+            "LOJ grouped by a left column",
+            grouped(long_left.clone(), &[0], 3),
+        ),
+        ("LOJ grouped by both sides", grouped(long_left, &[3, 0], 1)),
+        ("LOJ over nothing, grouped", grouped(empty_right, &[0], 3)),
+    ];
+    for (what, plan) in &plans {
+        bites += check_plan(what, &tiers, plan, ExecOptions::default());
+    }
+    let rows = execute(&tiers.unindexed, &plans[0].1).unwrap().0;
+    assert_eq!(rows.len(), 13);
+    for r in &rows {
+        let (all, matched) = (&r[1], &r[2]);
+        assert!(
+            all > matched && *matched > Value::Int(0),
+            "{r}: null extension counts once"
+        );
+    }
+    let over_nothing = execute(&tiers.unindexed, &plans[2].1).unwrap().0;
+    assert!(over_nothing
+        .iter()
+        .all(|r| r[1] == Value::Int(1) && r[2] == Value::Int(0)));
+    assert!(over_nothing
+        .iter()
+        .all(|r| r[3].is_null() && r[4].is_null()));
+
+    let cases = [
+        // Three inputs; the last join keeps a non-equi residual and the
+        // output is computed.
+        (
+            "3-way join, residual, computed output",
+            "SELECT s.tag, b.id + c.id, c.s FROM small s, big b, r513 c \
+             WHERE s.k = b.k AND c.v = b.v AND c.id < b.id AND c.id < 40",
+        ),
+        // `IN` lists over a DOUBLE column holding NULL, NaN, ±0.0 and Ints,
+        // with a NULL and a repeated literal; over strings; and correlated,
+        // the binding folded into the list.
+        (
+            "in list over odd keys",
+            "SELECT b.id FROM big b WHERE b.k IN (0, 7, -1.5, NULL, 7) AND b.v <> 2",
+        ),
+        (
+            "in list of strings",
+            "SELECT b.id, b.k FROM big b WHERE b.s IN ('s1', 's5', 's1') AND b.id < 700",
+        ),
+        (
+            "correlated in list",
+            "SELECT s.tag FROM small s \
+             WHERE 20 < (SELECT COUNT(*) FROM big b WHERE b.k IN (s.k, 2.0) AND b.v < 6)",
+        ),
+    ];
+    for (what, sql) in cases {
+        bites += check_bound_and_rewritten(what, &tiers, sql);
+    }
+
+    // A scalar subquery placed as soon as its binding is joined: appended
+    // to a join's candidates, then filtered on.
+    let earliest = ExecOptions {
+        scalar_placement: ScalarPlacement::EarliestBinding,
+        ..ExecOptions::default()
+    };
+    let sql = "SELECT s.tag, b.id FROM small s, big b WHERE s.k = b.k \
+               AND b.v < (SELECT COUNT(*) FROM r511 r WHERE r.v = b.v AND r.id < 20)";
+    let as_bound = parse_and_bind(sql, db).unwrap();
+    bites += check_plan(
+        "earliest binding as bound",
+        &tiers,
+        &as_bound,
+        earliest.clone(),
+    );
+    for s in [Strategy::NestedIteration, Strategy::Magic] {
+        bites += check_lattice("earliest binding", &tiers, sql, s, earliest.clone());
+    }
     bites.assert_every_lane_bit();
 }
