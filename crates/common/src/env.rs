@@ -9,12 +9,11 @@
 //!
 //! * [`RealEnv`] is the production implementation: thin forwarding to
 //!   `std::fs`, zero behavioral change.
-//! * [`ChaosEnv`] is a deterministic in-memory filesystem seeded from one
-//!   `u64` (the same splitmix64 streams as [`crate::fault::FaultPlan`]).
-//!   It injects ENOSPC ([`Error::StorageFull`]), short/torn writes,
-//!   fsync-reported-ok-but-lost ("lying fsync"), transient EIO on read,
-//!   and per-op latency ticks on a governed [`Clock`] — every injected
-//!   fault is counted ([`EnvStats`]).
+//! * [`ChaosEnv`] is a deterministic in-memory filesystem driven by a
+//!   [`FaultPlane`]'s disk site: ENOSPC ([`Error::StorageFull`]),
+//!   short/torn writes, fsync-reported-ok-but-lost ("lying fsync"),
+//!   transient EIO on read and per-op latency on the plane's clock —
+//!   every injected fault is counted in the plane's [`FaultStats`].
 //!
 //! # Crash model
 //!
@@ -24,12 +23,14 @@
 //! state reverts to the durable bytes plus a seeded prefix of whatever
 //! was written since (the page cache may have flushed part of a dirty
 //! range before power died), which is exactly how torn WAL tails arise
-//! in the wild. Namespace operations (create / rename / remove) are
+//! in the wild; whatever survives is on the platter, so a later crash
+//! keeps it. Namespace operations (create / rename / remove) are
 //! modeled as atomic and immediately durable — the WAL/manifest
 //! protocols under test fsync file *data* before publishing references,
 //! which is the contract this model checks.
 //!
-//! Every **mutating** operation consumes one index from the op counter;
+//! Every reading or mutating operation consumes one index from the
+//! plane's disk counter;
 //! [`ChaosEnv::set_crash_point`] kills the env at exactly that index
 //! (the op fails, unsynced bytes are dropped, and every later op fails
 //! with a typed [`Error::Io`] until [`ChaosEnv::revive`]). A sweep over
@@ -43,8 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::{Error, Result};
-use crate::fault::splitmix64;
-use crate::govern::Clock;
+use crate::fault::{DiskFault, DiskOp, FaultPlane, FaultStats, Site};
 
 /// An open file handle, pin-friendly: all methods take `&self` (impls use
 /// interior locking), so a handle can be shared behind an `Arc` by
@@ -72,32 +72,6 @@ pub trait EnvFile: Send + Sync + std::fmt::Debug {
     fn sync_all(&self) -> Result<()>;
 }
 
-/// Counters of injected faults, for `\pool`-style reporting and the chaos
-/// harness JSON. A [`RealEnv`] always reports zeros.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnvStats {
-    /// Writes rejected with [`Error::StorageFull`] (injected ENOSPC).
-    pub enospc: u64,
-    /// Writes that persisted only a prefix before failing (short/torn).
-    pub torn_writes: u64,
-    /// Reads failed with a transient EIO.
-    pub read_eio: u64,
-    /// fsyncs that reported success without making the bytes durable.
-    pub lost_syncs: u64,
-    /// Logical latency ticks injected on the governed clock.
-    pub latency_ticks: u64,
-    /// Simulated power cuts ([`ChaosEnv::crash`] / crash points hit).
-    pub crashes: u64,
-}
-
-impl EnvStats {
-    /// Total injected disk faults (latency excluded: delays are not
-    /// failures).
-    pub fn total_faults(&self) -> u64 {
-        self.enospc + self.torn_writes + self.read_eio + self.lost_syncs + self.crashes
-    }
-}
-
 /// The filesystem the storage layer runs on. See the module docs.
 pub trait StorageEnv: Send + Sync + std::fmt::Debug {
     /// Create (truncating if present) a file for writing.
@@ -120,9 +94,10 @@ pub trait StorageEnv: Send + Sync + std::fmt::Debug {
     fn sync_dir(&self, path: &Path) -> Result<()>;
     /// Does a file exist at `path`?
     fn exists(&self, path: &Path) -> bool;
-    /// Injected-fault counters (zeros for a fault-free env).
-    fn stats(&self) -> EnvStats {
-        EnvStats::default()
+    /// Injected-fault counters of the env's fault plane (zeros for a
+    /// fault-free env).
+    fn stats(&self) -> FaultStats {
+        FaultStats::default()
     }
 }
 
@@ -307,51 +282,6 @@ impl StorageEnv for RealEnv {
 // ChaosEnv
 // ---------------------------------------------------------------------
 
-/// Seeded disk-fault probabilities, all per-mille over the mutating /
-/// reading op stream.
-#[derive(Debug, Clone, Copy)]
-pub struct DiskFaultConfig {
-    /// Probability a write draws ENOSPC ([`Error::StorageFull`]).
-    pub enospc_permille: u64,
-    /// Probability a write persists only a seeded prefix then fails.
-    pub torn_permille: u64,
-    /// Probability a read fails with a transient EIO (each retry is a new
-    /// op index, so retries redraw).
-    pub read_eio_permille: u64,
-    /// Probability an fsync reports success without making bytes durable.
-    pub lost_sync_permille: u64,
-    /// Probability an op is delayed, and the tick range of the delay.
-    pub latency_permille: u64,
-    pub latency_ticks: u64,
-}
-
-impl DiskFaultConfig {
-    /// Inject nothing (deterministic in-memory filesystem only).
-    pub fn quiet() -> DiskFaultConfig {
-        DiskFaultConfig {
-            enospc_permille: 0,
-            torn_permille: 0,
-            read_eio_permille: 0,
-            lost_sync_permille: 0,
-            latency_permille: 0,
-            latency_ticks: 0,
-        }
-    }
-
-    /// The default chaos mix: rare-but-real background faults that a
-    /// correct store must ride through or fail closed on.
-    pub fn from_seed(_seed: u64) -> DiskFaultConfig {
-        DiskFaultConfig {
-            enospc_permille: 15,
-            torn_permille: 10,
-            read_eio_permille: 25,
-            lost_sync_permille: 10,
-            latency_permille: 40,
-            latency_ticks: 4,
-        }
-    }
-}
-
 #[derive(Debug, Default, Clone)]
 struct MemFile {
     /// What a reader sees now.
@@ -367,89 +297,48 @@ struct MemFs {
     dirs: std::collections::BTreeSet<PathBuf>,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    enospc: AtomicU64,
-    torn_writes: AtomicU64,
-    read_eio: AtomicU64,
-    lost_syncs: AtomicU64,
-    latency_ticks: AtomicU64,
-    crashes: AtomicU64,
-}
-
 #[derive(Debug)]
 struct ChaosInner {
-    seed: u64,
-    cfg: DiskFaultConfig,
+    /// Draws every fault, counts it and owns the op counter.
+    plane: FaultPlane,
     fs: Mutex<MemFs>,
-    /// Every mutating or reading op consumes one index.
-    ops: AtomicU64,
-    /// Kill the env at exactly this op index (`u64::MAX` = never).
+    /// Kill the env at exactly this disk op index (`u64::MAX` = never).
     crash_at: AtomicU64,
     /// Post-crash: every op fails until [`ChaosEnv::revive`].
     dead: AtomicBool,
     /// Force [`Error::StorageFull`] on every write (ENOSPC probe).
     disk_full: AtomicBool,
-    /// Master switch for the probabilistic faults.
+    /// Master switch for the plane's disk faults.
     faults_on: AtomicBool,
-    clock: Clock,
-    counters: Counters,
 }
 
-/// The deterministic fault-injecting in-memory environment. Cloning
-/// shares the filesystem and fault state, so a store and the test
-/// driving it see the same world.
+/// The deterministic fault-injecting in-memory device. Cloning shares the
+/// filesystem and the plane, so a store and the test driving it see the
+/// same world.
 #[derive(Debug, Clone)]
 pub struct ChaosEnv {
     inner: Arc<ChaosInner>,
 }
 
-/// What kind of op is consuming the next fault point (drives which fault
-/// families can fire).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Read,
-    Write,
-    Sync,
-    Meta,
-}
-
 impl ChaosEnv {
-    /// A chaos env with `cfg` faults armed, seeded by `seed`.
-    pub fn new(seed: u64, cfg: DiskFaultConfig) -> ChaosEnv {
+    /// An empty device whose faults `plane`'s disk site draws.
+    pub fn new(plane: FaultPlane) -> ChaosEnv {
         ChaosEnv {
             inner: Arc::new(ChaosInner {
-                seed,
-                cfg,
+                plane,
                 fs: Mutex::new(MemFs::default()),
-                ops: AtomicU64::new(0),
                 crash_at: AtomicU64::new(u64::MAX),
                 dead: AtomicBool::new(false),
                 disk_full: AtomicBool::new(false),
                 faults_on: AtomicBool::new(true),
-                clock: Clock::new(),
-                counters: Counters::default(),
             }),
         }
-    }
-
-    /// A quiet chaos env: deterministic in-memory filesystem, no injected
-    /// faults — byte-identical artifacts to [`RealEnv`] by construction
-    /// (and asserted by the chaos harness).
-    pub fn quiet(seed: u64) -> ChaosEnv {
-        ChaosEnv::new(seed, DiskFaultConfig::quiet())
-    }
-
-    /// The logical clock injected latency advances. Share it with a query
-    /// [`crate::Budget`] so injected delays consume execution budget.
-    pub fn clock(&self) -> &Clock {
-        &self.inner.clock
     }
 
     /// Ops consumed so far — after a faults-off dry run, this is the
     /// number of crash points a sweep should cover.
     pub fn op_count(&self) -> u64 {
-        self.inner.ops.load(Ordering::Relaxed)
+        self.inner.plane.ops(Site::Disk)
     }
 
     /// Arm (or disarm, with `u64::MAX`) the crash point: the op with this
@@ -459,14 +348,8 @@ impl ChaosEnv {
         self.inner.crash_at.store(op, Ordering::Relaxed);
     }
 
-    /// Reset the op counter (so a sweep can re-run the same command
-    /// sequence with a fresh index space).
-    pub fn reset_ops(&self) {
-        self.inner.ops.store(0, Ordering::Relaxed);
-    }
-
-    /// Enable / disable the probabilistic fault families (crash points
-    /// and `set_disk_full` stay armed independently).
+    /// Enable / disable the plane's disk faults (crash points and
+    /// `set_disk_full` stay armed independently).
     pub fn set_faults(&self, on: bool) {
         self.inner.faults_on.store(on, Ordering::Relaxed);
     }
@@ -476,44 +359,35 @@ impl ChaosEnv {
         self.inner.disk_full.store(full, Ordering::Relaxed);
     }
 
-    /// Is the env currently dead (crashed and not yet revived)?
-    pub fn is_dead(&self) -> bool {
-        self.inner.dead.load(Ordering::Relaxed)
-    }
-
     /// Simulate a power cut *now*: each file reverts to its durable bytes
     /// plus a seeded prefix of the bytes written since (the partial page-
-    /// cache flush that makes real torn tails), and the env goes dead.
+    /// cache flush that makes real torn tails), what survives is durable,
+    /// and the env goes dead.
     pub fn crash(&self) {
-        self.inner.counters.crashes.fetch_add(1, Ordering::Relaxed);
+        let plane = &self.inner.plane;
+        plane.count(|s| s.crashes += 1);
         self.inner.dead.store(true, Ordering::Relaxed);
         if let Ok(mut fs) = self.inner.fs.lock() {
-            let crash_salt = self.inner.ops.load(Ordering::Relaxed);
+            let at = plane.ops(Site::Disk);
             for (path, f) in fs.files.iter_mut() {
-                if f.live == f.durable {
-                    continue;
-                }
                 let keep = if f.live.len() > f.durable.len()
                     && f.live[..f.durable.len()] == f.durable[..]
                 {
                     // Append-shaped dirt: a seeded amount of the tail may
                     // have been flushed before power died.
                     let delta = (f.live.len() - f.durable.len()) as u64;
-                    let h = splitmix64(
-                        self.inner.seed
-                            ^ crash_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            ^ path_hash(path),
-                    );
-                    f.durable.len() + (h % (delta + 1)) as usize
+                    f.durable.len() + plane.flushed_tail(at, path_hash(path), delta) as usize
                 } else {
                     // Overwritten / truncated dirt: only the promise
                     // survives.
                     f.durable.len()
                 };
-                f.live = f.live[..keep.min(f.live.len())].to_vec();
-                if f.live.len() < f.durable.len() {
+                if keep <= f.live.len() {
+                    f.live.truncate(keep);
+                } else {
                     f.live = f.durable.clone();
                 }
+                f.durable.clone_from(&f.live);
             }
         }
     }
@@ -524,16 +398,23 @@ impl ChaosEnv {
         self.inner.dead.store(false, Ordering::Relaxed);
     }
 
-    /// One mutating/reading op: check death, the crash point, then draw
-    /// this op's fault.
-    fn begin_op(&self, kind: Op, path: &Path) -> Result<u64> {
-        let idx = self.inner.ops.fetch_add(1, Ordering::Relaxed);
+    fn alive(&self, path: &Path) -> Result<()> {
         if self.inner.dead.load(Ordering::Relaxed) {
             return Err(Error::io(format!(
                 "chaos: env is down (crashed) at {}",
                 path.display()
             )));
         }
+        Ok(())
+    }
+
+    /// One reading or mutating op: consume a disk index, check death and
+    /// the crash point, then ask the plane for this op's fault. ENOSPC and
+    /// EIO fail here; a tear or a lost sync is the caller's to apply.
+    fn begin_op(&self, op: DiskOp, path: &Path) -> Result<DiskFault> {
+        let plane = &self.inner.plane;
+        let idx = plane.next_op(Site::Disk);
+        self.alive(path)?;
         if idx == self.inner.crash_at.load(Ordering::Relaxed) {
             self.crash();
             return Err(Error::io(format!(
@@ -541,73 +422,26 @@ impl ChaosEnv {
                 path.display()
             )));
         }
-        if self.inner.disk_full.load(Ordering::Relaxed) && matches!(kind, Op::Write) {
-            self.inner.counters.enospc.fetch_add(1, Ordering::Relaxed);
-            return Err(Error::storage_full(format!(
-                "chaos: no space left on device ({})",
+        let fault =
+            if self.inner.disk_full.load(Ordering::Relaxed) && matches!(op, DiskOp::Write(_)) {
+                plane.count(|s| s.enospc += 1);
+                DiskFault::Full
+            } else if self.inner.faults_on.load(Ordering::Relaxed) {
+                plane.disk_fault(op, idx)
+            } else {
+                DiskFault::None
+            };
+        match fault {
+            DiskFault::Full => Err(Error::storage_full(format!(
+                "chaos: no space left on device at op {idx} ({})",
                 path.display()
-            )));
+            ))),
+            DiskFault::Eio => Err(Error::io(format!(
+                "chaos: transient EIO at op {idx} ({})",
+                path.display()
+            ))),
+            other => Ok(other),
         }
-        if self.inner.faults_on.load(Ordering::Relaxed) {
-            let h = splitmix64(self.inner.seed ^ idx.wrapping_mul(0xE703_7ED1_A0B4_28DB));
-            let cfg = &self.inner.cfg;
-            if cfg.latency_permille > 0 && h % 1000 < cfg.latency_permille {
-                let ticks = 1 + (h >> 32) % cfg.latency_ticks.max(1);
-                self.inner.clock.advance(ticks);
-                self.inner
-                    .counters
-                    .latency_ticks
-                    .fetch_add(ticks, Ordering::Relaxed);
-            }
-            let draw = splitmix64(h ^ 0x5EED_D15C) % 1000;
-            match kind {
-                Op::Write if draw < cfg.enospc_permille => {
-                    self.inner.counters.enospc.fetch_add(1, Ordering::Relaxed);
-                    return Err(Error::storage_full(format!(
-                        "chaos: injected ENOSPC at op {idx} ({})",
-                        path.display()
-                    )));
-                }
-                Op::Read if draw < cfg.read_eio_permille => {
-                    self.inner.counters.read_eio.fetch_add(1, Ordering::Relaxed);
-                    return Err(Error::io(format!(
-                        "chaos: transient EIO at op {idx} ({})",
-                        path.display()
-                    )));
-                }
-                _ => {}
-            }
-        }
-        Ok(idx)
-    }
-
-    /// Should this write tear (persist a prefix then fail)? Returns the
-    /// seeded prefix length to keep.
-    fn torn_len(&self, idx: u64, data_len: usize) -> Option<usize> {
-        if !self.inner.faults_on.load(Ordering::Relaxed) || data_len == 0 {
-            return None;
-        }
-        let cfg = &self.inner.cfg;
-        if cfg.torn_permille == 0 {
-            return None;
-        }
-        let h = splitmix64(self.inner.seed ^ 0x7042 ^ idx.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
-        if h % 1000 < cfg.torn_permille {
-            Some(((h >> 32) as usize) % data_len)
-        } else {
-            None
-        }
-    }
-
-    /// Does this fsync lie (report success, persist nothing)?
-    fn sync_lies(&self, idx: u64) -> bool {
-        if !self.inner.faults_on.load(Ordering::Relaxed) {
-            return false;
-        }
-        let cfg = &self.inner.cfg;
-        cfg.lost_sync_permille > 0
-            && splitmix64(self.inner.seed ^ 0xF5CC ^ idx.wrapping_mul(0xA076_1D64_78BD_642F)) % 1000
-                < cfg.lost_sync_permille
     }
 
     fn fs(&self) -> Result<std::sync::MutexGuard<'_, MemFs>> {
@@ -660,7 +494,7 @@ impl ChaosFile {
 
 impl EnvFile for ChaosFile {
     fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.env.begin_op(Op::Read, &self.path)?;
+        self.env.begin_op(DiskOp::Read, &self.path)?;
         self.with_file(|f| {
             let start = offset as usize;
             let end = start + buf.len();
@@ -676,15 +510,17 @@ impl EnvFile for ChaosFile {
     }
 
     fn read_all(&self) -> Result<Vec<u8>> {
-        self.env.begin_op(Op::Read, &self.path)?;
+        self.env.begin_op(DiskOp::Read, &self.path)?;
         self.with_file(|f| Ok(f.live.clone()))
     }
 
     fn write_all_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let idx = self.env.begin_op(Op::Write, &self.path)?;
-        let torn = self.env.torn_len(idx, data.len());
+        let fault = self.env.begin_op(DiskOp::Write(data.len()), &self.path)?;
+        let keep = match fault {
+            DiskFault::Torn(keep) => keep,
+            _ => data.len(),
+        };
         self.with_file(|f| {
-            let keep = torn.unwrap_or(data.len());
             let start = offset as usize;
             if f.live.len() < start + keep {
                 f.live.resize(start + keep, 0);
@@ -692,14 +528,10 @@ impl EnvFile for ChaosFile {
             f.live[start..start + keep].copy_from_slice(&data[..keep]);
             Ok(())
         })?;
-        if torn.is_some() {
-            self.env
-                .inner
-                .counters
-                .torn_writes
-                .fetch_add(1, Ordering::Relaxed);
+        if keep < data.len() {
             return Err(Error::io(format!(
-                "chaos: torn write at op {idx} ({})",
+                "chaos: torn write after {keep} of {} bytes ({})",
+                data.len(),
                 self.path.display()
             )));
         }
@@ -707,25 +539,21 @@ impl EnvFile for ChaosFile {
     }
 
     fn set_len(&self, len: u64) -> Result<()> {
-        self.env.begin_op(Op::Write, &self.path)?;
+        self.env.begin_op(DiskOp::Write(0), &self.path)?;
         self.with_file(|f| {
             f.live.resize(len as usize, 0);
             Ok(())
         })
     }
 
+    /// Not an op (it consumes no index), but a dead device answers nothing.
     fn len(&self) -> Result<u64> {
+        self.env.alive(&self.path)?;
         self.with_file(|f| Ok(f.live.len() as u64))
     }
 
     fn sync_data(&self) -> Result<()> {
-        let idx = self.env.begin_op(Op::Sync, &self.path)?;
-        if self.env.sync_lies(idx) {
-            self.env
-                .inner
-                .counters
-                .lost_syncs
-                .fetch_add(1, Ordering::Relaxed);
+        if self.env.begin_op(DiskOp::Sync, &self.path)? == DiskFault::LostSync {
             return Ok(()); // reported ok; durable bytes NOT promoted
         }
         self.with_file(|f| {
@@ -741,7 +569,7 @@ impl EnvFile for ChaosFile {
 
 impl StorageEnv for ChaosEnv {
     fn create(&self, path: &Path) -> Result<Box<dyn EnvFile>> {
-        self.begin_op(Op::Write, path)?;
+        self.begin_op(DiskOp::Write(0), path)?;
         let mut fs = self.fs()?;
         fs.files.insert(path.to_path_buf(), MemFile::default());
         drop(fs);
@@ -752,7 +580,7 @@ impl StorageEnv for ChaosEnv {
     }
 
     fn open_rw(&self, path: &Path) -> Result<Box<dyn EnvFile>> {
-        self.begin_op(Op::Meta, path)?;
+        self.begin_op(DiskOp::Meta, path)?;
         let mut fs = self.fs()?;
         fs.files.entry(path.to_path_buf()).or_default();
         drop(fs);
@@ -763,7 +591,7 @@ impl StorageEnv for ChaosEnv {
     }
 
     fn open_read(&self, path: &Path) -> Result<Box<dyn EnvFile>> {
-        self.begin_op(Op::Meta, path)?;
+        self.begin_op(DiskOp::Meta, path)?;
         let fs = self.fs()?;
         if !fs.files.contains_key(path) {
             return Err(Error::io(format!("chaos: no such file {}", path.display())));
@@ -776,13 +604,13 @@ impl StorageEnv for ChaosEnv {
     }
 
     fn read(&self, path: &Path) -> Result<Option<Vec<u8>>> {
-        self.begin_op(Op::Read, path)?;
+        self.begin_op(DiskOp::Read, path)?;
         let fs = self.fs()?;
         Ok(fs.files.get(path).map(|f| f.live.clone()))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<()> {
-        self.begin_op(Op::Meta, to)?;
+        self.begin_op(DiskOp::Meta, to)?;
         let mut fs = self.fs()?;
         let f = fs
             .files
@@ -795,7 +623,7 @@ impl StorageEnv for ChaosEnv {
     }
 
     fn remove_file(&self, path: &Path) -> Result<()> {
-        self.begin_op(Op::Meta, path)?;
+        self.begin_op(DiskOp::Meta, path)?;
         let mut fs = self.fs()?;
         if fs.files.remove(path).is_none() {
             return Err(Error::io(format!("chaos: no such file {}", path.display())));
@@ -804,14 +632,14 @@ impl StorageEnv for ChaosEnv {
     }
 
     fn create_dir_all(&self, path: &Path) -> Result<()> {
-        self.begin_op(Op::Meta, path)?;
+        self.begin_op(DiskOp::Meta, path)?;
         let mut fs = self.fs()?;
         fs.dirs.insert(path.to_path_buf());
         Ok(())
     }
 
     fn read_dir(&self, path: &Path) -> Result<Vec<String>> {
-        self.begin_op(Op::Read, path)?;
+        self.begin_op(DiskOp::Read, path)?;
         let fs = self.fs()?;
         let mut names: Vec<String> = fs
             .files
@@ -824,7 +652,8 @@ impl StorageEnv for ChaosEnv {
     }
 
     fn sync_dir(&self, path: &Path) -> Result<()> {
-        self.begin_op(Op::Sync, path)?;
+        // Directory entries are durable on creation: only latency applies.
+        self.begin_op(DiskOp::Meta, path)?;
         Ok(())
     }
 
@@ -834,22 +663,15 @@ impl StorageEnv for ChaosEnv {
             .unwrap_or(false)
     }
 
-    fn stats(&self) -> EnvStats {
-        let c = &self.inner.counters;
-        EnvStats {
-            enospc: c.enospc.load(Ordering::Relaxed),
-            torn_writes: c.torn_writes.load(Ordering::Relaxed),
-            read_eio: c.read_eio.load(Ordering::Relaxed),
-            lost_syncs: c.lost_syncs.load(Ordering::Relaxed),
-            latency_ticks: c.latency_ticks.load(Ordering::Relaxed),
-            crashes: c.crashes.load(Ordering::Relaxed),
-        }
+    fn stats(&self) -> FaultStats {
+        self.inner.plane.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultRates;
 
     fn p(s: &str) -> PathBuf {
         PathBuf::from(s)
@@ -857,7 +679,7 @@ mod tests {
 
     #[test]
     fn chaos_env_round_trips_files() {
-        let env = ChaosEnv::quiet(1);
+        let env = ChaosEnv::new(FaultPlane::quiet(1));
         env.create_dir_all(&p("/d")).unwrap();
         let f = env.create(&p("/d/a")).unwrap();
         f.write_all_at(0, b"hello").unwrap();
@@ -873,19 +695,24 @@ mod tests {
         assert!(env.exists(&p("/d/b")));
         env.remove_file(&p("/d/b")).unwrap();
         assert!(env.read(&p("/d/b")).unwrap().is_none());
-        assert_eq!(env.stats(), EnvStats::default());
+        assert_eq!(env.stats(), FaultStats::default());
     }
 
     #[test]
     fn crash_drops_unsynced_bytes_but_keeps_durable_ones() {
-        let env = ChaosEnv::quiet(7);
+        let env = ChaosEnv::new(FaultPlane::quiet(7));
         let f = env.create(&p("/w")).unwrap();
         f.write_all_at(0, b"durable").unwrap();
         f.sync_data().unwrap();
         f.write_all_at(7, b"-lost").unwrap(); // never synced
         env.crash();
-        assert!(env.is_dead());
+        let ops = env.op_count();
         assert!(f.read_all().is_err(), "dead env fails ops");
+        assert!(
+            matches!(f.len(), Err(Error::Io(_))),
+            "dead env answers no stat"
+        );
+        assert_eq!(env.op_count(), ops + 1, "len consumes no op index");
         env.revive();
         let bytes = f.read_all().unwrap();
         assert!(
@@ -893,12 +720,13 @@ mod tests {
             "{bytes:?}"
         );
         assert!(bytes.len() <= 12);
+        assert_eq!(f.len().unwrap(), bytes.len() as u64);
         assert_eq!(env.stats().crashes, 1);
     }
 
     #[test]
     fn crash_points_kill_exactly_one_op_then_everything_after() {
-        let env = ChaosEnv::quiet(3);
+        let env = ChaosEnv::new(FaultPlane::quiet(3));
         let f = env.create(&p("/x")).unwrap(); // op 0
         f.write_all_at(0, b"a").unwrap(); // op 1
         env.set_crash_point(2);
@@ -911,7 +739,7 @@ mod tests {
 
     #[test]
     fn disk_full_is_typed_storage_full_and_reads_keep_working() {
-        let env = ChaosEnv::quiet(5);
+        let env = ChaosEnv::new(FaultPlane::quiet(5));
         let f = env.create(&p("/y")).unwrap();
         f.write_all_at(0, b"ok").unwrap();
         env.set_disk_full(true);
@@ -927,8 +755,8 @@ mod tests {
 
     #[test]
     fn seeded_faults_replay_identically() {
-        let run = |seed: u64| -> (Vec<bool>, EnvStats) {
-            let env = ChaosEnv::new(seed, DiskFaultConfig::from_seed(seed));
+        let run = |seed: u64| -> (Vec<bool>, FaultStats) {
+            let env = ChaosEnv::new(FaultPlane::chaos(seed));
             let f = env.create(&p("/z")).unwrap_or_else(|_| {
                 env.set_faults(false);
                 let f = env.create(&p("/z")).unwrap();
@@ -948,7 +776,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(sa, sb);
         assert!(
-            sa.total_faults() > 0,
+            sa.disk_faults() > 0,
             "default mix injects something: {sa:?}"
         );
         let (c, _) = run(43);
@@ -957,26 +785,31 @@ mod tests {
 
     #[test]
     fn lying_fsync_loses_bytes_at_the_next_crash() {
-        // Force every sync to lie: written bytes never become durable.
-        let cfg = DiskFaultConfig { lost_sync_permille: 1000, ..DiskFaultConfig::quiet() };
-        let env = ChaosEnv::new(9, cfg);
-        env.set_faults(false); // create cleanly
-        let f = env.create(&p("/lie")).unwrap();
-        env.set_faults(true);
-        f.write_all_at(0, b"gone").unwrap();
-        f.sync_data().unwrap(); // lies
-        assert!(env.stats().lost_syncs >= 1);
-        env.crash();
-        env.revive();
-        let bytes = f.read_all().unwrap();
-        assert!(bytes.len() < 4 || bytes != b"gone" || bytes.is_empty() || bytes.len() <= 4);
-        // The durable promise was never made, so the crash may keep any
-        // seeded prefix — but a second crash right after keeps only what
-        // a crash already reduced it to.
-        let after_first = bytes.clone();
-        env.crash();
-        env.revive();
-        assert_eq!(f.read_all().unwrap(), after_first);
+        let mut kept = Vec::new();
+        for seed in 0..8u64 {
+            // Every sync lies: written bytes never become durable.
+            let rates = FaultRates { lost_sync: 1000, ..FaultRates::QUIET };
+            let env = ChaosEnv::new(FaultPlane::new(seed, rates));
+            let f = env.create(&p("/lie")).unwrap();
+            f.write_all_at(0, b"gone").unwrap();
+            f.sync_data().unwrap(); // lies
+            assert_eq!(env.stats().lost_syncs, 1);
+            env.crash();
+            env.revive();
+            // The durable promise was never made, so the crash keeps some
+            // seeded prefix of the write...
+            let bytes = f.read_all().unwrap();
+            assert_eq!(bytes[..], b"gone"[..bytes.len().min(4)], "seed {seed}");
+            // ...which is on the platter now: a second crash keeps it all.
+            env.crash();
+            env.revive();
+            assert_eq!(f.read_all().unwrap(), bytes, "seed {seed}");
+            kept.push(bytes.len());
+        }
+        assert!(
+            kept.iter().any(|&n| n < 4),
+            "some crash lost bytes: {kept:?}"
+        );
     }
 
     #[test]
@@ -999,6 +832,6 @@ mod tests {
         assert!(names.contains(&"real.bin".to_string()));
         env.remove_file(&path).unwrap();
         assert_eq!(env.read(&path).unwrap(), None);
-        assert_eq!(env.stats(), EnvStats::default());
+        assert_eq!(env.stats(), FaultStats::default());
     }
 }

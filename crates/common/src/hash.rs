@@ -105,6 +105,15 @@ pub fn mix64(h: u64) -> u64 {
     x ^ (x >> 33)
 }
 
+/// splitmix64: a stateless mixer of a seeded counter — the draw behind
+/// every [`crate::FaultPlane`] decision and the tests' small generators.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

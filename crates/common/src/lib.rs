@@ -39,11 +39,11 @@ pub mod stats;
 pub mod value;
 
 pub use columnar::{CmpOp, ColPredicate, Column, ColumnarBatch, SelVec};
-pub use env::{ChaosEnv, DiskFaultConfig, EnvFile, EnvStats, RealEnv, StorageEnv};
+pub use env::{ChaosEnv, EnvFile, RealEnv, StorageEnv};
 pub use error::{Error, Result};
-pub use fault::{Chaos, FaultEvent, FaultPlan};
+pub use fault::{CrashWindow, FaultEvent, FaultPlane, FaultRates, FaultStats, NetFault};
 pub use govern::{Budget, CancelToken, Clock};
-pub use hash::{mix64, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{mix64, splitmix64, FxHashMap, FxHashSet, FxHasher};
 pub use json::JsonWriter;
 pub use pool::{WorkerPool, MORSEL_ROWS};
 pub use row::{Row, RowBatch};

@@ -20,8 +20,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::fault::Chaos;
-
 /// Default number of rows per morsel. Small enough that skewed chunks
 /// re-balance across workers, large enough that the claim counter is cold.
 pub const MORSEL_ROWS: usize = 1024;
@@ -30,24 +28,13 @@ pub const MORSEL_ROWS: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     threads: usize,
-    /// Optional fault-injection session: each claimed job consults the
-    /// plan for a straggler delay (advancing the shared logical clock).
-    chaos: Option<Chaos>,
 }
 
 impl WorkerPool {
     /// A pool of `threads` workers. Zero is clamped to one; one means
     /// "run everything inline on the caller's thread".
     pub fn new(threads: usize) -> Self {
-        WorkerPool { threads: threads.max(1), chaos: None }
-    }
-
-    /// Attach a fault-injection session: every job this pool runs consults
-    /// the plan for an injected straggler delay, keyed on the job index so
-    /// the total delay is the same no matter which worker claims which job.
-    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
-        self.chaos = Some(chaos);
-        self
+        WorkerPool { threads: threads.max(1) }
     }
 
     /// A pool sized to the host's available parallelism.
@@ -79,14 +66,7 @@ impl WorkerPool {
         F: Fn(usize) -> T + Sync,
     {
         if self.threads == 1 || jobs <= 1 {
-            return (0..jobs)
-                .map(|i| {
-                    if let Some(chaos) = &self.chaos {
-                        chaos.on_pool_job(i as u64);
-                    }
-                    f(i)
-                })
-                .collect();
+            return (0..jobs).map(f).collect();
         }
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(jobs);
@@ -95,16 +75,12 @@ impl WorkerPool {
                 .map(|_| {
                     let next = &next;
                     let f = &f;
-                    let chaos = &self.chaos;
                     scope.spawn(move || {
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= jobs {
                                 break;
-                            }
-                            if let Some(chaos) = chaos {
-                                chaos.on_pool_job(i as u64);
                             }
                             local.push((i, f(i)));
                         }
@@ -234,20 +210,6 @@ mod tests {
         let data = [1u64, 2, 3, 4];
         let doubled = pool.run_indexed(data.len(), |i| data[i] * 2);
         assert_eq!(doubled, vec![2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn chaos_straggler_delay_is_interleaving_invariant() {
-        use crate::fault::{Chaos, FaultPlan};
-        let probe = Chaos::new(FaultPlan::from_seed(5, 4));
-        let expected: u64 = (0..64).filter_map(|l| probe.plan().straggle_for(l)).sum();
-        assert!(expected > 0, "seed 5 should straggle some lane");
-        for threads in [1, 4] {
-            let chaos = Chaos::new(FaultPlan::from_seed(5, 4));
-            let pool = WorkerPool::new(threads).with_chaos(chaos.clone());
-            pool.run_indexed(64, |i| i);
-            assert_eq!(chaos.injected_delay_ticks(), expected, "threads={threads}");
-        }
     }
 
     #[test]

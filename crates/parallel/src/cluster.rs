@@ -3,14 +3,14 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
-use decorr_common::{Chaos, Error, FaultEvent, FxHasher, Result, Row, Schema, WorkerPool};
+use decorr_common::{Error, FaultEvent, FaultPlane, FxHasher, Result, Row, Schema, WorkerPool};
 use decorr_storage::{Database, Table};
 
 /// Retry budget per replica: a transient fault (or a finite crash window)
 /// is retried up to this many times, with exponential backoff on the
-/// injected clock, before the job fails over to the next replica. All
-/// [`decorr_common::FaultPlan::from_seed`] crash windows close within this
-/// many attempts, so seeded chaos is recoverable by retry alone.
+/// plane's clock, before the job fails over to the next replica. All
+/// [`FaultPlane::crash_window`] windows close within this many attempts,
+/// so seeded chaos is recoverable by retry alone.
 pub const MAX_ATTEMPTS: usize = 8;
 
 /// Backoff cap in logical ticks; the per-replica backoff doubles from one
@@ -198,10 +198,10 @@ impl Cluster {
 
     /// Run `job` against partition `p` with retry and failover.
     ///
-    /// Without a fault session the job runs once on the primary. With one,
+    /// Without a fault plane the job runs once on the primary. With one,
     /// each replica in [`Cluster::placement`] order gets up to
     /// [`MAX_ATTEMPTS`] attempts; every injected fault costs a backoff
-    /// delay on the injected clock (doubling, capped) and is recorded as a
+    /// delay on the plane's clock (doubling, capped) and is counted as a
     /// retry. A replica that exhausts its attempts triggers a failover to
     /// the next; when all replicas are exhausted the job fails closed with
     /// [`Error::NodeFailed`]. Genuine job errors (missing table, type
@@ -209,11 +209,11 @@ impl Cluster {
     pub fn run_recoverable<T>(
         &self,
         p: usize,
-        chaos: Option<&Chaos>,
+        faults: Option<&FaultPlane>,
         job: impl Fn(&Database) -> Result<T>,
     ) -> Result<(T, JobOutcome)> {
         let part = &self.nodes[p % self.nodes.len()];
-        let Some(chaos) = chaos else {
+        let Some(plane) = faults else {
             let v = job(part)?;
             return Ok((v, JobOutcome { served_by: p, ..Default::default() }));
         };
@@ -223,13 +223,13 @@ impl Cluster {
         for (ri, &serving) in placement.iter().enumerate() {
             let mut backoff = 1u64;
             for _attempt in 0..MAX_ATTEMPTS {
-                match chaos.plan().begin_job(serving) {
+                match plane.begin_job(serving) {
                     FaultEvent::None => {}
-                    FaultEvent::Straggle(d) => chaos.delay(d),
+                    FaultEvent::Straggle(d) => plane.delay(d),
                     FaultEvent::Transient | FaultEvent::NodeDown => {
-                        chaos.note_retry();
+                        plane.count(|s| s.retries += 1);
                         outcome.retries += 1;
-                        chaos.delay(backoff);
+                        plane.delay(backoff);
                         backoff = (backoff * 2).min(MAX_BACKOFF_TICKS);
                         continue;
                     }
@@ -241,7 +241,7 @@ impl Cluster {
                 return Ok((v, outcome));
             }
             if ri + 1 < replicas {
-                chaos.note_failover();
+                plane.count(|s| s.failovers += 1);
                 outcome.failed_over = true;
             }
         }

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use decorr_common::{Chaos, Error, Result, Row, WorkerPool};
+use decorr_common::{Error, FaultPlane, Result, Row, WorkerPool};
 use decorr_core::magic::{magic_decorrelate, MagicOptions};
 use decorr_exec::{ExecOptions, Executor};
 use decorr_qgm::Qgm;
@@ -38,7 +38,7 @@ pub fn run_decorrelated(
 /// driven through [`Cluster::run_recoverable`], so an injected crash of the
 /// node is retried and — when the cluster carries replicas — failed over to
 /// a standby that re-runs the fragment over the same partition. With faults
-/// active the fragments run serially so the fault plan's per-node job
+/// active the fragments run serially so the fault plane's per-node job
 /// counters replay deterministically from the seed. The repartitioning
 /// phase itself is not fault-injected (recovery of in-flight data movement
 /// is out of scope; the paper's interest is the execution fragments).
@@ -47,7 +47,7 @@ pub fn run_decorrelated_with(
     qgm: &Qgm,
     partition_on: &[(&str, &str)],
     magic: &MagicOptions,
-    chaos: Option<&Chaos>,
+    faults: Option<&FaultPlane>,
 ) -> Result<(Vec<Row>, ParallelStats)> {
     let mut plan = qgm.clone();
     let report = magic_decorrelate(&mut plan, magic)?;
@@ -85,11 +85,11 @@ pub fn run_decorrelated_with(
     // node order. Under fault injection the pool is serial (deterministic
     // fault-counter replay) and every fragment goes through the cluster's
     // retry/failover path.
-    let pool = WorkerPool::new(if chaos.is_some() { 1 } else { n });
+    let pool = WorkerPool::new(if faults.is_some() { 1 } else { n });
     let started = Instant::now();
     let cluster = &*cluster;
     let results: Vec<Result<(Vec<Row>, u64, bool)>> = pool.run_indexed(n, |i| {
-        let ((rows, work), outcome) = cluster.run_recoverable(i, chaos, |db| {
+        let ((rows, work), outcome) = cluster.run_recoverable(i, faults, |db| {
             let mut ex = Executor::new(db, ExecOptions::default());
             let rows = ex.run(&plan)?;
             Ok((rows, ex.stats().total_work()))
@@ -112,11 +112,7 @@ pub fn run_decorrelated_with(
         }
         rows.extend(node_rows);
     }
-    if let Some(chaos) = chaos {
-        stats.retries = chaos.retries();
-        stats.failovers = chaos.failovers();
-        stats.injected_delay_ticks = chaos.injected_delay_ticks();
-    }
+    stats.absorb_faults(faults);
     stats.elapsed = started.elapsed();
     stats.result_rows = rows.len();
     Ok((rows, stats))

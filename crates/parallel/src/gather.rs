@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use decorr_common::columnar::ColumnarBatch;
-use decorr_common::{Chaos, Result, Row};
+use decorr_common::{FaultPlane, Result, Row};
 use decorr_exec::{ExecOptions, Executor};
 use decorr_qgm::Qgm;
 use decorr_storage::Database;
@@ -28,7 +28,7 @@ use decorr_storage::Database;
 use crate::cluster::{Cluster, TableMeta};
 use crate::stats::ParallelStats;
 
-/// Gather all partitions (with retry/failover under `chaos`), reassemble a
+/// Gather all partitions (with retry/failover under `faults`), reassemble a
 /// coordinator database, and execute `qgm` on it with `opts` (which may
 /// carry a timeout, a cancel token and a memory budget — the full
 /// resource-governance surface applies to the coordinator run).
@@ -36,7 +36,7 @@ pub fn run_gathered(
     cluster: &Cluster,
     qgm: &Qgm,
     opts: ExecOptions,
-    chaos: Option<&Chaos>,
+    faults: Option<&FaultPlane>,
 ) -> Result<(Vec<Row>, ParallelStats)> {
     let n = cluster.nodes();
     let started = Instant::now();
@@ -47,10 +47,9 @@ pub fn run_gathered(
         ..Default::default()
     };
 
-    // Gather phase. Serial on purpose: the fault plan hands out events
+    // Gather phase. Serial on purpose: the fault plane hands out events
     // from per-node job counters, and replaying a seed must consume them
-    // in one fixed order. (Parallel straggler coverage lives in the
-    // pool-level injection used by the decorrelated runner.)
+    // in one fixed order.
     let mut coordinator = Database::new();
     let table_names: Vec<String> = cluster
         .node(0)
@@ -69,7 +68,7 @@ pub fn run_gathered(
             // byte-identical to a row-shipped one. The message counters
             // keep counting logical tuples for comparability with the
             // row-shipping model the lib docs describe.
-            let (batch, outcome) = cluster.run_recoverable(p, chaos, |db| {
+            let (batch, outcome) = cluster.run_recoverable(p, faults, |db| {
                 Ok(ColumnarBatch::from_rows(db.table(name)?.rows()))
             })?;
             let rows = batch.to_rows();
@@ -91,11 +90,7 @@ pub fn run_gathered(
     let rows = ex.run(qgm)?;
     stats.fragments += 1;
 
-    if let Some(chaos) = chaos {
-        stats.retries = chaos.retries();
-        stats.failovers = chaos.failovers();
-        stats.injected_delay_ticks = chaos.injected_delay_ticks();
-    }
+    stats.absorb_faults(faults);
     stats.elapsed = started.elapsed();
     stats.result_rows = rows.len();
     Ok((rows, stats))

@@ -33,8 +33,9 @@
 //! job through [`Cluster::run_recoverable`] — bounded retry with
 //! exponential backoff on an injected logical clock, then failover to a
 //! replica, then a closed [`decorr_common::Error::NodeFailed`] failure.
-//! Faults come from a seeded [`decorr_common::FaultPlan`], so every chaos
-//! run replays exactly from its `u64` seed; [`gather::run_gathered`] uses
+//! Faults come from the node sites of a seeded
+//! [`decorr_common::FaultPlane`], so every chaos run replays exactly from
+//! its `u64` seed; [`gather::run_gathered`] uses
 //! this to execute the figure queries under injected crashes with
 //! byte-identical recovery whenever a live replica remains.
 

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use decorr_common::{Chaos, Error, Result, Row, Value, WorkerPool};
+use decorr_common::{Error, FaultPlane, Result, Row, Value, WorkerPool};
 use decorr_core::baselines::match_agg_subquery;
 use decorr_exec::{Env, ExecOptions, Executor, Layout};
 use decorr_qgm::{AggFunc, BoxKind, Expr, Qgm, QuantKind};
@@ -30,12 +30,12 @@ pub fn run_nested_iteration(cluster: &Cluster, qgm: &Qgm) -> Result<(Vec<Row>, P
 /// is driven through [`Cluster::run_recoverable`], so injected node crashes
 /// and transient errors are retried (and failed over to replicas when the
 /// cluster has them). With faults active the per-node fan-out runs
-/// serially, keeping the fault plan's per-node job counters — and therefore
+/// serially, keeping the fault plane's per-node job counters — and therefore
 /// the whole run — reproducible from the seed alone.
 pub fn run_nested_iteration_with(
     cluster: &Cluster,
     qgm: &Qgm,
-    chaos: Option<&Chaos>,
+    faults: Option<&FaultPlane>,
 ) -> Result<(Vec<Row>, ParallelStats)> {
     let pat = match_agg_subquery(qgm)?;
     if pat.cur != qgm.top() {
@@ -111,11 +111,11 @@ pub fn run_nested_iteration_with(
     }
 
     // One fan-out job per node on the worker pool. Under fault injection
-    // the pool is serial: the fault plan hands out events from per-node job
+    // the pool is serial: the fault plane hands out events from per-node job
     // counters, and a deterministic replay needs those counters consumed in
     // one fixed order.
     let pat = &pat;
-    let pool = WorkerPool::new(if chaos.is_some() { 1 } else { n });
+    let pool = WorkerPool::new(if faults.is_some() { 1 } else { n });
     let results: Vec<Result<NodeOut>> = pool.run_indexed(n, |i| {
         let mut out = NodeOut {
             rows: Vec::new(),
@@ -153,7 +153,7 @@ pub fn run_nested_iteration_with(
                 if j != i {
                     out.messages += 2; // request + partial result
                 }
-                let ((partial_rows, work), outcome) = cluster.run_recoverable(j, chaos, |db| {
+                let ((partial_rows, work), outcome) = cluster.run_recoverable(j, faults, |db| {
                     let mut ex = Executor::new(db, ExecOptions::default());
                     let rows = ex.run(&bound)?;
                     Ok((rows, ex.stats().total_work()))
@@ -199,11 +199,7 @@ pub fn run_nested_iteration_with(
         stats.fragments += r.fragments;
         stats.subquery_invocations += r.invocations;
     }
-    if let Some(chaos) = chaos {
-        stats.retries = chaos.retries();
-        stats.failovers = chaos.failovers();
-        stats.injected_delay_ticks = chaos.injected_delay_ticks();
-    }
+    stats.absorb_faults(faults);
     stats.elapsed = started.elapsed();
     stats.result_rows = rows.len();
     Ok((rows, stats))

@@ -3,6 +3,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use decorr_common::FaultPlane;
+
 /// What one parallel execution cost, beyond the answer itself.
 #[derive(Debug, Clone, Default)]
 pub struct ParallelStats {
@@ -40,6 +42,15 @@ pub struct ParallelStats {
 }
 
 impl ParallelStats {
+    /// Copy the recovery counters of the run's fault plane, if any.
+    pub(crate) fn absorb_faults(&mut self, faults: Option<&FaultPlane>) {
+        if let Some(s) = faults.map(FaultPlane::stats) {
+            self.retries = s.retries;
+            self.failovers = s.failovers;
+            self.injected_delay_ticks = s.delay_ticks;
+        }
+    }
+
     /// Total work across the cluster.
     pub fn total_work(&self) -> u64 {
         self.per_node_work.iter().sum()

@@ -4,7 +4,7 @@
 //! `unwrap`/`expect` (CI greps for them — production paths must propagate
 //! typed errors).
 
-use decorr_common::{row, Chaos, DataType, Error, FaultPlan, Schema};
+use decorr_common::{row, DataType, Error, FaultPlane, Schema};
 use decorr_parallel::{Cluster, MAX_ATTEMPTS};
 use decorr_storage::Database;
 
@@ -149,10 +149,10 @@ fn recoverable_job_without_faults_runs_on_primary() {
 fn finite_crash_windows_recover_by_retry_alone() {
     let c = Cluster::partition_by_key(&db(), 4).unwrap();
     for seed in 0..16u64 {
-        let chaos = Chaos::new(FaultPlan::from_seed(seed, 4));
+        let plane = FaultPlane::crash_window(seed, 4);
         for p in 0..4 {
             let (len, _) = c
-                .run_recoverable(p, Some(&chaos), |node| Ok(node.table("emp")?.len()))
+                .run_recoverable(p, Some(&plane), |node| Ok(node.table("emp")?.len()))
                 .unwrap_or_else(|e| panic!("seed {seed} partition {p}: {e}"));
             assert_eq!(len, c.node(p).table("emp").unwrap().len());
         }
@@ -162,28 +162,28 @@ fn finite_crash_windows_recover_by_retry_alone() {
 #[test]
 fn permanent_crash_fails_over_to_replica() {
     let c = Cluster::partition_by_key_replicated(&db(), 4, 2).unwrap();
-    let chaos = Chaos::new(FaultPlan::single_crash(7, 4));
-    let crashed = chaos.plan().crashed_node().unwrap();
+    let plane = FaultPlane::single_crash(7, 4);
+    let crashed = plane.crashed_node().unwrap();
 
     let (len, outcome) = c
-        .run_recoverable(crashed, Some(&chaos), |node| Ok(node.table("emp")?.len()))
+        .run_recoverable(crashed, Some(&plane), |node| Ok(node.table("emp")?.len()))
         .unwrap();
     // The replica reads the same (single, byte-identical) partition copy.
     assert_eq!(len, c.node(crashed).table("emp").unwrap().len());
     assert!(outcome.failed_over);
     assert_ne!(outcome.served_by, crashed);
     assert!(outcome.retries >= MAX_ATTEMPTS as u64);
-    assert!(chaos.failovers() >= 1);
+    assert!(plane.stats().failovers >= 1);
 }
 
 #[test]
 fn permanent_crash_without_replica_fails_closed() {
     let c = Cluster::partition_by_key(&db(), 4).unwrap();
-    let chaos = Chaos::new(FaultPlan::single_crash(7, 4));
-    let crashed = chaos.plan().crashed_node().unwrap();
+    let plane = FaultPlane::single_crash(7, 4);
+    let crashed = plane.crashed_node().unwrap();
 
     let err = c
-        .run_recoverable(crashed, Some(&chaos), |node| Ok(node.table("emp")?.len()))
+        .run_recoverable(crashed, Some(&plane), |node| Ok(node.table("emp")?.len()))
         .unwrap_err();
     assert!(matches!(err, Error::NodeFailed(_)), "got {err:?}");
 }
@@ -193,13 +193,13 @@ fn permanent_crash_without_replica_fails_closed() {
 #[test]
 fn real_job_errors_are_not_retried() {
     let c = Cluster::partition_by_key(&db(), 4).unwrap();
-    let chaos = Chaos::new(FaultPlan::none(4));
+    let plane = FaultPlane::quiet(0);
     let err = c
-        .run_recoverable(1, Some(&chaos), |node| {
+        .run_recoverable(1, Some(&plane), |node| {
             node.table("no_such_table").map(|_| ())
         })
         .unwrap_err();
     assert!(!matches!(err, Error::NodeFailed(_)), "got {err:?}");
-    assert_eq!(chaos.retries(), 0);
-    assert_eq!(chaos.failovers(), 0);
+    assert_eq!(plane.stats().retries, 0);
+    assert_eq!(plane.stats().failovers, 0);
 }

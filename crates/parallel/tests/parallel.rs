@@ -2,7 +2,7 @@
 //! plan must agree with single-node execution, with O(n²) vs O(n)
 //! computation fragments.
 
-use decorr_common::{Chaos, Error, FaultPlan};
+use decorr_common::{Error, FaultPlane};
 use decorr_core::magic::MagicOptions;
 use decorr_exec::{execute, ExecOptions};
 use decorr_parallel::{
@@ -186,7 +186,7 @@ fn gathered_chaos_recovers_byte_identically_with_replicas() {
 
     replayed_from_four_threads(|| {
         for seed in 0..8u64 {
-            let chaos = Chaos::new(FaultPlan::single_crash(seed, 4));
+            let chaos = FaultPlane::single_crash(seed, 4);
             let (rows, stats) = run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos))
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(rows, baseline, "seed {seed} not byte-identical");
@@ -205,7 +205,7 @@ fn gathered_chaos_without_replicas_fails_closed() {
     let cluster = Cluster::partition_by_key(&db, 4).unwrap();
     replayed_from_four_threads(|| {
         for seed in 0..8u64 {
-            let chaos = Chaos::new(FaultPlan::single_crash(seed, 4));
+            let chaos = FaultPlane::single_crash(seed, 4);
             let err =
                 run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos)).unwrap_err();
             assert!(matches!(err, Error::NodeFailed(_)), "seed {seed}: {err:?}");
@@ -223,7 +223,7 @@ fn gathered_transient_faults_recover_by_retry() {
     let (baseline, _) = run_gathered(&cluster, &qgm, ExecOptions::default(), None).unwrap();
     let mut saw_fault = false;
     for seed in 0..8u64 {
-        let chaos = Chaos::new(FaultPlan::from_seed(seed, 4));
+        let chaos = FaultPlane::crash_window(seed, 4);
         let (rows, stats) = run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos))
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(rows, baseline, "seed {seed} not byte-identical");
@@ -240,7 +240,7 @@ fn chaos_replays_exactly_from_seed() {
     let qgm = parse_and_bind(QUERY, &db).unwrap();
     let cluster = Cluster::partition_by_key_replicated(&db, 4, 2).unwrap();
     let run = |seed: u64| {
-        let chaos = Chaos::new(FaultPlan::single_crash(seed, 4));
+        let chaos = FaultPlane::single_crash(seed, 4);
         let (rows, stats) =
             run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos)).unwrap();
         (
@@ -266,13 +266,13 @@ fn strategy_runners_recover_with_replicas() {
     let seed = 3u64;
 
     let cluster = Cluster::partition_by_key_replicated(&db, 4, 2).unwrap();
-    let chaos = Chaos::new(FaultPlan::single_crash(seed, 4));
+    let chaos = FaultPlane::single_crash(seed, 4);
     let (ni_rows, ni_stats) = run_nested_iteration_with(&cluster, &qgm, Some(&chaos)).unwrap();
     assert_eq!(sorted(ni_rows), truth, "NI under chaos");
     assert!(ni_stats.retries > 0);
 
     let mut cluster2 = Cluster::partition_by_key_replicated(&db, 4, 2).unwrap();
-    let chaos2 = Chaos::new(FaultPlan::single_crash(seed, 4));
+    let chaos2 = FaultPlane::single_crash(seed, 4);
     let (dc_rows, dc_stats) = run_decorrelated_with(
         &mut cluster2,
         &qgm,

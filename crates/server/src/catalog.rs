@@ -29,8 +29,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use decorr::plan_cache::PlanCache;
-use decorr_common::env::{EnvStats, StorageEnv};
-use decorr_common::{Error, Result};
+use decorr_common::{Error, FaultStats, Result, StorageEnv};
 use decorr_exec::{ColumnarCache, CostModel, SubplanCache};
 use decorr_stats::Statistics;
 use decorr_storage::{
@@ -313,16 +312,9 @@ impl SharedCatalog {
         Ok(Some(store.checkpoint()?))
     }
 
-    /// The storage environment the durable store runs on (`None` when
-    /// ephemeral). Chaos harnesses use this to reach the injected-fault
-    /// counters and crash controls of a `ChaosEnv`.
-    pub fn storage_env(&self) -> Option<Arc<dyn StorageEnv>> {
-        self.persist.as_ref().map(|d| Arc::clone(&d.env))
-    }
-
-    /// Injected disk-fault counters of the storage environment (all zero
-    /// on the real filesystem; `None` when ephemeral).
-    pub fn env_stats(&self) -> Option<EnvStats> {
+    /// Injected-fault counters of the storage environment (all zero on
+    /// the real filesystem; `None` when ephemeral).
+    pub fn env_stats(&self) -> Option<FaultStats> {
         self.persist.as_ref().map(|d| d.env.stats())
     }
 

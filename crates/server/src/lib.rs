@@ -23,7 +23,6 @@
 pub mod admission;
 pub mod catalog;
 pub mod client;
-pub mod netchaos;
 pub mod repl;
 pub mod server;
 pub mod session;
@@ -31,7 +30,6 @@ pub mod session;
 pub use admission::{AdmissionControl, AdmissionPermit, AdmissionStats, PoolLedger, Quotas};
 pub use catalog::{CatalogVersion, SharedCatalog};
 pub use client::{LineClient, Reply, ResilientClient, RetryPolicy, RetryStats, Status};
-pub use netchaos::{NetChaos, NetChaosConfig, NetChaosStats, NetFault};
 pub use repl::run_repl;
 pub use server::{serve, NetSnapshot, ServerConfig, ServerHandle};
 pub use session::{Control, Mode, Response, Session, SessionCanceller, SessionSettings};

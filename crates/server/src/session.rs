@@ -471,8 +471,8 @@ impl Session {
                         lines.push(format!("  gc failures   {gc}"));
                     }
                     if let Some(e) = self.catalog.env_stats() {
-                        if e.total_faults() > 0 || e.latency_ticks > 0 {
-                            lines.push(format!("disk faults     {} injected", e.total_faults()));
+                        if e.disk_faults() > 0 || e.latency_ticks > 0 {
+                            lines.push(format!("disk faults     {} injected", e.disk_faults()));
                             lines.push(format!("  enospc        {}", e.enospc));
                             lines.push(format!("  torn writes   {}", e.torn_writes));
                             lines.push(format!("  read eio      {}", e.read_eio));

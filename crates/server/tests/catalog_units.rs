@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use decorr_common::{row, ChaosEnv, DataType, DiskFaultConfig, Error, Schema};
+use decorr_common::{row, ChaosEnv, DataType, Error, FaultPlane, FaultRates, Schema};
 use decorr_server::SharedCatalog;
 use decorr_storage::{Database, StoreOptions};
 
@@ -179,10 +179,10 @@ fn a_write_reanalyzes_only_the_tables_it_touched() {
 /// nothing, and once the disk answers the real statistics appear.
 #[test]
 fn a_failed_read_never_becomes_statistics() {
-    let env = ChaosEnv::new(
+    let env = ChaosEnv::new(FaultPlane::new(
         7,
-        DiskFaultConfig { read_eio_permille: 1000, ..DiskFaultConfig::quiet() },
-    );
+        FaultRates { read_eio: 1000, ..FaultRates::QUIET },
+    ));
     env.set_faults(false);
     let cat = SharedCatalog::open_durable(
         std::path::Path::new("/chaos/stats-eio"),

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use decorr_common::{row, ChaosEnv, DataType, DiskFaultConfig, Error, Schema};
+use decorr_common::{row, ChaosEnv, DataType, Error, FaultPlane, Schema};
 use decorr_server::SharedCatalog;
 use decorr_storage::{Database, StoreOptions};
 use proptest::prelude::*;
@@ -49,7 +49,7 @@ proptest! {
         writes in 4usize..12,
     ) {
         let dir = PathBuf::from("/chaos/ckpt-race");
-        let env = ChaosEnv::new(seed, DiskFaultConfig::from_seed(seed));
+        let env = ChaosEnv::new(FaultPlane::chaos(seed));
         env.set_faults(false); // clean open; chaos starts with the load
         let cat = Arc::new(
             SharedCatalog::open_durable(&dir, StoreOptions::on_env(Arc::new(env.clone())), seed_db())

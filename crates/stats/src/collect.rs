@@ -633,7 +633,7 @@ mod tests {
         let mut state = 7u64;
         let mut draw = move |n: u64| {
             state += 1;
-            decorr_common::fault::splitmix64(state) % n
+            decorr_common::splitmix64(state) % n
         };
         let cases: Vec<(&str, Vec<Value>)> = vec![
             ("empty", vec![]),

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use decorr_common::{row, ChaosEnv, DataType, DiskFaultConfig, Error, Row, Schema, StorageEnv};
+use decorr_common::{row, ChaosEnv, DataType, Error, FaultPlane, Row, Schema, StorageEnv};
 use decorr_storage::{Database, PageIo, PersistentStore, Recovered, StoreOptions};
 
 const SEED: u64 = 0x9e37_79b9_cafe_f00d;
@@ -99,7 +99,7 @@ fn crash_point_sweep_recovers_newest_intact_epoch() {
     let model = model();
 
     // Dry run, faults off: count the ops the workload consumes.
-    let dry = ChaosEnv::quiet(SEED);
+    let dry = ChaosEnv::new(FaultPlane::quiet(SEED));
     let acked = replay(&dry, &dir);
     assert_eq!(acked, 5, "dry run must ack every epoch");
     let total_ops = dry.op_count();
@@ -109,7 +109,7 @@ fn crash_point_sweep_recovers_newest_intact_epoch() {
     );
 
     for k in 0..total_ops {
-        let env = ChaosEnv::quiet(SEED);
+        let env = ChaosEnv::new(FaultPlane::quiet(SEED));
         env.set_crash_point(k);
         let acked = replay(&env, &dir);
         // The env died mid-workload (or the workload finished if the
@@ -139,7 +139,7 @@ fn crash_point_sweep_recovers_newest_intact_epoch() {
 #[test]
 fn enospc_is_fail_closed_and_reads_keep_serving() {
     let dir = PathBuf::from("/chaos/enospc");
-    let env = ChaosEnv::quiet(SEED);
+    let env = ChaosEnv::new(FaultPlane::quiet(SEED));
     let model = model();
     let mut rec = PersistentStore::open(&dir, StoreOptions::on_env(Arc::new(env.clone()))).unwrap();
     let paged = rec
@@ -178,7 +178,7 @@ fn enospc_is_fail_closed_and_reads_keep_serving() {
 fn quiet_chaos_env_matches_real_env_byte_for_byte() {
     // Chaos side.
     let chaos_root = PathBuf::from("/chaos/ident");
-    let chaos = ChaosEnv::quiet(SEED);
+    let chaos = ChaosEnv::new(FaultPlane::quiet(SEED));
     replay(&chaos, &chaos_root);
     let mut chaos_files: Vec<(String, Vec<u8>)> = chaos
         .dump()
@@ -249,7 +249,7 @@ fn acked_commits_survive_the_probabilistic_fault_mix() {
     let mut injected = 0u64;
     for seed in [SEED, 1, 42, 0xDEAD_BEEF] {
         let dir = PathBuf::from("/chaos/mix");
-        let env = ChaosEnv::new(seed, DiskFaultConfig::from_seed(seed));
+        let env = ChaosEnv::new(FaultPlane::chaos(seed));
         let mut rec = match PersistentStore::open(&dir, StoreOptions::on_env(Arc::new(env.clone())))
         {
             Ok(r) => r,
@@ -288,7 +288,7 @@ fn acked_commits_survive_the_probabilistic_fault_mix() {
         assert_eq!(rows_of(&rec.db), model[&acked], "seed {seed}");
         // A single short workload may dodge every per-mille draw for one
         // seed; across the seed set the mix must actually fire.
-        injected += env.stats().total_faults() + env.stats().latency_ticks;
+        injected += env.stats().disk_faults() + env.stats().latency_ticks;
     }
     assert!(injected > 0, "no seed injected any fault");
 }

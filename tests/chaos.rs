@@ -10,7 +10,7 @@
 //!   retry alone, with no replicas at all.
 
 use decorr::prelude::*;
-use decorr_common::{Chaos, FaultPlan};
+use decorr_common::FaultPlane;
 use decorr_parallel::{run_decorrelated_with, run_gathered, Cluster};
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -90,11 +90,10 @@ proptest! {
         let cluster = Cluster::partition_by_key_replicated(&db, nodes, replication).unwrap();
         let (baseline, _) = run_gathered(&cluster, &qgm, ExecOptions::default(), None).unwrap();
 
-        let fault = FaultPlan::single_crash(fault_seed, nodes);
-        let crashed = fault.crashed_node().unwrap();
+        let plane = FaultPlane::single_crash(fault_seed, nodes);
+        let crashed = plane.crashed_node().unwrap();
         let recoverable = cluster.survives_crash_of(crashed);
-        let chaos = Chaos::new(fault);
-        match run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos)) {
+        match run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&plane)) {
             Ok((rows, _)) => {
                 prop_assert!(
                     recoverable,
@@ -125,8 +124,8 @@ proptest! {
         let qgm = parse_and_bind(QUERY, &db).unwrap();
         let cluster = Cluster::partition_by_key(&db, nodes).unwrap();
         let (baseline, _) = run_gathered(&cluster, &qgm, ExecOptions::default(), None).unwrap();
-        let chaos = Chaos::new(FaultPlan::from_seed(fault_seed, nodes));
-        let (rows, _) = run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&chaos))
+        let plane = FaultPlane::crash_window(fault_seed, nodes);
+        let (rows, _) = run_gathered(&cluster, &qgm, ExecOptions::default(), Some(&plane))
             .unwrap_or_else(|e| panic!("seed {fault_seed}: {e}"));
         prop_assert_eq!(rows, baseline);
     }
@@ -145,13 +144,13 @@ proptest! {
         truth.sort();
 
         let mut cluster = Cluster::partition_by_key_replicated(&db, nodes, 2).unwrap();
-        let chaos = Chaos::new(FaultPlan::single_crash(fault_seed, nodes));
+        let plane = FaultPlane::single_crash(fault_seed, nodes);
         let (mut rows, _) = run_decorrelated_with(
             &mut cluster,
             &qgm,
             &[("dept", "building"), ("emp", "building")],
             &MagicOptions::default(),
-            Some(&chaos),
+            Some(&plane),
         )
         .unwrap_or_else(|e| panic!("seed {fault_seed}: {e}"));
         rows.sort();
