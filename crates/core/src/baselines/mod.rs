@@ -12,7 +12,7 @@ pub mod ganski;
 pub mod kim;
 
 use decorr_common::{Error, Result};
-use decorr_qgm::{BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind};
+use decorr_qgm::{BoxId, BoxKind, CorrelationMap, Expr, Qgm, QuantId, QuantKind, Traversal};
 
 /// The recognized shape: `cur` has a Scalar quantifier `q` over an
 /// (optionally projection-wrapped) Grouping box whose input SPJ block
@@ -42,14 +42,16 @@ pub fn match_agg_subquery(qgm: &Qgm) -> Result<AggSubquery> {
     // The outer block is the Select box owning a correlated subquery
     // quantifier — the top box, or (Query 2) the SPJ block under the outer
     // query's own aggregation.
-    let cur = qgm
-        .reachable_boxes(qgm.top())
-        .into_iter()
+    let tr = Traversal::new(qgm);
+    let cur = tr
+        .order()
+        .iter()
+        .copied()
         .find(|&b| {
             matches!(qgm.boxref(b).kind, BoxKind::Select)
                 && qgm.boxref(b).quants.iter().any(|&qq| {
                     qgm.quant(qq).kind != QuantKind::Foreach
-                        && !qgm.free_refs(qgm.quant(qq).input).is_empty()
+                        && tr.is_correlated(qgm.quant(qq).input)
                 })
         })
         .ok_or_else(|| Error::rewrite("no correlated scalar subquery found"))?;
@@ -59,8 +61,7 @@ pub fn match_agg_subquery(qgm: &Qgm) -> Result<AggSubquery> {
     let mut scalar: Option<QuantId> = None;
     for &qq in &bx.quants {
         let quant = qgm.quant(qq);
-        let correlated = !qgm.free_refs(quant.input).is_empty();
-        if !correlated {
+        if !tr.is_correlated(quant.input) {
             continue;
         }
         match quant.kind {
@@ -114,16 +115,12 @@ pub fn match_agg_subquery(qgm: &Qgm) -> Result<AggSubquery> {
 
     // All correlation must come from equality conjuncts of the inner block.
     let inner_box = qgm.boxref(inner);
-    let inner_local: Vec<QuantId> = inner_box.quants.clone();
+    let inner_local = &inner_box.quants;
     let mut corr = Vec::new();
     for (i, p) in inner_box.preds.iter().enumerate() {
-        let refs = p.referenced_quants();
-        let outer_refs: Vec<QuantId> = refs
-            .iter()
-            .copied()
-            .filter(|r| !inner_local.contains(r))
-            .collect();
-        if outer_refs.is_empty() {
+        let mut outer_refs = false;
+        p.for_each_col(&mut |r, _| outer_refs |= !inner_local.contains(&r));
+        if !outer_refs {
             continue;
         }
         // Must be `local_expr = outer_col` (either orientation).
@@ -134,8 +131,12 @@ pub fn match_agg_subquery(qgm: &Qgm) -> Result<AggSubquery> {
         };
         let classify = |e: &Expr| -> Option<bool> {
             // Some(true) = purely local, Some(false) = a single outer col.
-            let rs = e.referenced_quants();
-            if rs.iter().all(|r| inner_local.contains(r)) && !rs.is_empty() {
+            let (mut any, mut local) = (false, true);
+            e.for_each_col(&mut |r, _| {
+                any = true;
+                local &= inner_local.contains(&r);
+            });
+            if any && local {
                 Some(true)
             } else if let Expr::Col { .. } = e {
                 Some(false)
@@ -170,7 +171,7 @@ pub fn match_agg_subquery(qgm: &Qgm) -> Result<AggSubquery> {
     }
     // Every correlated reference of the subtree must be one of those inner
     // WHERE-clause predicates (destination = the inner block itself).
-    let cm = decorr_qgm::CorrelationMap::analyze(qgm);
+    let cm = CorrelationMap::analyze(qgm);
     for r in cm.subtree_refs(child) {
         if r.dest != inner {
             return Err(Error::rewrite(

@@ -28,8 +28,7 @@
 
 use std::fmt::Write as _;
 
-use decorr_common::FxHashMap;
-use decorr_qgm::{BoxId, BoxKind, Expr, Qgm, QuantId};
+use decorr_qgm::{BoxId, BoxKind, Expr, Qgm, Traversal};
 
 /// Canonical serialization of the whole graph (from the top box).
 pub fn fingerprint(qgm: &Qgm) -> String {
@@ -56,15 +55,17 @@ pub fn digest(canonical: &str) -> String {
 /// share uncorrelated subtrees, where every reference is canonical.
 pub fn canonical_form(qgm: &Qgm, root: BoxId) -> String {
     let order = qgm.reachable_boxes(root);
-    let mut box_idx: FxHashMap<BoxId, usize> = FxHashMap::default();
+    // Canonical numbers by arena index; `usize::MAX` is outside the subtree.
+    let (boxes, quants) = qgm.slots();
+    let mut box_idx = vec![usize::MAX; boxes];
     for (i, b) in order.iter().enumerate() {
-        box_idx.insert(*b, i);
+        box_idx[b.index()] = i;
     }
-    let mut quant_idx: FxHashMap<QuantId, usize> = FxHashMap::default();
+    let mut quant_idx = vec![usize::MAX; quants];
     let mut next_q = 0usize;
     for b in &order {
         for q in &qgm.boxref(*b).quants {
-            quant_idx.insert(*q, next_q);
+            quant_idx[q.index()] = next_q;
             next_q += 1;
         }
     }
@@ -100,7 +101,7 @@ pub fn canonical_form(qgm: &Qgm, root: BoxId) -> String {
                 out.push(',');
             }
             let quant = qgm.quant(*q);
-            let _ = write!(out, "{}b{}", quant.kind, box_idx[&quant.input]);
+            let _ = write!(out, "{}b{}", quant.kind, box_idx[quant.input.index()]);
         }
         out.push_str("];p[");
         for (j, p) in bx.preds.iter().enumerate() {
@@ -123,16 +124,16 @@ pub fn canonical_form(qgm: &Qgm, root: BoxId) -> String {
     out
 }
 
-fn expr_form(out: &mut String, e: &Expr, quant_idx: &FxHashMap<QuantId, usize>) {
+fn expr_form(out: &mut String, e: &Expr, quant_idx: &[usize]) {
     match e {
-        Expr::Col { quant, col } => match quant_idx.get(quant) {
-            Some(i) => {
-                let _ = write!(out, "q{i}.{col}");
-            }
+        Expr::Col { quant, col } => match quant_idx[quant.index()] {
             // Free (correlated) reference: outside the canonicalized
             // subtree, keep the raw id for determinism.
-            None => {
+            usize::MAX => {
                 let _ = write!(out, "Q!{}.{col}", quant.index());
+            }
+            i => {
+                let _ = write!(out, "q{i}.{col}");
             }
         },
         Expr::Lit(v) => {
@@ -201,8 +202,9 @@ pub struct SubplanMark {
 /// materializes different rows and must key differently.
 pub fn shared_subplan_marks(qgm: &Qgm) -> Vec<SubplanMark> {
     let top = qgm.top();
+    let tr = Traversal::new(qgm);
     let mut marks = Vec::new();
-    for b in qgm.reachable_boxes(top) {
+    for &b in tr.order() {
         if b == top {
             continue;
         }
@@ -217,18 +219,16 @@ pub fn shared_subplan_marks(qgm: &Qgm) -> Vec<SubplanMark> {
             bx.label.as_str(),
             "SUPP" | "MAGIC" | "DCO" | "CI" | "BugRemoval"
         );
-        let shared = labeled || qgm.quants_over(b).len() >= 2;
-        if !shared || qgm.is_correlated(b) {
+        let shared = labeled || tr.consumers(b) >= 2;
+        if !shared || tr.is_correlated(b) {
             continue;
         }
-        let mut tables: Vec<String> = qgm
-            .reachable_boxes(b)
-            .into_iter()
-            .filter_map(|c| match &qgm.boxref(c).kind {
-                BoxKind::BaseTable { table, .. } => Some(table.clone()),
-                _ => None,
-            })
-            .collect();
+        let mut tables = Vec::new();
+        qgm.walk(b, &mut vec![false; qgm.slots().0], &mut |c| {
+            if let BoxKind::BaseTable { table, .. } = &qgm.boxref(c).kind {
+                tables.push(table.clone());
+            }
+        });
         tables.sort();
         tables.dedup();
         marks.push(SubplanMark { box_id: b, shape: canonical_form(qgm, b), tables });

@@ -43,10 +43,13 @@ pub enum FeedOutcome {
     Full,
 }
 
+/// FEED (and ABSORB) the child of `cur`'s quantifier `q`, an unshared box
+/// whose free references are `corr` (non-empty).
 pub(super) fn feed_and_absorb(
     qgm: &mut Qgm,
     cur: BoxId,
     q: QuantId,
+    corr: Vec<(QuantId, usize)>,
     opts: &MagicOptions,
     rep: &mut MagicReport,
     mut trace: Option<&mut RewriteTrace>,
@@ -54,14 +57,6 @@ pub(super) fn feed_and_absorb(
     let child = qgm.quant(q).input;
     let snap_entry = trace.as_ref().map(|_| print::render_from(qgm, cur));
 
-    // Shared children are materialization points; leave them alone.
-    if qgm.quants_over(child).len() != 1 {
-        return Ok(FeedOutcome::NotApplicable);
-    }
-    let corr = qgm.free_refs(child);
-    if corr.is_empty() {
-        return Ok(FeedOutcome::NotApplicable);
-    }
     // Every correlation source must be a Foreach quantifier of this box.
     for &(oq, _) in &corr {
         let quant = qgm.quant(oq);
@@ -258,12 +253,10 @@ pub(super) fn feed_and_absorb(
     }
 
     // ---- re-point the rest of the graph at SUPP / CI ----------------------
-    let skip: FxHashSet<BoxId> = qgm.reachable_boxes(supp).into_iter().collect();
-    let targets: Vec<BoxId> = qgm
-        .reachable_boxes(qgm.top())
-        .into_iter()
-        .filter(|b| !skip.contains(b))
-        .collect();
+    let mut skip = vec![false; qgm.slots().0];
+    qgm.walk(supp, &mut skip, &mut |_| {});
+    let mut targets = Vec::new();
+    qgm.walk(qgm.top(), &mut skip, &mut |b| targets.push(b));
     for b in targets {
         qgm.boxmut(b).for_each_expr_mut(|e| {
             e.map_cols(&mut |oq, c| {

@@ -20,7 +20,7 @@ pub use encapsulator::{absorbability, analyze_uses, Absorbability, UseAnalysis};
 pub use feed::FeedOutcome;
 
 use decorr_common::{FxHashSet, Result};
-use decorr_qgm::{BoxId, BoxKind, Qgm, QuantId};
+use decorr_qgm::{BoxId, BoxKind, Qgm, QuantId, Traversal};
 
 use crate::rules;
 use crate::trace::RewriteTrace;
@@ -166,21 +166,28 @@ fn process(
 
     if matches!(qgm.boxref(cur).kind, BoxKind::Select) {
         // FEED each correlated child in iterator order. Every successful
-        // FEED restructures the box, so re-snapshot after each one.
+        // FEED restructures the box, so re-analyze after each one; one that
+        // does not apply leaves the graph, and the analysis, as they were.
         loop {
-            let quants = qgm.boxref(cur).quants.clone();
+            let candidates: Vec<_> = {
+                let tr = Traversal::new(qgm);
+                qgm.boxref(cur)
+                    .quants
+                    .iter()
+                    .filter_map(|&q| {
+                        let child = qgm.quant(q).input;
+                        // Shared children are materialization points; leave
+                        // them alone.
+                        let feedable = !fed.contains(&q)
+                            && tr.is_correlated(child)
+                            && tr.consumers(child) == 1;
+                        feedable.then(|| (q, tr.free_refs(child).collect()))
+                    })
+                    .collect()
+            };
             let mut progressed = false;
-            for q in quants {
-                // The quantifier may have been moved into a SUPP box by an
-                // earlier FEED of this loop.
-                if qgm.quant(q).owner != cur || fed.contains(&q) {
-                    continue;
-                }
-                let child = qgm.quant(q).input;
-                if qgm.free_refs(child).is_empty() {
-                    continue;
-                }
-                match feed::feed_and_absorb(qgm, cur, q, opts, rep, trace.as_deref_mut())? {
+            for (q, corr) in candidates {
+                match feed::feed_and_absorb(qgm, cur, q, corr, opts, rep, trace.as_deref_mut())? {
                     FeedOutcome::NotApplicable => {}
                     FeedOutcome::Partial(dco_child_quant) => {
                         fed.insert(q);

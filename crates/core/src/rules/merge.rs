@@ -1,7 +1,7 @@
 //! Query-block merging and redundant-box elimination.
 
 use decorr_common::FxHashMap;
-use decorr_qgm::{print, BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind};
+use decorr_qgm::{print, BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind, Traversal};
 
 use crate::trace::{RewriteStep, RewriteTrace};
 
@@ -31,7 +31,8 @@ pub fn merge_one_select_child(qgm: &mut Qgm) -> Option<(BoxId, QuantId)> {
 }
 
 fn find_mergeable(qgm: &Qgm) -> Option<(BoxId, QuantId)> {
-    for b in qgm.reachable_boxes(qgm.top()) {
+    let tr = Traversal::new(qgm);
+    for &b in tr.order() {
         let bx = qgm.boxref(b);
         if !matches!(bx.kind, BoxKind::Select) {
             continue;
@@ -47,7 +48,7 @@ fn find_mergeable(qgm: &Qgm) -> Option<(BoxId, QuantId)> {
             }
             // Only merge boxes consumed exactly once (shared boxes — SUPP,
             // MAGIC — are materialization points and must stay).
-            if qgm.quants_over(child).len() != 1 {
+            if tr.consumers(child) != 1 {
                 continue;
             }
             return Some((b, q));
@@ -112,24 +113,23 @@ pub fn bypass_identity_selects(qgm: &mut Qgm) -> usize {
 /// Bypass a single identity Select, if one exists. Returns the quantifier
 /// that was re-pointed, the bypassed identity box, and the box it forwarded.
 pub fn bypass_one_identity_select(qgm: &mut Qgm) -> Option<(QuantId, BoxId, BoxId)> {
-    let mut change: Option<(QuantId, BoxId, BoxId)> = None;
-    'outer: for b in qgm.reachable_boxes(qgm.top()) {
-        for &q in &qgm.boxref(b).quants {
-            let child = qgm.quant(q).input;
-            if let Some(inner) = identity_input(qgm, child) {
-                change = Some((q, child, inner));
-                break 'outer;
-            }
-        }
-    }
-    let (q, identity, inner) = change?;
+    let (q, identity, inner) = {
+        let tr = Traversal::new(qgm);
+        tr.order().iter().find_map(|&b| {
+            qgm.boxref(b).quants.iter().find_map(|&q| {
+                let child = qgm.quant(q).input;
+                identity_input(qgm, tr.order(), child).map(|inner| (q, child, inner))
+            })
+        })
+    }?;
     qgm.set_quant_input(q, inner);
     qgm.gc();
     Some((q, identity, inner))
 }
 
-/// If `b` is an identity Select, the box it forwards; else None.
-fn identity_input(qgm: &Qgm, b: BoxId) -> Option<BoxId> {
+/// If `b` is an identity Select, the box it forwards; else None. `order`
+/// holds the boxes reachable from the top.
+fn identity_input(qgm: &Qgm, order: &[BoxId], b: BoxId) -> Option<BoxId> {
     let bx = qgm.boxref(b);
     if !matches!(bx.kind, BoxKind::Select) || bx.distinct || !bx.preds.is_empty() {
         return None;
@@ -152,7 +152,7 @@ fn identity_input(qgm: &Qgm, b: BoxId) -> Option<BoxId> {
     // b, and only descendants could reference it — an identity box has no
     // interesting descendants referencing it, but a correlated subtree
     // below `input` could. Be safe: check globally.
-    let referenced_elsewhere = qgm.reachable_boxes(qgm.top()).iter().any(|&ob| {
+    let referenced_elsewhere = order.iter().any(|&ob| {
         if ob == b {
             return false;
         }

@@ -25,15 +25,24 @@ use decorr_qgm::Qgm;
 /// pushdown and projection pruning, to fixpoint.
 pub fn optimize(qgm: &mut Qgm) -> OptimizeReport {
     let mut rep = OptimizeReport::default();
-    loop {
-        let (m, b) = merge::cleanup(qgm);
-        let p = pushdown::push_down_predicates(qgm);
-        let d = prune::prune_outputs(qgm);
+    // Each rule runs to its own fixpoint, so the rules take turns until all
+    // three have run in a row without a change (a changing one is the 1st).
+    let mut quiet = 0;
+    for rule in (0..3).cycle() {
+        let (m, b, p, d) = match rule {
+            0 => {
+                let (m, b) = merge::cleanup(qgm);
+                (m, b, 0, 0)
+            }
+            1 => (0, 0, pushdown::push_down_predicates(qgm), 0),
+            _ => (0, 0, 0, prune::prune_outputs(qgm)),
+        };
         rep.merges += m;
         rep.bypasses += b;
         rep.pushed_predicates += p;
         rep.pruned_columns += d;
-        if m + b + p + d == 0 {
+        quiet = if m + b + p + d == 0 { quiet + 1 } else { 1 };
+        if quiet == 3 {
             break;
         }
     }

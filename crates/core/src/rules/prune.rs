@@ -14,8 +14,7 @@
 //! * Grouping boxes may lose output columns but never grouping
 //!   expressions (the group structure must not change).
 
-use decorr_common::{FxHashMap, FxHashSet};
-use decorr_qgm::{BoxId, BoxKind, Qgm, QuantKind};
+use decorr_qgm::{BoxId, BoxKind, Qgm};
 
 /// Remove dead output columns graph-wide. Returns the number of columns
 /// dropped.
@@ -35,19 +34,23 @@ fn prune_one_round(qgm: &mut Qgm) -> usize {
     let reachable = qgm.reachable_boxes(qgm.top());
     let top = qgm.top();
 
-    // Which columns of each box are referenced by anyone?
-    let mut used: FxHashMap<BoxId, FxHashSet<usize>> = FxHashMap::default();
+    // Which columns of each box (by index) are referenced by anyone?
+    let mut used: Vec<Vec<bool>> = vec![Vec::new(); qgm.slots().0];
+    for &b in &reachable {
+        used[b.index()] = vec![false; qgm.output_arity(b)];
+    }
+    let mut mark = |b: BoxId, c: usize| {
+        if let Some(u) = used[b.index()].get_mut(c) {
+            *u = true;
+        }
+    };
     for &b in &reachable {
         qgm.boxref(b).for_each_expr(|e| {
-            e.for_each_col(&mut |q, c| {
-                used.entry(qgm.quant(q).input).or_default().insert(c);
-            });
+            e.for_each_col(&mut |q, c| mark(qgm.quant(q).input, c));
         });
     }
     // The top box's outputs are the query result: all used.
-    used.entry(top)
-        .or_default()
-        .extend(0..qgm.output_arity(top));
+    (0..qgm.output_arity(top)).for_each(|c| mark(top, c));
     // Union outputs are positional over *every* branch (its expressions
     // only name branch 0): keep all branch columns so arities stay
     // aligned.
@@ -55,13 +58,13 @@ fn prune_one_round(qgm: &mut Qgm) -> usize {
         if matches!(qgm.boxref(b).kind, BoxKind::Union { .. }) {
             for &q in &qgm.boxref(b).quants {
                 let branch = qgm.quant(q).input;
-                used.entry(branch)
-                    .or_default()
-                    .extend(0..qgm.output_arity(branch));
+                (0..qgm.output_arity(branch)).for_each(|c| mark(branch, c));
             }
         }
     }
 
+    // Each pruned box's new position for every column (`None`: dropped).
+    let mut remap: Vec<Vec<Option<usize>>> = vec![Vec::new(); used.len()];
     let mut dropped = 0;
     for &b in &reachable {
         let bx = qgm.boxref(b);
@@ -72,55 +75,53 @@ fn prune_one_round(qgm: &mut Qgm) -> usize {
             // have no output list.
             BoxKind::Union { .. } | BoxKind::BaseTable { .. } | BoxKind::OuterJoin => false,
         };
-        if !prunable || bx.outputs.is_empty() {
-            continue;
-        }
-        let keep: Vec<usize> = (0..bx.outputs.len())
-            .filter(|c| used.get(&b).map(|s| s.contains(c)).unwrap_or(false))
-            .collect();
-        if keep.len() == bx.outputs.len() {
+        let keep = &mut used[b.index()];
+        let kept = keep.iter().filter(|&&k| k).count();
+        if !prunable || keep.is_empty() || kept == keep.len() {
             continue;
         }
         // A box must keep at least one output (zero-arity tables would be
         // degenerate); keep the first if everything is dead.
-        let keep = if keep.is_empty() { vec![0] } else { keep };
-        dropped += bx.outputs.len() - keep.len();
-        apply_keep(qgm, b, &keep);
+        keep[0] |= kept == 0;
+        let mut next = 0;
+        remap[b.index()] = keep
+            .iter()
+            .map(|&k| {
+                next += usize::from(k);
+                k.then(|| next - 1)
+            })
+            .collect();
+        dropped += keep.len() - next;
+    }
+    if dropped > 0 {
+        apply_keep(qgm, &reachable, &remap);
     }
     dropped
 }
 
-/// Restrict box `b`'s outputs to `keep` (ascending positions) and remap
-/// every consumer reference.
-fn apply_keep(qgm: &mut Qgm, b: BoxId, keep: &[usize]) {
-    let remap: FxHashMap<usize, usize> = keep
-        .iter()
-        .enumerate()
-        .map(|(new, &old)| (old, new))
-        .collect();
-    {
+/// Restrict each pruned box's outputs to its kept columns and re-point
+/// every consumer reference, in one pass over the graph.
+fn apply_keep(qgm: &mut Qgm, reachable: &[BoxId], remap: &[Vec<Option<usize>>]) {
+    let mut input = vec![usize::MAX; qgm.slots().1];
+    for q in qgm.live_quants() {
+        input[q.id.index()] = q.input.index();
+    }
+    for &b in reachable {
         let bx = qgm.boxmut(b);
-        let mut i = 0usize;
-        bx.outputs.retain(|_| {
-            let k = remap.contains_key(&i);
-            i += 1;
-            k
+        let keep = &remap[b.index()];
+        if !keep.is_empty() {
+            let mut kept = keep.iter().map(Option::is_some);
+            bx.outputs.retain(|_| kept.next() == Some(true));
+        }
+        bx.for_each_expr_mut(|e| {
+            e.map_cols(
+                &mut |q, c| match remap.get(input[q.index()]).and_then(|m| m.get(c)) {
+                    Some(&Some(new)) => (q, new),
+                    _ => (q, c),
+                },
+            );
         });
     }
-    // Re-point consumers.
-    let consumers: FxHashSet<_> = qgm.quants_over(b).into_iter().collect();
-    for bb in qgm.reachable_boxes(qgm.top()) {
-        qgm.boxmut(bb).for_each_expr_mut(|e| {
-            e.map_cols(&mut |q, c| {
-                if consumers.contains(&q) {
-                    (q, *remap.get(&c).unwrap_or(&c))
-                } else {
-                    (q, c)
-                }
-            });
-        });
-    }
-    let _ = QuantKind::Foreach;
 }
 
 #[cfg(test)]

@@ -17,8 +17,7 @@
 //! Shared children (SUPP/MAGIC common subexpressions) are left alone: a
 //! predicate from one consumer must not filter another consumer's view.
 
-use decorr_common::FxHashSet;
-use decorr_qgm::{BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind};
+use decorr_qgm::{BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind, Traversal};
 
 /// Push single-quantifier predicates into child blocks until fixpoint.
 /// Returns the number of predicates moved (counting each level crossed).
@@ -35,46 +34,46 @@ pub fn push_down_predicates(qgm: &mut Qgm) -> usize {
 }
 
 fn push_one_round(qgm: &mut Qgm) -> usize {
+    // A round moves predicates, never quantifiers: the visit order and the
+    // consumer counts of its start hold to its end.
+    let (order, consumers) = Traversal::new(qgm).into_shape();
     let mut moved = 0;
-    for b in qgm.reachable_boxes(qgm.top()) {
+    for b in order {
         if !matches!(qgm.boxref(b).kind, BoxKind::Select) {
             continue;
         }
         let quants = qgm.boxref(b).quants.clone();
-        let local: FxHashSet<QuantId> = quants.iter().copied().collect();
-        for q in quants {
+        for &q in &quants {
             if qgm.quant(q).kind != QuantKind::Foreach {
                 continue;
             }
             let child = qgm.quant(q).input;
-            if qgm.quants_over(child).len() != 1 {
+            if consumers[child.index()] != 1 {
                 continue; // shared: a materialization point
             }
             // Pull out the predicates that reference exactly this
             // quantifier (and possibly outer correlations, which stay
             // valid below).
+            let pushable = |p: &Expr| {
+                let (mut this, mut other) = (false, false);
+                p.for_each_col(&mut |r, _| {
+                    this |= r == q;
+                    other |= r != q && quants.contains(&r);
+                });
+                this && !other
+            };
+            if !qgm.boxref(b).preds.iter().any(&pushable) {
+                continue;
+            }
             let preds = std::mem::take(&mut qgm.boxmut(b).preds);
-            let (mut stay, mut push) = (Vec::new(), Vec::new());
-            for p in preds {
-                let refs = p.referenced_quants();
-                let local_refs: Vec<QuantId> =
-                    refs.iter().copied().filter(|r| local.contains(r)).collect();
-                if !local_refs.is_empty() && local_refs.iter().all(|&r| r == q) {
-                    push.push(p);
-                } else {
-                    stay.push(p);
-                }
-            }
-            let mut rejected = Vec::new();
+            let (push, mut stay): (Vec<Expr>, Vec<Expr>) = preds.into_iter().partition(&pushable);
             for p in push {
-                match try_push(qgm, q, child, p) {
+                match try_push(qgm, &consumers, q, child, p) {
                     Ok(()) => moved += 1,
-                    Err(p) => rejected.push(p),
+                    Err(p) => stay.push(p),
                 }
             }
-            let bx = qgm.boxmut(b);
-            bx.preds = stay;
-            bx.preds.extend(rejected);
+            qgm.boxmut(b).preds = stay;
         }
     }
     moved
@@ -82,8 +81,14 @@ fn push_one_round(qgm: &mut Qgm) -> usize {
 
 /// Push one predicate (written in terms of quantifier `q` over `child`)
 /// into the child. Returns the predicate on refusal.
-fn try_push(qgm: &mut Qgm, q: QuantId, child: BoxId, pred: Expr) -> Result<(), Expr> {
-    match qgm.boxref(child).kind.clone() {
+fn try_push(
+    qgm: &mut Qgm,
+    consumers: &[u32],
+    q: QuantId,
+    child: BoxId,
+    pred: Expr,
+) -> Result<(), Expr> {
+    match &qgm.boxref(child).kind {
         BoxKind::Select => {
             // DISTINCT selects filter fine (filter-then-dedup ≡
             // dedup-then-filter for deterministic predicates).
@@ -99,7 +104,7 @@ fn try_push(qgm: &mut Qgm, q: QuantId, child: BoxId, pred: Expr) -> Result<(), E
             // copy substitutes its own columns positionally.
             for &uq in &branches {
                 let branch = qgm.quant(uq).input;
-                if qgm.quants_over(branch).len() != 1
+                if consumers[branch.index()] != 1
                     || !matches!(qgm.boxref(branch).kind, BoxKind::Select)
                 {
                     return Err(pred);
@@ -132,7 +137,7 @@ fn try_push(qgm: &mut Qgm, q: QuantId, child: BoxId, pred: Expr) -> Result<(), E
             }
             let inner_q = qgm.boxref(child).quants[0];
             let inner = qgm.quant(inner_q).input;
-            if qgm.quants_over(inner).len() != 1 {
+            if consumers[inner.index()] != 1 {
                 return Err(pred);
             }
             // Rewrite through the grouping outputs (which are expressions
@@ -142,7 +147,7 @@ fn try_push(qgm: &mut Qgm, q: QuantId, child: BoxId, pred: Expr) -> Result<(), E
             // On refusal the rewritten predicate bubbles back up unchanged:
             // Grouping boxes carry no predicates, so there is nowhere to
             // park it between here and the inner block.
-            try_push(qgm, inner_q, inner, p)
+            try_push(qgm, consumers, inner_q, inner, p)
         }
         _ => Err(pred),
     }

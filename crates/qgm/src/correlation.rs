@@ -6,9 +6,8 @@
 //! (4) which descendant box caused each correlation. In our implementation,
 //! this information is precomputed by a traversal of the graph."
 //!
-//! [`CorrelationMap::analyze`] is that traversal.
-
-use decorr_common::{FxHashMap, FxHashSet};
+//! [`CorrelationMap::analyze`] is that traversal, one bottom-up pass;
+//! [`Traversal`] is the same pass from the top box, for planning.
 
 use crate::graph::{BoxId, Qgm, QuantId};
 
@@ -23,75 +22,152 @@ pub struct CorrRef {
     pub dest: BoxId,
 }
 
+/// One list per arena box, stored back to back.
+#[derive(Debug)]
+struct PerBox<T> {
+    span: Vec<(u32, u32)>,
+    items: Vec<T>,
+}
+
+impl<T> PerBox<T> {
+    fn new(boxes: usize) -> Self {
+        PerBox { span: vec![(0, 0); boxes], items: Vec::new() }
+    }
+
+    fn get(&self, b: BoxId) -> &[T] {
+        let (start, end) = self.span.get(b.index()).copied().unwrap_or_default();
+        &self.items[start as usize..end as usize]
+    }
+}
+
+/// The boxes reachable from `roots` in preorder and, per box, its subtree's
+/// references to quantifiers owned outside it: its own references, then its
+/// children's lists, less the quantifiers a bitset says its subtree owns.
+/// A column is listed once per destination with `by_dest`, else once with
+/// its first destination: then the columns are exactly [`Qgm::free_refs`].
+fn bottom_up(
+    qgm: &Qgm,
+    roots: impl Iterator<Item = BoxId>,
+    by_dest: bool,
+) -> (Vec<BoxId>, PerBox<CorrRef>) {
+    struct Pass<'q> {
+        qgm: &'q Qgm,
+        by_dest: bool,
+        words: usize,
+        local: Vec<u64>,
+        seen: Vec<bool>,
+        order: Vec<BoxId>,
+        refs: PerBox<CorrRef>,
+    }
+    impl Pass<'_> {
+        fn visit(&mut self, b: BoxId) {
+            if std::mem::replace(&mut self.seen[b.index()], true) {
+                return;
+            }
+            self.order.push(b);
+            let qgm = self.qgm;
+            let bx = qgm.boxref(b);
+            for &q in &bx.quants {
+                self.visit(qgm.quant(q).input);
+            }
+            let at = b.index() * self.words;
+            for &q in &bx.quants {
+                self.local[at + q.index() / 64] |= 1 << (q.index() % 64);
+                let child = qgm.quant(q).input.index() * self.words;
+                for w in 0..self.words {
+                    self.local[at + w] |= self.local[child + w];
+                }
+            }
+            let local = &self.local[at..at + self.words];
+            let free =
+                |r: &CorrRef| local[r.quant.index() / 64] & (1 << (r.quant.index() % 64)) == 0;
+            let items = &mut self.refs.items;
+            let start = items.len();
+            let by_dest = self.by_dest;
+            let add = |items: &mut Vec<CorrRef>, r: CorrRef| {
+                let same = |o: &CorrRef| {
+                    (o.quant, o.col) == (r.quant, r.col) && (!by_dest || o.dest == r.dest)
+                };
+                if free(&r) && !items[start..].iter().any(same) {
+                    items.push(r);
+                }
+            };
+            bx.for_each_expr(|e| {
+                e.for_each_col(&mut |q, c| add(items, CorrRef { quant: q, col: c, dest: b }));
+            });
+            for &q in &bx.quants {
+                let (from, to) = self.refs.span[qgm.quant(q).input.index()];
+                for i in from as usize..to as usize {
+                    add(items, items[i]);
+                }
+            }
+            self.refs.span[b.index()] = (start as u32, items.len() as u32);
+        }
+    }
+    let (boxes, quants) = qgm.slots();
+    let words = quants.div_ceil(64);
+    let mut pass = Pass {
+        qgm,
+        by_dest,
+        words,
+        local: vec![0; boxes * words],
+        seen: vec![false; boxes],
+        order: Vec::with_capacity(boxes),
+        refs: PerBox::new(boxes),
+    };
+    for root in roots {
+        pass.visit(root);
+    }
+    (pass.order, pass.refs)
+}
+
 /// Precomputed correlation information for every box in a graph.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CorrelationMap {
     /// For each box B: the correlated references appearing in B's own
     /// expressions (B is their destination).
-    direct: FxHashMap<BoxId, Vec<CorrRef>>,
+    direct: PerBox<CorrRef>,
     /// For each box B: all correlated references in B's subtree whose
     /// source quantifier is owned *outside* that subtree. This is what the
     /// FEED stage needs: the bindings the subtree consumes from above.
-    subtree: FxHashMap<BoxId, Vec<CorrRef>>,
+    subtree: PerBox<CorrRef>,
 }
 
 impl CorrelationMap {
     /// Run the analysis over the whole graph.
     pub fn analyze(qgm: &Qgm) -> Self {
-        let mut map = CorrelationMap::default();
+        // Direct: refs in each box to quantifiers it does not own.
+        let mut direct = PerBox::new(qgm.slots().0);
         for b in qgm.live_boxes() {
-            // Direct: refs in this box's expressions to quantifiers it does
-            // not own.
-            let own: FxHashSet<QuantId> = b.quants.iter().copied().collect();
-            let mut direct = Vec::new();
-            let mut seen = FxHashSet::default();
+            let start = direct.items.len();
             b.for_each_expr(|e| {
                 e.for_each_col(&mut |q, c| {
-                    if !own.contains(&q) && seen.insert((q, c)) {
-                        direct.push(CorrRef { quant: q, col: c, dest: b.id });
+                    let r = CorrRef { quant: q, col: c, dest: b.id };
+                    if !b.quants.contains(&q) && !direct.items[start..].contains(&r) {
+                        direct.items.push(r);
                     }
                 });
             });
-            if !direct.is_empty() {
-                map.direct.insert(b.id, direct);
-            }
+            direct.span[b.id.index()] = (start as u32, direct.items.len() as u32);
         }
-        // Subtree: for each box, free refs of its subtree with destination
-        // attribution.
-        for b in qgm.live_boxes() {
-            let local = qgm.subtree_quants(b.id);
-            let mut list = Vec::new();
-            let mut seen = FxHashSet::default();
-            for inner in qgm.reachable_boxes(b.id) {
-                if let Some(direct) = map.direct.get(&inner) {
-                    for r in direct {
-                        if !local.contains(&r.quant) && seen.insert((r.quant, r.col, r.dest)) {
-                            list.push(*r);
-                        }
-                    }
-                }
-            }
-            if !list.is_empty() {
-                map.subtree.insert(b.id, list);
-            }
-        }
-        map
+        let (_, subtree) = bottom_up(qgm, qgm.live_boxes().map(|b| b.id), true);
+        CorrelationMap { direct, subtree }
     }
 
     /// Correlated references whose destination is the given box itself.
     pub fn direct_refs(&self, b: BoxId) -> &[CorrRef] {
-        self.direct.get(&b).map(Vec::as_slice).unwrap_or(&[])
+        self.direct.get(b)
     }
 
     /// All correlated references of the subtree rooted at `b` (the
     /// bindings the subtree needs from its ancestors).
     pub fn subtree_refs(&self, b: BoxId) -> &[CorrRef] {
-        self.subtree.get(&b).map(Vec::as_slice).unwrap_or(&[])
+        self.subtree.get(b)
     }
 
     /// Is the subtree rooted at `b` correlated?
     pub fn is_correlated(&self, b: BoxId) -> bool {
-        self.subtree.contains_key(&b)
+        !self.subtree_refs(b).is_empty()
     }
 
     /// The ancestor boxes the subtree at `b` is correlated to — the
@@ -117,6 +193,54 @@ impl CorrelationMap {
             }
         }
         out
+    }
+}
+
+/// What planning asks of one graph state, from one traversal from the top
+/// box: the [`Qgm::reachable_boxes`] order, each box's consumer count and
+/// each reachable box's [`Qgm::free_refs`]. It borrows the graph, so it
+/// cannot outlive the state it describes.
+pub struct Traversal<'a> {
+    _state: std::marker::PhantomData<&'a Qgm>,
+    order: Vec<BoxId>,
+    consumers: Vec<u32>,
+    refs: PerBox<CorrRef>,
+}
+
+impl<'a> Traversal<'a> {
+    pub fn new(qgm: &'a Qgm) -> Self {
+        let (order, refs) = bottom_up(qgm, std::iter::once(qgm.top()), false);
+        let mut consumers = vec![0; qgm.slots().0];
+        for q in qgm.live_quants() {
+            consumers[q.input.index()] += 1;
+        }
+        Traversal { _state: std::marker::PhantomData, order, consumers, refs }
+    }
+
+    /// The boxes reachable from the top, in [`Qgm::reachable_boxes`] order.
+    pub fn order(&self) -> &[BoxId] {
+        &self.order
+    }
+
+    /// How many live quantifiers range over `b` (`quants_over(b).len()`).
+    pub fn consumers(&self, b: BoxId) -> usize {
+        self.consumers[b.index()] as usize
+    }
+
+    /// [`Qgm::free_refs`] of a reachable box (none for any other).
+    pub fn free_refs(&self, b: BoxId) -> impl Iterator<Item = (QuantId, usize)> + '_ {
+        self.refs.get(b).iter().map(|r| (r.quant, r.col))
+    }
+
+    /// Is the subtree rooted at reachable box `b` correlated?
+    pub fn is_correlated(&self, b: BoxId) -> bool {
+        !self.refs.get(b).is_empty()
+    }
+
+    /// The order and the consumer counts (by [`BoxId::index`]), owned: still
+    /// true after mutations that move predicates, never quantifiers.
+    pub fn into_shape(self) -> (Vec<BoxId>, Vec<u32>) {
+        (self.order, self.consumers)
     }
 }
 

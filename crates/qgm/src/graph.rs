@@ -361,51 +361,64 @@ impl Qgm {
         b.outputs.len() - 1
     }
 
+    /// Arena slots, live or deleted: `(boxes, quantifiers)` — the length
+    /// of a vector indexed by [`BoxId::index`] / [`QuantId::index`].
+    pub fn slots(&self) -> (usize, usize) {
+        (self.boxes.len(), self.quants.len())
+    }
+
+    /// Depth-first preorder walk from `from` in iterator order: `visit` sees
+    /// each box unmarked in `seen` (by [`BoxId::index`]) once and marks it.
+    /// Marked boxes are not descended into: a walk over an earlier walk's
+    /// marks visits exactly the boxes that one did not reach.
+    pub fn walk(&self, from: BoxId, seen: &mut [bool], visit: &mut impl FnMut(BoxId)) {
+        if std::mem::replace(&mut seen[from.index()], true) {
+            return;
+        }
+        visit(from);
+        for &q in &self.boxref(from).quants {
+            self.walk(self.quant(q).input, seen, visit);
+        }
+    }
+
     /// Boxes reachable from `from` through quantifiers, including `from`
     /// itself, in a deterministic preorder (DAG-aware: each box once).
     pub fn reachable_boxes(&self, from: BoxId) -> Vec<BoxId> {
-        let mut seen: FxHashSet<BoxId> = FxHashSet::default();
         let mut order = Vec::new();
-        let mut stack = vec![from];
-        while let Some(b) = stack.pop() {
-            if !seen.insert(b) {
-                continue;
-            }
-            order.push(b);
-            // Push children in reverse so they pop in iterator order.
-            let children: Vec<BoxId> = self
-                .boxref(b)
-                .quants
-                .iter()
-                .map(|&q| self.quant(q).input)
-                .collect();
-            for c in children.into_iter().rev() {
-                stack.push(c);
-            }
-        }
+        self.walk(from, &mut vec![false; self.boxes.len()], &mut |b| {
+            order.push(b)
+        });
         order
     }
 
     /// The quantifiers owned by boxes in the subtree rooted at `from`.
     pub fn subtree_quants(&self, from: BoxId) -> FxHashSet<QuantId> {
         let mut set = FxHashSet::default();
-        for b in self.reachable_boxes(from) {
-            set.extend(self.boxref(b).quants.iter().copied());
-        }
+        self.walk(from, &mut vec![false; self.boxes.len()], &mut |b| {
+            set.extend(self.boxref(b).quants.iter().copied())
+        });
         set
     }
 
     /// Free column references of the subtree rooted at `from`: references
     /// to quantifiers *not owned within* the subtree. These are exactly the
-    /// subtree's correlations. Deterministic order, deduplicated.
+    /// subtree's correlations. Deterministic order, deduplicated. A caller
+    /// asking about many boxes of one graph state asks a
+    /// [`Traversal`](crate::Traversal) instead.
     pub fn free_refs(&self, from: BoxId) -> Vec<(QuantId, usize)> {
-        let local = self.subtree_quants(from);
-        let mut seen: FxHashSet<(QuantId, usize)> = FxHashSet::default();
+        let (mut order, mut local) = (Vec::new(), vec![false; self.quants.len()]);
+        self.walk(from, &mut vec![false; self.boxes.len()], &mut |b| {
+            order.push(b);
+            self.boxref(b)
+                .quants
+                .iter()
+                .for_each(|q| local[q.index()] = true);
+        });
         let mut out = Vec::new();
-        for b in self.reachable_boxes(from) {
+        for &b in &order {
             self.boxref(b).for_each_expr(|e| {
                 e.for_each_col(&mut |q, c| {
-                    if !local.contains(&q) && seen.insert((q, c)) {
+                    if !local[q.index()] && !out.contains(&(q, c)) {
                         out.push((q, c));
                     }
                 });
@@ -469,11 +482,12 @@ impl Qgm {
     /// Returns the number of boxes swept.
     pub fn gc(&mut self) -> usize {
         let Some(top) = self.top else { return 0 };
-        let live: FxHashSet<BoxId> = self.reachable_boxes(top).into_iter().collect();
+        let mut live = vec![false; self.boxes.len()];
+        self.walk(top, &mut live, &mut |_| {});
         let mut swept = 0;
         for slot in &mut self.boxes {
             if let Some(b) = slot {
-                if !live.contains(&b.id) {
+                if !live[b.id.index()] {
                     *slot = None;
                     swept += 1;
                 }
@@ -481,7 +495,7 @@ impl Qgm {
         }
         for slot in &mut self.quants {
             if let Some(q) = slot {
-                if !live.contains(&q.owner) {
+                if !live[q.owner.index()] {
                     *slot = None;
                 }
             }

@@ -27,6 +27,6 @@ pub mod graph;
 pub mod print;
 pub mod validate;
 
-pub use correlation::CorrelationMap;
+pub use correlation::{CorrelationMap, Traversal};
 pub use expr::{AggFunc, BinOp, Expr, Func, UnOp};
 pub use graph::{BoxId, BoxKind, OutputCol, Qgm, QgmBox, QuantId, QuantKind, Quantifier};

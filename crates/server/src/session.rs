@@ -614,11 +614,8 @@ impl Session {
             planned.status.name()
         )];
         lines.extend(render_lines(planned.choice.render()));
-        let (_, _, trace) = execute_traced(
-            snap.db(),
-            &planned.choice.plan,
-            self.exec_opts(CancelToken::new(), None),
-        )?;
+        let (_, _, trace) =
+            self.admitted(|opts| execute_traced(snap.db(), &planned.choice.plan, opts))?;
         let report = audit_estimates(&planned.choice.plan, &planned.choice.plan_estimate, &trace);
         lines.push(format!(
             "estimation accuracy ({} plan):",
@@ -842,6 +839,19 @@ impl Session {
         }
     }
 
+    /// Run one execution the way every statement runs: admission → fresh
+    /// cancel token, published as the active one → `run` under the
+    /// permit's memory budget → release.
+    fn admitted<T>(&self, run: impl FnOnce(ExecOptions) -> Result<T>) -> Result<T> {
+        let permit = self.admission.admit(self.id)?;
+        // Fresh token per query — never reuse (one-shot contract).
+        let cancel = CancelToken::new();
+        self.set_active(Some(cancel.clone()));
+        // The token stays in `active` (settled) until the next query
+        // replaces it; see the field docs.
+        run(self.exec_opts(cancel, Some(permit.mem_rows())))
+    }
+
     /// Admission → fresh cancel token → execute (with shared subplans
     /// when enabled) → release → render rows + footer.
     fn execute_planned(
@@ -849,31 +859,24 @@ impl Session {
         snap: &Arc<CatalogVersion>,
         planned: Planned,
     ) -> Result<Response> {
-        let permit = self.admission.admit(self.id)?;
-        // Fresh token per query — never reuse (one-shot contract).
-        let cancel = CancelToken::new();
-        self.set_active(Some(cancel.clone()));
-        let started = Instant::now();
-        let mut opts = self.exec_opts(cancel, Some(permit.mem_rows()));
-        if self.settings.shared_subplans {
-            // Marks are computed on the *concrete* plan: the executor
-            // appends table snapshot versions, so the key pins both the
-            // bindings (via literals in the shape) and the data.
-            let marks: FxHashMap<_, _> = shared_subplan_marks(&planned.choice.plan)
-                .into_iter()
-                .map(|m| (m.box_id, SubplanShape { shape: m.shape, tables: m.tables }))
-                .collect();
-            if !marks.is_empty() {
-                opts.shared_subplans =
-                    Some(SharedSubplans { cache: self.catalog.subplan_cache().clone(), marks });
+        let (rows, mut stats, elapsed) = self.admitted(|mut opts| {
+            let started = Instant::now();
+            if self.settings.shared_subplans {
+                // Marks are computed on the *concrete* plan: the executor
+                // appends table snapshot versions, so the key pins both the
+                // bindings (via literals in the shape) and the data.
+                let marks: FxHashMap<_, _> = shared_subplan_marks(&planned.choice.plan)
+                    .into_iter()
+                    .map(|m| (m.box_id, SubplanShape { shape: m.shape, tables: m.tables }))
+                    .collect();
+                if !marks.is_empty() {
+                    opts.shared_subplans =
+                        Some(SharedSubplans { cache: self.catalog.subplan_cache().clone(), marks });
+                }
             }
-        }
-        let result = execute_with(snap.db(), &planned.choice.plan, opts);
-        // The token stays in `active` (settled) until the next query
-        // replaces it; see the field docs.
-        let (rows, mut stats) = result?;
-        drop(permit);
-        let elapsed = started.elapsed();
+            let (rows, stats) = execute_with(snap.db(), &planned.choice.plan, opts)?;
+            Ok((rows, stats, started.elapsed()))
+        })?;
         self.queries_run += 1;
         if planned.status == CacheStatus::Hit {
             stats.plan_cache_hits += 1;

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use decorr_common::{row, DataType, Schema, Value};
+use decorr_common::{row, DataType, Error, Schema, Value};
 use decorr_core::Strategy;
 use decorr_server::session::parse_exec_args;
 use decorr_server::{
@@ -12,6 +12,10 @@ use decorr_server::{
 use decorr_storage::Database;
 
 fn session() -> Session {
+    session_under(Arc::new(AdmissionControl::new(Quotas::default())))
+}
+
+fn session_under(admission: Arc<AdmissionControl>) -> Session {
     let mut db = Database::new();
     let t = db
         .create_table("t", Schema::from_pairs(&[("x", DataType::Int)]))
@@ -22,7 +26,7 @@ fn session() -> Session {
     Session::new(
         1,
         Arc::new(SharedCatalog::new(db)),
-        Arc::new(AdmissionControl::new(Quotas::default())),
+        admission,
         SessionSettings::default(),
     )
 }
@@ -172,6 +176,29 @@ fn explain_cost_reports_the_cached_plan() {
         "EXPLAIN COST must go through the cache: {:?}",
         r.lines
     );
+}
+
+#[test]
+fn explain_cost_executes_under_admission() {
+    // The audit execution behind EXPLAIN COST runs like any statement's:
+    // one admission each, under a token the session's canceller reaches.
+    let admission = Arc::new(AdmissionControl::new(Quotas::default()));
+    let mut s = session_under(Arc::clone(&admission));
+    for n in 1..=2 {
+        s.handle_line("EXPLAIN COST SELECT t.x FROM t WHERE t.x > 1")
+            .unwrap();
+        assert_eq!(admission.stats().admitted, n);
+    }
+    assert!(s.canceller().cancel_active());
+
+    // A session allowed no queries gets the plain statement's typed quota
+    // error instead of an unadmitted execution.
+    let closed = Quotas { per_session_concurrent: 0, ..Quotas::default() };
+    let mut s = session_under(Arc::new(AdmissionControl::new(closed)));
+    let plain = s.handle_line("SELECT t.x FROM t").unwrap_err();
+    let explain = s.handle_line("EXPLAIN COST SELECT t.x FROM t").unwrap_err();
+    assert!(matches!(plain, Error::QuotaExceeded(_)), "{plain}");
+    assert_eq!(explain.to_string(), plain.to_string());
 }
 
 #[test]

@@ -418,7 +418,11 @@ impl Statistics {
     /// across two `Statistics` exactly when the table was carried forward
     /// rather than re-analyzed.
     pub fn shared_table(&self, name: &str) -> Option<&Arc<TableStats>> {
-        self.tables.get(&Self::norm(name)).map(|(_, stats)| stats)
+        // A plan's table names are already normalized: try them as they are.
+        match self.tables.get(name) {
+            Some((_, stats)) => Some(stats),
+            None => self.tables.get(&Self::norm(name)).map(|(_, stats)| stats),
+        }
     }
 
     /// Tables in analysis order.

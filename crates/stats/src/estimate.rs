@@ -19,7 +19,7 @@
 //! correlated bindings — the term that decides NI vs decorrelation.
 
 use decorr_common::{FxHashMap, Result};
-use decorr_qgm::{BinOp, BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind, UnOp};
+use decorr_qgm::{BinOp, BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind, Traversal, UnOp};
 
 use crate::collect::{ColumnStats, Statistics};
 
@@ -106,14 +106,16 @@ pub struct Estimator<'a> {
 }
 
 /// Bottom-up per-evaluation numbers plus the per-quantifier invocation
-/// multipliers needed by the top-down pass.
-struct BottomUp {
-    rows: FxHashMap<BoxId, f64>,
-    /// Self cost: the box's own work per evaluation, children excluded.
-    cost: FxHashMap<BoxId, f64>,
-    /// `(owner box, quant) ->` evaluations of the quant's input box per
-    /// evaluation of the owner (1 except for correlated subqueries).
-    multiplier: FxHashMap<(BoxId, QuantId), f64>,
+/// multipliers needed by the top-down pass, over one traversal of the plan
+/// (vectors by [`BoxId::index`] / [`QuantId::index`]).
+struct BottomUp<'q> {
+    tr: Traversal<'q>,
+    /// Rows and self cost (the box's own work per evaluation, children
+    /// excluded) of each box estimated so far.
+    done: Vec<Option<(f64, f64)>>,
+    /// Evaluations of each quantifier's input box per evaluation of its
+    /// owner (1 except for correlated subqueries).
+    multiplier: Vec<f64>,
 }
 
 impl<'a> Estimator<'a> {
@@ -124,10 +126,11 @@ impl<'a> Estimator<'a> {
     /// Estimate every box of the plan.
     pub fn estimate(&self, qgm: &Qgm) -> Result<PlanEstimate> {
         let top = qgm.top();
+        let (boxes, quants) = qgm.slots();
         let mut bu = BottomUp {
-            rows: FxHashMap::default(),
-            cost: FxHashMap::default(),
-            multiplier: FxHashMap::default(),
+            tr: Traversal::new(qgm),
+            done: vec![None; boxes],
+            multiplier: vec![1.0; quants],
         };
         self.est_box(qgm, top, &mut bu)?;
 
@@ -138,59 +141,53 @@ impl<'a> Estimator<'a> {
         // OptMag-CSE dedup, run-lifetime subquery memo) is materialized
         // once and served to the others, so summing its parent edges would
         // double-count — it takes the heaviest single edge instead.
-        let reachable = qgm.reachable_boxes(top);
-        let mut indegree: FxHashMap<BoxId, usize> = reachable.iter().map(|&b| (b, 0)).collect();
-        for &b in &reachable {
+        let reachable = bu.tr.order();
+        let mut indegree = vec![0usize; boxes];
+        for &b in reachable {
             for &q in &qgm.boxref(b).quants {
-                *indegree.get_mut(&qgm.quant(q).input).unwrap() += 1;
+                indegree[qgm.quant(q).input.index()] += 1;
             }
         }
-        let dedup_shared: FxHashMap<BoxId, bool> = reachable
-            .iter()
-            .map(|&b| {
-                let shared = indegree[&b] > 1
-                    && !matches!(qgm.boxref(b).kind, BoxKind::BaseTable { .. })
-                    && qgm.free_refs(b).is_empty();
-                (b, shared)
-            })
-            .collect();
-        let mut invocations: FxHashMap<BoxId, f64> = reachable.iter().map(|&b| (b, 0.0)).collect();
-        invocations.insert(top, 1.0);
+        let mut dedup_shared = vec![false; boxes];
+        for &b in reachable {
+            dedup_shared[b.index()] = indegree[b.index()] > 1
+                && !matches!(qgm.boxref(b).kind, BoxKind::BaseTable { .. })
+                && !bu.tr.is_correlated(b);
+        }
+        let mut invocations = vec![0.0f64; boxes];
+        invocations[top.index()] = 1.0;
         let mut queue: Vec<BoxId> = reachable
             .iter()
             .copied()
-            .filter(|b| indegree[b] == 0)
+            .filter(|b| indegree[b.index()] == 0)
             .collect();
         queue.sort();
         while let Some(b) = queue.pop() {
-            let inv = invocations[&b];
+            let inv = invocations[b.index()];
             for &q in &qgm.boxref(b).quants {
-                let child = qgm.quant(q).input;
-                let mult = bu.multiplier.get(&(b, q)).copied().unwrap_or(1.0);
-                let e = invocations.get_mut(&child).unwrap();
-                if dedup_shared[&child] {
+                let child = qgm.quant(q).input.index();
+                let mult = bu.multiplier[q.index()];
+                let e = &mut invocations[child];
+                if dedup_shared[child] {
                     *e = e.max(inv * mult);
                 } else {
                     *e += inv * mult;
                 }
-                let d = indegree.get_mut(&child).unwrap();
-                *d -= 1;
-                if *d == 0 {
-                    queue.push(child);
+                indegree[child] -= 1;
+                if indegree[child] == 0 {
+                    queue.push(qgm.quant(q).input);
                     queue.sort();
                 }
             }
         }
 
         // The plan costs what its boxes cost, each as often as it runs.
-        let mut total = Estimate { rows: bu.rows[&top], cost: 0.0 };
-        let mut per_box = FxHashMap::default();
-        for b in reachable {
-            let e = BoxEstimate {
-                rows: bu.rows[&b],
-                cost: bu.cost[&b],
-                invocations: invocations[&b].max(1.0),
-            };
+        let rows_cost = |b: BoxId| bu.done[b.index()].expect("every reachable box is estimated");
+        let mut total = Estimate { rows: rows_cost(top).0, cost: 0.0 };
+        let mut per_box = FxHashMap::with_capacity_and_hasher(reachable.len(), Default::default());
+        for &b in reachable {
+            let (rows, cost) = rows_cost(b);
+            let e = BoxEstimate { rows, cost, invocations: invocations[b.index()].max(1.0) };
             total.cost += e.cost * e.invocations;
             per_box.insert(b, e);
         }
@@ -199,9 +196,9 @@ impl<'a> Estimator<'a> {
 
     /// Estimate box `b` (memoized): returns its rows per evaluation and
     /// records its self cost.
-    fn est_box(&self, qgm: &Qgm, b: BoxId, bu: &mut BottomUp) -> Result<f64> {
-        if let Some(&r) = bu.rows.get(&b) {
-            return Ok(r);
+    fn est_box(&self, qgm: &Qgm, b: BoxId, bu: &mut BottomUp<'_>) -> Result<f64> {
+        if let Some((rows, _)) = bu.done[b.index()] {
+            return Ok(rows);
         }
         let (rows, cost) = match &qgm.boxref(b).kind {
             BoxKind::BaseTable { table, .. } => {
@@ -253,14 +250,13 @@ impl<'a> Estimator<'a> {
                 (joined, scans + lrows + rrows + joined)
             }
         };
-        bu.rows.insert(b, rows);
-        bu.cost.insert(b, cost);
+        bu.done[b.index()] = Some((rows, cost));
         Ok(rows)
     }
 
-    fn est_select(&self, qgm: &Qgm, b: BoxId, bu: &mut BottomUp) -> Result<(f64, f64)> {
+    fn est_select(&self, qgm: &Qgm, b: BoxId, bu: &mut BottomUp<'_>) -> Result<(f64, f64)> {
         let bx = qgm.boxref(b);
-        let local: Vec<QuantId> = bx.quants.clone();
+        let local = &bx.quants;
         let foreach: Vec<QuantId> = bx
             .quants
             .iter()
@@ -274,7 +270,7 @@ impl<'a> Estimator<'a> {
         let mut join_children = Vec::new();
         for &q in &foreach {
             let child = qgm.quant(q).input;
-            if !qgm.free_refs(child).is_empty() {
+            if bu.tr.is_correlated(child) {
                 laterals.push(q); // correlated (lateral): per candidate row below
             } else {
                 join_children.push(q);
@@ -284,16 +280,17 @@ impl<'a> Estimator<'a> {
             .preds
             .iter()
             .map(|p| {
-                let refs = p.referenced_quants();
-                refs.iter().any(|r| {
-                    (local.contains(r) && qgm.quant(*r).kind != QuantKind::Foreach)
-                        || laterals.contains(r)
-                })
+                let mut defer = false;
+                p.for_each_col(&mut |r, _| {
+                    defer |= (local.contains(&r) && qgm.quant(r).kind != QuantKind::Foreach)
+                        || laterals.contains(&r)
+                });
+                defer
             })
             .collect();
 
         let (mut rows, mut cost, consumed) =
-            self.est_join(qgm, b, &local, &join_children, &deferred, bu)?;
+            self.est_join(qgm, b, local, &join_children, &deferred, bu)?;
 
         // Predicates never consumed by a join placement (e.g. purely over
         // correlation bindings) are residual filters.
@@ -319,17 +316,17 @@ impl<'a> Estimator<'a> {
         for &q in &bx.quants {
             let kind = qgm.quant(q).kind;
             let child_box = qgm.quant(q).input;
-            let correlated = !qgm.free_refs(child_box).is_empty();
+            let correlated = bu.tr.is_correlated(child_box);
             if kind == QuantKind::Foreach && !correlated {
                 continue; // joined above
             }
             let crows = self.est_box(qgm, child_box, bu)?;
             let execs = if correlated {
-                self.corr_invocations(qgm, child_box, rows.max(1.0))
+                self.corr_invocations(qgm, bu.tr.free_refs(child_box), rows.max(1.0))
             } else {
                 1.0
             };
-            bu.multiplier.insert((b, q), execs);
+            bu.multiplier[q.index()] = execs;
             cost += execs * scan_cost(qgm, child_box, crows);
             if kind == QuantKind::Foreach {
                 rows *= crows.max(1.0).min(rows.max(1.0));
@@ -367,7 +364,7 @@ impl<'a> Estimator<'a> {
         local: &[QuantId],
         children: &[QuantId],
         deferred: &[bool],
-        bu: &mut BottomUp,
+        bu: &mut BottomUp<'_>,
     ) -> Result<(f64, f64, Vec<bool>)> {
         let bx = qgm.boxref(b);
         let mut consumed = vec![false; bx.preds.len()];
@@ -388,7 +385,7 @@ impl<'a> Estimator<'a> {
             // keep under the scan's own predicates — nothing of a derived
             // box.
             let own = bx.preds.iter().enumerate().filter_map(|(i, p)| {
-                (!deferred[i] && self.pred_ready(qgm, p, q, local, &[])).then_some(p)
+                (!deferred[i] && self.pred_ready(p, q, local, &[])).then_some(p)
             });
             let read = self.rows_in_kept_stripes(qgm, q, own.clone(), crows);
             let scan = scan_cost(qgm, child, read);
@@ -409,7 +406,7 @@ impl<'a> Estimator<'a> {
             let mut npreds = 0usize;
             let mut probe_sel: Option<f64> = None;
             for (i, p) in bx.preds.iter().enumerate() {
-                if deferred[i] || consumed[i] || !self.pred_ready(qgm, p, q, local, &placed) {
+                if deferred[i] || consumed[i] || !self.pred_ready(p, q, local, &placed) {
                     continue;
                 }
                 consumed[i] = true;
@@ -493,17 +490,19 @@ impl<'a> Estimator<'a> {
 
     /// Expected *executions* of a correlated subtree under memoized nested
     /// iteration: the distinct count of its correlation key (its free
-    /// references), capped by the candidate-row count. `candidates` itself
-    /// is the naive per-candidate-row invocation count; the memo collapses
-    /// repeated bindings, so only distinct ones execute (the paper's "3954
-    /// invocations of which only 2138 are distinct", priced at plan time).
-    fn corr_invocations(&self, qgm: &Qgm, child: BoxId, candidates: f64) -> f64 {
-        let key: Vec<Expr> = qgm
-            .free_refs(child)
-            .into_iter()
-            .map(|(q, c)| Expr::col(q, c))
-            .collect();
-        self.distinct_estimate(qgm, key.iter(), candidates.max(1.0))
+    /// references `key`), capped by the candidate-row count. `candidates`
+    /// itself is the naive per-candidate-row invocation count; the memo
+    /// collapses repeated bindings, so only distinct ones execute (the
+    /// paper's "3954 invocations of which only 2138 are distinct", priced
+    /// at plan time).
+    fn corr_invocations(
+        &self,
+        qgm: &Qgm,
+        key: impl Iterator<Item = (QuantId, usize)>,
+        candidates: f64,
+    ) -> f64 {
+        let key = key.map(|(q, c)| Expr::col(q, c));
+        self.distinct_estimate(qgm, key, candidates.max(1.0))
             .max(1.0)
     }
 
@@ -511,20 +510,13 @@ impl<'a> Estimator<'a> {
     /// it references `q`, and every other referenced quantifier is
     /// either already placed or free (a correlation binding, fixed for
     /// the duration of the evaluation).
-    fn pred_ready(
-        &self,
-        qgm: &Qgm,
-        p: &Expr,
-        q: QuantId,
-        local: &[QuantId],
-        placed: &[QuantId],
-    ) -> bool {
-        let _ = qgm;
-        let refs = p.referenced_quants();
-        refs.contains(&q)
-            && refs
-                .iter()
-                .all(|r| *r == q || placed.contains(r) || !local.contains(r))
+    fn pred_ready(&self, p: &Expr, q: QuantId, local: &[QuantId], placed: &[QuantId]) -> bool {
+        let (mut has_q, mut ready) = (false, true);
+        p.for_each_col(&mut |r, _| {
+            has_q |= r == q;
+            ready &= r == q || placed.contains(&r) || !local.contains(&r);
+        });
+        has_q && ready
     }
 
     /// If `p` lets the executor probe an index of `q`'s base table — an
@@ -543,11 +535,9 @@ impl<'a> Estimator<'a> {
             let Expr::Col { quant, col } = own.as_ref() else {
                 continue;
             };
-            if *quant != q
-                || other.references(q)
-                || other.referenced_quants().is_empty()
-                || !ts.has_index_on(*col)
-            {
+            let mut binds = false;
+            other.for_each_col(&mut |_, _| binds = true);
+            if *quant != q || other.references(q) || !binds || !ts.has_index_on(*col) {
                 continue;
             }
             return Some(match self.col_stats(qgm, *quant, *col) {
@@ -566,16 +556,16 @@ impl<'a> Estimator<'a> {
     /// the quantifier it comes from has rows left after its own predicates
     /// (the magic table of a filtered outer block holds only the surviving
     /// bindings).
-    fn distinct_estimate<'e>(
+    fn distinct_estimate(
         &self,
         qgm: &Qgm,
-        exprs: impl Iterator<Item = &'e Expr>,
+        exprs: impl Iterator<Item = impl std::borrow::Borrow<Expr>>,
         input_rows: f64,
     ) -> f64 {
         let mut product = 1.0f64;
         let mut resolved_all = true;
         for e in exprs {
-            match e {
+            match e.borrow() {
                 Expr::Col { quant, col } => match self.col_origin(qgm, *quant, *col) {
                     Some((origin, cs)) => {
                         // +1 admits a NULL group alongside the distinct values.
@@ -687,7 +677,7 @@ impl<'a> Estimator<'a> {
         let mut rows = cs.row_count as f64;
         if matches!(bx.kind, BoxKind::Select) {
             for p in &bx.preds {
-                if self.pred_ready(qgm, p, q, &bx.quants, &[]) {
+                if self.pred_ready(p, q, &bx.quants, &[]) {
                     rows *= self.pred_selectivity(qgm, p);
                 }
             }

@@ -19,7 +19,7 @@
 use decorr_common::Result;
 use decorr_core::{apply_strategy, Strategy};
 use decorr_exec::{CostModel, Estimate, ExecTrace, PlanEstimate};
-use decorr_qgm::{BoxKind, Qgm};
+use decorr_qgm::{BoxKind, Qgm, Traversal};
 use decorr_stats::AccuracyReport;
 use decorr_storage::Database;
 
@@ -137,10 +137,10 @@ pub fn choose_strategy_with(model: &CostModel, qgm: Qgm) -> Result<PlanChoice> {
         note: None,
     }];
 
-    let correlated = qgm
-        .reachable_boxes(qgm.top())
-        .iter()
-        .any(|&b| qgm.is_correlated(b));
+    let correlated = {
+        let tr = Traversal::new(&qgm);
+        tr.order().iter().any(|&b| tr.is_correlated(b))
+    };
 
     // Challengers: rewrite, price, and keep at most one plan alive —
     // the cheapest sound one seen so far (beating the NI champion).
