@@ -14,8 +14,8 @@
 //!    expression, so outer rows whose subquery would return 0 are silently
 //!    dropped. `tests/count_bug.rs` demonstrates this divergence.
 
-use decorr_common::Result;
-use decorr_qgm::{BoxKind, Expr, Qgm, QuantKind};
+use decorr_common::{DataType, Error, Result};
+use decorr_qgm::{AggFunc, BoxKind, Expr, OutputCol, Qgm, QuantKind};
 
 use super::match_agg_subquery;
 
@@ -23,6 +23,27 @@ use super::match_agg_subquery;
 pub fn rewrite(qgm: &mut Qgm) -> Result<()> {
     let pat = match_agg_subquery(qgm)?;
     let cur = pat.cur;
+    // The COUNT bug drops rows of the outer block. Below the top box —
+    // inside another subquery, or under the outer query's aggregation —
+    // that changes the values computed from them, not just which rows
+    // return.
+    let count = |o: &OutputCol| matches!(o.expr, Expr::Agg { func: AggFunc::Count, .. });
+    if cur != qgm.top() && qgm.boxref(pat.grouping).outputs.iter().any(count) {
+        return Err(Error::rewrite(
+            "a COUNT subquery below the top box (the COUNT bug would change values above it)",
+        ));
+    }
+    // GROUP BY tells -0.0 from 0.0 where `=` does not: grouping by a DOUBLE
+    // would split one binding's group in two.
+    if !pat
+        .corr
+        .iter()
+        .all(|(_, local, _)| exact_column(qgm, local))
+    {
+        return Err(Error::rewrite(
+            "correlation column is not a non-DOUBLE column (GROUP BY would split -0.0 from 0.0)",
+        ));
+    }
 
     // Remove the correlation predicates from the inner block and expose
     // their local sides as grouping columns.
@@ -76,4 +97,17 @@ pub fn rewrite(qgm: &mut Qgm) -> Result<()> {
     }
     qgm.gc();
     Ok(())
+}
+
+/// Is `e` a column that resolves to a base-table column not of type DOUBLE?
+fn exact_column(qgm: &Qgm, e: &Expr) -> bool {
+    let Expr::Col { quant, col } = e else {
+        return false;
+    };
+    let b = qgm.boxref(qgm.quant(*quant).input);
+    match &b.kind {
+        BoxKind::BaseTable { schema, .. } => schema.columns()[*col].ty != DataType::Double,
+        BoxKind::Select => exact_column(qgm, &b.outputs[*col].expr),
+        _ => false,
+    }
 }

@@ -20,7 +20,7 @@ use decorr_common::{FxHashMap, FxHashSet, Result, Value};
 use decorr_qgm::{print, BoxId, BoxKind, Expr, Func, Qgm, QuantId, QuantKind};
 
 use super::absorb::absorb_box;
-use super::encapsulator::{absorbability, analyze_uses};
+use super::encapsulator::{absorbability, analyze_uses, Absorbability};
 use super::{MagicOptions, MagicReport, SuppScope};
 use crate::rules::merge::flatten_columns;
 use crate::trace::{RewriteStep, RewriteTrace};
@@ -101,9 +101,15 @@ pub(super) fn feed_and_absorb(
     let moved_set: FxHashSet<QuantId> = moved.iter().copied().collect();
 
     // Pre-mutation analysis.
-    let absorb = absorbability(qgm, child);
+    let mut absorb = absorbability(qgm, child);
     let uses = analyze_uses(qgm, cur, q, child);
     let needs_loj = uses.needs_loj(absorb.unique());
+    // A filter over the grand total (a HAVING) can drop the empty group's
+    // row, and then nested iteration sees no row at all: the repair cannot
+    // tell that from a binding with no group, so the child stays NM.
+    if needs_loj && filters_total(qgm, child) {
+        absorb = Absorbability::NotAbsorbable;
+    }
 
     // OptMag: when the supplementary table is a single base table whose key
     // is contained in the correlation columns, the magic table *is* the
@@ -410,6 +416,15 @@ pub(super) fn feed_and_absorb(
     }
 
     Ok(FeedOutcome::Full)
+}
+
+/// Does a pass-through Select on the way down from `b` to its grand total
+/// filter rows?
+fn filters_total(qgm: &Qgm, b: BoxId) -> bool {
+    let bx = qgm.boxref(b);
+    matches!(bx.kind, BoxKind::Select)
+        && bx.quants.len() == 1
+        && (!bx.preds.is_empty() || filters_total(qgm, qgm.quant(bx.quants[0]).input))
 }
 
 /// The output positions of `child` that carry COUNT aggregates (walking

@@ -208,7 +208,14 @@ pub struct Executor<'a> {
     /// Without it, entries are keyed by the enclosing Select evaluation's
     /// scope id with an empty tuple — exactly the legacy per-`eval_select`
     /// cache for boxes uncorrelated with the block being evaluated.
-    subq_memo: FxHashMap<(BoxId, u64, MemoKey), RowBatch>,
+    ///
+    /// Each entry also holds the logical invocations its execution made
+    /// of the subqueries nested inside it, which a hit counts again.
+    subq_memo: FxHashMap<(BoxId, u64, MemoKey), (RowBatch, u64)>,
+    /// `(box, scope)` pairs of children not correlated to the block being
+    /// evaluated that were invoked in that scope, so the memo counts them
+    /// once per enclosing evaluation, as the naive executor does.
+    scope_seen: FxHashSet<(BoxId, u64)>,
     /// Rows held by `subq_memo` entries with scope 0, charged against
     /// [`ExecOptions::mem_budget`]: once the ledger is exhausted new
     /// results are returned unmemoized (graceful fall-back, no error).
@@ -379,6 +386,7 @@ impl<'a> Executor<'a> {
             box_stack: Vec::new(),
             col_cache: FxHashMap::default(),
             subq_memo: FxHashMap::default(),
+            scope_seen: FxHashSet::default(),
             memo_rows: 0,
             sig_cache: FxHashMap::default(),
             cur_scope: 0,
@@ -453,10 +461,11 @@ impl<'a> Executor<'a> {
 
     /// Count one subquery invocation served from the memo: still a logical
     /// invocation (in stats *and* in the child's trace entry), but no
-    /// execution happened.
-    fn count_subq_hit(&mut self, child: BoxId) {
-        self.stats.subquery_invocations += 1;
-        self.stats.subquery_memo_hits += 1;
+    /// execution happened — and so were the `nested` invocations the
+    /// execution it stands for made of the subqueries inside it.
+    fn count_subq_hit(&mut self, child: BoxId, nested: u64) {
+        self.stats.subquery_invocations += 1 + nested;
+        self.stats.subquery_memo_hits += 1 + nested;
         if let Some(trace) = &mut self.trace {
             trace.note_memo_hit(child);
         }
@@ -469,8 +478,8 @@ impl<'a> Executor<'a> {
     /// currently being evaluated — i.e. each candidate row is a *logical*
     /// invocation (always counted in `subquery_invocations`, hit or miss).
     /// Children correlated only to outer blocks are constants for the
-    /// whole enclosing evaluation; their hits are the legacy
-    /// per-evaluation cache promoted to run lifetime and stay uncounted.
+    /// whole enclosing evaluation: one logical invocation per enclosing
+    /// evaluation, however many of them the run-lifetime memo serves.
     fn memoized_child(
         &mut self,
         qgm: &Qgm,
@@ -487,12 +496,12 @@ impl<'a> Executor<'a> {
                 return Ok(self.eval_box(qgm, child, Some(env2))?.into());
             }
             let k = (child, self.cur_scope, MemoKey::empty());
-            if let Some(hit) = self.subq_memo.get(&k) {
+            if let Some((hit, _)) = self.subq_memo.get(&k) {
                 return Ok(RowBatch::clone(hit));
             }
             self.count_subq_exec();
             let rows: RowBatch = self.eval_box(qgm, child, Some(env2))?.into();
-            self.subq_memo.insert(k, RowBatch::clone(&rows));
+            self.subq_memo.insert(k, (RowBatch::clone(&rows), 0));
             return Ok(rows);
         }
         let sig = self.corr_sig(qgm, child);
@@ -502,24 +511,31 @@ impl<'a> Executor<'a> {
             return Ok(self.eval_box(qgm, child, Some(env2))?.into());
         };
         let k = (child, 0u64, key);
-        if let Some(hit) = self.subq_memo.get(&k).map(RowBatch::clone) {
-            if correlated_here {
-                self.count_subq_hit(child);
+        let first_here = !correlated_here && self.scope_seen.insert((child, self.cur_scope));
+        if let Some((hit, nested)) = self.subq_memo.get(&k).cloned() {
+            if correlated_here || first_here {
+                self.count_subq_hit(child, nested);
             }
             return Ok(hit);
         }
         self.count_subq_exec();
+        let before = self.stats.subquery_invocations;
         let rows: RowBatch = self.eval_box(qgm, child, Some(env2))?.into();
+        let nested = self.stats.subquery_invocations - before;
         // Charge the memo against the memory budget; once the ledger is
         // exhausted, fall back to unmemoized execution (the query keeps
-        // running, later duplicates just re-execute).
+        // running, later duplicates just re-execute) — except for a child
+        // not correlated here, which the naive executor caches for the
+        // enclosing evaluation uncharged too.
         let fits = self
             .opts
             .mem_budget
             .is_none_or(|mb| self.memo_rows + rows.len() <= mb);
         if fits {
             self.memo_rows += rows.len();
-            self.subq_memo.insert(k, RowBatch::clone(&rows));
+        }
+        if fits || !correlated_here {
+            self.subq_memo.insert(k, (RowBatch::clone(&rows), nested));
         }
         Ok(rows)
     }
@@ -1968,8 +1984,9 @@ impl<'a> Executor<'a> {
         let child = qgm.quant(next).input;
         self.settle(&mut left)?;
         let n = left.len();
-        // The child's batch per distinct binding (batched path).
-        let mut subs: Vec<RowBatch> = Vec::new();
+        // The child's batch per distinct binding (batched path), with the
+        // invocations nested inside it.
+        let mut subs: Vec<(RowBatch, u64)> = Vec::new();
         let mut scratch = Row::empty();
         let (mut pairs, mut right) = (Vec::new(), Vec::new());
         let mut emit = |this: &mut Self, l: usize, sub: &RowBatch| {
@@ -1997,11 +2014,13 @@ impl<'a> Executor<'a> {
                     Some(&s) => {
                         // Logical invocation, physically shared with the
                         // first candidate of the class.
-                        self.count_subq_hit(child);
+                        self.count_subq_hit(child, subs[s].1);
                         assignment.push(Some(s));
                     }
                     None => {
-                        subs.push(self.memoized_child(qgm, child, &env2, true)?);
+                        let before = self.stats.subquery_invocations;
+                        let sub = self.memoized_child(qgm, child, &env2, true)?;
+                        subs.push((sub, self.stats.subquery_invocations - before - 1));
                         slot_of.insert(key, subs.len() - 1);
                         assignment.push(Some(subs.len() - 1));
                     }
@@ -2009,7 +2028,7 @@ impl<'a> Executor<'a> {
             }
             for (l, slot) in assignment.into_iter().enumerate() {
                 let sub = match slot {
-                    Some(s) => RowBatch::clone(&subs[s]),
+                    Some(s) => RowBatch::clone(&subs[s].0),
                     None => {
                         // Unkeyable binding (an unbound free ref): evaluate
                         // this candidate on its own, as the per-row path would.

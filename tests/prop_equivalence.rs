@@ -1,328 +1,26 @@
-//! Property-based equivalence: on random databases (NULLs included) and a
-//! generated family of correlated aggregate queries, every applicable
-//! decorrelation strategy must return exactly the rows nested iteration
-//! returns — Kim's method exempted on COUNT queries (its bug is asserted
-//! separately in `tests/equivalence.rs`).
+//! The paper's query template, `D.num_emps cmp (SELECT agg FROM emp E
+//! WHERE E.building = D.building)` with or without `D.budget < 10000`, as
+//! the bounded space enumerates it, in seeded random EMP/DEPT worlds:
+//! every strategy returns the reference interpreter's rows (Kim's method
+//! losing only empty-group rows, and only on COUNT), magic decorrelation
+//! leaves no correlation behind. The checks are `tests/oracle/mod.rs`'s.
 
-use decorr::prelude::Strategy as ExecStrategy;
-use decorr::prelude::*;
-use proptest::prelude::*;
-use proptest::strategy::Strategy as _;
+mod oracle;
 
-#[derive(Debug, Clone)]
-struct Dept {
-    budget: i64,
-    num_emps: i64,
-    building: Option<i64>,
-}
+use decorr::prelude::Strategy::{Dayal, Kim, Magic, OptMag};
+use oracle::space::Query;
+use oracle::Lane::{self, Is};
 
-#[derive(Debug, Clone)]
-struct World {
-    depts: Vec<Dept>,
-    emps: Vec<Option<i64>>, // employee buildings (NULLs allowed)
-}
+const MAG: [Lane; 2] = [Is(Magic), Is(OptMag)];
+const KIM: [Lane; 1] = [Is(Kim)];
 
-fn world() -> impl proptest::strategy::Strategy<Value = World> {
-    let dept = (0i64..20_000, 0i64..10, prop::option::weighted(0.9, 0i64..6))
-        .prop_map(|(budget, num_emps, building)| Dept { budget, num_emps, building });
-    let emp = prop::option::weighted(0.9, 0i64..6);
-    (
-        prop::collection::vec(dept, 0..25),
-        prop::collection::vec(emp, 0..60),
-    )
-        .prop_map(|(depts, emps)| World { depts, emps })
-}
-
-/// Like [`world`], but NULL bindings dominate: half the departments and half
-/// the employees have no building, so most correlation probes carry NULL and
-/// most groups are empty. This is the regime where `= NULL` semantics and
-/// the COUNT-bug repair actually get exercised rather than grazed.
-fn world_null_heavy() -> impl proptest::strategy::Strategy<Value = World> {
-    let dept = (0i64..20_000, 0i64..4, prop::option::weighted(0.5, 0i64..3))
-        .prop_map(|(budget, num_emps, building)| Dept { budget, num_emps, building });
-    let emp = prop::option::weighted(0.5, 0i64..3);
-    (
-        prop::collection::vec(dept, 0..15),
-        prop::collection::vec(emp, 0..30),
-    )
-        .prop_map(|(depts, emps)| World { depts, emps })
-}
-
-fn build_db(w: &World) -> Database {
-    let mut db = Database::new();
-    let d = db
-        .create_table(
-            "dept",
-            Schema::from_pairs(&[
-                ("name", DataType::Str),
-                ("budget", DataType::Double),
-                ("num_emps", DataType::Int),
-                ("building", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    for (i, dept) in w.depts.iter().enumerate() {
-        d.insert(Row::new(vec![
-            Value::str(format!("d{i}")),
-            Value::Double(dept.budget as f64),
-            Value::Int(dept.num_emps),
-            dept.building.map(Value::Int).unwrap_or(Value::Null),
-        ]))
-        .unwrap();
-    }
-    d.set_key(&["name"]).unwrap();
-    let e = db
-        .create_table(
-            "emp",
-            Schema::from_pairs(&[("name", DataType::Str), ("building", DataType::Int)]),
-        )
-        .unwrap();
-    for (i, b) in w.emps.iter().enumerate() {
-        e.insert(Row::new(vec![
-            Value::str(format!("e{i}")),
-            b.map(Value::Int).unwrap_or(Value::Null),
-        ]))
-        .unwrap();
-    }
-    e.set_key(&["name"]).unwrap();
-    db
-}
-
-/// Same database, but `emp.building` is a Double column with 0 stored as
-/// -0.0. Correlation keys then mix Int (dept side) with Double (emp side)
-/// and include a signed zero — equal under SQL `=`, distinct under
-/// `total_cmp` — stressing the executor's Eq-key normalization through the
-/// decorrelated hash joins end to end.
-fn build_db_mixed_keys(w: &World) -> Database {
-    let mut db = Database::new();
-    let d = db
-        .create_table(
-            "dept",
-            Schema::from_pairs(&[
-                ("name", DataType::Str),
-                ("budget", DataType::Double),
-                ("num_emps", DataType::Int),
-                ("building", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    for (i, dept) in w.depts.iter().enumerate() {
-        d.insert(Row::new(vec![
-            Value::str(format!("d{i}")),
-            Value::Double(dept.budget as f64),
-            Value::Int(dept.num_emps),
-            dept.building.map(Value::Int).unwrap_or(Value::Null),
-        ]))
-        .unwrap();
-    }
-    d.set_key(&["name"]).unwrap();
-    let e = db
-        .create_table(
-            "emp",
-            Schema::from_pairs(&[("name", DataType::Str), ("building", DataType::Double)]),
-        )
-        .unwrap();
-    for (i, b) in w.emps.iter().enumerate() {
-        let building = match b {
-            Some(0) => Value::Double(-0.0),
-            Some(b) => Value::Double(*b as f64),
-            None => Value::Null,
-        };
-        e.insert(Row::new(vec![Value::str(format!("e{i}")), building]))
-            .unwrap();
-    }
-    e.set_key(&["name"]).unwrap();
-    db
-}
-
-const AGGS: [&str; 5] = [
-    "COUNT(*)",
-    "COUNT(E.building)",
-    "SUM(E.building)",
-    "MIN(E.building)",
-    "MAX(E.building)",
-];
-const CMPS: [&str; 6] = ["<", "<=", ">", ">=", "=", "<>"];
-
-fn query(agg: &str, cmp: &str, with_filter: bool) -> String {
-    let filter = if with_filter {
-        "D.budget < 10000 AND "
-    } else {
-        ""
-    };
-    format!(
-        "SELECT D.name FROM dept D WHERE {filter}D.num_emps {cmp} \
-         (SELECT {agg} FROM emp E WHERE E.building = D.building)"
-    )
-}
-
-fn run(db: &Database, sql: &str, s: ExecStrategy) -> Vec<Row> {
-    let qgm = parse_and_bind(sql, db).unwrap();
-    let plan = apply_strategy(&qgm, s).unwrap();
-    validate(&plan).unwrap();
-    let (mut rows, _) = execute(db, &plan).unwrap();
-    rows.sort();
-    rows
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..Default::default() })]
-
-    #[test]
-    fn magic_equals_nested_iteration(
-        w in world(),
-        agg_i in 0usize..AGGS.len(),
-        cmp_i in 0usize..CMPS.len(),
-        with_filter in any::<bool>(),
-    ) {
-        let db = build_db(&w);
-        let sql = query(AGGS[agg_i], CMPS[cmp_i], with_filter);
-        let ni = run(&db, &sql, ExecStrategy::NestedIteration);
-        let mag = run(&db, &sql, ExecStrategy::Magic);
-        prop_assert_eq!(&mag, &ni, "Magic diverged on {}", sql);
-        let opt = run(&db, &sql, ExecStrategy::OptMag);
-        prop_assert_eq!(&opt, &ni, "OptMag diverged on {}", sql);
-    }
-
-    #[test]
-    fn dayal_equals_nested_iteration(
-        w in world(),
-        agg_i in 0usize..AGGS.len(),
-        cmp_i in 0usize..CMPS.len(),
-    ) {
-        let db = build_db(&w);
-        let sql = query(AGGS[agg_i], CMPS[cmp_i], true);
-        let ni = run(&db, &sql, ExecStrategy::NestedIteration);
-        let dayal = run(&db, &sql, ExecStrategy::Dayal);
-        prop_assert_eq!(&dayal, &ni, "Dayal diverged on {}", sql);
-    }
-
-    #[test]
-    fn kim_equals_ni_for_null_yielding_aggregates(
-        w in world(),
-        agg_i in 2usize..AGGS.len(), // SUM/MIN/MAX: empty group gives NULL
-        cmp_i in 0usize..CMPS.len(),
-    ) {
-        let db = build_db(&w);
-        let sql = query(AGGS[agg_i], CMPS[cmp_i], false);
-        let ni = run(&db, &sql, ExecStrategy::NestedIteration);
-        let kim = run(&db, &sql, ExecStrategy::Kim);
-        prop_assert_eq!(&kim, &ni, "Kim diverged on {}", sql);
-    }
-
-    #[test]
-    fn kim_on_count_loses_only_empty_group_rows(
-        w in world(),
-        cmp_i in 0usize..CMPS.len(),
-    ) {
-        let db = build_db(&w);
-        let sql = query("COUNT(*)", CMPS[cmp_i], false);
-        let ni = run(&db, &sql, ExecStrategy::NestedIteration);
-        let kim = run(&db, &sql, ExecStrategy::Kim);
-        // Kim's answer is always a subset of the true answer ...
-        for r in &kim {
-            prop_assert!(ni.contains(r), "Kim invented a row on {}", sql);
-        }
-        // ... and every lost row's department sits in an employee-less or
-        // NULL building (the COUNT-bug signature).
-        let dept = db.table("dept").unwrap();
-        let emp = db.table("emp").unwrap();
-        for lost in ni.iter().filter(|r| !kim.contains(r)) {
-            let drow = dept
-                .rows()
-                .iter()
-                .find(|r| r[0] == lost[0])
-                .expect("result names a department");
-            let building = &drow[3];
-            let populated = !building.is_null()
-                && emp.rows().iter().any(|e| e[1] == *building);
-            prop_assert!(!populated, "Kim lost a populated-building row on {}", sql);
-        }
-    }
-
-    #[test]
-    fn null_heavy_correlation_bindings_agree(
-        w in world_null_heavy(),
-        agg_i in 0usize..AGGS.len(),
-        cmp_i in 0usize..CMPS.len(),
-        with_filter in any::<bool>(),
-    ) {
-        let db = build_db(&w);
-        let sql = query(AGGS[agg_i], CMPS[cmp_i], with_filter);
-        let ni = run(&db, &sql, ExecStrategy::NestedIteration);
-        for s in [ExecStrategy::Magic, ExecStrategy::OptMag] {
-            let rows = run(&db, &sql, s);
-            prop_assert_eq!(&rows, &ni, "{:?} diverged under NULL-heavy bindings on {}", s, sql);
-        }
-    }
-
-    #[test]
-    fn count_aggregates_keep_empty_groups(
-        w in world_null_heavy(),
-        count_star in any::<bool>(),
-        cmp_i in 0usize..CMPS.len(),
-    ) {
-        let db = build_db(&w);
-        let agg = if count_star { "COUNT(*)" } else { "COUNT(E.building)" };
-        let sql = query(agg, CMPS[cmp_i], false);
-        let ni = run(&db, &sql, ExecStrategy::NestedIteration);
-        let mag = run(&db, &sql, ExecStrategy::Magic);
-        prop_assert_eq!(&mag, &ni, "Magic diverged on COUNT on {}", sql);
-        let opt = run(&db, &sql, ExecStrategy::OptMag);
-        prop_assert_eq!(&opt, &ni, "OptMag diverged on COUNT on {}", sql);
-        // The COUNT-bug signature, asserted directly rather than via NI
-        // parity: under `num_emps = COUNT(...)`, every department whose
-        // group is empty (NULL or unpopulated building) and whose num_emps
-        // is 0 must survive decorrelation — the LOJ + COALESCE repair has
-        // to manufacture the zero.
-        if CMPS[cmp_i] == "=" {
-            let emp = db.table("emp").unwrap();
-            for (i, d) in w.depts.iter().enumerate() {
-                let populated = d
-                    .building
-                    .is_some_and(|b| emp.rows().iter().any(|e| e[1] == Value::Int(b)));
-                if d.num_emps == 0 && !populated {
-                    let name = Value::str(format!("d{i}"));
-                    prop_assert!(
-                        mag.iter().any(|r| r[0] == name),
-                        "empty group for d{} must COUNT to 0 on {}", i, sql
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_int_double_correlation_keys_agree(
-        w in world(),
-        agg_i in 0usize..AGGS.len(),
-        cmp_i in 0usize..CMPS.len(),
-    ) {
-        let db = build_db_mixed_keys(&w);
-        let sql = query(AGGS[agg_i], CMPS[cmp_i], false);
-        let ni = run(&db, &sql, ExecStrategy::NestedIteration);
-        for s in [ExecStrategy::Magic, ExecStrategy::OptMag] {
-            let rows = run(&db, &sql, s);
-            prop_assert_eq!(&rows, &ni, "{:?} diverged on mixed Int/Double keys on {}", s, sql);
-        }
-    }
-
-    #[test]
-    fn decorrelated_graph_has_no_residual_correlation(
-        w in world(),
-        agg_i in 0usize..AGGS.len(),
-        cmp_i in 0usize..CMPS.len(),
-    ) {
-        let db = build_db(&w);
-        let sql = query(AGGS[agg_i], CMPS[cmp_i], true);
-        let qgm = parse_and_bind(&sql, &db).unwrap();
-        let plan = apply_strategy(&qgm, ExecStrategy::Magic).unwrap();
-        validate(&plan).unwrap();
-        let cm = decorr::qgm::CorrelationMap::analyze(&plan);
-        for b in plan.reachable_boxes(plan.top()) {
-            prop_assert!(!cm.is_correlated(b), "residual correlation in {b} on {}", sql);
-        }
-        let (_, stats) = execute(&db, &plan).unwrap();
-        prop_assert_eq!(stats.subquery_invocations, 0);
-    }
+oracle::fuzz_tests! {
+    magic_equals_nested_iteration: MAG, 0.1, false, Query::template;
+    dayal_equals_nested_iteration: [Is(Dayal)], 0.1, false, Query::template;
+    kim_equals_ni_for_null_yielding_aggregates: KIM, 0.1, false, |q| q.template() && !q.counts();
+    kim_on_count_loses_only_empty_group_rows: KIM, 0.1, false, |q| q.template() && q.counts();
+    null_heavy_correlation_bindings_agree: MAG, 0.5, false, Query::template;
+    count_aggregates_keep_empty_groups: MAG, 0.5, false, |q| q.template() && q.counts();
+    mixed_int_double_correlation_keys_agree: MAG, 0.1, true, Query::template;
+    decorrelated_graph_has_no_residual_correlation: [Is(Magic)], 0.1, false, Query::template;
 }

@@ -1,231 +1,40 @@
-//! A broad corpus of correlated queries: every one must decorrelate to a
-//! plan that (a) validates, (b) returns exactly nested iteration's rows.
-//! The corpus stretches the rewrite over shapes the paper's three
-//! benchmark queries do not reach: multiple subqueries per block,
-//! subqueries inside derived tables, three-level nesting, non-equality
-//! correlations, DISTINCT blocks, IN/NOT IN, arithmetic over bindings.
+//! The stress corpus (`tests/corpus/stress`): multiple subqueries per
+//! block, subqueries inside derived tables, three-level nesting,
+//! non-equality correlations, DISTINCT blocks, IN / NOT IN and arithmetic
+//! over bindings, over one 30 × 80-row EMP/DEPT. Each lane must return the
+//! reference interpreter's rows at every tier × budget point.
 
-use decorr::prelude::*;
+mod oracle;
 
-fn db() -> Database {
-    let mut db = Database::new();
-    let d = db
-        .create_table(
-            "dept",
-            Schema::from_pairs(&[
-                ("name", DataType::Str),
-                ("budget", DataType::Double),
-                ("num_emps", DataType::Int),
-                ("building", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    for i in 0..30i64 {
-        d.insert(Row::new(vec![
-            Value::str(format!("d{i:02}")),
-            Value::Double((i * 700 % 19_000) as f64),
-            Value::Int(i % 7),
-            if i % 11 == 10 {
-                Value::Null
-            } else {
-                Value::Int(i % 6)
-            },
-        ]))
-        .unwrap();
-    }
-    d.set_key(&["name"]).unwrap();
-    let e = db
-        .create_table(
-            "emp",
-            Schema::from_pairs(&[
-                ("name", DataType::Str),
-                ("building", DataType::Int),
-                ("salary", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    for i in 0..80i64 {
-        e.insert(Row::new(vec![
-            Value::str(format!("e{i:02}")),
-            if i % 13 == 12 {
-                Value::Null
-            } else {
-                Value::Int(i % 5)
-            },
-            Value::Int(1000 + (i * 37) % 900),
-        ]))
-        .unwrap();
-    }
-    e.set_key(&["name"]).unwrap();
-    db.table_mut("emp")
-        .unwrap()
-        .create_index(&["building"])
-        .unwrap();
-    db
+use decorr::prelude::Strategy;
+use oracle::Lane;
+
+fn corpus(lanes: &[Lane]) {
+    oracle::sweep(lanes).check_corpus("stress");
 }
-
-const QUERIES: &[&str] = &[
-    // -- single scalar aggregate subqueries, various aggregates/operators --
-    "SELECT D.name FROM dept D WHERE D.num_emps > \
-     (SELECT COUNT(*) FROM emp E WHERE E.building = D.building)",
-    "SELECT D.name FROM dept D WHERE D.budget >= \
-     (SELECT SUM(E.salary) FROM emp E WHERE E.building = D.building)",
-    "SELECT D.name FROM dept D WHERE D.budget < \
-     (SELECT MIN(E.salary) FROM emp E WHERE E.building = D.building)",
-    "SELECT D.name FROM dept D WHERE D.budget <> \
-     (SELECT MAX(E.salary) FROM emp E WHERE E.building = D.building)",
-    "SELECT D.name FROM dept D WHERE D.num_emps <= \
-     (SELECT COUNT(E.salary) FROM emp E WHERE E.building = D.building)",
-    // -- arithmetic over the binding and over the aggregate ----------------
-    "SELECT D.name FROM dept D WHERE D.budget < \
-     (SELECT 2 * AVG(E.salary) FROM emp E WHERE E.building = D.building)",
-    "SELECT D.name FROM dept D WHERE D.num_emps > \
-     (SELECT COUNT(*) FROM emp E WHERE E.building + 1 = D.building + 1)",
-    // -- non-equality correlation ------------------------------------------
-    "SELECT D.name FROM dept D WHERE D.num_emps > \
-     (SELECT COUNT(*) FROM emp E WHERE E.building < D.building)",
-    "SELECT D.name FROM dept D WHERE D.num_emps < \
-     (SELECT COUNT(*) FROM emp E WHERE E.building <> D.building)",
-    // -- two subqueries in one block ---------------------------------------
-    "SELECT D.name FROM dept D WHERE D.num_emps > \
-       (SELECT COUNT(*) FROM emp E WHERE E.building = D.building) \
-     AND D.budget > \
-       (SELECT 2 * COUNT(*) FROM emp E2 WHERE E2.building = D.building)",
-    // -- subquery over a filtered inner block -------------------------------
-    "SELECT D.name FROM dept D WHERE D.num_emps > \
-     (SELECT COUNT(*) FROM emp E WHERE E.building = D.building AND E.salary > 1500)",
-    // -- multi-column correlation ------------------------------------------
-    "SELECT D.name FROM dept D WHERE D.num_emps > \
-     (SELECT COUNT(*) FROM emp E WHERE E.building = D.building AND E.salary > D.budget / 10)",
-    // -- three-level nesting -------------------------------------------------
-    "SELECT D.name FROM dept D WHERE D.num_emps > \
-       (SELECT COUNT(*) FROM emp E WHERE E.building = D.building AND E.salary > \
-         (SELECT AVG(E2.salary) FROM emp E2 WHERE E2.building = D.building))",
-    "SELECT D.name FROM dept D WHERE D.num_emps > \
-       (SELECT COUNT(*) FROM emp E WHERE E.building = D.building AND E.salary > \
-         (SELECT MIN(E2.salary) FROM emp E2 WHERE E2.building = E.building))",
-    // -- correlated derived tables (lateral) --------------------------------
-    "SELECT D.name, c FROM dept D, DT(c) AS \
-     (SELECT COUNT(*) FROM emp E WHERE E.building = D.building)",
-    "SELECT D.name, s FROM dept D, DT(s) AS \
-     (SELECT SUM(E.salary) FROM emp E WHERE E.building = D.building) \
-     WHERE s IS NOT NULL",
-    // -- UNION inside the subquery -------------------------------------------
-    "SELECT D.name, t FROM dept D, DT(t) AS \
-       (SELECT COUNT(*) FROM DDT(b) AS \
-         ((SELECT E.salary FROM emp E WHERE E.building = D.building) \
-          UNION ALL \
-          (SELECT E2.salary FROM emp E2 WHERE E2.building = D.building AND E2.salary > 1200)))",
-    // -- DISTINCT outer block -------------------------------------------------
-    "SELECT DISTINCT D.building FROM dept D WHERE D.num_emps > \
-     (SELECT COUNT(*) FROM emp E WHERE E.building = D.building)",
-    // -- IN / NOT IN -----------------------------------------------------------
-    "SELECT D.name FROM dept D WHERE D.building IN \
-     (SELECT E.building FROM emp E WHERE E.salary > 1800)",
-    "SELECT D.name FROM dept D WHERE D.building NOT IN \
-     (SELECT E.building FROM emp E WHERE E.salary > 1800 AND E.building IS NOT NULL)",
-    // -- EXISTS / NOT EXISTS (NOT EXISTS decorrelates via COUNT desugaring) ---
-    "SELECT D.name FROM dept D WHERE NOT EXISTS \
-     (SELECT E.name FROM emp E WHERE E.building = D.building AND E.salary > D.budget)",
-    // -- subquery in the select list of a derived table -----------------------
-    "SELECT x.name, x.c FROM (SELECT D.name AS name, \
-       (SELECT COUNT(*) FROM emp E WHERE E.building = D.building) AS c \
-     FROM dept D) AS x WHERE x.c >= 0",
-    // -- correlated aggregate compared against another column -----------------
-    "SELECT D.name FROM dept D WHERE D.budget / 100 > \
-     (SELECT COUNT(*) FROM emp E WHERE E.building = D.building) \
-     AND D.budget < 15000",
-];
 
 #[test]
 fn corpus_magic_equals_nested_iteration() {
-    let db = db();
-    for (i, sql) in QUERIES.iter().enumerate() {
-        let qgm = parse_and_bind(sql, &db)
-            .unwrap_or_else(|e| panic!("query #{i} failed to bind: {e}\n{sql}"));
-        let (mut ni, ni_stats) =
-            execute(&db, &qgm).unwrap_or_else(|e| panic!("query #{i} NI failed: {e}\n{sql}"));
-        ni.sort();
-
-        let plan = apply_strategy(&qgm, Strategy::Magic)
-            .unwrap_or_else(|e| panic!("query #{i} magic failed: {e}\n{sql}"));
-        validate(&plan).unwrap_or_else(|e| panic!("query #{i} invalid plan: {e}\n{sql}"));
-        let (mut mag, mag_stats) = execute(&db, &plan)
-            .unwrap_or_else(|e| panic!("query #{i} magic exec failed: {e}\n{sql}"));
-        mag.sort();
-
-        assert_eq!(mag, ni, "query #{i} diverged:\n{sql}");
-        // Every corpus query is correlated: NI must have invoked, and the
-        // decorrelated plan must not have (full decorrelation), except the
-        // quantified ones (EXISTS/IN stay NI by default policy).
-        let quantified = sql.contains(" IN ") || sql.contains("EXISTS");
-        if !quantified {
-            assert!(ni_stats.subquery_invocations > 0, "query #{i}:\n{sql}");
-            assert_eq!(
-                mag_stats.subquery_invocations, 0,
-                "query #{i} left residual invocations:\n{sql}"
-            );
-        }
-    }
+    corpus(&[
+        Lane::AsBound,
+        Lane::Is(Strategy::NestedIteration),
+        Lane::Is(Strategy::Magic),
+    ]);
 }
 
 #[test]
 fn corpus_optmag_equals_nested_iteration() {
-    let db = db();
-    for (i, sql) in QUERIES.iter().enumerate() {
-        let qgm = parse_and_bind(sql, &db).unwrap();
-        let (mut ni, _) = execute(&db, &qgm).unwrap();
-        ni.sort();
-        let plan = apply_strategy(&qgm, Strategy::OptMag).unwrap();
-        validate(&plan).unwrap();
-        let (mut got, _) = execute(&db, &plan).unwrap();
-        got.sort();
-        assert_eq!(got, ni, "query #{i} diverged under OptMag:\n{sql}");
-    }
+    corpus(&[Lane::Is(Strategy::OptMag)]);
 }
 
 #[test]
 fn corpus_survives_chooser() {
-    let db = db();
-    for (i, sql) in QUERIES.iter().enumerate() {
-        let qgm = parse_and_bind(sql, &db).unwrap();
-        let (mut expected, _) = execute(&db, &qgm).unwrap();
-        let choice = choose_strategy(&db, qgm).unwrap();
-        let (mut got, _) = execute(&db, &choice.plan).unwrap();
-        expected.sort();
-        got.sort();
-        assert_eq!(
-            got, expected,
-            "query #{i} diverged under the chooser:\n{sql}"
-        );
-    }
+    corpus(&[Lane::Auto]);
 }
 
+/// EXISTS / IN / ALL decorrelated too (the parallel-system setting of
+/// Section 4.4).
 #[test]
 fn corpus_with_quantified_knob() {
-    // Decorrelate even EXISTS/IN/ALL quantifiers (the parallel-system
-    // setting per Section 4.4) and re-check equivalence.
-    let db = db();
-    for (i, sql) in QUERIES.iter().enumerate() {
-        let qgm = parse_and_bind(sql, &db).unwrap();
-        let (mut ni, _) = execute(&db, &qgm).unwrap();
-        ni.sort();
-        let mut plan = qgm.clone();
-        decorr::core::magic_decorrelate(
-            &mut plan,
-            &MagicOptions { decorrelate_quantified: true, ..Default::default() },
-        )
-        .unwrap();
-        validate(&plan).unwrap();
-        let (mut got, _) = execute_with(
-            &db,
-            &plan,
-            ExecOptions { memoize_cse: true, ..Default::default() },
-        )
-        .unwrap();
-        got.sort();
-        assert_eq!(got, ni, "query #{i} diverged with quantified knob:\n{sql}");
-    }
+    corpus(&[Lane::MagicQuantified]);
 }
-
-use decorr::core::MagicOptions;

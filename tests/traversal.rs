@@ -3,8 +3,8 @@
 //! against reference bodies that answer each question with a walk of its
 //! own: a hash set plus a vector per visited box, and a subtree walk per box
 //! for the correlation map. Results must be equal, order included, on the
-//! bound and rewritten graphs of the figure queries, on the generated query
-//! family of `tests/prop_equivalence.rs`, and on hand-built DAGs.
+//! bound and rewritten graphs of the figure queries, on the bounded query
+//! space of `tests/oracle/space.rs`, and on hand-built DAGs.
 
 use decorr::common::{FxHashMap, FxHashSet};
 use decorr::core::Strategy;
@@ -12,7 +12,9 @@ use decorr::figures::Figure;
 use decorr::prelude::*;
 use decorr::qgm::correlation::CorrRef;
 use decorr::qgm::{BinOp, BoxId, BoxKind, CorrelationMap, Expr, QuantId, QuantKind, Traversal};
-use proptest::prelude::*;
+
+#[path = "oracle/space.rs"]
+mod space;
 
 /// One walk per question, as planning used to ask them.
 mod reference {
@@ -195,57 +197,14 @@ fn figure_queries_under_every_strategy() {
     assert_same_for_query(&empdept, decorr_tpcd::queries::EMPDEPT, "empdept");
 }
 
-/// The schema of `tests/prop_equivalence.rs` (keys included: they decide
-/// OptMag's rewrite); plans do not depend on rows.
-fn empdept_schema() -> Database {
-    let mut db = Database::new();
-    db.create_table(
-        "dept",
-        Schema::from_pairs(&[
-            ("name", DataType::Str),
-            ("budget", DataType::Double),
-            ("num_emps", DataType::Int),
-            ("building", DataType::Int),
-        ]),
-    )
-    .unwrap()
-    .set_key(&["name"])
-    .unwrap();
-    db.create_table(
-        "emp",
-        Schema::from_pairs(&[("name", DataType::Str), ("building", DataType::Int)]),
-    )
-    .unwrap()
-    .set_key(&["name"])
-    .unwrap();
-    db
-}
-
-const AGGS: [&str; 5] = [
-    "COUNT(*)",
-    "COUNT(E.building)",
-    "SUM(E.building)",
-    "MIN(E.building)",
-    "MAX(E.building)",
-];
-const CMPS: [&str; 6] = ["<", "<=", ">", ">=", "=", "<>"];
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..Default::default() })]
-
-    #[test]
-    fn generated_query_family(
-        agg_i in 0usize..AGGS.len(),
-        cmp_i in 0usize..CMPS.len(),
-        with_filter in any::<bool>(),
-    ) {
-        let filter = if with_filter { "D.budget < 10000 AND " } else { "" };
-        let sql = format!(
-            "SELECT D.name FROM dept D WHERE {filter}D.num_emps {} \
-             (SELECT {} FROM emp E WHERE E.building = D.building)",
-            CMPS[cmp_i], AGGS[agg_i]
-        );
-        assert_same_for_query(&empdept_schema(), &sql, &sql);
+/// The bounded query space of `tests/oracle/space.rs` (size two or less),
+/// over its DEPT/EMP world: keys included, as they decide OptMag's rewrite.
+#[test]
+fn generated_query_family() {
+    let db = space::fixed("paper").db;
+    for q in space::enumerate(2) {
+        let sql = q.sql();
+        assert_same_for_query(&db, &sql, &sql);
     }
 }
 
