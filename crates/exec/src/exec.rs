@@ -21,6 +21,7 @@ use decorr_common::{
     WorkerPool, MORSEL_ROWS,
 };
 use decorr_qgm::{BinOp, BoxId, BoxKind, Expr, OutputCol, Qgm, QuantId, QuantKind, UnOp};
+use decorr_stats::access;
 use decorr_storage::{Bound, Database, PageIo, SpillManager, Stripes, Table};
 
 use crate::env::{Env, Layout};
@@ -35,6 +36,8 @@ use crate::subplan::{SharedSubplans, SubplanLookup, SubplanShape};
 use crate::trace::{ExecTrace, JoinStrategy};
 use crate::tuple::{Src, Tuples};
 use crate::vector;
+
+mod outer;
 
 /// When nested iteration evaluates a correlated *scalar* subquery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -241,6 +244,10 @@ pub struct Executor<'a> {
 /// Identity of one probe-indexable scan shape: `(table, snapshot version,
 /// probed column)`.
 type CorrIndexKey = (String, u64, usize);
+
+/// What index nested loops find: pairs `(candidate, k)` and the table
+/// positions the `k` index.
+type Probed = (Vec<(u32, u32)>, Vec<u32>);
 
 /// A correlated subtree's plan-time correlation signature: the outer
 /// columns it reads (its free references, in the deterministic
@@ -559,13 +566,22 @@ impl<'a> Executor<'a> {
     /// candidates as they stand (traced as `eval_box` on it would be), and
     /// any other box, or one a cache wants whole, as rows.
     fn eval_tuples(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Tuples<'a>> {
-        let cached = (self.opts.memoize_cse && !self.is_correlated(qgm, b))
-            || (self.opts.shared_subplans.as_ref()).is_some_and(|ss| ss.marks.contains_key(&b));
-        if cached || !matches!(qgm.boxref(b).kind, BoxKind::Select | BoxKind::OuterJoin) {
+        if self.cached(qgm, b)
+            || !matches!(qgm.boxref(b).kind, BoxKind::Select | BoxKind::OuterJoin)
+        {
             let rows = self.eval_child(qgm, b, env)?;
             return Ok(Tuples::every(Src::Batch(rows), qgm.output_arity(b)));
         }
         self.traced(b, |ex| ex.eval_box_inner(qgm, b, env), Tuples::len)
+    }
+
+    /// Is box `b` served whole from a cache — the CSE memo or the
+    /// shared-subplan cache — rather than evaluated?
+    fn cached(&mut self, qgm: &Qgm, b: BoxId) -> bool {
+        let memo = self.opts.memoize_cse
+            && !matches!(qgm.boxref(b).kind, BoxKind::BaseTable { .. })
+            && !self.is_correlated(qgm, b);
+        memo || (self.opts.shared_subplans.as_ref()).is_some_and(|ss| ss.marks.contains_key(&b))
     }
 
     /// The candidates as rows, made now.
@@ -1366,13 +1382,14 @@ impl<'a> Executor<'a> {
 
         // An equality binding an indexed column to a value computable
         // before the scan: probe the index.
+        let ready = || applicable.iter().map(|&i| (i, &preds[i]));
         let indexed = |c: usize, _: &Expr| t.index_on(&[c]).is_some();
-        if let Some((pi, col, key)) = find_eq_probe(preds, applicable, q, indexed) {
-            let key = eval_expr(key, &env0)?;
-            let idx = t.index_on(&[col]).expect("index checked above");
+        if let Some(probe) = access::eq_probe(ready(), q, indexed) {
+            let key = eval_expr(probe.key, &env0)?;
+            let idx = t.index_on(&[probe.col]).expect("index checked above");
             let positions = idx.lookup(std::slice::from_ref(&key)).iter().copied();
             return self
-                .fetch_probed(t, positions, &rest_of(pi), q_layout, env)
+                .fetch_probed(t, positions, &rest_of(probe.pred), q_layout, env)
                 .map(at);
         }
 
@@ -1391,13 +1408,13 @@ impl<'a> Executor<'a> {
         // the full scan.
         let correlated = |_: usize, e: &Expr| !e.referenced_quants().is_empty();
         let probe = if self.opts.ni_batch {
-            find_eq_probe(preds, applicable, q, correlated)
+            access::eq_probe(ready(), q, correlated)
         } else {
             None
         };
-        if let Some((pi, col, key)) = probe {
-            let key = eval_expr(key, &env0)?;
-            let ck = (t.name().to_string(), t.version(), col);
+        if let Some(probe) = probe {
+            let key = eval_expr(probe.key, &env0)?;
+            let ck = (t.name().to_string(), t.version(), probe.col);
             let idx = if let Some(idx) = self.corr_index.get(&ck) {
                 Some(Arc::clone(idx))
             } else if !self.corr_scan_seen.insert(ck.clone()) {
@@ -1406,7 +1423,7 @@ impl<'a> Executor<'a> {
                 self.checkpoint(t.len() as u64)?;
                 self.stats.rows_scanned += t.len() as u64;
                 self.stats.hash_build_rows += t.len() as u64;
-                let built = Arc::new(vector::build_corr_index(t.rows(), col));
+                let built = Arc::new(vector::build_corr_index(t.rows(), probe.col));
                 self.corr_index.insert(ck, Arc::clone(&built));
                 Some(built)
             } else {
@@ -1419,7 +1436,7 @@ impl<'a> Executor<'a> {
                     .map_or(&[], |v| v.as_slice());
                 let positions = positions.iter().map(|&p| p as usize);
                 return self
-                    .fetch_probed(t, positions, &rest_of(pi), q_layout, env)
+                    .fetch_probed(t, positions, &rest_of(probe.pred), q_layout, env)
                     .map(at);
             }
         }
@@ -1787,8 +1804,9 @@ impl<'a> Executor<'a> {
         Ok((ls, rs))
     }
 
-    /// The pairs of an inner equi-join of `left` with `right` on `keys`, in
-    /// serial probe order (left candidate order, then build order)
+    /// The pairs of an equi-join of `left` with `right` on `keys` — an
+    /// inner join's, or an outer join's before its walk — in serial probe
+    /// order (left candidate order, then build order)
     /// whichever algorithm runs: the in-memory hash join; or, with a build
     /// side over the memory budget, a Grace hash join when there is a
     /// spill manager and a block nested-loop join when there is none (or
@@ -1937,38 +1955,66 @@ impl<'a> Executor<'a> {
     ) -> Result<Tuples<'a>> {
         let t = self.db.table(table)?;
         let arity = t.schema().arity();
+        let ready = applicable.iter().map(|&i| (i, &preds[i]));
         let indexed = |c: usize, _: &Expr| t.index_on(&[c]).is_some();
-        let probe = find_eq_probe(preds, applicable, next, indexed)
-            .filter(|_| left.len() * 2 < t.len().max(1));
-        let Some((pi, col, keyexpr)) = probe else {
+        let probe = access::eq_probe(ready, next, indexed)
+            .filter(|_| access::index_nl_pays(left.len() as f64, t.len() as f64));
+        let Some(probe) = probe else {
             // (A deferred table carries an index, so it is resident.)
             self.stats.rows_scanned += t.len() as u64;
             let right = Tuples::every(Src::Table(t.rows()), arity);
             return self.join_step(qgm, next, left, layout, right, preds, applicable, env);
         };
-        applicable.retain(|&i| i != pi);
+        applicable.retain(|&i| i != probe.pred);
         self.settle(&mut left)?;
-        let idx = t.index_on(&[col]).expect("checked above");
-        // The pairs index `probed`, the table positions in output order.
+        let (pairs, probed) = self.index_pairs(&left, layout, t, &probe, None, env)?;
+        let strategy = JoinStrategy::IndexNestedLoop;
+        self.note_joined(next, strategy, left.len(), t.len(), pairs.len());
+        let right = Tuples::of(Src::Table(t.rows()), probed, arity);
+        self.join_tuples(left, right, &pairs)
+    }
+
+    /// Index nested loops: each of the (settled) candidates `left` probes
+    /// `t`'s index on column `probe.col` with `probe.key` evaluated over
+    /// it. Returns the pairs `(left, k)`, in left order, and `probed`, the
+    /// table positions they name (ascending per candidate, as the index
+    /// keeps them) — only those whose row passes the `filter`, which reads
+    /// a row of `t` as its own layout.
+    fn index_pairs(
+        &mut self,
+        left: &Tuples<'_>,
+        layout: &Layout,
+        t: &Table,
+        probe: &access::Probe<'_>,
+        filter: Option<(&Layout, &[&Expr])>,
+        env: Option<&Env<'_>>,
+    ) -> Result<Probed> {
+        let idx = t
+            .index_on(&[probe.col])
+            .expect("the access rule checked the index");
         let (mut pairs, mut probed) = (Vec::new(), Vec::new());
-        let mut scratch = Row::empty();
+        let (mut scratch, mut evals) = (Row::empty(), 0u64);
         for i in 0..left.len() {
             self.checkpoint(1)?;
-            let key = eval_expr(keyexpr, &Env::new(layout, left.row(i, &mut scratch), env))?;
+            let key = eval_expr(probe.key, &Env::new(layout, left.row(i, &mut scratch), env))?;
             // The index normalizes the probe like any Eq key: NULL/NaN
             // find nothing, -0.0 finds 0.0.
             self.stats.index_lookups += 1;
             let positions = idx.lookup(std::slice::from_ref(&key));
             self.stats.index_rows += positions.len() as u64;
             for &p in positions {
+                if let Some((t_layout, preds)) = filter {
+                    let row = Env::new(t_layout, &t.rows()[p], env);
+                    if !qualifies_all(preds, &row, &mut evals)? {
+                        continue;
+                    }
+                }
                 pairs.push((i as u32, probed.len() as u32));
                 probed.push(p as u32);
             }
         }
-        let strategy = JoinStrategy::IndexNestedLoop;
-        self.note_joined(next, strategy, left.len(), t.len(), pairs.len());
-        let right = Tuples::of(Src::Table(t.rows()), probed, arity);
-        self.join_tuples(left, right, &pairs)
+        self.note_preds(evals);
+        Ok((pairs, probed))
     }
 
     /// Lateral join: evaluate the child once per bound candidate; its rows
@@ -2257,7 +2303,7 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    // ---- Union and OuterJoin ------------------------------------------------
+    // ---- Union boxes ---------------------------------------------------------
 
     fn eval_union(
         &mut self,
@@ -2279,116 +2325,6 @@ impl<'a> Executor<'a> {
             out = dedup_rows(out);
         }
         Ok(out)
-    }
-
-    /// Left outer join. The candidates are the left rows paired with the
-    /// right child's candidates — its tuples as they stand, so a Select
-    /// that scans or joins hands on positions, and those of a paged scan
-    /// become rows only for the matches — or null-extended. The pairs are
-    /// the join's result; plain-column outputs under kernels re-map them
-    /// and make no row.
-    fn eval_outer_join(
-        &mut self,
-        qgm: &Qgm,
-        b: BoxId,
-        env: Option<&Env<'_>>,
-    ) -> Result<Tuples<'a>> {
-        let bx = qgm.boxref(b);
-        let (ql, qr) = (bx.quants[0], bx.quants[1]);
-        let (lchild, rchild) = (qgm.quant(ql).input, qgm.quant(qr).input);
-        let l_arity = qgm.output_arity(lchild);
-        let r_arity = qgm.output_arity(rchild);
-
-        let mut layout = Layout::new();
-        layout.push(ql, l_arity);
-        layout.push(qr, r_arity);
-        let mut l_layout = Layout::new();
-        l_layout.push(ql, l_arity);
-        let mut r_layout = Layout::new();
-        r_layout.push(qr, r_arity);
-        let keys = join::split_equi_keys(&bx.preds, &l_layout, qr);
-
-        let left = self.eval_child(qgm, lchild, env)?;
-        let mut left = Tuples::every(Src::Batch(left), l_arity);
-        let mut right = self.eval_tuples(qgm, rchild, env)?;
-        let (left_rows, right_rows) = (left.len(), right.len());
-
-        self.checkpoint((left_rows + right_rows) as u64)?;
-
-        // Memory governance: the hash table covers the whole right side,
-        // so when that exceeds the budget every ON predicate is treated as
-        // residual — the keyless walk below tries every right candidate per
-        // left row (a block nested-loop outer join), identical match
-        // semantics.
-        let degraded = self.over_mem_budget(right_rows);
-        if degraded {
-            self.note_degradation(&format!(
-                "outer-join build side of {right_rows} rows exceeds mem_budget; \
-                 using nested-loop outer join"
-            ));
-            self.stats.nl_comparisons += (left_rows * right_rows) as u64;
-        } else {
-            self.stats.hash_build_rows += right_rows as u64;
-            self.stats.hash_probes += left_rows as u64;
-        }
-        let residual: Vec<&Expr> = if degraded {
-            bx.preds.iter().collect()
-        } else {
-            keys.residual.iter().map(|&i| &bx.preds[i]).collect()
-        };
-
-        // Key matches in left-row order; a keyless ON clause offers every
-        // right candidate to every left row instead.
-        let keyed = !degraded && !keys.left.is_empty();
-        let pairs = if keyed {
-            let (ls, rs) =
-                self.join_sides(&mut left, &l_layout, &mut right, &r_layout, &keys, env)?;
-            let parallel = self.parallel_over(left_rows.max(right_rows));
-            join::match_pairs(&self.pool, &ls, &rs, parallel)
-        } else {
-            Vec::new()
-        };
-        let every_right = 0..if keyed { 0 } else { right_rows };
-
-        // Walk the candidates per left row: a candidate passing the
-        // residual predicates (read off one combined scratch row) is a
-        // pair; a left row nothing matched is paired with nothing, once.
-        if !residual.is_empty() {
-            self.settle(&mut right)?;
-        }
-        let morsels = self.for_morsels(left_rows, |lo, hi| {
-            let (mut evals, mut combined) = (0u64, Row::empty());
-            let out = join::walk_outer(lo..hi, &pairs, every_right.clone(), |li, ri| {
-                if residual.is_empty() {
-                    return Ok(true);
-                }
-                combined.0.clear();
-                combined
-                    .0
-                    .extend((0..l_arity).map(|c| left.value(li, c).clone()));
-                combined
-                    .0
-                    .extend((0..r_arity).map(|c| right.value(ri, c).clone()));
-                qualifies_all(&residual, &Env::new(&layout, &combined, env), &mut evals)
-            })?;
-            Ok((out, evals))
-        })?;
-        let mut out = Vec::new();
-        let mut evals = 0u64;
-        for (o, e) in morsels {
-            out.extend(o);
-            evals += e;
-        }
-        self.check_mem(out.len(), "outer join")?;
-        self.note_preds(evals);
-        let strategy = if keyed {
-            JoinStrategy::Hash
-        } else {
-            JoinStrategy::NestedLoop
-        };
-        self.note_joined(qr, strategy, left_rows, right_rows, out.len());
-        let joined = self.join_tuples(left, right, &out)?;
-        self.project(joined, &bx.outputs, false, &layout, env)
     }
 }
 
@@ -2412,31 +2348,6 @@ fn project_row(outputs: &[OutputCol], env: &Env<'_>) -> Result<Row> {
         out.0.push(eval_expr(&o.expr, env)?);
     }
     Ok(out)
-}
-
-/// The first applicable predicate of the shape `Col(q, c) = <expr not over
-/// q>` that `accept(c, expr)` takes, as `(predicate index, c, expr)` — the
-/// search behind the index probe, the correlation probe and the index
-/// nested-loop join.
-fn find_eq_probe<'e>(
-    preds: &'e [Expr],
-    applicable: &[usize],
-    q: QuantId,
-    accept: impl Fn(usize, &Expr) -> bool,
-) -> Option<(usize, usize, &'e Expr)> {
-    for &i in applicable {
-        let Expr::Binary { op: BinOp::Eq, left, right } = &preds[i] else {
-            continue;
-        };
-        for (a, b) in [(left, right), (right, left)] {
-            if let Expr::Col { quant, col } = a.as_ref() {
-                if *quant == q && !b.references(q) && accept(*col, b) {
-                    return Some((i, *col, b));
-                }
-            }
-        }
-    }
-    None
 }
 
 /// A spilled row that remembers its position in the operator's input.

@@ -12,11 +12,13 @@
 //!   matching `(left, right)` candidate-index pairs in serial probe order.
 //!
 //! The pairs *are* the join's result: the inner join hands them on as
-//! candidate tuples (`Tuples::join`), the outer join walks them per left
-//! row first ([`walk_outer`]: residual ON predicates, null extension), a
-//! Grace spill runs the kernel once per re-read partition and sorts its
-//! pairs back, and the block nested-loop degradation skips the table and
-//! compares the same two [`JoinSide`]s pairwise. No join makes a row.
+//! candidate tuples (`Tuples::join`), the outer join — which reaches its
+//! pairs through the same `equi_join` as the inner one, or through an index
+//! — walks them per left row first ([`walk_outer`]: residual ON
+//! predicates, null extension), a Grace spill runs the kernel once per
+//! re-read partition and sorts its pairs back, and the block nested-loop
+//! degradation skips the table and compares the same two [`JoinSide`]s
+//! pairwise. No join makes a row.
 //!
 //! `ExecStats` parity is the design constraint: both key representations
 //! hash with the same `eq_key`/total-order semantics, so equal keys hash
@@ -489,6 +491,26 @@ mod tests {
             }
         }
         assert_eq!(nonempty, 4, "every operator mix must produce matches");
+    }
+
+    /// The outer walk over a morsel of left rows: each row's pairs in
+    /// order, then the candidates offered to every row; what `keep`
+    /// rejects is dropped, and a row left with nothing is null-extended
+    /// once — whether it had no pairs or lost them all.
+    #[test]
+    fn walk_outer_keeps_order_and_null_extends_once() {
+        let pairs = [(0, 4), (1, 2), (1, 3), (3, 0), (3, 9), (4, 1)];
+        // Rows 1..5: row 2 has no pair, row 3's partner 9 is rejected.
+        let keep_all_but_9 = |_: usize, ri: usize| Ok(ri != 9);
+        let got = walk_outer(1..5, &pairs, 0..0, keep_all_but_9).unwrap();
+        assert_eq!(got, [(1, 2), (1, 3), (2, NULL_POS), (3, 0), (4, 1)]);
+        // Everything rejected: every row of the morsel null-extends.
+        let got = walk_outer(0..2, &pairs, 0..0, |_, _| Ok(false)).unwrap();
+        assert_eq!(got, [(0, NULL_POS), (1, NULL_POS)]);
+        // The keyless walk: every right candidate, after the pairs.
+        let odd = |_: usize, ri: usize| Ok(ri % 2 == 1);
+        let got = walk_outer(2..4, &[], 0..4, odd).unwrap();
+        assert_eq!(got, [(2, 1), (2, 3), (3, 1), (3, 3)]);
     }
 
     #[test]

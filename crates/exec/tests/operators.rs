@@ -90,6 +90,106 @@ fn outer_join_box_null_safe_eq() {
     assert!(!rows.contains(&Row::new(vec![Value::Null, Value::Null])));
 }
 
+/// An outer join whose ON clause has no equi-key is a nested loop and
+/// counts as one: every (left, right) pair is a comparison, nothing is
+/// hashed, and a memory budget the right side exceeds degrades nothing —
+/// there is no hash table to give up.
+#[test]
+fn keyless_outer_join_counts_its_nested_loop() {
+    let db = two_tables();
+    let mut g = Qgm::new();
+    let lt = g.add_base_table("l", db.table("l").unwrap().schema().clone());
+    let rt = g.add_base_table("r", db.table("r").unwrap().schema().clone());
+    let oj = g.add_box(BoxKind::OuterJoin, "loj");
+    let ql = g.add_quant(oj, QuantKind::Foreach, lt, "L");
+    let qr = g.add_quant(oj, QuantKind::Foreach, rt, "R");
+    g.boxmut(oj)
+        .preds
+        .push(Expr::bin(BinOp::Lt, Expr::col(ql, 0), Expr::col(qr, 0)));
+    g.add_output(oj, "a", Expr::col(ql, 1));
+    g.add_output(oj, "b", Expr::col(qr, 1));
+    g.set_top(oj);
+    validate(&g).unwrap();
+
+    for mem_budget in [None, Some(1)] {
+        let opts = ExecOptions { mem_budget, ..Default::default() };
+        let (mut rows, stats) = execute_with(&db, &g, opts).unwrap();
+        rows.sort();
+        // Nothing is less than 1 (or than NULL): every left row null-extends.
+        let null_extended = |a| Row::new(vec![Value::str(a), Value::Null]);
+        assert_eq!(rows, ["n", "x", "y"].map(null_extended), "{mem_budget:?}");
+        assert_eq!(stats.nl_comparisons, 3 * 3, "{mem_budget:?}");
+        assert_eq!(
+            (stats.hash_build_rows, stats.hash_probes),
+            (0, 0),
+            "{mem_budget:?}"
+        );
+        assert_eq!(stats.degradations, 0, "{mem_budget:?}");
+    }
+}
+
+/// An outer join whose right input is an indexed table behind a Select
+/// that filters and renames it (Dayal's shape) probes the index once per
+/// left row and never reads the table whole — and returns what the hash
+/// join returns with the index dropped, in the same order: per left row,
+/// the right rows in table order.
+#[test]
+fn outer_join_probes_the_index_in_the_hash_joins_order() {
+    let mut db = Database::new();
+    let l = db
+        .create_table("l", Schema::from_pairs(&[("k", DataType::Int)]))
+        .unwrap();
+    let keys = [
+        Value::Int(3),
+        Value::Int(1),
+        Value::Null,
+        Value::Int(2),
+        Value::Int(9),
+    ];
+    l.insert_all(keys.map(|k| Row::new(vec![k]))).unwrap();
+    let r = db
+        .create_table(
+            "r",
+            Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Double)]),
+        )
+        .unwrap();
+    r.insert_all((0..40).map(|i| row![i % 4, i as f64 / 8.0]))
+        .unwrap();
+    r.create_index(&["k"]).unwrap();
+
+    let mut g = Qgm::new();
+    let lt = g.add_base_table("l", db.table("l").unwrap().schema().clone());
+    let rt = g.add_base_table("r", db.table("r").unwrap().schema().clone());
+    let renamed = g.add_box(BoxKind::Select, "renamed");
+    let qt = g.add_quant(renamed, QuantKind::Foreach, rt, "T");
+    g.boxmut(renamed)
+        .preds
+        .push(Expr::bin(BinOp::Gt, Expr::col(qt, 1), Expr::lit(0.5)));
+    g.add_output(renamed, "v", Expr::col(qt, 1));
+    g.add_output(renamed, "corr", Expr::col(qt, 0));
+    let oj = g.add_box(BoxKind::OuterJoin, "loj");
+    let ql = g.add_quant(oj, QuantKind::Foreach, lt, "L");
+    let qr = g.add_quant(oj, QuantKind::Foreach, renamed, "R");
+    g.boxmut(oj)
+        .preds
+        .push(Expr::eq(Expr::col(ql, 0), Expr::col(qr, 1)));
+    g.add_output(oj, "k", Expr::col(ql, 0));
+    g.add_output(oj, "v", Expr::col(qr, 0));
+    g.set_top(oj);
+    validate(&g).unwrap();
+
+    let (probed, stats) = execute(&db, &g).unwrap();
+    assert_eq!(stats.index_lookups, 5, "one probe per left row");
+    assert_eq!(stats.rows_scanned, 5, "the right table is never scanned");
+    assert_eq!((stats.hash_build_rows, stats.hash_probes), (0, 0));
+    db.table_mut("r").unwrap().drop_index(&["k"]).unwrap();
+    let (hashed, stats) = execute(&db, &g).unwrap();
+    assert_eq!((stats.index_lookups, stats.rows_scanned), (0, 45));
+    // 9 and NULL find nothing; 1, 2 and 3 find the rows past 0.5 in order.
+    assert_eq!(probed.len(), 2 + 3 * 9);
+    assert_eq!(probed, hashed);
+}
+
 /// NullEq as an inner-join hash key through a Select box.
 #[test]
 fn hash_join_with_null_safe_key() {

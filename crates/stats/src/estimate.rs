@@ -21,6 +21,7 @@
 use decorr_common::{FxHashMap, Result};
 use decorr_qgm::{BinOp, BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind, Traversal, UnOp};
 
+use crate::access;
 use crate::collect::{ColumnStats, Statistics};
 
 /// Fallback selectivity of an equality when no statistics resolve.
@@ -52,7 +53,8 @@ pub struct BoxEstimate {
     pub cost: f64,
     /// Expected number of evaluations (1 for set-oriented boxes, shared
     /// ones included; the distinct-binding count for correlated
-    /// subqueries under NI).
+    /// subqueries under NI; 0 for an outer join's right input that an
+    /// index serves instead).
     pub invocations: f64,
 }
 
@@ -114,7 +116,8 @@ struct BottomUp<'q> {
     /// excluded) of each box estimated so far.
     done: Vec<Option<(f64, f64)>>,
     /// Evaluations of each quantifier's input box per evaluation of its
-    /// owner (1 except for correlated subqueries).
+    /// owner (1 except for correlated subqueries, and 0 for an outer
+    /// join's right input that an index serves instead).
     multiplier: Vec<f64>,
 }
 
@@ -187,7 +190,7 @@ impl<'a> Estimator<'a> {
         let mut per_box = FxHashMap::with_capacity_and_hasher(reachable.len(), Default::default());
         for &b in reachable {
             let (rows, cost) = rows_cost(b);
-            let e = BoxEstimate { rows, cost, invocations: invocations[b.index()].max(1.0) };
+            let e = BoxEstimate { rows, cost, invocations: invocations[b.index()] };
             total.cost += e.cost * e.invocations;
             per_box.insert(b, e);
         }
@@ -237,7 +240,8 @@ impl<'a> Estimator<'a> {
             }
             BoxKind::OuterJoin => {
                 let bx = qgm.boxref(b);
-                let (l, r) = (qgm.quant(bx.quants[0]).input, qgm.quant(bx.quants[1]).input);
+                let qr = bx.quants[1];
+                let (l, r) = (qgm.quant(bx.quants[0]).input, qgm.quant(qr).input);
                 let lrows = self.est_box(qgm, l, bu)?;
                 let rrows = self.est_box(qgm, r, bu)?;
                 let mut sel = 1.0;
@@ -246,8 +250,17 @@ impl<'a> Estimator<'a> {
                 }
                 // LOJ preserves the left side at minimum.
                 let joined = (lrows * rrows * sel).max(lrows);
-                let scans = scan_cost(qgm, l, lrows) + scan_cost(qgm, r, rrows);
-                (joined, scans + lrows + rrows + joined)
+                // The executor's choice: each left row probes an index of
+                // the right input's table (which is then never evaluated)
+                // when the access rule says so, else both sides hash.
+                let access = match self.outer_probe(qgm, r, qr, &bx.preds, lrows) {
+                    Some(per_probe) => {
+                        bu.multiplier[qr.index()] = 0.0;
+                        lrows * per_probe
+                    }
+                    None => scan_cost(qgm, r, rrows) + lrows + rrows,
+                };
+                (joined, scan_cost(qgm, l, lrows) + access + joined)
             }
         };
         bu.done[b.index()] = Some((rows, cost));
@@ -352,11 +365,12 @@ impl<'a> Estimator<'a> {
     /// the way the executor runs it: children placed in greedy
     /// (effective-cardinality) order, each new child either *probed*
     /// through an index — when an equality binds one of its indexed
-    /// columns to an already-placed quantifier or to a correlation
-    /// binding — or scanned and hash-joined. Returns the joined rows,
-    /// the access cost (base-table reads, filter passes and probes; derived
-    /// children are boxes with a cost of their own), and which predicate
-    /// indices were consumed.
+    /// columns to a literal, a correlation binding or an already-placed
+    /// quantifier (the access rule's `eq_probe`), and past the first child
+    /// the rule's gate says the probes pay — or scanned and hash-joined.
+    /// Returns the joined rows, the access cost (base-table reads, filter
+    /// passes and probes; derived children are boxes with a cost of their
+    /// own), and which predicate indices were consumed.
     fn est_join(
         &self,
         qgm: &Qgm,
@@ -401,10 +415,16 @@ impl<'a> Estimator<'a> {
         let mut rows = 1.0f64;
         let mut cost = 0.0f64;
         for (q, crows, scan, read, _) in order {
-            // Predicates that become applicable once `q` is placed.
+            let table = match &qgm.boxref(qgm.quant(q).input).kind {
+                BoxKind::BaseTable { table, .. } => self.stats.table(table),
+                _ => None,
+            };
+            let indexed = |c: usize, _: &Expr| table.is_some_and(|ts| ts.has_index_on(c));
+            // Predicates that become applicable once `q` is placed, and
+            // the first of them that probes an index of `q`.
             let mut sel = 1.0f64;
             let mut npreds = 0usize;
-            let mut probe_sel: Option<f64> = None;
+            let mut probe = None;
             for (i, p) in bx.preds.iter().enumerate() {
                 if deferred[i] || consumed[i] || !self.pred_ready(p, q, local, &placed) {
                     continue;
@@ -412,16 +432,17 @@ impl<'a> Estimator<'a> {
                 consumed[i] = true;
                 npreds += 1;
                 sel *= self.pred_selectivity(qgm, p);
-                if let Some(s) = self.probe_selectivity(qgm, p, q) {
-                    probe_sel = Some(probe_sel.map_or(s, |prev: f64| prev.min(s)));
-                }
+                probe = probe.or_else(|| access::eq_probe([(i, p)], q, indexed));
             }
             let drv = rows.max(1.0);
-            match probe_sel {
+            // The first child probes once (1 driving row — the
+            // correlated-invocation case); a later one probes per driving
+            // row, when the access rule says the probes pay.
+            let probe = probe.filter(|_| placed.is_empty() || access::index_nl_pays(drv, crows));
+            match probe {
                 // Index probe: one lookup plus the matching rows, per
-                // driving row (1 driving row for the first child — the
-                // correlated-invocation case).
-                Some(ps) => cost += drv * (1.0 + crows * ps),
+                // driving row.
+                Some(p) => cost += drv * self.probe_cost(qgm, q, &p, crows),
                 // Scan (+ one filter pass over what it read when
                 // predicated); joining to prior children probes their
                 // hash per driving row.
@@ -436,6 +457,26 @@ impl<'a> Estimator<'a> {
             placed.push(q);
         }
         Ok((rows, cost, consumed))
+    }
+
+    /// What an outer join with right input `r` (quantifier `qr`) pays per
+    /// left row when it probes an index of `r`'s table — `r` is that
+    /// table as it stands, an `=` ON predicate probes one of its indexed
+    /// columns and the access rule says `lrows` probes pay — else `None`.
+    fn outer_probe(
+        &self,
+        qgm: &Qgm,
+        r: BoxId,
+        qr: QuantId,
+        on: &[Expr],
+        lrows: f64,
+    ) -> Option<f64> {
+        let input = access::table_input(qgm, r)?;
+        let ts = self.stats.table(input.table)?;
+        let indexed = |c: usize, _: &Expr| ts.has_index_on(input.cols[c]);
+        let p = access::eq_probe(on.iter().enumerate(), qr, indexed)?;
+        let rows = ts.rows as f64;
+        access::index_nl_pays(lrows, rows).then(|| self.probe_cost(qgm, qr, &p, rows))
     }
 
     /// Rows of quantifier `q`'s input (`all` in total) in the stripes a
@@ -519,34 +560,15 @@ impl<'a> Estimator<'a> {
         has_q && ready
     }
 
-    /// If `p` lets the executor probe an index of `q`'s base table — an
-    /// equality binding an indexed column of `q` to a non-literal value
-    /// not involving `q` — the matching fraction per probe; else `None`.
-    fn probe_selectivity(&self, qgm: &Qgm, p: &Expr, q: QuantId) -> Option<f64> {
-        let Expr::Binary { op: BinOp::Eq | BinOp::NullEq, left, right } = p else {
-            return None;
+    /// One index probe `p` on column `p.col` of `q` (over a table of
+    /// `table_rows` rows): the lookup plus the rows one key matches.
+    fn probe_cost(&self, qgm: &Qgm, q: QuantId, p: &access::Probe<'_>, table_rows: f64) -> f64 {
+        let matched = match self.col_stats(qgm, q, p.col) {
+            Some(cs) if cs.ndv > 0 => 1.0 / cs.ndv as f64,
+            Some(_) => 0.0,
+            None => EQ_SELECTIVITY,
         };
-        let child = qgm.quant(q).input;
-        let BoxKind::BaseTable { table, .. } = &qgm.boxref(child).kind else {
-            return None;
-        };
-        let ts = self.stats.table(table)?;
-        for (own, other) in [(left, right), (right, left)] {
-            let Expr::Col { quant, col } = own.as_ref() else {
-                continue;
-            };
-            let mut binds = false;
-            other.for_each_col(&mut |_, _| binds = true);
-            if *quant != q || other.references(q) || !binds || !ts.has_index_on(*col) {
-                continue;
-            }
-            return Some(match self.col_stats(qgm, *quant, *col) {
-                Some(cs) if cs.ndv > 0 => 1.0 / cs.ndv as f64,
-                Some(_) => 0.0,
-                None => EQ_SELECTIVITY,
-            });
-        }
-        None
+        1.0 + table_rows * matched
     }
 
     /// Estimated distinct combinations of `exprs` among `input_rows` rows:

@@ -18,10 +18,14 @@
 //! * [`qerror`] — the audit itself: the classic q-error
 //!   `max(est/actual, actual/est)` per box, comparing a
 //!   [`PlanEstimate`] against the executed rows-out counters.
+//! * [`access`] — the access-path rule (which equality probes which
+//!   index, and when index nested loops pay) that the executor takes and
+//!   the estimator prices: one definition, two callers.
 //!
 //! `decorr_exec::CostModel` is built on this crate, and the root crate's
 //! `choose_strategy` uses it to race all five evaluation strategies.
 
+pub mod access;
 pub mod collect;
 pub mod estimate;
 pub mod qerror;

@@ -272,4 +272,30 @@ fn pass_through_boxes_copy_their_input_once() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+
+    // Figure 8 under Dayal on resident indexed TPC-D at scale 0.1: the
+    // outer join of the 569 selected `(lineitem, parts)` rows with all of
+    // `lineitem` (60 000 rows, indexed on `l_partkey`) finds 17 309 pairs,
+    // which the grouping above folds into 569 groups. Its allocations
+    // follow the left rows — neither the pairs nor the table they index
+    // ever become rows. 3 871 while the join hashed all of `lineitem`,
+    // 3 805 since each left row probes the index.
+    const LEFT: u64 = 569;
+    let tpcd = decorr_tpcd::generate(&decorr_tpcd::TpcdConfig {
+        scale: 0.1,
+        seed: 42,
+        with_indexes: true,
+    })
+    .unwrap();
+    let catalog = Arc::new(SharedCatalog::new(tpcd));
+    catalog.analyze().unwrap();
+    let admission = Arc::new(AdmissionControl::new(Quotas::default()));
+    let mut session = Session::new(0, catalog, admission, SessionSettings::default());
+    session.handle_line("\\strategy dayal").unwrap();
+    let fig8 = allocations(&mut session, decorr::figures::Figure::Fig8.sql());
+    println!("fig 8 under Dayal: {fig8} allocations");
+    assert!(
+        fig8 <= 4 * LEFT + C,
+        "fig 8 under Dayal: {fig8} allocations for {LEFT} left rows"
+    );
 }

@@ -137,11 +137,23 @@ fn paged_scan_arms_agree_across_the_lattice() {
 /// FROM` keys, with a residual, a computed output, an empty right side, a
 /// long left side, right sides at the stripe boundary — as patched into a
 /// bound graph and as Dayal's rewrite makes it, and GROUP BY without an
-/// aggregate.
+/// aggregate. Then the outer join probing an index: NULL, NaN, ±0.0 and
+/// mixed Int / Double left keys, left sides at the access rule's gate and
+/// one row either side of it, duplicate left rows, COUNT(*) against COUNT
+/// of a column, a right Select with a filter of its own. Every arm runs.
 #[test]
 fn outer_join_build_sides_agree_across_the_lattice() {
     let lanes = [&REWRITTEN[..], &[Is(Dayal)]].concat();
-    oracle::sweep(&lanes).check_corpus("outer-join");
+    let mut runner = oracle::sweep(&lanes);
+    runner.check_corpus("outer-join");
+    for arm in ["hash", "index-nested-loop", "grace-hash", "nested-loop"] {
+        let arm = format!("outer join {arm}");
+        assert!(
+            runner.cov.reached.contains(&arm),
+            "{arm}: {}",
+            runner.cov.report()
+        );
+    }
 }
 
 /// The consumers of a join's candidate tuples: a Grouping over an outer

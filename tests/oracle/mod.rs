@@ -308,14 +308,15 @@ pub fn prepare<'c>(tiers: &Tiers, case: &'c Case) -> Result<Prepared<'c>, String
 
 // ---- coverage ---------------------------------------------------------------------
 
-/// What the bounded space must reach: every join strategy, both arms of
+/// What the bounded space must reach: every join strategy, every arm of
 /// the outer join, every quantifier kind, both UNIONs, the magic rewrite
 /// rules, and at least one spill, degradation, memo hit and shared-subplan
 /// hit.
 const REQUIRED: &str = "join hash, join index-nested-loop, join lateral, join cross, \
-    join nested-loop, join grace-hash, outer join hash, outer join nested-loop, set UNION, \
-    set UNION ALL, rule FEED, rule ABSORB, rule LOJ-repair, rule OptMag-CSE, rule merge-select, \
-    rule bypass-identity, spill, degradation, memo hit, shared-subplan hit";
+    join nested-loop, join grace-hash, outer join hash, outer join nested-loop, \
+    outer join index-nested-loop, outer join grace-hash, set UNION, set UNION ALL, rule FEED, \
+    rule ABSORB, rule LOJ-repair, rule OptMag-CSE, rule merge-select, rule bypass-identity, \
+    spill, degradation, memo hit, shared-subplan hit";
 
 /// What the runs reached.
 #[derive(Debug, Default)]
