@@ -8,13 +8,11 @@
 //! fallback for the dynamically typed residue — each with a null bitmap.
 //! Kernels then work a column at a time:
 //!
-//! * [`filter_kernel`] — evaluate one predicate over a selection vector,
+//! * [`filter_columns`] — evaluate one predicate over a selection vector,
 //!   with fast paths for `Col cmp Lit` and `Col cmp Col`;
 //! * [`hash_kernel`] — bulk `eq_key`-consistent hashing of join/DISTINCT
 //!   keys (NULL/NaN excluded, `-0.0` folded for `=` keys; raw total-order
 //!   semantics for `IS NOT DISTINCT FROM` keys);
-//! * [`ColumnarBatch::gather`] / [`ColumnarBatch::project`] — materialize
-//!   selected (projected) rows back at operator boundaries;
 //! * [`count_kernel`] / [`sum_kernel`] / [`min_kernel`] / [`max_kernel`] —
 //!   vectorized aggregate accumulation.
 //!
@@ -30,8 +28,7 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::hash::{FxHashMap, FxHasher};
-use crate::row::{Row, RowBatch};
-use crate::schema::Schema;
+use crate::row::Row;
 use crate::value::Value;
 
 /// A selection vector: indices of surviving rows, in ascending order.
@@ -126,7 +123,7 @@ impl NullBitmap {
 // String interning pool
 // ---------------------------------------------------------------------------
 
-/// Dictionary for a [`Column::Str`]: interns each distinct string once and
+/// Dictionary for a [`ColumnData::Str`]: interns each distinct string once and
 /// hands out dense `u32` codes. (A pool decoded from a stored page takes
 /// the page's dictionary as it is, so kernels decide per dictionary entry
 /// and never assume that equal strings share a code.)
@@ -653,15 +650,11 @@ impl ColumnGather {
 // Batches
 // ---------------------------------------------------------------------------
 
-/// A batch of rows stored column-wise: an optional schema, one [`Column`]
-/// per attribute, and an optional selection vector naming the surviving
-/// rows (absent means "all rows").
+/// A batch of rows stored column-wise: one [`Column`] per attribute.
 #[derive(Debug, Clone)]
 pub struct ColumnarBatch {
-    schema: Option<Schema>,
     columns: Vec<Column>,
     len: usize,
-    sel: Option<SelVec>,
 }
 
 impl ColumnarBatch {
@@ -672,12 +665,7 @@ impl ColumnarBatch {
         let columns = (0..width)
             .map(|c| Column::from_values(rows.iter().map(move |r| &r[c]), len))
             .collect();
-        ColumnarBatch { schema: None, columns, len, sel: None }
-    }
-
-    /// Transpose a shared [`RowBatch`].
-    pub fn from_row_batch(rows: &RowBatch) -> ColumnarBatch {
-        ColumnarBatch::from_rows(&rows[..])
+        ColumnarBatch { columns, len }
     }
 
     /// Assemble a batch from already-built columns (all of length `len`).
@@ -686,38 +674,15 @@ impl ColumnarBatch {
     /// (and string-interning) cost of untouched attributes.
     pub fn from_columns(columns: Vec<Column>, len: usize) -> ColumnarBatch {
         debug_assert!(columns.iter().all(|c| c.len() == len));
-        ColumnarBatch { schema: None, columns, len, sel: None }
+        ColumnarBatch { columns, len }
     }
 
-    /// Attach the relation schema (known for base-table scans).
-    pub fn with_schema(mut self, schema: Schema) -> ColumnarBatch {
-        self.schema = Some(schema);
-        self
-    }
-
-    /// Restrict the batch to `sel` (kept for shipping a filtered batch
-    /// without materializing; [`ColumnarBatch::to_rows`] honors it).
-    pub fn with_selection(mut self, sel: SelVec) -> ColumnarBatch {
-        self.sel = Some(sel);
-        self
-    }
-
-    /// The attached schema, if any.
-    pub fn schema(&self) -> Option<&Schema> {
-        self.schema.as_ref()
-    }
-
-    /// The current selection vector, if any.
-    pub fn selection(&self) -> Option<&[u32]> {
-        self.sel.as_deref()
-    }
-
-    /// Number of physical rows (ignoring any selection).
+    /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True when the batch holds zero physical rows.
+    /// True when the batch holds zero rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -732,51 +697,12 @@ impl ColumnarBatch {
         &self.columns[c]
     }
 
-    /// The identity selection (all physical rows).
-    pub fn all(&self) -> SelVec {
-        (0..self.len as u32).collect()
-    }
-
-    /// Materialize rows: the selected ones when a selection is attached,
-    /// all rows otherwise. Round-trips [`ColumnarBatch::from_rows`] exactly
-    /// (NaN payloads, signed zeros and `Int`/`Double` width included).
+    /// Materialize the rows. Round-trips [`ColumnarBatch::from_rows`]
+    /// exactly (NaN payloads, signed zeros and `Int`/`Double` width
+    /// included).
     pub fn to_rows(&self) -> Vec<Row> {
-        match &self.sel {
-            Some(sel) => self.gather(sel),
-            None => (0..self.len)
-                .map(|i| Row(self.columns.iter().map(|c| c.value_at(i)).collect()))
-                .collect(),
-        }
-    }
-
-    /// Materialize into a shared [`RowBatch`].
-    pub fn to_row_batch(&self) -> RowBatch {
-        self.to_rows().into()
-    }
-
-    /// Materialize the rows named by `sel`, in order.
-    pub fn gather(&self, sel: &[u32]) -> Vec<Row> {
-        sel.iter()
-            .map(|&i| {
-                Row(self
-                    .columns
-                    .iter()
-                    .map(|c| c.value_at(i as usize))
-                    .collect())
-            })
-            .collect()
-    }
-
-    /// Materialize `cols` (in that order) of the rows named by `sel` —
-    /// gather and project fused into one pass.
-    pub fn project(&self, cols: &[usize], sel: &[u32]) -> Vec<Row> {
-        sel.iter()
-            .map(|&i| {
-                Row(cols
-                    .iter()
-                    .map(|&c| self.columns[c].value_at(i as usize))
-                    .collect())
-            })
+        (0..self.len)
+            .map(|i| Row(self.columns.iter().map(|c| c.value_at(i)).collect()))
             .collect()
     }
 }
@@ -868,17 +794,13 @@ pub enum ColPredicate {
     },
 }
 
-/// Evaluate `pred` over the rows named by `sel`, returning the surviving
-/// selection (order preserved). Semantics match the row-wise evaluator
-/// exactly: `=`,`<`,… use [`Value::sql_cmp`] three-valued comparison (NULL
-/// and NaN comparisons never qualify), `IS NOT DISTINCT FROM` uses
-/// [`Value::total_cmp`] (NULL matches NULL, `-0.0` ≠ `0.0`).
-pub fn filter_kernel(batch: &ColumnarBatch, pred: &ColPredicate, sel: &[u32]) -> SelVec {
-    filter_columns(&|c| batch.column(c), pred, sel)
-}
-
-/// [`filter_kernel`] over columns that live wherever `column` finds them
-/// (a batch, or the pinned pages of one stripe of a stored table).
+/// Evaluate `pred` over the rows named by `sel` of the columns `column`
+/// finds (a batch's, or the pinned pages of one stripe of a stored table),
+/// returning the surviving selection (order preserved). Semantics match
+/// the row-wise evaluator exactly: `=`,`<`,… use [`Value::sql_cmp`]
+/// three-valued comparison (NULL and NaN comparisons never qualify), `IS
+/// NOT DISTINCT FROM` uses [`Value::total_cmp`] (NULL matches NULL, `-0.0`
+/// ≠ `0.0`).
 pub fn filter_columns<'a>(
     column: &dyn Fn(usize) -> &'a Column,
     pred: &ColPredicate,
@@ -1400,28 +1322,24 @@ mod tests {
             interesting.to_vec(),
         ];
         for vs in &columns {
-            let batch_rows: Vec<Row> = vs.iter().map(|v| Row(vec![v.clone()])).collect();
-            let batch = ColumnarBatch::from_rows(&batch_rows);
-            let sel = batch.all();
+            let col = vals(vs);
+            let sel: SelVec = (0..vs.len() as u32).collect();
             for lit in &interesting {
                 for &op in &ops {
-                    let got = filter_kernel(
-                        &batch,
+                    let got = filter_columns(
+                        &|_| &col,
                         &ColPredicate::ColLit { col: 0, op, lit: lit.clone() },
                         &sel,
                     );
                     let want = reference_filter(vs, op, lit);
                     assert_eq!(got, want, "col {vs:?} {op:?} lit {lit}");
                     // Also through the col-col kernel with a constant column.
-                    let wide: Vec<Row> = vs
-                        .iter()
-                        .map(|v| Row(vec![v.clone(), lit.clone()]))
-                        .collect();
-                    let wide_batch = ColumnarBatch::from_rows(&wide);
-                    let got2 = filter_kernel(
-                        &wide_batch,
+                    let lits = vals(&vec![lit.clone(); vs.len()]);
+                    let wide = [&col, &lits];
+                    let got2 = filter_columns(
+                        &|c| wide[c],
                         &ColPredicate::ColCol { left: 0, op, right: 1 },
-                        &wide_batch.all(),
+                        &sel,
                     );
                     assert_eq!(got2, want, "colcol {vs:?} {op:?} lit {lit}");
                 }
@@ -1564,20 +1482,5 @@ mod tests {
         assert_eq!(set, vec![1, 9, 66]);
         assert_eq!((nulls.null_count(), nulls.len()), (3, 70));
         assert!(!NullBitmap::from_le_bytes(&[0; 9], 70).any_null());
-    }
-
-    #[test]
-    fn project_gathers_selected_columns() {
-        let rows = vec![row![1, "a", 10], row![2, "b", 20], row![3, "c", 30]];
-        let batch = ColumnarBatch::from_rows(&rows);
-        let picked = batch.project(&[2, 0], &[0, 2]);
-        assert_eq!(picked, vec![row![10, 1], row![30, 3]]);
-    }
-
-    #[test]
-    fn selection_vector_respected_by_to_rows() {
-        let rows = vec![row![1], row![2], row![3]];
-        let batch = ColumnarBatch::from_rows(&rows).with_selection(vec![0, 2]);
-        assert_eq!(batch.to_rows(), vec![row![1], row![3]]);
     }
 }

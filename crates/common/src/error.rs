@@ -33,8 +33,8 @@ pub enum Error {
     /// The query's [`crate::Budget`] was exhausted before the result was
     /// produced.
     Timeout,
-    /// An operator would exceed the memory budget even after degrading to
-    /// its low-memory fallback.
+    /// An operator's output exceeds the hard ceiling the memory budget
+    /// sets: spilling bounds working state, not the result.
     ResourceExhausted(String),
     /// A cluster node was unreachable and no live replica could serve its
     /// partitions — the query fails closed rather than returning a partial
@@ -51,8 +51,8 @@ pub enum Error {
     QuotaExceeded(String),
     /// The storage device is out of space (ENOSPC, real or injected).
     /// Fail-closed contract: no partial epoch is ever published, the store
-    /// keeps serving reads, and over-budget operators fall back to their
-    /// in-memory degradation paths instead of spilling.
+    /// keeps serving reads, and an over-budget operator whose spill hits it
+    /// runs in memory instead.
     StorageFull(String),
     /// A disk or network I/O operation failed (real or injected). Possibly
     /// transient: callers with an idempotent operation may retry.

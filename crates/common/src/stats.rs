@@ -54,8 +54,9 @@ pub struct ExecStats {
     pub predicate_evals: u64,
     /// Rows emitted as the final query result.
     pub output_rows: u64,
-    /// Operators that degraded to a low-memory fallback (nested-loop join,
-    /// sort-based grouping) to honor the executor's memory budget.
+    /// Operators over the executor's memory budget that ran in memory all
+    /// the same, because there was no spill device or it was full. Their
+    /// rows are those of an unbudgeted run, in the same order.
     pub degradations: u64,
     /// Executions served from a cached plan template (the five-way cost
     /// race was skipped). 0 or 1 per query; sessions accumulate it.
@@ -66,9 +67,9 @@ pub struct ExecStats {
     /// Rows those shared-subplan hits would otherwise have materialized.
     pub shared_subplan_rows: u64,
     /// Operators that spilled partitions to disk to honor the memory
-    /// budget. Distinct from `degradations`: a spilled operator produces
-    /// byte-identical rows in the identical order, it just pages its
-    /// working state through the buffer pool.
+    /// budget. A spilled operator produces byte-identical rows in the
+    /// identical order; it just pages its working state through the
+    /// buffer pool.
     pub spills: u64,
     /// Column/row pages this query requested from the buffer pool that
     /// were already resident (decoded) in the pool.

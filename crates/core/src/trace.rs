@@ -29,7 +29,7 @@ pub struct RewriteStep {
     pub before: String,
     /// QGM snapshot of the affected region after the step.
     pub after: String,
-    /// Free-form detail ("COUNT-bug repair on out[1]", ...).
+    /// Free-form detail (`"COUNT-bug repair on out[1]"`, ...).
     pub note: String,
 }
 

@@ -27,8 +27,7 @@ use decorr_storage::{Bound, Database, PageIo, SpillManager, Stripes, Table};
 use crate::env::{Env, Layout};
 use crate::eval::{eval_expr, qualifies};
 use crate::group::{
-    build_groups, grand_total_cols, grand_total_groups, merge_groups, sort_groups, AggSlot, Group,
-    GroupKeys,
+    build_groups, grand_total_cols, grand_total_groups, merge_groups, AggSlot, Group, GroupKeys,
 };
 use crate::join::{self, EquiKeys, JoinSide};
 use crate::scan::ScanSel;
@@ -71,13 +70,14 @@ pub struct ExecOptions {
     /// Cooperative cancellation, checked at morsel boundaries; any thread
     /// may fire it and the run unwinds with [`Error::Cancelled`].
     pub cancel: Option<CancelToken>,
-    /// Memory budget in rows. Hash joins whose build side exceeds it
-    /// degrade to a block nested-loop join; grouping whose input exceeds
-    /// it degrades to sort-based aggregation (both recorded in
-    /// [`ExecStats::degradations`] and the [`ExecTrace`]). An operator
+    /// Memory budget in rows. A hash join whose build side — or a GROUP
+    /// BY whose input — exceeds it spills through
+    /// [`ExecOptions::spill`]; with no spill device, or a full one, it
+    /// runs the same in-memory hash algorithm and is recorded in
+    /// [`ExecStats::degradations`] and the [`ExecTrace`]. An operator
     /// whose *output* exceeds `1024 ×` the budget fails with
-    /// [`Error::ResourceExhausted`] — degraded algorithms bound working
-    /// state, but no algorithm can bound the result itself.
+    /// [`Error::ResourceExhausted`] — a spill bounds working state, but
+    /// nothing can bound the result itself.
     pub mem_budget: Option<usize>,
     /// Evaluate filters, hash-join keys, final projections and grand-total
     /// aggregates with the columnar kernels in [`decorr_common::columnar`]
@@ -88,11 +88,12 @@ pub struct ExecOptions {
     /// the same grouping code, and produce byte-identical rows and
     /// identical [`ExecStats`].
     pub columnar: bool,
-    /// A cross-query [`ColumnarCache`] shared by a long-lived process
-    /// (e.g. one per `decorr-server`). Batches are keyed by table snapshot
-    /// version, so DDL / reloads / re-`ANALYZE`s invalidate by construction
-    /// and a stale snapshot can never be served. `None` (the default)
-    /// keeps the transpose cache private to the run.
+    /// A cross-query [`ColumnarCache`](crate::ColumnarCache) shared by a
+    /// long-lived process (e.g. one per `decorr-server`). Batches are
+    /// keyed by table snapshot version, so DDL / reloads / re-`ANALYZE`s
+    /// invalidate by construction and a stale snapshot can never be
+    /// served. `None` (the default) keeps the transpose cache private to
+    /// the run.
     pub shared_cache: Option<crate::cache::ColumnarCache>,
     /// The cross-query shared-subplan cache plus this plan's marked
     /// shareable subtrees (SUPP/MAGIC/DCO/CI and multi-referenced CSEs).
@@ -105,11 +106,10 @@ pub struct ExecOptions {
     /// join whose build side — or a grouping whose input — exceeds
     /// [`ExecOptions::mem_budget`] partitions its working state to disk
     /// through the buffer pool (Grace hash join / partitioned hash
-    /// aggregation) instead of degrading to the block nested-loop or
-    /// sort-based fallbacks. Output rows are byte-identical either way;
-    /// spilled operators are counted in [`ExecStats::spills`], not
-    /// [`ExecStats::degradations`]. `None` (the default, and always on
-    /// ephemeral servers) keeps the in-memory degradations.
+    /// aggregation). Output rows are byte-identical to the in-memory run;
+    /// spilled operators are counted in [`ExecStats::spills`]. `None` (the
+    /// default, and always on ephemeral servers) runs over-budget
+    /// operators in memory, counted in [`ExecStats::degradations`].
     pub spill: Option<Arc<SpillManager>>,
     /// Correlation-key memoization for nested iteration (`true`, the
     /// default). Correlated subtrees are keyed on their *binding tuple* —
@@ -694,7 +694,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Hard memory ceiling: an operator output of `n` rows beyond
-    /// `1024 × mem_budget` cannot be absorbed by degrading the algorithm
+    /// `1024 × mem_budget` cannot be absorbed by spilling working state
     /// and fails the query with [`Error::ResourceExhausted`].
     fn check_mem(&self, n: usize, operator: &str) -> Result<()> {
         if let Some(mb) = self.opts.mem_budget {
@@ -709,8 +709,8 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// Record a graceful degradation (stats counter + trace entry on the
-    /// box currently being evaluated).
+    /// Record an over-budget operator that ran in memory (stats counter +
+    /// trace entry on the box currently being evaluated).
     fn note_degradation(&mut self, reason: &str) {
         self.stats.degradations += 1;
         if let Some(trace) = &mut self.trace {
@@ -720,8 +720,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Record an over-budget operator that spilled to disk instead of
-    /// degrading (stats counter + trace entry on the current box).
+    /// Record an over-budget operator that spilled to disk (stats counter
+    /// + trace entry on the current box).
     fn note_spill(&mut self, reason: &str) {
         self.stats.spills += 1;
         if let Some(trace) = &mut self.trace {
@@ -739,18 +739,32 @@ impl<'a> Executor<'a> {
         self.stats.pages_pruned += io.pages_pruned;
     }
 
-    /// Does the memory budget force a fallback for an operator whose
-    /// working state would hold `n` rows?
-    fn over_mem_budget(&self, n: usize) -> bool {
-        self.opts.mem_budget.is_some_and(|mb| n > mb)
+    /// Where an operator keeps working state of `n` rows — `what`, as its
+    /// trace entry names it: in memory when that fits the budget; else a
+    /// spill manager and enough partitions that each fits it (bounded to
+    /// keep partition files and passes sane under extreme budgets), noted
+    /// as a spill; else in memory all the same, noted as a degradation.
+    fn spill_for(&mut self, n: usize, what: &str) -> Option<(Arc<SpillManager>, usize)> {
+        let budget = self.opts.mem_budget.filter(|&mb| n > mb)?;
+        let Some(spill) = self.opts.spill.clone() else {
+            self.note_degradation(&format!(
+                "{what} of {n} rows exceeds mem_budget; no spill device, running in memory"
+            ));
+            return None;
+        };
+        let parts = n.div_ceil(budget.max(1)).clamp(2, 256);
+        self.note_spill(&format!(
+            "{what} of {n} rows exceeds mem_budget; spilling {parts} partitions"
+        ));
+        Some((spill, parts))
     }
 
-    /// Partition count for a spilled operator: enough that each partition's
-    /// working state fits the budget, bounded to keep partition files and
-    /// passes sane under extreme budgets.
-    fn spill_parts(&self, n: usize) -> usize {
-        let budget = self.opts.mem_budget.unwrap_or(usize::MAX).max(1);
-        n.div_ceil(budget).clamp(2, 256)
+    /// Record a spill that hit a full device (ENOSPC) and left its operator
+    /// to run in memory.
+    fn note_spill_full(&mut self, what: &str) {
+        self.note_degradation(&format!(
+            "{what}: spill device full (ENOSPC), running in memory"
+        ));
     }
 
     fn eval_box_inner(&mut self, qgm: &Qgm, b: BoxId, env: Option<&Env<'_>>) -> Result<Tuples<'a>> {
@@ -1806,11 +1820,10 @@ impl<'a> Executor<'a> {
 
     /// The pairs of an equi-join of `left` with `right` on `keys` — an
     /// inner join's, or an outer join's before its walk — in serial probe
-    /// order (left candidate order, then build order)
-    /// whichever algorithm runs: the in-memory hash join; or, with a build
-    /// side over the memory budget, a Grace hash join when there is a
-    /// spill manager and a block nested-loop join when there is none (or
-    /// its device is full).
+    /// order (left candidate order, then build order) whichever algorithm
+    /// runs: a Grace hash join when the build side is over the memory
+    /// budget and there is a spill manager whose device takes the
+    /// partitions, the in-memory hash join otherwise.
     fn equi_join(
         &mut self,
         left: &mut Tuples<'_>,
@@ -1822,61 +1835,19 @@ impl<'a> Executor<'a> {
     ) -> Result<(JoinStrategy, Vec<(u32, u32)>)> {
         let (ls, rs) = self.join_sides(left, layout, right, right_layout, keys, env)?;
         let build_rows = right.len();
-        if self.over_mem_budget(build_rows) {
-            if let Some(spill) = self.opts.spill.clone() {
-                let parts = self.spill_parts(build_rows);
-                self.note_spill(&format!(
-                    "hash-join build side of {build_rows} rows exceeds mem_budget; \
-                     spilling {parts} grace partitions"
-                ));
-                self.settle(left)?;
-                self.settle(right)?;
-                let sides = [(&*left, layout, &ls), (&*right, right_layout, &rs)];
-                match self.spilled_hash_join(sides, keys, env, &spill, parts) {
-                    Ok(pairs) => return Ok((JoinStrategy::GraceHash, pairs)),
-                    // Fail-closed ENOSPC: the spill file cannot grow, so
-                    // fall back to the spill-free degradation path — same
-                    // matches, same order, no disk.
-                    Err(Error::StorageFull(_)) => self.note_degradation(
-                        "spill device full (ENOSPC); falling back to \
-                         block nested-loop join",
-                    ),
-                    Err(e) => return Err(e),
-                }
+        const WHAT: &str = "hash-join build side";
+        if let Some((spill, parts)) = self.spill_for(build_rows, WHAT) {
+            self.settle(left)?;
+            self.settle(right)?;
+            let sides = [(&*left, layout, &ls), (&*right, right_layout, &rs)];
+            match self.spilled_hash_join(sides, keys, env, &spill, parts) {
+                Ok(pairs) => return Ok((JoinStrategy::GraceHash, pairs)),
+                Err(Error::StorageFull(_)) => self.note_spill_full(WHAT),
+                Err(e) => return Err(e),
             }
-            self.note_degradation(&format!(
-                "hash-join build side of {build_rows} rows exceeds mem_budget; \
-                 using block nested-loop join"
-            ));
-            return Ok((
-                JoinStrategy::NestedLoop,
-                self.nested_loop_equi_join(&ls, &rs)?,
-            ));
         }
         let pairs = self.hash_pairs(&ls, &rs, left.len(), build_rows)?;
         Ok((JoinStrategy::Hash, pairs))
-    }
-
-    /// Memory-degraded equi-join: no hash table, just the two hashed sides
-    /// compared pairwise — the hash prefilters, the keys decide. Same
-    /// matches in the same order as the hash join, so degrading never
-    /// changes the result bytes.
-    fn nested_loop_equi_join(&mut self, ls: &JoinSide, rs: &JoinSide) -> Result<Vec<(u32, u32)>> {
-        let (n, m) = (ls.len(), rs.len());
-        self.checkpoint((n * m) as u64)?;
-        self.stats.nl_comparisons += (n * m) as u64;
-        let mut pairs = Vec::new();
-        for li in 0..n {
-            self.checkpoint(0)?;
-            let Some(lh) = ls.hash(li) else { continue };
-            for ri in 0..m {
-                if rs.hash(ri) == Some(lh) && ls.key_eq(li, rs, ri) {
-                    pairs.push((li as u32, ri as u32));
-                }
-            }
-            self.check_mem(pairs.len(), "nested-loop join")?;
-        }
-        Ok(pairs)
     }
 
     /// Grace hash join: the disk-backed path for a build side over the
@@ -1897,8 +1868,6 @@ impl<'a> Executor<'a> {
     ) -> Result<Vec<(u32, u32)>> {
         let [(left, layout, ls), (right, right_layout, rs)] = sides;
         self.checkpoint((left.len() + right.len()) as u64)?;
-        self.stats.hash_build_rows += right.len() as u64;
-        self.stats.hash_probes += left.len() as u64;
 
         // Candidates whose key is NULL/NaN match nothing and never spill.
         let mut scratch = Row::empty();
@@ -1913,6 +1882,8 @@ impl<'a> Executor<'a> {
             Ok::<_, Error>(set)
         };
         let (rset, lset) = (spill_side(right, rs)?, spill_side(left, ls)?);
+        self.stats.hash_build_rows += right.len() as u64;
+        self.stats.hash_probes += left.len() as u64;
 
         let mut io = PageIo::default();
         let mut tagged: Vec<(i64, i64)> = Vec::new();
@@ -2178,43 +2149,27 @@ impl<'a> Executor<'a> {
         self.checkpoint(n as u64)?;
         self.stats.agg_input_rows += n as u64;
 
-        // Memory governance: a hash-aggregation table over this input
-        // could exceed the budget (worst case, one group per row). With a
-        // spill manager, partition the input by group-key hash to disk and
-        // aggregate one budget-sized partition at a time — rows, float
-        // accumulation order and first-appearance emission order are all
-        // identical to the in-memory hash path. Without one, degrade to
-        // sort-based grouping — the stable sort keeps each group's rows in
-        // input order, so per-group accumulation (and floating-point sums)
-        // matches the hash path exactly; only the emission order changes
-        // (key-sorted instead of first-appearance).
-        let over_budget = self.over_mem_budget(n);
-        let spilling = if over_budget {
-            self.opts.spill.clone()
-        } else {
-            None
+        // Memory governance: the hash table over this input holds one group
+        // per row at worst — but a grand total (no GROUP BY) holds one
+        // whatever its input, and never spills. Over the budget with a
+        // spill manager, the input partitions by group-key hash to disk and
+        // each partition aggregates alone; rows, float accumulation order
+        // and first-appearance emission order are all those of the
+        // in-memory hash path, which runs when there is no spill device or
+        // its device is full.
+        const WHAT: &str = "grouping input";
+        let spilling = match group_by.is_empty() {
+            true => None,
+            false => self.spill_for(n, WHAT),
         };
-        let degraded = over_budget && spilling.is_none();
-        let parts = self.spill_parts(n);
-        if spilling.is_some() {
-            self.note_spill(&format!(
-                "grouping input of {n} rows exceeds mem_budget; \
-                 spilling {parts} hash partitions"
-            ));
-        } else if degraded {
-            self.note_degradation(&format!(
-                "grouping input of {n} rows exceeds mem_budget; \
-                 using sort-based aggregation"
-            ));
-        }
 
-        // Grand totals (no GROUP BY) whose aggregates are plain-column
-        // COUNT/SUM/MIN/MAX vectorize: the aggregate kernels fold each
-        // argument as a column — copied out through the candidates'
-        // positions, or off the pages of a scan that is still paged — and
-        // reproduce the serial fold exactly (Double accumulation order and
-        // Int overflow included). Anything else reads rows.
-        let kernel_cols = match group_by.is_empty() && !over_budget && n > 0 {
+        // Grand totals whose aggregates are plain-column COUNT/SUM/MIN/MAX
+        // vectorize: the aggregate kernels fold each argument as a column —
+        // copied out through the candidates' positions, or off the pages of
+        // a scan that is still paged — and reproduce the serial fold
+        // exactly (Double accumulation order and Int overflow included).
+        // Anything else reads rows.
+        let kernel_cols = match group_by.is_empty() && n > 0 {
             true => grand_total_cols(&agg_slots),
             false => None,
         };
@@ -2223,29 +2178,26 @@ impl<'a> Executor<'a> {
             self.settle(&mut input)?;
         }
         let keys = &GroupKeys::compile(group_by, &layout, self.opts.columnar, &agg_slots);
+        let spill = |(mgr, parts): (Arc<SpillManager>, usize)| {
+            self.spilled_groups(&input, &layout, env, keys, &agg_slots, &mgr, parts)
+        };
+        let spilled = match spilling.map(spill) {
+            Some(Ok(groups)) => Some(groups),
+            Some(Err(Error::StorageFull(_))) => {
+                self.note_spill_full(WHAT);
+                None
+            }
+            Some(Err(e)) => return Err(e),
+            None => None,
+        };
 
         // One accumulator vector per group (one accumulator per agg slot),
         // in first-appearance order. Large inputs aggregate into
         // thread-local tables over contiguous ranges, merged in range
         // order — the merge replays distinct values in first-seen order,
         // so the result is the one the serial fold produces.
-        let groups: Vec<Group> = if let Some(mgr) = &spilling {
-            match self.spilled_groups(&input, &layout, env, keys, &agg_slots, mgr, parts) {
-                Ok(groups) => groups,
-                // Fail-closed ENOSPC: the spill partitions cannot grow, so
-                // degrade to the spill-free sort-based path (key-sorted
-                // emission, identical per-group accumulation).
-                Err(Error::StorageFull(_)) => {
-                    self.note_degradation(
-                        "spill device full (ENOSPC); falling back to \
-                         sort-based aggregation",
-                    );
-                    sort_groups(&input, &layout, env, keys, &agg_slots)?
-                }
-                Err(e) => return Err(e),
-            }
-        } else if degraded {
-            sort_groups(&input, &layout, env, keys, &agg_slots)?
+        let mut groups: Vec<Group> = if let Some(groups) = spilled {
+            groups
         } else if let Some(cols) = &kernel_cols {
             let mut io = PageIo::default();
             let args = cols
@@ -2269,7 +2221,6 @@ impl<'a> Executor<'a> {
         } else {
             build_groups(&input, 0..n, &layout, env, keys, &agg_slots, false)?
         };
-        let mut groups = groups;
 
         // A grand-total aggregate (no GROUP BY) over empty input still
         // produces one row — the asymmetry behind the COUNT bug.

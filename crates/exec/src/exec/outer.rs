@@ -12,7 +12,7 @@
 //!   probes the index; the right input is never evaluated, scanned,
 //!   copied or hashed.
 //! * **The inner join's `equi_join`** on any other equi-key: in-memory
-//!   hash, a Grace spill or block nested loops, as the budget says.
+//!   hash, or a Grace spill over the budget.
 //! * **Nested loops** over every pair when the ON clause has no key.
 //!
 //! Each arm yields its pairs in left order and, per left row, in right

@@ -2,13 +2,13 @@
 //!
 //! `Executor::eval_grouping` picks the algorithm — hash aggregation
 //! ([`build_groups`]: whole, per worker slice and merged, or per spilled
-//! partition), the sort-based degradation ([`sort_groups`]) or the kernel
-//! grand total ([`grand_total_groups`]); all fold the same values in the
-//! same order, so the result bytes never depend on which one ran. The input
-//! is candidate tuples (`crate::tuple`): a GROUP BY list of plain columns
-//! compiles to column offsets ([`GroupKeys`]), read through the candidates'
-//! positions, hashed and compared where the values sit and copied only into
-//! the group a key opens. When every key column comes from one input — an
+//! partition) or the kernel grand total ([`grand_total_groups`]); all fold
+//! the same values in the same order, so the result bytes never depend on
+//! which one ran, or on the memory budget. The input is candidate tuples
+//! (`crate::tuple`): a GROUP BY list of plain columns compiles to column
+//! offsets ([`GroupKeys`]), read through the candidates' positions, hashed
+//! and compared where the values sit and copied only into the group a key
+//! opens. When every key column comes from one input — an
 //! outer join's left side, say — consecutive candidates at one position of
 //! it share their key, which is then hashed once. Plain-column aggregate
 //! arguments are read in place too; computed keys or arguments, and all of
@@ -318,84 +318,23 @@ pub(crate) fn build_groups(
                 gi
             }
         };
-        fold(
-            slots,
-            &mut groups[gi].accs,
-            input,
-            i,
-            env1.as_ref(),
-            record_sum_order,
-        )?;
-    }
-    Ok(groups)
-}
-
-/// Fold candidate `i` of `input` into a group's accumulators — the
-/// per-candidate body shared by hash aggregation ([`build_groups`]) and
-/// sort-based aggregation ([`sort_groups`]).
-fn fold(
-    slots: &[AggSlot<'_>],
-    accs: &mut [Acc],
-    input: &Tuples<'_>,
-    i: usize,
-    env1: Option<&Env<'_>>,
-    record_sum_order: bool,
-) -> Result<()> {
-    for (slot, acc) in slots.iter().zip(accs.iter_mut()) {
-        let v = match (slot.arg, slot.col) {
-            (None, _) => Value::Int(1), // COUNT(*): every row counts
-            (Some(_), Some(c)) => input.value(i, c).clone(),
-            (Some(a), None) => eval_expr(a, env1.expect("evaluated arguments have a row"))?,
-        };
-        if slot.arg.is_some() && v.is_null() {
-            continue; // NULLs are ignored by all aggregates
+        for (slot, acc) in slots.iter().zip(groups[gi].accs.iter_mut()) {
+            let v = match (slot.arg, slot.col) {
+                (None, _) => Value::Int(1), // COUNT(*): every row counts
+                (Some(_), Some(c)) => input.value(i, c).clone(),
+                (Some(a), None) => eval_expr(a, env1.as_ref().expect("arguments have a row"))?,
+            };
+            if slot.arg.is_some() && v.is_null() {
+                continue; // NULLs are ignored by all aggregates
+            }
+            if record_sum_order
+                && !slot.distinct
+                && matches!(slot.func, AggFunc::Sum | AggFunc::Avg)
+            {
+                acc.sum_order.push(v.clone());
+            }
+            acc_update(slot, acc, v)?;
         }
-        if record_sum_order && !slot.distinct && matches!(slot.func, AggFunc::Sum | AggFunc::Avg) {
-            acc.sum_order.push(v.clone());
-        }
-        acc_update(slot, acc, v)?;
-    }
-    Ok(())
-}
-
-/// Sort-based aggregation: the memory-budget fallback for [`build_groups`].
-/// Candidates are stable-sorted by group key and each run is folded in
-/// input order, so every accumulator (floating-point sums included) is
-/// exactly what the hash path computes for that group; only the group
-/// *emission* order differs (key-sorted instead of first-appearance). Peak
-/// state is the sorted key/index vector plus one group's accumulators.
-pub(crate) fn sort_groups(
-    input: &Tuples<'_>,
-    layout: &Layout,
-    env: Option<&Env<'_>>,
-    keys: &GroupKeys<'_>,
-    slots: &[AggSlot<'_>],
-) -> Result<Vec<Group>> {
-    let mut scratch = Row::empty();
-    let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(input.len());
-    for i in 0..input.len() {
-        let env1 = keys.bind(input, i, layout, &mut scratch, env);
-        keyed.push((keys.of(input, i, env1.as_ref())?.into_values(), i));
-    }
-    // Stable: candidates with equal keys stay in input order.
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut groups: Vec<Group> = Vec::new();
-    let mut run = 0;
-    while run < keyed.len() {
-        let key = &keyed[run].0;
-        let mut end = run + 1;
-        while end < keyed.len() && keyed[end].0 == *key {
-            end += 1;
-        }
-        let first = keyed[run].1 as u32;
-        let mut group = Group::new(key.clone(), Some(first), slots.len());
-        for &(_, i) in &keyed[run..end] {
-            let env1 = keys.bind(input, i, layout, &mut scratch, env);
-            fold(slots, &mut group.accs, input, i, env1.as_ref(), false)?;
-        }
-        groups.push(group);
-        run = end;
     }
     Ok(groups)
 }

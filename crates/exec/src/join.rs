@@ -15,10 +15,8 @@
 //! candidate tuples (`Tuples::join`), the outer join — which reaches its
 //! pairs through the same `equi_join` as the inner one, or through an index
 //! — walks them per left row first ([`walk_outer`]: residual ON
-//! predicates, null extension), a Grace spill runs the kernel once per
-//! re-read partition and sorts its pairs back, and the block nested-loop
-//! degradation skips the table and compares the same two [`JoinSide`]s
-//! pairwise. No join makes a row.
+//! predicates, null extension), and a Grace spill runs the kernel once per
+//! re-read partition and sorts its pairs back. No join makes a row.
 //!
 //! `ExecStats` parity is the design constraint: both key representations
 //! hash with the same `eq_key`/total-order semantics, so equal keys hash
@@ -200,16 +198,6 @@ impl JoinSide {
         JoinSide { hashes, null_ok, repr: SideRepr::Cols(parts) }
     }
 
-    /// Candidates hashed.
-    pub fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// The key hash of row `i`; `None` = the row matches nothing.
-    pub fn hash(&self, i: usize) -> Option<u64> {
-        self.hashes[i]
-    }
-
     /// Which of `parts` hash partitions row `i` belongs to — equal keys
     /// land in the same partition on both sides.
     pub fn partition(&self, i: usize, parts: usize) -> Option<usize> {
@@ -234,7 +222,7 @@ impl JoinSide {
     /// `Int`/`Double` the same way `eq_key` normalization does. `IS NOT
     /// DISTINCT FROM` parts compare under the total order, which both
     /// representations keep raw.
-    pub fn key_eq(&self, i: usize, other: &JoinSide, j: usize) -> bool {
+    fn key_eq(&self, i: usize, other: &JoinSide, j: usize) -> bool {
         (0..self.null_ok.len()).all(|p| {
             let a = self.part(i, p);
             let b = other.part(j, p);

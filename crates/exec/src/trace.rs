@@ -32,9 +32,8 @@ pub enum JoinStrategy {
     Lateral,
     /// No usable key: cross product with residual filtering.
     Cross,
-    /// Equi-join keys exist, but the build side exceeded the memory budget:
-    /// block nested-loop comparison of the extracted keys instead of a hash
-    /// table (a graceful degradation, recorded in [`BoxTrace::degradations`]).
+    /// An outer join whose ON clause has no equi-key: every right row is
+    /// offered to every left row.
     NestedLoop,
     /// Build side over the memory budget with a spill manager available:
     /// Grace hash join — both sides hash-partition to disk and each
@@ -86,15 +85,14 @@ pub struct BoxTrace {
     pub wall: Duration,
     /// Join strategy decisions (Select boxes only).
     pub joins: Vec<JoinChoice>,
-    /// Memory-budget degradations this box took, as `(reason, count)` —
-    /// aggregated like everything else, so a degraded join under nested
-    /// iteration stays one entry however often it re-runs.
+    /// Over-budget operators that ran in memory — no spill device, or a
+    /// full one — as `(reason, count)`; aggregated like everything else,
+    /// so such a join under nested iteration stays one entry however
+    /// often it re-runs.
     pub degradations: Vec<(String, u64)>,
-    /// Over-budget operators that spilled to disk instead of degrading,
-    /// as `(reason, count)` — kept separate from
-    /// [`BoxTrace::degradations`] because a spilled operator still runs
-    /// the hash algorithm (and produces identical rows), it just pages
-    /// its working state.
+    /// Over-budget operators that spilled their working state to disk, as
+    /// `(reason, count)`. Spilled or not, an operator runs the same hash
+    /// algorithm and produces identical rows.
     pub spills: Vec<(String, u64)>,
     /// Times this box was served whole from the cross-query
     /// shared-subplan cache instead of being evaluated.

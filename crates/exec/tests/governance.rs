@@ -1,10 +1,11 @@
-//! Query-governance tests: cancellation, timeout, and memory-budget
-//! degradation. Every governed exit must be a typed error — never a panic —
-//! and must not leak partial results into the run's counters.
+//! Query-governance tests: cancellation, timeout, and the memory budget
+//! without a spill device. Every governed exit must be a typed error —
+//! never a panic — and must not leak partial results into the run's
+//! counters.
 
 use std::sync::Barrier;
 
-use decorr_common::{row, Budget, CancelToken, DataType, Error, Schema};
+use decorr_common::{row, Budget, CancelToken, DataType, Error, ExecStats, Schema};
 use decorr_exec::{execute_traced, execute_with, ExecOptions, Executor};
 use decorr_sql::parse_and_bind;
 use decorr_storage::Database;
@@ -117,52 +118,43 @@ fn tick_budget_timeout_is_deterministic() {
     assert!(execute_with(&db, &qgm, opts).is_ok());
 }
 
-// ---- memory budget: graceful degradation -----------------------------------
+// ---- memory budget: no spill device ------------------------------------------
 
-#[test]
-fn hash_join_degrades_to_nested_loop_same_rows() {
-    let db = big_db(80, 300);
-    let sql = "SELECT d.name, e.name FROM dept d, emp e WHERE d.building = e.building";
-    let qgm = parse_and_bind(sql, &db).unwrap();
-
-    let (mut unbudgeted, base_stats) = execute_with(&db, &qgm, ExecOptions::default()).unwrap();
+/// Over the budget with no spill device, `sql` runs the same hash algorithm
+/// in memory: the unbudgeted run's rows in its order and its work, counted
+/// as a degradation whose trace entry says why.
+fn over_budget_in_memory(db: &Database, sql: &str, mem_budget: usize) {
+    let qgm = parse_and_bind(sql, db).unwrap();
+    let (unbudgeted, base_stats) = execute_with(db, &qgm, ExecOptions::default()).unwrap();
     assert_eq!(base_stats.degradations, 0);
 
-    let opts = opts_with(1, |o| o.mem_budget = Some(10));
-    let (mut degraded, stats, trace) = execute_traced(&db, &qgm, opts).unwrap();
-    assert!(stats.degradations >= 1);
-    assert!(trace.total_degradations() >= 1);
-    assert!(
-        trace.render(&qgm).contains("via nested-loop"),
-        "trace should show the degraded strategy:\n{}",
-        trace.render(&qgm)
+    let opts = opts_with(1, |o| o.mem_budget = Some(mem_budget));
+    let (budgeted, stats, trace) = execute_traced(db, &qgm, opts).unwrap();
+    let rendered = trace.render(&qgm);
+    assert!(stats.degradations >= 1, "{rendered}");
+    assert_eq!(trace.total_degradations(), stats.degradations);
+    assert!(rendered.contains("no spill device"), "{rendered}");
+    assert_eq!(budgeted, unbudgeted, "same rows, same order");
+    assert_eq!(
+        ExecStats { degradations: 0, ..stats },
+        base_stats,
+        "the same work"
     );
-
-    unbudgeted.sort();
-    degraded.sort();
-    assert_eq!(unbudgeted, degraded);
 }
 
 #[test]
-fn grouping_degrades_to_sort_same_groups() {
-    let db = big_db(10, 200);
-    let sql = "SELECT building, COUNT(*) AS c FROM emp GROUP BY building";
-    let qgm = parse_and_bind(sql, &db).unwrap();
-
-    let (mut unbudgeted, base_stats) = execute_with(&db, &qgm, ExecOptions::default()).unwrap();
-    assert_eq!(base_stats.degradations, 0);
-
-    let opts = opts_with(1, |o| o.mem_budget = Some(16));
-    let (mut degraded, stats, trace) = execute_traced(&db, &qgm, opts).unwrap();
-    assert!(stats.degradations >= 1);
-    assert!(trace.total_degradations() >= 1);
-
-    unbudgeted.sort();
-    degraded.sort();
-    assert_eq!(unbudgeted, degraded);
+fn hash_join_over_budget_without_a_spill_device_keeps_rows_and_order() {
+    let sql = "SELECT d.name, e.name FROM dept d, emp e WHERE d.building = e.building";
+    over_budget_in_memory(&big_db(80, 300), sql, 10);
 }
 
-/// Degradation decisions are input-size-based, so a budgeted run is
+#[test]
+fn grouping_over_budget_without_a_spill_device_keeps_rows_and_order() {
+    let sql = "SELECT building, COUNT(*) AS c FROM emp GROUP BY building";
+    over_budget_in_memory(&big_db(10, 200), sql, 16);
+}
+
+/// Budget decisions are input-size-based, so a budgeted run is
 /// byte-identical (rows *and* counters) across thread counts.
 #[test]
 fn budgeted_runs_are_thread_invariant() {
@@ -192,7 +184,7 @@ fn oversized_output_is_resource_exhausted() {
     assert!(matches!(err, Error::ResourceExhausted(_)), "got {err:?}");
 }
 
-/// A generous budget leaves execution untouched: no degradations, same
+/// A generous budget leaves execution untouched: nothing over it, same
 /// rows and stats as an un-governed run.
 #[test]
 fn generous_budget_changes_nothing() {

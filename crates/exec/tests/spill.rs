@@ -1,11 +1,12 @@
 //! Spill-to-disk equivalence: over-budget hash joins and groupings that
 //! partition through the buffer pool must return **byte-identical** rows —
 //! same values, same order — as the unlimited in-memory run, while the
-//! stats record spills (not degradations).
+//! stats record spills (not degradations). Without a spill device, or with
+//! a full one, they run in memory and return those rows all the same.
 
 use std::sync::Arc;
 
-use decorr_common::{row, Budget, DataType, Error, Row, Schema, Value};
+use decorr_common::{row, Budget, ChaosEnv, DataType, FaultPlane, Row, Schema, Value};
 use decorr_exec::{execute_traced, ExecOptions, ExecTrace, JoinStrategy};
 use decorr_qgm::{AggFunc, BinOp, BoxKind, Expr, Qgm, QuantKind};
 use decorr_storage::{BufferPool, Database, SpillManager};
@@ -20,6 +21,14 @@ fn spill_mgr() -> Arc<SpillManager> {
         )
         .unwrap(),
     )
+}
+
+/// A spill manager whose device is full: every write fails with ENOSPC.
+fn full_spill_mgr() -> Arc<SpillManager> {
+    let env = ChaosEnv::new(FaultPlane::quiet(7));
+    let mgr = SpillManager::new("/spill", Arc::new(env.clone()), BufferPool::new(1 << 20));
+    env.set_disk_full(true);
+    Arc::new(mgr.unwrap())
 }
 
 /// l(a): ints 0..60 cycled, plus NULL rows.
@@ -119,8 +128,8 @@ fn spilled_hash_join_is_byte_identical_to_in_memory() {
 
         // One tick budget for both runs, linear in the input (8 ticks a
         // row; the spilled pass takes 1): enough for one partitioned pass,
-        // hopeless for the O(n·m) block nested loop the executor falls back
-        // to without a spill manager.
+        // and for the in-memory hash join the executor runs without a spill
+        // manager — the same rows in the same order.
         let ticks = || Some(Budget::ticks(8 * (302 + 203)));
         let opts = ExecOptions {
             mem_budget: Some(50),
@@ -130,10 +139,9 @@ fn spilled_hash_join_is_byte_identical_to_in_memory() {
         };
         let (spilled, stats, trace) = execute_traced(&db, &g, opts).unwrap();
         let no_spill = ExecOptions { mem_budget: Some(50), timeout: ticks(), ..Default::default() };
-        assert!(
-            matches!(execute_traced(&db, &g, no_spill), Err(Error::Timeout)),
-            "the in-memory fallback fit the budget the spilled run needed ({op:?})"
-        );
+        let (in_memory, in_memory_stats, _) = execute_traced(&db, &g, no_spill).unwrap();
+        assert_eq!(in_memory, reference, "in-memory join diverged ({op:?})");
+        assert_eq!(in_memory_stats.spills, 0);
         assert!(
             used_grace(&trace, &g),
             "expected grace-hash:\n{}",
@@ -170,21 +178,55 @@ fn spilled_grouping_is_byte_identical_to_in_memory() {
 }
 
 #[test]
-fn without_a_spill_manager_the_budget_still_degrades() {
-    // The pre-existing contract: no spill manager → in-memory degradation,
-    // same rows, recorded as a degradation and NOT as a spill.
+fn without_a_spill_manager_the_budget_runs_in_memory() {
+    // No spill manager: the in-memory hash grouping, the same rows in the
+    // same order, recorded as a degradation and NOT as a spill.
     let db = group_db();
     let g = group_qgm();
     let (reference, _, _) = execute_traced(&db, &g, ExecOptions::default()).unwrap();
     let opts = ExecOptions { mem_budget: Some(100), ..Default::default() };
-    let (degraded, stats, _) = execute_traced(&db, &g, opts).unwrap();
+    let (in_memory, stats, _) = execute_traced(&db, &g, opts).unwrap();
     assert!(stats.degradations > 0);
     assert_eq!(stats.spills, 0);
-    let mut a = degraded;
-    let mut b = reference;
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
+    assert_eq!(in_memory, reference);
+}
+
+/// A spill whose device is full (ENOSPC) leaves its operator to run in
+/// memory: a join and a GROUP BY over the budget still succeed, with the
+/// unbudgeted run's rows in its order, counted as a spill attempted and a
+/// degradation taken.
+#[test]
+fn a_full_spill_device_runs_in_memory_in_the_same_order() {
+    let cases = [
+        ("join", join_db(), join_qgm(BinOp::Eq), 50),
+        ("grouping", group_db(), group_qgm(), 100),
+    ];
+    for (what, db, g, mem_budget) in cases {
+        let (reference, _, _) = execute_traced(&db, &g, ExecOptions::default()).unwrap();
+        let spill = Some(full_spill_mgr());
+        let opts = ExecOptions { mem_budget: Some(mem_budget), spill, ..Default::default() };
+        let (rows, stats, trace) = execute_traced(&db, &g, opts).unwrap();
+        let rendered = trace.render(&g);
+        assert!(stats.spills >= 1, "{what}: {stats:?}");
+        assert!(stats.degradations >= 1, "{what}: {stats:?}");
+        assert!(rendered.contains("spill device full"), "{what}: {rendered}");
+        assert!(!used_grace(&trace, &g), "{what}: {rendered}");
+        assert_eq!(rows, reference, "{what}: rows or order");
+    }
+}
+
+/// A grand total (no GROUP BY) holds one group whatever its input, so it
+/// never spills, even over the budget with a spill manager.
+#[test]
+fn a_grand_total_never_spills() {
+    let db = group_db();
+    let g = decorr_sql::parse_and_bind("SELECT COUNT(*), SUM(t.v), MIN(t.k) FROM t", &db).unwrap();
+    let (reference, _, _) = execute_traced(&db, &g, ExecOptions::default()).unwrap();
+    let opts =
+        ExecOptions { mem_budget: Some(100), spill: Some(spill_mgr()), ..Default::default() };
+    let (rows, stats, _) = execute_traced(&db, &g, opts).unwrap();
+    assert_eq!((stats.spills, stats.degradations), (0, 0));
+    assert_eq!(rows, reference);
 }
 
 #[test]

@@ -17,8 +17,9 @@
 //!   rejections from global pressure;
 //! * a **global memory pool** ([`Quotas::mem_pool_rows`]) from which each
 //!   admitted query reserves its [`ExecOptions::mem_budget`]
-//!   (`per_query_mem_rows`); the executor's graceful-degradation machinery
-//!   then enforces the reservation per operator.
+//!   (`per_query_mem_rows`); an operator over it spills when the catalog
+//!   is durable, and the executor fails a query whose operator output
+//!   exceeds `1024 ×` the reservation.
 //!
 //! The returned [`AdmissionPermit`] is RAII: dropping it (on success,
 //! error or panic-unwind alike) frees the slot, the memory reservation and
@@ -62,8 +63,9 @@ impl Default for Quotas {
             queue_depth: 4 * cpus.max(2),
             queue_wait_ms: 2_000,
             per_session_concurrent: 2,
-            // 4M rows across the process, 1M per query: four heavy queries
-            // degrade gracefully rather than fight the allocator.
+            // 4M rows across the process, 1M per query: at most four
+            // queries hold a reservation at once, and an operator over its
+            // reservation spills on a durable catalog.
             mem_pool_rows: 4 << 20,
             per_query_mem_rows: 1 << 20,
             default_timeout_ticks: None,

@@ -295,7 +295,7 @@ impl SharedCatalog {
     }
 
     /// The spill manager over-budget operators partition through
-    /// (`None` when ephemeral — in-memory catalogs degrade instead).
+    /// (`None` when ephemeral — in-memory catalogs run them in memory).
     pub fn spill(&self) -> Option<Arc<SpillManager>> {
         self.persist.as_ref().map(|d| Arc::clone(&d.spill))
     }

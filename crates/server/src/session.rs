@@ -929,7 +929,7 @@ impl Session {
             mem_budget: mem_rows,
             shared_cache: Some(self.catalog.columnar_cache().clone()),
             // Durable catalogs let over-budget joins/groupings spill
-            // through the buffer pool instead of degrading strategy.
+            // through the buffer pool; ephemeral ones run them in memory.
             spill: self.catalog.spill(),
             ..Default::default()
         }

@@ -16,8 +16,8 @@
 //!
 //! All I/O goes through a [`StorageEnv`]: an injected ENOSPC surfaces
 //! from [`SpillSet::push`]/[`SpillSet::finish`] as a typed
-//! [`decorr_common::Error::StorageFull`], which the executor turns into a
-//! fall-back to its in-memory degradation paths.
+//! [`decorr_common::Error::StorageFull`], on which the executor runs the
+//! operator in memory instead.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,7 +1,7 @@
 //! The plan cache: pay the five-way cost race once per query shape.
 //!
 //! Keys are `(canonical fingerprint, catalog epoch, planning mode)`. The
-//! fingerprint comes from [`decorr_core::fingerprint`] over the
+//! fingerprint comes from [`decorr_core::fingerprint()`] over the
 //! *parameterized* graph (literals already hoisted into a binding vector
 //! by [`decorr_sql::parameterize`]), so queries differing only in
 //! constants, aliases or arena layout share one entry. The epoch in the
@@ -65,9 +65,8 @@ pub struct PlanCacheStats {
 }
 
 /// Thread-safe, byte-budgeted, epoch-fenced LRU plan cache. `Clone`
-/// shares the underlying state (one per [`SharedCatalog`]-style owner).
-///
-/// [`SharedCatalog`]: https://docs.rs — see `decorr_server::SharedCatalog`
+/// shares the underlying state (one per `decorr_server::SharedCatalog`-style
+/// owner).
 #[derive(Clone)]
 pub struct PlanCache {
     inner: Arc<Inner>,

@@ -6,7 +6,7 @@
 //! A lattice [`Point`] fixes the worker threads {1, 4}, the evaluators
 //! (`columnar` on or off), the nested-iteration lane {naive, memo,
 //! memo + batch}, `memoize_cse`, the scalar placement, the memory budget
-//! {none, tiny with a spill manager, tiny without: degrade}, the storage
+//! {none, tiny with a spill manager, tiny without: in memory}, the storage
 //! tier {resident indexed, resident un-indexed, durable with a pool that
 //! holds everything, durable with a 64 KiB pool} and the shared subplan and
 //! columnar caches {off, cold, warm}.
@@ -25,7 +25,10 @@
 //! * for one strategy per query, a second point that differs only in
 //!   `columnar` and/or `threads` returns the same rows in the same order
 //!   and equal [`ExecStats`] (on a durable tier, equal work counters, and
-//!   page I/O that does not depend on `threads`).
+//!   page I/O that does not depend on `threads`);
+//! * in a sweep, the three budget lanes at one point return the same rows
+//!   in the same order: a budget changes where working state lives, never
+//!   the result.
 //!
 //! A failure is shrunk — the query simplified axis by axis, then each
 //! table halved and thinned a row at a time, as long as the same check
@@ -113,7 +116,7 @@ pub enum Ni {
 pub enum Budget {
     Unbounded,
     Spill,
-    Degrade,
+    InMemory,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +140,7 @@ const TIERS: [Tier; 4] = [
     Tier::DurableFits,
     Tier::DurableSmall,
 ];
-const BUDGETS: [Budget; 3] = [Budget::Unbounded, Budget::Spill, Budget::Degrade];
+const BUDGETS: [Budget; 3] = [Budget::Unbounded, Budget::Spill, Budget::InMemory];
 const NI_LANES: [Ni; 3] = [Ni::Naive, Ni::Memo, Ni::Batched];
 
 /// One point of the execution lattice.
@@ -308,12 +311,13 @@ pub fn prepare<'c>(tiers: &Tiers, case: &'c Case) -> Result<Prepared<'c>, String
 
 // ---- coverage ---------------------------------------------------------------------
 
-/// What the bounded space must reach: every join strategy, every arm of
-/// the outer join, every quantifier kind, both UNIONs, the magic rewrite
+/// What the bounded space must reach: every join strategy, the keyed arms
+/// of the outer join, every quantifier kind, both UNIONs, the magic rewrite
 /// rules, and at least one spill, degradation, memo hit and shared-subplan
-/// hit.
+/// hit. (The keyless outer join, a nested loop, is left to the corpus of
+/// `tests/corpus/outer-join`.)
 const REQUIRED: &str = "join hash, join index-nested-loop, join lateral, join cross, \
-    join nested-loop, join grace-hash, outer join hash, outer join nested-loop, \
+    join grace-hash, outer join hash, \
     outer join index-nested-loop, outer join grace-hash, set UNION, set UNION ALL, rule FEED, \
     rule ABSORB, rule LOJ-repair, rule OptMag-CSE, rule merge-select, rule bypass-identity, \
     spill, degradation, memo hit, shared-subplan hit";
@@ -402,6 +406,9 @@ pub struct Extra {
     pub twin: Option<u8>,
     /// Run the other two nested-iteration lanes at the same point too.
     pub ni_sweep: bool,
+    /// Run the other two budget lanes at the same point too, each held to
+    /// this run's rows in this order.
+    pub budgets: bool,
 }
 
 /// One failed check.
@@ -410,8 +417,8 @@ pub struct Failure {
     pub lane: Lane,
     pub point: Point,
     pub extra: Extra,
-    /// Which check: `rows`, `twin`, `ni-lanes`, `stats`, `decorrelation`,
-    /// `expect`, `error` or `panic`.
+    /// Which check: `rows`, `twin`, `ni-lanes`, `budgets`, `stats`,
+    /// `decorrelation`, `expect`, `error` or `panic`.
     pub tag: &'static str,
     pub detail: String,
 }
@@ -419,8 +426,8 @@ pub struct Failure {
 pub struct Runner {
     rng: SmallRng,
     pub lanes: Vec<Lane>,
-    /// Every tier × every budget lane (the other axes seeded) instead of
-    /// one seeded point per (case, lane).
+    /// Every tier, each at one seeded point run in every budget lane,
+    /// instead of one seeded point per (case, lane).
     pub sweep: bool,
     /// A twin point for every lane, not one per case, and always of the
     /// other thread count.
@@ -444,13 +451,14 @@ impl Runner {
             self.cov.note_case(&prep);
             let twin_lane = self.rng.gen_range(0..self.lanes.len());
             for (l, lane) in self.lanes.clone().into_iter().enumerate() {
-                // Every tier × budget with `sweep`, else one point drawn whole.
-                let grid = TIERS
-                    .into_iter()
-                    .flat_map(|t| BUDGETS.map(|b| (Some(t), Some(b))));
-                let mut points: Vec<_> = grid.filter(|_| self.sweep).collect();
-                points.extend(points.is_empty().then_some((None, None)));
-                for (i, (tier, budget)) in points.into_iter().enumerate() {
+                // Every tier, unbounded and then in the other budget lanes
+                // at the same point, with `sweep`; else one point drawn whole.
+                let grid = match self.sweep {
+                    true => TIERS.map(Some).to_vec(),
+                    false => vec![None],
+                };
+                for (i, tier) in grid.into_iter().enumerate() {
+                    let budget = self.sweep.then_some(Budget::Unbounded);
                     let point = Point::draw(&mut self.rng, tier, budget);
                     // With `twins`, every twin flips the thread count.
                     let flip = match self.twins {
@@ -458,7 +466,8 @@ impl Runner {
                         false => self.rng.gen_range(1..4),
                     };
                     let twin = (i == 0 && (self.twins || l == twin_lane)).then_some(flip);
-                    let extra = Extra { twin, ni_sweep: lane == Lane::AsBound && i == 0 };
+                    let ni_sweep = lane == Lane::AsBound && i == 0;
+                    let extra = Extra { twin, ni_sweep, budgets: self.sweep };
                     if let Err(f) = check_lane(&tiers, &prep, lane, point, extra, &mut self.cov) {
                         let (world, case, f) = shrink(world, case, f);
                         panic!("{}", report(&world, &case, &f));
@@ -616,12 +625,15 @@ pub fn check_lane(
     let bug_shown = !kim || !expect.count_bug || !lost.is_empty();
     ensure!(bug_shown, "expect", "Kim lost no COUNT-bug row".into());
 
-    // The counters.
+    // The counters: distinct + memo hits are the invocations, and every
+    // page read is a pool hit or miss.
+    let counted = |s: &ExecStats| {
+        let adds_up = s.subquery_distinct_invocations + s.subquery_memo_hits;
+        let pages = !point.durable() || s.pages_read == s.pool_hits + s.pool_misses;
+        adds_up == s.subquery_invocations && pages
+    };
+    ensure!(counted(&stats), "stats", format!("{stats:?}"));
     let invocations = stats.subquery_invocations;
-    let adds_up = stats.subquery_distinct_invocations + stats.subquery_memo_hits == invocations;
-    ensure!(adds_up, "stats", format!("distinct + hits: {stats:?}"));
-    let pages = !point.durable() || stats.pages_read == stats.pool_hits + stats.pool_misses;
-    ensure!(pages, "stats", format!("pages read: {stats:?}"));
     let per_row = point.placement == ScalarPlacement::PerCandidateRow;
     if let (Lane::AsBound, Some(n), true) = (lane, expect.invocations, per_row) {
         ensure!(invocations == n, "expect", format!("invoked {invocations}"));
@@ -669,6 +681,29 @@ pub fn check_lane(
                 ensure!(n == invocations, "ni-lanes", format!("{ni:?} invoked {n}"));
             }
             Err(e) if over_budget(&e) => {}
+            Err(e) => return Err(failed(e)),
+        }
+    }
+
+    // The other budget lanes: this run's rows in this order, the same
+    // logical invocations.
+    let budgets = BUDGETS
+        .into_iter()
+        .filter(|&b| extra.budgets && b != point.budget);
+    for budget in budgets {
+        match run_at(tiers, &plan, Point { budget, ..point }) {
+            Ok((other, other_stats, other_trace)) => {
+                cov.note_run(&plan, &other_stats, &other_trace);
+                let same = other == rows && other_stats.subquery_invocations == invocations;
+                ensure!(
+                    same,
+                    "budgets",
+                    format!("{budget:?}: rows, order or invocations")
+                );
+                let at = format!("{budget:?}: {other_stats:?}");
+                ensure!(counted(&other_stats), "stats", at);
+            }
+            Err((Some(Error::ResourceExhausted(_)), _)) => cov.exhausted += 1,
             Err(e) => return Err(failed(e)),
         }
     }
