@@ -25,26 +25,27 @@
 //! COUNT bug.
 
 use decorr_common::{Error, Result};
-use decorr_qgm::{BoxKind, Expr, Qgm, QuantId, QuantKind};
+use decorr_qgm::{BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind};
 
-use super::match_agg_subquery;
+use super::{match_agg_subquery, AggSubquery};
 use crate::rules::merge::flatten_columns;
 
 /// Rewrite the graph in place using Dayal's method.
 pub fn rewrite(qgm: &mut Qgm) -> Result<()> {
+    let pat = check(qgm)?;
+    rewrite_checked(qgm, pat)
+}
+
+/// The subquery Dayal's method would rewrite, or why it does not apply —
+/// decided on a borrowed graph, so a race refuses before cloning it.
+pub fn check(qgm: &Qgm) -> Result<AggSubquery> {
     let pat = match_agg_subquery(qgm)?;
     let cur = pat.cur;
 
     // The outer block must be a plain SPJ block over the scalar subquery —
     // anything else (more subqueries, DISTINCT) is out of scope for the
     // linear method.
-    let outer_foreach: Vec<QuantId> = qgm
-        .boxref(cur)
-        .quants
-        .iter()
-        .copied()
-        .filter(|&x| qgm.quant(x).kind == QuantKind::Foreach)
-        .collect();
+    let outer_foreach = outer_foreach(qgm, cur);
     if qgm.boxref(cur).quants.len() != outer_foreach.len() + 1 {
         return Err(Error::rewrite(
             "Dayal's method needs a single correlated aggregate subquery",
@@ -65,6 +66,13 @@ pub fn rewrite(qgm: &mut Qgm) -> Result<()> {
             }
         }
     }
+    Ok(pat)
+}
+
+/// Rewrite what [`check`] found in this graph (or in a clone of it).
+pub fn rewrite_checked(qgm: &mut Qgm, pat: AggSubquery) -> Result<()> {
+    let cur = pat.cur;
+    let outer_foreach = outer_foreach(qgm, cur);
 
     // ---- left side: the outer block's joins and predicates --------------
     let left = qgm.add_box(BoxKind::Select, "outer-join-input");
@@ -226,4 +234,12 @@ pub fn rewrite(qgm: &mut Qgm) -> Result<()> {
     }
     qgm.gc();
     Ok(())
+}
+
+/// The Foreach quantifiers of the outer block `cur`.
+fn outer_foreach(qgm: &Qgm, cur: BoxId) -> Vec<QuantId> {
+    let quants = qgm.boxref(cur).quants.iter().copied();
+    quants
+        .filter(|&x| qgm.quant(x).kind == QuantKind::Foreach)
+        .collect()
 }

@@ -20,8 +20,14 @@ use crate::magic::{magic_decorrelate, MagicOptions, SuppScope};
 
 /// Rewrite the graph in place using Ganski/Wong's method.
 pub fn rewrite(qgm: &mut Qgm) -> Result<()> {
-    // Applicability: single-table outer block with one correlated
-    // (aggregate) subquery.
+    check(qgm)?;
+    rewrite_checked(qgm)
+}
+
+/// Why Ganski/Wong's method does not apply, if it does not — decided on a
+/// borrowed graph, so a race refuses before cloning it. It applies to a
+/// single-table outer block with one correlated (aggregate) subquery.
+pub fn check(qgm: &Qgm) -> Result<()> {
     let cur = qgm.top();
     let bx = qgm.boxref(cur);
     if !matches!(bx.kind, BoxKind::Select) {
@@ -58,7 +64,11 @@ pub fn rewrite(qgm: &mut Qgm) -> Result<()> {
             "Ganski/Wong's method handles exactly one correlated aggregate subquery",
         ));
     }
+    Ok(())
+}
 
+/// Rewrite a graph [`check`] accepted (or a clone of one).
+pub fn rewrite_checked(qgm: &mut Qgm) -> Result<()> {
     let rep = magic_decorrelate(
         qgm,
         &MagicOptions {

@@ -89,12 +89,24 @@ impl Strategy {
 /// [`decorr_common::Error::Rewrite`] when the strategy does not apply
 /// (e.g. Kim/Dayal on the non-linear Query 3).
 pub fn apply_strategy(qgm: &Qgm, strategy: Strategy) -> Result<Qgm> {
+    // Dayal and Ganski/Wong refuse on the borrowed graph: a race lane that
+    // does not apply clones nothing.
+    let dayal = match strategy {
+        Strategy::Dayal => Some(baselines::dayal::check(qgm)?),
+        Strategy::GanskiWong => {
+            baselines::ganski::check(qgm)?;
+            None
+        }
+        _ => None,
+    };
     let mut g = qgm.clone();
     match strategy {
         Strategy::NestedIteration => {}
         Strategy::Kim => baselines::kim::rewrite(&mut g)?,
-        Strategy::Dayal => baselines::dayal::rewrite(&mut g)?,
-        Strategy::GanskiWong => baselines::ganski::rewrite(&mut g)?,
+        Strategy::Dayal | Strategy::GanskiWong => match dayal {
+            Some(pat) => baselines::dayal::rewrite_checked(&mut g, pat)?,
+            None => baselines::ganski::rewrite_checked(&mut g)?,
+        },
         Strategy::Magic => {
             magic::magic_decorrelate(&mut g, &MagicOptions::default())?;
         }

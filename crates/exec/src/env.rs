@@ -65,14 +65,6 @@ impl<'a> Env<'a> {
         }
         self.parent.and_then(|p| p.lookup(quant, col))
     }
-
-    /// Is `quant` bound in this frame or an ancestor?
-    pub fn binds(&self, quant: QuantId) -> bool {
-        if self.layout.contains(quant) {
-            return true;
-        }
-        self.parent.map(|p| p.binds(quant)).unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
@@ -110,8 +102,6 @@ mod tests {
         // correlated lookup falls through to the outer frame
         assert_eq!(inner.lookup(q(0), 0), Some(&Value::Int(42)));
         assert_eq!(inner.lookup(q(7), 0), None);
-        assert!(inner.binds(q(0)));
-        assert!(!inner.binds(q(7)));
     }
 
     use decorr_common::Value;

@@ -1,0 +1,374 @@
+//! Lowering: what the executor decides about a graph, decided once per run
+//! (see the crate docs). One [`Traversal`] from the top box answers the
+//! structural questions; each reachable box gets a [`Lowered`] entry
+//! holding what its operator would otherwise re-derive on every evaluation.
+
+use std::fmt::Write as _;
+
+use decorr_common::CmpOp;
+use decorr_qgm::{BinOp, BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind, Traversal, UnOp};
+use decorr_stats::access::{self, Probe};
+use decorr_storage::Database;
+
+use super::apply::CorrSig;
+use super::{ExecOptions, ScalarPlacement};
+
+/// The lowered graph: one entry per box.
+pub(super) struct Plan<'q> {
+    pub qgm: &'q Qgm,
+    /// How nested iteration reuses an applied input's results.
+    pub mode: ApplyMode,
+    boxes: Vec<Lowered<'q>>,
+}
+
+#[derive(Default)]
+pub(super) struct Lowered<'q> {
+    /// Served whole from a cache — the CSE memo or the shared-subplan
+    /// cache — rather than evaluated where it is consumed.
+    pub cached: bool,
+    /// Kept for the run once evaluated (`memoize_cse`; uncorrelated, not a
+    /// base table).
+    pub cse: bool,
+    /// A marked box's shared-subplan key: its canonical shape plus the
+    /// snapshot version of every table it reads (none if one is gone).
+    pub shared_key: Option<String>,
+    /// A subquery's or a lateral join's input: its correlation signature.
+    pub sig: Option<CorrSig>,
+    pub select: Option<SelectOp<'q>>,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum ApplyMode {
+    /// Once per binding, or once per enclosing evaluation when not
+    /// correlated to it (`ni_memo` off): the executor before the memo.
+    Naive,
+    /// Through the run's correlation-key memo.
+    Memo,
+    /// Through the memo, and a lateral join groups its candidates by
+    /// binding before it applies the input (`ni_batch`).
+    Batched,
+}
+
+pub(super) struct SelectOp<'q> {
+    /// Per predicate, in the box's order.
+    pub preds: Vec<Pred>,
+    /// The Foreach quantifiers, in the box's order.
+    pub inputs: Vec<Input<'q>>,
+    /// Under `EarliestBinding`, each scalar subquery with the quantifiers
+    /// of the box its input reads: it becomes a column once they are
+    /// joined. Empty under `PerCandidateRow`.
+    pub early: Vec<(QuantId, Vec<QuantId>)>,
+    /// The scalar subqueries the end stage reads, in first-reference order
+    /// over its predicates, then the outputs.
+    pub end_scalars: Vec<QuantId>,
+    /// Each Existential / All subquery with the predicates over it.
+    pub groups: Vec<(QuantId, Vec<&'q Expr>)>,
+}
+
+pub(super) struct Pred {
+    /// The quantifiers of the box it reads.
+    pub refs: Vec<QuantId>,
+    pub stage: Stage,
+}
+
+/// Where a predicate is applied.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Stage {
+    /// Reads no quantifier of the box: checked once, first.
+    Constant,
+    /// Reads Foreach quantifiers only: at a scan or a join step.
+    Join,
+    /// Reads a scalar subquery: in the end stage's filter.
+    End,
+    /// Reads one Existential / All subquery: in its group.
+    Quantified,
+    /// Reads several quantified subqueries, which nothing evaluates.
+    Unsupported,
+}
+
+/// One Foreach quantifier of a Select.
+pub(super) struct Input<'q> {
+    pub q: QuantId,
+    pub child: BoxId,
+    pub arity: usize,
+    /// The quantifiers of the box its input reads; any makes it lateral.
+    pub deps: Vec<QuantId>,
+    /// Its own predicates (over it alone), applied where it is read.
+    pub own: Vec<usize>,
+    pub access: Access<'q>,
+}
+
+/// How a Foreach input is read.
+pub(super) enum Access<'q> {
+    /// Evaluated per binding of `deps`: a lateral join.
+    Lateral,
+    /// Any other derived input: evaluated or served from a cache, then
+    /// filtered.
+    Derived,
+    /// An indexed resident table with no predicate of its own, left
+    /// unscanned: a join step may drive it through its index.
+    Deferred(&'q str),
+    /// An own `=` on an indexed column, keyed before the scan: one probe.
+    Index(&'q str, Probe<'q>),
+    /// Stripe by stripe through the buffer pool: values are copied off the
+    /// pages only at the columns read past the scan, and stripes whose zone
+    /// maps refute a sargable bound `col op expr` (its `expr` evaluated
+    /// under the outer bindings) are skipped whole.
+    Paged(&'q str, Vec<usize>, Vec<(usize, CmpOp, &'q Expr)>),
+    /// (`ni_batch`) An own `=` on an unindexed column against a correlation
+    /// binding: a hash partition of the column, built on the run's second
+    /// such scan and probed per binding after it.
+    Correlated(&'q str, Probe<'q>),
+    /// Every row, filtered.
+    Scan(&'q str),
+}
+
+impl<'q> Plan<'q> {
+    pub fn lower(qgm: &'q Qgm, db: &Database, opts: &ExecOptions) -> Self {
+        let tr = Traversal::new(qgm);
+        let mode = match (opts.ni_memo, opts.ni_batch) {
+            (false, _) => ApplyMode::Naive,
+            (true, false) => ApplyMode::Memo,
+            (true, true) => ApplyMode::Batched,
+        };
+        let slots = qgm.slots().0;
+        let mut boxes: Vec<Lowered<'q>> = (0..slots).map(|_| Lowered::default()).collect();
+        for &b in tr.order() {
+            let bx = qgm.boxref(b);
+            let marks = opts.shared_subplans.as_ref().map(|ss| &ss.marks);
+            let mark = marks.and_then(|marks| marks.get(&b));
+            let low = &mut boxes[b.index()];
+            low.cse = opts.memoize_cse
+                && !matches!(bx.kind, BoxKind::BaseTable { .. })
+                && !tr.is_correlated(b);
+            low.cached = low.cse || mark.is_some();
+            low.shared_key = mark.and_then(|m| {
+                let mut key = m.shape.clone();
+                for t in &m.tables {
+                    let _ = write!(key, ";{t}@{}", db.table(t).ok()?.version());
+                }
+                Some(key)
+            });
+            if !matches!(bx.kind, BoxKind::Select) {
+                continue;
+            }
+            let op = lower_select(qgm, &tr, db, opts, b);
+            let lateral = op.inputs.iter().filter(|i| !i.deps.is_empty());
+            let subqueries = bx.quants.iter().map(|&q| qgm.quant(q));
+            let subqueries = subqueries.filter(|q| q.kind != QuantKind::Foreach);
+            for child in lateral.map(|i| i.child).chain(subqueries.map(|q| q.input)) {
+                let refs: Vec<(QuantId, usize)> = tr.free_refs(child).collect();
+                // Normalize binding keys only when every free reference of
+                // the subtree is read as a SQL comparison operand.
+                let is_free = |q: QuantId| refs.iter().any(|&(fq, _)| fq == q);
+                let mut sql_norm = !refs.is_empty();
+                if sql_norm {
+                    qgm.walk(child, &mut vec![false; slots], &mut |bb| {
+                        let bx = qgm.boxref(bb);
+                        bx.for_each_expr(|e| sql_norm &= cmp_context_only(e, &is_free, false));
+                    });
+                }
+                boxes[child.index()].sig = Some(CorrSig { refs, sql_norm });
+            }
+            boxes[b.index()].select = Some(op);
+        }
+        Plan { qgm, mode, boxes }
+    }
+
+    pub fn get(&self, b: BoxId) -> &Lowered<'q> {
+        &self.boxes[b.index()]
+    }
+
+    pub fn sig(&self, b: BoxId) -> &CorrSig {
+        let sig = self.get(b).sig.as_ref();
+        sig.expect("every applied input is lowered")
+    }
+}
+
+fn lower_select<'q>(
+    qgm: &'q Qgm,
+    tr: &Traversal<'_>,
+    db: &Database,
+    opts: &ExecOptions,
+    b: BoxId,
+) -> SelectOp<'q> {
+    let bx = qgm.boxref(b);
+    let kind = |q: QuantId| qgm.quant(q).kind;
+    let local = |q: &QuantId| bx.quants.contains(q);
+    let deps = |q: QuantId| -> Vec<QuantId> {
+        let refs = tr.free_refs(qgm.quant(q).input);
+        refs.map(|(fq, _)| fq).filter(local).collect()
+    };
+    let preds: Vec<Pred> = (bx.preds.iter())
+        .map(|p| {
+            let refs: Vec<QuantId> = p.referenced_quants().into_iter().filter(local).collect();
+            let quantified = refs
+                .iter()
+                .filter(|&&q| matches!(kind(q), QuantKind::Existential | QuantKind::All));
+            let stage = match quantified.count() {
+                _ if refs.is_empty() => Stage::Constant,
+                0 if refs.iter().all(|&q| kind(q) == QuantKind::Foreach) => Stage::Join,
+                0 => Stage::End,
+                1 => Stage::Quantified,
+                _ => Stage::Unsupported,
+            };
+            Pred { refs, stage }
+        })
+        .collect();
+
+    let mut inputs = Vec::new();
+    for &q in bx.quants.iter().filter(|&&q| kind(q) == QuantKind::Foreach) {
+        let child = qgm.quant(q).input;
+        let own: Vec<usize> = (0..preds.len())
+            .filter(|&i| preds[i].stage == Stage::Join && preds[i].refs == [q])
+            .collect();
+        let deps = deps(q);
+        let access = match &qgm.boxref(child).kind {
+            _ if !deps.is_empty() => Access::Lateral,
+            BoxKind::BaseTable { table, .. } => match db.table(table) {
+                Ok(t) if own.is_empty() && !t.indexes().is_empty() => Access::Deferred(table),
+                Ok(t) => {
+                    let ready = || own.iter().map(|&i| (i, &bx.preds[i]));
+                    let indexed = |c: usize, _: &Expr| t.index_on(&[c]).is_some();
+                    let correlated = |_: usize, e: &Expr| !e.referenced_quants().is_empty();
+                    if let Some(probe) = access::eq_probe(ready(), q, indexed) {
+                        Access::Index(table, probe)
+                    } else if t.is_paged() {
+                        let read = cols_read_past_scan(qgm, tr, b, q, &own);
+                        Access::Paged(table, read, sargable(ready(), q))
+                    } else {
+                        match access::eq_probe(ready(), q, correlated) {
+                            Some(probe) if opts.ni_batch => Access::Correlated(table, probe),
+                            _ => Access::Scan(table),
+                        }
+                    }
+                }
+                // A table gone from the snapshot fails where it is read.
+                Err(_) => Access::Scan(table),
+            },
+            _ => Access::Derived,
+        };
+        let arity = qgm.output_arity(child);
+        inputs.push(Input { q, child, arity, deps, own, access });
+    }
+
+    let early = match opts.scalar_placement {
+        ScalarPlacement::PerCandidateRow => Vec::new(),
+        ScalarPlacement::EarliestBinding => (bx.quants.iter())
+            .filter(|&&q| kind(q) == QuantKind::Scalar)
+            .map(|&q| (q, deps(q)))
+            .collect(),
+    };
+    let staged = |keep: fn(Stage) -> bool| {
+        let preds = bx.preds.iter().zip(&preds);
+        preds.filter(move |(_, p)| keep(p.stage)).map(|(e, _)| e)
+    };
+    let mut end_scalars = Vec::new();
+    let late = staged(|s| !matches!(s, Stage::Constant | Stage::Join));
+    for e in late.chain(bx.outputs.iter().map(|o| &o.expr)) {
+        for r in e.referenced_quants() {
+            if local(&r) && kind(r) == QuantKind::Scalar && !end_scalars.contains(&r) {
+                end_scalars.push(r);
+            }
+        }
+    }
+    let groups = (bx.quants.iter())
+        .filter(|&&q| matches!(kind(q), QuantKind::Existential | QuantKind::All))
+        .map(|&sq| {
+            let over = staged(|s| s == Stage::Quantified).filter(|e| e.references(sq));
+            (sq, over.collect())
+        })
+        .collect();
+    SelectOp { preds, inputs, early, end_scalars, groups }
+}
+
+/// The columns of quantifier `q` of Select `b` that anything reads once
+/// its scan has applied its `own` predicates: the box's other predicates
+/// and outputs, and the subqueries and lateral inputs correlated to it. A
+/// reference to `q` can sit nowhere else.
+fn cols_read_past_scan(
+    qgm: &Qgm,
+    tr: &Traversal<'_>,
+    b: BoxId,
+    q: QuantId,
+    own: &[usize],
+) -> Vec<usize> {
+    let bx = qgm.boxref(b);
+    let below = bx
+        .quants
+        .iter()
+        .flat_map(|&c| tr.free_refs(qgm.quant(c).input));
+    let mut cols: Vec<usize> = below.filter(|&(fq, _)| fq == q).map(|(_, c)| c).collect();
+    let others = (bx.preds.iter().enumerate()).filter(|(i, _)| !own.contains(i));
+    for e in others
+        .map(|(_, p)| p)
+        .chain(bx.outputs.iter().map(|o| &o.expr))
+    {
+        e.for_each_col(&mut |fq, c| {
+            if fq == q {
+                cols.push(c)
+            }
+        });
+    }
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
+/// The sargable bounds among a scan's predicates: every `Col(q, c) <op>
+/// <expr>` comparison, either way round, whose `<expr>` does not read `q`.
+/// They only filter whole stripes: the surviving rows still run every
+/// predicate.
+fn sargable<'q>(
+    preds: impl Iterator<Item = (usize, &'q Expr)>,
+    q: QuantId,
+) -> Vec<(usize, CmpOp, &'q Expr)> {
+    let mut bounds = Vec::new();
+    for (_, p) in preds {
+        let Expr::Binary { op, left, right } = p else {
+            continue;
+        };
+        let Some(cmp) = op.cmp_op() else {
+            continue;
+        };
+        for (a, b, cmp) in [(left, right, cmp), (right, left, cmp.flip())] {
+            if let Expr::Col { quant, col } = a.as_ref() {
+                if *quant == q && !b.references(q) {
+                    bounds.push((*col, cmp, b.as_ref()));
+                    break;
+                }
+            }
+        }
+    }
+    bounds
+}
+
+/// Does every free-reference occurrence in `e` sit in a SQL-comparison
+/// context? `safe` says the current position is reached only through
+/// comparison operands and value-preserving arithmetic (`+ - *` and unary
+/// negation — `/` is excluded because `NULL / 0` is NULL while `NaN / 0`
+/// errors, so NULL~NaN folding would change behaviour). Everything else —
+/// `IS [NOT] NULL`, `<=>`, `COALESCE`, aggregates, boolean structure —
+/// observes the raw value and resets the context.
+fn cmp_context_only(e: &Expr, is_free: &impl Fn(QuantId) -> bool, safe: bool) -> bool {
+    match e {
+        Expr::Col { quant, .. } => !is_free(*quant) || safe,
+        Expr::Lit(_) | Expr::Param(_) => true,
+        Expr::Binary { op, left, right } => {
+            let inner = match op {
+                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => true,
+                BinOp::Add | BinOp::Sub | BinOp::Mul => safe,
+                _ => false,
+            };
+            cmp_context_only(left, is_free, inner) && cmp_context_only(right, is_free, inner)
+        }
+        Expr::Unary { op, expr } => {
+            let inner = matches!(op, UnOp::Neg) && safe;
+            cmp_context_only(expr, is_free, inner)
+        }
+        Expr::Func { args, .. } => args.iter().all(|a| cmp_context_only(a, is_free, false)),
+        Expr::Agg { arg, .. } => arg
+            .as_ref()
+            .is_none_or(|a| cmp_context_only(a, is_free, false)),
+    }
+}

@@ -24,13 +24,14 @@
 use std::ops::Range;
 
 use decorr_common::{Result, Row};
-use decorr_qgm::{BoxId, Expr, Qgm, QuantId};
+use decorr_qgm::{BoxId, Expr};
 use decorr_stats::access::{self, Probe, TableInput};
 use decorr_storage::Table;
 
+use super::joins;
+use super::lower::Plan;
 use super::{qualifies_all, Executor};
 use crate::env::{Env, Layout};
-use crate::join;
 use crate::trace::JoinStrategy;
 use crate::tuple::{Src, Tuples};
 
@@ -54,10 +55,11 @@ impl<'a> Executor<'a> {
     /// re-map the joined candidates and make no row.
     pub(super) fn eval_outer_join(
         &mut self,
-        qgm: &Qgm,
+        plan: &Plan<'_>,
         b: BoxId,
         env: Option<&Env<'_>>,
     ) -> Result<Tuples<'a>> {
+        let qgm = plan.qgm;
         let bx = qgm.boxref(b);
         let (ql, qr) = (bx.quants[0], bx.quants[1]);
         let (lchild, rchild) = (qgm.quant(ql).input, qgm.quant(qr).input);
@@ -67,14 +69,27 @@ impl<'a> Executor<'a> {
         let mut layout = l_layout.clone();
         layout.push(qr, r_arity);
 
-        let left = self.eval_child(qgm, lchild, env)?;
+        let left = self.eval_child(plan, lchild, env)?;
         let mut left = Tuples::every(Src::Batch(left), l_arity);
         let left_rows = left.len();
-        let m = match self.index_arm(qgm, rchild, qr, &bx.preds, left_rows)? {
+        // The index arm: the right input is a resident table as it stands
+        // that no cache serves, an `=` ON predicate probes one of its
+        // indexed columns, and the probes pay for the left rows.
+        let arm = match access::table_input(qgm, rchild) {
+            Some(input) if !plan.get(rchild).cached => {
+                let t = self.db.table(input.table)?;
+                let indexed = |c: usize, _: &Expr| t.index_on(&[input.cols[c]]).is_some();
+                let probe = access::eq_probe(bx.preds.iter().enumerate(), qr, indexed)
+                    .filter(|_| access::index_nl_pays(left_rows as f64, t.len() as f64));
+                probe.map(|p| (t, input, p))
+            }
+            _ => None,
+        };
+        let m = match arm {
             Some((t, input, probe)) => {
                 self.probe_right(&left, &l_layout, t, input, probe, &bx.preds, env)?
             }
-            None => self.match_right(qgm, b, &mut left, &l_layout, env)?,
+            None => self.match_right(plan, b, &mut left, &l_layout, env)?,
         };
         let Matched { strategy, mut right, right_rows, pairs, every_right, residual } = m;
         let residual: Vec<&Expr> = residual.iter().map(|&i| &bx.preds[i]).collect();
@@ -87,7 +102,7 @@ impl<'a> Executor<'a> {
         }
         let morsels = self.for_morsels(left_rows, |lo, hi| {
             let (mut evals, mut combined) = (0u64, Row::empty());
-            let out = join::walk_outer(lo..hi, &pairs, every_right.clone(), |li, ri| {
+            let out = joins::walk_outer(lo..hi, &pairs, every_right.clone(), |li, ri| {
                 if residual.is_empty() {
                     return Ok(true);
                 }
@@ -113,29 +128,6 @@ impl<'a> Executor<'a> {
         self.note_joined(qr, strategy, left_rows, right_rows, out.len());
         let joined = self.join_tuples(left, right, &out)?;
         self.project(joined, &bx.outputs, false, &layout, env)
-    }
-
-    /// The right input `r` (quantifier `qr`), its table and the probe, when
-    /// the access rule sends the join through an index: `r` is a resident
-    /// table as it stands that no cache serves, an `=` ON predicate probes
-    /// one of its indexed columns, and the probes pay for `left_rows`.
-    fn index_arm<'q>(
-        &mut self,
-        qgm: &'q Qgm,
-        r: BoxId,
-        qr: QuantId,
-        on: &'q [Expr],
-        left_rows: usize,
-    ) -> Result<Option<(&'a Table, TableInput<'q>, Probe<'q>)>> {
-        let input = match access::table_input(qgm, r) {
-            Some(input) if !self.cached(qgm, r) => input,
-            _ => return Ok(None),
-        };
-        let t = self.db.table(input.table)?;
-        let indexed = |c: usize, _: &Expr| t.index_on(&[input.cols[c]]).is_some();
-        let probe = access::eq_probe(on.iter().enumerate(), qr, indexed)
-            .filter(|_| access::index_nl_pays(left_rows as f64, t.len() as f64));
-        Ok(probe.map(|p| (t, input, p)))
     }
 
     /// The index arm: every left row probes `t`'s index; the table
@@ -180,17 +172,17 @@ impl<'a> Executor<'a> {
     /// candidate offered to every left row.
     fn match_right(
         &mut self,
-        qgm: &Qgm,
+        plan: &Plan<'_>,
         b: BoxId,
         left: &mut Tuples<'_>,
         l_layout: &Layout,
         env: Option<&Env<'_>>,
     ) -> Result<Matched<'a>> {
-        let bx = qgm.boxref(b);
+        let (qgm, bx) = (plan.qgm, plan.qgm.boxref(b));
         let (qr, rchild) = (bx.quants[1], qgm.quant(bx.quants[1]).input);
-        let mut right = self.eval_tuples(qgm, rchild, env)?;
+        let mut right = self.eval_tuples(plan, rchild, env)?;
         let right_rows = right.len();
-        let keys = join::split_equi_keys(&bx.preds, l_layout, qr);
+        let keys = joins::split_equi_keys(&bx.preds, l_layout, qr);
         if keys.left.is_empty() {
             let tries = (left.len() * right_rows) as u64;
             self.checkpoint(tries)?;

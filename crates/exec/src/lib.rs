@@ -13,30 +13,41 @@
 //!   cardinality-ordered hash joins, index-assisted selections, hash
 //!   aggregation.
 //!
-//! Two knobs reproduce behaviours the paper discusses:
+//! # Lowered once per run
 //!
-//! * [`ExecOptions::memoize_cse`] — whether common subexpressions (boxes
-//!   referenced by several quantifiers, e.g. the supplementary table) are
-//!   materialized once or recomputed per reference. The Starburst build
-//!   used in the paper *always recomputes* (Section 5.1), so `false` is the
-//!   default.
-//! * [`ExecOptions::scalar_placement`] — when nested iteration evaluates a
-//!   correlated scalar subquery: [`ScalarPlacement::PerCandidateRow`]
-//!   applies the subquery after the outer block's joins (the common case in
-//!   the paper: 6 invocations for Query 1(a), 3954 for 1(b)), while
-//!   [`ScalarPlacement::EarliestBinding`] computes it as soon as its
-//!   correlation bindings are joined — the placement the paper's optimizer
-//!   chose for Query 2 ("places the subquery *before* the join between
-//!   Parts and Lineitem", 209 invocations).
+//! [`Executor::run`] lowers the graph before it evaluates a box: one
+//! traversal decides, per Select, where each predicate is applied, which
+//! inputs are lateral, how each input is read (index probe, correlation
+//! probe, deferred indexed table, paged or full scan) and when each scalar
+//! subquery is placed; per subquery or lateral input, its correlation
+//! signature and how nested iteration reuses it; per box, whether a cache
+//! serves it whole. The plan-shaping options — [`ExecOptions::memoize_cse`]
+//! (the paper's Starburst build recomputes common subexpressions, so it is
+//! off by default), [`ExecOptions::scalar_placement`] (Query 2's plan
+//! places its subquery before the join, [`ScalarPlacement::EarliestBinding`]),
+//! `ni_memo`, `ni_batch` and the shared-subplan marks — are read there and
+//! nowhere else. Decisions that depend on data stay at run time: the greedy
+//! join order by input sizes, whether index nested loops pay, spilling, and
+//! the kernels compiled under the current bindings.
+//!
+//! # Modules
+//!
+//! * [`exec`]: the [`Executor`], one module per operator — `lower` (the
+//!   lowering), `select` (the Select box's join driver and end stage),
+//!   `scans`, `joins` (the equi-join kernel, Grace spills, index nested
+//!   loops), `apply` (nested iteration and its memo), `grouping`, `outer`
+//!   and `union`;
+//! * `tuple`: candidate tuples, what scans and joins hand on instead of
+//!   rows; `env`, `eval` and `vector`: bindings, the row-wise evaluator and
+//!   the columnar kernels;
+//! * [`trace`], [`cache`], [`subplan`] and [`cost`]: the operator trace, the
+//!   cross-query transpose and shared-subplan caches, and the cost model.
 
 pub mod cache;
 pub mod cost;
 pub mod env;
 pub mod eval;
 pub mod exec;
-mod group;
-mod join;
-mod scan;
 pub mod subplan;
 pub mod trace;
 mod tuple;

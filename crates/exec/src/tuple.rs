@@ -25,7 +25,7 @@ use decorr_common::columnar::Column;
 use decorr_common::{Result, Row, RowBatch, Value};
 use decorr_storage::PageIo;
 
-use crate::scan::ScanSel;
+use crate::exec::ScanSel;
 
 /// The position of an outer join's right input in a null-extended
 /// candidate.

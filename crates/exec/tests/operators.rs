@@ -1,9 +1,9 @@
 //! Operator-level executor tests over hand-built QGM graphs — exercising
 //! paths the SQL frontend cannot reach directly (OuterJoin boxes, NullEq
-//! keys, the index-nested-loop decision).
+//! keys, the index-nested-loop decision, laterality).
 
 use decorr_common::{row, DataType, Row, Schema, Value};
-use decorr_exec::{execute, execute_with, ExecOptions};
+use decorr_exec::{execute, execute_traced, execute_with, ExecOptions, JoinStrategy};
 use decorr_qgm::{validate::validate, BinOp, BoxKind, Expr, Qgm, QuantKind};
 use decorr_storage::Database;
 
@@ -260,6 +260,59 @@ fn index_nested_loop_decision() {
     assert_eq!(rows.len(), 40);
     assert_eq!(stats.index_lookups, 0);
     assert_eq!(stats.rows_scanned, 1004, "fallback scans the big table");
+}
+
+/// A Foreach input correlated only to an *outer* block is not lateral: the
+/// Select that owns it evaluates it once per evaluation of its own, before
+/// joining, never once per candidate row — and its join step is not traced
+/// as `Lateral`. Here `D` reads `L`, two blocks up, beside `R`:
+/// `Select l.a From l Where Exists (Select r.b From r, D Where r.b = 'p'
+/// and r.k = D.k)` with `D = Select r2.k From r r2 Where r2.k = l.k`.
+#[test]
+fn input_correlated_to_an_outer_block_is_not_lateral() {
+    let db = two_tables();
+    let mut g = Qgm::new();
+    let lt = g.add_base_table("l", db.table("l").unwrap().schema().clone());
+    let rt = g.add_base_table("r", db.table("r").unwrap().schema().clone());
+    let top = g.add_box(BoxKind::Select, "top");
+    let ql = g.add_quant(top, QuantKind::Foreach, lt, "L");
+    let d = g.add_box(BoxKind::Select, "d");
+    let qr2 = g.add_quant(d, QuantKind::Foreach, rt, "R2");
+    g.boxmut(d)
+        .preds
+        .push(Expr::eq(Expr::col(qr2, 0), Expr::col(ql, 0)));
+    g.add_output(d, "k", Expr::col(qr2, 0));
+    let mid = g.add_box(BoxKind::Select, "mid");
+    let qr = g.add_quant(mid, QuantKind::Foreach, rt, "R");
+    let qd = g.add_quant(mid, QuantKind::Foreach, d, "D");
+    let preds = &mut g.boxmut(mid).preds;
+    // `R` keeps one row, so the greedy order joins `D` to it.
+    preds.push(Expr::eq(Expr::col(qr, 1), Expr::lit("p")));
+    preds.push(Expr::eq(Expr::col(qr, 0), Expr::col(qd, 0)));
+    g.add_output(mid, "b", Expr::col(qr, 1));
+    g.add_quant(top, QuantKind::Existential, mid, "M");
+    g.add_output(top, "a", Expr::col(ql, 1));
+    g.set_top(top);
+    validate(&g).unwrap();
+
+    for opts in [ExecOptions::default(), ExecOptions::default().naive_ni()] {
+        let (rows, _, trace) = execute_traced(&db, &g, opts.clone()).unwrap();
+        assert_eq!(rows, vec![row!["x"]], "{opts:?}");
+        let (mid_t, d_t) = (trace.get(mid).unwrap(), trace.get(d).unwrap());
+        // One evaluation of `mid` per row of `l` (three distinct keys).
+        assert_eq!(mid_t.invocations, 3, "{opts:?}");
+        assert_eq!(d_t.invocations, mid_t.invocations, "{opts:?}");
+        assert!(
+            mid_t
+                .joins
+                .iter()
+                .all(|j| j.strategy != JoinStrategy::Lateral),
+            "{opts:?}: {:?}",
+            mid_t.joins
+        );
+        let d_join = mid_t.joins.iter().find(|j| j.quant == qd).unwrap();
+        assert_eq!(d_join.strategy, JoinStrategy::Hash, "{opts:?}");
+    }
 }
 
 /// Cross-run CSE memoization: a box shared by two quantifiers evaluates
