@@ -89,6 +89,24 @@ impl Strategy {
 /// [`decorr_common::Error::Rewrite`] when the strategy does not apply
 /// (e.g. Kim/Dayal on the non-linear Query 3).
 pub fn apply_strategy(qgm: &Qgm, strategy: Strategy) -> Result<Qgm> {
+    rewrite(qgm, strategy, None)
+}
+
+/// [`apply_strategy`] with a [`RewriteTrace`] of every rewrite step.
+///
+/// Magic/OptMag record each FEED/ABSORB/repair/merge individually; the
+/// baseline rewrites (which are single whole-graph transformations) record
+/// one step each, with full before/after snapshots. The final
+/// [`rules::optimize`] pass is recorded as one summarizing step.
+pub fn apply_strategy_traced(qgm: &Qgm, strategy: Strategy) -> Result<(Qgm, RewriteTrace)> {
+    let mut trace = RewriteTrace::new();
+    let g = rewrite(qgm, strategy, Some(&mut trace))?;
+    Ok((g, trace))
+}
+
+/// The one strategy dispatch behind both entry points: the same rewrite,
+/// the same refusals, and with a `trace` the steps recorded.
+fn rewrite(qgm: &Qgm, strategy: Strategy, mut trace: Option<&mut RewriteTrace>) -> Result<Qgm> {
     // Dayal and Ganski/Wong refuse on the borrowed graph: a race lane that
     // does not apply clones nothing.
     let dayal = match strategy {
@@ -100,6 +118,12 @@ pub fn apply_strategy(qgm: &Qgm, strategy: Strategy) -> Result<Qgm> {
         _ => None,
     };
     let mut g = qgm.clone();
+    // A baseline is one whole-graph step.
+    let baseline = matches!(
+        strategy,
+        Strategy::Kim | Strategy::Dayal | Strategy::GanskiWong
+    );
+    let before = (baseline && trace.is_some()).then(|| print::render(&g));
     match strategy {
         Strategy::NestedIteration => {}
         Strategy::Kim => baselines::kim::rewrite(&mut g)?,
@@ -107,73 +131,42 @@ pub fn apply_strategy(qgm: &Qgm, strategy: Strategy) -> Result<Qgm> {
             Some(pat) => baselines::dayal::rewrite_checked(&mut g, pat)?,
             None => baselines::ganski::rewrite_checked(&mut g)?,
         },
-        Strategy::Magic => {
-            magic::magic_decorrelate(&mut g, &MagicOptions::default())?;
-        }
-        Strategy::OptMag => {
-            magic::magic_decorrelate(
-                &mut g,
-                &MagicOptions { eliminate_supp_cse: true, ..Default::default() },
-            )?;
-        }
-    }
-    rules::optimize(&mut g);
-    Ok(g)
-}
-
-/// [`apply_strategy`] with a [`RewriteTrace`] of every rewrite step.
-///
-/// Magic/OptMag record each FEED/ABSORB/repair/merge individually; the
-/// baseline rewrites (which are single whole-graph transformations) record
-/// one step each, with full before/after snapshots. The final
-/// [`rules::optimize`] pass is recorded as one summarizing step.
-pub fn apply_strategy_traced(qgm: &Qgm, strategy: Strategy) -> Result<(Qgm, RewriteTrace)> {
-    let mut g = qgm.clone();
-    let mut trace = RewriteTrace::new();
-    match strategy {
-        Strategy::NestedIteration => {}
-        Strategy::Kim | Strategy::Dayal | Strategy::GanskiWong => {
-            let before = print::render(&g);
-            match strategy {
-                Strategy::Kim => baselines::kim::rewrite(&mut g)?,
-                Strategy::Dayal => baselines::dayal::rewrite(&mut g)?,
-                Strategy::GanskiWong => baselines::ganski::rewrite(&mut g)?,
-                _ => unreachable!(),
-            }
-            trace.record(RewriteStep {
-                rule: strategy.name().into(),
-                target: g.top(),
-                created: vec![],
-                mutated: vec![g.top()],
-                before,
-                after: print::render(&g),
-                note: "baseline whole-graph rewrite".into(),
-            });
-        }
         Strategy::Magic | Strategy::OptMag => {
             let opts = MagicOptions {
                 eliminate_supp_cse: strategy == Strategy::OptMag,
                 ..Default::default()
             };
-            let (_, t) = magic::magic_decorrelate_traced(&mut g, &opts)?;
-            trace = t;
+            magic::magic_decorrelate_inner(&mut g, &opts, trace.as_deref_mut())?;
         }
     }
-    let before = print::render(&g);
-    let rep = rules::optimize(&mut g);
-    if rep != rules::OptimizeReport::default() {
+    if let (Some(trace), Some(before)) = (trace.as_deref_mut(), before) {
         trace.record(RewriteStep {
-            rule: "optimize".into(),
+            rule: strategy.name().into(),
             target: g.top(),
             created: vec![],
-            mutated: vec![],
+            mutated: vec![g.top()],
             before,
             after: print::render(&g),
-            note: format!(
-                "{} merges, {} bypasses, {} predicates pushed, {} columns pruned",
-                rep.merges, rep.bypasses, rep.pushed_predicates, rep.pruned_columns
-            ),
+            note: "baseline whole-graph rewrite".into(),
         });
     }
-    Ok((g, trace))
+    let before = trace.is_some().then(|| print::render(&g));
+    let rep = rules::optimize(&mut g);
+    if let (Some(trace), Some(before)) = (trace, before) {
+        if rep != rules::OptimizeReport::default() {
+            trace.record(RewriteStep {
+                rule: "optimize".into(),
+                target: g.top(),
+                created: vec![],
+                mutated: vec![],
+                before,
+                after: print::render(&g),
+                note: format!(
+                    "{} merges, {} bypasses, {} predicates pushed, {} columns pruned",
+                    rep.merges, rep.bypasses, rep.pushed_predicates, rep.pruned_columns
+                ),
+            });
+        }
+    }
+    Ok(g)
 }

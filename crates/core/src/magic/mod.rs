@@ -119,7 +119,7 @@ pub fn magic_decorrelate_traced(
     Ok((rep, trace))
 }
 
-fn magic_decorrelate_inner(
+pub(crate) fn magic_decorrelate_inner(
     qgm: &mut Qgm,
     opts: &MagicOptions,
     mut trace: Option<&mut RewriteTrace>,

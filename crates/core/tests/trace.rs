@@ -2,11 +2,12 @@
 //! with usable snapshots, without changing what the rewrite produces.
 
 use decorr_common::{DataType, Schema};
-use decorr_core::magic::{magic_decorrelate, magic_decorrelate_traced, MagicOptions};
+use decorr_core::magic::{magic_decorrelate_traced, MagicOptions};
 use decorr_core::{apply_strategy, apply_strategy_traced, Strategy};
 use decorr_qgm::print;
 use decorr_sql::parse_and_bind;
 use decorr_storage::Database;
+use decorr_tpcd::{generate, queries, TpcdConfig};
 
 fn empdept_db() -> Database {
     let mut db = Database::new();
@@ -74,14 +75,48 @@ fn traced_magic_logs_feed_absorb_repair_and_cleanup() {
     );
 }
 
+/// Every strategy over the figure queries and EMP/DEPT: the traced
+/// rewrite renders byte for byte as the untraced one, and a strategy that
+/// does not apply refuses both with the same message.
 #[test]
-fn traced_magic_matches_untraced_result() {
-    let db = empdept_db();
-    let mut traced = parse_and_bind(PAPER_QUERY, &db).unwrap();
-    let mut plain = traced.clone();
-    magic_decorrelate_traced(&mut traced, &MagicOptions::default()).unwrap();
-    magic_decorrelate(&mut plain, &MagicOptions::default()).unwrap();
-    assert_eq!(print::render(&traced), print::render(&plain));
+fn traced_rewrites_match_untraced_ones() {
+    let mut tpcd = generate(&TpcdConfig { scale: 0.005, seed: 42, with_indexes: true }).unwrap();
+    let figures = [
+        ("fig5", queries::Q1A),
+        ("fig6", queries::Q1B),
+        ("fig8", queries::Q2),
+        ("fig9", queries::Q3),
+    ];
+    let mut cases: Vec<(&str, &str, Database)> = Vec::new();
+    for (name, sql) in figures {
+        cases.push((name, sql, tpcd.clone()));
+    }
+    queries::drop_fig7_index(&mut tpcd).unwrap();
+    cases.push(("fig7", queries::Q1C, tpcd));
+    cases.push(("EMP/DEPT", queries::EMPDEPT, empdept_db()));
+    let (mut traced_steps, mut refusals) = (0, 0);
+    for (name, sql, db) in &cases {
+        let qgm = parse_and_bind(sql, db).unwrap();
+        for s in Strategy::all() {
+            let plain = apply_strategy(&qgm, s).map(|g| print::render(&g));
+            let traced = apply_strategy_traced(&qgm, s).map(|(g, trace)| {
+                traced_steps += trace.steps.len();
+                print::render(&g)
+            });
+            match (plain, traced) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{name} under {}", s.name()),
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "{name}");
+                    refusals += 1;
+                }
+                (a, b) => panic!("{name} under {}: {a:?} vs {b:?}", s.name()),
+            }
+        }
+    }
+    assert!(
+        traced_steps > 0 && refusals > 0,
+        "{traced_steps} steps, {refusals} refusals"
+    );
 }
 
 #[test]

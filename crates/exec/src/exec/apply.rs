@@ -3,8 +3,9 @@
 
 use decorr_common::{Error, FxHashMap, Result, Row, RowBatch, Value};
 use decorr_qgm::{BoxId, QuantId};
+use decorr_stats::shape::Input;
 
-use super::lower::{ApplyMode, Input, Plan};
+use super::lower::{ApplyMode, Plan};
 use super::Executor;
 use crate::env::{Env, Layout};
 use crate::trace::JoinStrategy;

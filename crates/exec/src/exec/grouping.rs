@@ -23,7 +23,7 @@ use decorr_common::{Error, FxHashMap, FxHashSet, FxHasher, Result, Row, Value};
 use decorr_qgm::{AggFunc, BoxId, Expr};
 use decorr_storage::{PageIo, SpillManager};
 
-use super::lower::Plan;
+use super::lower::{GroupOp, Plan};
 use super::{tag_row, untag_rows, Executor};
 use crate::env::{Env, Layout};
 use crate::eval::eval_expr;
@@ -40,22 +40,9 @@ impl Executor<'_> {
     ) -> Result<Vec<Row>> {
         let qgm = plan.qgm;
         let bx = qgm.boxref(b);
-        let q = bx.quants[0];
-        let child = qgm.quant(q).input;
-        let mut layout = Layout::new();
-        layout.push(q, qgm.output_arity(child));
-
-        // Aggregate output positions and their calls.
-        let mut agg_slots: Vec<AggSlot<'_>> = Vec::new();
-        for (i, o) in bx.outputs.iter().enumerate() {
-            if let Expr::Agg { func, arg, distinct } = &o.expr {
-                let arg = arg.as_deref();
-                let col = arg.and_then(|a| vector::compile_projection([a].into_iter(), &layout));
-                let col = col.filter(|_| self.opts.columnar).map(|c| c[0]);
-                let (func, distinct) = (*func, *distinct);
-                agg_slots.push(AggSlot { func, arg, col, distinct, out_pos: i });
-            }
-        }
+        let child = qgm.quant(bx.quants[0]).input;
+        let op = plan.get(b).group.as_ref().expect("a Grouping is lowered");
+        let (layout, agg_slots) = (&op.layout, &op.slots);
 
         // The input: a Select's or an outer join's candidates as they
         // stand — a scan's survivors perhaps still on their pages, a join's
@@ -85,17 +72,13 @@ impl Executor<'_> {
         // a scan that is still paged — and reproduce the serial fold
         // exactly (Double accumulation order and Int overflow included).
         // Anything else reads rows.
-        let kernel_cols = match group_by.is_empty() && n > 0 {
-            true => grand_total_cols(&agg_slots),
-            false => None,
-        };
+        let kernel_cols = op.kernel.as_ref().filter(|_| n > 0);
         let every_output_aggregates = agg_slots.len() == bx.outputs.len();
         if kernel_cols.is_none() || !every_output_aggregates {
             self.settle(&mut input)?;
         }
-        let keys = &GroupKeys::compile(group_by, &layout, self.opts.columnar, &agg_slots);
         let spill = |(mgr, parts): (Arc<SpillManager>, usize)| {
-            self.spilled_groups(&input, &layout, env, keys, &agg_slots, &mgr, parts)
+            self.spilled_groups(&input, op, env, &mgr, parts)
         };
         let spilled = match spilling.map(spill) {
             Some(Ok(groups)) => Some(groups),
@@ -114,28 +97,28 @@ impl Executor<'_> {
         // so the result is the one the serial fold produces.
         let mut groups: Vec<Group> = if let Some(groups) = spilled {
             groups
-        } else if let Some(cols) = &kernel_cols {
+        } else if let Some(cols) = kernel_cols {
             let mut io = PageIo::default();
             let args = cols
                 .iter()
                 .map(|c| c.map(|c| input.column(c, &mut io)).transpose())
                 .collect::<Result<Vec<_>>>()?;
             self.note_io(io);
-            grand_total_groups(n, Some(0), &agg_slots, &args)?
+            grand_total_groups(n, Some(0), agg_slots, &args)?
         } else if self.parallel_over(n) {
             let per = n.div_ceil(self.pool.threads());
             let partials = self.pool.run_indexed(n.div_ceil(per), |s| {
                 let range = s * per..((s + 1) * per).min(n);
-                build_groups(&input, range, &layout, env, keys, &agg_slots, true)
+                build_groups(&input, range, op, env, true)
             });
             let mut merged: Vec<Group> = Vec::new();
             let mut index: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
             for partial in partials {
-                merge_groups(&mut merged, &mut index, partial?, &agg_slots)?;
+                merge_groups(&mut merged, &mut index, partial?, agg_slots)?;
             }
             merged
         } else {
-            build_groups(&input, 0..n, &layout, env, keys, &agg_slots, false)?
+            build_groups(&input, 0..n, op, env, false)?
         };
 
         // A grand-total aggregate (no GROUP BY) over empty input still
@@ -156,7 +139,7 @@ impl Executor<'_> {
                 Some(i) if !every_output_aggregates => input.row(i as usize, &mut scratch),
                 _ => &nulls,
             };
-            let env1 = Env::new(&layout, rep, env);
+            let env1 = Env::new(layout, rep, env);
             let mut row = Row(Vec::with_capacity(bx.outputs.len()));
             for (i, o) in bx.outputs.iter().enumerate() {
                 if let Some(si) = agg_slots.iter().position(|s| s.out_pos == i) {
@@ -177,22 +160,19 @@ impl Executor<'_> {
     /// order — then hash-aggregates exactly like the in-memory path, and
     /// groups are stable-sorted by their first candidate to restore the
     /// global first-appearance emission order.
-    #[allow(clippy::too_many_arguments)]
     fn spilled_groups(
         &mut self,
         input: &Tuples<'_>,
-        layout: &Layout,
+        op: &GroupOp<'_>,
         env: Option<&Env<'_>>,
-        group_by: &GroupKeys<'_>,
-        slots: &[AggSlot<'_>],
         spill: &SpillManager,
         parts: usize,
     ) -> Result<Vec<Group>> {
         let mut set = spill.partition_set(parts)?;
         let mut scratch = Row::empty();
         for i in 0..input.len() {
-            let env1 = group_by.bind(input, i, layout, &mut scratch, env);
-            let part = group_by.of(input, i, env1.as_ref())?.hash() % parts as u64;
+            let env1 = op.keys.bind(input, i, &op.layout, &mut scratch, env);
+            let part = op.keys.of(input, i, env1.as_ref())?.hash() % parts as u64;
             set.push(part as usize, tag_row(i, input.row(i, &mut scratch)))?;
         }
         set.finish()?;
@@ -202,8 +182,8 @@ impl Executor<'_> {
         for p in 0..parts {
             self.checkpoint(0)?;
             let (origs, rows) = untag_rows(set.read_partition(p, &mut io)?)?;
-            let rows = Tuples::every(Src::Owned(rows), layout.width());
-            for mut g in build_groups(&rows, 0..rows.len(), layout, env, group_by, slots, false)? {
+            let rows = Tuples::every(Src::Owned(rows), op.layout.width());
+            for mut g in build_groups(&rows, 0..rows.len(), op, env, false)? {
                 g.rep = g.rep.map(|r| origs[r as usize] as u32);
                 groups.push(g);
             }
@@ -469,12 +449,11 @@ impl RowKey<'_> {
 pub(crate) fn build_groups(
     input: &Tuples<'_>,
     range: std::ops::Range<usize>,
-    layout: &Layout,
+    op: &GroupOp<'_>,
     env: Option<&Env<'_>>,
-    keys: &GroupKeys<'_>,
-    slots: &[AggSlot<'_>],
     record_sum_order: bool,
 ) -> Result<Vec<Group>> {
+    let GroupOp { layout, slots, keys, .. } = op;
     let mut groups: Vec<Group> = Vec::new();
     // Key hash → the groups carrying it.
     let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();

@@ -33,9 +33,9 @@ use decorr_common::columnar::{self, Column, SelVec, ValRef};
 use decorr_common::{Error, FxHashMap, Result, Row, Value, WorkerPool, MORSEL_ROWS};
 use decorr_qgm::{BinOp, Expr, QuantId};
 use decorr_stats::access;
+use decorr_stats::shape::{Input, SelectShape};
 use decorr_storage::{PageIo, SpillManager, Table};
 
-use super::lower::Input;
 use super::{qualifies_all, tag_row, untag_rows, Executor};
 use crate::env::{Env, Layout};
 use crate::eval::eval_expr;
@@ -517,24 +517,25 @@ impl<'a> Executor<'a> {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn join_deferred(
         &mut self,
+        shape: &SelectShape<'_>,
         input: &Input<'_>,
         table: &str,
         mut left: Tuples<'a>,
         layout: &Layout,
-        preds: &[Expr],
         applicable: &mut Vec<usize>,
         env: Option<&Env<'_>>,
     ) -> Result<Tuples<'a>> {
         let t = self.db.table(table)?;
         let arity = t.schema().arity();
-        let ready = applicable.iter().map(|&i| (i, &preds[i]));
         let indexed = |c: usize, _: &Expr| t.index_on(&[c]).is_some();
-        let probe = access::eq_probe(ready, input.q, indexed)
+        let probe = shape
+            .probe(applicable, input.q, indexed)
             .filter(|_| access::index_nl_pays(left.len() as f64, t.len() as f64));
         let Some(probe) = probe else {
             // (A deferred table carries an index, so it is resident.)
             self.stats.rows_scanned += t.len() as u64;
             let right = Tuples::every(Src::Table(t.rows()), arity);
+            let preds = shape.exprs;
             return self.join_step(input, left, layout, right, preds, applicable, env);
         };
         applicable.retain(|&i| i != probe.pred);

@@ -1,17 +1,22 @@
 //! Lowering: what the executor decides about a graph, decided once per run
 //! (see the crate docs). One [`Traversal`] from the top box answers the
-//! structural questions; each reachable box gets a [`Lowered`] entry
-//! holding what its operator would otherwise re-derive on every evaluation.
+//! structural questions — a Select's part of them through the
+//! [`SelectShape`] the estimator prices — and each reachable box gets a
+//! [`Lowered`] entry holding what its operator would otherwise re-derive on
+//! every evaluation.
 
 use std::fmt::Write as _;
 
-use decorr_common::CmpOp;
 use decorr_qgm::{BinOp, BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind, Traversal, UnOp};
-use decorr_stats::access::{self, Probe};
+use decorr_stats::access::{Probe, TableInput};
+use decorr_stats::shape::{self, SelectShape, Stage};
 use decorr_storage::Database;
 
 use super::apply::CorrSig;
+use super::grouping::{grand_total_cols, AggSlot, GroupKeys};
 use super::{ExecOptions, ScalarPlacement};
+use crate::env::Layout;
+use crate::vector;
 
 /// The lowered graph: one entry per box.
 pub(super) struct Plan<'q> {
@@ -35,6 +40,10 @@ pub(super) struct Lowered<'q> {
     /// A subquery's or a lateral join's input: its correlation signature.
     pub sig: Option<CorrSig>,
     pub select: Option<SelectOp<'q>>,
+    pub group: Option<GroupOp<'q>>,
+    /// An outer join whose right input an index can serve, no cache
+    /// serving it: the arm it takes when the probes pay for the left rows.
+    pub outer: Option<(TableInput<'q>, Probe<'q>)>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -50,10 +59,10 @@ pub(super) enum ApplyMode {
 }
 
 pub(super) struct SelectOp<'q> {
-    /// Per predicate, in the box's order.
-    pub preds: Vec<Pred>,
-    /// The Foreach quantifiers, in the box's order.
-    pub inputs: Vec<Input<'q>>,
+    /// Where each predicate applies, and the Foreach inputs.
+    pub shape: SelectShape<'q>,
+    /// Per input of the shape, how it is read.
+    pub access: Vec<Access<'q>>,
     /// Under `EarliestBinding`, each scalar subquery with the quantifiers
     /// of the box its input reads: it becomes a column once they are
     /// joined. Empty under `PerCandidateRow`.
@@ -65,44 +74,10 @@ pub(super) struct SelectOp<'q> {
     pub groups: Vec<(QuantId, Vec<&'q Expr>)>,
 }
 
-pub(super) struct Pred {
-    /// The quantifiers of the box it reads.
-    pub refs: Vec<QuantId>,
-    pub stage: Stage,
-}
-
-/// Where a predicate is applied.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(super) enum Stage {
-    /// Reads no quantifier of the box: checked once, first.
-    Constant,
-    /// Reads Foreach quantifiers only: at a scan or a join step.
-    Join,
-    /// Reads a scalar subquery: in the end stage's filter.
-    End,
-    /// Reads one Existential / All subquery: in its group.
-    Quantified,
-    /// Reads several quantified subqueries, which nothing evaluates.
-    Unsupported,
-}
-
-/// One Foreach quantifier of a Select.
-pub(super) struct Input<'q> {
-    pub q: QuantId,
-    pub child: BoxId,
-    pub arity: usize,
-    /// The quantifiers of the box its input reads; any makes it lateral.
-    pub deps: Vec<QuantId>,
-    /// Its own predicates (over it alone), applied where it is read.
-    pub own: Vec<usize>,
-    pub access: Access<'q>,
-}
-
 /// How a Foreach input is read.
 pub(super) enum Access<'q> {
-    /// Evaluated per binding of `deps`: a lateral join.
-    Lateral,
-    /// Any other derived input: evaluated or served from a cache, then
+    /// A derived input: evaluated per binding of its `deps` if it has any
+    /// (a lateral join), else evaluated or served from a cache, then
     /// filtered.
     Derived,
     /// An indexed resident table with no predicate of its own, left
@@ -112,15 +87,25 @@ pub(super) enum Access<'q> {
     Index(&'q str, Probe<'q>),
     /// Stripe by stripe through the buffer pool: values are copied off the
     /// pages only at the columns read past the scan, and stripes whose zone
-    /// maps refute a sargable bound `col op expr` (its `expr` evaluated
-    /// under the outer bindings) are skipped whole.
-    Paged(&'q str, Vec<usize>, Vec<(usize, CmpOp, &'q Expr)>),
+    /// maps refute one of the input's sargable bounds (evaluated under the
+    /// outer bindings) are skipped whole.
+    Paged(&'q str, Vec<usize>),
     /// (`ni_batch`) An own `=` on an unindexed column against a correlation
     /// binding: a hash partition of the column, built on the run's second
     /// such scan and probed per binding after it.
     Correlated(&'q str, Probe<'q>),
     /// Every row, filtered.
     Scan(&'q str),
+}
+
+/// A Grouping's aggregates and keys over its input's layout.
+pub(super) struct GroupOp<'q> {
+    pub layout: Layout,
+    pub slots: Vec<AggSlot<'q>>,
+    pub keys: GroupKeys<'q>,
+    /// A grand total's argument columns for the aggregate kernels (`None`
+    /// inside: `COUNT(*)`); `None` when it folds rows, or groups.
+    pub kernel: Option<Vec<Option<usize>>>,
 }
 
 impl<'q> Plan<'q> {
@@ -133,27 +118,43 @@ impl<'q> Plan<'q> {
         };
         let slots = qgm.slots().0;
         let mut boxes: Vec<Lowered<'q>> = (0..slots).map(|_| Lowered::default()).collect();
+        let marks = opts.shared_subplans.as_ref().map(|ss| &ss.marks);
+        let mark = |b: BoxId| marks.and_then(|marks| marks.get(&b));
+        let cse = |b: BoxId| {
+            opts.memoize_cse
+                && !matches!(qgm.boxref(b).kind, BoxKind::BaseTable { .. })
+                && !tr.is_correlated(b)
+        };
+        let cached = |b: BoxId| cse(b) || mark(b).is_some();
         for &b in tr.order() {
             let bx = qgm.boxref(b);
-            let marks = opts.shared_subplans.as_ref().map(|ss| &ss.marks);
-            let mark = marks.and_then(|marks| marks.get(&b));
             let low = &mut boxes[b.index()];
-            low.cse = opts.memoize_cse
-                && !matches!(bx.kind, BoxKind::BaseTable { .. })
-                && !tr.is_correlated(b);
-            low.cached = low.cse || mark.is_some();
-            low.shared_key = mark.and_then(|m| {
+            low.cse = cse(b);
+            low.cached = cached(b);
+            low.shared_key = mark(b).and_then(|m| {
                 let mut key = m.shape.clone();
                 for t in &m.tables {
                     let _ = write!(key, ";{t}@{}", db.table(t).ok()?.version());
                 }
                 Some(key)
             });
-            if !matches!(bx.kind, BoxKind::Select) {
-                continue;
+            match &bx.kind {
+                BoxKind::Grouping { group_by } => {
+                    low.group = Some(lower_grouping(qgm, opts, b, group_by));
+                    continue;
+                }
+                BoxKind::OuterJoin => {
+                    let right = qgm.quant(bx.quants[1]).input;
+                    let indexed =
+                        |t: &str, c| db.table(t).is_ok_and(|t| t.index_on(&[c]).is_some());
+                    low.outer = shape::outer_arm(qgm, b, indexed).filter(|_| !cached(right));
+                    continue;
+                }
+                BoxKind::Select => {}
+                _ => continue,
             }
             let op = lower_select(qgm, &tr, db, opts, b);
-            let lateral = op.inputs.iter().filter(|i| !i.deps.is_empty());
+            let lateral = op.shape.inputs.iter().filter(|i| !i.deps.is_empty());
             let subqueries = bx.quants.iter().map(|&q| qgm.quant(q));
             let subqueries = subqueries.filter(|q| q.kind != QuantKind::Foreach);
             for child in lateral.map(|i| i.child).chain(subqueries.map(|q| q.input)) {
@@ -195,49 +196,23 @@ fn lower_select<'q>(
     let bx = qgm.boxref(b);
     let kind = |q: QuantId| qgm.quant(q).kind;
     let local = |q: &QuantId| bx.quants.contains(q);
-    let deps = |q: QuantId| -> Vec<QuantId> {
-        let refs = tr.free_refs(qgm.quant(q).input);
-        refs.map(|(fq, _)| fq).filter(local).collect()
-    };
-    let preds: Vec<Pred> = (bx.preds.iter())
-        .map(|p| {
-            let refs: Vec<QuantId> = p.referenced_quants().into_iter().filter(local).collect();
-            let quantified = refs
-                .iter()
-                .filter(|&&q| matches!(kind(q), QuantKind::Existential | QuantKind::All));
-            let stage = match quantified.count() {
-                _ if refs.is_empty() => Stage::Constant,
-                0 if refs.iter().all(|&q| kind(q) == QuantKind::Foreach) => Stage::Join,
-                0 => Stage::End,
-                1 => Stage::Quantified,
-                _ => Stage::Unsupported,
-            };
-            Pred { refs, stage }
-        })
-        .collect();
+    let shape = SelectShape::new(qgm, tr, b);
 
-    let mut inputs = Vec::new();
-    for &q in bx.quants.iter().filter(|&&q| kind(q) == QuantKind::Foreach) {
-        let child = qgm.quant(q).input;
-        let own: Vec<usize> = (0..preds.len())
-            .filter(|&i| preds[i].stage == Stage::Join && preds[i].refs == [q])
-            .collect();
-        let deps = deps(q);
-        let access = match &qgm.boxref(child).kind {
-            _ if !deps.is_empty() => Access::Lateral,
+    let mut access = Vec::new();
+    for input in &shape.inputs {
+        let (q, own) = (input.q, &input.own);
+        access.push(match &qgm.boxref(input.child).kind {
             BoxKind::BaseTable { table, .. } => match db.table(table) {
                 Ok(t) if own.is_empty() && !t.indexes().is_empty() => Access::Deferred(table),
                 Ok(t) => {
-                    let ready = || own.iter().map(|&i| (i, &bx.preds[i]));
                     let indexed = |c: usize, _: &Expr| t.index_on(&[c]).is_some();
                     let correlated = |_: usize, e: &Expr| !e.referenced_quants().is_empty();
-                    if let Some(probe) = access::eq_probe(ready(), q, indexed) {
+                    if let Some(probe) = shape.probe(own, q, indexed) {
                         Access::Index(table, probe)
                     } else if t.is_paged() {
-                        let read = cols_read_past_scan(qgm, tr, b, q, &own);
-                        Access::Paged(table, read, sargable(ready(), q))
+                        Access::Paged(table, cols_read_past_scan(qgm, tr, b, q, own))
                     } else {
-                        match access::eq_probe(ready(), q, correlated) {
+                        match shape.probe(own, q, correlated) {
                             Some(probe) if opts.ni_batch => Access::Correlated(table, probe),
                             _ => Access::Scan(table),
                         }
@@ -247,20 +222,18 @@ fn lower_select<'q>(
                 Err(_) => Access::Scan(table),
             },
             _ => Access::Derived,
-        };
-        let arity = qgm.output_arity(child);
-        inputs.push(Input { q, child, arity, deps, own, access });
+        });
     }
 
     let early = match opts.scalar_placement {
         ScalarPlacement::PerCandidateRow => Vec::new(),
         ScalarPlacement::EarliestBinding => (bx.quants.iter())
             .filter(|&&q| kind(q) == QuantKind::Scalar)
-            .map(|&q| (q, deps(q)))
+            .map(|&q| (q, shape::deps(qgm, tr, b, q)))
             .collect(),
     };
     let staged = |keep: fn(Stage) -> bool| {
-        let preds = bx.preds.iter().zip(&preds);
+        let preds = bx.preds.iter().zip(&shape.preds);
         preds.filter(move |(_, p)| keep(p.stage)).map(|(e, _)| e)
     };
     let mut end_scalars = Vec::new();
@@ -279,7 +252,30 @@ fn lower_select<'q>(
             (sq, over.collect())
         })
         .collect();
-    SelectOp { preds, inputs, early, end_scalars, groups }
+    SelectOp { shape, access, early, end_scalars, groups }
+}
+
+/// A Grouping's aggregate calls, GROUP BY keys and grand-total kernel
+/// columns over its input `layout`: plain-column arguments and keys are
+/// read in place when kernels are on.
+fn lower_grouping<'q>(qgm: &'q Qgm, opts: &ExecOptions, b: BoxId, by: &'q [Expr]) -> GroupOp<'q> {
+    let bx = qgm.boxref(b);
+    let q = bx.quants[0];
+    let mut layout = Layout::new();
+    layout.push(q, qgm.output_arity(qgm.quant(q).input));
+    let mut slots = Vec::new();
+    for (i, o) in bx.outputs.iter().enumerate() {
+        if let Expr::Agg { func, arg, distinct } = &o.expr {
+            let arg = arg.as_deref();
+            let col = arg.and_then(|a| vector::compile_projection([a].into_iter(), &layout));
+            let col = col.filter(|_| opts.columnar).map(|c| c[0]);
+            let (func, distinct) = (*func, *distinct);
+            slots.push(AggSlot { func, arg, col, distinct, out_pos: i });
+        }
+    }
+    let keys = GroupKeys::compile(by, &layout, opts.columnar, &slots);
+    let kernel = by.is_empty().then(|| grand_total_cols(&slots)).flatten();
+    GroupOp { layout, slots, keys, kernel }
 }
 
 /// The columns of quantifier `q` of Select `b` that anything reads once
@@ -313,34 +309,6 @@ fn cols_read_past_scan(
     cols.sort_unstable();
     cols.dedup();
     cols
-}
-
-/// The sargable bounds among a scan's predicates: every `Col(q, c) <op>
-/// <expr>` comparison, either way round, whose `<expr>` does not read `q`.
-/// They only filter whole stripes: the surviving rows still run every
-/// predicate.
-fn sargable<'q>(
-    preds: impl Iterator<Item = (usize, &'q Expr)>,
-    q: QuantId,
-) -> Vec<(usize, CmpOp, &'q Expr)> {
-    let mut bounds = Vec::new();
-    for (_, p) in preds {
-        let Expr::Binary { op, left, right } = p else {
-            continue;
-        };
-        let Some(cmp) = op.cmp_op() else {
-            continue;
-        };
-        for (a, b, cmp) in [(left, right, cmp), (right, left, cmp.flip())] {
-            if let Expr::Col { quant, col } = a.as_ref() {
-                if *quant == q && !b.references(q) {
-                    bounds.push((*col, cmp, b.as_ref()));
-                    break;
-                }
-            }
-        }
-    }
-    bounds
 }
 
 /// Does every free-reference occurrence in `e` sit in a SQL-comparison

@@ -5,12 +5,13 @@
 //! rule's choice (`decorr_stats::access`), and the estimator prices the
 //! same one:
 //!
-//! * **Index nested loops.** The right input is an indexed resident table
-//!   as it stands — the table itself, or a Select that only filters and
-//!   renames one (Dayal's `B3`) — an `=` ON predicate probes one of its
-//!   indexed columns, and the probes pay for the left rows. Each left row
-//!   probes the index; the right input is never evaluated, scanned,
-//!   copied or hashed.
+//! * **Index nested loops.** The lowering found the arm
+//!   (`decorr_stats::shape::outer_arm`): the right input is an indexed
+//!   resident table as it stands — the table itself, or a Select that only
+//!   filters and renames one (Dayal's `B3`) — and an `=` ON predicate
+//!   probes one of its indexed columns. It is taken when the probes pay for
+//!   the left rows. Each left row probes the index; the right input is
+//!   never evaluated, scanned, copied or hashed.
 //! * **The inner join's `equi_join`** on any other equi-key: in-memory
 //!   hash, or a Grace spill over the budget.
 //! * **Nested loops** over every pair when the ON clause has no key.
@@ -72,23 +73,17 @@ impl<'a> Executor<'a> {
         let left = self.eval_child(plan, lchild, env)?;
         let mut left = Tuples::every(Src::Batch(left), l_arity);
         let left_rows = left.len();
-        // The index arm: the right input is a resident table as it stands
-        // that no cache serves, an `=` ON predicate probes one of its
-        // indexed columns, and the probes pay for the left rows.
-        let arm = match access::table_input(qgm, rchild) {
-            Some(input) if !plan.get(rchild).cached => {
+        // The lowered index arm, when the probes pay for the left rows.
+        let arm = match &plan.get(b).outer {
+            Some(arm @ (input, _)) => {
                 let t = self.db.table(input.table)?;
-                let indexed = |c: usize, _: &Expr| t.index_on(&[input.cols[c]]).is_some();
-                let probe = access::eq_probe(bx.preds.iter().enumerate(), qr, indexed)
-                    .filter(|_| access::index_nl_pays(left_rows as f64, t.len() as f64));
-                probe.map(|p| (t, input, p))
+                let pays = access::index_nl_pays(left_rows as f64, t.len() as f64);
+                pays.then_some((t, arm))
             }
-            _ => None,
+            None => None,
         };
         let m = match arm {
-            Some((t, input, probe)) => {
-                self.probe_right(&left, &l_layout, t, input, probe, &bx.preds, env)?
-            }
+            Some((t, arm)) => self.probe_right(&left, &l_layout, t, arm, &bx.preds, env)?,
             None => self.match_right(plan, b, &mut left, &l_layout, env)?,
         };
         let Matched { strategy, mut right, right_rows, pairs, every_right, residual } = m;
@@ -134,14 +129,12 @@ impl<'a> Executor<'a> {
     /// positions that pass the input's filter are the right candidates,
     /// read through its renaming. The `on` predicates but the probe's are
     /// residual.
-    #[allow(clippy::too_many_arguments)]
     fn probe_right(
         &mut self,
         left: &Tuples<'_>,
         l_layout: &Layout,
         t: &'a Table,
-        input: TableInput<'_>,
-        probe: Probe<'_>,
+        (input, probe): &(TableInput<'_>, Probe<'_>),
         on: &[Expr],
         env: Option<&Env<'_>>,
     ) -> Result<Matched<'a>> {
@@ -151,7 +144,7 @@ impl<'a> Executor<'a> {
         }
         let filter: Vec<&Expr> = input.filter.iter().collect();
         let filter = Some((&t_layout, &filter[..])).filter(|(_, f)| !f.is_empty());
-        let on_table = Probe { col: input.cols[probe.col], ..probe };
+        let on_table = Probe { col: input.cols[probe.col], ..*probe };
         let (pairs, probed) = self.index_pairs(left, l_layout, t, &on_table, filter, env)?;
         let mut right = Tuples::of(Src::Table(t.rows()), probed, t.schema().arity());
         right.project(&input.cols);

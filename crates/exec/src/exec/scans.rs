@@ -20,9 +20,10 @@ use std::sync::Arc;
 use decorr_common::columnar::{Column, ColumnGather, ColumnarBatch, SelVec};
 use decorr_common::{CmpOp, Result, Row, Value};
 use decorr_qgm::Expr;
+use decorr_stats::shape::Input;
 use decorr_storage::{Bound, PageIo, Stripes, Table};
 
-use super::lower::{Access, Input, Plan};
+use super::lower::{Access, Plan};
 use super::{qualifies_all, CorrIndex, Executor};
 use crate::env::{Env, Layout};
 use crate::eval::eval_expr;
@@ -30,7 +31,7 @@ use crate::tuple::{Src, Tuples};
 use crate::vector;
 
 impl<'a> Executor<'a> {
-    /// Read a Select's Foreach input along its access path with its own
+    /// Read a Select's Foreach `input` along its `access` path with its own
     /// predicates (among the Select's `preds`): a base table — a deferred
     /// one whole — and any other input evaluated, then filtered. A resident
     /// table's survivors are positions into its rows; a paged table's, a
@@ -39,6 +40,7 @@ impl<'a> Executor<'a> {
         &mut self,
         plan: &Plan<'_>,
         input: &Input<'_>,
+        access: &Access<'_>,
         preds: &[Expr],
         env: Option<&Env<'_>>,
     ) -> Result<Tuples<'a>> {
@@ -47,8 +49,8 @@ impl<'a> Executor<'a> {
         q_layout.push(q, arity);
         let q_layout = &q_layout;
         let kept: Vec<&Expr> = input.own.iter().map(|&i| &preds[i]).collect();
-        let table = match &input.access {
-            Access::Lateral | Access::Derived => {
+        let table = match access {
+            Access::Derived => {
                 // The child's batch, shared: its survivors are positions
                 // into it.
                 let rows = self.eval_child(plan, input.child, env)?;
@@ -75,7 +77,7 @@ impl<'a> Executor<'a> {
                 .collect()
         };
 
-        match &input.access {
+        match access {
             Access::Index(_, probe) => {
                 let key = eval_expr(probe.key, &env0)?;
                 let idx = t
@@ -86,9 +88,9 @@ impl<'a> Executor<'a> {
                     .fetch_probed(t, positions, &rest_of(probe.pred), q_layout, env)
                     .map(at);
             }
-            Access::Paged(_, read, bounds) => {
+            Access::Paged(_, read) => {
                 let stripes = t.stripes().expect("the lowering saw a paged table");
-                let read = read.clone();
+                let (read, bounds) = (read.clone(), &input.bounds);
                 return self.scan_paged(t.len(), stripes, bounds, &kept, read, q_layout, env);
             }
             Access::Correlated(_, probe) => {

@@ -4,9 +4,10 @@
 
 use decorr_common::{Error, Result, Row, MORSEL_ROWS};
 use decorr_qgm::{BoxId, Expr, OutputCol, QuantId, QuantKind};
+use decorr_stats::shape::{Input, Stage};
 
 use super::joins;
-use super::lower::{Access, Input, Plan, SelectOp, Stage};
+use super::lower::{Access, Plan, SelectOp};
 use super::{dedup_rows, project_row, qualifies_all, Executor};
 use crate::env::{Env, Layout};
 use crate::eval::qualifies;
@@ -31,7 +32,8 @@ impl<'a> Executor<'a> {
         // `consumed[i]` marks predicates already applied at a scan or join
         // step (or checked up front).
         let mut consumed = vec![false; preds.len()];
-        let stage = |i: usize| op.preds[i].stage;
+        let (shape, access) = (&op.shape, &op.access);
+        let stage = |i: usize| shape.preds[i].stage;
 
         // Constant predicates: check once.
         {
@@ -51,15 +53,15 @@ impl<'a> Executor<'a> {
         // Scan the inputs that are neither lateral nor deferred, applying
         // their own predicates. The greedy order sizes them by what the
         // scan kept, a deferred table by its rows, a lateral input as 0.
-        let n = op.inputs.len();
+        let n = shape.inputs.len();
         let mut scanned: Vec<Option<Tuples<'a>>> = (0..n).map(|_| None).collect();
         let mut sizes = vec![0; n];
-        for (k, input) in op.inputs.iter().enumerate() {
-            match input.access {
-                Access::Lateral => {}
+        for (k, input) in shape.inputs.iter().enumerate() {
+            match access[k] {
+                _ if !input.deps.is_empty() => {}
                 Access::Deferred(table) => sizes[k] = self.db.table(table)?.len(),
                 _ => {
-                    let input_tuples = self.scan_quant(plan, input, preds, env)?;
+                    let input_tuples = self.scan_quant(plan, input, &access[k], preds, env)?;
                     for &i in &input.own {
                         consumed[i] = true;
                     }
@@ -80,22 +82,14 @@ impl<'a> Executor<'a> {
         while !remaining.is_empty() {
             let k = pick_next(op, &remaining, &bound, &sizes, &consumed)?;
             remaining.retain(|&r| r != k);
-            let input = &op.inputs[k];
+            let input = &shape.inputs[k];
             let next = input.q;
 
             // Predicates that become applicable once `next` is bound.
-            let mut applicable: Vec<usize> = (0..preds.len())
-                .filter(|&i| {
-                    let refs = &op.preds[i].refs;
-                    !consumed[i]
-                        && stage(i) == Stage::Join
-                        && refs.contains(&next)
-                        && refs.iter().all(|r| bound.contains(r) || *r == next)
-                })
-                .collect();
+            let mut applicable = shape.applicable(next, &bound, &consumed);
 
             let running = std::mem::replace(&mut tuples, Tuples::unit());
-            tuples = if let Access::Lateral = input.access {
+            tuples = if !input.deps.is_empty() {
                 self.join_lateral(plan, input, running, &layout, env)?
             } else if bound.is_empty() {
                 // The first input in join order is the running candidate
@@ -103,11 +97,11 @@ impl<'a> Executor<'a> {
                 // drive its index: scan it.
                 match scanned[k].take() {
                     Some(first) => first,
-                    None => self.scan_quant(plan, input, preds, env)?,
+                    None => self.scan_quant(plan, input, &access[k], preds, env)?,
                 }
-            } else if let Access::Deferred(table) = input.access {
+            } else if let Access::Deferred(table) = access[k] {
                 let applicable = &mut applicable;
-                self.join_deferred(input, table, running, &layout, preds, applicable, env)?
+                self.join_deferred(shape, input, table, running, &layout, applicable, env)?
             } else {
                 let right = scanned[k].take().expect("an input is joined once");
                 let applicable = &mut applicable;
@@ -138,7 +132,7 @@ impl<'a> Executor<'a> {
         // same driver as every other filter, quantified groups are checked
         // per surviving candidate, and the survivors project. After
         // decorrelation only the filter and the projection remain.
-        if op.preds.iter().any(|p| p.stage == Stage::Unsupported) {
+        if shape.preds.iter().any(|p| p.stage == Stage::Unsupported) {
             return Err(Error::internal(
                 "predicate references multiple quantified subqueries".to_string(),
             ));
@@ -322,17 +316,18 @@ fn pick_next(
 ) -> Result<usize> {
     let connected = |q: QuantId| {
         !bound.is_empty()
-            && op.preds.iter().zip(consumed).any(|(p, &done)| {
+            && op.shape.preds.iter().zip(consumed).any(|(p, &done)| {
                 !done
                     && p.refs.contains(&q)
                     && p.refs.iter().all(|r| *r == q || bound.contains(r))
                     && p.refs.iter().any(|r| bound.contains(r))
             })
     };
+    let inputs = &op.shape.inputs;
     let joinable =
-        (remaining.iter()).filter(|&&k| op.inputs[k].deps.iter().all(|d| bound.contains(d)));
+        (remaining.iter()).filter(|&&k| inputs[k].deps.iter().all(|d| bound.contains(d)));
     // Connected first, then the smaller input; on a tie, the first.
-    let next = joinable.min_by_key(|&&k| (!connected(op.inputs[k].q), sizes[k]));
+    let next = joinable.min_by_key(|&&k| (!connected(inputs[k].q), sizes[k]));
     next.copied().ok_or_else(|| {
         Error::internal("no joinable quantifier (cyclic lateral dependency?)".to_string())
     })

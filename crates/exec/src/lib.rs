@@ -15,12 +15,14 @@
 //!
 //! # Lowered once per run
 //!
-//! [`Executor::run`] lowers the graph before it evaluates a box: one
-//! traversal decides, per Select, where each predicate is applied, which
-//! inputs are lateral, how each input is read (index probe, correlation
-//! probe, deferred indexed table, paged or full scan) and when each scalar
-//! subquery is placed; per subquery or lateral input, its correlation
-//! signature and how nested iteration reuses it; per box, whether a cache
+//! [`Executor::run`] lowers the graph before it evaluates a box. Per
+//! Select, one traversal builds the `decorr_stats::shape` the estimator
+//! prices too (predicate stages, lateral inputs, own predicates), then
+//! decides how each input is read (index probe, correlation probe, deferred
+//! indexed table, paged or full scan) and when each scalar subquery is
+//! placed; per subquery or lateral input, its correlation signature and
+//! how nested iteration reuses it; per Grouping, its aggregates, keys and
+//! kernel columns; per outer join, its index arm; per box, whether a cache
 //! serves it whole. The plan-shaping options — [`ExecOptions::memoize_cse`]
 //! (the paper's Starburst build recomputes common subexpressions, so it is
 //! off by default), [`ExecOptions::scalar_placement`] (Query 2's plan

@@ -23,6 +23,7 @@ use decorr_qgm::{BinOp, BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind, Traversal
 
 use crate::access;
 use crate::collect::{ColumnStats, Statistics};
+use crate::shape::{self, Input, SelectShape, Stage};
 
 /// Fallback selectivity of an equality when no statistics resolve.
 const EQ_SELECTIVITY: f64 = 0.1;
@@ -107,11 +108,19 @@ pub struct Estimator<'a> {
     stats: &'a Statistics,
 }
 
-/// Bottom-up per-evaluation numbers plus the per-quantifier invocation
-/// multipliers needed by the top-down pass, over one traversal of the plan
-/// (vectors by [`BoxId::index`] / [`QuantId::index`]).
-struct BottomUp<'q> {
+/// One plan under estimation: its graph, one traversal of it, and the
+/// shape of each reachable Select — the one the executor lowers.
+struct Plan<'a, 'q> {
+    stats: &'a Statistics,
+    qgm: &'q Qgm,
     tr: Traversal<'q>,
+    shapes: Vec<Option<SelectShape<'q>>>,
+}
+
+/// Bottom-up per-evaluation numbers plus the per-quantifier invocation
+/// multipliers needed by the top-down pass (vectors by [`BoxId::index`] /
+/// [`QuantId::index`]).
+struct BottomUp {
     /// Rows and self cost (the box's own work per evaluation, children
     /// excluded) of each box estimated so far.
     done: Vec<Option<(f64, f64)>>,
@@ -130,12 +139,16 @@ impl<'a> Estimator<'a> {
     pub fn estimate(&self, qgm: &Qgm) -> Result<PlanEstimate> {
         let top = qgm.top();
         let (boxes, quants) = qgm.slots();
-        let mut bu = BottomUp {
-            tr: Traversal::new(qgm),
-            done: vec![None; boxes],
-            multiplier: vec![1.0; quants],
-        };
-        self.est_box(qgm, top, &mut bu)?;
+        let tr = Traversal::new(qgm);
+        let mut shapes: Vec<Option<SelectShape<'_>>> = (0..boxes).map(|_| None).collect();
+        for &b in tr.order() {
+            if matches!(qgm.boxref(b).kind, BoxKind::Select) {
+                shapes[b.index()] = Some(SelectShape::new(qgm, &tr, b));
+            }
+        }
+        let plan = Plan { stats: self.stats, qgm, tr, shapes };
+        let mut bu = BottomUp { done: vec![None; boxes], multiplier: vec![1.0; quants] };
+        plan.est_box(top, &mut bu)?;
 
         // Top-down: count evaluations. Kahn order so every parent is
         // settled before its children (the graph is a DAG). Correlated
@@ -144,7 +157,7 @@ impl<'a> Estimator<'a> {
         // OptMag-CSE dedup, run-lifetime subquery memo) is materialized
         // once and served to the others, so summing its parent edges would
         // double-count — it takes the heaviest single edge instead.
-        let reachable = bu.tr.order();
+        let reachable = plan.tr.order();
         let mut indegree = vec![0usize; boxes];
         for &b in reachable {
             for &q in &qgm.boxref(b).quants {
@@ -155,7 +168,7 @@ impl<'a> Estimator<'a> {
         for &b in reachable {
             dedup_shared[b.index()] = indegree[b.index()] > 1
                 && !matches!(qgm.boxref(b).kind, BoxKind::BaseTable { .. })
-                && !bu.tr.is_correlated(b);
+                && !plan.tr.is_correlated(b);
         }
         let mut invocations = vec![0.0f64; boxes];
         invocations[top.index()] = 1.0;
@@ -196,31 +209,30 @@ impl<'a> Estimator<'a> {
         }
         Ok(PlanEstimate { per_box, total })
     }
+}
 
+impl Plan<'_, '_> {
     /// Estimate box `b` (memoized): returns its rows per evaluation and
     /// records its self cost.
-    fn est_box(&self, qgm: &Qgm, b: BoxId, bu: &mut BottomUp<'_>) -> Result<f64> {
+    fn est_box(&self, b: BoxId, bu: &mut BottomUp) -> Result<f64> {
+        let qgm = self.qgm;
         if let Some((rows, _)) = bu.done[b.index()] {
             return Ok(rows);
         }
         let (rows, cost) = match &qgm.boxref(b).kind {
+            // The consumer prices the access: a scan or an index probe.
             BoxKind::BaseTable { table, .. } => {
-                let rows = self
-                    .stats
-                    .table(table)
-                    .map(|t| t.rows as f64)
-                    .unwrap_or(DEFAULT_TABLE_ROWS);
-                // The consumer prices the access: a scan or an index probe.
-                (rows, 0.0)
+                let rows = self.stats.table(table).map(|t| t.rows as f64);
+                (rows.unwrap_or(DEFAULT_TABLE_ROWS), 0.0)
             }
-            BoxKind::Select => self.est_select(qgm, b, bu)?,
+            BoxKind::Select => self.est_select(b, bu)?,
             BoxKind::Grouping { group_by } => {
                 let child = qgm.quant(qgm.boxref(b).quants[0]).input;
-                let crows = self.est_box(qgm, child, bu)?;
+                let crows = self.est_box(child, bu)?;
                 let groups = if group_by.is_empty() {
                     1.0
                 } else {
-                    self.distinct_estimate(qgm, group_by.iter(), crows)
+                    self.distinct_estimate(group_by.iter(), crows)
                 };
                 (groups.max(1.0), scan_cost(qgm, child, crows) + crows)
             }
@@ -229,7 +241,7 @@ impl<'a> Estimator<'a> {
                 let mut cost = 0.0;
                 for &q in &qgm.boxref(b).quants {
                     let child = qgm.quant(q).input;
-                    let crows = self.est_box(qgm, child, bu)?;
+                    let crows = self.est_box(child, bu)?;
                     rows += crows;
                     cost += scan_cost(qgm, child, crows);
                 }
@@ -242,18 +254,21 @@ impl<'a> Estimator<'a> {
                 let bx = qgm.boxref(b);
                 let qr = bx.quants[1];
                 let (l, r) = (qgm.quant(bx.quants[0]).input, qgm.quant(qr).input);
-                let lrows = self.est_box(qgm, l, bu)?;
-                let rrows = self.est_box(qgm, r, bu)?;
-                let mut sel = 1.0;
-                for p in &bx.preds {
-                    sel *= self.pred_selectivity(qgm, p);
-                }
+                let lrows = self.est_box(l, bu)?;
+                let rrows = self.est_box(r, bu)?;
+                let sel: f64 = bx.preds.iter().map(|p| self.pred_selectivity(p)).product();
                 // LOJ preserves the left side at minimum.
                 let joined = (lrows * rrows * sel).max(lrows);
                 // The executor's choice: each left row probes an index of
                 // the right input's table (which is then never evaluated)
                 // when the access rule says so, else both sides hash.
-                let access = match self.outer_probe(qgm, r, qr, &bx.preds, lrows) {
+                let indexed = |t: &str, c| self.stats.table(t).is_some_and(|ts| ts.has_index_on(c));
+                let probe = shape::outer_arm(qgm, b, indexed).and_then(|(input, probe)| {
+                    let rows = self.stats.table(input.table)?.rows as f64;
+                    let pays = access::index_nl_pays(lrows, rows);
+                    pays.then(|| self.probe_cost(qr, &probe, rows))
+                });
+                let access = match probe {
                     Some(per_probe) => {
                         bu.multiplier[qr.index()] = 0.0;
                         lrows * per_probe
@@ -267,75 +282,49 @@ impl<'a> Estimator<'a> {
         Ok(rows)
     }
 
-    fn est_select(&self, qgm: &Qgm, b: BoxId, bu: &mut BottomUp<'_>) -> Result<(f64, f64)> {
+    fn est_select(&self, b: BoxId, bu: &mut BottomUp) -> Result<(f64, f64)> {
+        let qgm = self.qgm;
         let bx = qgm.boxref(b);
-        let local = &bx.quants;
-        let foreach: Vec<QuantId> = bx
-            .quants
-            .iter()
-            .copied()
-            .filter(|&q| qgm.quant(q).kind == QuantKind::Foreach)
-            .collect();
+        let shape = self.shapes[b.index()].as_ref();
+        let shape = shape.expect("every reachable Select has a shape");
+        let joined = shape.inputs.iter().filter(|i| i.deps.is_empty());
+        let (mut rows, mut cost) = self.est_join(shape, bu)?;
 
-        // Split the uncorrelated Foreach children from laterals, and
-        // defer predicates that involve a subquery or lateral quantifier.
-        let mut laterals = Vec::new();
-        let mut join_children = Vec::new();
-        for &q in &foreach {
-            let child = qgm.quant(q).input;
-            if bu.tr.is_correlated(child) {
-                laterals.push(q); // correlated (lateral): per candidate row below
-            } else {
-                join_children.push(q);
-            }
-        }
-        let deferred: Vec<bool> = bx
-            .preds
-            .iter()
-            .map(|p| {
-                let mut defer = false;
-                p.for_each_col(&mut |r, _| {
-                    defer |= (local.contains(&r) && qgm.quant(r).kind != QuantKind::Foreach)
-                        || laterals.contains(&r)
-                });
-                defer
-            })
-            .collect();
-
-        let (mut rows, mut cost, consumed) =
-            self.est_join(qgm, b, local, &join_children, &deferred, bu)?;
-
-        // Predicates never consumed by a join placement (e.g. purely over
-        // correlation bindings) are residual filters.
-        for (i, p) in bx.preds.iter().enumerate() {
-            if !deferred[i] && !consumed[i] {
-                rows *= self.pred_selectivity(qgm, p);
+        // Predicates over no quantifier of the box (e.g. purely over
+        // correlation bindings) filter what the join keeps.
+        for (p, e) in shape.preds.iter().zip(shape.exprs) {
+            if p.stage == Stage::Constant {
+                rows *= self.pred_selectivity(e);
             }
         }
         rows = rows.max(0.0);
         // The joined result is materialized; a lone input is simply
         // adopted, its scan and filter pass already paid.
-        if join_children.len() > 1 {
+        if joined.count() > 1 {
             cost += rows;
         }
 
         // Correlated quantifiers: under memoized nested iteration a
-        // subtree *executes* once per distinct correlation binding, not
-        // once per candidate row — `min(candidates, NDV(correlation key))`
-        // — which is the term that makes NI competitive on
-        // high-duplication workloads. Uncorrelated non-Foreach subqueries
-        // are evaluated once. The subtree's own boxes carry its cost; the
-        // multiplier says how often they run.
+        // subtree *executes* once per distinct binding of its free
+        // references, not once per candidate row — `min(candidates,
+        // NDV(correlation key))`, the paper's "3954 invocations of which
+        // only 2138 are distinct" priced at plan time — which is the term
+        // that makes NI competitive on high-duplication workloads.
+        // Uncorrelated non-Foreach subqueries are evaluated once. The
+        // subtree's own boxes carry its cost; the multiplier says how often
+        // they run.
         for &q in &bx.quants {
             let kind = qgm.quant(q).kind;
             let child_box = qgm.quant(q).input;
-            let correlated = bu.tr.is_correlated(child_box);
-            if kind == QuantKind::Foreach && !correlated {
+            let lateral = shape.inputs.iter().any(|i| i.q == q && !i.deps.is_empty());
+            if kind == QuantKind::Foreach && !lateral {
                 continue; // joined above
             }
-            let crows = self.est_box(qgm, child_box, bu)?;
+            let correlated = lateral || self.tr.is_correlated(child_box);
+            let crows = self.est_box(child_box, bu)?;
             let execs = if correlated {
-                self.corr_invocations(qgm, bu.tr.free_refs(child_box), rows.max(1.0))
+                let key = self.tr.free_refs(child_box).map(|(q, c)| Expr::col(q, c));
+                self.distinct_estimate(key, rows.max(1.0)).max(1.0)
             } else {
                 1.0
             };
@@ -354,100 +343,76 @@ impl<'a> Estimator<'a> {
             cost += rows;
             let before = rows;
             rows = self
-                .distinct_estimate(qgm, bx.outputs.iter().map(|o| &o.expr), before)
+                .distinct_estimate(bx.outputs.iter().map(|o| &o.expr), before)
                 .max(1.0)
                 .min(before.max(1.0));
         }
         Ok((rows, cost))
     }
 
-    /// Estimate the join of a Select box's uncorrelated Foreach children
-    /// the way the executor runs it: children placed in greedy
-    /// (effective-cardinality) order, each new child either *probed*
-    /// through an index — when an equality binds one of its indexed
-    /// columns to a literal, a correlation binding or an already-placed
-    /// quantifier (the access rule's `eq_probe`), and past the first child
-    /// the rule's gate says the probes pay — or scanned and hash-joined.
-    /// Returns the joined rows, the access cost (base-table reads, filter
-    /// passes and probes; derived children are boxes with a cost of their
-    /// own), and which predicate indices were consumed.
-    fn est_join(
-        &self,
-        qgm: &Qgm,
-        b: BoxId,
-        local: &[QuantId],
-        children: &[QuantId],
-        deferred: &[bool],
-        bu: &mut BottomUp<'_>,
-    ) -> Result<(f64, f64, Vec<bool>)> {
-        let bx = qgm.boxref(b);
-        let mut consumed = vec![false; bx.preds.len()];
-        if children.is_empty() {
-            return Ok((1.0, 0.0, consumed));
-        }
-
-        // Order children by their effective cardinality after the
-        // placement-independent predicates (single-quantifier literals
-        // and correlation bindings), mirroring the executor's greedy
-        // cardinality order.
+    /// Estimate the join of a Select's inputs that are not lateral, placed
+    /// by their cardinality under their own predicates (the executor orders
+    /// by connection, then by actual size). Each is *probed* through an
+    /// index when the shape's `probe` finds an equality on an indexed
+    /// column — and, past the first, the access rule says the probes pay —
+    /// or scanned and hash-joined. Returns the joined rows and the access
+    /// cost (base-table reads, filter passes and probes; a derived input is
+    /// a box with a cost of its own).
+    fn est_join(&self, shape: &SelectShape<'_>, bu: &mut BottomUp) -> Result<(f64, f64)> {
+        let qgm = self.qgm;
         let mut order = Vec::new();
-        for &q in children {
-            let child = qgm.quant(q).input;
-            let crows = self.est_box(qgm, child, bu)?;
+        for input in shape.inputs.iter().filter(|i| i.deps.is_empty()) {
+            let crows = self.est_box(input.child, bu)?;
             // What a scan of the child reads and filters: a base table's
             // rows — for a paged one, those of the stripes its zone maps
             // keep under the scan's own predicates — nothing of a derived
             // box.
-            let own = bx.preds.iter().enumerate().filter_map(|(i, p)| {
-                (!deferred[i] && self.pred_ready(p, q, local, &[])).then_some(p)
-            });
-            let read = self.rows_in_kept_stripes(qgm, q, own.clone(), crows);
-            let scan = scan_cost(qgm, child, read);
+            let read = self.rows_in_kept_stripes(input, crows);
+            let scan = scan_cost(qgm, input.child, read);
             let mut eff = crows;
-            for p in own {
-                eff *= self.pred_selectivity(qgm, p);
+            for &i in &input.own {
+                eff *= self.pred_selectivity(&shape.exprs[i]);
             }
-            order.push((q, crows, scan, read, eff));
+            order.push((input.q, input.child, crows, scan, read, eff));
         }
-        order.sort_by(|a, b| a.4.total_cmp(&b.4).then(a.0.cmp(&b.0)));
+        if order.is_empty() {
+            return Ok((1.0, 0.0));
+        }
+        order.sort_by(|a, b| a.5.total_cmp(&b.5).then(a.0.cmp(&b.0)));
 
+        let mut consumed = vec![false; shape.preds.len()];
         let mut placed: Vec<QuantId> = Vec::new();
         let mut rows = 1.0f64;
         let mut cost = 0.0f64;
-        for (q, crows, scan, read, _) in order {
-            let table = match &qgm.boxref(qgm.quant(q).input).kind {
+        for (q, child, crows, scan, read, _) in order {
+            let table = match &qgm.boxref(child).kind {
                 BoxKind::BaseTable { table, .. } => self.stats.table(table),
                 _ => None,
             };
             let indexed = |c: usize, _: &Expr| table.is_some_and(|ts| ts.has_index_on(c));
             // Predicates that become applicable once `q` is placed, and
             // the first of them that probes an index of `q`.
+            let applicable = shape.applicable(q, &placed, &consumed);
             let mut sel = 1.0f64;
-            let mut npreds = 0usize;
-            let mut probe = None;
-            for (i, p) in bx.preds.iter().enumerate() {
-                if deferred[i] || consumed[i] || !self.pred_ready(p, q, local, &placed) {
-                    continue;
-                }
+            for &i in &applicable {
                 consumed[i] = true;
-                npreds += 1;
-                sel *= self.pred_selectivity(qgm, p);
-                probe = probe.or_else(|| access::eq_probe([(i, p)], q, indexed));
+                sel *= self.pred_selectivity(&shape.exprs[i]);
             }
             let drv = rows.max(1.0);
             // The first child probes once (1 driving row — the
             // correlated-invocation case); a later one probes per driving
             // row, when the access rule says the probes pay.
+            let probe = shape.probe(&applicable, q, indexed);
             let probe = probe.filter(|_| placed.is_empty() || access::index_nl_pays(drv, crows));
             match probe {
                 // Index probe: one lookup plus the matching rows, per
                 // driving row.
-                Some(p) => cost += drv * self.probe_cost(qgm, q, &p, crows),
+                Some(p) => cost += drv * self.probe_cost(q, &p, crows),
                 // Scan (+ one filter pass over what it read when
                 // predicated); joining to prior children probes their
                 // hash per driving row.
                 None => {
-                    cost += scan + if npreds > 0 { read } else { 0.0 };
+                    cost += scan + if applicable.is_empty() { 0.0 } else { read };
                     if !placed.is_empty() {
                         cost += drv;
                     }
@@ -456,62 +421,25 @@ impl<'a> Estimator<'a> {
             rows *= crows.max(1.0) * sel;
             placed.push(q);
         }
-        Ok((rows, cost, consumed))
+        Ok((rows, cost))
     }
 
-    /// What an outer join with right input `r` (quantifier `qr`) pays per
-    /// left row when it probes an index of `r`'s table — `r` is that
-    /// table as it stands, an `=` ON predicate probes one of its indexed
-    /// columns and the access rule says `lrows` probes pay — else `None`.
-    fn outer_probe(
-        &self,
-        qgm: &Qgm,
-        r: BoxId,
-        qr: QuantId,
-        on: &[Expr],
-        lrows: f64,
-    ) -> Option<f64> {
-        let input = access::table_input(qgm, r)?;
-        let ts = self.stats.table(input.table)?;
-        let indexed = |c: usize, _: &Expr| ts.has_index_on(input.cols[c]);
-        let p = access::eq_probe(on.iter().enumerate(), qr, indexed)?;
-        let rows = ts.rows as f64;
-        access::index_nl_pays(lrows, rows).then(|| self.probe_cost(qgm, qr, &p, rows))
-    }
-
-    /// Rows of quantifier `q`'s input (`all` in total) in the stripes a
-    /// scan under the predicates `own` reads. The executor skips a stripe
-    /// of a paged table when a zone map refutes one of the scan's `col op
-    /// literal` predicates; this asks the same maps the same question.
-    /// A derived input, a resident table, or a scan without such a
-    /// predicate is read whole.
-    fn rows_in_kept_stripes<'e>(
-        &self,
-        qgm: &Qgm,
-        q: QuantId,
-        own: impl Iterator<Item = &'e Expr>,
-        all: f64,
-    ) -> f64 {
-        let BoxKind::BaseTable { table, .. } = &qgm.boxref(qgm.quant(q).input).kind else {
+    /// Rows of `input` (`all` in total) in the stripes its scan reads: the
+    /// executor skips a paged table's stripe whose zone map refutes one of
+    /// the input's sargable bounds, and this asks the same maps about the
+    /// bounds against a literal. Anything else is read whole.
+    fn rows_in_kept_stripes(&self, input: &Input<'_>, all: f64) -> f64 {
+        let BoxKind::BaseTable { table, .. } = &self.qgm.boxref(input.child).kind else {
             return all;
         };
         let zones = match self.stats.table(table) {
             Some(ts) if !ts.zones.is_empty() => &ts.zones,
             _ => return all,
         };
-        let bounds: Vec<_> = own
-            .filter_map(|p| {
-                let Expr::Binary { op, left, right } = p else {
-                    return None;
-                };
-                let op = op.cmp_op()?;
-                match (&**left, &**right) {
-                    (Expr::Col { quant, col }, Expr::Lit(v)) if *quant == q => Some((*col, op, v)),
-                    (Expr::Lit(v), Expr::Col { quant, col }) if *quant == q => {
-                        Some((*col, op.flip(), v))
-                    }
-                    _ => None,
-                }
+        let bounds: Vec<_> = (input.bounds.iter())
+            .filter_map(|&(col, op, e)| match e {
+                Expr::Lit(v) => Some((col, op, v)),
+                _ => None,
             })
             .collect();
         if bounds.is_empty() {
@@ -529,41 +457,10 @@ impl<'a> Estimator<'a> {
             .sum()
     }
 
-    /// Expected *executions* of a correlated subtree under memoized nested
-    /// iteration: the distinct count of its correlation key (its free
-    /// references `key`), capped by the candidate-row count. `candidates`
-    /// itself is the naive per-candidate-row invocation count; the memo
-    /// collapses repeated bindings, so only distinct ones execute (the
-    /// paper's "3954 invocations of which only 2138 are distinct", priced
-    /// at plan time).
-    fn corr_invocations(
-        &self,
-        qgm: &Qgm,
-        key: impl Iterator<Item = (QuantId, usize)>,
-        candidates: f64,
-    ) -> f64 {
-        let key = key.map(|(q, c)| Expr::col(q, c));
-        self.distinct_estimate(qgm, key, candidates.max(1.0))
-            .max(1.0)
-    }
-
-    /// Whether predicate `p` can be evaluated as soon as `q` is placed:
-    /// it references `q`, and every other referenced quantifier is
-    /// either already placed or free (a correlation binding, fixed for
-    /// the duration of the evaluation).
-    fn pred_ready(&self, p: &Expr, q: QuantId, local: &[QuantId], placed: &[QuantId]) -> bool {
-        let (mut has_q, mut ready) = (false, true);
-        p.for_each_col(&mut |r, _| {
-            has_q |= r == q;
-            ready &= r == q || placed.contains(&r) || !local.contains(&r);
-        });
-        has_q && ready
-    }
-
     /// One index probe `p` on column `p.col` of `q` (over a table of
     /// `table_rows` rows): the lookup plus the rows one key matches.
-    fn probe_cost(&self, qgm: &Qgm, q: QuantId, p: &access::Probe<'_>, table_rows: f64) -> f64 {
-        let matched = match self.col_stats(qgm, q, p.col) {
+    fn probe_cost(&self, q: QuantId, p: &access::Probe<'_>, table_rows: f64) -> f64 {
+        let matched = match self.col_origin(q, p.col).map(|(_, cs)| cs) {
             Some(cs) if cs.ndv > 0 => 1.0 / cs.ndv as f64,
             Some(_) => 0.0,
             None => EQ_SELECTIVITY,
@@ -580,7 +477,6 @@ impl<'a> Estimator<'a> {
     /// bindings).
     fn distinct_estimate(
         &self,
-        qgm: &Qgm,
         exprs: impl Iterator<Item = impl std::borrow::Borrow<Expr>>,
         input_rows: f64,
     ) -> f64 {
@@ -588,11 +484,11 @@ impl<'a> Estimator<'a> {
         let mut resolved_all = true;
         for e in exprs {
             match e.borrow() {
-                Expr::Col { quant, col } => match self.col_origin(qgm, *quant, *col) {
+                Expr::Col { quant, col } => match self.col_origin(*quant, *col) {
                     Some((origin, cs)) => {
                         // +1 admits a NULL group alongside the distinct values.
                         let d = cs.ndv as f64 + if cs.null_count > 0 { 1.0 } else { 0.0 };
-                        product *= d.min(self.filtered_rows(qgm, origin, cs)).max(1.0);
+                        product *= d.min(self.filtered_rows(origin, cs)).max(1.0);
                     }
                     None => resolved_all = false,
                 },
@@ -611,25 +507,25 @@ impl<'a> Estimator<'a> {
     }
 
     /// Selectivity of one conjunct.
-    fn pred_selectivity(&self, qgm: &Qgm, p: &Expr) -> f64 {
+    fn pred_selectivity(&self, p: &Expr) -> f64 {
         match p {
             Expr::Binary { op, left, right } if op.is_comparison() => {
-                self.cmp_selectivity(qgm, *op, left, right)
+                self.cmp_selectivity(*op, left, right)
             }
             Expr::Binary { op: BinOp::Or, left, right } => {
-                let a = self.pred_selectivity(qgm, left);
-                let b = self.pred_selectivity(qgm, right);
+                let a = self.pred_selectivity(left);
+                let b = self.pred_selectivity(right);
                 (a + b - a * b).clamp(0.0, 1.0)
             }
             Expr::Binary { op: BinOp::And, left, right } => {
-                self.pred_selectivity(qgm, left) * self.pred_selectivity(qgm, right)
+                self.pred_selectivity(left) * self.pred_selectivity(right)
             }
-            Expr::Unary { op: UnOp::Not, expr } => 1.0 - self.pred_selectivity(qgm, expr),
-            Expr::Unary { op: UnOp::IsNull, expr } => match self.stats_of(qgm, expr) {
+            Expr::Unary { op: UnOp::Not, expr } => 1.0 - self.pred_selectivity(expr),
+            Expr::Unary { op: UnOp::IsNull, expr } => match self.stats_of(expr) {
                 Some(cs) => cs.null_fraction(),
                 None => EQ_SELECTIVITY,
             },
-            Expr::Unary { op: UnOp::IsNotNull, expr } => match self.stats_of(qgm, expr) {
+            Expr::Unary { op: UnOp::IsNotNull, expr } => match self.stats_of(expr) {
                 Some(cs) => 1.0 - cs.null_fraction(),
                 None => 1.0 - EQ_SELECTIVITY,
             },
@@ -637,9 +533,9 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    fn cmp_selectivity(&self, qgm: &Qgm, op: BinOp, left: &Expr, right: &Expr) -> f64 {
-        let lstats = self.stats_of(qgm, left);
-        let rstats = self.stats_of(qgm, right);
+    fn cmp_selectivity(&self, op: BinOp, left: &Expr, right: &Expr) -> f64 {
+        let lstats = self.stats_of(left);
+        let rstats = self.stats_of(right);
         match (left, right) {
             // column-vs-literal (either orientation): histogram / MCV.
             (Expr::Col { .. }, Expr::Lit(v)) if lstats.is_some() => {
@@ -684,39 +580,34 @@ impl<'a> Estimator<'a> {
     }
 
     /// Column statistics for a bare column expression, if resolvable.
-    fn stats_of(&self, qgm: &Qgm, e: &Expr) -> Option<&ColumnStats> {
+    fn stats_of(&self, e: &Expr) -> Option<&ColumnStats> {
         let Expr::Col { quant, col } = e else {
             return None;
         };
-        self.col_stats(qgm, *quant, *col)
+        self.col_origin(*quant, *col).map(|(_, cs)| cs)
     }
 
     /// Estimated rows of base-table quantifier `q` (whose column has
     /// statistics `cs`) after the predicates of its owner Select that
-    /// involve no other local quantifier.
-    fn filtered_rows(&self, qgm: &Qgm, q: QuantId, cs: &ColumnStats) -> f64 {
-        let bx = qgm.boxref(qgm.quant(q).owner);
+    /// read no other quantifier of the box.
+    fn filtered_rows(&self, q: QuantId, cs: &ColumnStats) -> f64 {
         let mut rows = cs.row_count as f64;
-        if matches!(bx.kind, BoxKind::Select) {
-            for p in &bx.preds {
-                if self.pred_ready(p, q, &bx.quants, &[]) {
-                    rows *= self.pred_selectivity(qgm, p);
+        if let Some(shape) = &self.shapes[self.qgm.quant(q).owner.index()] {
+            for (p, e) in shape.preds.iter().zip(shape.exprs) {
+                if p.refs == [q] {
+                    rows *= self.pred_selectivity(e);
                 }
             }
         }
         rows
     }
 
-    /// Column statistics for `(quant, col)`, if it resolves to a base table.
-    fn col_stats(&self, qgm: &Qgm, quant: QuantId, col: usize) -> Option<&ColumnStats> {
-        self.col_origin(qgm, quant, col).map(|(_, cs)| cs)
-    }
-
     /// Resolve `(quant, col)` to the base-table quantifier it comes from
     /// and that column's statistics, following pass-through projections
     /// (Select/Grouping outputs that are bare column references to the
     /// box's own quantifiers).
-    fn col_origin(&self, qgm: &Qgm, quant: QuantId, col: usize) -> Option<(QuantId, &ColumnStats)> {
+    fn col_origin(&self, quant: QuantId, col: usize) -> Option<(QuantId, &ColumnStats)> {
+        let qgm = self.qgm;
         let mut q = quant;
         let mut c = col;
         // Bounded by plan depth; the chain is acyclic.

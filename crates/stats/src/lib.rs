@@ -3,7 +3,7 @@
 //! The paper's Section 7 resolves "no strategy dominates" by optimizing the
 //! query under each applicable strategy and picking the cheaper plan — a
 //! decision that is only as good as the cost estimates behind it. This
-//! crate supplies those estimates:
+//! crate supplies those estimates, module by module:
 //!
 //! * [`collect`] — an `ANALYZE`-style statistics collector over
 //!   [`decorr_storage`] tables: per column the row count, NULL fraction,
@@ -18,9 +18,12 @@
 //! * [`qerror`] — the audit itself: the classic q-error
 //!   `max(est/actual, actual/est)` per box, comparing a
 //!   [`PlanEstimate`] against the executed rows-out counters.
-//! * [`access`] — the access-path rule (which equality probes which
-//!   index, and when index nested loops pay) that the executor takes and
-//!   the estimator prices: one definition, two callers.
+//! * [`shape`] — what a Select is, for the executor's lowering and the
+//!   estimator alike: predicate stages, lateral inputs, own predicates and
+//!   their sargable bounds, and the outer join's index arm.
+//! * [`access`] — the access-path rule under the shape (which equality
+//!   probes which index, which input is a table as it stands, and when
+//!   index nested loops pay): one definition, two callers.
 //!
 //! `decorr_exec::CostModel` is built on this crate, and the root crate's
 //! `choose_strategy` uses it to race all five evaluation strategies.
@@ -29,6 +32,7 @@ pub mod access;
 pub mod collect;
 pub mod estimate;
 pub mod qerror;
+pub mod shape;
 
 pub use collect::{ColumnStats, Histogram, Statistics, TableStats};
 pub use estimate::{BoxEstimate, Estimate, Estimator, PlanEstimate};

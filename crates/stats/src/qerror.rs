@@ -7,7 +7,6 @@
 //! and computes the q-error for every executed box, so estimator
 //! regressions show up the same way performance regressions do.
 
-use decorr_common::JsonWriter;
 use decorr_qgm::BoxId;
 
 use crate::estimate::PlanEstimate;
@@ -120,21 +119,6 @@ impl AccuracyReport {
             self.geomean_q()
         ));
         out
-    }
-
-    /// Serialize the report into an open JSON writer as an array value.
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_array();
-        for b in &self.boxes {
-            w.begin_object();
-            w.field_uint("box", b.box_id.index() as u64);
-            w.field_str("kind", &b.label);
-            w.field_float("est_rows", b.est_rows);
-            w.field_uint("actual_rows", b.actual_rows);
-            w.field_float("q_error", b.q);
-            w.end_object();
-        }
-        w.end_array();
     }
 }
 

@@ -372,6 +372,31 @@ fn origin_bound_only_lowers_and_needs_a_local_predicate() {
     }
 }
 
+/// Fig 9's NI plan: the Select over the correlated UNION reads it as a
+/// plain input — correlated to the outer block, not to its own, so the
+/// executor evaluates it once per evaluation of the Select and keeps every
+/// row. The estimate prices that plan: the Select returns the union's rows.
+#[test]
+fn an_input_correlated_to_an_outer_block_is_priced_as_joined() {
+    let db = generate(&TpcdConfig { scale: 0.02, seed: 42, with_indexes: true }).unwrap();
+    let stats = Statistics::analyze(&db).unwrap();
+    let qgm = parse_and_bind(queries::Q3, &db).unwrap();
+    let est = Estimator::new(&stats).estimate(&qgm).unwrap();
+    let boxes = qgm.reachable_boxes(qgm.top());
+    let union = boxes
+        .into_iter()
+        .find(|&b| matches!(qgm.boxref(b).kind, BoxKind::Union { .. }));
+    let union = union.unwrap();
+    let select = qgm.quant(qgm.quants_over(union)[0]).owner;
+    let (over, of) = (
+        est.box_estimate(select).unwrap(),
+        est.box_estimate(union).unwrap(),
+    );
+    assert!((of.rows - 4.4).abs() < 1e-9, "{of:?}");
+    assert_eq!(over.rows, of.rows, "{over:?}");
+    assert_eq!(over.invocations, of.invocations);
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: on TPC-D generator columns, the column statistics must
 // keep equality estimates within a bounded q-error of the truth, and range
