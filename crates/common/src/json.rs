@@ -168,11 +168,6 @@ impl JsonWriter {
     pub fn field_float(&mut self, k: &str, v: f64) -> &mut Self {
         self.key(k).float(v)
     }
-
-    /// Shorthand: `"k": true|false` inside an object.
-    pub fn field_bool(&mut self, k: &str, v: bool) -> &mut Self {
-        self.key(k).bool(v)
-    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,9 @@
 //! * [`WorkerPool`] — the work-stealing-free morsel scheduler behind
 //!   intra-query parallelism and parallel cluster maintenance (see
 //!   [`pool`]),
+//! * [`Cache`] — the one cross-query cache (version-fenced, byte-budgeted
+//!   LRU with single-flight builds) under the plan, shared-subplan and
+//!   transpose caches (see [`cache`]),
 //! * [`ColumnarBatch`] — typed column vectors with null bitmaps,
 //!   dictionary-encoded strings and selection vectors, plus the
 //!   vectorized filter/hash/gather/aggregate kernels the executor's
@@ -24,6 +27,7 @@
 //! Nothing in this crate knows about query plans or storage; it is the
 //! bottom of the dependency graph.
 
+pub mod cache;
 pub mod columnar;
 pub mod env;
 pub mod error;
@@ -38,6 +42,7 @@ pub mod segcodec;
 pub mod stats;
 pub mod value;
 
+pub use cache::{Cache, CacheLedger, CacheStats, Claim};
 pub use columnar::{CmpOp, ColPredicate, Column, ColumnarBatch, SelVec};
 pub use env::{ChaosEnv, EnvFile, RealEnv, StorageEnv};
 pub use error::{Error, Result};

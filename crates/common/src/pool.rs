@@ -37,15 +37,6 @@ impl WorkerPool {
         WorkerPool { threads: threads.max(1) }
     }
 
-    /// A pool sized to the host's available parallelism.
-    pub fn host_sized() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
     /// Worker count this pool was built with.
     pub fn threads(&self) -> usize {
         self.threads

@@ -20,7 +20,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::schema::DataType;
 
 /// A single SQL value.
 #[derive(Debug, Clone)]
@@ -46,17 +45,6 @@ impl Value {
     /// Is this value SQL NULL?
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
-    }
-
-    /// The runtime type of this value, or `None` for NULL (which is typeless).
-    pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Bool(_) => Some(DataType::Bool),
-            Value::Int(_) => Some(DataType::Int),
-            Value::Double(_) => Some(DataType::Double),
-            Value::Str(_) => Some(DataType::Str),
-        }
     }
 
     /// Extract an `i64`, coercing from `Double` when lossless.

@@ -1,39 +1,38 @@
 //! A cross-query columnar batch cache for long-lived processes.
 //!
-//! The executor's per-run transpose cache ([`crate::Executor`]'s
-//! `col_cache`) dies with the query, so a service answering the same query
-//! shapes over and over re-transposes every base table on every request.
-//! [`ColumnarCache`] is the long-lived counterpart: it is `Clone`-shared
-//! (e.g. one per server), handed to the executor via
-//! [`crate::ExecOptions::shared_cache`], and keyed by **table snapshot
-//! version** ([`decorr_storage::Table::version`]) so it can never serve
-//! rows from a stale snapshot — dropping, reloading or re-`ANALYZE`-ing a
-//! table reassigns a fresh process-unique version, which simply misses the
-//! cache. Stale versions are purged on insert (versions are monotonic, so
-//! "different version under the same key" means "superseded snapshot").
+//! The executor's per-run transpose cache (`col_cache`) dies with the
+//! query. [`ColumnarCache`] is its long-lived counterpart, handed to the
+//! executor via [`crate::ExecOptions::shared_cache`]: a
+//! [`decorr_common::Cache`] whose family is `(table, columns)` and whose
+//! version is the table's snapshot version
+//! ([`decorr_storage::Table::version`]), so it never serves a stale
+//! snapshot and a new snapshot's transpose replaces the old one.
+//! Transposes have no byte budget and charge no ledger.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use decorr_common::columnar::ColumnarBatch;
-use decorr_common::FxHashMap;
+use decorr_common::Cache;
 use decorr_storage::Table;
 
-/// `(table name, table snapshot version, transposed column positions)`.
-type CacheKey = (String, u64, Vec<usize>);
+/// A shared cache of narrow columnar transposes; its stats are the
+/// underlying [`Cache`]'s.
+#[derive(Debug, Clone)]
+pub struct ColumnarCache(Cache<(String, Vec<usize>), u64, Arc<ColumnarBatch>>);
 
-/// A shared, snapshot-version-keyed cache of narrow columnar transposes.
-/// Cloning shares the underlying map; all methods are thread-safe.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnarCache {
-    inner: Arc<Inner>,
+impl Default for ColumnarCache {
+    fn default() -> Self {
+        ColumnarCache(Cache::new(usize::MAX, |_| (0, 0)))
+    }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: Mutex<FxHashMap<CacheKey, Arc<ColumnarBatch>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+impl Deref for ColumnarCache {
+    type Target = Cache<(String, Vec<usize>), u64, Arc<ColumnarBatch>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl ColumnarCache {
@@ -42,117 +41,43 @@ impl ColumnarCache {
     }
 
     /// The cached transpose of `cols` of the *current snapshot* of `t`,
-    /// building (and inserting) it via `build` on a miss. Inserting also
-    /// evicts superseded snapshots of the same `(table, columns)` so a
-    /// long-lived process does not accumulate one batch per historical
-    /// load.
+    /// built by `build` on a miss — outside the lock, so transposing a
+    /// large table blocks no other query's lookups. A concurrent builder
+    /// may race this one; either batch transposes the same snapshot.
     pub fn get_or_build(
         &self,
         t: &Table,
         cols: &[usize],
         build: impl FnOnce() -> ColumnarBatch,
     ) -> Arc<ColumnarBatch> {
-        let key: CacheKey = (t.name().to_string(), t.version(), cols.to_vec());
-        if let Ok(map) = self.inner.map.lock() {
-            if let Some(b) = map.get(&key) {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(b);
-            }
+        let family = (t.name().to_string(), cols.to_vec());
+        if let Some(b) = self.0.get(&family, &t.version()) {
+            return b;
         }
-        // Build outside the lock: transposing a large table must not block
-        // every other query's cache lookups.
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
         let b = Arc::new(build());
-        if let Ok(mut map) = self.inner.map.lock() {
-            map.retain(|(name, version, c), _| {
-                !(name == &key.0 && c == &key.2 && *version != key.1)
-            });
-            // A concurrent builder may have raced us here; either batch is
-            // a transpose of the same snapshot, so last-write-wins is fine.
-            map.insert(key, Arc::clone(&b));
-        }
+        self.0.insert(family, t.version(), Arc::clone(&b));
         b
-    }
-
-    /// Drop every cached batch for `table` (any snapshot, any column set).
-    /// Correctness never requires this — version keying already fences
-    /// stale snapshots — but an explicit drop returns the memory eagerly.
-    pub fn invalidate_table(&self, table: &str) {
-        if let Ok(mut map) = self.inner.map.lock() {
-            map.retain(|(name, _, _), _| !name.eq_ignore_ascii_case(table));
-        }
-    }
-
-    /// Drop everything.
-    pub fn clear(&self) {
-        if let Ok(mut map) = self.inner.map.lock() {
-            map.clear();
-        }
-    }
-
-    /// Number of cached batches.
-    pub fn len(&self) -> usize {
-        self.inner.map.lock().map(|m| m.len()).unwrap_or(0)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookup hits since creation.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookup misses (i.e. transposes paid) since creation.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decorr_common::columnar::ColumnarBatch;
     use decorr_common::{row, DataType, Schema};
 
-    fn table(rows: &[i64]) -> Table {
-        let mut t = Table::new("t", Schema::from_pairs(&[("x", DataType::Int)]));
-        for &r in rows {
-            t.insert(row![r]).unwrap();
-        }
-        t
-    }
-
-    fn transpose(t: &Table) -> ColumnarBatch {
-        ColumnarBatch::from_rows(t.rows())
-    }
-
     #[test]
-    fn hit_on_same_snapshot_miss_after_mutation() {
+    fn a_new_snapshot_replaces_the_old_transpose() {
         let cache = ColumnarCache::new();
-        let mut t = table(&[1, 2, 3]);
+        let mut t = Table::new("t", Schema::from_pairs(&[("x", DataType::Int)]));
+        t.insert_all([row![1], row![2], row![3]]).unwrap();
+        let transpose = |t: &Table| ColumnarBatch::from_rows(t.rows());
         let b1 = cache.get_or_build(&t, &[0], || transpose(&t));
         let b2 = cache.get_or_build(&t, &[0], || transpose(&t));
         assert!(Arc::ptr_eq(&b1, &b2));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-
         t.insert(row![4]).unwrap();
         let b3 = cache.get_or_build(&t, &[0], || transpose(&t));
         assert_eq!(b3.len(), 4, "mutated table must re-transpose");
-        assert_eq!(cache.misses(), 2);
-        // The superseded snapshot was evicted, not retained alongside.
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn distinct_column_sets_coexist() {
-        let cache = ColumnarCache::new();
-        let t = table(&[1]);
-        cache.get_or_build(&t, &[0], || transpose(&t));
-        cache.get_or_build(&t, &[], || transpose(&t));
-        assert_eq!(cache.len(), 2);
-        cache.invalidate_table("T");
-        assert!(cache.is_empty());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
     }
 }

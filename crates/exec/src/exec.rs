@@ -18,15 +18,15 @@ use std::time::Instant;
 
 use decorr_common::columnar::{ColumnarBatch, SelVec};
 use decorr_common::{
-    Budget, CancelToken, Error, ExecStats, FxHashMap, FxHashSet, Result, Row, RowBatch, Value,
-    WorkerPool, MORSEL_ROWS,
+    Budget, CancelToken, Claim, Error, ExecStats, FxHashMap, FxHashSet, Result, Row, RowBatch,
+    Value, WorkerPool, MORSEL_ROWS,
 };
 use decorr_qgm::{BoxId, BoxKind, Expr, OutputCol, Qgm};
 use decorr_storage::{Database, PageIo, SpillManager, Table};
 
 use crate::env::{Env, Layout};
 use crate::eval::{eval_expr, qualifies};
-use crate::subplan::{SharedSubplans, SubplanLookup};
+use crate::subplan::SharedSubplans;
 use crate::trace::ExecTrace;
 use crate::tuple::{Src, Tuples};
 use crate::vector;
@@ -547,11 +547,11 @@ impl<'a> Executor<'a> {
         // served from — or materialized into — the process-wide cache,
         // single-flight across concurrent queries.
         let shared = match (&low.shared_key, &self.opts.shared_subplans) {
-            (Some(key), Some(ss)) => ss.cache.lookup_or_begin(key),
-            _ => SubplanLookup::Bypass,
+            (Some((shape, versions)), Some(ss)) => ss.cache.claim(shape, versions),
+            _ => Claim::Bypass,
         };
         let rows = match shared {
-            SubplanLookup::Hit(rows) => {
+            Claim::Hit(rows) => {
                 self.checkpoint(0)?;
                 self.stats.shared_subplan_hits += 1;
                 self.stats.shared_subplan_rows += rows.len() as u64;
@@ -560,14 +560,14 @@ impl<'a> Executor<'a> {
                 }
                 rows
             }
-            SubplanLookup::Build(guard) => {
+            Claim::Build(guard) => {
                 // An error drops the guard, un-claiming the slot so
                 // waiters fall through to their local fallback.
                 let rows: RowBatch = self.eval_box(plan, b, env)?.into();
                 guard.finish(RowBatch::clone(&rows));
                 rows
             }
-            SubplanLookup::Bypass => self.eval_box(plan, b, env)?.into(),
+            Claim::Bypass => self.eval_box(plan, b, env)?.into(),
         };
         if low.cse {
             self.cse_cache.insert(b, RowBatch::clone(&rows));

@@ -5,8 +5,6 @@
 //! [`Lowered`] entry holding what its operator would otherwise re-derive on
 //! every evaluation.
 
-use std::fmt::Write as _;
-
 use decorr_qgm::{BinOp, BoxId, BoxKind, Expr, Qgm, QuantId, QuantKind, Traversal, UnOp};
 use decorr_stats::access::{Probe, TableInput};
 use decorr_stats::shape::{self, SelectShape, Stage};
@@ -34,9 +32,9 @@ pub(super) struct Lowered<'q> {
     /// Kept for the run once evaluated (`memoize_cse`; uncorrelated, not a
     /// base table).
     pub cse: bool,
-    /// A marked box's shared-subplan key: its canonical shape plus the
+    /// A marked box's shared-subplan key: its canonical shape and the
     /// snapshot version of every table it reads (none if one is gone).
-    pub shared_key: Option<String>,
+    pub shared_key: Option<(String, Vec<u64>)>,
     /// A subquery's or a lateral join's input: its correlation signature.
     pub sig: Option<CorrSig>,
     pub select: Option<SelectOp<'q>>,
@@ -131,13 +129,7 @@ impl<'q> Plan<'q> {
             let low = &mut boxes[b.index()];
             low.cse = cse(b);
             low.cached = cached(b);
-            low.shared_key = mark(b).and_then(|m| {
-                let mut key = m.shape.clone();
-                for t in &m.tables {
-                    let _ = write!(key, ";{t}@{}", db.table(t).ok()?.version());
-                }
-                Some(key)
-            });
+            low.shared_key = mark(b).and_then(|m| Some((m.shape.clone(), m.versions(db)?)));
             match &bx.kind {
                 BoxKind::Grouping { group_by } => {
                     low.group = Some(lower_grouping(qgm, opts, b, group_by));

@@ -42,11 +42,13 @@
 //! * `tuple`: candidate tuples, what scans and joins hand on instead of
 //!   rows; `env`, `eval` and `vector`: bindings, the row-wise evaluator and
 //!   the columnar kernels;
-//! * [`trace`], [`cache`], [`subplan`] and [`cost`]: the operator trace, the
-//!   cross-query transpose and shared-subplan caches, and the cost model.
+//! * [`trace`]: the operator trace;
+//! * [`cache`] and [`subplan`]: the cross-query transpose and shared-subplan
+//!   caches, key adapters over [`decorr_common::Cache`] (family: table and
+//!   columns, or canonical subtree; version: the tables' snapshot
+//!   versions). Plans are priced by [`decorr_stats::Statistics`] directly.
 
 pub mod cache;
-pub mod cost;
 pub mod env;
 pub mod eval;
 pub mod exec;
@@ -56,14 +58,11 @@ mod tuple;
 mod vector;
 
 pub use cache::ColumnarCache;
-pub use cost::{CostModel, Estimate};
-pub use decorr_stats::{BoxEstimate, PlanEstimate};
+pub use decorr_common::{CacheLedger, CacheStats};
+pub use decorr_stats::{BoxEstimate, Estimate, PlanEstimate};
 pub use env::{Env, Layout};
 pub use exec::{ExecOptions, Executor, ScalarPlacement};
-pub use subplan::{
-    BuildGuard, CacheLedger, SharedSubplans, SubplanCache, SubplanCacheStats, SubplanLookup,
-    SubplanShape,
-};
+pub use subplan::{SharedSubplans, SubplanCache, SubplanShape};
 pub use trace::{BoxTrace, ExecTrace, JoinChoice, JoinStrategy};
 
 use decorr_common::{ExecStats, Result, Row};

@@ -1,131 +1,73 @@
 //! Cross-query shared subplans: materialize magic/SUPP subtrees once.
 //!
-//! Decorrelated plans are full of *supplementary structures* — the SUPP /
-//! MAGIC / DCO boxes the FEED/ABSORB rewrite manufactures — and a service
-//! replaying the same query shapes computes those subtrees again and
-//! again, once per request. [`SubplanCache`] is the cross-query
-//! counterpart of the within-query CSE memo (`memoize_cse`): a
-//! `Clone`-shared, byte-budgeted cache of materialized intermediate
-//! results, keyed by the subtree's canonical shape *plus the snapshot
-//! versions of every base table it reads*. Versions are process-unique
-//! and monotonic (`decorr_storage::Table::version`), so a reload, DDL or
-//! `ANALYZE` makes every dependent entry miss by construction — the same
-//! fencing [`crate::ColumnarCache`] uses.
-//!
-//! Concurrency is **single-flight**: the first query to want a subtree
-//! installs a `Building` slot and computes it; concurrently admitted
-//! queries wanting the same subtree block on a condvar and get the
-//! finished batch — the work is paid once, not N times. Waiters carry a
-//! deadline; if the builder is slow (or dies — its guard removes the slot
-//! on drop), they fall back to computing locally without caching
-//! ([`SubplanLookup::Bypass`]), so the cache can stall no one. Waiting
-//! can not deadlock: a builder only ever waits on *strictly smaller*
-//! subtrees of the plan it is building, so wait-for edges follow subtree
-//! containment and cannot form a cycle.
-//!
-//! Memory is real, so it is charged to the owner's global pool through
-//! the [`CacheLedger`] trait (the server implements it over admission
-//! control's memory accounting). If the pool cannot cover a result, the
-//! result is simply not cached — correctness never depends on residency.
+//! A service replaying query shapes computes the SUPP / MAGIC / DCO
+//! subtrees of their decorrelated plans once per request. [`SubplanCache`],
+//! the cross-query counterpart of the within-query CSE memo, is a
+//! [`decorr_common::Cache`] of those results: the family is the subtree's
+//! canonical shape, the version *the snapshot version of every base table
+//! it reads* (`decorr_storage::Table::version`, process-unique), so a
+//! write makes every dependent entry miss and its rebuild frees the stale
+//! one. The executor claims a marked subtree single-flight; a retained
+//! result charges its rows to the owner's
+//! [`CacheLedger`](decorr_common::CacheLedger) (the server's admission
+//! pool), and is not cached if the pool cannot cover it.
 
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::ops::Deref;
 
-use decorr_common::{FxHashMap, Row, RowBatch, Value};
+use decorr_common::{Cache, FxHashMap, Row, RowBatch, Value};
 use decorr_qgm::BoxId;
+use decorr_storage::Database;
 
-/// How long a waiter blocks on an in-flight build before giving up and
-/// computing the subtree locally (uncached).
-const BUILD_WAIT: Duration = Duration::from_millis(2000);
-
-/// Memory accounting hook: the cache reserves rows against an external
-/// pool before retaining a result and releases them on eviction. A
-/// refusal means "do not cache" — never "fail the query".
-pub trait CacheLedger: Send + Sync {
-    /// Try to reserve `rows` rows of pool memory for a cached result.
-    fn try_reserve(&self, rows: u64) -> bool;
-    /// Return previously reserved rows to the pool.
-    fn release(&self, rows: u64);
-}
-
-enum Slot {
-    /// Some executor is computing this subtree; waiters block on the
-    /// condvar until it flips to `Ready` or disappears.
-    Building,
-    Ready {
-        rows: RowBatch,
-        bytes: usize,
-        last_used: u64,
-    },
-}
-
-struct State {
-    map: FxHashMap<String, Slot>,
-    tick: u64,
-    bytes: usize,
-    budget: usize,
-}
-
-struct Inner {
-    state: Mutex<State>,
-    built: Condvar,
-    ledger: Mutex<Option<Arc<dyn CacheLedger>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
-    evictions: AtomicU64,
-    rows_built: AtomicU64,
-    rows_reused: AtomicU64,
-}
-
-/// Default byte budget for materialized intermediates: 16 MiB.
 pub const DEFAULT_SUBPLAN_CACHE_BYTES: usize = 16 << 20;
 
-/// Shared materialized-intermediate cache. `Clone` shares state.
-#[derive(Clone)]
-pub struct SubplanCache {
-    inner: Arc<Inner>,
+/// Shared materialized-intermediate cache; claims, budget, ledger and
+/// stats are the underlying [`Cache`]'s.
+#[derive(Debug, Clone)]
+pub struct SubplanCache(Cache<String, Vec<u64>, RowBatch>);
+
+impl Default for SubplanCache {
+    fn default() -> Self {
+        SubplanCache::new(DEFAULT_SUBPLAN_CACHE_BYTES)
+    }
 }
 
-/// Counter snapshot for `\cache` and bench reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SubplanCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub bypasses: u64,
-    pub evictions: u64,
-    pub rows_built: u64,
-    pub rows_reused: u64,
-    pub entries: usize,
-    pub bytes: usize,
-    pub budget: usize,
+impl Deref for SubplanCache {
+    type Target = Cache<String, Vec<u64>, RowBatch>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
-impl SubplanCacheStats {
-    /// Fraction of subplan rows served from the cache rather than
-    /// recomputed: `reused / (built + reused)`. 0.0 when nothing ran.
-    pub fn shared_work_ratio(&self) -> f64 {
-        let total = self.rows_built + self.rows_reused;
-        if total == 0 {
-            0.0
-        } else {
-            self.rows_reused as f64 / total as f64
-        }
+impl SubplanCache {
+    /// A cache of `budget_bytes`; an entry charges the ledger its rows.
+    pub fn new(budget_bytes: usize) -> Self {
+        SubplanCache(Cache::new(budget_bytes, |rows| {
+            (row_batch_bytes(rows), rows.len() as u64)
+        }))
     }
 }
 
 /// One shareable subtree of a plan, as the executor needs it: the
 /// version-free canonical form plus the base tables the subtree reads
-/// (sorted). The executor appends each table's snapshot version to form
-/// the full cache key, which is what fences stale data. Produced from
-/// `decorr_core::shared_subplan_marks` on the *concrete* (literal-bound)
-/// plan — same shape, different bindings must key differently.
+/// (sorted). Produced from `decorr_core::shared_subplan_marks` on the
+/// *concrete* (literal-bound) plan — same shape, different bindings must
+/// key differently.
 #[derive(Debug, Clone)]
 pub struct SubplanShape {
     pub shape: String,
     pub tables: Vec<String>,
+}
+
+impl SubplanShape {
+    /// The version half of the key: each table's snapshot version in `db`,
+    /// in `tables` order; `None` if a table is missing.
+    pub(crate) fn versions(&self, db: &Database) -> Option<Vec<u64>> {
+        self.tables
+            .iter()
+            .map(|t| db.table(t).ok().map(|t| t.version()))
+            .collect()
+    }
 }
 
 /// Per-execution wiring handed to the executor via
@@ -137,467 +79,36 @@ pub struct SharedSubplans {
     pub marks: FxHashMap<BoxId, SubplanShape>,
 }
 
-impl fmt::Debug for SubplanCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SubplanCache")
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// Outcome of [`SubplanCache::lookup_or_begin`].
-pub enum SubplanLookup {
-    /// The materialized subtree, ready to use.
-    Hit(RowBatch),
-    /// This caller owns the build: compute the subtree, then
-    /// [`BuildGuard::finish`] (dropping the guard un-claims the slot).
-    Build(BuildGuard),
-    /// Cache contended or disabled for this key: compute locally, do not
-    /// cache.
-    Bypass,
-}
-
-impl Default for SubplanCache {
-    fn default() -> Self {
-        SubplanCache::new(DEFAULT_SUBPLAN_CACHE_BYTES)
-    }
-}
-
-impl SubplanCache {
-    pub fn new(budget_bytes: usize) -> Self {
-        SubplanCache {
-            inner: Arc::new(Inner {
-                state: Mutex::new(State {
-                    map: FxHashMap::default(),
-                    tick: 0,
-                    bytes: 0,
-                    budget: budget_bytes,
-                }),
-                built: Condvar::new(),
-                ledger: Mutex::new(None),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                bypasses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                rows_built: AtomicU64::new(0),
-                rows_reused: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Attach the memory ledger (e.g. the server's admission-control
-    /// pool). Entries cached before this are unaccounted; the server
-    /// wires the ledger before serving.
-    pub fn set_ledger(&self, ledger: Arc<dyn CacheLedger>) {
-        if let Ok(mut l) = self.inner.ledger.lock() {
-            *l = Some(ledger);
-        }
-    }
-
-    /// Look up a subtree by its full key (canonical shape + table
-    /// versions). On a miss the caller becomes the single-flight builder;
-    /// while a build is in flight other callers wait (bounded) and then
-    /// either hit or bypass.
-    pub fn lookup_or_begin(&self, key: &str) -> SubplanLookup {
-        let Ok(mut st) = self.inner.state.lock() else {
-            return SubplanLookup::Bypass;
-        };
-        let deadline = std::time::Instant::now() + BUILD_WAIT;
-        loop {
-            st.tick += 1;
-            let tick = st.tick;
-            match st.map.get_mut(key) {
-                Some(Slot::Ready { rows, last_used, .. }) => {
-                    *last_used = tick;
-                    let batch = Arc::clone(rows);
-                    self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .rows_reused
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    return SubplanLookup::Hit(batch);
-                }
-                Some(Slot::Building) => {
-                    let left = deadline.saturating_duration_since(std::time::Instant::now());
-                    if left.is_zero() {
-                        self.inner.bypasses.fetch_add(1, Ordering::Relaxed);
-                        return SubplanLookup::Bypass;
-                    }
-                    match self.inner.built.wait_timeout(st, left) {
-                        Ok((guard, _)) => st = guard,
-                        Err(_) => return SubplanLookup::Bypass,
-                    }
-                }
-                None => {
-                    st.map.insert(key.to_string(), Slot::Building);
-                    self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                    return SubplanLookup::Build(BuildGuard {
-                        cache: self.clone(),
-                        key: key.to_string(),
-                        done: false,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Install a finished build (called by [`BuildGuard::finish`]).
-    fn complete(&self, key: &str, rows: RowBatch) {
-        let bytes = row_batch_bytes(&rows);
-        let n = rows.len() as u64;
-        let ledger = self.inner.ledger.lock().ok().and_then(|l| l.clone());
-        let reserved = match (&ledger, bytes <= self.budget()) {
-            // Over-budget results are never retained; don't reserve.
-            (_, false) => false,
-            (Some(l), true) => l.try_reserve(n),
-            (None, true) => true,
-        };
-        let Ok(mut st) = self.inner.state.lock() else {
-            return;
-        };
-        if !reserved {
-            // Pool exhausted (or result bigger than the whole budget):
-            // release waiters to their local fallback, cache nothing.
-            st.map.remove(key);
-            self.inner.bypasses.fetch_add(1, Ordering::Relaxed);
-            self.inner.built.notify_all();
-            return;
-        }
-        st.tick += 1;
-        let tick = st.tick;
-        st.bytes += bytes;
-        st.map.insert(
-            key.to_string(),
-            Slot::Ready { rows, bytes, last_used: tick },
-        );
-        self.inner.rows_built.fetch_add(n, Ordering::Relaxed);
-        self.evict_to_budget(&mut st, ledger.as_deref());
-        self.inner.built.notify_all();
-    }
-
-    /// Un-claim a build that will not finish (builder errored/cancelled).
-    fn abandon(&self, key: &str) {
-        if let Ok(mut st) = self.inner.state.lock() {
-            if matches!(st.map.get(key), Some(Slot::Building)) {
-                st.map.remove(key);
-            }
-        }
-        self.inner.built.notify_all();
-    }
-
-    fn evict_to_budget(&self, st: &mut State, ledger: Option<&dyn CacheLedger>) {
-        while st.bytes > st.budget {
-            let victim = st
-                .map
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { last_used, .. } => Some((*last_used, k.clone())),
-                    Slot::Building => None,
-                })
-                .min()
-                .map(|(_, k)| k);
-            let Some(k) = victim else { break };
-            if let Some(Slot::Ready { rows, bytes, .. }) = st.map.remove(&k) {
-                st.bytes -= bytes;
-                if let Some(l) = ledger {
-                    l.release(rows.len() as u64);
-                }
-                self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Change the byte budget, evicting immediately if it shrank.
-    pub fn set_budget(&self, bytes: usize) {
-        let ledger = self.inner.ledger.lock().ok().and_then(|l| l.clone());
-        if let Ok(mut st) = self.inner.state.lock() {
-            st.budget = bytes;
-            self.evict_to_budget(&mut st, ledger.as_deref());
-        }
-    }
-
-    fn budget(&self) -> usize {
-        self.inner.state.lock().map(|st| st.budget).unwrap_or(0)
-    }
-
-    /// Drop every `Ready` entry, returning its memory to the ledger.
-    /// In-flight builds are left alone (their guards own those slots).
-    pub fn clear(&self) {
-        let ledger = self.inner.ledger.lock().ok().and_then(|l| l.clone());
-        if let Ok(mut st) = self.inner.state.lock() {
-            let mut freed_rows = 0u64;
-            st.map.retain(|_, slot| match slot {
-                Slot::Ready { rows, .. } => {
-                    freed_rows += rows.len() as u64;
-                    false
-                }
-                Slot::Building => true,
-            });
-            st.bytes = 0;
-            if let Some(l) = &ledger {
-                l.release(freed_rows);
-            }
-        }
-    }
-
-    pub fn stats(&self) -> SubplanCacheStats {
-        let (entries, bytes, budget) = self
-            .inner
-            .state
-            .lock()
-            .map(|st| (st.map.len(), st.bytes, st.budget))
-            .unwrap_or((0, 0, 0));
-        SubplanCacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            bypasses: self.inner.bypasses.load(Ordering::Relaxed),
-            evictions: self.inner.evictions.load(Ordering::Relaxed),
-            rows_built: self.inner.rows_built.load(Ordering::Relaxed),
-            rows_reused: self.inner.rows_reused.load(Ordering::Relaxed),
-            entries,
-            bytes,
-            budget,
-        }
-    }
-}
-
-/// Single-flight claim on one cache slot. Exactly one guard exists per
-/// in-flight key; `finish` publishes the result, dropping without
-/// finishing un-claims the slot so waiters stop blocking.
-pub struct BuildGuard {
-    cache: SubplanCache,
-    key: String,
-    done: bool,
-}
-
-impl BuildGuard {
-    pub fn finish(mut self, rows: RowBatch) {
-        self.done = true;
-        self.cache.complete(&self.key, rows);
-    }
-}
-
-impl Drop for BuildGuard {
-    fn drop(&mut self) {
-        if !self.done {
-            self.cache.abandon(&self.key);
-        }
-    }
-}
-
 /// Approximate retained bytes of a batch (consistent, not
 /// allocator-exact — all the budget needs).
-pub fn row_batch_bytes(rows: &RowBatch) -> usize {
-    let mut bytes = std::mem::size_of::<Row>() * rows.len();
-    for r in rows.iter() {
-        for v in r.values() {
-            bytes += std::mem::size_of::<Value>();
-            if let Value::Str(s) = v {
-                bytes += s.len();
-            }
-        }
-    }
-    bytes
+fn row_batch_bytes(rows: &RowBatch) -> usize {
+    let value = |v: &Value| size_of::<Value>() + if let Value::Str(s) = v { s.len() } else { 0 };
+    let row = |r: &Row| size_of::<Row>() + r.values().iter().map(value).sum::<usize>();
+    rows.iter().map(row).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decorr_common::row;
-    use std::sync::atomic::AtomicI64;
-
-    fn batch(n: i64) -> RowBatch {
-        (0..n).map(|i| row![i]).collect::<Vec<_>>().into()
-    }
+    use decorr_common::{row, DataType, Schema};
 
     #[test]
-    fn single_flight_hit_after_finish() {
-        let cache = SubplanCache::new(1 << 20);
-        let SubplanLookup::Build(guard) = cache.lookup_or_begin("k") else {
-            panic!("first lookup must claim the build");
-        };
-        guard.finish(batch(3));
-        match cache.lookup_or_begin("k") {
-            SubplanLookup::Hit(rows) => assert_eq!(rows.len(), 3),
-            _ => panic!("second lookup must hit"),
-        }
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!((s.rows_built, s.rows_reused), (3, 3));
-        assert!((s.shared_work_ratio() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dropped_guard_unclaims_the_slot() {
-        let cache = SubplanCache::new(1 << 20);
-        let SubplanLookup::Build(guard) = cache.lookup_or_begin("k") else {
-            panic!();
-        };
-        drop(guard); // builder errored out
-                     // The next caller becomes the builder, not a waiter.
-        assert!(matches!(
-            cache.lookup_or_begin("k"),
-            SubplanLookup::Build(_)
-        ));
-    }
-
-    #[test]
-    fn concurrent_waiter_gets_the_built_batch() {
-        let cache = SubplanCache::new(1 << 20);
-        let SubplanLookup::Build(guard) = cache.lookup_or_begin("k") else {
-            panic!();
-        };
-        let c2 = cache.clone();
-        let waiter = std::thread::spawn(move || match c2.lookup_or_begin("k") {
-            SubplanLookup::Hit(rows) => rows.len(),
-            _ => usize::MAX,
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        guard.finish(batch(7));
-        assert_eq!(waiter.join().unwrap(), 7);
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn lru_eviction_respects_budget_and_ledger() {
-        struct Pool {
-            reserved: AtomicI64,
-        }
-        impl CacheLedger for Pool {
-            fn try_reserve(&self, rows: u64) -> bool {
-                self.reserved.fetch_add(rows as i64, Ordering::SeqCst);
-                true
-            }
-            fn release(&self, rows: u64) {
-                self.reserved.fetch_sub(rows as i64, Ordering::SeqCst);
-            }
-        }
-        let pool = Arc::new(Pool { reserved: AtomicI64::new(0) });
-        let one = row_batch_bytes(&batch(4));
-        let cache = SubplanCache::new(one * 2 + one / 2);
-        cache.set_ledger(Arc::<Pool>::clone(&pool));
-        for k in ["a", "b"] {
-            let SubplanLookup::Build(g) = cache.lookup_or_begin(k) else {
-                panic!();
-            };
-            g.finish(batch(4));
-        }
-        assert!(matches!(cache.lookup_or_begin("a"), SubplanLookup::Hit(_)));
-        let SubplanLookup::Build(g) = cache.lookup_or_begin("c") else {
-            panic!();
-        };
-        g.finish(batch(4)); // evicts "b" (LRU)
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 2);
-        assert_eq!(
-            pool.reserved.load(Ordering::SeqCst),
-            8,
-            "2 entries x 4 rows"
-        );
-        assert!(matches!(
-            cache.lookup_or_begin("b"),
-            SubplanLookup::Build(_)
-        ));
-        cache.clear();
-        assert_eq!(
-            pool.reserved.load(Ordering::SeqCst),
-            0,
-            "clear releases the pool"
-        );
-    }
-
-    #[test]
-    fn magic_plan_shares_supp_work_across_executions() {
-        use decorr_common::{DataType, Schema};
-        use decorr_storage::Database;
-
+    fn the_version_is_each_read_table_s_snapshot() {
         let mut db = Database::new();
-        let d = db
-            .create_table(
-                "dept",
-                Schema::from_pairs(&[
-                    ("name", DataType::Str),
-                    ("num_emps", DataType::Int),
-                    ("building", DataType::Int),
-                ]),
-            )
-            .unwrap();
-        d.insert(row!["toys", 1, 3]).unwrap();
-        d.insert(row!["shoes", 0, 4]).unwrap();
-        let e = db
-            .create_table(
-                "emp",
-                Schema::from_pairs(&[("name", DataType::Str), ("building", DataType::Int)]),
-            )
-            .unwrap();
-        e.insert(row!["bob", 4]).unwrap();
-
-        let qgm = decorr_sql::parse_and_bind(
-            "SELECT d.name FROM dept d WHERE d.num_emps > \
-             (SELECT COUNT(*) FROM emp e WHERE d.building = e.building)",
-            &db,
-        )
-        .unwrap();
-        let plan = decorr_core::apply_strategy(&qgm, decorr_core::Strategy::Magic).unwrap();
-
-        let cache = SubplanCache::new(1 << 20);
-        let marks: FxHashMap<_, _> = decorr_core::shared_subplan_marks(&plan)
-            .into_iter()
-            .map(|m| (m.box_id, SubplanShape { shape: m.shape, tables: m.tables }))
-            .collect();
-        assert!(!marks.is_empty(), "magic plan must have shareable marks");
-        let opts = || crate::ExecOptions {
-            shared_subplans: Some(SharedSubplans { cache: cache.clone(), marks: marks.clone() }),
-            ..Default::default()
-        };
-
-        let (cold, cold_stats) = crate::execute_with(&db, &plan, opts()).unwrap();
-        let (warm, warm_stats) = crate::execute_with(&db, &plan, opts()).unwrap();
-        assert_eq!(warm, cold, "cached subtrees must not change results");
-        assert!(warm_stats.shared_subplan_hits > 0, "second run must hit");
-        assert!(
-            warm_stats.total_work() < cold_stats.total_work(),
-            "warm {} vs cold {}",
-            warm_stats.total_work(),
-            cold_stats.total_work()
-        );
-        let after_warm = cache.stats();
-
-        // A table mutation bumps its snapshot version: every emp-reading
-        // subtree misses — and rebuilds — by construction (subtrees over
-        // dept alone may still hit; dept's snapshot is unchanged), and
-        // the fresh run sees the new row.
-        db.table_mut("emp").unwrap().insert(row!["eve", 3]).unwrap();
-        let (fresh, fresh_stats) = crate::execute_with(&db, &plan, opts()).unwrap();
-        let after_fresh = cache.stats();
-        assert!(
-            after_fresh.misses > after_warm.misses,
-            "emp-reading subtrees must miss after the version bump"
-        );
-        assert!(fresh_stats.total_work() > warm_stats.total_work());
-        assert_ne!(fresh, cold, "new emp row changes the COUNT answer");
-    }
-
-    #[test]
-    fn refused_reservation_means_bypass_not_failure() {
-        struct NoRoom;
-        impl CacheLedger for NoRoom {
-            fn try_reserve(&self, _rows: u64) -> bool {
-                false
-            }
-            fn release(&self, _rows: u64) {}
+        for name in ["a", "b"] {
+            let t = db
+                .create_table(name, Schema::from_pairs(&[("x", DataType::Int)]))
+                .unwrap();
+            t.insert(row![1]).unwrap();
         }
-        let cache = SubplanCache::new(1 << 20);
-        cache.set_ledger(Arc::new(NoRoom));
-        let SubplanLookup::Build(g) = cache.lookup_or_begin("k") else {
-            panic!();
-        };
-        g.finish(batch(3));
-        assert_eq!(cache.stats().entries, 0, "refused result is not retained");
-        // The shape is claimable again rather than wedged in Building.
-        assert!(matches!(
-            cache.lookup_or_begin("k"),
-            SubplanLookup::Build(_)
-        ));
+        let shape = SubplanShape { shape: "s".into(), tables: vec!["a".into(), "b".into()] };
+        let before = shape.versions(&db).unwrap();
+        assert_eq!(before.len(), 2);
+        db.table_mut("b").unwrap().insert(row![2]).unwrap();
+        let after = shape.versions(&db).unwrap();
+        assert_eq!(after[0], before[0], "an untouched table keeps its version");
+        assert_ne!(after[1], before[1], "a write re-versions the table");
+        let missing = SubplanShape { tables: vec!["gone".into()], ..shape };
+        assert_eq!(missing.versions(&db), None, "a missing table is no key");
     }
 }

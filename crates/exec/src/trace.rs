@@ -180,30 +180,11 @@ impl ExecTrace {
         e.memo_hits += 1;
     }
 
-    /// Total correlation-key memo hits recorded across all boxes.
-    pub fn total_memo_hits(&self) -> u64 {
-        self.per_box.values().map(|t| t.memo_hits).sum()
-    }
-
-    /// Total shared-subplan cache hits recorded across all boxes.
-    pub fn total_shared_hits(&self) -> u64 {
-        self.per_box.values().map(|t| t.shared_hits).sum()
-    }
-
     /// Total degradations recorded across all boxes.
     pub fn total_degradations(&self) -> u64 {
         self.per_box
             .values()
             .flat_map(|t| t.degradations.iter())
-            .map(|(_, n)| n)
-            .sum()
-    }
-
-    /// Total disk spills recorded across all boxes.
-    pub fn total_spills(&self) -> u64 {
-        self.per_box
-            .values()
-            .flat_map(|t| t.spills.iter())
             .map(|(_, n)| n)
             .sum()
     }

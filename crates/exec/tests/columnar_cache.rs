@@ -49,7 +49,7 @@ fn drop_recreate_then_query_misses_the_cache() {
     let cache = ColumnarCache::new();
     let db = emp_db(&[1, 2, 3]);
     assert_eq!(run(&db, &cache), vec![1, 2, 3]);
-    let misses_before = cache.misses();
+    let misses_before = cache.stats().misses;
 
     // Drop and recreate under the same (case-normalized) name with
     // different contents. Without snapshot-version keying the shared cache
@@ -68,7 +68,7 @@ fn drop_recreate_then_query_misses_the_cache() {
         "stale snapshot served after drop/recreate"
     );
     assert!(
-        cache.misses() > misses_before,
+        cache.stats().misses > misses_before,
         "recreated table must re-transpose"
     );
 }
@@ -94,13 +94,17 @@ fn unchanged_snapshot_hits_across_queries() {
     let cache = ColumnarCache::new();
     let db = emp_db(&[1, 2, 3]);
     assert_eq!(run(&db, &cache), vec![1, 2, 3]);
-    let (hits, misses) = (cache.hits(), cache.misses());
+    let (hits, misses) = (cache.stats().hits, cache.stats().misses);
     assert_eq!(run(&db, &cache), vec![1, 2, 3]);
     assert!(
-        cache.hits() > hits,
+        cache.stats().hits > hits,
         "second identical query must hit the shared cache"
     );
-    assert_eq!(cache.misses(), misses, "no re-transpose without a mutation");
+    assert_eq!(
+        cache.stats().misses,
+        misses,
+        "no re-transpose without a mutation"
+    );
     // Superseded-snapshot eviction keeps exactly one batch per column set.
-    assert_eq!(cache.len(), 1);
+    assert_eq!(cache.stats().entries, 1);
 }

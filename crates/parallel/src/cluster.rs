@@ -178,11 +178,6 @@ impl Cluster {
         &self.nodes[i]
     }
 
-    /// All node databases.
-    pub fn node_dbs(&self) -> &[Database] {
-        &self.nodes
-    }
-
     /// The nodes that can serve partition `p`, primary first (chained
     /// declustering: the next `replication - 1` nodes in ring order).
     pub fn placement(&self, p: usize) -> Vec<usize> {
@@ -298,14 +293,5 @@ impl Cluster {
             total += db.table(table)?.len();
         }
         Ok(total)
-    }
-
-    /// Rows of `table` held by each node, in node order — the partition
-    /// balance the [`crate::ParallelStats`] row-skew report starts from.
-    pub fn rows_per_node(&self, table: &str) -> Result<Vec<u64>> {
-        self.nodes
-            .iter()
-            .map(|db| Ok(db.table(table)?.len() as u64))
-            .collect()
     }
 }

@@ -349,19 +349,6 @@ impl Expr {
         }
     }
 
-    /// Does the tree contain a [`Expr::Param`] placeholder? A graph with
-    /// parameters is a cached plan template, not an executable plan.
-    pub fn contains_param(&self) -> bool {
-        match self {
-            Expr::Param(_) => true,
-            Expr::Col { .. } | Expr::Lit(_) => false,
-            Expr::Binary { left, right, .. } => left.contains_param() || right.contains_param(),
-            Expr::Unary { expr, .. } => expr.contains_param(),
-            Expr::Func { args, .. } => args.iter().any(Expr::contains_param),
-            Expr::Agg { arg, .. } => arg.as_deref().is_some_and(Expr::contains_param),
-        }
-    }
-
     /// Replace every [`Expr::Param`] node by whatever `subst` returns for
     /// its index (typically a literal from a binding vector).
     pub fn substitute_params<F: FnMut(usize) -> Expr>(&mut self, subst: &mut F) {

@@ -531,15 +531,6 @@ impl Qgm {
         }
     }
 
-    /// Does any live box still contain a [`Expr::Param`] placeholder?
-    pub fn contains_params(&self) -> bool {
-        let mut found = false;
-        for b in self.live_boxes() {
-            b.for_each_expr(|e| found |= e.contains_param());
-        }
-        found
-    }
-
     /// Resolve an output-column name on a box to its position.
     pub fn resolve_output(&self, id: BoxId, name: &str) -> Result<usize> {
         let b = self.boxref(id);

@@ -11,8 +11,8 @@
 //! against the snapshot they started with, so every query sees one
 //! internally consistent catalog — never a mix of epochs.
 //!
-//! Every version a writer publishes carries the statistics-backed
-//! [`CostModel`] the strategy race prices plans with. The writer builds it
+//! Every version a writer publishes carries the [`Statistics`] the
+//! strategy race prices plans with. The writer builds them
 //! before publishing: statistics are held per table and keyed by
 //! [`Table::version`](decorr_storage::Table::version), so the entries of
 //! tables the write did not touch are carried over from the previous
@@ -20,17 +20,21 @@
 //! on the rows the writer already holds, before a durable catalog turns
 //! them into segments. Readers therefore never analyze on a published
 //! epoch; only the version a catalog is constructed or reopened with
-//! builds its model on first use. The catalog also
-//! owns the process-wide [`ColumnarCache`]; its entries are keyed by table
-//! snapshot version, so publishing a new epoch invalidates them by
-//! construction (stale snapshots simply stop being looked up).
+//! builds its statistics on first use.
+//!
+//! The catalog also owns the process-wide caches, each a
+//! [`decorr_common::Cache`] fenced by a version: the [`PlanCache`] by
+//! epoch, the [`SubplanCache`] and the [`ColumnarCache`] by the snapshot
+//! versions of the tables an entry read. Publishing a new epoch makes their
+//! stale entries miss by construction, and the entry built under the new
+//! version replaces the stale one, so a write frees what it made stale.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use decorr::plan_cache::PlanCache;
 use decorr_common::{Error, FaultStats, Result, StorageEnv};
-use decorr_exec::{ColumnarCache, CostModel, SubplanCache};
+use decorr_exec::{ColumnarCache, SubplanCache};
 use decorr_stats::Statistics;
 use decorr_storage::{
     BufferPool, Checkpoint, Database, PersistentStore, PoolStats, Recovered, SpillManager,
@@ -41,11 +45,11 @@ use decorr_storage::{
 pub struct CatalogVersion {
     epoch: u64,
     db: Arc<Database>,
-    /// Statistics + estimator for this version, shared by every query
-    /// planned against this epoch. `Some` from the start on every version
+    /// Statistics for this version, shared by every query planned against
+    /// this epoch. `Some` from the start on every version
     /// a writer published; `None` until first use on the version a catalog
     /// was constructed or reopened with.
-    model: Mutex<Option<Arc<CostModel>>>,
+    model: Mutex<Option<Arc<Statistics>>>,
 }
 
 impl CatalogVersion {
@@ -60,32 +64,27 @@ impl CatalogVersion {
         &self.db
     }
 
-    /// The database as a shareable handle (e.g. for worker threads).
-    pub fn db_arc(&self) -> Arc<Database> {
-        Arc::clone(&self.db)
-    }
-
-    /// The cost model for this version. On a catalog's first epoch the
+    /// The statistics for this version. On a catalog's first epoch the
     /// first caller analyzes the catalog (later callers wait for it, then
-    /// share it); every published epoch already carries its model.
+    /// share them); every published epoch already carries its own.
     ///
     /// A table that cannot be read must not become this epoch's
     /// statistics: the failing call prices its statement with none, caches
     /// nothing, and the next call analyzes again. The scan the statement
     /// goes on to run surfaces the I/O error itself.
-    pub fn cost_model(&self) -> Arc<CostModel> {
+    pub fn cost_model(&self) -> Arc<Statistics> {
         let mut model = self.model.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(m) = &*model {
             return Arc::clone(m);
         }
-        match CostModel::new(&self.db) {
+        match Statistics::analyze(&self.db) {
             Ok(m) => Arc::clone(model.insert(Arc::new(m))),
-            Err(_) => Arc::new(CostModel::from_stats(Statistics::default())),
+            Err(_) => Arc::new(Statistics::default()),
         }
     }
 
-    /// The model, if this version has one yet.
-    fn built_model(&self) -> Option<Arc<CostModel>> {
+    /// The statistics, if this version has them yet.
+    fn built_model(&self) -> Option<Arc<Statistics>> {
         self.model
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -237,9 +236,9 @@ impl SharedCatalog {
     }
 
     /// `ANALYZE`: publish a new epoch sharing the same (unchanged) data and
-    /// return its model. Statistics are per table version, so this analyzes
+    /// return its statistics. They are kept per table version, so this analyzes
     /// only what no earlier epoch has — straight after a write, nothing.
-    pub fn analyze(&self) -> Result<Arc<CostModel>> {
+    pub fn analyze(&self) -> Result<Arc<Statistics>> {
         let _w = self.writer.lock().map_err(|_| poisoned())?;
         let snap = self.snapshot();
         self.publish_next(&snap, Arc::clone(&snap.db))
@@ -248,17 +247,17 @@ impl SharedCatalog {
     /// The tail of every write: bring `snap`'s statistics up to `db`
     /// (analyzing only the tables whose version changed, while their rows
     /// are still resident), make the next epoch durable, and publish it
-    /// with its model attached. Any error publishes nothing. Callers hold
+    /// with its statistics attached. Any error publishes nothing. Callers hold
     /// the writer lock.
-    fn publish_next(&self, snap: &CatalogVersion, db: Arc<Database>) -> Result<Arc<CostModel>> {
+    fn publish_next(&self, snap: &CatalogVersion, db: Arc<Database>) -> Result<Arc<Statistics>> {
         let mut stats = match snap.built_model() {
-            Some(m) => m.stats().refreshed(&db)?,
+            Some(m) => m.refreshed(&db)?,
             None => Statistics::analyze(&db)?,
         };
         let epoch = snap.epoch + 1;
         let db = self.commit_durable(epoch, db)?;
         stats.rebind(&db);
-        let model = Arc::new(CostModel::from_stats(stats));
+        let model = Arc::new(stats);
         let version =
             Arc::new(CatalogVersion { epoch, db, model: Mutex::new(Some(Arc::clone(&model))) });
         *self.current.write().map_err(|_| poisoned())? = version;

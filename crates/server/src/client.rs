@@ -206,11 +206,6 @@ impl ResilientClient {
         self.client = None;
     }
 
-    /// Is a connection currently established?
-    pub fn is_connected(&self) -> bool {
-        self.client.is_some()
-    }
-
     fn ensure_connected(&mut self) -> Result<&mut LineClient> {
         if self.client.is_none() {
             let c = LineClient::connect(self.addr)?;

@@ -240,10 +240,6 @@ impl Session {
         &self.settings
     }
 
-    pub fn settings_mut(&mut self) -> &mut SessionSettings {
-        &mut self.settings
-    }
-
     /// A handle for out-of-band cancellation of this session's queries.
     pub fn canceller(&self) -> SessionCanceller {
         SessionCanceller { active: Arc::clone(&self.active) }
@@ -263,7 +259,7 @@ impl Session {
         let stmt = line.strip_suffix(';').unwrap_or(line).trim();
         if stmt.eq_ignore_ascii_case("analyze") {
             let model = self.catalog.analyze()?;
-            let mut lines = render_lines(model.stats().render());
+            let mut lines = render_lines(model.render());
             lines.push(format!(
                 "-- statistics published as epoch {}",
                 self.catalog.epoch()
@@ -409,7 +405,7 @@ impl Session {
             }
             "stats" => {
                 let s = self.admission.stats();
-                let c = self.catalog.columnar_cache();
+                let c = self.catalog.columnar_cache().stats();
                 Ok(Response::lines(vec![
                     format!("admitted          {}", s.admitted),
                     format!("shed (queue full) {}", s.shed_queue_full),
@@ -418,9 +414,7 @@ impl Session {
                     format!("running now       {}", self.admission.running()),
                     format!(
                         "columnar cache    {} entries, {} hits / {} misses",
-                        c.len(),
-                        c.hits(),
-                        c.misses()
+                        c.entries, c.hits, c.misses
                     ),
                 ]))
             }
@@ -450,9 +444,12 @@ impl Session {
                     format!("  misses        {}", s.misses),
                     format!("  bypasses      {}", s.bypasses),
                     format!("  evictions     {}", s.evictions),
-                    format!("  rows built    {}", s.rows_built),
-                    format!("  rows reused   {}", s.rows_reused),
-                    format!("  shared work   {:.1}%", s.shared_work_ratio() * 100.0),
+                    format!("  rows built    {}", s.built),
+                    format!("  rows reused   {}", s.reused),
+                    format!(
+                        "  shared work   {:.1}%",
+                        100.0 * s.reused as f64 / (s.built + s.reused).max(1) as f64
+                    ),
                 ]))
             }
             "pool" => match self.catalog.pool_stats() {

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use decorr_common::{row, ChaosEnv, DataType, Error, FaultPlane, FaultRates, Schema};
 use decorr_server::SharedCatalog;
+use decorr_stats::Statistics;
 use decorr_storage::{Database, StoreOptions};
 
 fn seed_db() -> Database {
@@ -150,22 +151,16 @@ fn a_write_reanalyzes_only_the_tables_it_touched() {
         })
         .unwrap();
         let after = cat.snapshot().cost_model();
-        let shared = |a: &decorr_exec::CostModel, b: &decorr_exec::CostModel, name: &str| {
-            Arc::ptr_eq(
-                a.stats().shared_table(name).unwrap(),
-                b.stats().shared_table(name).unwrap(),
-            )
+        let shared = |a: &Statistics, b: &Statistics, name: &str| {
+            Arc::ptr_eq(a.shared_table(name).unwrap(), b.shared_table(name).unwrap())
         };
         assert!(shared(&first, &after, "u"), "untouched table re-analyzed");
         assert!(!shared(&first, &after, "t"));
-        assert_eq!(after.stats().table("t").unwrap().rows, 2);
+        assert_eq!(after.table("t").unwrap().rows, 2);
         // What the estimator is told about indexes is what the published
         // table has: segment-backed tables carry none.
         let published_indexes = cat.snapshot().db().table("u").unwrap().indexes().len();
-        assert_eq!(
-            after.stats().table("u").unwrap().indexed.len(),
-            published_indexes
-        );
+        assert_eq!(after.table("u").unwrap().indexed.len(), published_indexes);
 
         // ANALYZE straight after a write finds every table version known.
         let again = cat.analyze().unwrap();
@@ -192,20 +187,17 @@ fn a_failed_read_never_becomes_statistics() {
     .unwrap();
 
     env.set_faults(true);
-    let err = cat
-        .analyze()
-        .err()
-        .expect("ANALYZE over an unreadable table");
+    let err = cat.analyze().expect_err("ANALYZE over an unreadable table");
     assert!(matches!(err, Error::Io(_)), "{err}");
     let err = cat
         .update(|db| db.drop_table("missing").or(Ok(())))
         .unwrap_err();
     assert!(matches!(err, Error::Io(_)), "{err}");
     assert_eq!(cat.epoch(), 1, "a failed analysis must publish nothing");
-    assert!(cat.snapshot().cost_model().stats().is_empty());
+    assert!(cat.snapshot().cost_model().is_empty());
 
     env.set_faults(false);
     let model = cat.snapshot().cost_model();
-    assert_eq!(model.stats().table("t").unwrap().column(0).unwrap().ndv, 1);
+    assert_eq!(model.table("t").unwrap().column(0).unwrap().ndv, 1);
     assert!(Arc::ptr_eq(&model, &cat.snapshot().cost_model()));
 }

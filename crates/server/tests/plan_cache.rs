@@ -10,11 +10,12 @@
 //! * Readers racing a republishing writer see internally consistent
 //!   single-epoch results with the cache enabled (zero stale rows).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
 use decorr_common::{row, DataType, Schema};
 use decorr_core::fingerprint;
+use decorr_exec::CacheLedger;
 use decorr_server::{AdmissionControl, Quotas, Session, SessionSettings, SharedCatalog};
 use decorr_sql::{bind, parameterize, parse};
 use decorr_storage::Database;
@@ -295,4 +296,65 @@ fn sessions_share_magic_subplans_with_identical_payloads() {
     assert!(payloads.iter().all(|p| p == &payloads[0]), "{payloads:?}");
     let stats = catalog.subplan_cache().stats();
     assert!(stats.hits > 0, "no shared subplan was reused: {stats:?}");
+}
+
+/// A counting [`CacheLedger`]: the rows the shared-subplan cache holds.
+#[derive(Default)]
+struct Rows(AtomicI64);
+
+impl CacheLedger for Rows {
+    fn try_reserve(&self, rows: u64) -> bool {
+        self.0.fetch_add(rows as i64, Ordering::SeqCst);
+        true
+    }
+
+    fn release(&self, rows: u64) {
+        self.0.fetch_sub(rows as i64, Ordering::SeqCst);
+    }
+}
+
+/// A table write re-versions every subplan over that table. The rebuild
+/// under the new version must free the stale entry and its ledger rows,
+/// not leave them reserved until LRU pressure finds them: the cache ends
+/// up holding exactly what a fresh catalog over the written data holds.
+#[test]
+fn a_table_write_frees_the_subplans_it_made_stale() {
+    use decorr_tpcd::{empdept, queries};
+    let run = |catalog: &Arc<SharedCatalog>| {
+        let admission = Arc::new(AdmissionControl::new(Quotas::default()));
+        let mut s = session_on(catalog, &admission, 1);
+        s.handle_line("\\strategy magic").unwrap();
+        payload(&s.handle_line(queries::EMPDEPT).unwrap().lines)
+    };
+    let with_ledger = |db: Database| {
+        let catalog = Arc::new(SharedCatalog::new(db));
+        let rows = Arc::new(Rows::default());
+        catalog
+            .subplan_cache()
+            .set_ledger(Arc::<Rows>::clone(&rows));
+        (catalog, rows)
+    };
+    let write = |db: &mut Database| db.table_mut("emp")?.insert(row!["new", 3]);
+
+    let (catalog, rows) =
+        with_ledger(empdept::generate(&empdept::EmpDeptConfig::default()).unwrap());
+    run(&catalog);
+    let before = catalog.subplan_cache().stats();
+    assert!(before.entries > 0, "magic materialises no shared subplan");
+    catalog.update(write).unwrap();
+    let after_write = run(&catalog);
+    let after = catalog.subplan_cache().stats();
+    assert!(after.misses > before.misses, "stale subplans must miss");
+    assert_eq!(after.entries, before.entries, "stale subplans stay cached");
+
+    let (fresh, fresh_rows) = with_ledger(catalog.snapshot().db().clone());
+    assert_eq!(run(&fresh), after_write);
+    assert_eq!(fresh.subplan_cache().stats().entries, after.entries);
+    assert_eq!(
+        rows.0.load(Ordering::SeqCst),
+        fresh_rows.0.load(Ordering::SeqCst),
+        "the ledger holds rows of stale subplans"
+    );
+    catalog.subplan_cache().set_budget(0);
+    assert_eq!(rows.0.load(Ordering::SeqCst), 0);
 }

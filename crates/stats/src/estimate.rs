@@ -103,6 +103,14 @@ fn scan_cost(qgm: &Qgm, child: BoxId, rows: f64) -> f64 {
     }
 }
 
+impl Statistics {
+    /// Estimate every box of `qgm` against these statistics: what the
+    /// strategy race prices each candidate plan with.
+    pub fn estimate_plan(&self, qgm: &Qgm) -> Result<PlanEstimate> {
+        Estimator::new(self).estimate(qgm)
+    }
+}
+
 /// The statistics-backed cardinality estimator.
 pub struct Estimator<'a> {
     stats: &'a Statistics,

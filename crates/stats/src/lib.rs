@@ -25,8 +25,8 @@
 //!   probes which index, which input is a table as it stands, and when
 //!   index nested loops pay): one definition, two callers.
 //!
-//! `decorr_exec::CostModel` is built on this crate, and the root crate's
-//! `choose_strategy` uses it to race all five evaluation strategies.
+//! The root crate's `choose_strategy` prices every candidate plan with
+//! [`Statistics::estimate_plan`] to race the five evaluation strategies.
 
 pub mod access;
 pub mod collect;

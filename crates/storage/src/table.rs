@@ -310,13 +310,6 @@ impl Table {
         Ok(Cow::Owned(out))
     }
 
-    /// The merged (all-pages) zone map of a column: exact min/max in total
-    /// order plus the null count. `None` for resident tables — the
-    /// estimator computes those stats by scanning.
-    pub fn zone_map(&self, col: usize) -> Option<ZoneMap> {
-        self.paged.as_ref().map(|p| p.meta().column_zone(col))
-    }
-
     /// Declare the primary key by column names. Purely metadata: it informs
     /// rewrites (Dayal's `GROUP BY key`, the `OptMag` supplementary-table
     /// elimination) but uniqueness is the loader's responsibility.

@@ -6,8 +6,8 @@
 //! plans is chosen." [`choose_strategy`] generalizes that two-way
 //! comparison into a race over every sound strategy of Section 5 —
 //! nested iteration, Dayal, Ganski/Wong and magic decorrelation — each
-//! rewritten (where applicable) and priced by the statistics-backed
-//! [`decorr_exec::CostModel`]. The result is a ranked [`PlanChoice`]:
+//! rewritten (where applicable) and priced by
+//! [`Statistics::estimate_plan`]. The result is a ranked [`PlanChoice`]:
 //! only the winning plan is materialized; the losers keep just their
 //! [`Estimate`] breakdown.
 //!
@@ -18,9 +18,9 @@
 
 use decorr_common::Result;
 use decorr_core::{apply_strategy, Strategy};
-use decorr_exec::{CostModel, Estimate, ExecTrace, PlanEstimate};
+use decorr_exec::{Estimate, ExecTrace, PlanEstimate};
 use decorr_qgm::{BoxKind, Qgm, Traversal};
-use decorr_stats::AccuracyReport;
+use decorr_stats::{AccuracyReport, Statistics};
 use decorr_storage::Database;
 
 /// One lane of the race: a strategy and how it fared.
@@ -120,15 +120,14 @@ const LANES: [Strategy; 4] = [
 /// are materialized one at a time and dropped as soon as a cheaper one
 /// appears. Ties go to nested iteration (fewer temporary tables).
 pub fn choose_strategy(db: &Database, qgm: Qgm) -> Result<PlanChoice> {
-    let model = CostModel::new(db)?;
-    choose_strategy_with(&model, qgm)
+    choose_strategy_with(&Statistics::analyze(db)?, qgm)
 }
 
-/// [`choose_strategy`] against a pre-built cost model (e.g. cached
-/// `ANALYZE` statistics).
-pub fn choose_strategy_with(model: &CostModel, qgm: Qgm) -> Result<PlanChoice> {
+/// [`choose_strategy`] against pre-collected statistics (e.g. a catalog
+/// version's cached `ANALYZE`).
+pub fn choose_strategy_with(stats: &Statistics, qgm: Qgm) -> Result<PlanChoice> {
     // Nested iteration: the input graph as-is.
-    let ni_plan_estimate = model.estimate_plan(&qgm)?;
+    let ni_plan_estimate = stats.estimate_plan(&qgm)?;
     let ni_estimate = ni_plan_estimate.total();
     let mut ranked = vec![StrategyEstimate {
         strategy: Strategy::NestedIteration,
@@ -171,7 +170,7 @@ pub fn choose_strategy_with(model: &CostModel, qgm: Qgm) -> Result<PlanChoice> {
         }
         match apply_strategy(&qgm, s) {
             Ok(plan) => {
-                let plan_estimate = model.estimate_plan(&plan)?;
+                let plan_estimate = stats.estimate_plan(&plan)?;
                 let estimate = plan_estimate.total();
                 ranked.push(StrategyEstimate {
                     strategy: s,

@@ -8,9 +8,7 @@ use std::time::{Duration, Instant};
 use decorr_common::{Error, ExecStats, JsonWriter, Result, Row};
 use decorr_core::magic::MagicOptions;
 use decorr_core::{apply_strategy, apply_strategy_traced, RewriteTrace, Strategy};
-use decorr_exec::{
-    execute_traced, execute_with, CostModel, ExecOptions, ExecTrace, ScalarPlacement,
-};
+use decorr_exec::{execute_traced, execute_with, ExecOptions, ExecTrace, ScalarPlacement};
 use decorr_parallel::{run_decorrelated, run_nested_iteration, Cluster};
 use decorr_qgm::{print, Qgm};
 use decorr_sql::parse_and_bind;
@@ -418,7 +416,7 @@ impl ChoiceOutcome {
 /// per-box trace, audit the estimates, and measure every sound strategy
 /// for comparison.
 pub fn race_figure(fig: Figure, db: &Database) -> Result<ChoiceOutcome> {
-    let model = CostModel::new(db)?;
+    let model = Statistics::analyze(db)?;
     let qgm = parse_and_bind(fig.sql(), db)?;
     let choice = choose_strategy_with(&model, qgm)?;
     let (_, stats, trace) = execute_traced(db, &choice.plan, fig.exec_opts(choice.strategy))?;

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::choose::{
         audit_estimates, choose_strategy, choose_strategy_with, PlanChoice, StrategyEstimate,
     };
-    pub use crate::plan_cache::{CachedPlan, PlanCache, PlanCacheStats};
-    pub use decorr_exec::CostModel;
+    pub use crate::plan_cache::{CachedPlan, PlanCache};
+    pub use decorr_common::CacheStats;
     pub use decorr_stats::Statistics;
 }

@@ -127,7 +127,7 @@ fn allocations(session: &mut Session, sql: &str) -> u64 {
 /// Heap allocations of one strategy race over `sql`: the bound graph is
 /// moved in and the cost model is already built, so what is counted is the
 /// rewrites, the cleanup rules and the estimates.
-fn race_allocations(model: &CostModel, db: &Database, sql: &str) -> u64 {
+fn race_allocations(model: &Statistics, db: &Database, sql: &str) -> u64 {
     let qgm = parse_and_bind(sql, db).unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let choice = choose_strategy_with(model, qgm).unwrap();
@@ -152,7 +152,7 @@ fn pass_through_boxes_copy_their_input_once() {
         with_indexes: true,
     })
     .unwrap();
-    let model = CostModel::new(&tpcd).unwrap();
+    let model = Statistics::analyze(&tpcd).unwrap();
     for (fig, cloned) in Figure::all().into_iter().zip(CLONED) {
         let raced = race_allocations(&model, &tpcd, fig.sql());
         println!("{}: the race made {raced} allocations", fig.id());

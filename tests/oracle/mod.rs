@@ -51,12 +51,10 @@ use decorr::common::{ChaosEnv, Error, ExecStats, FaultPlane, Row, StorageEnv};
 use decorr::core::Strategy::{self, Dayal, GanskiWong, Kim, Magic, NestedIteration, OptMag};
 use decorr::core::{apply_strategy, apply_strategy_traced, magic_decorrelate_traced};
 use decorr::core::{shared_subplan_marks, MagicOptions, RewriteTrace};
-use decorr::exec::{
-    execute_traced, execute_with, ColumnarCache, CostModel, ExecOptions, ExecTrace,
-};
+use decorr::exec::{execute_traced, execute_with, ColumnarCache, ExecOptions, ExecTrace};
 use decorr::exec::{ScalarPlacement, SharedSubplans, SubplanCache, SubplanShape};
 use decorr::figures::Figure;
-use decorr::prelude::{choose_strategy_with, parse_and_bind, validate, Database, Qgm};
+use decorr::prelude::{choose_strategy_with, parse_and_bind, validate, Database, Qgm, Statistics};
 use decorr::qgm::{print, AggFunc, BoxKind, Expr, OutputCol, QuantKind, Quantifier, Traversal};
 use decorr::storage::{BufferPool, SpillManager, StoreOptions};
 use decorr_server::{CatalogVersion, SharedCatalog};
@@ -229,7 +227,7 @@ pub struct Tiers {
     pub world: World,
     unindexed: OnceCell<Database>,
     durable: [OnceCell<(Arc<CatalogVersion>, SharedCatalog)>; 2],
-    models: [OnceCell<CostModel>; 4],
+    models: [OnceCell<Statistics>; 4],
 }
 
 impl Tiers {
@@ -267,9 +265,9 @@ impl Tiers {
         }
     }
 
-    fn model(&self, tier: Tier) -> &CostModel {
+    fn model(&self, tier: Tier) -> &Statistics {
         let i = TIERS.iter().position(|t| *t == tier).expect("a tier");
-        self.models[i].get_or_init(|| CostModel::new(self.db(tier)).expect("ANALYZE"))
+        self.models[i].get_or_init(|| Statistics::analyze(self.db(tier)).expect("ANALYZE"))
     }
 }
 

@@ -26,7 +26,7 @@ fn expected_path() -> std::path::PathBuf {
 
 /// One query on one database: the race, then every strategy's rewrite.
 fn section(out: &mut String, title: &str, db: &Database, sql: &str) {
-    let model = CostModel::new(db).unwrap();
+    let model = Statistics::analyze(db).unwrap();
     let qgm = parse_and_bind(sql, db).unwrap();
     writeln!(out, "=== {title}").unwrap();
     writeln!(out, "-- bound\n{}", qgm_print::render(&qgm)).unwrap();
