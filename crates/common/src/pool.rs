@@ -9,6 +9,10 @@
 //! the caller sees the same ordering regardless of which worker ran which
 //! chunk).
 //!
+//! A pool never runs more workers than the host has hardware threads
+//! ([`std::thread::available_parallelism`], read once per process): the
+//! width a session asks for is a ceiling, not a thread count.
+//!
 //! A pool with `threads == 1` never spawns: every job runs inline on the
 //! caller's thread, in order. This is the executor's serial path — parallel
 //! code gated on [`WorkerPool::is_parallel`] is guaranteed not to run, so
@@ -19,10 +23,18 @@
 //! passed by reference, not cloned per worker.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Default number of rows per morsel. Small enough that skewed chunks
 /// re-balance across workers, large enough that the claim counter is cold.
 pub const MORSEL_ROWS: usize = 1024;
+
+/// Hardware threads of the host, read once: on Linux std reads cgroup files
+/// to answer, which is too slow to repeat per operator.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// A fixed-width worker pool. See the module docs for the scheduling model.
 #[derive(Debug, Clone)]
@@ -48,19 +60,19 @@ impl WorkerPool {
     }
 
     /// Run `jobs` independent jobs, returning their outputs **in job-index
-    /// order**. Workers claim indices from a shared atomic counter; with
-    /// one worker (or one job) everything runs inline, in order, on the
-    /// caller's thread.
+    /// order**. At most `min(threads, jobs, host threads)` workers claim
+    /// indices from a shared atomic counter; with one worker everything
+    /// runs inline, in order, on the caller's thread.
     pub fn run_indexed<T, F>(&self, jobs: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.threads == 1 || jobs <= 1 {
+        let workers = self.threads.min(jobs).min(host_threads());
+        if workers <= 1 {
             return (0..jobs).map(f).collect();
         }
         let next = AtomicUsize::new(0);
-        let workers = self.threads.min(jobs);
         let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -201,6 +213,17 @@ mod tests {
         let data = [1u64, 2, 3, 4];
         let doubled = pool.run_indexed(data.len(), |i| data[i] * 2);
         assert_eq!(doubled, vec![2, 4, 6, 8]);
+    }
+
+    #[test]
+    fn workers_are_bounded_by_the_host() {
+        // Each job sleeps, so every worker that is spawned gets one.
+        let ids = WorkerPool::new(10_000).run_indexed(64, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::thread::current().id()
+        });
+        let distinct = ids.into_iter().collect::<HashSet<_>>().len();
+        assert!(distinct <= host_threads(), "{distinct} workers");
     }
 
     #[test]

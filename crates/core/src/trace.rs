@@ -80,30 +80,6 @@ impl RewriteTrace {
         s
     }
 
-    /// Full log including the before/after snapshots of every step.
-    pub fn render_full(&self) -> String {
-        let mut s = String::new();
-        for (i, st) in self.steps.iter().enumerate() {
-            writeln!(
-                s,
-                "=== step {}: {} target={} created=[{}] mutated=[{}]{}{}",
-                i + 1,
-                st.rule,
-                st.target,
-                ids(&st.created),
-                ids(&st.mutated),
-                if st.note.is_empty() { "" } else { " — " },
-                st.note
-            )
-            .unwrap();
-            writeln!(s, "--- before").unwrap();
-            indent_into(&st.before, &mut s);
-            writeln!(s, "--- after").unwrap();
-            indent_into(&st.after, &mut s);
-        }
-        s
-    }
-
     /// The trace as a JSON document: `{"steps": [...]}`.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
@@ -137,12 +113,4 @@ fn ids(v: &[BoxId]) -> String {
         .map(ToString::to_string)
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-fn indent_into(snapshot: &str, out: &mut String) {
-    for line in snapshot.lines() {
-        out.push_str("    ");
-        out.push_str(line);
-        out.push('\n');
-    }
 }

@@ -3,11 +3,44 @@
 
 use decorr_common::{DataType, Schema};
 use decorr_core::magic::{magic_decorrelate_traced, MagicOptions};
-use decorr_core::{apply_strategy, apply_strategy_traced, Strategy};
+use decorr_core::{apply_strategy, apply_strategy_traced, RewriteTrace, Strategy};
 use decorr_qgm::print;
 use decorr_sql::parse_and_bind;
 use decorr_storage::Database;
 use decorr_tpcd::{generate, queries, TpcdConfig};
+
+/// The full log: every step's header, then its before/after snapshots.
+fn render_full(trace: &RewriteTrace) -> String {
+    let ids = |v: &[_]| {
+        v.iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let mut s = String::new();
+    for (i, st) in trace.steps.iter().enumerate() {
+        let note = if st.note.is_empty() {
+            String::new()
+        } else {
+            format!(" — {}", st.note)
+        };
+        s += &format!(
+            "=== step {}: {} target={} created=[{}] mutated=[{}]{note}\n",
+            i + 1,
+            st.rule,
+            st.target,
+            ids(&st.created),
+            ids(&st.mutated),
+        );
+        for (label, snapshot) in [("before", &st.before), ("after", &st.after)] {
+            s += &format!("--- {label}\n");
+            for line in snapshot.lines() {
+                s += &format!("    {line}\n");
+            }
+        }
+    }
+    s
+}
 
 fn empdept_db() -> Database {
     let mut db = Database::new();
@@ -68,7 +101,7 @@ fn traced_magic_logs_feed_absorb_repair_and_cleanup() {
         compact.contains("FEED") && compact.contains("ABSORB"),
         "{compact}"
     );
-    let full = trace.render_full();
+    let full = render_full(&trace);
     assert!(
         full.contains("--- before") && full.contains("--- after"),
         "{full}"

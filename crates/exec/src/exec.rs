@@ -1,6 +1,6 @@
 //! The QGM interpreter. [`Executor::run`] lowers the graph (`lower`), then
 //! the module of each box's operator evaluates it (see the crate docs);
-//! this module dispatches, caches and governs.
+//! this module dispatches, keeps results for reuse and governs.
 //!
 //! Execution is morsel-driven: per-row operators (filters, projections, the
 //! outer-join walk) cut their input into [`MORSEL_ROWS`]-sized ranges and
@@ -18,8 +18,8 @@ use std::time::Instant;
 
 use decorr_common::columnar::{ColumnarBatch, SelVec};
 use decorr_common::{
-    Budget, CancelToken, Claim, Error, ExecStats, FxHashMap, FxHashSet, Result, Row, RowBatch,
-    Value, WorkerPool, MORSEL_ROWS,
+    Budget, CancelToken, Claim, Error, ExecStats, FxHashMap, Result, Row, RowBatch, Value,
+    WorkerPool, MORSEL_ROWS,
 };
 use decorr_qgm::{BoxId, BoxKind, Expr, OutputCol, Qgm};
 use decorr_storage::{Database, PageIo, SpillManager, Table};
@@ -40,7 +40,7 @@ mod scans;
 mod select;
 mod union;
 
-use apply::MemoKey;
+use apply::{MemoKey, RunMemo};
 use lower::Plan;
 use union::dedup_rows;
 
@@ -64,7 +64,10 @@ pub enum ScalarPlacement {
 pub struct ExecOptions {
     /// Materialize uncorrelated boxes referenced by several quantifiers
     /// once (`true`) or recompute them per reference (`false`, the
-    /// Starburst behaviour in the paper's experiments).
+    /// Starburst behaviour in the paper's experiments). A materialized box
+    /// is kept in the run memo, its rows charged to
+    /// [`ExecOptions::mem_budget`]; one the ledger cannot hold is
+    /// recomputed per reference, as with `false`.
     pub memoize_cse: bool,
     /// Correlated scalar subquery placement under nested iteration.
     pub scalar_placement: ScalarPlacement,
@@ -78,7 +81,10 @@ pub struct ExecOptions {
     /// Cooperative cancellation, checked at morsel boundaries; any thread
     /// may fire it and the run unwinds with [`Error::Cancelled`].
     pub cancel: Option<CancelToken>,
-    /// Memory budget in rows. A hash join whose build side — or a GROUP
+    /// Memory budget in rows. It is charged by every row the run memo keeps
+    /// (correlation-key memo entries and `memoize_cse` results, each row
+    /// once, for the run); a result the ledger cannot hold is returned
+    /// without being kept. A hash join whose build side — or a GROUP
     /// BY whose input — exceeds it spills through
     /// [`ExecOptions::spill`]; with no spill device, or a full one, it
     /// runs the same in-memory hash algorithm and is recorded in
@@ -124,22 +130,24 @@ pub struct ExecOptions {
     /// default). Correlated subtrees are keyed on their *binding tuple* —
     /// the outer values their free references resolve to, normalized like
     /// hash-join keys when every use is a SQL comparison — so repeated
-    /// bindings are served from a per-run memo instead of re-executing
-    /// (the paper's "3954 invocations of which only 2138 are distinct").
+    /// bindings are served from the run memo instead of re-executing
+    /// (the paper's "3954 invocations of which only 2138 are distinct"),
+    /// for subqueries and lateral inputs alike.
     /// Hits and misses are counted in
     /// [`ExecStats::subquery_memo_hits`] / [`ExecStats::subquery_distinct_invocations`];
-    /// memo storage is charged against [`ExecOptions::mem_budget`] and
-    /// falls back to unmemoized execution when the ledger is exhausted.
+    /// each kept row is charged to [`ExecOptions::mem_budget`], and a
+    /// result the exhausted ledger refuses re-executes when its binding
+    /// repeats. Either way, a child correlated only to blocks outside the
+    /// one being evaluated runs once per evaluation of that block.
     /// `false` reproduces the naive once-per-binding executor exactly
     /// (results *and* stats): the paper's invocation counts are read off it.
     pub ni_memo: bool,
-    /// Set-oriented nested iteration (`true`, the default): lateral joins
-    /// group their outer batch by correlation key so each distinct binding
-    /// evaluates once and results gather back in the original row order,
-    /// and correlated equality scans without an index build a hash
-    /// partition over the correlation column once and probe per binding
-    /// (an executor-level magic-lite). Rows and row order are byte-
-    /// identical to the per-row path; only the work counters shrink.
+    /// The correlation probe (`true`, the default): a correlated equality
+    /// scan without an index builds a hash partition over the correlation
+    /// column on its second scan and probes it per binding after that (an
+    /// executor-level magic-lite). Rows and row order are byte-identical
+    /// to the scanning path; only the work counters shrink. Repeated
+    /// bindings are the memo's (`ni_memo`), whatever this says.
     pub ni_batch: bool,
 }
 
@@ -159,16 +167,6 @@ impl Default for ExecOptions {
             ni_memo: true,
             ni_batch: true,
         }
-    }
-}
-
-impl ExecOptions {
-    /// The naive nested-iteration configuration: no correlation-key memo,
-    /// no batched/set-oriented invocation — the executor exactly as it was
-    /// before memoization existed, whose invocation counts are the paper's
-    /// (`tests/tpcd_queries.rs`, `tests/paper_calibration.rs`).
-    pub fn naive_ni(self) -> Self {
-        ExecOptions { ni_memo: false, ni_batch: false, ..self }
     }
 }
 
@@ -194,9 +192,6 @@ pub struct Executor<'a> {
     /// Morsel scheduler for the parallel operator paths; `threads == 1`
     /// runs everything inline.
     pool: WorkerPool,
-    /// Cross-run memo for uncorrelated shared boxes (only with
-    /// `memoize_cse`).
-    cse_cache: FxHashMap<BoxId, RowBatch>,
     /// Per-box operator trace, populated when tracing is enabled.
     trace: Option<ExecTrace>,
     /// The boxes currently being evaluated (innermost last); used to
@@ -211,30 +206,9 @@ pub struct Executor<'a> {
     /// the entries safe to promote into the cross-query
     /// [`ExecOptions::shared_cache`] of a long-lived process.
     col_cache: FxHashMap<(u64, Vec<usize>), Arc<ColumnarBatch>>,
-    /// The per-run subquery memo, keyed `(box, scope, binding tuple)`.
-    ///
-    /// Through the memo the scope is always 0 and the binding tuple is the
-    /// box's correlation signature resolved under the current environment:
-    /// one entry per *distinct* binding for the whole run. Naive nested
-    /// iteration keys entries by the enclosing Select evaluation's scope id
-    /// with an empty tuple — exactly the legacy per-`eval_select` cache for
-    /// boxes uncorrelated with the block being evaluated.
-    ///
-    /// Each entry also holds the logical invocations its execution made
-    /// of the subqueries nested inside it, which a hit counts again.
-    subq_memo: FxHashMap<(BoxId, u64, MemoKey), (RowBatch, u64)>,
-    /// `(box, scope)` pairs of children not correlated to the block being
-    /// evaluated that were invoked in that scope, so the memo counts them
-    /// once per enclosing evaluation, as the naive executor does.
-    scope_seen: FxHashSet<(BoxId, u64)>,
-    /// Rows held by `subq_memo` entries with scope 0, charged against
-    /// [`ExecOptions::mem_budget`]: once the ledger is exhausted new
-    /// results are returned unmemoized (graceful fall-back, no error).
-    memo_rows: usize,
-    /// Scope id of the innermost Select evaluation (legacy memo keying).
-    cur_scope: u64,
-    /// Scope id allocator; 0 is reserved for run-lifetime memo entries.
-    scope_counter: u64,
+    /// Box results kept for reuse within the run: the correlation-key
+    /// memo, `memoize_cse`'s shared boxes and the Select evaluation's frame.
+    memo: RunMemo,
     /// Set-oriented probe indexes: hash partition of one base-table column
     /// by `eq_key` value, keyed `(snapshot version, column)`. A shape
     /// scanned once so far has `None`: the second scan builds the index,
@@ -247,21 +221,16 @@ type CorrIndex = Arc<FxHashMap<Value, Vec<u32>>>;
 
 impl<'a> Executor<'a> {
     pub fn new(db: &'a Database, opts: ExecOptions) -> Self {
-        let pool = WorkerPool::new(opts.threads);
+        let (pool, memo) = (WorkerPool::new(opts.threads), RunMemo::new(opts.mem_budget));
         Executor {
             db,
             opts,
             stats: ExecStats::new(),
             pool,
-            cse_cache: FxHashMap::default(),
             trace: None,
             box_stack: Vec::new(),
             col_cache: FxHashMap::default(),
-            subq_memo: FxHashMap::default(),
-            scope_seen: FxHashSet::default(),
-            memo_rows: 0,
-            cur_scope: 0,
-            scope_counter: 0,
+            memo,
             corr_index: FxHashMap::default(),
         }
     }
@@ -314,7 +283,7 @@ impl<'a> Executor<'a> {
         env: Option<&Env<'_>>,
     ) -> Result<Tuples<'a>> {
         let kind = &plan.qgm.boxref(b).kind;
-        if plan.get(b).cached || !matches!(kind, BoxKind::Select | BoxKind::OuterJoin) {
+        if plan.get(b).keep.is_some() || !matches!(kind, BoxKind::Select | BoxKind::OuterJoin) {
             let rows = self.eval_child(plan, b, env)?;
             return Ok(Tuples::every(Src::Batch(rows), plan.qgm.output_arity(b)));
         }
@@ -517,13 +486,11 @@ impl<'a> Executor<'a> {
                 Ok(made(rows))
             }
             BoxKind::Select => {
-                // Each Select evaluation gets a fresh scope id; naive nested
-                // iteration caches outer-correlated subquery results per
-                // enclosing evaluation (legacy scope).
-                self.scope_counter += 1;
-                let saved = std::mem::replace(&mut self.cur_scope, self.scope_counter);
+                // Each Select evaluation gets a frame of its own, dropped
+                // when it returns.
+                let saved = std::mem::take(&mut self.memo.frame);
                 let r = self.eval_select(plan, b, env);
-                self.cur_scope = saved;
+                self.memo.frame = saved;
                 r
             }
             BoxKind::Grouping { group_by } => self.eval_grouping(plan, b, group_by, env).map(made),
@@ -532,25 +499,28 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Evaluate a child box, or serve it from the run's CSE memo or the
-    /// cross-query shared-subplan cache when its lowering says so. The
-    /// result is a shared [`RowBatch`]: consumers (and worker threads)
-    /// share the one materialization by refcount instead of copying rows.
+    /// Evaluate a child box, or serve it from where its lowering keeps it:
+    /// the run memo, else the cross-query shared-subplan cache. Either way
+    /// a hit returns the kept rows, a build evaluates the box and keeps
+    /// what it made, and a bypass only evaluates it. The result is a shared
+    /// [`RowBatch`]: consumers (and worker threads) share the one
+    /// materialization by refcount instead of copying rows.
     fn eval_child(&mut self, plan: &Plan<'_>, b: BoxId, env: Option<&Env<'_>>) -> Result<RowBatch> {
-        let low = plan.get(b);
-        if low.cse {
-            if let Some(hit) = self.cse_cache.get(&b) {
-                return Ok(RowBatch::clone(hit));
+        let Some(keep) = &plan.get(b).keep else {
+            return Ok(self.eval_box(plan, b, env)?.into());
+        };
+        let k = (b, MemoKey::default());
+        if keep.run {
+            if let Some((rows, _)) = self.memo.get(&k) {
+                return Ok(rows);
             }
         }
-        // A marked box (SUPP/MAGIC/DCO/CI or a multi-referenced CSE) is
-        // served from — or materialized into — the process-wide cache,
-        // single-flight across concurrent queries.
-        let shared = match (&low.shared_key, &self.opts.shared_subplans) {
+        // Single-flight across concurrent queries.
+        let claim = match (&keep.process, &self.opts.shared_subplans) {
             (Some((shape, versions)), Some(ss)) => ss.cache.claim(shape, versions),
             _ => Claim::Bypass,
         };
-        let rows = match shared {
+        let rows = match claim {
             Claim::Hit(rows) => {
                 self.checkpoint(0)?;
                 self.stats.shared_subplan_hits += 1;
@@ -561,16 +531,16 @@ impl<'a> Executor<'a> {
                 rows
             }
             Claim::Build(guard) => {
-                // An error drops the guard, un-claiming the slot so
-                // waiters fall through to their local fallback.
+                // An error drops the guard, un-claiming the slot so waiters
+                // fall through to their local fallback.
                 let rows: RowBatch = self.eval_box(plan, b, env)?.into();
                 guard.finish(RowBatch::clone(&rows));
                 rows
             }
             Claim::Bypass => self.eval_box(plan, b, env)?.into(),
         };
-        if low.cse {
-            self.cse_cache.insert(b, RowBatch::clone(&rows));
+        if keep.run {
+            self.memo.keep(k, &rows, 0);
         }
         Ok(rows)
     }

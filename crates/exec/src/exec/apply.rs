@@ -1,11 +1,11 @@
 //! Nested iteration: a subquery or a lateral input applied per binding,
-//! through the per-run correlation-key memo.
+//! through the run memo.
 
 use decorr_common::{Error, FxHashMap, Result, Row, RowBatch, Value};
 use decorr_qgm::{BoxId, QuantId};
 use decorr_stats::shape::Input;
 
-use super::lower::{ApplyMode, Plan};
+use super::lower::Plan;
 use super::Executor;
 use crate::env::{Env, Layout};
 use crate::trace::JoinStrategy;
@@ -71,8 +71,48 @@ impl CorrSig {
 /// over-split (a missed hit just re-executes) but may never falsely merge.
 /// `-0.0`/`0.0` and NULL/NaN folding, where provably safe, happens *before*
 /// the key is built (see [`CorrSig::sql_norm`]).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub(super) struct MemoKey(Vec<u8>);
+
+/// The run memo: every box result kept for reuse within one run.
+///
+/// Two lifetimes share it. An entry of `kept` lives for the run: keyed by
+/// box and binding key (empty for an uncorrelated box), it holds the
+/// result and the logical invocations its execution made of the subqueries
+/// nested inside it, which a hit counts again. Each of its rows is charged
+/// to [`ExecOptions::mem_budget`](super::ExecOptions::mem_budget) once, and
+/// a result the ledger refuses is returned without being kept. The
+/// `frame` holds, for the innermost Select evaluation, the results of its
+/// children not correlated to it — constants for the whole evaluation, as
+/// naive iteration treats them — and is dropped when that evaluation
+/// returns.
+#[derive(Default)]
+pub(super) struct RunMemo {
+    kept: FxHashMap<(BoxId, MemoKey), (RowBatch, u64)>,
+    /// Rows held by `kept`.
+    rows: usize,
+    /// The most rows `kept` may hold.
+    budget: Option<usize>,
+    pub frame: FxHashMap<BoxId, RowBatch>,
+}
+
+impl RunMemo {
+    pub fn new(budget: Option<usize>) -> Self {
+        RunMemo { budget, ..Self::default() }
+    }
+
+    pub fn get(&self, k: &(BoxId, MemoKey)) -> Option<(RowBatch, u64)> {
+        self.kept.get(k).cloned()
+    }
+
+    /// Keep `rows` for the run if the ledger has room for them.
+    pub fn keep(&mut self, k: (BoxId, MemoKey), rows: &RowBatch, nested: u64) {
+        if self.budget.is_none_or(|mb| self.rows + rows.len() <= mb) {
+            self.rows += rows.len();
+            self.kept.insert(k, (RowBatch::clone(rows), nested));
+        }
+    }
+}
 
 impl<'a> Executor<'a> {
     /// Count one subquery invocation served from the memo: still a logical
@@ -87,15 +127,33 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Evaluate a subquery child for the current binding as its lowering
-    /// says: naively, or through the per-run correlation-key memo.
+    /// Evaluate box `b`, then keep its rows in the run memo under `k`, if
+    /// any, with the subquery invocations the evaluation made.
+    fn eval_kept(
+        &mut self,
+        plan: &Plan<'_>,
+        b: BoxId,
+        env: Option<&Env<'_>>,
+        k: Option<(BoxId, MemoKey)>,
+    ) -> Result<RowBatch> {
+        let before = self.stats.subquery_invocations;
+        let rows: RowBatch = self.eval_box(plan, b, env)?.into();
+        if let Some(k) = k {
+            let nested = self.stats.subquery_invocations - before;
+            self.memo.keep(k, &rows, nested);
+        }
+        Ok(rows)
+    }
+
+    /// Evaluate a subquery child for the current binding: from the run
+    /// memo under its binding key (`ni_memo`), else executed.
     ///
     /// `correlated_here` says the child reads columns bound by the block
     /// currently being evaluated — i.e. each candidate row is a *logical*
     /// invocation (always counted in `subquery_invocations`, hit or miss).
     /// Children correlated only to outer blocks are constants for the
     /// whole enclosing evaluation: one logical invocation per enclosing
-    /// evaluation, however many of them the run-lifetime memo serves.
+    /// evaluation, after which its frame serves them uncounted.
     fn memoized_child(
         &mut self,
         plan: &Plan<'_>,
@@ -103,48 +161,28 @@ impl<'a> Executor<'a> {
         env2: &Env<'_>,
         correlated_here: bool,
     ) -> Result<RowBatch> {
-        // Naive nested iteration keys a child not correlated here by the
-        // enclosing Select evaluation, and executes one correlated here per
-        // call — the executor exactly as it was before the memo existed.
-        let naive = plan.mode == ApplyMode::Naive;
-        let key = match naive {
-            true if correlated_here => None,
-            true => Some((self.cur_scope, MemoKey(Vec::new()))),
-            // An unbound free reference leaves nothing sound to key on.
-            false => plan.sig(child).key_under(env2).map(|key| (0, key)),
-        };
-        let Some((scope, key)) = key else {
-            self.stats.subquery_invocations += 1;
-            self.stats.subquery_distinct_invocations += 1;
-            return Ok(self.eval_box(plan, child, Some(env2))?.into());
-        };
-        let k = (child, scope, key);
-        let first_here =
-            !naive && !correlated_here && self.scope_seen.insert((child, self.cur_scope));
-        if let Some((hit, nested)) = self.subq_memo.get(&k).cloned() {
-            if !naive && (correlated_here || first_here) {
-                self.count_subq_hit(child, nested);
+        if !correlated_here {
+            if let Some(rows) = self.memo.frame.get(&child) {
+                return Ok(RowBatch::clone(rows));
             }
-            return Ok(hit);
         }
-        // An execution: an invocation, and a distinct one.
-        self.stats.subquery_invocations += 1;
-        self.stats.subquery_distinct_invocations += 1;
-        let before = self.stats.subquery_invocations;
-        let rows: RowBatch = self.eval_box(plan, child, Some(env2))?.into();
-        let nested = self.stats.subquery_invocations - before;
-        // Charge the memo against the memory budget; once the ledger is
-        // exhausted, fall back to unmemoized execution (the query keeps
-        // running, later duplicates just re-execute) — except for a child
-        // not correlated here, which the naive executor caches for the
-        // enclosing evaluation uncharged too. A naive entry is never
-        // charged.
-        let fits = (self.opts.mem_budget).is_none_or(|mb| self.memo_rows + rows.len() <= mb);
-        if fits && !naive {
-            self.memo_rows += rows.len();
-        }
-        if fits || !correlated_here {
-            self.subq_memo.insert(k, (RowBatch::clone(&rows), nested));
+        // Naive iteration keys nothing; nor does an unbound free reference.
+        let key = plan.memo.then(|| plan.sig(child).key_under(env2)).flatten();
+        let k = key.map(|key| (child, key));
+        let rows = match k.as_ref().and_then(|k| self.memo.get(k)) {
+            Some((rows, nested)) => {
+                self.count_subq_hit(child, nested);
+                rows
+            }
+            None => {
+                // An execution: an invocation, and a distinct one.
+                self.stats.subquery_invocations += 1;
+                self.stats.subquery_distinct_invocations += 1;
+                self.eval_kept(plan, child, Some(env2), k)?
+            }
+        };
+        if !correlated_here {
+            self.memo.frame.insert(child, RowBatch::clone(&rows));
         }
         Ok(rows)
     }
@@ -159,69 +197,19 @@ impl<'a> Executor<'a> {
         layout: &Layout,
         env: Option<&Env<'_>>,
     ) -> Result<Tuples<'a>> {
-        let child = input.child;
         self.settle(&mut left)?;
         let n = left.len();
-        // The child's batch per distinct binding (batched path), with the
-        // invocations nested inside it.
-        let mut subs: Vec<(RowBatch, u64)> = Vec::new();
         let mut scratch = Row::empty();
         let (mut pairs, mut right) = (Vec::new(), Vec::new());
-        let mut emit = |this: &mut Self, l: usize, sub: &RowBatch| {
+        for l in 0..n {
+            self.checkpoint(1)?;
+            let env2 = Env::new(layout, left.row(l, &mut scratch), env);
+            let sub = self.memoized_child(plan, input.child, &env2, true)?;
             for r in sub.iter() {
                 pairs.push((l as u32, right.len() as u32));
                 right.push(r.clone());
             }
-            this.check_mem(pairs.len(), "lateral join")
-        };
-        if plan.mode == ApplyMode::Batched {
-            // Batched lateral: group the candidates by correlation key so
-            // each distinct binding executes the subquery once per batch,
-            // then gather results back in the original order.
-            let mut slot_of: FxHashMap<MemoKey, usize> = FxHashMap::default();
-            let mut assignment: Vec<Option<usize>> = Vec::with_capacity(n);
-            for l in 0..n {
-                self.checkpoint(1)?;
-                let env2 = Env::new(layout, left.row(l, &mut scratch), env);
-                let Some(key) = plan.sig(child).key_under(&env2) else {
-                    assignment.push(None);
-                    continue;
-                };
-                match slot_of.get(&key) {
-                    Some(&s) => {
-                        // Logical invocation, physically shared with the
-                        // first candidate of the class.
-                        self.count_subq_hit(child, subs[s].1);
-                        assignment.push(Some(s));
-                    }
-                    None => {
-                        let before = self.stats.subquery_invocations;
-                        let sub = self.memoized_child(plan, child, &env2, true)?;
-                        subs.push((sub, self.stats.subquery_invocations - before - 1));
-                        slot_of.insert(key, subs.len() - 1);
-                        assignment.push(Some(subs.len() - 1));
-                    }
-                }
-            }
-            for (l, slot) in assignment.into_iter().enumerate() {
-                let sub = match slot {
-                    Some(s) => RowBatch::clone(&subs[s].0),
-                    None => {
-                        // Unkeyable binding (an unbound free ref): evaluate
-                        // this candidate on its own, as the per-row path would.
-                        let env2 = Env::new(layout, left.row(l, &mut scratch), env);
-                        self.memoized_child(plan, child, &env2, true)?
-                    }
-                };
-                emit(self, l, &sub)?;
-            }
-        } else {
-            for l in 0..n {
-                self.checkpoint(1)?;
-                let env2 = Env::new(layout, left.row(l, &mut scratch), env);
-                let sub = self.memoized_child(plan, child, &env2, true)?;
-                emit(self, l, &sub)?;
-            }
+            self.check_mem(pairs.len(), "lateral join")?;
         }
         self.note_joined(input.q, JoinStrategy::Lateral, n, n, pairs.len());
         let right = Tuples::every(Src::Owned(right), input.arity);

@@ -19,22 +19,17 @@ use crate::vector;
 /// The lowered graph: one entry per box.
 pub(super) struct Plan<'q> {
     pub qgm: &'q Qgm,
-    /// How nested iteration reuses an applied input's results.
-    pub mode: ApplyMode,
+    /// Nested iteration keeps an applied input's results in the run memo
+    /// under their binding keys (`ni_memo`).
+    pub memo: bool,
     boxes: Vec<Lowered<'q>>,
 }
 
 #[derive(Default)]
 pub(super) struct Lowered<'q> {
-    /// Served whole from a cache — the CSE memo or the shared-subplan
-    /// cache — rather than evaluated where it is consumed.
-    pub cached: bool,
-    /// Kept for the run once evaluated (`memoize_cse`; uncorrelated, not a
-    /// base table).
-    pub cse: bool,
-    /// A marked box's shared-subplan key: its canonical shape and the
-    /// snapshot version of every table it reads (none if one is gone).
-    pub shared_key: Option<(String, Vec<u64>)>,
+    /// Kept once evaluated, and served whole from where it is kept rather
+    /// than evaluated where it is consumed.
+    pub keep: Option<Keep>,
     /// A subquery's or a lateral join's input: its correlation signature.
     pub sig: Option<CorrSig>,
     pub select: Option<SelectOp<'q>>,
@@ -44,16 +39,15 @@ pub(super) struct Lowered<'q> {
     pub outer: Option<(TableInput<'q>, Probe<'q>)>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(super) enum ApplyMode {
-    /// Once per binding, or once per enclosing evaluation when not
-    /// correlated to it (`ni_memo` off): the executor before the memo.
-    Naive,
-    /// Through the run's correlation-key memo.
-    Memo,
-    /// Through the memo, and a lateral join groups its candidates by
-    /// binding before it applies the input (`ni_batch`).
-    Batched,
+/// How long a box's result is kept, and where. A box may be kept for
+/// both: the run memo is asked first, the shared-subplan cache next.
+pub(super) struct Keep {
+    /// For the run, in the run memo (`memoize_cse`: uncorrelated, not a
+    /// base table).
+    pub run: bool,
+    /// For the process, in the shared-subplan cache: a marked box under its
+    /// canonical shape and the snapshot version of every table it reads.
+    pub process: Option<(String, Vec<u64>)>,
 }
 
 pub(super) struct SelectOp<'q> {
@@ -109,11 +103,6 @@ pub(super) struct GroupOp<'q> {
 impl<'q> Plan<'q> {
     pub fn lower(qgm: &'q Qgm, db: &Database, opts: &ExecOptions) -> Self {
         let tr = Traversal::new(qgm);
-        let mode = match (opts.ni_memo, opts.ni_batch) {
-            (false, _) => ApplyMode::Naive,
-            (true, false) => ApplyMode::Memo,
-            (true, true) => ApplyMode::Batched,
-        };
         let slots = qgm.slots().0;
         let mut boxes: Vec<Lowered<'q>> = (0..slots).map(|_| Lowered::default()).collect();
         let marks = opts.shared_subplans.as_ref().map(|ss| &ss.marks);
@@ -123,13 +112,17 @@ impl<'q> Plan<'q> {
                 && !matches!(qgm.boxref(b).kind, BoxKind::BaseTable { .. })
                 && !tr.is_correlated(b)
         };
-        let cached = |b: BoxId| cse(b) || mark(b).is_some();
+        // A `memoize_cse` box is kept for the run, a marked box whose
+        // tables all resolve for the process.
+        let keep = |b: BoxId| {
+            let run = cse(b);
+            let process = mark(b).and_then(|m| Some((m.shape.clone(), m.versions(db)?)));
+            (run || process.is_some()).then_some(Keep { run, process })
+        };
         for &b in tr.order() {
             let bx = qgm.boxref(b);
             let low = &mut boxes[b.index()];
-            low.cse = cse(b);
-            low.cached = cached(b);
-            low.shared_key = mark(b).and_then(|m| Some((m.shape.clone(), m.versions(db)?)));
+            low.keep = keep(b);
             match &bx.kind {
                 BoxKind::Grouping { group_by } => {
                     low.group = Some(lower_grouping(qgm, opts, b, group_by));
@@ -139,7 +132,7 @@ impl<'q> Plan<'q> {
                     let right = qgm.quant(bx.quants[1]).input;
                     let indexed =
                         |t: &str, c| db.table(t).is_ok_and(|t| t.index_on(&[c]).is_some());
-                    low.outer = shape::outer_arm(qgm, b, indexed).filter(|_| !cached(right));
+                    low.outer = shape::outer_arm(qgm, b, indexed).filter(|_| keep(right).is_none());
                     continue;
                 }
                 BoxKind::Select => {}
@@ -165,7 +158,7 @@ impl<'q> Plan<'q> {
             }
             boxes[b.index()].select = Some(op);
         }
-        Plan { qgm, mode, boxes }
+        Plan { qgm, memo: opts.ni_memo, boxes }
     }
 
     pub fn get(&self, b: BoxId) -> &Lowered<'q> {

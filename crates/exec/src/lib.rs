@@ -20,10 +20,10 @@
 //! prices too (predicate stages, lateral inputs, own predicates), then
 //! decides how each input is read (index probe, correlation probe, deferred
 //! indexed table, paged or full scan) and when each scalar subquery is
-//! placed; per subquery or lateral input, its correlation signature and
-//! how nested iteration reuses it; per Grouping, its aggregates, keys and
-//! kernel columns; per outer join, its index arm; per box, whether a cache
-//! serves it whole. The plan-shaping options — [`ExecOptions::memoize_cse`]
+//! placed; per subquery or lateral input, its correlation signature; per
+//! Grouping, its aggregates, keys and kernel columns; per outer join, its
+//! index arm; per box, whether its result is kept, for the run or for the
+//! process. The plan-shaping options — [`ExecOptions::memoize_cse`]
 //! (the paper's Starburst build recomputes common subexpressions, so it is
 //! off by default), [`ExecOptions::scalar_placement`] (Query 2's plan
 //! places its subquery before the join, [`ScalarPlacement::EarliestBinding`]),
@@ -31,6 +31,19 @@
 //! nowhere else. Decisions that depend on data stay at run time: the greedy
 //! join order by input sizes, whether index nested loops pay, spilling, and
 //! the kernels compiled under the current bindings.
+//!
+//! # One run memo
+//!
+//! Every box result kept for reuse within a run lives in one store
+//! (`exec::apply::RunMemo`), keyed by box and binding key — empty for an
+//! uncorrelated box: the correlation-key memo of nested iteration
+//! (`ni_memo`) and `memoize_cse`'s common subexpressions. Each kept row is
+//! charged to [`ExecOptions::mem_budget`] once, and a result the ledger
+//! refuses is returned without being kept. The one exception is a child
+//! not correlated to the block being evaluated: it is kept in that Select
+//! evaluation's frame, dropped when the evaluation returns — exactly what
+//! naive iteration does. A box kept for the process goes through the
+//! same hit / build / bypass path into the [`SubplanCache`].
 //!
 //! # Modules
 //!

@@ -180,29 +180,9 @@ impl ExecTrace {
         e.memo_hits += 1;
     }
 
-    /// Total degradations recorded across all boxes.
-    pub fn total_degradations(&self) -> u64 {
-        self.per_box
-            .values()
-            .flat_map(|t| t.degradations.iter())
-            .map(|(_, n)| n)
-            .sum()
-    }
-
     /// The trace entry for a box, if it was evaluated.
     pub fn get(&self, b: BoxId) -> Option<&BoxTrace> {
         self.per_box.get(&b)
-    }
-
-    /// Number of boxes that were actually evaluated.
-    pub fn traced_boxes(&self) -> usize {
-        self.per_box.len()
-    }
-
-    /// Sum of per-box predicate evaluations — must equal the run's
-    /// `ExecStats::predicate_evals`.
-    pub fn total_predicate_evals(&self) -> u64 {
-        self.per_box.values().map(|t| t.predicate_evals).sum()
     }
 
     /// Rows flowing *into* a box: the rows its children delivered, summed.

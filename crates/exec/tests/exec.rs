@@ -293,7 +293,12 @@ fn index_used_inside_correlated_subquery() {
     let qgm = parse_and_bind(sql, &db).unwrap();
     // Naive nested iteration: each of the 5 invocations probes the index
     // instead of scanning emp.
-    let (rows, stats) = execute_with(&db, &qgm, ExecOptions::default().naive_ni()).unwrap();
+    let (rows, stats) = execute_with(
+        &db,
+        &qgm,
+        ExecOptions { ni_memo: false, ni_batch: false, ..Default::default() },
+    )
+    .unwrap();
     assert_eq!(stats.subquery_invocations, 5);
     assert_eq!(stats.index_lookups, 5);
     // The correlation-key memo keeps the logical count but only probes

@@ -6,7 +6,8 @@
 use std::sync::Barrier;
 
 use decorr_common::{row, Budget, CancelToken, DataType, Error, ExecStats, Schema};
-use decorr_exec::{execute_traced, execute_with, ExecOptions, Executor};
+use decorr_exec::{execute_traced, execute_with, ExecOptions, ExecTrace, Executor};
+use decorr_qgm::Qgm;
 use decorr_sql::parse_and_bind;
 use decorr_storage::Database;
 
@@ -83,7 +84,10 @@ fn mid_query_cancel_from_another_thread() {
         let tok = CancelToken::new();
         // Naive nested iteration keeps the run long (the memoized executor
         // finishes this query in microseconds).
-        let opts = opts_with(threads, |o| o.cancel = Some(tok.clone())).naive_ni();
+        let opts = opts_with(threads, |o| {
+            o.cancel = Some(tok.clone());
+            (o.ni_memo, o.ni_batch) = (false, false);
+        });
         let mut ex = Executor::new(&db, opts);
         let started = Barrier::new(2);
         let result = std::thread::scope(|scope| {
@@ -120,6 +124,12 @@ fn tick_budget_timeout_is_deterministic() {
 
 // ---- memory budget: no spill device ------------------------------------------
 
+/// Total degradations recorded across `qgm`'s boxes.
+fn total_degradations(trace: &ExecTrace, qgm: &Qgm) -> u64 {
+    let entries = qgm.live_boxes().filter_map(|b| trace.get(b.id));
+    entries.flat_map(|t| &t.degradations).map(|(_, n)| n).sum()
+}
+
 /// Over the budget with no spill device, `sql` runs the same hash algorithm
 /// in memory: the unbudgeted run's rows in its order and its work, counted
 /// as a degradation whose trace entry says why.
@@ -132,7 +142,7 @@ fn over_budget_in_memory(db: &Database, sql: &str, mem_budget: usize) {
     let (budgeted, stats, trace) = execute_traced(db, &qgm, opts).unwrap();
     let rendered = trace.render(&qgm);
     assert!(stats.degradations >= 1, "{rendered}");
-    assert_eq!(trace.total_degradations(), stats.degradations);
+    assert_eq!(total_degradations(&trace, &qgm), stats.degradations);
     assert!(rendered.contains("no spill device"), "{rendered}");
     assert_eq!(budgeted, unbudgeted, "same rows, same order");
     assert_eq!(

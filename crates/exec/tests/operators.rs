@@ -295,7 +295,10 @@ fn input_correlated_to_an_outer_block_is_not_lateral() {
     g.set_top(top);
     validate(&g).unwrap();
 
-    for opts in [ExecOptions::default(), ExecOptions::default().naive_ni()] {
+    for opts in [
+        ExecOptions::default(),
+        ExecOptions { ni_memo: false, ni_batch: false, ..Default::default() },
+    ] {
         let (rows, _, trace) = execute_traced(&db, &g, opts.clone()).unwrap();
         assert_eq!(rows, vec![row!["x"]], "{opts:?}");
         let (mid_t, d_t) = (trace.get(mid).unwrap(), trace.get(d).unwrap());

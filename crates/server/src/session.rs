@@ -73,9 +73,8 @@ pub struct SessionSettings {
     /// (`ExecOptions::ni_memo`). `\set ni_memo off` restores the naive
     /// once-per-outer-row executor, for A/B timing.
     pub ni_memo: bool,
-    /// Batch outer bindings and probe subquery correlation columns
-    /// set-orientedly (`ExecOptions::ni_batch`; only effective with
-    /// `ni_memo` on).
+    /// Probe an unindexed correlation column through a hash partition
+    /// built once per run (`ExecOptions::ni_batch`).
     pub ni_batch: bool,
 }
 

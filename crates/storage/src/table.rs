@@ -397,15 +397,6 @@ impl Table {
         self.touch();
     }
 
-    /// An index whose column set is a subset of `cols` (so an equality
-    /// binding on all of `cols` can probe it), preferring the widest match.
-    pub fn best_index_for(&self, cols: &[usize]) -> Option<&HashIndex> {
-        self.indexes
-            .iter()
-            .filter(|i| i.columns().iter().all(|c| cols.contains(c)))
-            .max_by_key(|i| i.columns().len())
-    }
-
     /// The index covering exactly `cols`, if any.
     pub fn index_on(&self, cols: &[usize]) -> Option<&HashIndex> {
         self.indexes.iter().find(|i| i.covers(cols))
@@ -414,11 +405,5 @@ impl Table {
     /// All indexes.
     pub fn indexes(&self) -> &[HashIndex] {
         &self.indexes
-    }
-
-    /// Rows matching `value` on `col` via index; `None` if no usable index.
-    pub fn index_lookup(&self, col: usize, value: &Value) -> Option<&[usize]> {
-        self.index_on(&[col])
-            .map(|i| i.lookup(std::slice::from_ref(value)))
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! A lattice [`Point`] fixes the worker threads {1, 4}, the evaluators
 //! (`columnar` on or off), the nested-iteration lane {naive, memo,
-//! memo + batch}, `memoize_cse`, the scalar placement, the memory budget
+//! memo + the `ni_batch` correlation probe}, `memoize_cse`, the scalar placement, the memory budget
 //! {none, tiny with a spill manager, tiny without: in memory}, the storage
 //! tier {resident indexed, resident un-indexed, durable with a pool that
 //! holds everything, durable with a 64 KiB pool} and the shared subplan and

@@ -87,14 +87,14 @@ fn full_scale_figure_shapes() {
 
     // Figure 9. The paper's claim — Magic at least 3x cheaper than NI — is
     // about its own executor, which re-ran the subquery on every
-    // invocation: hold it against `naive_ni()` (6.8x today).
+    // invocation: hold it against the naive executor (no memo, no batching) (6.8x today).
     let ms = run_figure(Figure::Fig9, &db).unwrap();
     let (ni, mag) = (&ms[0].stats, ms[1].stats.total_work());
     let (_, naive) = run_strategy(
         &db,
         Figure::Fig9.sql(),
         Strategy::NestedIteration,
-        ExecOptions::default().naive_ni(),
+        ExecOptions { ni_memo: false, ni_batch: false, ..Default::default() },
     )
     .unwrap();
     let naive = naive.stats.total_work();

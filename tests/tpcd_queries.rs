@@ -18,6 +18,13 @@ fn db() -> &'static Database {
     DB.get_or_init(|| generate(&TpcdConfig { scale: SCALE, seed: 42, with_indexes: true }).unwrap())
 }
 
+/// The naive nested-iteration configuration: no correlation-key memo, no
+/// correlation probe — the executor as it was before memoization existed,
+/// whose invocation counts are the paper's.
+fn naive_ni() -> ExecOptions {
+    ExecOptions { ni_memo: false, ni_batch: false, ..Default::default() }
+}
+
 fn run(db: &Database, sql: &str, s: Strategy, opts: ExecOptions) -> (Vec<Row>, ExecStats) {
     let qgm = parse_and_bind(sql, db).unwrap();
     let rewritten = decorr::core::apply_strategy(&qgm, s).unwrap();
@@ -113,12 +120,7 @@ fn q3_only_magic_applies_and_wins() {
     let db = db();
     // The paper's comparison is against *naive* nested iteration; the
     // correlation-key memo would collapse the redundancy magic removes.
-    let (ni, ni_stats) = run(
-        db,
-        queries::Q3,
-        Strategy::NestedIteration,
-        ExecOptions::default().naive_ni(),
-    );
+    let (ni, ni_stats) = run(db, queries::Q3, Strategy::NestedIteration, naive_ni());
     let (mag, mag_stats) = run(db, queries::Q3, Strategy::Magic, ExecOptions::default());
     assert_eq!(mag, ni);
     assert!(!ni.is_empty());
@@ -164,12 +166,7 @@ fn q1c_index_drop_explodes_nested_iteration() {
     let mut db = db().clone();
     queries::drop_fig7_index(&mut db).unwrap();
     // Naive NI: no memo, no set-oriented probe — every invocation re-scans.
-    let (ni, ni_stats) = run(
-        &db,
-        queries::Q1C,
-        Strategy::NestedIteration,
-        ExecOptions::default().naive_ni(),
-    );
+    let (ni, ni_stats) = run(&db, queries::Q1C, Strategy::NestedIteration, naive_ni());
     let (mag, mag_stats) = run(&db, queries::Q1C, Strategy::Magic, ExecOptions::default());
     assert_eq!(mag, ni);
     // Without the index every invocation scans partsupp: NI's scanned-rows
@@ -249,7 +246,7 @@ fn ni_lanes_agree_and_a_memo_hit_always_saves_work() {
     ] {
         let qgm = parse_and_bind(sql, db).unwrap();
         let lane = |opts: ExecOptions| execute_with(db, &qgm, opts).unwrap();
-        let (naive_rows, naive) = lane(ExecOptions::default().naive_ni());
+        let (naive_rows, naive) = lane(naive_ni());
         assert_eq!(
             naive.subquery_distinct_invocations, naive.subquery_invocations,
             "{name}: the naive lane executes every invocation"
