@@ -81,15 +81,17 @@ struct State<F, V, T> {
 }
 
 impl<F: Hash + Eq + Clone, V: PartialEq, T: Clone> State<F, V, T> {
-    /// The ready entry of `family` at `version`, bumping its recency.
-    fn hit(&mut self, family: &F, version: &V) -> Option<T> {
+    /// What `take` makes of the ready entry of `family` at `version`. Only
+    /// an entry `take` accepts counts as a hit and bumps its recency.
+    fn hit<R>(&mut self, family: &F, version: &V, take: impl FnOnce(&T) -> Option<R>) -> Option<R> {
         match self.map.get_mut(family)? {
             Slot::Ready { version: v, value, units, last_used, .. } if v == version => {
+                let got = take(value)?;
                 self.tick += 1;
                 *last_used = self.tick;
                 self.stats.hits += 1;
                 self.stats.reused += *units;
-                Some(value.clone())
+                Some(got)
             }
             _ => None,
         }
@@ -179,8 +181,20 @@ impl<F: Hash + Eq + Clone, V: PartialEq + Clone, T: Clone> Cache<F, V, T> {
     /// The entry of `family` at `version`, bumping its recency. Counts a
     /// hit or a miss.
     pub fn get(&self, family: &F, version: &V) -> Option<T> {
+        self.get_with(family, version, |v| Some(v.clone()))
+    }
+
+    /// What `take` makes of the entry of `family` at `version`, run under
+    /// the lock. An entry `take` refuses (`None`) counts as a miss, like an
+    /// absent one.
+    pub fn get_with<R>(
+        &self,
+        family: &F,
+        version: &V,
+        take: impl FnOnce(&T) -> Option<R>,
+    ) -> Option<R> {
         let mut st = self.lock();
-        let hit = st.hit(family, version);
+        let hit = st.hit(family, version, take);
         st.stats.misses += u64::from(hit.is_none());
         hit
     }
@@ -218,7 +232,7 @@ impl<F: Hash + Eq + Clone, V: PartialEq + Clone, T: Clone> Cache<F, V, T> {
         let deadline = Instant::now() + BUILD_WAIT;
         let mut st = self.lock();
         loop {
-            if let Some(value) = st.hit(family, version) {
+            if let Some(value) = st.hit(family, version, |v| Some(v.clone())) {
                 return Claim::Hit(value);
             }
             let left = deadline.saturating_duration_since(Instant::now());

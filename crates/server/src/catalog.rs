@@ -23,16 +23,17 @@
 //! builds its statistics on first use.
 //!
 //! The catalog also owns the process-wide caches, each a
-//! [`decorr_common::Cache`] fenced by a version: the [`PlanCache`] by
-//! epoch, the [`SubplanCache`] and the [`ColumnarCache`] by the snapshot
-//! versions of the tables an entry read. Publishing a new epoch makes their
-//! stale entries miss by construction, and the entry built under the new
-//! version replaces the stale one, so a write frees what it made stale.
+//! [`decorr_common::Cache`] fenced by a version: the [`ShapeCache`] and
+//! the [`PlanCache`] by epoch, the [`SubplanCache`] and the
+//! [`ColumnarCache`] by the snapshot versions of the tables an entry read.
+//! Publishing a new epoch makes their stale entries miss by construction,
+//! and the entry built under the new version replaces the stale one, so a
+//! write frees what it made stale.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use decorr::plan_cache::PlanCache;
+use decorr::plan_cache::{PlanCache, ShapeCache};
 use decorr_common::{Error, FaultStats, Result, StorageEnv};
 use decorr_exec::{ColumnarCache, SubplanCache};
 use decorr_stats::Statistics;
@@ -104,6 +105,10 @@ pub struct SharedCatalog {
     /// Process-wide plan cache. Keys include the epoch, so publishing a
     /// new version invalidates every cached plan by construction.
     plans: PlanCache,
+    /// Process-wide statement-shape cache in front of `plans`: a repeated
+    /// statement shape skips parse, bind and fingerprint. Fenced by the
+    /// epoch too, because binding reads the schema.
+    shapes: ShapeCache,
     /// Process-wide materialized-intermediate cache for magic/SUPP
     /// subtrees, keyed by subtree shape + table snapshot versions.
     subplans: SubplanCache,
@@ -169,6 +174,7 @@ impl SharedCatalog {
             writer: Mutex::new(()),
             cache: ColumnarCache::new(),
             plans: PlanCache::default(),
+            shapes: ShapeCache::default(),
             subplans: SubplanCache::default(),
             persist,
         }
@@ -202,6 +208,12 @@ impl SharedCatalog {
     /// plan template).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plans
+    }
+
+    /// The process-wide statement-shape cache (text shape → fingerprint
+    /// and binding slots), consulted before the plan cache.
+    pub fn shape_cache(&self) -> &ShapeCache {
+        &self.shapes
     }
 
     /// The process-wide shared-subplan cache, for

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use decorr::choose::{audit_estimates, choose_strategy_with, PlanChoice, StrategyEstimate};
-use decorr::plan_cache::{plan_bytes, CachedPlan};
+use decorr::plan_cache::{plan_bytes, CachedPlan, StatementShape};
 use decorr_common::{Budget, CancelToken, Error, FxHashMap, Result, Value};
 use decorr_core::{
     apply_strategy, canonical_form, fingerprint as qgm_fingerprint, shared_subplan_marks, Strategy,
@@ -33,6 +33,9 @@ use decorr_core::{
 use decorr_exec::{execute_traced, execute_with, ExecOptions, SharedSubplans, SubplanShape};
 use decorr_qgm::{print as qgm_print, Qgm};
 use decorr_sql::lexer::{tokenize, TokenKind};
+use decorr_sql::param::parameterize_parsed;
+use decorr_sql::parser::parse_tokens;
+use decorr_sql::shape::{ShapeKey, Slots};
 use decorr_sql::{bind, parameterize, parse};
 use decorr_tpcd::{empdept, generate, TpcdConfig};
 
@@ -418,9 +421,21 @@ impl Session {
                 ]))
             }
             "cache" => {
+                let t = self.catalog.shape_cache().stats();
                 let p = self.catalog.plan_cache().stats();
                 let s = self.catalog.subplan_cache().stats();
                 Ok(Response::lines(vec![
+                    format!(
+                        "statement shapes {} entries, {}/{} bytes ({})",
+                        t.entries,
+                        t.bytes,
+                        t.budget,
+                        onoff(self.settings.plan_cache)
+                    ),
+                    format!("  hits          {}", t.hits),
+                    format!("  misses        {}", t.misses),
+                    format!("  insertions    {}", t.insertions),
+                    format!("  evictions     {}", t.evictions),
                     format!(
                         "plan cache      {} entries, {}/{} bytes ({})",
                         p.entries,
@@ -603,8 +618,7 @@ impl Session {
     /// on a hit, the race table is the cached one — no re-race).
     fn explain_cost(&mut self, sql: &str) -> Result<Response> {
         let snap = self.catalog.snapshot();
-        let ast = parse(sql)?;
-        let planned = self.plan_query(&snap, &ast)?;
+        let planned = self.plan_text(&snap, sql)?;
         let mut lines = vec![format!(
             "strategy race (cheapest first) [plan cache {}]:",
             planned.status.name()
@@ -628,12 +642,11 @@ impl Session {
         let (name, tail) = rest.split_once(char::is_whitespace).ok_or_else(usage)?;
         let sql = strip_prefix_ci(tail.trim(), "as ").ok_or_else(usage)?;
         let name = valid_name(name)?;
-        let query = parse(sql)?;
-        let (pquery, defaults) = parameterize(&query);
+        let (pquery, defaults) = parameterize(&parse(sql)?);
         // Plan now: surfaces binder errors at PREPARE time and warms the
         // cache so the first EXECUTE is already a hit.
         let snap = self.catalog.snapshot();
-        let planned = self.plan_query(&snap, &query)?;
+        let planned = self.plan_text(&snap, sql)?;
         let n = defaults.len();
         let line = format!(
             "prepared {name} ({n} parameter{}) via {} [plan cache {}]",
@@ -672,31 +685,27 @@ impl Session {
                 bindings.len()
             )));
         }
-        let query = p.query.clone();
         let snap = self.catalog.snapshot();
-        let qgm = bind(&query, snap.db())?;
-        decorr_qgm::validate::validate(&qgm)?;
+        let qgm = bind_valid(&p.query, &snap)?;
         let planned = if self.settings.plan_cache {
-            self.plan_parameterized(&snap, qgm, bindings)?
+            let fp = qgm_fingerprint(&qgm);
+            self.plan_parameterized(&snap, &fp, bindings, || Ok(qgm))?
         } else {
             let mut concrete = qgm;
             concrete.bind_params(&bindings)?;
-            let choice = self.race_or_fixed(&snap, concrete)?;
-            let label = self.label_for(&choice);
-            Planned { label, choice, status: CacheStatus::Off }
+            self.plan_uncached(&snap, concrete)?
         };
         self.execute_planned(&snap, planned)
     }
 
     /// Execute one SQL statement (or just render its plan). The full
-    /// service path: snapshot → plan (through the cache) → admission →
+    /// service path: snapshot → plan (through the caches) → admission →
     /// fresh cancel token → execute → release (permit dropped).
     fn run_sql(&mut self, sql: &str, explain_only: bool) -> Result<Response> {
         // Snapshot before admission: the query runs against one epoch no
         // matter how long it queues or how many writers publish meanwhile.
         let snap = self.catalog.snapshot();
-        let ast = parse(sql)?;
-        let planned = self.plan_query(&snap, &ast)?;
+        let planned = self.plan_text(&snap, sql)?;
         if explain_only {
             let mut lines = vec![format!(
                 "-- plan: {} [plan cache {}]",
@@ -709,46 +718,72 @@ impl Session {
         self.execute_planned(&snap, planned)
     }
 
-    /// Plan a parsed statement, consulting the plan cache when enabled.
-    fn plan_query(
-        &mut self,
-        snap: &Arc<CatalogVersion>,
-        ast: &decorr_sql::Query,
-    ) -> Result<Planned> {
-        if self.settings.plan_cache {
-            let (pquery, bindings) = parameterize(ast);
-            let bound = bind(&pquery, snap.db());
-            if let Ok(pqgm) = bound {
-                if decorr_qgm::validate::validate(&pqgm).is_ok() {
-                    return self.plan_parameterized(snap, pqgm, bindings);
-                }
-            }
+    /// Plan one statement's text, through the statement-shape and plan
+    /// caches when enabled.
+    ///
+    /// A known shape whose bindings fill from the tokens goes from the
+    /// lexed text straight to [`PlanCache::get`](decorr::plan_cache::PlanCache::get):
+    /// no parse, parameterize, bind, validate or fingerprint. Otherwise the
+    /// front end runs in full, and a shape whose slot map checks out is
+    /// cached for the next statement.
+    fn plan_text(&self, snap: &Arc<CatalogVersion>, sql: &str) -> Result<Planned> {
+        let tokens = tokenize(sql)?;
+        if !self.settings.plan_cache {
+            let qgm = bind_valid(&parse_tokens(&tokens)?.query, snap)?;
+            return self.plan_uncached(snap, qgm);
+        }
+        let key = ShapeKey::new(&tokens);
+        let shapes = self.catalog.shape_cache();
+        // A shape whose slots refuse these tokens counts as a miss.
+        let known = shapes.get_with(&key, &snap.epoch(), |shape| {
+            let bindings = shape.slots.fill(&tokens)?;
+            Some((Arc::clone(&shape.fingerprint), bindings))
+        });
+        if let Some((fp, bindings)) = known {
+            // A miss in the plan cache still needs the parameterized graph
+            // to race: only then does the front end run.
+            let planned = self.plan_parameterized(snap, &fp, bindings, || {
+                bind_valid(&parameterize(&parse_tokens(&tokens)?.query).0, snap)
+            })?;
+            return Ok(planned);
+        }
+        let parsed = parse_tokens(&tokens)?;
+        let (pquery, bindings, origins) = parameterize_parsed(&parsed);
+        let Ok(pqgm) = bind_valid(&pquery, snap) else {
             // Parameterization produced a graph the binder/validator
             // rejects (a literal in a shape-bearing position): fall back
             // to the uncached path rather than failing the statement.
+            let qgm = bind_valid(&parsed.query, snap)?;
+            return self.plan_uncached(snap, qgm);
+        };
+        let fp: Arc<str> = qgm_fingerprint(&pqgm).into();
+        if let Some(slots) = origins.and_then(|o| Slots::verified(&tokens, &o, &bindings)) {
+            let shape = StatementShape::new(&key, Arc::clone(&fp), slots);
+            shapes.insert(key, snap.epoch(), Arc::new(shape));
         }
-        let qgm = bind(ast, snap.db())?;
-        decorr_qgm::validate::validate(&qgm)?;
+        self.plan_parameterized(snap, &fp, bindings, || Ok(pqgm))
+    }
+
+    /// Plan a bound statement without the caches.
+    fn plan_uncached(&self, snap: &Arc<CatalogVersion>, qgm: Qgm) -> Result<Planned> {
         let choice = self.race_or_fixed(snap, qgm)?;
         let label = self.label_for(&choice);
         Ok(Planned { label, choice, status: CacheStatus::Off })
     }
 
-    /// The cached planning path: `pqgm` is the parameterized shape,
-    /// `bindings` the literals hoisted out of this statement's text.
+    /// The cached planning path: `fp` is the fingerprint of the
+    /// parameterized shape, `bindings` the literals hoisted out of this
+    /// statement's text. A hit clones the cached template and binds them;
+    /// a miss asks `pqgm` for the parameterized graph and races it.
     fn plan_parameterized(
-        &mut self,
+        &self,
         snap: &Arc<CatalogVersion>,
-        pqgm: Qgm,
+        fp: &str,
         bindings: Vec<Value>,
+        pqgm: impl FnOnce() -> Result<Qgm>,
     ) -> Result<Planned> {
-        let mode_key = match self.mode {
-            Mode::Auto => "auto".to_string(),
-            Mode::Fixed(s) => s.name().to_string(),
-        };
-        let fp = qgm_fingerprint(&pqgm);
         let cache = self.catalog.plan_cache();
-        if let Some(hit) = cache.get(&fp, snap.epoch(), &mode_key) {
+        if let Some(hit) = cache.get(fp, snap.epoch(), self.mode_key()) {
             if hit.param_count == bindings.len() {
                 let mut choice = hit.choice.clone();
                 choice.plan.bind_params(&bindings)?;
@@ -756,6 +791,7 @@ impl Session {
                 return Ok(Planned { label, choice, status: CacheStatus::Hit });
             }
         }
+        let pqgm = pqgm()?;
         // Miss: race the *concrete* graph — the estimator must price real
         // literals, not placeholders.
         let mut concrete = pqgm.clone();
@@ -769,7 +805,7 @@ impl Session {
         // `pqgm` as-is (apply_strategy would run the rule optimizer and
         // diverge from what actually won).
         let template = match (self.mode, choice.strategy) {
-            (Mode::Auto, Strategy::NestedIteration) => Ok(pqgm.clone()),
+            (Mode::Auto, Strategy::NestedIteration) => Ok(pqgm),
             (_, s) => apply_strategy(&pqgm, s),
         };
         if let Ok(template) = template {
@@ -793,10 +829,18 @@ impl Session {
                     param_count: bindings.len(),
                     bytes,
                 };
-                cache.insert(&fp, snap.epoch(), &mode_key, Arc::new(cached));
+                cache.insert(fp, snap.epoch(), self.mode_key(), Arc::new(cached));
             }
         }
         Ok(Planned { label, choice, status: CacheStatus::Miss })
+    }
+
+    /// The planning mode's name, the plan cache's second key part.
+    fn mode_key(&self) -> &'static str {
+        match self.mode {
+            Mode::Auto => "auto",
+            Mode::Fixed(s) => s.name(),
+        }
     }
 
     /// Race strategies (Auto) or apply the pinned one (Fixed), producing
@@ -932,6 +976,13 @@ impl Session {
     }
 }
 
+/// Bind `query` against `snap`'s catalog and validate the graph.
+fn bind_valid(query: &decorr_sql::Query, snap: &CatalogVersion) -> Result<Qgm> {
+    let qgm = bind(query, snap.db())?;
+    decorr_qgm::validate::validate(&qgm)?;
+    Ok(qgm)
+}
+
 fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
     v.map(|x| x.to_string()).unwrap_or_else(|| "none".into())
 }
@@ -982,13 +1033,12 @@ pub fn parse_exec_args(src: &str) -> Result<Vec<Value>> {
             }
             let v = match kind(i) {
                 Some(TokenKind::Number(n)) => parse_number(n, negate)?,
-                Some(TokenKind::StringLit(s)) if !negate => Value::Str(s.as_str().into()),
-                Some(TokenKind::Keyword(k)) if !negate => match k.as_str() {
-                    "NULL" => Value::Null,
-                    "TRUE" => Value::Bool(true),
-                    "FALSE" => Value::Bool(false),
-                    other => return Err(err(format!("unexpected {other}"))),
-                },
+                Some(k @ (TokenKind::StringLit(_) | TokenKind::Keyword(_))) if !negate => {
+                    match k.value() {
+                        Some(v) => v,
+                        None => return Err(err(format!("unexpected {k}"))),
+                    }
+                }
                 other => {
                     return Err(err(format!(
                         "expected a literal, found {}",

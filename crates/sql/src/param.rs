@@ -27,21 +27,78 @@
 use decorr_common::Value;
 
 use crate::ast::{AstExpr, Query, Select, SelectItem, SetExpr, TableRef};
+use crate::parser::Parsed;
 
 /// Replace literals in `q` with parameters; returns the parameterized
 /// query and the binding vector (parameter `i` ↔ `bindings[i]`).
 pub fn parameterize(q: &Query) -> (Query, Vec<Value>) {
-    let mut p = Parameterizer { bindings: Vec::new() };
-    let mut out = q.clone();
-    p.query(&mut out);
+    let (out, p) = run(q);
     (out, p.bindings)
 }
 
+/// Where each literal of a [`Parsed`] statement went: for parameter `i`,
+/// the token index of the literal it replaced, and the token indexes of
+/// the literals left in place (see the module docs). This is the slot map
+/// [`crate::shape::Slots`] is built from.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Origins {
+    pub params: Vec<u32>,
+    pub kept: Vec<u32>,
+}
+
+/// [`parameterize`] a parsed statement and report where each literal went.
+/// `None` if the walk met a different number of literals than the parser
+/// recorded — then no slot map can be trusted.
+pub fn parameterize_parsed(parsed: &Parsed) -> (Query, Vec<Value>, Option<Origins>) {
+    let (out, p) = run(&parsed.query);
+    let tokens = |ordinals: &[usize]| -> Option<Vec<u32>> {
+        ordinals
+            .iter()
+            .map(|&n| parsed.literals.get(n).copied())
+            .collect()
+    };
+    let origins = match (
+        p.seen == parsed.literals.len(),
+        tokens(&p.params),
+        tokens(&p.kept),
+    ) {
+        (true, Some(params), Some(kept)) => Some(Origins { params, kept }),
+        _ => None,
+    };
+    (out, p.bindings, origins)
+}
+
+fn run(q: &Query) -> (Query, Parameterizer) {
+    let mut p = Parameterizer::default();
+    let mut out = q.clone();
+    p.query(&mut out);
+    (out, p)
+}
+
+/// The walk visits a block's select list, FROM, WHERE, GROUP BY and HAVING
+/// and every expression's operands in text order, so the `n`-th literal it
+/// meets is the `n`-th the parser made: `seen` counts them, and `params` /
+/// `kept` record ordinals in that count.
+#[derive(Default)]
 struct Parameterizer {
     bindings: Vec<Value>,
+    seen: usize,
+    params: Vec<usize>,
+    kept: Vec<usize>,
 }
 
 impl Parameterizer {
+    /// Count the literal just met, as a parameter or as kept in place.
+    fn note(&mut self, param: bool) {
+        let ordinals = if param {
+            &mut self.params
+        } else {
+            &mut self.kept
+        };
+        ordinals.push(self.seen);
+        self.seen += 1;
+    }
+
     fn query(&mut self, q: &mut Query) {
         self.set_expr(&mut q.body);
     }
@@ -109,6 +166,7 @@ impl Parameterizer {
             AstExpr::Literal(v) => {
                 let i = self.bindings.len();
                 self.bindings.push(v.clone());
+                self.note(true);
                 *e = AstExpr::Param(i);
             }
             AstExpr::Ident { .. } | AstExpr::Param(_) | AstExpr::CountStar => {}
@@ -152,10 +210,8 @@ impl Parameterizer {
     /// binder binds as blocks of their own.
     fn subqueries_only(&mut self, e: &mut AstExpr) {
         match e {
-            AstExpr::Literal(_)
-            | AstExpr::Ident { .. }
-            | AstExpr::Param(_)
-            | AstExpr::CountStar => {}
+            AstExpr::Literal(_) => self.note(false),
+            AstExpr::Ident { .. } | AstExpr::Param(_) | AstExpr::CountStar => {}
             AstExpr::Binary { left, right, .. } => {
                 self.subqueries_only(left);
                 self.subqueries_only(right);

@@ -1,36 +1,52 @@
 //! Recursive-descent parser.
 
-use decorr_common::{Error, Result, Value};
+use decorr_common::{Error, Result};
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Token, TokenKind};
 
 /// Parse a SQL query string into an AST.
 pub fn parse(sql: &str) -> Result<Query> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let q = p.parse_query()?;
+    Ok(parse_tokens(&tokenize(sql)?)?.query)
+}
+
+/// A parsed statement plus where its literals came from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Parsed {
+    pub query: Query,
+    /// The token index of every [`AstExpr::Literal`], in the order the
+    /// parser made them — which is the text order, and the order
+    /// [`crate::parameterize`]'s walk visits them in.
+    pub literals: Vec<u32>,
+}
+
+/// Parse a token stream (ending in [`TokenKind::Eof`], as [`tokenize`]
+/// returns it), recording each literal's token index.
+pub fn parse_tokens(tokens: &[Token<'_>]) -> Result<Parsed> {
+    let mut p = Parser { tokens, pos: 0, literals: Vec::new() };
+    let query = p.parse_query()?;
     p.expect_eof()?;
-    Ok(q)
+    Ok(Parsed { query, literals: p.literals })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'t, 'a> {
+    tokens: &'t [Token<'a>],
     pos: usize,
+    literals: Vec<u32>,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+impl<'a> Parser<'_, 'a> {
+    fn peek(&self) -> TokenKind<'a> {
+        self.tokens[self.pos].kind
     }
 
-    fn peek_ahead(&self, n: usize) -> &TokenKind {
+    fn peek_ahead(&self, n: usize) -> TokenKind<'a> {
         let i = (self.pos + n).min(self.tokens.len() - 1);
-        &self.tokens[i].kind
+        self.tokens[i].kind
     }
 
-    fn advance(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+    fn advance(&mut self) -> TokenKind<'a> {
+        let t = self.tokens[self.pos].kind;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -66,7 +82,7 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
         if self.peek() == kind {
             self.advance();
             true
@@ -75,8 +91,8 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<()> {
-        if self.eat(&kind) {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<()> {
+        if self.eat(kind) {
             Ok(())
         } else {
             Err(self.error_here(&format!("expected '{kind}'")))
@@ -92,10 +108,10 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Ident(name) => {
                 self.advance();
-                Ok(name)
+                Ok(name.to_string())
             }
             _ => Err(self.error_here("expected identifier")),
         }
@@ -120,7 +136,7 @@ impl Parser {
     }
 
     fn parse_set_primary(&mut self) -> Result<SetExpr> {
-        if self.eat(&TokenKind::LParen) {
+        if self.eat(TokenKind::LParen) {
             let inner = self.parse_set_expr()?;
             self.expect(TokenKind::RParen)?;
             Ok(inner)
@@ -133,12 +149,12 @@ impl Parser {
         self.expect_keyword("SELECT")?;
         let distinct = self.eat_keyword("DISTINCT");
         let mut items = vec![self.parse_select_item()?];
-        while self.eat(&TokenKind::Comma) {
+        while self.eat(TokenKind::Comma) {
             items.push(self.parse_select_item()?);
         }
         self.expect_keyword("FROM")?;
         let mut from = vec![self.parse_table_ref()?];
-        while self.eat(&TokenKind::Comma) {
+        while self.eat(TokenKind::Comma) {
             from.push(self.parse_table_ref()?);
         }
         let where_clause = if self.eat_keyword("WHERE") {
@@ -150,7 +166,7 @@ impl Parser {
         if self.eat_keyword("GROUP") {
             self.expect_keyword("BY")?;
             group_by.push(self.parse_expr()?);
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 group_by.push(self.parse_expr()?);
             }
         }
@@ -166,24 +182,24 @@ impl Parser {
     }
 
     fn parse_select_item(&mut self) -> Result<SelectItem> {
-        if self.eat(&TokenKind::Star) {
+        if self.eat(TokenKind::Star) {
             return Ok(SelectItem::Wildcard);
         }
         // alias.* ?
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if *self.peek_ahead(1) == TokenKind::Dot && *self.peek_ahead(2) == TokenKind::Star {
+        if let TokenKind::Ident(name) = self.peek() {
+            if self.peek_ahead(1) == TokenKind::Dot && self.peek_ahead(2) == TokenKind::Star {
                 self.advance();
                 self.advance();
                 self.advance();
-                return Ok(SelectItem::QualifiedWildcard(name));
+                return Ok(SelectItem::QualifiedWildcard(name.to_string()));
             }
         }
         let expr = self.parse_expr()?;
         let alias = if self.eat_keyword("AS") {
             Some(self.expect_ident()?)
-        } else if let TokenKind::Ident(name) = self.peek().clone() {
+        } else if let TokenKind::Ident(name) = self.peek() {
             self.advance();
-            Some(name)
+            Some(name.to_string())
         } else {
             None
         };
@@ -191,16 +207,16 @@ impl Parser {
     }
 
     fn parse_table_ref(&mut self) -> Result<TableRef> {
-        if self.eat(&TokenKind::LParen) {
+        if self.eat(TokenKind::LParen) {
             // (query) [AS] alias [(cols)]
             let query = self.parse_query()?;
             self.expect(TokenKind::RParen)?;
             let _ = self.eat_keyword("AS");
             let alias = self.expect_ident()?;
             let mut columns = Vec::new();
-            if self.eat(&TokenKind::LParen) {
+            if self.eat(TokenKind::LParen) {
                 columns.push(self.expect_ident()?);
-                while self.eat(&TokenKind::Comma) {
+                while self.eat(TokenKind::Comma) {
                     columns.push(self.expect_ident()?);
                 }
                 self.expect(TokenKind::RParen)?;
@@ -209,10 +225,10 @@ impl Parser {
         }
         let name = self.expect_ident()?;
         // Paper-style derived table: alias(cols) AS (query)
-        if *self.peek() == TokenKind::LParen {
+        if self.peek() == TokenKind::LParen {
             self.advance();
             let mut columns = vec![self.expect_ident()?];
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 columns.push(self.expect_ident()?);
             }
             self.expect(TokenKind::RParen)?;
@@ -224,9 +240,9 @@ impl Parser {
         }
         let alias = if self.eat_keyword("AS") {
             Some(self.expect_ident()?)
-        } else if let TokenKind::Ident(a) = self.peek().clone() {
+        } else if let TokenKind::Ident(a) = self.peek() {
             self.advance();
-            Some(a)
+            Some(a.to_string())
         } else {
             None
         };
@@ -290,7 +306,7 @@ impl Parser {
 
         // [NOT] BETWEEN / [NOT] IN
         let negated = if self.is_keyword("NOT")
-            && (matches!(self.peek_ahead(1), TokenKind::Keyword(k) if k == "BETWEEN" || k == "IN"))
+            && matches!(self.peek_ahead(1), TokenKind::Keyword("BETWEEN" | "IN"))
         {
             self.advance();
             true
@@ -322,7 +338,7 @@ impl Parser {
                 });
             }
             let mut list = vec![self.parse_expr()?];
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 list.push(self.parse_expr()?);
             }
             self.expect(TokenKind::RParen)?;
@@ -334,9 +350,9 @@ impl Parser {
         }
 
         // comparison operator (possibly quantified)
-        if let TokenKind::Op(op) = self.peek().clone() {
+        if let TokenKind::Op(op) = self.peek() {
             self.advance();
-            let cmp = match op.as_str() {
+            let cmp = match op {
                 "=" => CmpOp::Eq,
                 "<>" => CmpOp::Ne,
                 "<" => CmpOp::Lt,
@@ -375,9 +391,9 @@ impl Parser {
     fn parse_additive(&mut self) -> Result<AstExpr> {
         let mut left = self.parse_multiplicative()?;
         loop {
-            let op = if self.eat(&TokenKind::Plus) {
+            let op = if self.eat(TokenKind::Plus) {
                 AstBinOp::Add
-            } else if self.eat(&TokenKind::Minus) {
+            } else if self.eat(TokenKind::Minus) {
                 AstBinOp::Sub
             } else {
                 break;
@@ -391,9 +407,9 @@ impl Parser {
     fn parse_multiplicative(&mut self) -> Result<AstExpr> {
         let mut left = self.parse_unary()?;
         loop {
-            let op = if self.eat(&TokenKind::Star) {
+            let op = if self.eat(TokenKind::Star) {
                 AstBinOp::Mul
-            } else if self.eat(&TokenKind::Slash) {
+            } else if self.eat(TokenKind::Slash) {
                 AstBinOp::Div
             } else {
                 break;
@@ -405,7 +421,7 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<AstExpr> {
-        if self.eat(&TokenKind::Minus) {
+        if self.eat(TokenKind::Minus) {
             let inner = self.parse_unary()?;
             return Ok(AstExpr::Unary { op: AstUnOp::Neg, expr: Box::new(inner) });
         }
@@ -417,14 +433,14 @@ impl Parser {
     /// consumed the opening parenthesis.
     fn starts_query(&self) -> bool {
         match self.peek() {
-            TokenKind::Keyword(k) if k == "SELECT" => true,
+            TokenKind::Keyword("SELECT") => true,
             TokenKind::LParen => {
                 // Look through nested parens: "((SELECT..." is a query too.
                 let mut i = 0usize;
                 loop {
                     match self.peek_ahead(i) {
                         TokenKind::LParen => i += 1,
-                        TokenKind::Keyword(k) if k == "SELECT" => return true,
+                        TokenKind::Keyword("SELECT") => return true,
                         _ => return false,
                     }
                 }
@@ -441,36 +457,20 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<AstExpr> {
-        match self.peek().clone() {
-            TokenKind::Number(text) => {
+        match self.peek() {
+            kind @ (TokenKind::Number(_)
+            | TokenKind::StringLit(_)
+            | TokenKind::Keyword("NULL" | "TRUE" | "FALSE")) => {
+                self.literals.push(self.pos as u32);
                 self.advance();
-                let v = if text.contains('.') {
-                    Value::Double(text.parse().map_err(|_| self.error_here("bad number"))?)
-                } else {
-                    Value::Int(text.parse().map_err(|_| self.error_here("bad number"))?)
-                };
+                // Only a number can fail: an integer over `i64`.
+                let v = kind.value().ok_or_else(|| self.error_here("bad number"))?;
                 Ok(AstExpr::Literal(v))
             }
-            TokenKind::StringLit(s) => {
-                self.advance();
-                Ok(AstExpr::Literal(Value::str(s)))
-            }
-            TokenKind::Keyword(k) if k == "NULL" => {
-                self.advance();
-                Ok(AstExpr::Literal(Value::Null))
-            }
-            TokenKind::Keyword(k) if k == "TRUE" => {
-                self.advance();
-                Ok(AstExpr::Literal(Value::Bool(true)))
-            }
-            TokenKind::Keyword(k) if k == "FALSE" => {
-                self.advance();
-                Ok(AstExpr::Literal(Value::Bool(false)))
-            }
-            TokenKind::Keyword(k) if k == "COUNT" => {
+            TokenKind::Keyword("COUNT") => {
                 self.advance();
                 self.expect(TokenKind::LParen)?;
-                if self.eat(&TokenKind::Star) {
+                if self.eat(TokenKind::Star) {
                     self.expect(TokenKind::RParen)?;
                     return Ok(AstExpr::CountStar);
                 }
@@ -479,9 +479,9 @@ impl Parser {
                 self.expect(TokenKind::RParen)?;
                 Ok(AstExpr::Agg { func: AstAggFunc::Count, arg: Box::new(arg), distinct })
             }
-            TokenKind::Keyword(k) if k == "SUM" || k == "AVG" || k == "MIN" || k == "MAX" => {
+            TokenKind::Keyword(k @ ("SUM" | "AVG" | "MIN" | "MAX")) => {
                 self.advance();
-                let func = match k.as_str() {
+                let func = match k {
                     "SUM" => AstAggFunc::Sum,
                     "AVG" => AstAggFunc::Avg,
                     "MIN" => AstAggFunc::Min,
@@ -493,11 +493,11 @@ impl Parser {
                 self.expect(TokenKind::RParen)?;
                 Ok(AstExpr::Agg { func, arg: Box::new(arg), distinct })
             }
-            TokenKind::Keyword(k) if k == "COALESCE" => {
+            TokenKind::Keyword("COALESCE") => {
                 self.advance();
                 self.expect(TokenKind::LParen)?;
                 let mut args = vec![self.parse_expr()?];
-                while self.eat(&TokenKind::Comma) {
+                while self.eat(TokenKind::Comma) {
                     args.push(self.parse_expr()?);
                 }
                 self.expect(TokenKind::RParen)?;
@@ -517,11 +517,11 @@ impl Parser {
             }
             TokenKind::Ident(first) => {
                 self.advance();
-                if self.eat(&TokenKind::Dot) {
+                if self.eat(TokenKind::Dot) {
                     let name = self.expect_ident()?;
-                    Ok(AstExpr::Ident { qualifier: Some(first), name })
+                    Ok(AstExpr::Ident { qualifier: Some(first.to_string()), name })
                 } else {
-                    Ok(AstExpr::Ident { qualifier: None, name: first })
+                    Ok(AstExpr::Ident { qualifier: None, name: first.to_string() })
                 }
             }
             _ => Err(self.error_here("expected expression")),

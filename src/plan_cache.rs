@@ -1,23 +1,33 @@
-//! The plan cache: pay the five-way cost race once per query shape.
+//! The plan cache: pay the five-way cost race once per query shape, and
+//! the front end once per statement shape.
 //!
-//! A [`decorr_common::Cache`] whose family is `(fingerprint, planning
-//! mode)` and whose version is the catalog epoch. The fingerprint
-//! ([`decorr_core::fingerprint()`]) is of the *parameterized* graph, so
-//! queries differing only in constants, aliases or arena layout share one
-//! entry. `ANALYZE`, `\load` and DDL publish a new epoch, so every stale
-//! plan **misses by construction** and the plan raced under the new epoch
-//! replaces it.
+//! [`PlanCache`] is a [`decorr_common::Cache`] whose family is
+//! `(fingerprint, planning mode)` and whose version is the catalog epoch.
+//! The fingerprint ([`decorr_core::fingerprint()`]) is of the
+//! *parameterized* graph, so queries differing only in constants, aliases
+//! or arena layout share one entry. `ANALYZE`, `\load` and DDL publish a
+//! new epoch, so every stale plan **misses by construction** and the plan
+//! raced under the new epoch replaces it.
 //!
 //! The value is the race's full [`PlanChoice`], its winner kept as a
 //! *template* (it may contain `Expr::Param` nodes): a hit clones it, binds
 //! this request's literals and executes. `EXPLAIN COST` renders the cached
 //! race, exactly the one the executed plan won.
+//!
+//! In front of it, [`ShapeCache`] maps a statement's literal-normalised
+//! token stream ([`ShapeKey`]) at an epoch to its fingerprint and the
+//! [`Slots`] its bindings are read from. A repeated statement shape thus
+//! goes from the lexed text to [`PlanCache::get`] with no parse,
+//! parameterize, bind, validate or fingerprint. Binding reads the schema,
+//! so the shape cache is fenced by the epoch too; the planning mode is not
+//! part of its key, because text → fingerprint does not depend on it.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
 use decorr_common::Cache;
 use decorr_qgm::{BoxKind, Expr, Qgm};
+use decorr_sql::shape::{ShapeKey, Slots};
 
 use crate::choose::PlanChoice;
 
@@ -72,6 +82,47 @@ impl PlanCache {
     pub fn insert(&self, fingerprint: &str, epoch: u64, mode: &str, plan: Arc<CachedPlan>) {
         self.0
             .insert((fingerprint.into(), mode.into()), epoch, plan);
+    }
+}
+
+/// What the front end derives from a statement's text apart from its
+/// literal values: the fingerprint of its parameterized graph and where
+/// its bindings come from.
+#[derive(Debug)]
+pub struct StatementShape {
+    pub fingerprint: Arc<str>,
+    pub slots: Slots,
+    /// Approximate retained size, key included.
+    pub bytes: usize,
+}
+
+impl StatementShape {
+    pub fn new(key: &ShapeKey, fingerprint: Arc<str>, slots: Slots) -> Self {
+        let bytes = key.bytes() + fingerprint.len() + slots.bytes() + 96;
+        StatementShape { fingerprint, slots, bytes }
+    }
+}
+
+/// The process-wide statement-shape cache: family the [`ShapeKey`],
+/// version the catalog epoch. Its budget is fixed.
+#[derive(Debug, Clone)]
+pub struct ShapeCache(Cache<ShapeKey, u64, Arc<StatementShape>>);
+
+/// Byte budget of the shape cache: an entry is about twice its statement's
+/// text, so 4 MiB holds thousands of shapes.
+pub const SHAPE_CACHE_BYTES: usize = 4 << 20;
+
+impl Default for ShapeCache {
+    fn default() -> Self {
+        ShapeCache(Cache::new(SHAPE_CACHE_BYTES, |s| (s.bytes, 0)))
+    }
+}
+
+impl Deref for ShapeCache {
+    type Target = Cache<ShapeKey, u64, Arc<StatementShape>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 

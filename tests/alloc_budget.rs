@@ -25,7 +25,9 @@
 //! asks its graph questions of one traversal per graph state, not of a
 //! fresh walk per question, and a lane that does not apply clones nothing.
 //! So is nested iteration: a correlated Select evaluated once per binding
-//! reads what was decided about it once per run.
+//! reads what was decided about it once per run. So is a repeated
+//! statement: its literals fill a cached shape, and the front end does not
+//! run.
 //!
 //! One `#[test]`, so nothing else allocates while a statement is counted.
 
@@ -327,4 +329,27 @@ fn pass_through_boxes_copy_their_input_once() {
         fig8 <= 4 * LEFT + C,
         "fig 8 under Dayal: {fig8} allocations for {LEFT} left rows"
     );
+
+    // Fig 8 repeated with new literals: the statement-shape cache takes
+    // each statement from its tokens to the cached plan, with no parse,
+    // parameterize, bind, validate or fingerprint. Through that front end a
+    // statement made 771 allocations; 248 without it.
+    const REPEATED: u64 = 300;
+    session.handle_line("\\strategy auto").unwrap();
+    session.handle_line(Figure::Fig8.sql()).unwrap();
+    for pack in ["7 PACK", "8 PACK"] {
+        let sql = Figure::Fig8.sql().replace("6 PACK", pack);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let reply = session.handle_line(&sql).unwrap().lines;
+        let repeated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        println!("fig 8 with '{pack}': {repeated} allocations");
+        assert!(
+            reply.last().unwrap().contains("plan cache hit"),
+            "{reply:?}"
+        );
+        assert!(
+            repeated <= REPEATED,
+            "fig 8 repeated with '{pack}': {repeated} allocations through the front end"
+        );
+    }
 }

@@ -159,6 +159,19 @@ fn a_new_version_replaces_the_old_one() {
 }
 
 #[test]
+fn a_refused_entry_counts_as_a_miss() {
+    let c = cache(1 << 20);
+    c.insert("k", 1, 5);
+    assert_eq!(c.get_with(&"k", &1, |&n| (n > 9).then_some(n)), None);
+    assert_eq!(
+        c.get_with(&"k", &1, |&n| (n < 9).then_some(n * 2)),
+        Some(10)
+    );
+    let s = c.stats();
+    assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+}
+
+#[test]
 fn shrinking_budget_evicts_and_oversized_entries_skip() {
     let c = cache(40);
     c.insert("a", 1, 10);

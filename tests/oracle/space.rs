@@ -16,7 +16,7 @@
 #![allow(dead_code)]
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use decorr::common::{DataType, Row, Schema, Value, MORSEL_ROWS};
 use decorr::qgm::{BinOp, BoxKind, Expr, Qgm};
@@ -505,9 +505,19 @@ pub fn empdept(
     World::new(name, db)
 }
 
+/// The repository's `tests/corpus`, seen from the root crate's tests or
+/// from a member crate's (`crates/<name>/tests`).
+pub fn corpus_dir() -> PathBuf {
+    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dirs = [here.join("tests/corpus"), here.join("../../tests/corpus")];
+    dirs.into_iter()
+        .find(|d| d.is_dir())
+        .expect("the tests/corpus directory")
+}
+
 /// The world of `tests/corpus/worlds/<name>.tables`.
 pub fn fixed(name: &str) -> World {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/worlds");
+    let dir = corpus_dir().join("worlds");
     let text = std::fs::read_to_string(dir.join(format!("{name}.tables"))).expect("a world file");
     parse_case(name, &text, &dir).0
 }
